@@ -7,7 +7,6 @@ from .formula import FormulaProfile, OptFormula, classify, evaluate_body, parse_
 from .generate import GenProfile, generate
 from .hybrid import (
     HybridInstance,
-    SolveConfig,
     hash_element,
     hybrid_baseline,
     hybrid_to_basic,

@@ -8,18 +8,18 @@ import time
 from pathlib import Path
 
 from .baseline import baseline_opt
-from .errors import EngineError
+from .errors import ContractError, EngineError
 from .fastcount import multi_counting_opt
 from .formula import parse_formula
 from .generate import GenProfile, generate, generate_texts
-from .hybrid import SolveConfig, basic_to_ip, hybrid_to_basic
+from .hybrid import basic_to_ip, hybrid_to_basic
 from .ip import make_ip_solver
 from .reduction import (
-    PIPELINE_S_MAX,
     reduce_and_solve,
     remove_hyperedges,
     remove_parallel_edges,
     slotted_domains,
+    split_cross_atoms,
     to_hybrid,
 )
 from .structure import load_structure
@@ -69,17 +69,6 @@ def _add_profile_flags(p: argparse.ArgumentParser):
     p.add_argument("--kind", choices=["max", "min"], default=None)
 
 
-def _solver_and_config(formula, args):
-    solver = make_ip_solver(formula.kind, args.ip)
-    if solver.ratio == 1.0:
-        config = SolveConfig(mode="exact", s_max=PIPELINE_S_MAX)
-    else:
-        config = SolveConfig(
-            mode="approx", c=solver.ratio, eps=args.eps, s_max=PIPELINE_S_MAX
-        )
-    return solver, config
-
-
 def _emit(out, key, value):
     print(f"{key} {value}", file=out)
 
@@ -102,8 +91,8 @@ def cmd_solve(args) -> int:
         witness = res.witness if res else None
         path = "multicount"
     else:  # auto and reduction both run the routing pipeline
-        solver, config = _solver_and_config(formula, args)
-        value, trace = reduce_and_solve(structure, formula, solver, config)
+        solver = make_ip_solver(formula.kind, args.ip)
+        value, trace = reduce_and_solve(structure, formula, solver)
         witness = trace.witness
         path = trace.path
     elapsed = time.perf_counter() - started
@@ -147,17 +136,7 @@ def cmd_reduce(args) -> int:
 
     # cross atoms leave the main body exactly as in the lift: one exactly
     # solved side problem each, false inside the relaxed core
-    from .formula import Const, atoms_of, substitute_atoms
-
-    opt = set(formula.opt_vars)
-    cross = [
-        a
-        for a in dict.fromkeys(atoms_of(plan.main_core.body))
-        if len(a.args) == 2 and set(a.args) <= opt and a.args[0] != a.args[1]
-    ]
-    core = plan.main_core.with_body(
-        substitute_atoms(plan.main_core.body, {a: Const(False) for a in cross})
-    )
+    cross, core = split_cross_atoms(plan.main_core)
     for idx, atom in enumerate(cross):
         (out_dir / f"cross{idx}.formula").write_text(
             str(plan.main_core.with_body(atom)) + "\n"
@@ -212,8 +191,10 @@ def cmd_verify(args) -> int:
         print("warning no seeds requested; vacuous pass")
     for seed in range(args.start_seed, args.start_seed + args.seeds):
         structure, formula = generate(seed, profile)
-        solver, config = _solver_and_config(formula, args)
-        value, _ = reduce_and_solve(structure, formula, solver, config)
+        solver = make_ip_solver(formula.kind, args.ip)
+        if solver.ratio != 1.0 and not 0 < args.eps < 0.5:
+            raise ContractError("an approximate verify needs eps in (0, 1/2)")
+        value, _ = reduce_and_solve(structure, formula, solver)
         res = baseline_opt(structure, formula)
         opt = res.value if res else None
         if solver.ratio == 1.0:
@@ -250,8 +231,8 @@ def cmd_bench(args) -> int:
                 res = multi_counting_opt(structure, formula)
                 values.append(res.value if res else None)
             else:
-                solver, config = _solver_and_config(formula, args)
-                value, _ = reduce_and_solve(structure, formula, solver, config)
+                solver = make_ip_solver(formula.kind, args.ip)
+                value, _ = reduce_and_solve(structure, formula, solver)
                 values.append(value)
             total += time.perf_counter() - started
         rows.append((engine, total, values))
@@ -287,7 +268,6 @@ def main(argv=None) -> int:
         default="auto",
     )
     p.add_argument("--ip", default="exact", help="'exact' or 'approx:<c>'")
-    p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--trace", default=None, help="write the stage trace ('-' = stdout)")
     p.add_argument("--verify", action="store_true", help="cross-check with the baseline")
     p.set_defaults(func=cmd_solve)
@@ -308,7 +288,10 @@ def main(argv=None) -> int:
     p.add_argument("--seeds", type=int, required=True)
     p.add_argument("--start-seed", type=int, default=0)
     p.add_argument("--ip", default="exact")
-    p.add_argument("--eps", type=float, default=0.1)
+    p.add_argument(
+        "--eps", type=float, default=0.1,
+        help="approximate runs must land within ratio c+eps of the baseline",
+    )
     _add_profile_flags(p)
     p.set_defaults(func=cmd_verify)
 
@@ -317,7 +300,6 @@ def main(argv=None) -> int:
     p.add_argument("--start-seed", type=int, default=0)
     p.add_argument("--engines", default="baseline,auto")
     p.add_argument("--ip", default="exact")
-    p.add_argument("--eps", type=float, default=0.1)
     _add_profile_flags(p)
     p.set_defaults(func=cmd_bench)
 

@@ -1,6 +1,14 @@
 """The Hybrid Problem: k set families over a universe partitioned into 2^k
-typed parts, its Basic single-type form, and the deterministic prime-residue
-universe reduction that makes complementing sets affordable.
+typed parts, its Basic single-type form, and its solve through one k-IP
+instance.
+
+The paper shrinks the universe with a deterministic prime-residue reduction
+before complementing sets, so that the Basic form stays sparse; the reduction
+and its error bounds are implemented here (``universe_reduce``) and tested on
+their own.  The solve does not use it: exact recovery needs multiplicity
+t = 2*bound + 1, and at that t every part of at most 4*t*log2(t) elements,
+far more than the lift's universes hold, is copied verbatim t times; solving
+t copies is solving the instance itself.
 
 Universe elements are identified with 0..|U|-1 in canonical order; set and
 part membership is cached as integer bitmasks, so the set algebra runs on
@@ -8,9 +16,9 @@ machine words.  Types tau are packed ints with family i at bit i.
 """
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
@@ -89,6 +97,23 @@ class HybridInstance:
     def m_h(self) -> int:
         return sum(len(s) for fam in self.families for s in fam)
 
+    def select(self, picks: Sequence[Sequence[int]]) -> "HybridInstance":
+        """Sub-instance over the same universe that keeps the sets
+        ``picks[i]`` of family i; shares the element data and part masks."""
+        sub = copy.copy(self)
+        sub.families = tuple(
+            tuple(fam[j] for j in idxs) for fam, idxs in zip(self.families, picks)
+        )
+        sub.set_masks = tuple(
+            tuple(masks[j] for j in idxs) for masks, idxs in zip(self.set_masks, picks)
+        )
+        if self.set_labels is not None:
+            sub.set_labels = tuple(
+                tuple(labs[j] for j in idxs)
+                for labs, idxs in zip(self.set_labels, picks)
+            )
+        return sub
+
     def part(self, tau: int) -> list[int]:
         return [u for u, t in enumerate(self.element_types) if t == tau]
 
@@ -138,8 +163,7 @@ def val(
 
 
 def hybrid_baseline(instance: HybridInstance) -> tuple[int, tuple[int, ...]] | None:
-    """Exhaustive optimum over all family tuples; the test oracle and the
-    heavy-set fallback of solve_hybrid."""
+    """Exhaustive optimum over all family tuples; the test oracle."""
     if any(not fam for fam in instance.families):
         return None
     best_val = None
@@ -176,7 +200,7 @@ def hybrid_to_basic(instance: HybridInstance, tau: int) -> BasicInstance:
     complementing sets on every part that disagrees with ``tau``.
 
     Total tuple values are preserved exactly; sparsity may grow up to
-    n * |U|, which is why this runs after the universe reduction.
+    n * |U|, which the paper bounds by reducing the universe first.
     """
     size = instance.size
     full = (1 << size) - 1
@@ -357,152 +381,24 @@ def universe_reduce(
 
 # --- hybrid solve through IP -------------------------------------------------
 
-@dataclass(frozen=True)
-class SolveConfig:
-    """Mode and thresholds for solve_hybrid and the reduction pipeline.
-
-    ``s_max`` is the heavy-set cutoff: sets larger than this are brute-forced
-    before the universe reduction.  ``t_override`` forces the multiplicity
-    (testing only; the default rule guarantees exact recovery).
-    """
-
-    mode: str = "exact"  # "exact" | "approx"
-    c: float = 1.0
-    eps: float | None = None
-    s_max: int = 8
-    t_override: int | None = None
-    top_k_override: int | None = None  # testing only, see solve_cross_free_lift
-
-    def __post_init__(self):
-        if self.mode not in ("exact", "approx"):
-            raise ContractError(f"unknown mode {self.mode!r}")
-        if self.s_max < 1:
-            raise ContractError("s_max must be positive")
-        if self.mode == "exact":
-            if self.c != 1.0:
-                raise ContractError("exact mode requires ratio c = 1")
-        else:
-            if self.c < 1.0:
-                raise ContractError("approximation ratio must be >= 1")
-            if self.eps is None or not 0 < self.eps < 0.5:
-                raise ContractError("approx mode requires eps in (0, 1/2)")
-
-    @staticmethod
-    def exact(s_max: int = 8, **kw) -> "SolveConfig":
-        return SolveConfig(mode="exact", s_max=s_max, **kw)
-
-    @staticmethod
-    def approx(c: float, eps: float, s_max: int = 8, **kw) -> "SolveConfig":
-        return SolveConfig(mode="approx", c=c, eps=eps, s_max=s_max, **kw)
-
-
-def select_t(config: SolveConfig, k: int, s_eff: int, universe_size: int) -> tuple[int, int]:
-    """Multiplicity from the error bound: exact mode needs the bound to fit
-    strictly inside half a multiple of t, approx mode inside eps*t."""
-    bound = error_bound(k, max(1, s_eff), universe_size)
-    if config.t_override is not None:
-        return config.t_override, bound
-    if config.mode == "exact":
-        return 2 * bound + 1, bound
-    return max(1, math.ceil(bound / config.eps)), bound
-
-
-def solve_hybrid(
-    instance: HybridInstance, ip_solver: IpSolver, config: SolveConfig
-) -> int | None:
-    value, _ = solve_hybrid_with_info(instance, ip_solver, config)
+def solve_hybrid(instance: HybridInstance, ip_solver: IpSolver) -> int | None:
+    value, _ = solve_hybrid_with_info(instance, ip_solver)
     return value
 
 
 def solve_hybrid_with_info(
-    instance: HybridInstance, ip_solver: IpSolver, config: SolveConfig
+    instance: HybridInstance, ip_solver: IpSolver
 ) -> tuple[int | None, dict]:
-    """Heavy-set elimination, universe reduction, Basic conversion at the
-    all-ones type, one IP solver call, and rounding recovery."""
+    """Basic conversion at the all-ones type and one IP solver call.
+
+    The conversion preserves every tuple value, so the solver's value is the
+    hybrid optimum within the solver's ratio: exact for an exact solver, a
+    c-approximation for a c-approximate one.  ``None`` when a family is empty.
+    """
     if ip_solver.kind != instance.kind:
         raise ContractError("ip solver kind does not match instance kind")
-    if config.mode == "exact" and ip_solver.ratio != 1.0:
-        raise ContractError("exact mode requires an exact ip solver")
-    info: dict = {"universe": instance.size, "m_h": instance.m_h}
+    info = {"universe": instance.size, "m_h": instance.m_h}
     if any(not fam for fam in instance.families):
         return None, info
-
-    better = max if instance.kind == "max" else min
-
-    # step 1: brute-force heavy sets, then drop them
-    heavy_best: int | None = None
-    heavy = [
-        (i, j)
-        for i, fam in enumerate(instance.families)
-        for j, s in enumerate(fam)
-        if len(s) > config.s_max
-    ]
-    info["heavy_sets"] = len(heavy)
-    for i, j in heavy:
-        other = [range(len(f)) if q != i else (j,) for q, f in enumerate(instance.families)]
-        for key in product(*other):
-            _, total = val(instance, key)
-            heavy_best = total if heavy_best is None else better(heavy_best, total)
-
-    light_sets = [
-        [j for j, s in enumerate(fam) if len(s) <= config.s_max]
-        for fam in instance.families
-    ]
-    if any(not idxs for idxs in light_sets):
-        return heavy_best, info
-
-    light = HybridInstance(
-        instance.k,
-        instance.kind,
-        instance.element_types,
-        [
-            [instance.families[i][j] for j in idxs]
-            for i, idxs in enumerate(light_sets)
-        ],
-    )
-
-    # step 2: pick t and reduce the universe
-    s_eff = max(
-        (len(s) for fam in light.families for s in fam), default=0
-    )
-    t, bound = select_t(config, light.k, min(s_eff, config.s_max), light.size)
-    info["t"] = t
-    info["e_bound"] = bound
-    tau_ones = (1 << light.k) - 1
-
-    copy_threshold = 4 * t * math.log2(t) if t > 1 else 0.0
-    all_copy = all(
-        light.part_masks[tau].bit_count() <= copy_threshold
-        for tau in range(1 << light.k)
-    )
-    if all_copy:
-        # Every part is duplicated t times verbatim, so the reduced instance
-        # is the original scaled by t with Delta = 0 and zero collision error;
-        # solving the unscaled encoding and rescaling is the same computation.
-        info["delta"] = 0
-        info["reduced_universe"] = t * light.size
-        info["copy_fast_path"] = True
-        alg_unit = ip_solver.solve(basic_to_ip(hybrid_to_basic(light, tau_ones)))
-        if alg_unit is None:
-            return heavy_best, info
-        alg = Fraction(alg_unit)
-    else:
-        reduced, red = universe_reduce(light, t)
-        info["delta"] = red.delta
-        info["reduced_universe"] = reduced.size
-        info["copy_fast_path"] = False
-        alg_prime = ip_solver.solve(basic_to_ip(hybrid_to_basic(reduced, tau_ones)))
-        if alg_prime is None:
-            return heavy_best, info
-        alg = Fraction(alg_prime + red.delta, t)
-
-    # step 3: recover the original-scale value
-    if config.mode == "exact":
-        light_val = int((2 * alg.numerator + alg.denominator) // (2 * alg.denominator))
-    elif instance.kind == "max":
-        light_val = math.ceil(alg - Fraction(config.eps))
-    else:
-        light_val = math.floor(alg + Fraction(config.eps))
-    light_val = max(0, light_val)
-
-    return (light_val if heavy_best is None else better(heavy_best, light_val)), info
+    tau_ones = (1 << instance.k) - 1
+    return ip_solver.solve(basic_to_ip(hybrid_to_basic(instance, tau_ones))), info

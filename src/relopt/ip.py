@@ -48,6 +48,9 @@ class IPInstance:
         return "\n".join(lines) + "\n"
 
 
+_DIRECTIVE_USAGE = {"dim": "'dim D'", "vec": "'vec FAMILY COORD...'"}
+
+
 def parse_ip_instance(text: str, k: int | None = None) -> IPInstance:
     d = None
     fams: dict[int, list[Vector]] = {}
@@ -55,14 +58,22 @@ def parse_ip_instance(text: str, k: int | None = None) -> IPInstance:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if parts[0] == "dim":
-            d = int(parts[1])
-        elif parts[0] == "vec":
-            fam = int(parts[1])
-            fams.setdefault(fam, []).append(tuple(sorted(int(c) for c in parts[2:])))
+        directive, *fields = line.split()
+        usage = _DIRECTIVE_USAGE.get(directive)
+        if usage is None:
+            raise ContractError(f"line {line_no}: unknown directive {directive!r}")
+        try:
+            numbers = [int(f) for f in fields]
+        except ValueError:
+            numbers = []
+        if not numbers or numbers[0] < 0 or (directive == "dim" and len(numbers) > 1):
+            raise ContractError(
+                f"line {line_no}: expected {usage} with nonnegative integers"
+            )
+        if directive == "dim":
+            d = numbers[0]
         else:
-            raise ContractError(f"line {line_no}: unknown directive {parts[0]!r}")
+            fams.setdefault(numbers[0], []).append(tuple(sorted(numbers[1:])))
     if d is None:
         raise ContractError("missing 'dim' line")
     nfam = k if k is not None else (max(fams) + 1 if fams else 0)

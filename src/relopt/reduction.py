@@ -44,7 +44,7 @@ from .formula import (
     map_atoms,
     substitute_atoms,
 )
-from .hybrid import HybridInstance, SolveConfig, solve_hybrid_with_info
+from .hybrid import HybridInstance, solve_hybrid_with_info
 from .ip import IpSolver
 from .structure import ObjectId, Relation, RelationalStructure
 
@@ -55,7 +55,6 @@ SLOT_SEP = "@"
 COPY_SEP = "#"
 DEFAULT_R_CAP = 4
 SIGMA_CAP = 1 << 16
-PIPELINE_S_MAX = 1_000_000  # desk-scale sets are never "heavy" by default
 
 
 def _fresh(name: str, taken) -> str:
@@ -409,23 +408,9 @@ def build_group_partition(
     return GroupPartition(threshold, tuple(groups))
 
 
-InnerSolver = Callable[[RelationalStructure, OptFormula, Domains], "int | None"]
-
-
-def solve_cross_free_lift(
-    structure: RelationalStructure,
-    formula: OptFormula,
-    inner: InnerSolver,
-    guard: Guard = (),
-    kind_config: SolveConfig | None = None,
-    stats_out: dict | None = None,
-) -> OptResult | None:
-    """Eliminate cross edges: exact side problems per cross atom, heavy-vertex
-    brute force, grouped relaxed scoring through ``inner``, and exact top-K
-    re-solving under the guarded main body."""
-    if formula.ell != 1:
-        raise ContractError("the lift expects exactly one count variable")
-    k = formula.k
+def split_cross_atoms(formula: OptFormula) -> tuple[list[Atom], OptFormula]:
+    """The cross atoms of the body (binary over two distinct optimization
+    variables) and the cross-free core, the body with each of them false."""
     opt = set(formula.opt_vars)
     cross = [
         a
@@ -435,6 +420,36 @@ def solve_cross_free_lift(
         and a.args[1] in opt
         and a.args[0] != a.args[1]
     ]
+    core = formula.with_body(
+        substitute_atoms(formula.body, {a: Const(False) for a in cross})
+    )
+    return cross, core
+
+
+Scorer = Callable[[Domains], "int | None"]
+PrepareScorer = Callable[[RelationalStructure, OptFormula], Scorer]
+
+
+def solve_cross_free_lift(
+    structure: RelationalStructure,
+    formula: OptFormula,
+    prepare: PrepareScorer,
+    guard: Guard = (),
+    top_k: int | None = None,
+    stats_out: dict | None = None,
+) -> OptResult | None:
+    """Eliminate cross edges: exact side problems per cross atom, heavy-vertex
+    brute force, grouped relaxed scoring, and exact top-K re-solving under the
+    guarded main body.
+
+    ``prepare(structure, core)`` is called once, when there is at least one
+    group, and returns the scorer of the cross-free core on group domains.
+    ``top_k`` overrides the number of re-solved combinations (testing only).
+    """
+    if formula.ell != 1:
+        raise ContractError("the lift expects exactly one count variable")
+    k = formula.k
+    cross, core = split_cross_atoms(formula)
     candidates: list[OptResult] = []
 
     # (1) exact side problems, one per cross atom
@@ -449,9 +464,6 @@ def solve_cross_free_lift(
         if side is not None:
             candidates.append(side)
 
-    core = formula.with_body(
-        substitute_atoms(formula.body, {a: Const(False) for a in cross})
-    )
     full_guard: Guard = tuple(guard) + tuple((a, False) for a in cross)
 
     # (2) heavy vertices: fix and solve the residual problem with the baseline
@@ -478,19 +490,19 @@ def solve_cross_free_lift(
 
     if g:
         # (4) score every group combination on the relaxed body
+        score = prepare(structure, core)
         scored = []
         for combo in product(range(g), repeat=k):
             domains = {
                 var: partition.groups[ci]
                 for var, ci in zip(formula.opt_vars, combo)
             }
-            value = inner(structure, core, domains)
+            value = score(domains)
             if value is not None:
                 scored.append((value, combo))
-        fp_bound = math.comb(k, 2) * m * (n ** (k - 2) if k >= 2 else 0)
-        top_k = min(g**k, fp_bound + 1)
-        if kind_config is not None and kind_config.top_k_override is not None:
-            top_k = kind_config.top_k_override
+        if top_k is None:
+            fp_bound = math.comb(k, 2) * m * (n ** (k - 2) if k >= 2 else 0)
+            top_k = min(g**k, fp_bound + 1)
         reverse = formula.kind == "max"
         scored.sort(key=lambda vc: ((-vc[0] if reverse else vc[0]), vc[1]))
         selected = scored[:top_k]
@@ -944,87 +956,56 @@ def to_hybrid(
     return out
 
 
-# --- prepared inner solver ----------------------------------------------------
+# --- the lift's scorer ---------------------------------------------------------
 
-def _subselect(inst: HybridInstance, picks: Sequence[Sequence[int]]) -> HybridInstance:
-    """Sub-instance over the same universe, sharing the cached masks."""
-    sub = object.__new__(HybridInstance)
-    sub.k = inst.k
-    sub.kind = inst.kind
-    sub.element_types = inst.element_types
-    sub.families = tuple(
-        tuple(inst.families[i][j] for j in idxs) for i, idxs in enumerate(picks)
-    )
-    sub.labels = inst.labels
-    sub.set_labels = None
-    sub.part_masks = inst.part_masks
-    sub.set_masks = tuple(
-        tuple(inst.set_masks[i][j] for j in idxs) for i, idxs in enumerate(picks)
-    )
-    return sub
+class HybridScorer:
+    """The lift's scorer for one (structure, cross-free core): parallel-edge
+    removal and hybrid conversion run once at construction; each call solves,
+    through the IP solver, the hybrid sub-instances that keep the sets of the
+    objects in the given domains, and returns the best value."""
 
-
-class HybridInner:
-    """The inner solver of the lift: parallel-edge removal, hybrid conversion
-    and the hybrid-through-IP solve, prepared once per (structure, formula)
-    and re-run on sub-domains per group combination."""
-
-    def __init__(self, ip_solver: IpSolver, config: SolveConfig):
-        self.ip_solver = ip_solver
-        self.config = config
-        self._prepared: dict = {}
-        self.last_info: dict = {}
-
-    def _prepare(self, structure: RelationalStructure, formula: OptFormula):
-        key = (id(structure), formula)
-        prep = self._prepared.get(key)
-        if prep is not None:
-            return prep
-        transformed, tf = remove_parallel_edges(structure, formula)
-        slot_doms = slotted_domains(structure, transformed, tf)
-        instances = to_hybrid(transformed, tf, domains=slot_doms)
-        per_sigma = []
-        for inst, back in instances:
-            maps = []
-            for i in range(tf.k):
-                pos = {}
-                for j, clone in enumerate(back.family_objects[i]):
-                    label = transformed.labels[clone]
-                    orig = label.rsplit(SLOT_SEP, 1)[0]
-                    pos[structure.index(orig)] = j
-                maps.append(pos)
-            per_sigma.append((inst, maps))
-        prep = (tf.k, per_sigma, {"universe": max((i.size for i, _ in instances), default=0)})
-        self._prepared[key] = prep
-        return prep
-
-    def __call__(
+    def __init__(
         self,
         structure: RelationalStructure,
         formula: OptFormula,
-        domains: Domains,
-    ) -> int | None:
-        k, per_sigma, info = self._prepare(structure, formula)
-        self.last_info = info
-        better = max if formula.kind == "max" else min
+        ip_solver: IpSolver,
+    ):
+        transformed, tf = remove_parallel_edges(structure, formula)
+        slot_doms = slotted_domains(structure, transformed, tf)
+        instances = to_hybrid(transformed, tf, domains=slot_doms)
+        original = {
+            clone: v for clones in slot_doms.values() for v, clone in enumerate(clones)
+        }
+        self.opt_vars = tf.opt_vars
+        self.ip_solver = ip_solver
+        self.better = max if formula.kind == "max" else min
+        # per unary assignment: the instance and, per family, the set index
+        # of each original object
+        self.per_sigma = [
+            (
+                inst,
+                [
+                    {original[clone]: j for j, clone in enumerate(objects)}
+                    for objects in back.family_objects
+                ],
+            )
+            for inst, back in instances
+        ]
+        self.universe = max((inst.size for inst, _ in instances), default=0)
+
+    def __call__(self, domains: Domains) -> int | None:
         best: int | None = None
-        for inst, maps in per_sigma:
+        for inst, set_index in self.per_sigma:
             picks = []
-            ok = True
-            for i, var in enumerate(formula.opt_vars):
-                idxs = [maps[i][v] for v in domains[var] if v in maps[i]]
+            for var, index in zip(self.opt_vars, set_index):
+                idxs = [index[v] for v in domains[var] if v in index]
                 if not idxs:
-                    ok = False
                     break
                 picks.append(idxs)
-            if not ok:
-                continue
-            sub = _subselect(inst, picks)
-            value, sub_info = solve_hybrid_with_info(sub, self.ip_solver, self.config)
-            info.setdefault("t", sub_info.get("t"))
-            info.setdefault("delta", sub_info.get("delta"))
-            if value is not None:
-                best = value if best is None else better(best, value)
+            else:
+                value, _ = solve_hybrid_with_info(inst.select(picks), self.ip_solver)
+                if value is not None:
+                    best = value if best is None else self.better(best, value)
         return best
 
 
@@ -1056,23 +1037,14 @@ def reduce_and_solve(
     structure: RelationalStructure,
     formula: OptFormula,
     ip_solver: IpSolver,
-    config: SolveConfig | None = None,
 ) -> tuple[int | None, ReductionTrace]:
     """Route an instance through the full pipeline.
 
     Two or more counting variables go to the multi-counting solver; a single
     optimization variable is a baseline base case; everything else runs
     hyperedge removal, the grouped cross-edge lift with the hybrid-through-IP
-    inner solver, and exact side problems.
+    scorer, and exact side problems.
     """
-    if config is None:
-        config = (
-            SolveConfig(mode="exact", s_max=PIPELINE_S_MAX)
-            if ip_solver.ratio == 1.0
-            else SolveConfig(
-                mode="approx", c=ip_solver.ratio, eps=0.1, s_max=PIPELINE_S_MAX
-            )
-        )
     if ip_solver.kind != formula.kind:
         raise ContractError("ip solver kind does not match the formula")
     classify(formula, structure)
@@ -1116,15 +1088,20 @@ def reduce_and_solve(
         if res is not None:
             candidates.append(res)
 
-    inner = HybridInner(ip_solver, config)
+    scorer: HybridScorer | None = None
+
+    def prepare(s: RelationalStructure, f: OptFormula) -> HybridScorer:
+        nonlocal scorer
+        scorer = HybridScorer(s, f, ip_solver)
+        return scorer
+
     lift_stats: dict = {}
     try:
         main = solve_cross_free_lift(
             plan.main_structure,
             plan.main_core,
-            inner,
+            prepare,
             guard=plan.main_guard,
-            kind_config=config,
             stats_out=lift_stats,
         )
     except ResourceLimitError as exc:
@@ -1134,8 +1111,8 @@ def reduce_and_solve(
         )
     lift_stats.pop("psi1_scores", None)
     trace.add("cross-free-lift", **lift_stats)
-    if inner.last_info:
-        trace.add("hybrid", **{k: v for k, v in inner.last_info.items() if v is not None})
+    if scorer is not None:
+        trace.add("hybrid", universe=scorer.universe)
     if main is not None:
         candidates.append(main)
 

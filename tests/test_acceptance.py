@@ -14,7 +14,6 @@ from relopt.baseline import baseline_opt, baseline_values
 from relopt.fastcount import TripartiteGraph, triangle_counts
 from relopt.generate import GenProfile, generate
 from relopt.hybrid import (
-    SolveConfig,
     hash_element,
     prime_support,
     solve_hybrid,
@@ -113,10 +112,8 @@ def test_criterion_3_universe_reduction_error_bound():
             assert abs(t * orig - new - red.delta) <= red.e_bound, (
                 f"trial {trial}: t={t}"
             )
-        # exact-mode rounding always recovers the true optimum
-        got = solve_hybrid(
-            inst, exact_solver(inst.kind), SolveConfig.exact(s_max=5)
-        )
+        # the hybrid solve through the exact IP solver recovers the optimum
+        got = solve_hybrid(inst, exact_solver(inst.kind))
         want = hybrid_opt_naive(inst)
         assert got == (want[0] if want else None), f"trial {trial}"
     print(

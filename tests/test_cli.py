@@ -63,7 +63,6 @@ def test_solve_approx_interval(toy_files, capsys):
             "--formula", str(f),
             "--engine", "reduction",
             "--ip", "approx:2",
-            "--eps", "0.1",
         ],
         capsys,
     )
@@ -153,6 +152,13 @@ def test_verify_approx(capsys):
     )
     assert code == 0
     assert "mismatches 0" in out
+
+
+def test_verify_approx_rejects_large_eps():
+    code = main(
+        ["verify", "--seeds", "1", "--n", "6", "--ip", "approx:2", "--eps", "0.7"]
+    )
+    assert code == 2
 
 
 def test_verify_zero_seeds_warns(capsys):

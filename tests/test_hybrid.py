@@ -8,7 +8,6 @@ from relopt.errors import ContractError
 from relopt.hybrid import (
     BasicInstance,
     HybridInstance,
-    SolveConfig,
     basic_to_ip,
     collision_number,
     error_bound,
@@ -183,23 +182,9 @@ def test_solve_hybrid_exact_matches_exhaustive():
         k = rng.randint(1, 3)
         inst = random_hybrid(rng, k, rng.randint(1, 40), max_set=5)
         solver = exact_solver(inst.kind)
-        got = solve_hybrid(inst, solver, SolveConfig.exact(s_max=rng.choice([2, 5, 100])))
+        got = solve_hybrid(inst, solver)
         want = hybrid_opt_naive(inst)
         assert got == want[0], f"trial {trial}"
-
-
-def test_solve_hybrid_exact_with_forced_small_t_uses_hash_path():
-    # the override drops the exactness guarantee; only check it runs and the
-    # hash branch is reachable through solve_hybrid
-    rng = random.Random(26)
-    inst = random_hybrid(rng, 2, 35, max_set=3, kind="max")
-    from relopt.hybrid import solve_hybrid_with_info
-
-    value, info = solve_hybrid_with_info(
-        inst, exact_solver("max"), SolveConfig(mode="exact", s_max=100, t_override=2)
-    )
-    assert info["copy_fast_path"] is False
-    assert value is not None
 
 
 def test_solve_hybrid_approx_max_zero_opt():
@@ -207,7 +192,7 @@ def test_solve_hybrid_approx_max_zero_opt():
         2, "max", [3] * 4, [[frozenset()], [frozenset()]]
     )
     solver = approx_wrapper(exact_solver("max"), 2.0)
-    got = solve_hybrid(inst, solver, SolveConfig.approx(2.0, 0.1))
+    got = solve_hybrid(inst, solver)
     assert got == 0
 
 
@@ -218,7 +203,7 @@ def test_solve_hybrid_approx_intervals():
         inst = random_hybrid(rng, k, rng.randint(1, 30), max_set=4)
         c = 2.0
         solver = approx_wrapper(exact_solver(inst.kind), c)
-        got = solve_hybrid(inst, solver, SolveConfig.approx(c, 0.1))
+        got = solve_hybrid(inst, solver)
         opt = hybrid_opt_naive(inst)[0]
         if inst.kind == "max":
             assert opt / (c + 0.1) <= got <= opt, f"trial {trial}"
@@ -228,12 +213,12 @@ def test_solve_hybrid_approx_intervals():
 
 def test_solve_hybrid_empty_family():
     inst = HybridInstance(2, "max", [3], [[], [frozenset({0})]])
-    assert solve_hybrid(inst, exact_solver("max"), SolveConfig.exact()) is None
+    assert solve_hybrid(inst, exact_solver("max")) is None
 
 
 def test_solve_hybrid_empty_universe():
     inst = HybridInstance(2, "min", [], [[frozenset()], [frozenset()]])
-    assert solve_hybrid(inst, exact_solver("min"), SolveConfig.exact()) == 0
+    assert solve_hybrid(inst, exact_solver("min")) == 0
 
 
 def test_universe_reduce_materialization_cap():
@@ -247,20 +232,7 @@ def test_universe_reduce_materialization_cap():
 def test_solve_hybrid_rejects_mismatched_solver():
     inst = HybridInstance(1, "max", [1], [[frozenset({0})]])
     with pytest.raises(ContractError):
-        solve_hybrid(inst, exact_solver("min"), SolveConfig.exact())
-    with pytest.raises(ContractError):
-        solve_hybrid(
-            inst, approx_wrapper(exact_solver("max"), 2.0), SolveConfig.exact()
-        )
-
-
-def test_config_validation():
-    with pytest.raises(ContractError):
-        SolveConfig.approx(2.0, 0.7)
-    with pytest.raises(ContractError):
-        SolveConfig.approx(0.5, 0.1)
-    with pytest.raises(ContractError):
-        SolveConfig(mode="exact", c=2.0)
+        solve_hybrid(inst, exact_solver("min"))
 
 
 def test_basic_to_ip_roundtrip_value():

@@ -199,3 +199,18 @@ def test_make_ip_solver_and_dump_parse():
     text = inst.dump()
     assert "dim 3" in text
     assert parse_ip_instance(text) == inst
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("dim", 1),
+        ("dim 3\nvec", 2),
+        ("dim x", 1),
+        ("dim 3\nvec 0 x", 2),
+        ("dim 3\nvec -1 0", 2),
+    ],
+)
+def test_parse_ip_instance_rejects_malformed_lines(text, line):
+    with pytest.raises(ContractError, match=f"line {line}:"):
+        parse_ip_instance(text)

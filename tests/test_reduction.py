@@ -6,10 +6,10 @@ import pytest
 from relopt.baseline import baseline_opt, baseline_opt_restricted, baseline_values
 from relopt.errors import ContractError, ResourceLimitError
 from relopt.formula import And, Atom, parse_formula
-from relopt.hybrid import SolveConfig, val
+from relopt.hybrid import val
 from relopt.ip import approx_wrapper, exact_solver
 from relopt.reduction import (
-    HybridInner,
+    HybridScorer,
     build_group_partition,
     combine_results,
     normalize_formula,
@@ -355,9 +355,12 @@ def test_to_hybrid_preserves_values():
 
 # --- the lift and the driver ---------------------------------------------------------
 
-def _baseline_inner(structure, formula, domains):
-    res = baseline_opt(structure, formula, domains)
-    return None if res is None else res.value
+def _baseline_inner(structure, formula):
+    def score(domains):
+        res = baseline_opt(structure, formula, domains)
+        return None if res is None else res.value
+
+    return score
 
 
 def test_lift_no_cross_exact_inner_matches_baseline():
@@ -403,10 +406,70 @@ def test_lift_k_override_plumbs_through():
         s,
         f,
         _baseline_inner,
-        kind_config=SolveConfig(mode="exact", top_k_override=1),
+        top_k=1,
         stats_out=stats,
     )
     assert stats["top_k"] == 1
+
+
+def test_hybrid_scorer_matches_baseline_on_domains():
+    # one scorer per instance, many domains: the prepared state is reused
+    rng = random.Random(64)
+    values = nones = 0
+    for trial in range(30):
+        kind = ("max", "min")[trial % 2]
+        structure, formula = conforming_instance(
+            rng, k=rng.choice([2, 3]), n_objects=rng.randint(2, 7), kind=kind
+        )
+        score = HybridScorer(structure, formula, exact_solver(kind))
+        for _ in range(30):
+            domains = {
+                var: tuple(v for v in range(structure.n) if rng.random() < 0.4)
+                for var in formula.opt_vars
+            }
+            want = baseline_opt(structure, formula, domains)
+            got = score(domains)
+            assert got == (None if want is None else want.value), f"trial {trial}"
+            if any(not dom for dom in domains.values()):
+                assert got is None
+                nones += 1
+            else:
+                values += 1
+    assert values and nones
+
+
+def test_lift_converts_to_hybrid_at_most_once(monkeypatch):
+    import relopt.reduction as reduction
+
+    calls = []
+    real = reduction.to_hybrid
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(reduction, "to_hybrid", counting)
+    rng = random.Random(65)
+    cases = [
+        (load_structure("rel E 2\n"), parse_formula("max x1,x2 . count y . E(x1,y)"))
+    ] + [
+        random_instance(rng, k=rng.choice([2, 3]), ell=1, n_objects=rng.randint(2, 8))
+        for _ in range(20)
+    ]
+    grouped = 0
+    for structure, formula in cases:
+        calls.clear()
+        stats = {}
+        solver = exact_solver(formula.kind)
+        solve_cross_free_lift(
+            structure,
+            formula,
+            lambda s, f: HybridScorer(s, f, solver),
+            stats_out=stats,
+        )
+        assert len(calls) == (1 if stats["groups"] else 0), formula
+        grouped += bool(stats["groups"])
+    assert 0 < grouped < len(cases)
 
 
 def test_reduce_and_solve_exact_small():
