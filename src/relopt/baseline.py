@@ -7,6 +7,11 @@ positive record; absent pairs are recovered from the complement identity
 ``C(x; a, 0) = |Y_a| - sum_b C(x; a, b)``.  This module is also the
 correctness oracle for everything else in the package.
 
+``PreparedBaseline`` indexes the structure's relations for one formula once
+and then answers queries over any domains; the pipeline keeps one per
+(structure, formula) and queries it per domain, and the module functions
+build one per call.
+
 All inputs are immutable; the outer loop over the leading variable touches
 disjoint table slices, so it parallelizes with an associative max/min merge
 (kept single-threaded here).
@@ -107,18 +112,16 @@ def _atom_truth(
     return rec in structure.relation(atom.pred).records
 
 
-class _Evaluator:
-    """Shared state for one baseline_values run."""
+class PreparedBaseline:
+    """The baseline evaluator of one (structure, formula): the relation
+    indexes and the body-truth memo are built once, and every query supplies
+    its own domains."""
 
-    def __init__(
-        self,
-        structure: RelationalStructure,
-        formula: OptFormula,
-        domains: dict[str, tuple[ObjectId, ...]],
-    ):
+    def __init__(self, structure: RelationalStructure, formula: OptFormula):
+        if formula.k + formula.ell < 2:
+            raise UnsupportedShapeError("need at least two variables in total")
         self.structure = structure
         self.formula = formula
-        self.domains = domains
         self.order = formula.opt_vars + formula.count_vars
         self.atoms = tuple(dict.fromkeys(atoms_of(formula.body)))
         u, w = self.order[-2], self.order[-1]
@@ -155,6 +158,39 @@ class _Evaluator:
             ]
         self._phi_memo: dict[tuple, bool] = {}
 
+    def values(self, domains: Domains | None = None) -> ValueTable:
+        """Val(x1,...,xk) for every optimization tuple over the domains."""
+        doms = resolve_domains(self.structure, self.formula, domains)
+        table = self._run(doms, 0, {})
+        assert isinstance(table, dict)
+        return ValueTable(table)
+
+    def opt(
+        self,
+        domains: Domains | None = None,
+        guard: Sequence[tuple[Atom, bool]] = (),
+    ) -> OptResult | None:
+        """Optimum and lexicographically least witness over the optimization
+        tuples satisfying every guard literal; None if no tuple does.
+
+        The guard literals must mention optimization variables only.  This is
+        the domain-restricted semantics the decomposition steps need: for
+        minimization a conjunction inside the body would masquerade excluded
+        tuples as value 0, so exclusion must happen at the tuple level.
+        """
+        opt_vars = self.formula.opt_vars
+        for atom, _ in guard:
+            if not set(atom.args) <= set(opt_vars):
+                raise ValueError(f"guard atom {atom} uses non-optimization variables")
+        entries = self.values(domains).entries
+        if guard:
+            entries = {
+                key: val
+                for key, val in entries.items()
+                if guard_holds(self.structure, guard, dict(zip(opt_vars, key)))
+            }
+        return opt_of_table(entries, self.formula.kind)
+
     def _phi(self, fixed_bits, u_bits, w_bits, m_bits) -> bool:
         key = (fixed_bits, u_bits, w_bits, m_bits)
         hit = self._phi_memo.get(key)
@@ -173,10 +209,12 @@ class _Evaluator:
         self._phi_memo[key] = out
         return out
 
-    def base_case(self, asn: dict[str, ObjectId]) -> dict[ObjectId, int]:
+    def _base_case(
+        self, doms: Domains, asn: dict[str, ObjectId]
+    ) -> dict[ObjectId, int]:
         """psi(u) = #{w : body} for every u in its domain, in linear time."""
-        dom_u = self.domains[self.u_var]
-        dom_w = self.domains[self.w_var]
+        dom_u = doms[self.u_var]
+        dom_w = doms[self.w_var]
         if not self.use_colors:
             out = {}
             for uv in dom_u:
@@ -246,35 +284,35 @@ class _Evaluator:
             out[uv] = cnt
         return out
 
-    def run(self, depth: int, asn: dict[str, ObjectId]):
+    def _run(self, doms: Domains, depth: int, asn: dict[str, ObjectId]):
         """Returns a dict over remaining-opt-variable tuples, or an int when
         only counting variables remain."""
         remaining = len(self.order) - depth
         k = self.formula.k
         if remaining == 2:
-            per_u = self.base_case(asn)
+            per_u = self._base_case(doms, asn)
             if depth <= k - 1:  # order[depth] is an optimization variable
                 return {(uv,): c for uv, c in per_u.items()}
             return sum(per_u.values())
         var = self.order[depth]
         if depth < k:
             table: dict[tuple, int] = {}
-            for o in self.domains[var]:
+            for o in doms[var]:
                 asn[var] = o
-                sub = self.run(depth + 1, asn)
+                sub = self._run(doms, depth + 1, asn)
                 if isinstance(sub, dict):
                     for key, val in sub.items():
                         table[(o,) + key] = val
                 else:
                     table[(o,)] = sub
-            if self.domains[var]:
+            if doms[var]:
                 del asn[var]
             return table
         total = 0
-        for o in self.domains[var]:
+        for o in doms[var]:
             asn[var] = o
-            total += self.run(depth + 1, asn)
-        if self.domains[var]:
+            total += self._run(doms, depth + 1, asn)
+        if doms[var]:
             del asn[var]
         return total
 
@@ -285,13 +323,7 @@ def baseline_values(
     domains: Domains | None = None,
 ) -> ValueTable:
     """Val(x1,...,xk) for every optimization tuple over the given domains."""
-    if formula.k + formula.ell < 2:
-        raise UnsupportedShapeError("need at least two variables in total")
-    doms = resolve_domains(structure, formula, domains)
-    ev = _Evaluator(structure, formula, doms)
-    table = ev.run(0, {})
-    assert isinstance(table, dict)
-    return ValueTable(table)
+    return PreparedBaseline(structure, formula).values(domains)
 
 
 def baseline_opt(
@@ -329,29 +361,9 @@ def baseline_opt_restricted(
     guard: Sequence[tuple[Atom, bool]],
     domains: Domains | None = None,
 ) -> OptResult | None:
-    """Optimum over optimization tuples satisfying all guard literals.
-
-    The guard literals must mention optimization variables only.  This is the
-    domain-restricted semantics the decomposition steps need: for minimization
-    a conjunction inside the body would masquerade excluded tuples as value 0,
-    so exclusion must happen at the tuple level instead.
-    """
-    for atom, _ in guard:
-        if not set(atom.args) <= set(formula.opt_vars):
-            raise ValueError(f"guard atom {atom} uses non-optimization variables")
-    table = baseline_values(structure, formula, domains)
-    opt_vars = formula.opt_vars
-    best: OptResult | None = None
-    for key in sorted(table.entries):
-        asn = dict(zip(opt_vars, key))
-        if not guard_holds(structure, guard, asn):
-            continue
-        val = table.entries[key]
-        if best is None or (
-            val > best.value if formula.kind == "max" else val < best.value
-        ):
-            best = OptResult(val, key)
-    return best
+    """Optimum over optimization tuples satisfying all guard literals; see
+    ``PreparedBaseline.opt``."""
+    return PreparedBaseline(structure, formula).opt(domains, guard)
 
 
 def naive_values(

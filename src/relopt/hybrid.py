@@ -13,12 +13,17 @@ t copies is solving the instance itself.
 Universe elements are identified with 0..|U|-1 in canonical order; set and
 part membership is cached as integer bitmasks, so the set algebra runs on
 machine words.  Types tau are packed ints with family i at bit i.
+
+An instance builds its IP vectors (the all-ones Basic form) once, on first
+use; sub-instances from ``select`` share them, so solving many selections of
+one instance converts each set once.
 """
 from __future__ import annotations
 
 import copy
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Sequence
 
@@ -97,15 +102,26 @@ class HybridInstance:
     def m_h(self) -> int:
         return sum(len(s) for fam in self.families for s in fam)
 
+    @cached_property
+    def ip_families(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """IP vectors of the all-ones Basic form: one sorted coordinate tuple
+        per set, family by family."""
+        tau_ones = (1 << self.k) - 1
+        return basic_to_ip(hybrid_to_basic(self, tau_ones)).families
+
     def select(self, picks: Sequence[Sequence[int]]) -> "HybridInstance":
         """Sub-instance over the same universe that keeps the sets
-        ``picks[i]`` of family i; shares the element data and part masks."""
+        ``picks[i]`` of family i; shares the element data, part masks and
+        IP vectors."""
         sub = copy.copy(self)
         sub.families = tuple(
             tuple(fam[j] for j in idxs) for fam, idxs in zip(self.families, picks)
         )
         sub.set_masks = tuple(
             tuple(masks[j] for j in idxs) for masks, idxs in zip(self.set_masks, picks)
+        )
+        sub.ip_families = tuple(
+            tuple(vecs[j] for j in idxs) for vecs, idxs in zip(self.ip_families, picks)
         )
         if self.set_labels is not None:
             sub.set_labels = tuple(
@@ -200,7 +216,9 @@ def hybrid_to_basic(instance: HybridInstance, tau: int) -> BasicInstance:
     complementing sets on every part that disagrees with ``tau``.
 
     Total tuple values are preserved exactly; sparsity may grow up to
-    n * |U|, which the paper bounds by reducing the universe first.
+    n * |U|, which the paper bounds by reducing the universe first.  The
+    solve reaches the all-ones form through ``HybridInstance.ip_families``,
+    once per instance; ``relopt reduce`` and the tests call this directly.
     """
     size = instance.size
     full = (1 << size) - 1
@@ -389,7 +407,7 @@ def solve_hybrid(instance: HybridInstance, ip_solver: IpSolver) -> int | None:
 def solve_hybrid_with_info(
     instance: HybridInstance, ip_solver: IpSolver
 ) -> tuple[int | None, dict]:
-    """Basic conversion at the all-ones type and one IP solver call.
+    """One IP solver call on the instance's all-ones Basic vectors.
 
     The conversion preserves every tuple value, so the solver's value is the
     hybrid optimum within the solver's ratio: exact for an exact solver, a
@@ -400,5 +418,5 @@ def solve_hybrid_with_info(
     info = {"universe": instance.size, "m_h": instance.m_h}
     if any(not fam for fam in instance.families):
         return None, info
-    tau_ones = (1 << instance.k) - 1
-    return ip_solver.solve(basic_to_ip(hybrid_to_basic(instance, tau_ones))), info
+    ip = IPInstance(instance.k, instance.ip_families, instance.size)
+    return ip_solver.solve(ip), info

@@ -7,6 +7,7 @@ they stand in for plug in through the same IpSolver interface.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Sequence
@@ -31,10 +32,11 @@ class IPInstance:
             raise ContractError("family count must equal k")
         for fam in self.families:
             for vec in fam:
-                if any(c < 0 or c >= self.d for c in vec):
-                    raise ContractError("coordinate out of range")
-                if any(a >= b for a, b in zip(vec, vec[1:])):
+                if not all(map(operator.lt, vec, vec[1:])):
                     raise ContractError("coordinates must be strictly increasing")
+                # sorted, so the ends bound every coordinate
+                if vec and not (vec[0] >= 0 and vec[-1] < self.d):
+                    raise ContractError("coordinate out of range")
 
     @property
     def m_ip(self) -> int:
@@ -52,6 +54,9 @@ _DIRECTIVE_USAGE = {"dim": "'dim D'", "vec": "'vec FAMILY COORD...'"}
 
 
 def parse_ip_instance(text: str, k: int | None = None) -> IPInstance:
+    """Parse the ``dump`` format.  With ``k`` every family index must be
+    below it; without, the indices present must be exactly 0..K-1, so an
+    empty family needs ``k``."""
     d = None
     fams: dict[int, list[Vector]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -66,19 +71,30 @@ def parse_ip_instance(text: str, k: int | None = None) -> IPInstance:
             numbers = [int(f) for f in fields]
         except ValueError:
             numbers = []
-        if not numbers or numbers[0] < 0 or (directive == "dim" and len(numbers) > 1):
+        if not numbers or min(numbers) < 0 or (directive == "dim" and len(numbers) > 1):
             raise ContractError(
                 f"line {line_no}: expected {usage} with nonnegative integers"
             )
         if directive == "dim":
             d = numbers[0]
-        else:
-            fams.setdefault(numbers[0], []).append(tuple(sorted(numbers[1:])))
+            continue
+        family, coords = numbers[0], sorted(numbers[1:])
+        if k is not None and family >= k:
+            raise ContractError(f"line {line_no}: family {family} out of range for k={k}")
+        if len(set(coords)) != len(coords):
+            raise ContractError(f"line {line_no}: repeated coordinate")
+        fams.setdefault(family, []).append(tuple(coords))
     if d is None:
         raise ContractError("missing 'dim' line")
-    nfam = k if k is not None else (max(fams) + 1 if fams else 0)
-    families = tuple(tuple(fams.get(i, [])) for i in range(nfam))
-    return IPInstance(nfam, families, d)
+    if k is None:
+        k = len(fams)
+        missing = next((i for i in range(k) if i not in fams), None)
+        if missing is not None:
+            raise ContractError(
+                f"family {missing} has no 'vec' line; pass k to allow empty families"
+            )
+    families = tuple(tuple(fams.get(i, [])) for i in range(k))
+    return IPInstance(k, families, d)
 
 
 def inner_product(vectors: Sequence[Vector]) -> int:

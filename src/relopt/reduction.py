@@ -18,6 +18,7 @@ from typing import Callable, Mapping, Sequence
 
 from .baseline import (
     OptResult,
+    PreparedBaseline,
     ProjectedAtom,
     _atom_truth,
     baseline_opt,
@@ -236,17 +237,17 @@ def solve_positive_cross_edge(
     others = [v for v in formula.opt_vars if v not in (xi, xj)]
     counter = _CountOverY(structure, formula)
     candidates: list[OptResult] = []
+    sub_guard = tuple(extra_guard) if include_edgeless_pairs else guard_all
+    evaluator: PreparedBaseline | None = None  # built at the first heavy endpoint
 
     def sub_opt(fixed: dict[str, ObjectId]) -> OptResult | None:
+        nonlocal evaluator
+        if evaluator is None:
+            evaluator = PreparedBaseline(structure, formula)
         sub_domains = dict(doms)
         for var, v in fixed.items():
             sub_domains[var] = (v,)
-        if include_edgeless_pairs:
-            guard = tuple(extra_guard)
-            if not guard:
-                return baseline_opt(structure, formula, sub_domains)
-            return baseline_opt_restricted(structure, formula, guard, sub_domains)
-        return baseline_opt_restricted(structure, formula, guard_all, sub_domains)
+        return evaluator.opt(sub_domains, sub_guard)
 
     def run_core(other_asn: dict[str, ObjectId]):
         # case 1 and 2: a heavy endpoint is brute-forced with the baseline
@@ -465,6 +466,8 @@ def solve_cross_free_lift(
             candidates.append(side)
 
     full_guard: Guard = tuple(guard) + tuple((a, False) for a in cross)
+    # one evaluator of the guarded core serves steps (2) and (5)
+    evaluator = PreparedBaseline(structure, core)
 
     # (2) heavy vertices: fix and solve the residual problem with the baseline
     m, n = structure.m, structure.n
@@ -473,9 +476,7 @@ def solve_cross_free_lift(
     heavy_set = set(heavy)
     for v in heavy:
         for var in formula.opt_vars:
-            res = baseline_opt_restricted(
-                structure, core, full_guard, domains={var: (v,)}
-            )
+            res = evaluator.opt({var: (v,)}, full_guard)
             if res is not None:
                 candidates.append(res)
 
@@ -485,7 +486,12 @@ def solve_cross_free_lift(
     g = len(partition.groups)
     if stats_out is not None:
         stats_out.update(
-            threshold=threshold, heavy=len(heavy), groups=g, m=m, n=n
+            threshold=threshold,
+            heavy=len(heavy),
+            heavy_solves=len(heavy) * k,
+            groups=g,
+            m=m,
+            n=n,
         )
 
     if g:
@@ -507,7 +513,7 @@ def solve_cross_free_lift(
         scored.sort(key=lambda vc: ((-vc[0] if reverse else vc[0]), vc[1]))
         selected = scored[:top_k]
         if stats_out is not None:
-            stats_out.update(combos=len(scored), top_k=top_k)
+            stats_out.update(combos=len(scored), top_k=top_k, resolves=len(selected))
             stats_out["psi1_scores"] = list(scored)
 
         # (5) exact re-solve of the selected combinations under the guard
@@ -516,7 +522,7 @@ def solve_cross_free_lift(
                 var: partition.groups[ci]
                 for var, ci in zip(formula.opt_vars, combo)
             }
-            res = baseline_opt_restricted(structure, core, full_guard, domains)
+            res = evaluator.opt(domains, full_guard)
             if res is not None:
                 candidates.append(res)
 
@@ -962,7 +968,8 @@ class HybridScorer:
     """The lift's scorer for one (structure, cross-free core): parallel-edge
     removal and hybrid conversion run once at construction; each call solves,
     through the IP solver, the hybrid sub-instances that keep the sets of the
-    objects in the given domains, and returns the best value."""
+    objects in the given domains, and returns the best value.  ``ip_calls``
+    counts the IP solver calls made so far."""
 
     def __init__(
         self,
@@ -992,6 +999,7 @@ class HybridScorer:
             for inst, back in instances
         ]
         self.universe = max((inst.size for inst, _ in instances), default=0)
+        self.ip_calls = 0
 
     def __call__(self, domains: Domains) -> int | None:
         best: int | None = None
@@ -1003,7 +1011,9 @@ class HybridScorer:
                     break
                 picks.append(idxs)
             else:
+                # every family keeps a set, so the solve makes one IP call
                 value, _ = solve_hybrid_with_info(inst.select(picks), self.ip_solver)
+                self.ip_calls += 1
                 if value is not None:
                     best = value if best is None else self.better(best, value)
         return best
@@ -1112,7 +1122,7 @@ def reduce_and_solve(
     lift_stats.pop("psi1_scores", None)
     trace.add("cross-free-lift", **lift_stats)
     if scorer is not None:
-        trace.add("hybrid", universe=scorer.universe)
+        trace.add("hybrid", universe=scorer.universe, ip_calls=scorer.ip_calls)
     if main is not None:
         candidates.append(main)
 

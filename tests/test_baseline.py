@@ -3,9 +3,11 @@ import random
 import pytest
 
 from relopt.baseline import (
+    PreparedBaseline,
     baseline_opt,
     baseline_opt_restricted,
     baseline_values,
+    guard_holds,
     naive_values,
     opt_of_table,
 )
@@ -181,6 +183,51 @@ def test_restricted_opt_skips_guard_failures():
     # no guard-satisfying tuple -> None
     res = baseline_opt_restricted(s, f, [(Atom("E", ("x1", "x2")), True)], domains={"x1": [b]})
     assert res is None or res.witness[0] == b
+
+
+def test_prepared_baseline_answers_many_queries():
+    # one evaluator per instance, many (domains, guard) queries
+    rng = random.Random(47)
+    empties = filtered = found = 0
+    for trial in range(6):
+        k = rng.choice([2, 3])
+        structure, formula = random_instance(
+            rng, k=k, ell=1, n_objects=rng.randint(3, 6), kind=("max", "min")[trial % 2]
+        )
+        opt_vars = formula.opt_vars
+        pool = [Atom("P0", (x,)) for x in opt_vars] + [
+            Atom(f"E{b}", (x1, x2))
+            for b in range(2)
+            for x1 in opt_vars
+            for x2 in opt_vars
+        ]
+        prepared = PreparedBaseline(structure, formula)
+        for query in range(30):
+            domains = {
+                v: [o for o in range(structure.n) if rng.random() < 0.6]
+                for v in opt_vars + formula.count_vars
+            }
+            if query == 0:
+                domains[rng.choice(opt_vars)] = []
+            literals = rng.sample(pool, rng.randint(0, 2))
+            guard = [(a, rng.random() < 0.5) for a in literals]
+            entries = naive_values(structure, formula, domains).entries
+            assert prepared.values(domains).entries == entries
+            kept = {
+                key: value
+                for key, value in entries.items()
+                if guard_holds(structure, guard, dict(zip(opt_vars, key)))
+            }
+            want = opt_of_table(kept, formula.kind)
+            assert prepared.opt(domains, guard) == want, f"trial {trial} query {query}"
+            if not all(domains[v] for v in opt_vars):
+                assert want is None
+                empties += 1
+            filtered += len(kept) < len(entries)
+            found += want is not None
+        with pytest.raises(ValueError):
+            prepared.opt(guard=[(Atom("P0", ("y1",)), True)])
+    assert empties >= 6 and filtered and found
 
 
 def test_value_table_dump_format():

@@ -250,6 +250,26 @@ def test_basic_to_ip_roundtrip_value():
             assert res[0] == want[0]
 
 
+def test_ip_families_equal_the_basic_conversion():
+    # the vectors an instance caches, and those select shares, are exactly
+    # the all-ones Basic conversion of that (sub-)instance
+    rng = random.Random(29)
+    for _ in range(40):
+        k = rng.choice([1, 2, 3])
+        inst = random_hybrid(rng, k, rng.randint(0, 10))
+        subs = [inst]
+        for _ in range(3):
+            parent = rng.choice(subs)
+            picks = [
+                rng.sample(range(len(fam)), rng.randint(1, len(fam)))
+                for fam in parent.families
+            ]
+            subs.append(parent.select(picks))
+        ones = (1 << k) - 1
+        for sub in subs:
+            assert sub.ip_families == basic_to_ip(hybrid_to_basic(sub, ones)).families
+
+
 def test_dump_format():
     inst = HybridInstance(
         2,

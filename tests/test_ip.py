@@ -89,6 +89,10 @@ def test_validation():
         IPInstance(2, (((3,),), ((0,),)), 2)  # coordinate out of range
     with pytest.raises(ContractError):
         IPInstance(1, (((1, 1),),), 3)  # not strictly increasing
+    with pytest.raises(ContractError, match="out of range"):
+        IPInstance(1, (((-1, 0),),), 2)  # below the first coordinate
+    with pytest.raises(ContractError, match="strictly increasing"):
+        IPInstance(1, (((2, 0),),), 3)  # in range, out of order
 
 
 @given(st.integers(0, 50), st.integers(1, 16))
@@ -201,16 +205,32 @@ def test_make_ip_solver_and_dump_parse():
     assert parse_ip_instance(text) == inst
 
 
+def test_dump_parse_roundtrip_with_empty_last_family():
+    inst = IPInstance(3, ((vec("101"),), (vec("011"), ()), ()), 3)
+    assert parse_ip_instance(inst.dump(), k=3) == inst
+
+
+def _bad(text, line, k=None, match=None):
+    # the id keeps the text-line form of the cases without k
+    return pytest.param(
+        text, k, match or f"line {line}:", id=f"{text}-{line}" + (f"-k{k}" if k else "")
+    )
+
+
 @pytest.mark.parametrize(
-    "text, line",
+    "text, k, match",
     [
-        ("dim", 1),
-        ("dim 3\nvec", 2),
-        ("dim x", 1),
-        ("dim 3\nvec 0 x", 2),
-        ("dim 3\nvec -1 0", 2),
+        _bad("dim", 1),
+        _bad("dim 3\nvec", 2),
+        _bad("dim x", 1),
+        _bad("dim 3\nvec 0 x", 2),
+        _bad("dim 3\nvec -1 0", 2),
+        _bad("dim 3\nvec 0 1\nvec 5 2", 3, k=2),
+        _bad("dim 3\nvec 0 1 1", 2),
+        _bad("vec 1000 0\ndim 2", None, match="family 0 .*pass k"),
+        _bad("dim 3\nvec 0 1\nvec 2 0", None, match="family 1 .*pass k"),
     ],
 )
-def test_parse_ip_instance_rejects_malformed_lines(text, line):
-    with pytest.raises(ContractError, match=f"line {line}:"):
-        parse_ip_instance(text)
+def test_parse_ip_instance_rejects_malformed_lines(text, k, match):
+    with pytest.raises(ContractError, match=match):
+        parse_ip_instance(text, k=k)

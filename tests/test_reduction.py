@@ -7,7 +7,7 @@ from relopt.baseline import baseline_opt, baseline_opt_restricted, baseline_valu
 from relopt.errors import ContractError, ResourceLimitError
 from relopt.formula import And, Atom, parse_formula
 from relopt.hybrid import val
-from relopt.ip import approx_wrapper, exact_solver
+from relopt.ip import IpSolver, approx_wrapper, exact_solver
 from relopt.reduction import (
     HybridScorer,
     build_group_partition,
@@ -470,6 +470,131 @@ def test_lift_converts_to_hybrid_at_most_once(monkeypatch):
         assert len(calls) == (1 if stats["groups"] else 0), formula
         grouped += bool(stats["groups"])
     assert 0 < grouped < len(cases)
+
+
+def _cycle_structure(n=12):
+    """An n-cycle with P on every third object: every degree is 2, so the
+    lift forms groups of light vertices."""
+    edges = "".join(f"E o{i} o{(i + 1) % n}\n" for i in range(n))
+    marks = "".join(f"P o{i}\n" for i in range(0, n, 3))
+    return load_structure("rel E 2\nrel P 1\n" + edges + marks)
+
+
+CYCLE_BODIES = (
+    "max x1,x2 . count y . E(x1,y) & !E(x2,y) & P(y)",
+    "min x1,x2 . count y . E(x1,y) & E(x2,y) | E(x1,x2) & P(x1)",
+)
+
+
+def test_trace_counts_heavy_solves_resolves_and_ip_calls(monkeypatch):
+    from relopt.baseline import PreparedBaseline
+
+    opt_calls = []
+    real_opt = PreparedBaseline.opt
+
+    def counting_opt(self, *args, **kwargs):
+        opt_calls.append(args)
+        return real_opt(self, *args, **kwargs)
+
+    monkeypatch.setattr(PreparedBaseline, "opt", counting_opt)
+    structure = _cycle_structure()
+    for text in CYCLE_BODIES:
+        formula = parse_formula(text)
+        exact = exact_solver(formula.kind)
+        ip_calls = []
+
+        def solve(instance, exact=exact):
+            ip_calls.append(instance)
+            return exact.solve(instance)
+
+        opt_calls.clear()
+        _, trace = reduce_and_solve(
+            structure, formula, IpSolver(exact.kind, exact.ratio, solve)
+        )
+        stages = dict(trace.stages)
+        lift = stages["cross-free-lift"]
+        assert lift["groups"] and ip_calls
+        assert stages["hybrid"]["ip_calls"] == len(ip_calls)
+        assert lift["resolves"] == min(lift["top_k"], lift["combos"])
+        assert lift["heavy_solves"] == lift["heavy"] * formula.k
+        # the cross atom's side problem has no heavy endpoint on a cycle
+        assert len(opt_calls) == lift["heavy_solves"] + lift["resolves"]
+        # an explicit top_k selects fewer combinations, or all of them
+        for top_k in (3, 100):
+            stats = {}
+            solve_cross_free_lift(
+                structure,
+                formula,
+                lambda s, f: HybridScorer(s, f, exact),
+                top_k=top_k,
+                stats_out=stats,
+            )
+            assert stats["resolves"] == min(top_k, stats["combos"])
+
+
+def test_lift_converts_each_hybrid_instance_to_basic_once(monkeypatch):
+    import relopt.hybrid as hybrid
+
+    converted = []
+    real = hybrid.hybrid_to_basic
+
+    def counting(instance, tau):
+        converted.append(instance)
+        return real(instance, tau)
+
+    monkeypatch.setattr(hybrid, "hybrid_to_basic", counting)
+    formula = parse_formula(CYCLE_BODIES[1])
+    scorers = []
+    score_calls = []
+
+    def prepare(s, f):
+        scorer = HybridScorer(s, f, exact_solver(f.kind))
+        scorers.append(scorer)
+
+        def score(domains):
+            score_calls.append(domains)
+            return scorer(domains)
+
+        return score
+
+    solve_cross_free_lift(_cycle_structure(), formula, prepare)
+    (scorer,) = scorers
+    prepared = {id(inst) for inst, _ in scorer.per_sigma}
+    assert len(prepared) > 1
+    assert len({id(inst) for inst in converted}) == len(converted)
+    assert {id(inst) for inst in converted} <= prepared
+    assert len(converted) < len(score_calls)
+
+
+def test_lift_indexes_relations_independently_of_top_k(monkeypatch):
+    import relopt.baseline as baseline
+
+    built = []
+    real_init = baseline.ProjectedAtom.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(baseline.ProjectedAtom, "__init__", counting_init)
+    structure = _cycle_structure()
+    for text in CYCLE_BODIES:
+        formula = parse_formula(text)
+        solver = exact_solver(formula.kind)
+        runs = {}
+        for top_k in (1, None):
+            built.clear()
+            stats = {}
+            solve_cross_free_lift(
+                structure,
+                formula,
+                lambda s, f: HybridScorer(s, f, solver),
+                top_k=top_k,
+                stats_out=stats,
+            )
+            runs[top_k] = (len(built), stats["resolves"])
+        assert runs[1][1] < runs[None][1], text
+        assert runs[1][0] == runs[None][0], text
 
 
 def test_reduce_and_solve_exact_small():
