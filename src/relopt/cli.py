@@ -18,7 +18,6 @@ from .reduction import (
     reduce_and_solve,
     remove_hyperedges,
     remove_parallel_edges,
-    slotted_domains,
     split_cross_atoms,
     to_hybrid,
 )
@@ -151,9 +150,9 @@ def cmd_reduce(args) -> int:
         f"stage parallel-edge-removal m={transformed.m} n={transformed.n}"
     )
 
-    doms = slotted_domains(plan.main_structure, transformed, tf)
-    instances = to_hybrid(transformed, tf, domains=doms)
-    for idx, (inst, back) in enumerate(instances):
+    # the hybrid instances the lift's scorer solves, converted from the
+    # cross-free core in one pass
+    for idx, (inst, _) in enumerate(to_hybrid(plan.main_structure, core)):
         (out_dir / f"hybrid{idx}.txt").write_text(inst.dump())
         basic = hybrid_to_basic(inst, (1 << inst.k) - 1)
         (out_dir / f"ip{idx}.txt").write_text(basic_to_ip(basic).dump())

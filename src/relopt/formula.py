@@ -8,7 +8,9 @@ where ``expr`` is built from atoms ``Name(v1,...,va)``, the constants
 ``true``/``false``, negation ``!``, conjunction ``&``, disjunction ``|`` and
 parentheses.  ``&`` binds tighter than ``|``.  The canonical printer emits one
 space around the ``.`` separators and no redundant parentheses; printing and
-re-parsing is a fixpoint.
+re-parsing is a fixpoint.  Chains of ``&`` and ``|`` parse into balanced
+trees, and parentheses and negations may nest at most ``MAX_NESTING`` deep,
+so every recursive walker stays shallow.
 """
 from __future__ import annotations
 
@@ -205,6 +207,10 @@ def print_expr(expr: Expr, _level: int = 0) -> str:
 
 # --- parsing ---------------------------------------------------------------
 
+# each level of parentheses or negation is a few frames of recursion in the
+# parser and in every expression walker
+MAX_NESTING = 100
+
 _TOKEN = re.compile(r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>[().,&|!]))")
 
 
@@ -214,6 +220,7 @@ class _Lexer:
         self.pos = 0
         self.tok: str | None = None
         self.tok_pos = 0
+        self.depth = 0  # open parentheses and negations around the token
         self.advance()
 
     def advance(self):
@@ -251,14 +258,22 @@ def _parse_varlist(lx: _Lexer) -> tuple[str, ...]:
 
 
 def _parse_primary(lx: _Lexer) -> Expr:
-    if lx.tok == "(":
+    if lx.tok in ("(", "!"):
+        if lx.depth == MAX_NESTING:
+            raise FormulaParseError(
+                f"nesting deeper than {MAX_NESTING} parentheses and negations",
+                lx.tok_pos,
+            )
+        lx.depth += 1
+        opener = lx.tok
         lx.advance()
-        e = _parse_or(lx)
-        lx.expect(")")
+        if opener == "(":
+            e = _parse_or(lx)
+            lx.expect(")")
+        else:
+            e = Not(_parse_primary(lx))
+        lx.depth -= 1
         return e
-    if lx.tok == "!":
-        lx.advance()
-        return Not(_parse_primary(lx))
     if lx.tok == "true":
         lx.advance()
         return TRUE
@@ -273,19 +288,19 @@ def _parse_primary(lx: _Lexer) -> Expr:
 
 
 def _parse_and(lx: _Lexer) -> Expr:
-    e = _parse_primary(lx)
+    parts = [_parse_primary(lx)]
     while lx.tok == "&":
         lx.advance()
-        e = And(e, _parse_primary(lx))
-    return e
+        parts.append(_parse_primary(lx))
+    return conjoin(parts)
 
 
 def _parse_or(lx: _Lexer) -> Expr:
-    e = _parse_and(lx)
+    parts = [_parse_and(lx)]
     while lx.tok == "|":
         lx.advance()
-        e = Or(e, _parse_and(lx))
-    return e
+        parts.append(_parse_and(lx))
+    return disjoin(parts)
 
 
 def parse_formula(text: str) -> OptFormula:

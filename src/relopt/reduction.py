@@ -1,6 +1,12 @@
 """The simplification chain for single-counting-variable formulas: hyperedge
-removal, cross-edge elimination with grouped top-K re-solving, parallel-edge
-removal, conversion to the Hybrid Problem, and the end-to-end driver.
+removal, cross-edge elimination with grouped top-K re-solving, conversion to
+the Hybrid Problem, and the end-to-end driver.
+
+The paper merges the r binary edge predicates into one ("parallel-edge
+removal") before the hybrid conversion; ``to_hybrid`` does both in one pass
+from the pair colours.  ``remove_parallel_edges`` stays as the paper's lemma:
+``relopt reduce`` dumps its output and the tests check it, but no solve
+calls it.
 
 Guard handling: each removal step excludes some optimization tuples from the
 main problem and hands them to exactly solved side problems.  For maximization
@@ -23,10 +29,9 @@ from .baseline import (
     _atom_truth,
     baseline_opt,
     baseline_opt_restricted,
-    baseline_values,
     resolve_domains,
 )
-from .errors import ContractError, ResourceLimitError, UnsupportedShapeError
+from .errors import ContractError, ResourceLimitError
 from .fastcount import multi_counting_opt
 from .formula import (
     And,
@@ -35,7 +40,6 @@ from .formula import (
     Expr,
     Not,
     OptFormula,
-    Or,
     atoms_of,
     classify,
     conjoin,
@@ -529,7 +533,7 @@ def solve_cross_free_lift(
     return combine_results(formula.kind, candidates)
 
 
-# --- step 3: parallel-edge removal -------------------------------------------
+# --- parallel-edge removal, the paper's lemma (off the solve path) -----------
 
 def _slot_label(label: str, slot: int) -> str:
     return f"{label}{SLOT_SEP}{slot + 1}"
@@ -684,109 +688,14 @@ def slotted_domains(
     return out
 
 
-# --- step 4: conversion to the Hybrid Problem --------------------------------
+# --- step 3: conversion to the Hybrid Problem --------------------------------
 
 @dataclass(frozen=True)
 class HybridBackMap:
-    """Witness and value back-map for one unary assignment: which object each
-    family vector came from, which (object, type) each universe element is,
-    and the per-variable unary assignment itself."""
+    """Witness back-map for one unary assignment: the object each family set
+    came from."""
 
     family_objects: tuple[tuple[ObjectId, ...], ...]
-    elements: tuple[tuple[ObjectId, int], ...]
-    sigma: tuple[frozenset[str], ...]
-
-
-@dataclass(frozen=True)
-class _Disjunct:
-    required_true: frozenset[str]   # unary predicates of y pinned true
-    required_false: frozenset[str]
-    pinned_bits: tuple[tuple[int, int], ...]  # (slot, bit) from E literals
-    x_literals: tuple[tuple[int, str, bool], ...]  # (slot, pred, expected)
-    rest: Expr
-
-
-def _top_literals(expr: Expr, formula: OptFormula, e_pred: str | None):
-    y = formula.count_vars[0]
-    req_true: set[str] = set()
-    req_false: set[str] = set()
-    pinned: list[tuple[int, int]] = []
-    xlits: list[tuple[int, str, bool]] = []
-    rest: list[Expr] = []
-    for part in conjuncts(expr):
-        inner = part.arg if isinstance(part, Not) else part
-        want = not isinstance(part, Not)
-        if isinstance(inner, Atom):
-            if len(inner.args) == 1 and inner.args[0] == y:
-                (req_true if want else req_false).add(inner.pred)
-                continue
-            if (
-                len(inner.args) == 2
-                and inner.pred == e_pred
-                and inner.args[1] == y
-                and inner.args[0] in formula.opt_vars
-            ):
-                pinned.append((formula.opt_vars.index(inner.args[0]), int(want)))
-                continue
-            if len(inner.args) == 1 and inner.args[0] in formula.opt_vars:
-                xlits.append(
-                    (formula.opt_vars.index(inner.args[0]), inner.pred, want)
-                )
-                continue
-        rest.append(part)
-    return _Disjunct(
-        frozenset(req_true),
-        frozenset(req_false),
-        tuple(pinned),
-        tuple(xlits),
-        conjoin(rest) if rest else Const(True),
-    )
-
-
-class _RestEvaluator:
-    """Evaluates a disjunct remainder given the y color, the unary assignment
-    of the optimization variables, and the edge pattern tau."""
-
-    def __init__(self, formula: OptFormula, e_pred: str | None):
-        self.formula = formula
-        self.e_pred = e_pred
-        self.y = formula.count_vars[0]
-        self._memo: dict = {}
-
-    def eval(self, expr: Expr, y_preds: frozenset[str], sigma, tau: int) -> bool:
-        key = (id(expr), y_preds, sigma, tau)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        out = self._eval(expr, y_preds, sigma, tau)
-        self._memo[key] = out
-        return out
-
-    def _eval(self, expr: Expr, y_preds, sigma, tau) -> bool:
-        if isinstance(expr, Const):
-            return expr.value
-        if isinstance(expr, Not):
-            return not self._eval(expr.arg, y_preds, sigma, tau)
-        if isinstance(expr, And):
-            return self._eval(expr.left, y_preds, sigma, tau) and self._eval(
-                expr.right, y_preds, sigma, tau
-            )
-        if isinstance(expr, Or):
-            return self._eval(expr.left, y_preds, sigma, tau) or self._eval(
-                expr.right, y_preds, sigma, tau
-            )
-        if isinstance(expr, Atom):
-            if len(expr.args) == 1:
-                var = expr.args[0]
-                if var == self.y:
-                    return expr.pred in y_preds
-                slot = self.formula.opt_vars.index(var)
-                return expr.pred in sigma[slot]
-            if len(expr.args) == 2 and expr.pred == self.e_pred:
-                slot = self.formula.opt_vars.index(expr.args[0])
-                return bool(tau >> slot & 1)
-            raise ContractError(f"atom {expr} outside the hybrid-conforming shape")
-        raise TypeError(f"not an expression: {expr!r}")
 
 
 def to_hybrid(
@@ -794,182 +703,139 @@ def to_hybrid(
     formula: OptFormula,
     domains: Domains | None = None,
 ) -> list[tuple[HybridInstance, HybridBackMap]]:
-    """Rewrite a unary-plus-single-edge formula as Hybrid Problem instances,
-    one per realized unary assignment of the optimization variables.
+    """Rewrite a cross-free, hyperedge-free formula as Hybrid Problem
+    instances, one per realized unary assignment sigma of the optimization
+    variables; parallel-edge removal is fused into the conversion.
 
-    Universe elements are the (y, tau) pairs for which the per-object Boolean
-    function of the k edge bits is satisfied; the family sets collect the
-    elements whose object is adjacent to the member.  Tuple values are
-    preserved instance-wise under the back-map.
+    With the r forward edge predicates P_0..P_{r-1}, the colour c(x, y) of a
+    pair has bit b set when P_b(x, y) holds.  A universe element is a pair
+    (y, alpha), alpha a colour per slot packed r bits per slot, kept when the
+    body holds under P_b(x_i, y) := bit b of alpha_i; its type has bit i set
+    when alpha_i != 0.  The set of object x in slot i holds the elements
+    (y, alpha) with c(x, y) != 0 and alpha_i in {0, c(x, y)}, so a tuple
+    counts exactly the elements whose alpha is its colour vector, and tuple
+    values are preserved instance-wise under the back-map.  Elements are
+    labelled ``y:alpha``.
     """
     if formula.ell != 1:
         raise ContractError("hybrid conversion expects one count variable")
+    structure, formula = normalize_formula(structure, formula)
+    k = formula.k
     y = formula.count_vars[0]
-    opt = set(formula.opt_vars)
+    slot = {var: i for i, var in enumerate(formula.opt_vars)}
     atoms = tuple(dict.fromkeys(atoms_of(formula.body)))
-    e_pred = None
     for a in atoms:
-        if len(a.args) == 1:
-            continue
-        if len(a.args) == 2 and a.args[0] in opt and a.args[1] == y:
-            if e_pred is None:
-                e_pred = a.pred
-            elif e_pred != a.pred:
-                raise ContractError("more than one edge predicate left")
-            continue
-        raise ContractError(f"atom {a} is not unary or a forward edge")
+        if len(a.args) > 2 or len(a.args) == 2 and a.args[1] != y:
+            raise ContractError(f"atom {a} is not unary or a forward edge")
+    edge_preds = sorted({a.pred for a in atoms if len(a.args) == 2})
+    r = len(edge_preds)
+    if r > DEFAULT_R_CAP:
+        raise ResourceLimitError(
+            f"{r} parallel edge predicates would blow the universe up by "
+            f"2^{r * k}"
+        )
+    low = (1 << r) - 1
+    alphas = range(1 << (r * k))
+    type_of = [
+        sum(1 << i for i in range(k) if alpha >> (r * i) & low) for alpha in alphas
+    ]
+    unary_atoms = [a for a in atoms if len(a.args) == 1]
+    edge_shifts = [
+        (a, r * slot[a.args[0]] + edge_preds.index(a.pred))
+        for a in atoms
+        if len(a.args) == 2
+    ]
+
+    out_edges: dict[ObjectId, dict[ObjectId, int]] = {}
+    for bit, pred in enumerate(edge_preds):
+        for a, b in structure.relation(pred).records:
+            colours = out_edges.setdefault(a, {})
+            colours[b] = colours.get(b, 0) | 1 << bit
 
     doms = resolve_domains(structure, formula, domains)
-    k = formula.k
+    membership = {a.pred: structure.unary_members(a.pred) for a in unary_atoms}
+    x_preds = {a.pred for a in unary_atoms if a.args[0] != y}
+    y_preds = {a.pred for a in unary_atoms if a.args[0] == y}
 
-    x_preds = sorted(
-        {a.pred for a in atoms if len(a.args) == 1 and a.args[0] in opt}
-    )
-    y_preds_all = sorted(
-        {a.pred for a in atoms if len(a.args) == 1 and a.args[0] == y}
-    )
-    membership = {p: structure.unary_members(p) for p in set(x_preds) | set(y_preds_all)}
-
-    def x_color(v: ObjectId) -> frozenset[str]:
-        return frozenset(p for p in x_preds if v in membership[p])
-
-    def y_key(v: ObjectId) -> frozenset[str]:
-        return frozenset(p for p in y_preds_all if v in membership[p])
+    def colour_of(v: ObjectId, preds: set[str]) -> frozenset[str]:
+        return frozenset(p for p in preds if v in membership[p])
 
     realized: list[list[frozenset[str]]] = []
-    members_by_color: list[dict[frozenset[str], list[ObjectId]]] = []
+    members_by_colour: list[dict[frozenset[str], list[ObjectId]]] = []
     for var in formula.opt_vars:
         groups: dict[frozenset[str], list[ObjectId]] = {}
         for v in doms[var]:
-            groups.setdefault(x_color(v), []).append(v)
+            groups.setdefault(colour_of(v, x_preds), []).append(v)
         realized.append(sorted(groups, key=sorted))
-        members_by_color.append(groups)
-    count = math.prod(len(r) for r in realized)
+        members_by_colour.append(groups)
+    count = math.prod(len(colours) for colours in realized)
     if count > SIGMA_CAP:
         raise ResourceLimitError(
             f"{count} unary assignments exceed the cap of {SIGMA_CAP}"
         )
 
-    body = formula.body
-    parts = conjuncts(body)
-    or_part: Expr | None = None
-    outer: list[Expr] = []
-    for p in parts:
-        if isinstance(p, Or) and or_part is None:
-            or_part = p
-        else:
-            outer.append(p)
-    if or_part is not None:
+    kept_memo: dict[tuple, list[int]] = {}
 
-        def flatten(e: Expr) -> list[Expr]:
-            if isinstance(e, Or):
-                return flatten(e.left) + flatten(e.right)
-            return [e]
+    def kept(y_colour: frozenset[str], sigma) -> list[int]:
+        # the alphas for which the body holds, per (y colour, sigma)
+        hit = kept_memo.get((y_colour, sigma))
+        if hit is None:
+            values = {
+                a: a.pred in (y_colour if a.args[0] == y else sigma[slot[a.args[0]]])
+                for a in unary_atoms
+            }
+            hit = []
+            for alpha in alphas:
+                for a, shift in edge_shifts:
+                    values[a] = bool(alpha >> shift & 1)
+                if eval_expr_table(formula.body, values):
+                    hit.append(alpha)
+            kept_memo[y_colour, sigma] = hit
+        return hit
 
-        disjunct_exprs = [conjoin(outer + [d]) for d in flatten(or_part)]
-    else:
-        disjunct_exprs = [body]
-    disjuncts = [_top_literals(d, formula, e_pred) for d in disjunct_exprs]
-
-    by_required: dict[str, list[int]] = {}
-    free_disjuncts: list[int] = []
-    for di, d in enumerate(disjuncts):
-        if d.required_true:
-            by_required.setdefault(min(d.required_true), []).append(di)
-        else:
-            free_disjuncts.append(di)
-
-    edge_rel = structure.relation(e_pred) if e_pred is not None else None
-    evaluator = _RestEvaluator(formula, e_pred)
     y_domain = doms[y]
-    y_keys = {v: y_key(v) for v in y_domain}
-
+    y_colours = {v: colour_of(v, y_preds) for v in y_domain}
     out: list[tuple[HybridInstance, HybridBackMap]] = []
-    sat_memo: dict[tuple, tuple[int, ...]] = {}
     for sigma in product(*realized):
         fam_objects = tuple(
-            tuple(members_by_color[i][sigma[i]]) for i in range(k)
+            tuple(members_by_colour[i][sigma[i]]) for i in range(k)
         )
-        elements: list[tuple[ObjectId, int]] = []
         types: list[int] = []
         labels: list[str] = []
+        elements_of: dict[ObjectId, list[tuple[int, int]]] = {}
         for v in y_domain:
-            key = y_keys[v]
-            memo_key = (key, sigma)
-            taus = sat_memo.get(memo_key)
-            if taus is None:
-                found = []
-                cand = set(free_disjuncts)
-                for p in key:
-                    cand.update(by_required.get(p, ()))
-                for tau in range(1 << k):
-                    ok = False
-                    for di in cand:
-                        d = disjuncts[di]
-                        if not d.required_true <= key or d.required_false & key:
-                            continue
-                        if any(
-                            (tau >> slot & 1) != want for slot, want in d.pinned_bits
-                        ):
-                            continue
-                        if any(
-                            (pred in sigma[slot]) != want
-                            for slot, pred, want in d.x_literals
-                        ):
-                            continue
-                        if evaluator.eval(d.rest, key, sigma, tau):
-                            ok = True
-                            break
-                    if ok:
-                        found.append(tau)
-                taus = tuple(found)
-                sat_memo[memo_key] = taus
-            for tau in taus:
-                elements.append((v, tau))
-                types.append(tau)
-                labels.append(f"{structure.labels[v]}:{tau}")
-
-        index_of = {el: i for i, el in enumerate(elements)}
-        neighbors: dict[ObjectId, list[int]] = {}
-        if edge_rel is not None:
-            for a, b in edge_rel.records:
-                lst = neighbors.setdefault(a, [])
-                for tau in range(1 << k):
-                    i = index_of.get((b, tau))
-                    if i is not None:
-                        lst.append(i)
-        families = []
-        set_labels = []
-        for i in range(k):
-            fam = []
-            labs = []
-            for v in fam_objects[i]:
-                fam.append(frozenset(neighbors.get(v, ())))
-                labs.append(structure.labels[v])
-            families.append(fam)
-            set_labels.append(labs)
+            for alpha in kept(y_colours[v], sigma):
+                elements_of.setdefault(v, []).append((alpha, len(types)))
+                types.append(type_of[alpha])
+                labels.append(f"{structure.labels[v]}:{alpha}")
+        families = [
+            [
+                frozenset(
+                    u
+                    for w, c in out_edges.get(x, {}).items()
+                    for alpha, u in elements_of.get(w, ())
+                    if (alpha >> (r * i) & low) in (0, c)
+                )
+                for x in objects
+            ]
+            for i, objects in enumerate(fam_objects)
+        ]
+        set_labels = [[structure.labels[x] for x in objects] for objects in fam_objects]
         inst = HybridInstance(
-            k,
-            formula.kind,
-            types,
-            families,
-            labels=labels,
-            set_labels=set_labels,
+            k, formula.kind, types, families, labels=labels, set_labels=set_labels
         )
-        out.append(
-            (inst, HybridBackMap(fam_objects, tuple(elements), sigma))
-        )
+        out.append((inst, HybridBackMap(fam_objects)))
     return out
 
 
 # --- the lift's scorer ---------------------------------------------------------
 
 class HybridScorer:
-    """The lift's scorer for one (structure, cross-free core): parallel-edge
-    removal and hybrid conversion run once at construction; each call solves,
-    through the IP solver, the hybrid sub-instances that keep the sets of the
-    objects in the given domains, and returns the best value.  ``ip_calls``
-    counts the IP solver calls made so far."""
+    """The lift's scorer for one (structure, cross-free core): the hybrid
+    conversion runs once at construction; each call solves, through the IP
+    solver, the hybrid sub-instances that keep the sets of the objects in the
+    given domains, and returns the best value.  ``ip_calls`` counts the IP
+    solver calls made so far."""
 
     def __init__(
         self,
@@ -977,24 +843,16 @@ class HybridScorer:
         formula: OptFormula,
         ip_solver: IpSolver,
     ):
-        transformed, tf = remove_parallel_edges(structure, formula)
-        slot_doms = slotted_domains(structure, transformed, tf)
-        instances = to_hybrid(transformed, tf, domains=slot_doms)
-        original = {
-            clone: v for clones in slot_doms.values() for v, clone in enumerate(clones)
-        }
-        self.opt_vars = tf.opt_vars
+        instances = to_hybrid(structure, formula)
+        self.opt_vars = formula.opt_vars
         self.ip_solver = ip_solver
         self.better = max if formula.kind == "max" else min
         # per unary assignment: the instance and, per family, the set index
-        # of each original object
+        # of each object
         self.per_sigma = [
             (
                 inst,
-                [
-                    {original[clone]: j for j, clone in enumerate(objects)}
-                    for objects in back.family_objects
-                ],
+                [{v: j for j, v in enumerate(objects)} for objects in back.family_objects],
             )
             for inst, back in instances
         ]

@@ -206,6 +206,26 @@ def test_error_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "body, code",
+    [
+        (" & ".join(["E(x1,y)", "!E(x2,y)"] * 1000), 0),
+        ("(" * 2000 + "E(x1,y)" + ")" * 2000, 2),
+        ("!" * 2000 + "E(x1,y)", 2),
+    ],
+    ids=["2000-conjuncts", "2000-parentheses", "2000-negations"],
+)
+def test_solve_long_and_deep_bodies(tmp_path, capsys, body, code):
+    s = tmp_path / "toy.structure"
+    s.write_text(TOY_STRUCTURE)
+    f = tmp_path / "deep.formula"
+    f.write_text(f"max x1,x2 . count y . {body}\n")
+    assert main(["solve", "--structure", str(s), "--formula", str(f)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error at position") and "deeper than" in err
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "relopt.cli", "--help"],

@@ -188,3 +188,54 @@ def test_evaluate_distributes():
         assert eval_expr(Or(e, Const(False)), structure, asn) == eval_expr(
             e, structure, asn
         )
+
+
+# 2,000 conjuncts, each an atom, a negation or a parenthesised disjunction
+LONG_BODY = " & ".join(["E(x1,y)", "!E(x2,y)", "(E(y,x1) | P(x2))", "P(y)"] * 500)
+
+
+def test_long_chain_parses_into_a_shallow_tree_and_solves():
+    from relopt.baseline import baseline_opt
+    from relopt.ip import exact_solver
+    from relopt.reduction import reduce_and_solve
+
+    text = f"max x1,x2 . count y . {LONG_BODY}"
+    formula = parse_formula(text)
+    assert str(formula) == text
+
+    def depth(e):
+        if isinstance(e, Not):
+            return 1 + depth(e.arg)
+        if isinstance(e, (And, Or)):
+            return 1 + max(depth(e.left), depth(e.right))
+        return 0
+
+    assert depth(formula.body) < 16  # a left-deep chain would be 2,000 deep
+    structure = load_structure(
+        "rel E 2\nrel P 1\nE a b\nE c b\nE b a\nE d c\nP b\nP a\n"
+    )
+    want = baseline_opt(structure, formula)
+    value, trace = reduce_and_solve(structure, formula, exact_solver("max"))
+    assert (value, trace.witness) == (want.value, want.witness)
+    assert want.value > 0
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["(" * 2000 + "P(y)" + ")" * 2000, "!" * 2000 + "P(y)"],
+    ids=["2000-parentheses", "2000-negations"],
+)
+def test_deep_nesting_is_a_parse_error(body):
+    from relopt.formula import MAX_NESTING
+
+    with pytest.raises(FormulaParseError, match=f"deeper than {MAX_NESTING}"):
+        parse_formula(f"max x . count y . {body}")
+
+
+def test_nesting_up_to_the_cap_parses():
+    from relopt.formula import MAX_NESTING
+
+    half = MAX_NESTING // 2
+    body = "(" * half + "!" * (MAX_NESTING - half) + "P(y)" + ")" * half
+    formula = parse_formula(f"max x . count y . {body}")
+    assert str(formula) == f"max x . count y . {'!' * (MAX_NESTING - half)}P(y)"

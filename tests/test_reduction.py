@@ -5,7 +5,7 @@ import pytest
 
 from relopt.baseline import baseline_opt, baseline_opt_restricted, baseline_values
 from relopt.errors import ContractError, ResourceLimitError
-from relopt.formula import And, Atom, parse_formula
+from relopt.formula import And, Atom, Or, parse_expr, parse_formula
 from relopt.hybrid import val
 from relopt.ip import IpSolver, approx_wrapper, exact_solver
 from relopt.reduction import (
@@ -338,19 +338,52 @@ def test_to_hybrid_rejects_cross():
         to_hybrid(s, f)
 
 
+def _tuple_values(instances):
+    seen = {}
+    for inst, back in instances:
+        for key in product(*(range(len(f)) for f in inst.families)):
+            tup = tuple(back.family_objects[i][j] for i, j in enumerate(key))
+            seen[tup] = val(inst, key)[1]
+    return seen
+
+
+# atoms with a repeated variable, which normalization turns into unary ones
+REPEATED_ATOMS = ("E0(x1,x1)", "!E0(x2,x2)", "E0(y1,y1)", "!E1(x1,x1)")
+
+
 def test_to_hybrid_preserves_values():
     rng = random.Random(56)
     for trial in range(50):
         k = rng.choice([2, 2, 3])
         structure, formula = conforming_instance(rng, k=k, n_objects=rng.randint(2, 7))
         want = baseline_values(structure, formula).entries
-        instances = to_hybrid(structure, formula)
-        seen = {}
-        for inst, back in instances:
-            for key in product(*(range(len(f)) for f in inst.families)):
-                tup = tuple(back.family_objects[i][j] for i, j in enumerate(key))
-                seen[tup] = val(inst, key)[1]
+        seen = _tuple_values(to_hybrid(structure, formula))
         assert seen == want, f"trial {trial} {formula}"
+    # parallel edges: several forward and reversed edge predicates, fused
+    # into the conversion; on k=2 the universes match the two-step chain
+    compared = 0
+    for trial in range(40):
+        k = rng.choice([2, 2, 3])
+        binary = rng.randint(1, 3)
+        structure, formula = random_instance(
+            rng, k=k, ell=1, n_objects=rng.randint(2, 5), binary=binary,
+            allow_cross=False,
+        )
+        extra = rng.choice(REPEATED_ATOMS[:3] if binary == 1 else REPEATED_ATOMS)
+        formula = formula.with_body(
+            (And if rng.random() < 0.5 else Or)(formula.body, parse_expr(extra))
+        )
+        instances = to_hybrid(structure, formula)
+        want = baseline_values(structure, formula).entries
+        assert _tuple_values(instances) == want, f"trial {trial} {formula}"
+        if k == 2:
+            s2, f2 = remove_parallel_edges(structure, formula)
+            chain = to_hybrid(s2, f2, domains=slotted_domains(structure, s2, f2))
+            assert sorted(inst.size for inst, _ in instances) == sorted(
+                inst.size for inst, _ in chain
+            ), f"trial {trial} {formula}"
+            compared += 1
+    assert compared
 
 
 # --- the lift and the driver ---------------------------------------------------------
@@ -449,6 +482,12 @@ def test_lift_converts_to_hybrid_at_most_once(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(reduction, "to_hybrid", counting)
+    # parallel-edge removal is fused into to_hybrid; the lift never runs it
+    chain_calls = []
+    for name in ("remove_parallel_edges", "slotted_domains"):
+        monkeypatch.setattr(
+            reduction, name, lambda *a, name=name, **kw: chain_calls.append(name)
+        )
     rng = random.Random(65)
     cases = [
         (load_structure("rel E 2\n"), parse_formula("max x1,x2 . count y . E(x1,y)"))
@@ -470,6 +509,7 @@ def test_lift_converts_to_hybrid_at_most_once(monkeypatch):
         assert len(calls) == (1 if stats["groups"] else 0), formula
         grouped += bool(stats["groups"])
     assert 0 < grouped < len(cases)
+    assert chain_calls == []
 
 
 def _cycle_structure(n=12):
@@ -677,6 +717,29 @@ def test_reduce_and_solve_k1_routes_baseline():
     value, trace = reduce_and_solve(structure, formula, exact_solver(formula.kind))
     assert trace.path == "baseline"
     assert value == baseline_opt(structure, formula).value
+
+
+def test_reduce_and_solve_falls_back_past_the_edge_predicate_cap():
+    # a 20-cycle whose edges take the predicates E0..E4 in turn: every vertex
+    # is light, so the lift forms groups and prepares the hybrid scorer, and
+    # five forward edge predicates exceed the cap of the hybrid conversion
+    n = 20
+    structure = load_structure(
+        "".join(f"rel E{b} 2\n" for b in range(5))
+        + "".join(f"E{i % 5} o{i} o{(i + 1) % n}\n" for i in range(n))
+    )
+    formula = parse_formula(
+        "max x1,x2 . count y . "
+        "!E0(x1,y) & !E1(x2,y) & !E2(x1,y) | E3(x2,y) & !E4(x1,y)"
+    )
+    value, trace = reduce_and_solve(structure, formula, exact_solver("max"))
+    want = baseline_opt(structure, formula)
+    assert (value, trace.witness) == (want.value, want.witness)
+    assert dict(trace.stages)["cross-free-lift"]["groups"] > 0
+    assert any(
+        w.startswith("falling back to baseline: 5 parallel edge predicates")
+        for w in trace.warnings
+    ), trace.warnings
 
 
 def test_reduce_and_solve_witness_attains_value():
