@@ -305,7 +305,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except EngineError as exc:
+    except (EngineError, OSError, UnicodeDecodeError) as exc:
         print(f"error {exc}", file=sys.stderr)
         return 2
 

@@ -415,7 +415,7 @@ def solve_hybrid_with_info(
     """
     if ip_solver.kind != instance.kind:
         raise ContractError("ip solver kind does not match instance kind")
-    info = {"universe": instance.size, "m_h": instance.m_h}
+    info = {"universe": instance.size}
     if any(not fam for fam in instance.families):
         return None, info
     ip = IPInstance(instance.k, instance.ip_families, instance.size)

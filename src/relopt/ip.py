@@ -207,8 +207,8 @@ def exact_solver(kind: str, budget: int = DEFAULT_TUPLE_BUDGET) -> IpSolver:
 def approx_wrapper(exact: IpSolver, c: float) -> IpSolver:
     """Degrade an exact solver to a deterministic c-approximation sitting at
     the worst end of the allowed interval (test oracle for ratio preservation)."""
-    if c < 1:
-        raise ContractError("approximation ratio must be >= 1")
+    if not 1 <= c < math.inf:
+        raise ContractError(f"approximation ratio must be finite and >= 1, not {c}")
 
     def solve(instance: IPInstance) -> int | None:
         opt = exact.solve(instance)
@@ -228,6 +228,9 @@ def make_ip_solver(kind: str, spec: str) -> IpSolver:
     if spec == "exact":
         return exact_solver(kind)
     if spec.startswith("approx:"):
-        c = float(spec.split(":", 1)[1])
+        try:
+            c = float(spec.split(":", 1)[1])
+        except ValueError:
+            raise ContractError(f"approximation ratio in {spec!r} is not a number")
         return approx_wrapper(exact_solver(kind), c)
     raise ContractError(f"unknown ip solver spec {spec!r}")

@@ -2,6 +2,10 @@
 removal, cross-edge elimination with grouped top-K re-solving, conversion to
 the Hybrid Problem, and the end-to-end driver.
 
+The lift's scores only choose which K of its g^k group combinations get an
+exact re-solve, so the driver runs it only where g^k > K and answers every
+other main problem with its guarded baseline query.
+
 The paper merges the r binary edge predicates into one ("parallel-edge
 removal") before the hybrid conversion; ``to_hybrid`` does both in one pass
 from the pair colours.  ``remove_parallel_edges`` stays as the paper's lemma:
@@ -29,6 +33,8 @@ from .baseline import (
     _atom_truth,
     baseline_opt,
     baseline_opt_restricted,
+    guard_holds,
+    opt_of_table,
     resolve_domains,
 )
 from .errors import ContractError, ResourceLimitError
@@ -70,23 +76,9 @@ def _fresh(name: str, taken) -> str:
 
 def combine_results(kind: str, results) -> OptResult | None:
     """Optimum over sub-results, ties broken by lexicographic witness."""
-    best = None
-    for res in results:
-        if res is None:
-            continue
-        if best is None:
-            best = res
-        elif kind == "max":
-            if res.value > best.value or (
-                res.value == best.value and res.witness < best.witness
-            ):
-                best = res
-        else:
-            if res.value < best.value or (
-                res.value == best.value and res.witness < best.witness
-            ):
-                best = res
-    return best
+    return opt_of_table(
+        {res.witness: res.value for res in results if res is not None}, kind
+    )
 
 
 # --- repeated-variable and orientation normalization ------------------------
@@ -267,33 +259,23 @@ def solve_positive_cross_edge(
             if a not in di or b not in dj or is_heavy(a) or is_heavy(b):
                 continue
             asn = {**other_asn, xi: a, xj: b}
-            if extra_guard and not all(
-                _atom_truth(structure, g, asn) == want for g, want in extra_guard
-            ):
+            if not guard_holds(structure, extra_guard, asn):
                 continue
             value = counter.count(asn, doms[formula.count_vars[0]])
             witness = tuple(asn[v] for v in formula.opt_vars)
             candidates.append(OptResult(value, witness))
-        # light-light pairs without the edge all have value 0
+        # light-light pairs without the edge all have value 0; the first one
+        # that passes the guard stands for them
         if include_edgeless_pairs:
-            xi_light = [v for v in doms[xi] if not is_heavy(v)]
-            xj_light = [v for v in doms[xj] if not is_heavy(v)]
-            for a in xi_light:
-                done = False
-                for b in xj_light:
-                    if (a, b) in erel.records:
-                        continue
-                    asn = {**other_asn, xi: a, xj: b}
-                    if extra_guard and not all(
-                        _atom_truth(structure, g, asn) == want
-                        for g, want in extra_guard
-                    ):
-                        continue
+            edgeless = (
+                {**other_asn, xi: a, xj: b}
+                for a in doms[xi] if not is_heavy(a)
+                for b in doms[xj] if not is_heavy(b) and (a, b) not in erel.records
+            )
+            for asn in edgeless:
+                if guard_holds(structure, extra_guard, asn):
                     witness = tuple(asn[v] for v in formula.opt_vars)
                     candidates.append(OptResult(0, witness))
-                    done = True
-                    break
-                if done:
                     break
 
     if others:
@@ -413,6 +395,33 @@ def build_group_partition(
     return GroupPartition(threshold, tuple(groups))
 
 
+@dataclass(frozen=True)
+class LiftGrouping:
+    """The lift's split of the objects for k optimization variables: vertices
+    of degree at least ``ceil(m^(1/(k+1)))`` are heavy, the light ones are
+    grouped, and ``bound`` is K = C(k,2)·m·n^(k-2) + 1, the number of the g^k
+    group combinations (``combos``) that the scores select for re-solving."""
+
+    heavy: tuple[ObjectId, ...]
+    partition: GroupPartition
+    combos: int
+    bound: int
+
+    @property
+    def prunes(self) -> bool:
+        return self.combos > self.bound
+
+
+def lift_grouping(structure: RelationalStructure, k: int) -> LiftGrouping:
+    m, n = structure.m, structure.n
+    threshold = math.ceil(m ** (1.0 / (k + 1))) if m else 0
+    heavy = tuple(v for v in range(n) if structure.degree(v) >= threshold)
+    light = [v for v in range(n) if structure.degree(v) < threshold]
+    partition = build_group_partition(structure, light, threshold)
+    bound = math.comb(k, 2) * m * (n ** (k - 2) if k >= 2 else 0) + 1
+    return LiftGrouping(heavy, partition, len(partition.groups) ** k, bound)
+
+
 def split_cross_atoms(formula: OptFormula) -> tuple[list[Atom], OptFormula]:
     """The cross atoms of the body (binary over two distinct optimization
     variables) and the cross-free core, the body with each of them false."""
@@ -474,59 +483,46 @@ def solve_cross_free_lift(
     evaluator = PreparedBaseline(structure, core)
 
     # (2) heavy vertices: fix and solve the residual problem with the baseline
-    m, n = structure.m, structure.n
-    threshold = math.ceil(m ** (1.0 / (k + 1))) if m else 0
-    heavy = [v for v in range(n) if structure.degree(v) >= threshold]
-    heavy_set = set(heavy)
-    for v in heavy:
+    grouping = lift_grouping(structure, k)
+    for v in grouping.heavy:
         for var in formula.opt_vars:
             res = evaluator.opt({var: (v,)}, full_guard)
             if res is not None:
                 candidates.append(res)
 
-    # (3) group the light vertices
-    light = [v for v in range(n) if v not in heavy_set]
-    partition = build_group_partition(structure, light, threshold)
-    g = len(partition.groups)
-    if stats_out is not None:
-        stats_out.update(
-            threshold=threshold,
-            heavy=len(heavy),
-            heavy_solves=len(heavy) * k,
-            groups=g,
-            m=m,
-            n=n,
-        )
+    # (3) the groups of the light vertices
+    groups = grouping.partition.groups
+    stats = {} if stats_out is None else stats_out
+    stats.update(
+        threshold=grouping.partition.threshold,
+        heavy=len(grouping.heavy),
+        heavy_solves=len(grouping.heavy) * k,
+        groups=len(groups),
+        m=structure.m,
+        n=structure.n,
+    )
 
-    if g:
+    def domains_of(combo: tuple[int, ...]) -> dict[str, tuple[ObjectId, ...]]:
+        return {var: groups[ci] for var, ci in zip(formula.opt_vars, combo)}
+
+    if groups:
         # (4) score every group combination on the relaxed body
         score = prepare(structure, core)
         scored = []
-        for combo in product(range(g), repeat=k):
-            domains = {
-                var: partition.groups[ci]
-                for var, ci in zip(formula.opt_vars, combo)
-            }
-            value = score(domains)
+        for combo in product(range(len(groups)), repeat=k):
+            value = score(domains_of(combo))
             if value is not None:
                 scored.append((value, combo))
         if top_k is None:
-            fp_bound = math.comb(k, 2) * m * (n ** (k - 2) if k >= 2 else 0)
-            top_k = min(g**k, fp_bound + 1)
+            top_k = min(grouping.combos, grouping.bound)
         reverse = formula.kind == "max"
         scored.sort(key=lambda vc: ((-vc[0] if reverse else vc[0]), vc[1]))
         selected = scored[:top_k]
-        if stats_out is not None:
-            stats_out.update(combos=len(scored), top_k=top_k, resolves=len(selected))
-            stats_out["psi1_scores"] = list(scored)
+        stats.update(combos=len(scored), top_k=top_k, resolves=len(selected))
 
         # (5) exact re-solve of the selected combinations under the guard
         for _, combo in selected:
-            domains = {
-                var: partition.groups[ci]
-                for var, ci in zip(formula.opt_vars, combo)
-            }
-            res = evaluator.opt(domains, full_guard)
+            res = evaluator.opt(domains_of(combo), full_guard)
             if res is not None:
                 candidates.append(res)
 
@@ -891,6 +887,11 @@ class ReductionTrace:
     def add(self, name: str, **stats):
         self.stages.append((name, stats))
 
+    def answer(self, res: OptResult | None) -> tuple[int | None, ReductionTrace]:
+        """The driver's return value for its optimum ``res``."""
+        self.witness = None if res is None else res.witness
+        return (None if res is None else res.value), self
+
     def render(self) -> str:
         lines = [f"path {self.path}"]
         for name, stats in self.stages:
@@ -910,8 +911,12 @@ def reduce_and_solve(
 
     Two or more counting variables go to the multi-counting solver; a single
     optimization variable is a baseline base case; everything else runs
-    hyperedge removal, the grouped cross-edge lift with the hybrid-through-IP
-    scorer, and exact side problems.
+    hyperedge removal with its exact side problems.  The main problem goes
+    through the grouped cross-edge lift with the hybrid-through-IP scorer
+    only where the scores can prune (``LiftGrouping.prunes``).  Elsewhere,
+    and past a resource limit of the lift, one guarded baseline query solves
+    it; where nothing is pruned the lift's sources cover exactly the guarded
+    tuples, so the (value, witness) is the lift's.
     """
     if ip_solver.kind != formula.kind:
         raise ContractError("ip solver kind does not match the formula")
@@ -921,19 +926,11 @@ def reduce_and_solve(
 
     if formula.ell >= 2:
         trace.path = "multicount"
-        res = multi_counting_opt(structure, formula)
-        if res is None:
-            return None, trace
-        trace.witness = res.witness
-        return res.value, trace
+        return trace.answer(multi_counting_opt(structure, formula))
 
     if formula.k == 1:
         trace.path = "baseline"
-        res = baseline_opt(structure, formula)
-        if res is None:
-            return None, trace
-        trace.witness = res.witness
-        return res.value, trace
+        return trace.answer(baseline_opt(structure, formula))
 
     trace.path = "reduction"
     structure0, formula0 = normalize_formula(structure, formula)
@@ -945,16 +942,12 @@ def reduce_and_solve(
         sides=len(plan.side_problems),
     )
 
-    candidates: list[OptResult] = []
-    for side in plan.side_problems:
-        res = solve_positive_cross_edge(
-            side.structure,
-            side.formula,
-            side.forced,
-            include_edgeless_pairs=False,
+    candidates = [
+        solve_positive_cross_edge(
+            side.structure, side.formula, side.forced, include_edgeless_pairs=False
         )
-        if res is not None:
-            candidates.append(res)
+        for side in plan.side_problems
+    ]
 
     scorer: HybridScorer | None = None
 
@@ -963,29 +956,30 @@ def reduce_and_solve(
         scorer = HybridScorer(s, f, ip_solver)
         return scorer
 
-    lift_stats: dict = {}
-    try:
-        main = solve_cross_free_lift(
-            plan.main_structure,
-            plan.main_core,
-            prepare,
-            guard=plan.main_guard,
-            stats_out=lift_stats,
-        )
-    except ResourceLimitError as exc:
-        trace.warnings.append(f"falling back to baseline: {exc}")
+    grouping = lift_grouping(plan.main_structure, plan.main_core.k)
+    fallback: dict | None = None
+    if grouping.prunes:
+        lift_stats: dict = {}
+        try:
+            main = solve_cross_free_lift(
+                plan.main_structure,
+                plan.main_core,
+                prepare,
+                guard=plan.main_guard,
+                stats_out=lift_stats,
+            )
+        except ResourceLimitError as exc:
+            trace.warnings.append(f"falling back to baseline: {exc}")
+            fallback = {"reason": "resource-limit"}
+        trace.add("cross-free-lift", **lift_stats)
+        if scorer is not None:
+            trace.add("hybrid", universe=scorer.universe, ip_calls=scorer.ip_calls)
+    else:
+        groups = len(grouping.partition.groups)
+        fallback = {"reason": "no-prune", "groups": groups, "bound": grouping.bound}
+    if fallback is not None:
+        trace.add("guarded-baseline", **fallback)
         main = baseline_opt_restricted(
             plan.main_structure, plan.main_core, plan.main_guard
         )
-    lift_stats.pop("psi1_scores", None)
-    trace.add("cross-free-lift", **lift_stats)
-    if scorer is not None:
-        trace.add("hybrid", universe=scorer.universe, ip_calls=scorer.ip_calls)
-    if main is not None:
-        candidates.append(main)
-
-    best = combine_results(formula.kind, candidates)
-    if best is None:
-        return None, trace
-    trace.witness = best.witness
-    return best.value, trace
+    return trace.answer(combine_results(formula.kind, candidates + [main]))

@@ -235,3 +235,44 @@ def random_instance(
     kind = kind or rng.choice(["max", "min"])
     text = f"{kind} {','.join(opt_vars)} . count {','.join(count_vars)} . {body}"
     return structure, parse_formula(text)
+
+
+# --- sparse instances on which the cross-edge lift prunes ---------------------
+
+SPARSE_LIFT_BODY = "E0(x1,y1) & (E0(x2,y1) | P0(y1)) & !E1(x1,x2)"
+
+
+def sparse_lift_instances(count: int = 8):
+    """Seeded sparse instances of a body with one cross atom, alternately max
+    and min, over 40-64 objects: P0 on half of them and 3/4 of a binary record
+    per object, no object in more than 3 records.  With m = 5n/4 the lift's
+    degree threshold ceil(m^(1/3)) is 4, so no vertex is heavy, the g groups
+    give g^2 combinations well above the K = m + 1 it re-solves, and the IP
+    values alone choose which combinations those are."""
+    out = []
+    for i in range(count):
+        rng = random.Random(f"sparse-lift/{i}")
+        n = 40 + 8 * (i // 2 % 4)
+        marked = rng.sample(range(n), n // 2)
+        degree = [0] * n
+        for v in marked:
+            degree[v] += 1
+        binary: set[tuple[int, int, int]] = set()
+        while len(binary) < 3 * n // 4:
+            rec = (rng.randrange(2), rng.randrange(n), rng.randrange(n))
+            ends = set(rec[1:])
+            if rec in binary or any(degree[v] >= 3 for v in ends):
+                continue
+            binary.add(rec)
+            for v in ends:
+                degree[v] += 1
+        rels = {f"E{b}": {(a, c) for bb, a, c in binary if bb == b} for b in range(2)}
+        rels["P0"] = {(v,) for v in marked}
+        structure = build_structure(
+            [f"o{v}" for v in range(n)], rels, {"E0": 2, "E1": 2, "P0": 1}
+        )
+        kind = ("max", "min")[i % 2]
+        out.append(
+            (structure, parse_formula(f"{kind} x1,x2 . count y1 . {SPARSE_LIFT_BODY}"))
+        )
+    return out

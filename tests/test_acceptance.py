@@ -22,6 +22,7 @@ from relopt.hybrid import (
 )
 from relopt.ip import (
     IPInstance,
+    IpSolver,
     approx_wrapper,
     brute_force_kmaxip,
     brute_force_kminip,
@@ -41,6 +42,7 @@ from oracles import (
     hybrid_opt_naive,
     random_hybrid,
     random_instance,
+    sparse_lift_instances,
     triangle_counts_naive,
 )
 
@@ -72,15 +74,48 @@ def corpus():
     return out
 
 
-def test_criterion_1_end_to_end_exactness(corpus):
+@pytest.fixture(scope="module")
+def lift_corpus():
+    # the lift prunes on these, so its IP-scored ranking is on the solve path
+    out = []
+    for i, (structure, formula) in enumerate(sparse_lift_instances()):
+        res = baseline_opt(structure, formula)
+        out.append((f"sparse-lift/{i}", structure, formula, res.value if res else None))
+    return out
+
+
+def _counting(solver):
+    calls = []
+
+    def solve(instance):
+        calls.append(instance)
+        return solver.solve(instance)
+
+    return IpSolver(solver.kind, solver.ratio, solve), calls
+
+
+def _solve_lift_corpus(lift_corpus, make_solver):
+    for name, structure, formula, opt in lift_corpus:
+        solver, calls = _counting(make_solver(formula.kind))
+        value, _ = reduce_and_solve(structure, formula, solver)
+        assert calls, f"{name}: the IP solver was not called"
+        yield name, formula, opt, value
+
+
+def test_criterion_1_end_to_end_exactness(corpus, lift_corpus):
     for seed, structure, formula, opt in corpus:
         solver = exact_solver(formula.kind)
         value, _ = reduce_and_solve(structure, formula, solver)
         assert value == opt, f"seed {seed}: pipeline {value} != baseline {opt}"
-    print(f"\nACCEPTANCE 1 end-to-end exactness over {len(corpus)} instances: PASS")
+    for name, _, opt, value in _solve_lift_corpus(lift_corpus, exact_solver):
+        assert value == opt, f"{name}: pipeline {value} != baseline {opt}"
+    print(
+        f"\nACCEPTANCE 1 end-to-end exactness over {len(corpus)} + "
+        f"{len(lift_corpus)} instances: PASS"
+    )
 
 
-def test_criterion_2_approximation_preservation(corpus):
+def test_criterion_2_approximation_preservation(corpus, lift_corpus):
     c, eps = 2.0, 0.1
     for seed, structure, formula, opt in corpus:
         solver = approx_wrapper(exact_solver(formula.kind), c)
@@ -92,9 +127,45 @@ def test_criterion_2_approximation_preservation(corpus):
             assert opt / (c + eps) <= value <= opt, f"seed {seed}: {value} vs {opt}"
         else:
             assert opt <= value <= (c + eps) * opt, f"seed {seed}: {value} vs {opt}"
-    print(
-        f"\nACCEPTANCE 2 (c+eps)-approximation preserved on {len(corpus)} instances: PASS"
+    lift = _solve_lift_corpus(
+        lift_corpus, lambda kind: approx_wrapper(exact_solver(kind), c)
     )
+    for name, formula, opt, value in lift:
+        if formula.kind == "max":
+            assert opt / (c + eps) <= value <= opt, f"{name}: {value} vs {opt}"
+        else:
+            assert opt <= value <= (c + eps) * opt, f"{name}: {value} vs {opt}"
+    print(
+        f"\nACCEPTANCE 2 (c+eps)-approximation preserved on {len(corpus)} + "
+        f"{len(lift_corpus)} instances: PASS"
+    )
+
+
+def test_ip_ranking_decides_the_lift_answer(lift_corpus):
+    # an IP solver that inverts the order of the scores sends the wrong
+    # combinations to the exact re-solve, so the answer moves off OPT
+    def inverted(kind):
+        exact = exact_solver(kind)
+        return IpSolver(kind, 1.0, lambda instance: -exact.solve(instance))
+
+    answers = {
+        solver: {
+            name: value for name, _, _, value in _solve_lift_corpus(lift_corpus, make)
+        }
+        for solver, make in (
+            ("exact", exact_solver),
+            ("approx", lambda kind: approx_wrapper(exact_solver(kind), 2.0)),
+            ("inverted", inverted),
+        )
+    }
+    dropped = 0
+    for name, _, formula, opt in lift_corpus:
+        if formula.kind != "max":
+            continue
+        assert answers["exact"][name] == answers["approx"][name] == opt, name
+        assert answers["inverted"][name] <= opt, name
+        dropped += answers["inverted"][name] < opt
+    assert dropped, "the IP ranking never decided a max answer"
 
 
 def test_criterion_3_universe_reduction_error_bound():

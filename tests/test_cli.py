@@ -207,6 +207,30 @@ def test_error_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--ip", "approx:abc"),
+        ("--ip", "approx:nan"),
+        ("--ip", "approx:inf"),
+        ("--structure", "missing.structure"),
+        ("--formula", "missing.formula"),
+        ("--structure", "."),
+    ],
+    ids=[
+        "ip-abc", "ip-nan", "ip-inf",
+        "missing-structure", "missing-formula", "directory",
+    ],
+)
+def test_solve_bad_arguments_exit_2(toy_files, tmp_path, capsys, flag, value):
+    # an unusable ratio or an unreadable input file is an error line
+    s, f = toy_files
+    args = {"--structure": str(s), "--formula": str(f), "--ip": "exact"}
+    args[flag] = value if flag == "--ip" else str(tmp_path / value)
+    assert main(["solve", *(a for pair in args.items() for a in pair)]) == 2
+    assert capsys.readouterr().err.startswith("error ")
+
+
+@pytest.mark.parametrize(
     "body, code",
     [
         (" & ".join(["E(x1,y)", "!E(x2,y)"] * 1000), 0),

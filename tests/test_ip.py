@@ -205,6 +205,20 @@ def test_make_ip_solver_and_dump_parse():
     assert parse_ip_instance(text) == inst
 
 
+@pytest.mark.parametrize(
+    "spec", ["approx:abc", "approx:", "approx:nan", "approx:inf", "approx:0.5"]
+)
+def test_make_ip_solver_rejects_bad_ratios(spec):
+    with pytest.raises(ContractError, match="approximation ratio"):
+        make_ip_solver("max", spec)
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, 0.5])
+def test_approx_wrapper_rejects_bad_ratios(c):
+    with pytest.raises(ContractError, match="approximation ratio"):
+        approx_wrapper(exact_solver("max"), c)
+
+
 def test_dump_parse_roundtrip_with_empty_last_family():
     inst = IPInstance(3, ((vec("101"),), (vec("011"), ()), ()), 3)
     assert parse_ip_instance(inst.dump(), k=3) == inst

@@ -512,9 +512,10 @@ def test_lift_converts_to_hybrid_at_most_once(monkeypatch):
     assert chain_calls == []
 
 
-def _cycle_structure(n=12):
-    """An n-cycle with P on every third object: every degree is 2, so the
-    lift forms groups of light vertices."""
+def _cycle_structure(n=18):
+    """An n-cycle with P on every third object: the lift forms groups of
+    light vertices.  At n = 18, g^2 = 36 > K = 25, so it prunes; at n = 12,
+    g^2 = 16 <= K = 17."""
     edges = "".join(f"E o{i} o{(i + 1) % n}\n" for i in range(n))
     marks = "".join(f"P o{i}\n" for i in range(0, n, 3))
     return load_structure("rel E 2\nrel P 1\n" + edges + marks)
@@ -570,6 +571,63 @@ def test_trace_counts_heavy_solves_resolves_and_ip_calls(monkeypatch):
                 stats_out=stats,
             )
             assert stats["resolves"] == min(top_k, stats["combos"])
+
+
+def test_reduce_and_solve_skips_the_lift_where_nothing_is_pruned(monkeypatch):
+    # on the 12-cycle the lift would re-solve every one of g^2 = 16 <= K = 17
+    # group combinations, so the guarded baseline answers without scoring
+    import relopt.reduction as reduction
+
+    conversions = []
+    real = reduction.to_hybrid
+    monkeypatch.setattr(
+        reduction, "to_hybrid", lambda *a, **kw: conversions.append(a) or real(*a, **kw)
+    )
+    structure = _cycle_structure(12)
+    for text in CYCLE_BODIES:
+        formula = parse_formula(text)
+        exact = exact_solver(formula.kind)
+        ip_calls = []
+
+        def solve(instance, exact=exact):
+            ip_calls.append(instance)
+            return exact.solve(instance)
+
+        value, trace = reduce_and_solve(
+            structure, formula, IpSolver(exact.kind, exact.ratio, solve)
+        )
+        want = baseline_opt(structure, formula)
+        assert (value, trace.witness) == (want.value, want.witness)
+        assert conversions == [] and ip_calls == []
+        stages = dict(trace.stages)
+        assert "cross-free-lift" not in stages and "hybrid" not in stages
+        assert stages["guarded-baseline"] == {
+            "reason": "no-prune", "groups": 4, "bound": 17
+        }
+        assert "stage guarded-baseline bound=17 groups=4 reason=no-prune" in (
+            trace.render()
+        )
+
+
+def test_guarded_baseline_answers_past_a_resource_limit_of_the_lift(monkeypatch):
+    import relopt.reduction as reduction
+
+    structure = _cycle_structure()
+    formula = parse_formula(CYCLE_BODIES[0])
+    want = baseline_opt(structure, formula)
+    _, trace = reduce_and_solve(structure, formula, exact_solver("max"))
+    assert "guarded-baseline" not in dict(trace.stages)
+
+    def over_cap(*args, **kwargs):
+        raise ResourceLimitError("over the cap")
+
+    monkeypatch.setattr(reduction, "to_hybrid", over_cap)
+    value, trace = reduce_and_solve(structure, formula, exact_solver("max"))
+    assert (value, trace.witness) == (want.value, want.witness)
+    stages = dict(trace.stages)
+    assert stages["guarded-baseline"] == {"reason": "resource-limit"}
+    assert "cross-free-lift" in stages and "hybrid" not in stages
+    assert trace.warnings == ["falling back to baseline: over the cap"]
 
 
 def test_lift_converts_each_hybrid_instance_to_basic_once(monkeypatch):
