@@ -4,8 +4,11 @@ two with a color-decomposition count.
 The two-variable base case groups the counting domain by the truth pattern of
 its unary-like atoms and counts pair patterns only for pairs occurring in some
 positive record; absent pairs are recovered from the complement identity
-``C(x; a, 0) = |Y_a| - sum_b C(x; a, b)``.  This module is also the
-correctness oracle for everything else in the package.
+``C(x; a, 0) = |Y_a| - sum_b C(x; a, b)``.  Only objects in some record the
+assignment selects are coloured; the rest of a domain is colour 0, counted by
+complement, so a base case costs time in the domain of its first variable and
+in those records, not in the domain of the counting variable.  This module is
+also the correctness oracle for everything else in the package.
 
 ``PreparedBaseline`` indexes the structure's relations for one formula once
 and then answers queries over any domains; the pipeline keeps one per
@@ -24,10 +27,6 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .errors import UnsupportedShapeError
 from .formula import Atom, Expr, OptFormula, atoms_of, eval_expr_table
 from .structure import ObjectId, RelationalStructure
-
-# Base case switches to a naive double loop beyond this many atoms per class;
-# keeps the color memo tables small.
-COLOR_ATOM_CAP = 20
 
 Domains = Mapping[str, Sequence[ObjectId]]
 
@@ -141,27 +140,19 @@ class PreparedBaseline:
                 self.w_atoms.append(atom)
             else:
                 self.fixed_atoms.append(atom)
-        self.use_colors = (
-            len(self.u_atoms) <= COLOR_ATOM_CAP
-            and len(self.w_atoms) <= COLOR_ATOM_CAP
-            and len(self.mixed_atoms) <= COLOR_ATOM_CAP
-        )
-        if self.use_colors:
-            self.u_proj = [
-                ProjectedAtom(structure, a, assigned, (u,)) for a in self.u_atoms
-            ]
-            self.w_proj = [
-                ProjectedAtom(structure, a, assigned, (w,)) for a in self.w_atoms
-            ]
-            self.mixed_proj = [
-                ProjectedAtom(structure, a, assigned, (u, w)) for a in self.mixed_atoms
-            ]
+        self.u_proj = [ProjectedAtom(structure, a, assigned, (u,)) for a in self.u_atoms]
+        self.w_proj = [ProjectedAtom(structure, a, assigned, (w,)) for a in self.w_atoms]
+        self.mixed_proj = [
+            ProjectedAtom(structure, a, assigned, (u, w)) for a in self.mixed_atoms
+        ]
+        # keyed by the atom bit patterns that occur, so bounded by the queries
         self._phi_memo: dict[tuple, bool] = {}
 
     def values(self, domains: Domains | None = None) -> ValueTable:
         """Val(x1,...,xk) for every optimization tuple over the domains."""
         doms = resolve_domains(self.structure, self.formula, domains)
-        table = self._run(doms, 0, {})
+        query = _Query(doms, set(doms[self.u_var]), set(doms[self.w_var]))
+        table = self._run(query, 0, {})
         assert isinstance(table, dict)
         return ValueTable(table)
 
@@ -209,88 +200,67 @@ class PreparedBaseline:
         self._phi_memo[key] = out
         return out
 
-    def _base_case(
-        self, doms: Domains, asn: dict[str, ObjectId]
-    ) -> dict[ObjectId, int]:
-        """psi(u) = #{w : body} for every u in its domain, in linear time."""
-        dom_u = doms[self.u_var]
-        dom_w = doms[self.w_var]
-        if not self.use_colors:
-            out = {}
-            for uv in dom_u:
-                asn[self.u_var] = uv
-                cnt = 0
-                for wv in dom_w:
-                    asn[self.w_var] = wv
-                    values = {a: _atom_truth(self.structure, a, asn) for a in self.atoms}
-                    cnt += eval_expr_table(self.formula.body, values)
-                asn.pop(self.w_var, None)
-                out[uv] = cnt
-            asn.pop(self.u_var, None)
-            return out
-
+    def _base_case(self, q: _Query, asn: dict[str, ObjectId]) -> dict[ObjectId, int]:
+        """psi(u) = #{w : body} for every u in its domain, in time linear in
+        the domain of u and the records the assignment selects."""
         fixed_bits = 0
         for i, a in enumerate(self.fixed_atoms):
             if _atom_truth(self.structure, a, asn):
                 fixed_bits |= 1 << i
-
-        u_sets = [p.query(asn) for p in self.u_proj]
-        w_sets = [p.query(asn) for p in self.w_proj]
-
-        # group the counting domain by w-color
-        w_color: dict[ObjectId, int] = {}
-        color_count: dict[int, int] = {}
-        for wv in dom_w:
-            bits = 0
-            for i, s in enumerate(w_sets):
-                if (wv,) in s:
-                    bits |= 1 << i
-            w_color[wv] = bits
+        # only objects some u- or w-atom holds for get a colour; every other
+        # object of the domain has colour 0
+        u_color = _colors(self.u_proj, asn, q.dom_u)
+        w_color = _colors(self.w_proj, asn, q.dom_w)
+        color_count: dict[int, int] = {0: len(q.doms[self.w_var]) - len(w_color)}
+        for bits in w_color.values():
             color_count[bits] = color_count.get(bits, 0) + 1
 
         # pairs that make at least one mixed atom true
-        dom_u_set = set(dom_u)
-        dom_w_set = set(dom_w)
         pair_bits: dict[tuple[ObjectId, ObjectId], int] = {}
         for i, p in enumerate(self.mixed_proj):
             for pair in p.query(asn):
                 uv, wv = pair
-                if uv in dom_u_set and wv in dom_w_set:
+                if uv in q.dom_u and wv in q.dom_w:
                     pair_bits[uv, wv] = pair_bits.get((uv, wv), 0) | 1 << i
 
         # per-u counters C(u; alpha, beta) for beta != 0
         counters: dict[ObjectId, dict[tuple[int, int], int]] = {}
         for (uv, wv), m_bits in pair_bits.items():
-            key = (w_color[wv], m_bits)
+            key = (w_color.get(wv, 0), m_bits)
             c = counters.setdefault(uv, {})
             c[key] = c.get(key, 0) + 1
 
+        # per u colour, the count if no pair made a mixed atom true; each
+        # counted pair then moves from its colour's (alpha, 0) class to
+        # (alpha, beta), since C(u; alpha, 0) = |W_alpha| - sum_beta C(u; alpha, beta)
+        edgeless: dict[int, int] = {}
         out = {}
-        for uv in dom_u:
-            u_bits = 0
-            for i, s in enumerate(u_sets):
-                if (uv,) in s:
-                    u_bits |= 1 << i
-            cnt = 0
-            pos = counters.get(uv, {})
-            pos_per_color: dict[int, int] = {}
-            for (alpha, m_bits), c in pos.items():
-                pos_per_color[alpha] = pos_per_color.get(alpha, 0) + c
-                if self._phi(fixed_bits, u_bits, alpha, m_bits):
-                    cnt += c
-            for alpha, total in color_count.items():
-                if self._phi(fixed_bits, u_bits, alpha, 0):
-                    cnt += total - pos_per_color.get(alpha, 0)
+        for uv in q.doms[self.u_var]:
+            u_bits = u_color.get(uv, 0)
+            cnt = edgeless.get(u_bits)
+            if cnt is None:
+                cnt = sum(
+                    total
+                    for alpha, total in color_count.items()
+                    if self._phi(fixed_bits, u_bits, alpha, 0)
+                )
+                edgeless[u_bits] = cnt
+            for (alpha, m_bits), c in counters.get(uv, {}).items():
+                cnt += c * (
+                    self._phi(fixed_bits, u_bits, alpha, m_bits)
+                    - self._phi(fixed_bits, u_bits, alpha, 0)
+                )
             out[uv] = cnt
         return out
 
-    def _run(self, doms: Domains, depth: int, asn: dict[str, ObjectId]):
+    def _run(self, q: _Query, depth: int, asn: dict[str, ObjectId]):
         """Returns a dict over remaining-opt-variable tuples, or an int when
         only counting variables remain."""
+        doms = q.doms
         remaining = len(self.order) - depth
         k = self.formula.k
         if remaining == 2:
-            per_u = self._base_case(doms, asn)
+            per_u = self._base_case(q, asn)
             if depth <= k - 1:  # order[depth] is an optimization variable
                 return {(uv,): c for uv, c in per_u.items()}
             return sum(per_u.values())
@@ -299,7 +269,7 @@ class PreparedBaseline:
             table: dict[tuple, int] = {}
             for o in doms[var]:
                 asn[var] = o
-                sub = self._run(doms, depth + 1, asn)
+                sub = self._run(q, depth + 1, asn)
                 if isinstance(sub, dict):
                     for key, val in sub.items():
                         table[(o,) + key] = val
@@ -311,10 +281,33 @@ class PreparedBaseline:
         total = 0
         for o in doms[var]:
             asn[var] = o
-            total += self._run(doms, depth + 1, asn)
+            total += self._run(q, depth + 1, asn)
         if doms[var]:
             del asn[var]
         return total
+
+
+class _Query(NamedTuple):
+    """One query's domains, with the last two as sets."""
+
+    doms: Mapping[str, tuple[ObjectId, ...]]
+    dom_u: set[ObjectId]
+    dom_w: set[ObjectId]
+
+
+def _colors(
+    projections: Sequence[ProjectedAtom],
+    asn: Mapping[str, ObjectId],
+    domain: set[ObjectId],
+) -> dict[ObjectId, int]:
+    """Bit i set for the objects of ``domain`` atom i holds for under the
+    assignment; objects with no bit set are left out."""
+    color: dict[ObjectId, int] = {}
+    for i, p in enumerate(projections):
+        for (v,) in p.query(asn):
+            if v in domain:
+                color[v] = color.get(v, 0) | 1 << i
+    return color
 
 
 def baseline_values(

@@ -15,12 +15,12 @@ part membership is cached as integer bitmasks, so the set algebra runs on
 machine words.  Types tau are packed ints with family i at bit i.
 
 An instance builds its IP vectors (the all-ones Basic form) once, on first
-use; sub-instances from ``select`` share them, so solving many selections of
-one instance converts each set once.
+use.  ``solve_hybrid_with_info`` solves many sub-instances at once, each
+keeping one block of sets per family, through one IP block query on those
+vectors, so each set is converted once.
 """
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,7 +28,7 @@ from itertools import product
 from typing import Sequence
 
 from .errors import ContractError, ResourceLimitError
-from .ip import IPInstance, IpSolver
+from .ip import Blocks, IPInstance, IpSolver
 
 MAX_MATERIALIZED_UNIVERSE = 5_000_000
 
@@ -108,27 +108,6 @@ class HybridInstance:
         per set, family by family."""
         tau_ones = (1 << self.k) - 1
         return basic_to_ip(hybrid_to_basic(self, tau_ones)).families
-
-    def select(self, picks: Sequence[Sequence[int]]) -> "HybridInstance":
-        """Sub-instance over the same universe that keeps the sets
-        ``picks[i]`` of family i; shares the element data, part masks and
-        IP vectors."""
-        sub = copy.copy(self)
-        sub.families = tuple(
-            tuple(fam[j] for j in idxs) for fam, idxs in zip(self.families, picks)
-        )
-        sub.set_masks = tuple(
-            tuple(masks[j] for j in idxs) for masks, idxs in zip(self.set_masks, picks)
-        )
-        sub.ip_families = tuple(
-            tuple(vecs[j] for j in idxs) for vecs, idxs in zip(self.ip_families, picks)
-        )
-        if self.set_labels is not None:
-            sub.set_labels = tuple(
-                tuple(labs[j] for j in idxs)
-                for labs, idxs in zip(self.set_labels, picks)
-            )
-        return sub
 
     def part(self, tau: int) -> list[int]:
         return [u for u, t in enumerate(self.element_types) if t == tau]
@@ -400,23 +379,28 @@ def universe_reduce(
 # --- hybrid solve through IP -------------------------------------------------
 
 def solve_hybrid(instance: HybridInstance, ip_solver: IpSolver) -> int | None:
-    value, _ = solve_hybrid_with_info(instance, ip_solver)
+    (value,), _ = solve_hybrid_with_info(instance, ip_solver)
     return value
 
 
 def solve_hybrid_with_info(
-    instance: HybridInstance, ip_solver: IpSolver
-) -> tuple[int | None, dict]:
-    """One IP solver call on the instance's all-ones Basic vectors.
+    instance: HybridInstance, ip_solver: IpSolver, blocks: Blocks | None = None
+) -> tuple[list[int | None], dict]:
+    """The hybrid optimum of every sub-instance that keeps one block of sets
+    per family, in ``itertools.product`` order of the block indices, from one
+    IP block query (``IpSolver.block_values``) on the instance's all-ones
+    Basic vectors.  Without ``blocks`` the one sub-instance is the instance.
 
-    The conversion preserves every tuple value, so the solver's value is the
-    hybrid optimum within the solver's ratio: exact for an exact solver, a
-    c-approximation for a c-approximate one.  ``None`` when a family is empty.
+    The conversion preserves every tuple value, so each value is the
+    sub-instance's optimum within the solver's ratio: exact for an exact
+    solver, a c-approximation for a c-approximate one.  A value is None where
+    a block is empty.  ``info`` holds the universe size and the block query's
+    ``solve_calls`` and ``pairs_joined``.
     """
     if ip_solver.kind != instance.kind:
         raise ContractError("ip solver kind does not match instance kind")
+    if blocks is None:
+        blocks = [[list(range(len(fam)))] for fam in instance.families]
     info = {"universe": instance.size}
-    if any(not fam for fam in instance.families):
-        return None, info
     ip = IPInstance(instance.k, instance.ip_families, instance.size)
-    return ip_solver.solve(ip), info
+    return ip_solver.block_values(ip, blocks, info), info

@@ -9,7 +9,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import product
+from collections import Counter
+from itertools import chain, product
 from typing import Callable, Sequence
 
 from .errors import ContractError, ResourceLimitError
@@ -181,37 +182,139 @@ def sparsify(dense_families: Sequence[Sequence[Sequence[int]]], d: int) -> IPIns
     return IPInstance(len(families), families, d)
 
 
+Blocks = Sequence[Sequence[Sequence[int]]]
+BlockQuery = Callable[[IPInstance, Blocks, dict], list]
+
+
 @dataclass(frozen=True)
 class IpSolver:
     """A value oracle for k-IP with a declared approximation ratio.
 
     For max kind the returned value lies in [OPT/c, OPT]; for min kind in
     [OPT, c*OPT].  ``solve`` returns None when some family is empty.
+
+    ``solve_blocks`` is the optional block query behind ``block_values``;
+    a fast MaxIP/MinIP algorithm plugs in there.  Without it every block
+    combination goes through ``solve``.
     """
 
     kind: str  # "max" | "min"
     ratio: float
     solve: Callable[[IPInstance], int | None]
+    solve_blocks: BlockQuery | None = None
+
+    def block_values(
+        self, instance: IPInstance, blocks: Blocks, stats_out: dict | None = None
+    ) -> list[int | None]:
+        """The value of every combination of blocks, in ``itertools.product``
+        order of the block indices.
+
+        ``blocks[i]`` lists disjoint blocks of vector indices of family i.  A
+        combination's value is what ``solve`` gives on the instance that
+        keeps its blocks' vectors, and None when one of its blocks is empty.
+        ``stats_out`` accumulates ``solve_calls`` and ``pairs_joined``.
+        """
+        if len(blocks) != instance.k:
+            raise ContractError("need one list of blocks per family")
+        stats = {} if stats_out is None else stats_out
+        if self.solve_blocks is not None:
+            return self.solve_blocks(instance, blocks, stats)
+        return _block_loop(self.solve, instance, blocks, stats)
+
+
+def _block_loop(solve, instance: IPInstance, blocks: Blocks, stats: dict) -> list:
+    """One ``solve`` call per block combination with no empty block."""
+    out = []
+    calls = 0
+    for combo in product(*blocks):
+        if all(combo):
+            families = tuple(
+                tuple(fam[j] for j in block)
+                for fam, block in zip(instance.families, combo)
+            )
+            out.append(solve(IPInstance(instance.k, families, instance.d)))
+            calls += 1
+        else:
+            out.append(None)
+    stats["solve_calls"] = stats.get("solve_calls", 0) + calls
+    return out
+
+
+def _pair_join(kind: str, instance: IPInstance, blocks: Blocks, stats: dict) -> list:
+    """Exact k=2 block values from one output-sensitive sparse join.
+
+    Family 1 is indexed by coordinate, and one pass over family 0 counts the
+    shared coordinates of every pair that shares any.  That costs the sum
+    over coordinates c of deg_0(c) * deg_1(c), plus |family 0| times the
+    number of family-1 blocks.  A block pair's max is its largest count, or
+    0 when no pair shares a coordinate.  Its min is its smallest count when
+    every pair shares one, and 0 otherwise.
+    """
+    fam0, fam1 = instance.families
+    blocks0, blocks1 = blocks
+    block_of: dict[int, int] = {}
+    by_coord: dict[int, list[int]] = {}
+    for b, block in enumerate(blocks1):
+        for j in block:
+            if block_of.setdefault(j, b) != b:
+                raise ContractError("the blocks of a family must be disjoint")
+            for c in fam1[j]:
+                by_coord.setdefault(c, []).append(j)
+    sizes1 = [len(block) for block in blocks1]
+    pairs = 0
+    out: list[int | None] = []
+    for block in blocks0:
+        best: list[int | None] = [None] * len(blocks1)  # over sharing pairs
+        full = [True] * len(blocks1)  # every pair so far shares
+        for i in block:
+            counts = Counter(chain.from_iterable(by_coord.get(c, ()) for c in fam0[i]))
+            pairs += len(counts)
+            hits = [0] * len(blocks1)
+            for j, n in counts.items():
+                b = block_of[j]
+                hits[b] += 1
+                if best[b] is None or (n > best[b] if kind == "max" else n < best[b]):
+                    best[b] = n
+            if kind == "min":
+                for b, size in enumerate(sizes1):
+                    if hits[b] < size:
+                        full[b] = False
+        for b, size in enumerate(sizes1):
+            if not block or not size:
+                out.append(None)
+            elif kind == "max" or full[b]:
+                out.append(best[b] or 0)
+            else:
+                out.append(0)
+    stats["pairs_joined"] = stats.get("pairs_joined", 0) + pairs
+    return out
 
 
 def exact_solver(kind: str, budget: int = DEFAULT_TUPLE_BUDGET) -> IpSolver:
+    """Brute force per instance; for k=2 the block query is one sparse join
+    (``_pair_join``), and for other k it loops over ``solve``."""
     brute = brute_force_kmaxip if kind == "max" else brute_force_kminip
 
     def solve(instance: IPInstance) -> int | None:
         res = brute(instance, budget)
         return None if res is None else res[0]
 
-    return IpSolver(kind, 1.0, solve)
+    def solve_blocks(instance: IPInstance, blocks: Blocks, stats: dict) -> list:
+        if instance.k == 2:
+            return _pair_join(kind, instance, blocks, stats)
+        return _block_loop(solve, instance, blocks, stats)
+
+    return IpSolver(kind, 1.0, solve, solve_blocks)
 
 
 def approx_wrapper(exact: IpSolver, c: float) -> IpSolver:
     """Degrade an exact solver to a deterministic c-approximation sitting at
-    the worst end of the allowed interval (test oracle for ratio preservation)."""
+    the worst end of the allowed interval (test oracle for ratio preservation).
+    The block query degrades each of the exact solver's block values alike."""
     if not 1 <= c < math.inf:
         raise ContractError(f"approximation ratio must be finite and >= 1, not {c}")
 
-    def solve(instance: IPInstance) -> int | None:
-        opt = exact.solve(instance)
+    def degrade(opt: int | None) -> int | None:
         if opt is None:
             return None
         if exact.kind == "max":
@@ -220,7 +323,13 @@ def approx_wrapper(exact: IpSolver, c: float) -> IpSolver:
         val = math.floor(opt * c)
         return min(max(val, opt), math.floor(opt * c))
 
-    return IpSolver(exact.kind, c * exact.ratio, solve)
+    def solve(instance: IPInstance) -> int | None:
+        return degrade(exact.solve(instance))
+
+    def solve_blocks(instance: IPInstance, blocks: Blocks, stats: dict) -> list:
+        return [degrade(v) for v in exact.block_values(instance, blocks, stats)]
+
+    return IpSolver(exact.kind, c * exact.ratio, solve, solve_blocks)
 
 
 def make_ip_solver(kind: str, spec: str) -> IpSolver:

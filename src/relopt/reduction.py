@@ -440,7 +440,8 @@ def split_cross_atoms(formula: OptFormula) -> tuple[list[Atom], OptFormula]:
     return cross, core
 
 
-Scorer = Callable[[Domains], "int | None"]
+Groups = Sequence[Sequence[ObjectId]]
+Scorer = Callable[[Groups], Sequence["int | None"]]
 PrepareScorer = Callable[[RelationalStructure, OptFormula], Scorer]
 
 
@@ -457,7 +458,10 @@ def solve_cross_free_lift(
     guarded main body.
 
     ``prepare(structure, core)`` is called once, when there is at least one
-    group, and returns the scorer of the cross-free core on group domains.
+    group, and returns the scorer of the cross-free core.  The scorer is
+    called once, with the groups, and returns the relaxed value of every
+    combination of groups (group ci as the domain of the i-th optimization
+    variable) in ``itertools.product`` order, None where none exists.
     ``top_k`` overrides the number of re-solved combinations (testing only).
     """
     if formula.ell != 1:
@@ -507,12 +511,13 @@ def solve_cross_free_lift(
 
     if groups:
         # (4) score every group combination on the relaxed body
-        score = prepare(structure, core)
-        scored = []
-        for combo in product(range(len(groups)), repeat=k):
-            value = score(domains_of(combo))
-            if value is not None:
-                scored.append((value, combo))
+        scores = prepare(structure, core)(groups)
+        combos = product(range(len(groups)), repeat=k)
+        scored = [
+            (value, combo)
+            for combo, value in zip(combos, scores, strict=True)
+            if value is not None
+        ]
         if top_k is None:
             top_k = min(grouping.combos, grouping.bound)
         reverse = formula.kind == "max"
@@ -827,11 +832,17 @@ def to_hybrid(
 # --- the lift's scorer ---------------------------------------------------------
 
 class HybridScorer:
-    """The lift's scorer for one (structure, cross-free core): the hybrid
-    conversion runs once at construction; each call solves, through the IP
-    solver, the hybrid sub-instances that keep the sets of the objects in the
-    given domains, and returns the best value.  ``ip_calls`` counts the IP
-    solver calls made so far."""
+    """The lift's scorer for one (structure, cross-free core).
+
+    The hybrid conversion runs once, at construction.  A call scores every
+    combination of the given groups with one IP block query per hybrid
+    instance (one instance per unary assignment sigma): family i's blocks are
+    the set indices of each group's objects in that instance.  A
+    combination's score is its best value over the instances.
+
+    ``ip_calls`` counts the IP solver's ``solve`` calls, ``block_calls`` its
+    block queries and ``pairs_joined`` the vector pairs its joins counted.
+    """
 
     def __init__(
         self,
@@ -840,7 +851,7 @@ class HybridScorer:
         ip_solver: IpSolver,
     ):
         instances = to_hybrid(structure, formula)
-        self.opt_vars = formula.opt_vars
+        self.k = formula.k
         self.ip_solver = ip_solver
         self.better = max if formula.kind == "max" else min
         # per unary assignment: the instance and, per family, the set index
@@ -853,23 +864,25 @@ class HybridScorer:
             for inst, back in instances
         ]
         self.universe = max((inst.size for inst, _ in instances), default=0)
-        self.ip_calls = 0
+        self.ip_calls = self.block_calls = self.pairs_joined = 0
 
-    def __call__(self, domains: Domains) -> int | None:
-        best: int | None = None
+    def __call__(self, groups: Groups) -> list[int | None]:
+        best: list[int | None] = [None] * len(groups) ** self.k
         for inst, set_index in self.per_sigma:
-            picks = []
-            for var, index in zip(self.opt_vars, set_index):
-                idxs = [index[v] for v in domains[var] if v in index]
-                if not idxs:
-                    break
-                picks.append(idxs)
-            else:
-                # every family keeps a set, so the solve makes one IP call
-                value, _ = solve_hybrid_with_info(inst.select(picks), self.ip_solver)
-                self.ip_calls += 1
-                if value is not None:
-                    best = value if best is None else self.better(best, value)
+            blocks = [
+                [[index[v] for v in group if v in index] for group in groups]
+                for index in set_index
+            ]
+            if not all(any(fam_blocks) for fam_blocks in blocks):
+                continue  # some family keeps no set: no combination has a value
+            values, info = solve_hybrid_with_info(inst, self.ip_solver, blocks)
+            self.block_calls += 1
+            self.ip_calls += info.get("solve_calls", 0)
+            self.pairs_joined += info.get("pairs_joined", 0)
+            best = [
+                b if v is None else v if b is None else self.better(b, v)
+                for b, v in zip(best, values)
+            ]
         return best
 
 
@@ -973,7 +986,13 @@ def reduce_and_solve(
             fallback = {"reason": "resource-limit"}
         trace.add("cross-free-lift", **lift_stats)
         if scorer is not None:
-            trace.add("hybrid", universe=scorer.universe, ip_calls=scorer.ip_calls)
+            trace.add(
+                "hybrid",
+                universe=scorer.universe,
+                ip_calls=scorer.ip_calls,
+                block_calls=scorer.block_calls,
+                pairs_joined=scorer.pairs_joined,
+            )
     else:
         groups = len(grouping.partition.groups)
         fallback = {"reason": "no-prune", "groups": groups, "bound": grouping.bound}

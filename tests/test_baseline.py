@@ -13,7 +13,7 @@ from relopt.baseline import (
 )
 from relopt.errors import UnsupportedShapeError
 from relopt.formula import Atom, parse_formula
-from relopt.structure import load_structure
+from relopt.structure import build_structure, load_structure
 
 from oracles import nested_loop_opt, nested_loop_values, random_instance
 
@@ -241,3 +241,48 @@ def test_value_table_dump_format():
 
 def test_opt_of_table_empty():
     assert opt_of_table({}, "max") is None
+
+
+def _random_tree(rng, leaves):
+    """A random and/or tree that uses every leaf once."""
+    parts = list(leaves)
+    while len(parts) > 1:
+        a = parts.pop(rng.randrange(len(parts)))
+        b = parts.pop(rng.randrange(len(parts)))
+        parts.append(f"({a} {rng.choice('&|')} {b})")
+    return parts[0]
+
+
+def test_matches_naive_with_more_than_twenty_atoms_in_one_class():
+    # bodies like those remove_parallel_edges builds, with one predicate per
+    # colour pattern, put far more than twenty atoms in one class; the
+    # predicates are sparse, so many objects satisfy none of the atoms of
+    # their class and have colour 0
+    rng = random.Random(71)
+    preds = 24
+    for trial in range(30):
+        n = rng.randint(3, 8)
+        rels = {
+            f"P{i}": {(v,) for v in range(n) if rng.random() < 0.05}
+            for i in range(preds)
+        }
+        rels["E"] = {(rng.randrange(n), rng.randrange(n)) for _ in range(n)}
+        arities = {f"P{i}": 1 for i in range(preds)} | {"E": 2}
+        structure = build_structure([f"o{v}" for v in range(n)], rels, arities)
+        atoms = [f"P{i}(y)" for i in range(preds)] + [f"P{i}(x2)" for i in range(preds)]
+        atoms += ["E(x2,y)", "E(y,x2)", "E(x1,y)", "E(x1,x2)", "P0(x1)"]
+        literals = [f"!{a}" if rng.random() < 0.5 else a for a in atoms]
+        kind = rng.choice(["max", "min"])
+        formula = parse_formula(
+            f"{kind} x1,x2 . count y . {_random_tree(rng, literals)}"
+        )
+        prepared = PreparedBaseline(structure, formula)
+        assert len(prepared.u_atoms) > 20 and len(prepared.w_atoms) > 20
+        domains = None
+        if trial % 2:
+            domains = {
+                var: [v for v in range(n) if rng.random() < 0.7]
+                for var in ("x1", "x2", "y")
+            }
+        want = naive_values(structure, formula, domains).entries
+        assert prepared.values(domains).entries == want, f"trial {trial}"

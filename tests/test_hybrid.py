@@ -16,6 +16,7 @@ from relopt.hybrid import (
     hybrid_to_basic,
     prime_support,
     solve_hybrid,
+    solve_hybrid_with_info,
     universe_reduce,
     val,
 )
@@ -250,24 +251,65 @@ def test_basic_to_ip_roundtrip_value():
             assert res[0] == want[0]
 
 
+def _sub_instance(inst, picks):
+    """A fresh instance over the same universe that keeps the sets picks[i]
+    of family i."""
+    return HybridInstance(
+        inst.k,
+        inst.kind,
+        inst.element_types,
+        [[fam[j] for j in idxs] for fam, idxs in zip(inst.families, picks)],
+    )
+
+
 def test_ip_families_equal_the_basic_conversion():
-    # the vectors an instance caches, and those select shares, are exactly
-    # the all-ones Basic conversion of that (sub-)instance
+    # a sub-selection of the vectors an instance caches is exactly the
+    # all-ones Basic conversion of the sub-instance keeping those sets
     rng = random.Random(29)
     for _ in range(40):
         k = rng.choice([1, 2, 3])
         inst = random_hybrid(rng, k, rng.randint(0, 10))
-        subs = [inst]
+        ones = (1 << k) - 1
+        assert inst.ip_families == basic_to_ip(hybrid_to_basic(inst, ones)).families
         for _ in range(3):
-            parent = rng.choice(subs)
             picks = [
                 rng.sample(range(len(fam)), rng.randint(1, len(fam)))
-                for fam in parent.families
+                for fam in inst.families
             ]
-            subs.append(parent.select(picks))
-        ones = (1 << k) - 1
-        for sub in subs:
-            assert sub.ip_families == basic_to_ip(hybrid_to_basic(sub, ones)).families
+            selected = tuple(
+                tuple(vecs[j] for j in idxs)
+                for vecs, idxs in zip(inst.ip_families, picks)
+            )
+            sub = _sub_instance(inst, picks)
+            assert selected == basic_to_ip(hybrid_to_basic(sub, ones)).families
+
+
+def test_solve_hybrid_with_blocks_matches_the_optimum_of_each_sub_instance():
+    rng = random.Random(30)
+    values = nones = 0
+    for trial in range(60):
+        k = rng.choice([1, 2, 3])
+        inst = random_hybrid(rng, k, rng.randint(0, 10))
+        blocks = []
+        for fam in inst.families:
+            order = rng.sample(range(len(fam)), len(fam))
+            cuts = sorted(rng.randint(0, len(fam)) for _ in range(rng.randint(0, 3)))
+            bounds = [0] + cuts + [len(fam)]
+            blocks.append([order[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
+        exact, _ = solve_hybrid_with_info(inst, exact_solver(inst.kind), blocks)
+        approx, _ = solve_hybrid_with_info(
+            inst, approx_wrapper(exact_solver(inst.kind), 2.0), blocks
+        )
+        for combo, got, got_approx in zip(product(*blocks), exact, approx, strict=True):
+            if not all(combo):
+                assert got is got_approx is None
+                nones += 1
+                continue
+            want = hybrid_opt_naive(_sub_instance(inst, combo))[0]
+            assert got == want, f"trial {trial}"
+            assert got_approx == (math.ceil(want / 2) if inst.kind == "max" else 2 * want)
+            values += 1
+    assert values and nones
 
 
 def test_dump_format():

@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import product
+from itertools import chain, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from relopt.errors import ContractError, ResourceLimitError
 from relopt.ip import (
     IPInstance,
+    IpSolver,
     approx_wrapper,
     brute_force_kmaxip,
     brute_force_kminip,
@@ -248,3 +249,96 @@ def _bad(text, line, k=None, match=None):
 def test_parse_ip_instance_rejects_malformed_lines(text, k, match):
     with pytest.raises(ContractError, match=match):
         parse_ip_instance(text, k=k)
+
+
+# --- the block query -----------------------------------------------------------
+
+@st.composite
+def block_queries(draw):
+    """An IP instance and disjoint blocks per family, some of them empty.
+    With ``shared`` every vector holds coordinate 0, so every pair overlaps."""
+    k = draw(st.sampled_from((1, 2, 2, 3)))
+    d = draw(st.integers(1, 6))
+    shared = draw(st.booleans())
+    coords = st.sets(st.integers(0, d - 1), max_size=3)
+    families, blocks = [], []
+    for _ in range(k):
+        vectors = draw(st.lists(coords, max_size=6))
+        families.append(tuple(tuple(sorted(v | {0} if shared else v)) for v in vectors))
+        count = draw(st.integers(0, 3))
+        owner = draw(
+            st.lists(st.integers(-1, count - 1), min_size=len(vectors), max_size=len(vectors))
+        )
+        blocks.append([[j for j, b in enumerate(owner) if b == i] for i in range(count)])
+    return IPInstance(k, tuple(families), d), blocks
+
+
+def per_block_solves(solver, instance, blocks):
+    out = []
+    for combo in product(*blocks):
+        if all(combo):
+            fams = tuple(
+                tuple(fam[j] for j in block) for fam, block in zip(instance.families, combo)
+            )
+            out.append(solver.solve(IPInstance(instance.k, fams, instance.d)))
+        else:
+            out.append(None)
+    return out
+
+
+@given(block_queries(), st.sampled_from(["max", "min"]), st.floats(1.0, 4.0))
+@settings(max_examples=400, deadline=None)
+def test_block_query_equals_the_per_block_solve_loop(query, kind, c):
+    instance, blocks = query
+    for solver in (exact_solver(kind), approx_wrapper(exact_solver(kind), c)):
+        stats = {}
+        got = solver.block_values(instance, blocks, stats)
+        assert got == per_block_solves(solver, instance, blocks)
+        if instance.k == 2:
+            # the join counts each overlapping pair once and calls no solve
+            fam0, fam1 = instance.families
+            overlapping = sum(
+                1
+                for i in chain.from_iterable(blocks[0])
+                for j in chain.from_iterable(blocks[1])
+                if set(fam0[i]) & set(fam1[j])
+            )
+            assert stats == {"pairs_joined": overlapping}
+        else:
+            assert stats == {"solve_calls": sum(v is not None for v in got)}
+
+
+@given(block_queries(), st.sampled_from(["max", "min"]))
+@settings(max_examples=100, deadline=None)
+def test_three_argument_solver_routes_every_block_through_solve(query, kind):
+    instance, blocks = query
+    exact = exact_solver(kind)
+    calls = []
+
+    def solve(inst):
+        calls.append(inst)
+        return exact.solve(inst)
+
+    stats = {}
+    got = IpSolver(kind, 1.0, solve).block_values(instance, blocks, stats)
+    assert got == exact.block_values(instance, blocks)
+    assert len(calls) == stats["solve_calls"] == sum(v is not None for v in got)
+
+
+def test_min_block_value_needs_every_pair_to_overlap():
+    fam0 = (vec("110"), vec("111"))
+    fam1 = (vec("111"), vec("100"), vec("001"))
+    inst = IPInstance(2, (fam0, fam1), 3)
+    blocks = [[[0, 1]], [[0, 1], [2], []]]
+    # block {0, 1} x {0, 1}: every pair shares coordinate 0, smallest count 1;
+    # block {0, 1} x {2}: vector 110 shares nothing with 001
+    assert exact_solver("min").block_values(inst, blocks) == [1, 0, None]
+    assert exact_solver("max").block_values(inst, blocks) == [3, 1, None]
+
+
+def test_block_query_rejects_overlapping_or_missing_blocks():
+    inst = IPInstance(2, ((vec("1"),), (vec("1"), vec("1"))), 1)
+    with pytest.raises(ContractError, match="disjoint"):
+        exact_solver("max").block_values(inst, [[[0]], [[0, 1], [1]]])
+    with pytest.raises(ContractError, match="one list of blocks per family"):
+        exact_solver("max").block_values(inst, [[[0]]])

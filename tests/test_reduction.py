@@ -389,9 +389,12 @@ def test_to_hybrid_preserves_values():
 # --- the lift and the driver ---------------------------------------------------------
 
 def _baseline_inner(structure, formula):
-    def score(domains):
-        res = baseline_opt(structure, formula, domains)
-        return None if res is None else res.value
+    def score(groups):
+        out = []
+        for combo in product(groups, repeat=formula.k):
+            res = baseline_opt(structure, formula, dict(zip(formula.opt_vars, combo)))
+            out.append(None if res is None else res.value)
+        return out
 
     return score
 
@@ -446,7 +449,9 @@ def test_lift_k_override_plumbs_through():
 
 
 def test_hybrid_scorer_matches_baseline_on_domains():
-    # one scorer per instance, many domains: the prepared state is reused
+    # one scorer per instance, many group partitions: the prepared state is
+    # reused, and every group combination's score is the baseline optimum
+    # with the groups as domains
     rng = random.Random(64)
     values = nones = 0
     for trial in range(30):
@@ -455,19 +460,24 @@ def test_hybrid_scorer_matches_baseline_on_domains():
             rng, k=rng.choice([2, 3]), n_objects=rng.randint(2, 7), kind=kind
         )
         score = HybridScorer(structure, formula, exact_solver(kind))
-        for _ in range(30):
-            domains = {
-                var: tuple(v for v in range(structure.n) if rng.random() < 0.4)
-                for var in formula.opt_vars
-            }
-            want = baseline_opt(structure, formula, domains)
-            got = score(domains)
-            assert got == (None if want is None else want.value), f"trial {trial}"
-            if any(not dom for dom in domains.values()):
-                assert got is None
-                nones += 1
-            else:
-                values += 1
+        for _ in range(6):
+            # disjoint groups of a random subset of the objects, some empty
+            owner = [rng.randrange(-1, 4) for _ in range(structure.n)]
+            groups = [
+                tuple(v for v in range(structure.n) if owner[v] == g)
+                for g in range(rng.randint(1, 4))
+            ]
+            got = score(groups)
+            combos = list(product(groups, repeat=formula.k))
+            assert len(got) == len(combos)
+            for combo, value in zip(combos, got):
+                want = baseline_opt(structure, formula, dict(zip(formula.opt_vars, combo)))
+                assert value == (None if want is None else want.value), f"trial {trial}"
+                if not all(combo):
+                    assert value is None
+                    nones += 1
+                else:
+                    values += 1
     assert values and nones
 
 
@@ -649,19 +659,22 @@ def test_lift_converts_each_hybrid_instance_to_basic_once(monkeypatch):
         scorer = HybridScorer(s, f, exact_solver(f.kind))
         scorers.append(scorer)
 
-        def score(domains):
-            score_calls.append(domains)
-            return scorer(domains)
+        def score(groups):
+            score_calls.append(groups)
+            return scorer(groups)
 
         return score
 
-    solve_cross_free_lift(_cycle_structure(), formula, prepare)
+    stats = {}
+    solve_cross_free_lift(_cycle_structure(), formula, prepare, stats_out=stats)
     (scorer,) = scorers
     prepared = {id(inst) for inst, _ in scorer.per_sigma}
     assert len(prepared) > 1
     assert len({id(inst) for inst in converted}) == len(converted)
     assert {id(inst) for inst in converted} <= prepared
-    assert len(converted) < len(score_calls)
+    # one scorer call, one block query per instance, for all the combinations
+    assert len(score_calls) == 1 and stats["combos"] > len(converted)
+    assert scorer.block_calls == len(converted)
 
 
 def test_lift_indexes_relations_independently_of_top_k(monkeypatch):
