@@ -7,13 +7,21 @@ positive record; absent pairs are recovered from the complement identity
 ``C(x; a, 0) = |Y_a| - sum_b C(x; a, b)``.  Only objects in some record the
 assignment selects are coloured; the rest of a domain is colour 0, counted by
 complement, so a base case costs time in the domain of its first variable and
-in those records, not in the domain of the counting variable.  This module is
-also the correctness oracle for everything else in the package.
+in those records, not in the domain of the counting variable.  Atoms that
+mention no assigned variable (such as ``P(y)``) colour the same objects in
+every base case: a query colours them, and counts the counting domain per
+their colours, once, and a base case adds only the bits of the other atoms.
+This module is also the correctness oracle for everything else in the
+package.
 
 ``PreparedBaseline`` indexes the structure's relations for one formula once
 and then answers queries over any domains; the pipeline keeps one per
 (structure, formula) and queries it per domain, and the module functions
-build one per call.
+build one per call.  A query's guard is applied during the iteration, so the
+tuples that fail it are never evaluated: a literal over the base case's
+first variable restricts that variable's loop through a projection of its
+atom, cached per guard, and any other literal is checked once per
+assignment of its last variable.
 
 All inputs are immutable; the outer loop over the leading variable touches
 disjoint table slices, so it parallelizes with an associative max/min merge
@@ -140,21 +148,26 @@ class PreparedBaseline:
                 self.w_atoms.append(atom)
             else:
                 self.fixed_atoms.append(atom)
-        self.u_proj = [ProjectedAtom(structure, a, assigned, (u,)) for a in self.u_atoms]
-        self.w_proj = [ProjectedAtom(structure, a, assigned, (w,)) for a in self.w_atoms]
+        # (bit, projection) per u- and w-atom, split by whether the atom
+        # mentions an assigned variable: the others colour the same objects in
+        # every base case, so a query colours them once
+        self.u_static, self.u_dynamic = _split(
+            ProjectedAtom(structure, a, assigned, (u,)) for a in self.u_atoms
+        )
+        self.w_static, self.w_dynamic = _split(
+            ProjectedAtom(structure, a, assigned, (w,)) for a in self.w_atoms
+        )
         self.mixed_proj = [
             ProjectedAtom(structure, a, assigned, (u, w)) for a in self.mixed_atoms
         ]
         # keyed by the atom bit patterns that occur, so bounded by the queries
         self._phi_memo: dict[tuple, bool] = {}
+        # the applied form of each guard queried so far
+        self._guards: dict[tuple[tuple[Atom, bool], ...], _Guard] = {}
 
     def values(self, domains: Domains | None = None) -> ValueTable:
         """Val(x1,...,xk) for every optimization tuple over the domains."""
-        doms = resolve_domains(self.structure, self.formula, domains)
-        query = _Query(doms, set(doms[self.u_var]), set(doms[self.w_var]))
-        table = self._run(query, 0, {})
-        assert isinstance(table, dict)
-        return ValueTable(table)
+        return ValueTable(self._table(domains, self._guard(())))
 
     def opt(
         self,
@@ -167,20 +180,51 @@ class PreparedBaseline:
         The guard literals must mention optimization variables only.  This is
         the domain-restricted semantics the decomposition steps need: for
         minimization a conjunction inside the body would masquerade excluded
-        tuples as value 0, so exclusion must happen at the tuple level.
+        tuples as value 0, so exclusion must happen at the tuple level.  The
+        tuples that fail the guard are never evaluated.
         """
-        opt_vars = self.formula.opt_vars
-        for atom, _ in guard:
-            if not set(atom.args) <= set(opt_vars):
+        table = self._table(domains, self._guard(tuple(guard)))
+        return opt_of_table(table, self.formula.kind)
+
+    def _table(self, domains: Domains | None, guard: _Guard) -> dict:
+        """The value table of the tuples over the domains that pass the
+        guard."""
+        doms = resolve_domains(self.structure, self.formula, domains)
+        dom_u, dom_w = set(doms[self.u_var]), set(doms[self.w_var])
+        u_color = _colors(self.u_static, {}, dom_u)
+        w_color = _colors(self.w_static, {}, dom_w)
+        w_count: dict[int, int] = {0: len(dom_w) - len(w_color)}
+        for bits in w_color.values():
+            w_count[bits] = w_count.get(bits, 0) + 1
+        query = _Query(doms, dom_u, dom_w, u_color, w_color, w_count, guard)
+        table = self._run(query, 0, {})
+        assert isinstance(table, dict)
+        return table
+
+    def _guard(self, guard: tuple[tuple[Atom, bool], ...]) -> _Guard:
+        """The guard's literals, each checked as soon as its variables are
+        assigned: a literal over the base case's u restricts the u loop
+        through a projection of its atom, any other is checked at the depth
+        of its last variable."""
+        hit = self._guards.get(guard)
+        if hit is not None:
+            return hit
+        order = self.order
+        k = self.formula.k
+        at_depth: list[list[tuple[Atom, bool]]] = [[] for _ in range(k)]
+        on_u = []
+        for atom, want in guard:
+            if not set(atom.args) <= set(self.formula.opt_vars):
                 raise ValueError(f"guard atom {atom} uses non-optimization variables")
-        entries = self.values(domains).entries
-        if guard:
-            entries = {
-                key: val
-                for key, val in entries.items()
-                if guard_holds(self.structure, guard, dict(zip(opt_vars, key)))
-            }
-        return opt_of_table(entries, self.formula.kind)
+            if self.u_var in atom.args:
+                p = ProjectedAtom(self.structure, atom, order[:-2], (self.u_var,))
+                on_u.append((p, want))
+            else:
+                last = max((order.index(v) for v in atom.args), default=0)
+                at_depth[last].append((atom, want))
+        out = _Guard(tuple(map(tuple, at_depth)), tuple(on_u))
+        self._guards[guard] = out
+        return out
 
     def _phi(self, fixed_bits, u_bits, w_bits, m_bits) -> bool:
         key = (fixed_bits, u_bits, w_bits, m_bits)
@@ -201,19 +245,30 @@ class PreparedBaseline:
         return out
 
     def _base_case(self, q: _Query, asn: dict[str, ObjectId]) -> dict[ObjectId, int]:
-        """psi(u) = #{w : body} for every u in its domain, in time linear in
-        the domain of u and the records the assignment selects."""
+        """psi(u) = #{w : body} for every u in its domain that passes the
+        guard, in time linear in the domain of u and the records the
+        assignment selects."""
         fixed_bits = 0
         for i, a in enumerate(self.fixed_atoms):
             if _atom_truth(self.structure, a, asn):
                 fixed_bits |= 1 << i
+        us = q.doms[self.u_var]
+        for p, want in q.guard.on_u:
+            hits = p.query(asn)
+            us = [uv for uv in us if ((uv,) in hits) == want]
         # only objects some u- or w-atom holds for get a colour; every other
-        # object of the domain has colour 0
-        u_color = _colors(self.u_proj, asn, q.dom_u)
-        w_color = _colors(self.w_proj, asn, q.dom_w)
-        color_count: dict[int, int] = {0: len(q.doms[self.w_var]) - len(w_color)}
-        for bits in w_color.values():
-            color_count[bits] = color_count.get(bits, 0) + 1
+        # object of the domain has colour 0.  The query coloured the objects
+        # of atoms without assigned variables; add the bits of the others.
+        u_static, w_static = q.u_color, q.w_color
+        u_extra = _colors(self.u_dynamic, asn, q.dom_u)
+        w_extra = _colors(self.w_dynamic, asn, q.dom_w)
+        color_count = q.w_count
+        if w_extra:
+            color_count = dict(color_count)
+            for wv, bits in w_extra.items():
+                old = w_static.get(wv, 0)
+                color_count[old] -= 1
+                color_count[old | bits] = color_count.get(old | bits, 0) + 1
 
         # pairs that make at least one mixed atom true
         pair_bits: dict[tuple[ObjectId, ObjectId], int] = {}
@@ -226,7 +281,7 @@ class PreparedBaseline:
         # per-u counters C(u; alpha, beta) for beta != 0
         counters: dict[ObjectId, dict[tuple[int, int], int]] = {}
         for (uv, wv), m_bits in pair_bits.items():
-            key = (w_color.get(wv, 0), m_bits)
+            key = (w_static.get(wv, 0) | w_extra.get(wv, 0), m_bits)
             c = counters.setdefault(uv, {})
             c[key] = c.get(key, 0) + 1
 
@@ -235,8 +290,8 @@ class PreparedBaseline:
         # (alpha, beta), since C(u; alpha, 0) = |W_alpha| - sum_beta C(u; alpha, beta)
         edgeless: dict[int, int] = {}
         out = {}
-        for uv in q.doms[self.u_var]:
-            u_bits = u_color.get(uv, 0)
+        for uv in us:
+            u_bits = u_static.get(uv, 0) | u_extra.get(uv, 0)
             cnt = edgeless.get(u_bits)
             if cnt is None:
                 cnt = sum(
@@ -266,9 +321,12 @@ class PreparedBaseline:
             return sum(per_u.values())
         var = self.order[depth]
         if depth < k:
+            checks = q.guard.at_depth[depth]
             table: dict[tuple, int] = {}
             for o in doms[var]:
                 asn[var] = o
+                if checks and not guard_holds(self.structure, checks, asn):
+                    continue
                 sub = self._run(q, depth + 1, asn)
                 if isinstance(sub, dict):
                     for key, val in sub.items():
@@ -287,23 +345,50 @@ class PreparedBaseline:
         return total
 
 
+class _Guard(NamedTuple):
+    """A guard as ``PreparedBaseline`` applies it: per depth below k, the
+    literals whose last variable is assigned there, and the projected
+    literals over the base case's u."""
+
+    at_depth: tuple[tuple[tuple[Atom, bool], ...], ...]
+    on_u: tuple[tuple[ProjectedAtom, bool], ...]
+
+
 class _Query(NamedTuple):
-    """One query's domains, with the last two as sets."""
+    """One query's domains, with the last two as sets; the colours of the
+    u- and w-atoms that mention no assigned variable, with the number of
+    w objects per such colour (colour 0 included); and the guard."""
 
     doms: Mapping[str, tuple[ObjectId, ...]]
     dom_u: set[ObjectId]
     dom_w: set[ObjectId]
+    u_color: dict[ObjectId, int]
+    w_color: dict[ObjectId, int]
+    w_count: dict[int, int]
+    guard: _Guard
+
+
+Projections = Sequence[tuple[int, ProjectedAtom]]
+
+
+def _split(projections: Iterable[ProjectedAtom]) -> tuple[Projections, Projections]:
+    """(bit, projection) pairs of the projections without and with fixed
+    variables."""
+    static, dynamic = [], []
+    for i, p in enumerate(projections):
+        (dynamic if p.fixed_key else static).append((i, p))
+    return static, dynamic
 
 
 def _colors(
-    projections: Sequence[ProjectedAtom],
+    projections: Projections,
     asn: Mapping[str, ObjectId],
     domain: set[ObjectId],
 ) -> dict[ObjectId, int]:
     """Bit i set for the objects of ``domain`` atom i holds for under the
     assignment; objects with no bit set are left out."""
     color: dict[ObjectId, int] = {}
-    for i, p in enumerate(projections):
+    for i, p in projections:
         for (v,) in p.query(asn):
             if v in domain:
                 color[v] = color.get(v, 0) | 1 << i

@@ -455,7 +455,9 @@ def solve_cross_free_lift(
 ) -> OptResult | None:
     """Eliminate cross edges: exact side problems per cross atom, heavy-vertex
     brute force, grouped relaxed scoring, and exact top-K re-solving under the
-    guarded main body.
+    guarded main body.  The re-solve makes one exact query per slot prefix:
+    the selected combinations that share their first k-1 groups are solved
+    together, over the union of their last groups.
 
     ``prepare(structure, core)`` is called once, when there is at least one
     group, and returns the scorer of the cross-free core.  The scorer is
@@ -506,9 +508,6 @@ def solve_cross_free_lift(
         n=structure.n,
     )
 
-    def domains_of(combo: tuple[int, ...]) -> dict[str, tuple[ObjectId, ...]]:
-        return {var: groups[ci] for var, ci in zip(formula.opt_vars, combo)}
-
     if groups:
         # (4) score every group combination on the relaxed body
         scores = prepare(structure, core)(groups)
@@ -523,11 +522,26 @@ def solve_cross_free_lift(
         reverse = formula.kind == "max"
         scored.sort(key=lambda vc: ((-vc[0] if reverse else vc[0]), vc[1]))
         selected = scored[:top_k]
-        stats.update(combos=len(scored), top_k=top_k, resolves=len(selected))
 
-        # (5) exact re-solve of the selected combinations under the guard
+        # (5) exact re-solve of the selected combinations under the guard, one
+        # query per prefix combo[:-1]: the last slot's domain is the union of
+        # the prefix's selected groups, which are disjoint, so the query covers
+        # exactly the tuples of those combinations, and its best value and
+        # least witness are those of their per-combination optima
+        last_groups: dict[tuple[int, ...], list[int]] = {}
         for _, combo in selected:
-            res = evaluator.opt(domains_of(combo), full_guard)
+            last_groups.setdefault(combo[:-1], []).append(combo[-1])
+        stats.update(
+            combos=len(scored),
+            top_k=top_k,
+            resolves=len(selected),
+            resolve_queries=len(last_groups),
+        )
+        *prefix_vars, last_var = formula.opt_vars
+        for prefix, lasts in last_groups.items():
+            domains = {var: groups[ci] for var, ci in zip(prefix_vars, prefix)}
+            domains[last_var] = [v for ci in sorted(lasts) for v in groups[ci]]
+            res = evaluator.opt(domains, full_guard)
             if res is not None:
                 candidates.append(res)
 

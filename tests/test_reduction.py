@@ -3,7 +3,12 @@ from itertools import product
 
 import pytest
 
-from relopt.baseline import baseline_opt, baseline_opt_restricted, baseline_values
+from relopt.baseline import (
+    PreparedBaseline,
+    baseline_opt,
+    baseline_opt_restricted,
+    baseline_values,
+)
 from relopt.errors import ContractError, ResourceLimitError
 from relopt.formula import And, Atom, Or, parse_expr, parse_formula
 from relopt.hybrid import val
@@ -12,6 +17,7 @@ from relopt.reduction import (
     HybridScorer,
     build_group_partition,
     combine_results,
+    lift_grouping,
     normalize_formula,
     reduce_and_solve,
     remove_hyperedges,
@@ -19,11 +25,12 @@ from relopt.reduction import (
     slotted_domains,
     solve_cross_free_lift,
     solve_positive_cross_edge,
+    split_cross_atoms,
     to_hybrid,
 )
 from relopt.structure import build_structure, load_structure
 
-from oracles import nested_loop_opt, random_instance
+from oracles import nested_loop_opt, random_body_text, random_instance
 
 
 def conforming_instance(rng, k=2, n_objects=7, unary=2, kind=None):
@@ -537,6 +544,23 @@ CYCLE_BODIES = (
 )
 
 
+def _selected_combinations(structure, formula, prepare, top_k):
+    """The group combinations the lift re-solves: the top_k best scores of
+    the cross-free core, ties broken by the least combination."""
+    _, core = split_cross_atoms(formula)
+    groups = lift_grouping(structure, formula.k).partition.groups
+    if not groups:
+        return []
+    scores = prepare(structure, core)(groups)
+    sign = -1 if formula.kind == "max" else 1
+    ranked = sorted(
+        (sign * value, combo)
+        for combo, value in zip(product(range(len(groups)), repeat=formula.k), scores)
+        if value is not None
+    )
+    return [combo for _, combo in ranked[:top_k]]
+
+
 def test_trace_counts_heavy_solves_resolves_and_ip_calls(monkeypatch):
     from relopt.baseline import PreparedBaseline
 
@@ -569,18 +593,102 @@ def test_trace_counts_heavy_solves_resolves_and_ip_calls(monkeypatch):
         assert lift["resolves"] == min(lift["top_k"], lift["combos"])
         assert lift["heavy_solves"] == lift["heavy"] * formula.k
         # the cross atom's side problem has no heavy endpoint on a cycle
-        assert len(opt_calls) == lift["heavy_solves"] + lift["resolves"]
+        assert len(opt_calls) == lift["heavy_solves"] + lift["resolve_queries"]
+        assert lift["resolve_queries"] <= lift["resolves"]
         # an explicit top_k selects fewer combinations, or all of them
         for top_k in (3, 100):
             stats = {}
+
+            def prepare(s, f, exact=exact):
+                return HybridScorer(s, f, exact)
+
             solve_cross_free_lift(
-                structure,
-                formula,
-                lambda s, f: HybridScorer(s, f, exact),
-                top_k=top_k,
-                stats_out=stats,
+                structure, formula, prepare, top_k=top_k, stats_out=stats
             )
             assert stats["resolves"] == min(top_k, stats["combos"])
+            # one query per prefix of the selected combinations
+            selected = _selected_combinations(structure, formula, prepare, top_k)
+            assert stats["resolve_queries"] == len({c[:-1] for c in selected})
+            assert stats["resolve_queries"] <= stats["resolves"]
+
+
+def _two_record_instance(rng, k, kind):
+    """A random instance whose objects lie in at most two records each: the
+    lift's degree threshold is mostly 3 or more, so no vertex is heavy and
+    the re-solved combinations cover the light vertices' tuples."""
+    n = rng.randint(14, 20)
+    degree = [0] * n
+    rels = {"E0": set(), "E1": set(), "P0": set()}
+    for _ in range(4 * n):
+        pred = rng.choice(sorted(rels))
+        rec = tuple(rng.randrange(n) for _ in range(1 if pred == "P0" else 2))
+        if rec in rels[pred] or any(degree[v] >= 2 for v in set(rec)):
+            continue
+        rels[pred].add(rec)
+        for v in set(rec):
+            degree[v] += 1
+    structure = build_structure(
+        [f"o{v}" for v in range(n)], rels, {"E0": 2, "E1": 2, "P0": 1}
+    )
+    opt_vars = [f"x{i + 1}" for i in range(k)]
+    # without cross atoms there are no side problems, so the re-solved
+    # combinations alone give the answer
+    body = random_body_text(rng, opt_vars, ["y1"], allow_cross=rng.random() < 0.5)
+    return structure, parse_formula(f"{kind} {','.join(opt_vars)} . count y1 . {body}")
+
+
+def test_batched_resolve_equals_one_query_per_selected_combination():
+    # the re-solve answers one query per slot prefix; the reference re-solves
+    # every selected combination on its own.  Under inverted or random scores
+    # the selection is not the best combinations, so a query that also
+    # covers unselected ones changes the answer.
+    rng = random.Random(71)
+    pruned = batched = 0
+    for trial in range(100):
+        k = (2, 3)[trial % 2]
+        kind = ("max", "min")[trial // 2 % 2]
+        structure, formula = _two_record_instance(rng, k, kind)
+        cross, core = split_cross_atoms(formula)
+        evaluator = PreparedBaseline(structure, core)
+        grouping = lift_grouping(structure, k)
+        groups = grouping.partition.groups
+        # the exact scores (the optimum of the cross-free core per
+        # combination), the same in inverted order, or random ones
+        mode = trial // 4 % 3
+        scores = []
+        for combo in product(groups, repeat=k):
+            res = evaluator.opt(dict(zip(formula.opt_vars, combo)))
+            if res is not None:
+                res = (res.value, -res.value, rng.randrange(100))[mode]
+            scores.append(res)
+
+        def prepare(s, f, scores=scores):
+            return lambda groups: scores
+
+        top_k = rng.choice(
+            [1, rng.randint(2, 6), rng.randint(1, max(1, grouping.combos))]
+        )
+        stats = {}
+        got = solve_cross_free_lift(
+            structure, formula, prepare, top_k=top_k, stats_out=stats
+        )
+
+        guard = tuple((a, False) for a in cross)
+        resolved = [
+            evaluator.opt(
+                {v: groups[ci] for v, ci in zip(formula.opt_vars, combo)}, guard
+            )
+            for combo in _selected_combinations(structure, formula, prepare, top_k)
+        ]
+        # top_k=0: the side problems and the heavy vertices only
+        rest = solve_cross_free_lift(structure, formula, prepare, top_k=0)
+        want = combine_results(kind, [rest] + resolved)
+        assert got == want, f"trial {trial} top_k {top_k} {formula}"
+        if groups:
+            assert stats["resolves"] == len(resolved)
+            pruned += stats["resolves"] < stats["combos"]
+            batched += stats["resolve_queries"] < stats["resolves"]
+    assert pruned > 50 and batched > 25
 
 
 def test_reduce_and_solve_skips_the_lift_where_nothing_is_pruned(monkeypatch):
