@@ -11,6 +11,9 @@ in those records, not in the domain of the counting variable.  Atoms that
 mention no assigned variable (such as ``P(y)``) colour the same objects in
 every base case: a query colours them, and counts the counting domain per
 their colours, once, and a base case adds only the bits of the other atoms.
+The records of the atoms over both base-case variables are indexed per
+assignment of the leading variables and then per object of the first, so a
+base case reads only the records of the objects it outputs.
 This module is also the correctness oracle for everything else in the
 package.
 
@@ -32,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import UnsupportedShapeError
+from .errors import ContractError, UnsupportedShapeError
 from .formula import Atom, Expr, OptFormula, atoms_of, eval_expr_table
 from .structure import ObjectId, RelationalStructure
 
@@ -157,9 +160,18 @@ class PreparedBaseline:
         self.w_static, self.w_dynamic = _split(
             ProjectedAtom(structure, a, assigned, (w,)) for a in self.w_atoms
         )
-        self.mixed_proj = [
-            ProjectedAtom(structure, a, assigned, (u, w)) for a in self.mixed_atoms
-        ]
+        # per mixed atom, its fixed key and its (u, w) records indexed by the
+        # fixed key's values and then by u, so a base case reads only the
+        # records of the u objects it outputs
+        self.mixed_index = []
+        for a in self.mixed_atoms:
+            p = ProjectedAtom(structure, a, assigned, (u, w))
+            index: dict[tuple, dict[ObjectId, list[ObjectId]]] = {}
+            for key, pairs in p.by_fixed.items():
+                by_u = index[key] = {}
+                for uv, wv in pairs:
+                    by_u.setdefault(uv, []).append(wv)
+            self.mixed_index.append((p.fixed_key, index))
         # keyed by the atom bit patterns that occur, so bounded by the queries
         self._phi_memo: dict[tuple, bool] = {}
         # the applied form of each guard queried so far
@@ -215,13 +227,17 @@ class PreparedBaseline:
         on_u = []
         for atom, want in guard:
             if not set(atom.args) <= set(self.formula.opt_vars):
-                raise ValueError(f"guard atom {atom} uses non-optimization variables")
+                raise ContractError(
+                    f"guard atom {atom} uses non-optimization variables"
+                )
             if self.u_var in atom.args:
                 p = ProjectedAtom(self.structure, atom, order[:-2], (self.u_var,))
                 on_u.append((p, want))
             else:
                 last = max((order.index(v) for v in atom.args), default=0)
                 at_depth[last].append((atom, want))
+        # a positive literal, if any, comes first: its hits seed the u loop
+        on_u.sort(key=lambda literal: not literal[1])
         out = _Guard(tuple(map(tuple, at_depth)), tuple(on_u))
         self._guards[guard] = out
         return out
@@ -246,16 +262,20 @@ class PreparedBaseline:
 
     def _base_case(self, q: _Query, asn: dict[str, ObjectId]) -> dict[ObjectId, int]:
         """psi(u) = #{w : body} for every u in its domain that passes the
-        guard, in time linear in the domain of u and the records the
-        assignment selects."""
+        guard, in time linear in the records the assignment selects and in
+        the domain of u, or the hits of a positive guard literal over u."""
         fixed_bits = 0
         for i, a in enumerate(self.fixed_atoms):
             if _atom_truth(self.structure, a, asn):
                 fixed_bits |= 1 << i
         us = q.doms[self.u_var]
-        for p, want in q.guard.on_u:
+        for i, (p, want) in enumerate(q.guard.on_u):
             hits = p.query(asn)
-            us = [uv for uv in us if ((uv,) in hits) == want]
+            if i == 0 and want:
+                # the u loop reads a positive literal's hits, not the domain
+                us = sorted(uv for (uv,) in hits if uv in q.dom_u)
+            else:
+                us = [uv for uv in us if ((uv,) in hits) == want]
         # only objects some u- or w-atom holds for get a colour; every other
         # object of the domain has colour 0.  The query coloured the objects
         # of atoms without assigned variables; add the bits of the others.
@@ -270,13 +290,18 @@ class PreparedBaseline:
                 color_count[old] -= 1
                 color_count[old | bits] = color_count.get(old | bits, 0) + 1
 
-        # pairs that make at least one mixed atom true
+        # pairs of an output u that make at least one mixed atom true
         pair_bits: dict[tuple[ObjectId, ObjectId], int] = {}
-        for i, p in enumerate(self.mixed_proj):
-            for pair in p.query(asn):
-                uv, wv = pair
-                if uv in q.dom_u and wv in q.dom_w:
-                    pair_bits[uv, wv] = pair_bits.get((uv, wv), 0) | 1 << i
+        dom_w = q.dom_w
+        for i, (fixed_key, index) in enumerate(self.mixed_index):
+            by_u = index.get(tuple(asn[v] for v in fixed_key))
+            if not by_u:
+                continue
+            bit = 1 << i
+            for uv in us:
+                for wv in by_u.get(uv, ()):
+                    if wv in dom_w:
+                        pair_bits[uv, wv] = pair_bits.get((uv, wv), 0) | bit
 
         # per-u counters C(u; alpha, beta) for beta != 0
         counters: dict[ObjectId, dict[tuple[int, int], int]] = {}
@@ -348,7 +373,7 @@ class PreparedBaseline:
 class _Guard(NamedTuple):
     """A guard as ``PreparedBaseline`` applies it: per depth below k, the
     literals whose last variable is assigned there, and the projected
-    literals over the base case's u."""
+    literals over the base case's u, positive ones first."""
 
     at_depth: tuple[tuple[tuple[Atom, bool], ...], ...]
     on_u: tuple[tuple[ProjectedAtom, bool], ...]

@@ -29,8 +29,6 @@ from typing import Callable, Mapping, Sequence
 from .baseline import (
     OptResult,
     PreparedBaseline,
-    ProjectedAtom,
-    _atom_truth,
     baseline_opt,
     baseline_opt_restricted,
     guard_holds,
@@ -149,58 +147,10 @@ def normalize_formula(
 
 # --- positive-cross-edge exact solver ---------------------------------------
 
-class _CountOverY:
-    """Counts #{y : body} for a full assignment of the optimization variables
-    in O(candidate neighbourhood) after one shared indexing pass."""
-
-    def __init__(self, structure: RelationalStructure, formula: OptFormula):
-        self.structure = structure
-        self.formula = formula
-        self.y = formula.count_vars[0]
-        self.atoms = tuple(dict.fromkeys(atoms_of(formula.body)))
-        fixed_vars = set(formula.opt_vars)
-        self.fixed_atoms = [a for a in self.atoms if self.y not in a.args]
-        self.y_atoms = [a for a in self.atoms if self.y in a.args]
-        self.y_proj = [
-            ProjectedAtom(structure, a, fixed_vars, (self.y,)) for a in self.y_atoms
-        ]
-        self._memo: dict[tuple, bool] = {}
-
-    def _phi(self, fixed_bits: int, y_bits: int) -> bool:
-        key = (fixed_bits, y_bits)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        values = {a: bool(fixed_bits >> i & 1) for i, a in enumerate(self.fixed_atoms)}
-        for i, a in enumerate(self.y_atoms):
-            values[a] = bool(y_bits >> i & 1)
-        out = eval_expr_table(self.formula.body, values)
-        self._memo[key] = out
-        return out
-
-    def count(self, asn: Mapping[str, ObjectId], dom_y: Sequence[ObjectId]) -> int:
-        fixed_bits = 0
-        for i, a in enumerate(self.fixed_atoms):
-            if _atom_truth(self.structure, a, asn):
-                fixed_bits |= 1 << i
-        y_sets = [p.query(asn) for p in self.y_proj]
-        dom = set(dom_y)
-        candidates: dict[ObjectId, int] = {}
-        for i, s in enumerate(y_sets):
-            for (yv,) in s:
-                if yv in dom:
-                    candidates[yv] = candidates.get(yv, 0) | 1 << i
-        total = sum(1 for bits in candidates.values() if self._phi(fixed_bits, bits))
-        if self._phi(fixed_bits, 0):
-            total += len(dom) - len(candidates)
-        return total
-
-
 def solve_positive_cross_edge(
     structure: RelationalStructure,
     formula: OptFormula,
     forced: Atom,
-    domains: Domains | None = None,
     extra_guard: Guard = (),
     include_edgeless_pairs: bool = True,
 ) -> OptResult | None:
@@ -209,7 +159,15 @@ def solve_positive_cross_edge(
     With ``include_edgeless_pairs`` (the formula semantics) every tuple
     participates and pairs without the forced edge have value 0.  The
     decomposition passes False to optimize over forced-edge tuples only, plus
-    an accumulated guard.  Uses the heavy/heavy/light-light degree split.
+    an accumulated guard.
+
+    Uses the degree split, with one ``PreparedBaseline`` of the formula
+    answering every query: one query per heavy endpoint v (v as the domain
+    of its variable), and one query over the light objects as the domains of
+    x_i and x_j, guarded by the forced edge, so it evaluates only the
+    light-light tuples that carry it.  The light-light tuples without the
+    edge all have value 0; with ``include_edgeless_pairs`` the least of them
+    that passes the guard stands for them.
     """
     if formula.ell != 1:
         raise ContractError("positive-cross-edge solver needs exactly one count variable")
@@ -221,68 +179,32 @@ def solve_positive_cross_edge(
     if xi not in formula.opt_vars or xj not in formula.opt_vars:
         raise ContractError("forced atom must relate two optimization variables")
 
-    doms = resolve_domains(structure, formula, domains)
     m = structure.m
-    erel = structure.relation(forced.pred)
+    objects = range(structure.n)
+    heavy = [v for v in objects if structure.degree(v) ** 2 >= m]
+    light = [v for v in objects if structure.degree(v) ** 2 < m]
+    extra_guard = tuple(extra_guard)
+    with_edge: Guard = extra_guard + ((forced, True),)
+    evaluator = PreparedBaseline(structure, formula)
+    candidates: list[OptResult | None] = []
 
-    def is_heavy(v: ObjectId) -> bool:
-        d = structure.degree(v)
-        return d * d >= m
+    # a heavy endpoint is brute-forced with the baseline
+    heavy_guard = extra_guard if include_edgeless_pairs else with_edge
+    for var in (xi, xj):
+        for v in heavy:
+            candidates.append(evaluator.opt({var: (v,)}, heavy_guard))
 
-    guard_all: Guard = tuple(extra_guard) + ((forced, True),)
-    others = [v for v in formula.opt_vars if v not in (xi, xj)]
-    counter = _CountOverY(structure, formula)
-    candidates: list[OptResult] = []
-    sub_guard = tuple(extra_guard) if include_edgeless_pairs else guard_all
-    evaluator: PreparedBaseline | None = None  # built at the first heavy endpoint
+    # light-light tuples carrying the forced edge
+    candidates.append(evaluator.opt({xi: light, xj: light}, with_edge))
 
-    def sub_opt(fixed: dict[str, ObjectId]) -> OptResult | None:
-        nonlocal evaluator
-        if evaluator is None:
-            evaluator = PreparedBaseline(structure, formula)
-        sub_domains = dict(doms)
-        for var, v in fixed.items():
-            sub_domains[var] = (v,)
-        return evaluator.opt(sub_domains, sub_guard)
-
-    def run_core(other_asn: dict[str, ObjectId]):
-        # case 1 and 2: a heavy endpoint is brute-forced with the baseline
-        for var in (xi, xj):
-            for v in doms[var]:
-                if is_heavy(v):
-                    res = sub_opt({**other_asn, var: v})
-                    if res is not None:
-                        candidates.append(res)
-        # case 3: light-light pairs carrying the forced edge
-        di, dj = set(doms[xi]), set(doms[xj])
-        for a, b in sorted(erel.records):
-            if a not in di or b not in dj or is_heavy(a) or is_heavy(b):
-                continue
-            asn = {**other_asn, xi: a, xj: b}
-            if not guard_holds(structure, extra_guard, asn):
-                continue
-            value = counter.count(asn, doms[formula.count_vars[0]])
-            witness = tuple(asn[v] for v in formula.opt_vars)
-            candidates.append(OptResult(value, witness))
-        # light-light pairs without the edge all have value 0; the first one
-        # that passes the guard stands for them
-        if include_edgeless_pairs:
-            edgeless = (
-                {**other_asn, xi: a, xj: b}
-                for a in doms[xi] if not is_heavy(a)
-                for b in doms[xj] if not is_heavy(b) and (a, b) not in erel.records
-            )
-            for asn in edgeless:
-                if guard_holds(structure, extra_guard, asn):
-                    witness = tuple(asn[v] for v in formula.opt_vars)
-                    candidates.append(OptResult(0, witness))
-                    break
-
-    if others:
-        for combo in product(*(doms[v] for v in others)):
-            run_core(dict(zip(others, combo)))
-    else:
-        run_core({})
+    if include_edgeless_pairs:
+        without_edge = extra_guard + ((forced, False),)
+        opt_vars = formula.opt_vars
+        doms = [light if v in forced.args else objects for v in opt_vars]
+        for xs in product(*doms):
+            if guard_holds(structure, without_edge, dict(zip(opt_vars, xs))):
+                candidates.append(OptResult(0, xs))
+                break
     return combine_results(formula.kind, candidates)
 
 

@@ -11,7 +11,7 @@ from relopt.baseline import (
     naive_values,
     opt_of_table,
 )
-from relopt.errors import UnsupportedShapeError
+from relopt.errors import ContractError, UnsupportedShapeError
 from relopt.formula import Atom, parse_formula
 from relopt.structure import build_structure, load_structure
 
@@ -225,7 +225,7 @@ def test_prepared_baseline_answers_many_queries():
                 empties += 1
             filtered += len(kept) < len(entries)
             found += want is not None
-        with pytest.raises(ValueError):
+        with pytest.raises(ContractError):
             prepared.opt(guard=[(Atom("P0", ("y1",)), True)])
     assert empties >= 6 and filtered and found
 

@@ -131,12 +131,14 @@ def test_cross_edge_matches_baseline_random():
 
 
 def test_cross_edge_min_kind_counts_edgeless_pairs():
+    # both orientations of the forced edge: with E0(x2, x1) the least
+    # edgeless witness in (x1, x2) order is not the least in (x2, x1) order
     rng = random.Random(52)
-    for trial in range(60):
+    for trial in range(200):
         structure, formula = random_instance(
             rng, k=2, ell=1, n_objects=rng.randint(2, 6), kind="min"
         )
-        forced = Atom("E0", ("x1", "x2"))
+        forced = Atom("E0", ("x1", "x2")[:: 1 if trial % 2 else -1])
         formula = formula.with_body(And(forced, formula.body))
         want = baseline_opt(structure, formula)
         got = solve_positive_cross_edge(structure, formula, forced)
@@ -592,8 +594,16 @@ def test_trace_counts_heavy_solves_resolves_and_ip_calls(monkeypatch):
         assert stages["hybrid"]["ip_calls"] == len(ip_calls)
         assert lift["resolves"] == min(lift["top_k"], lift["combos"])
         assert lift["heavy_solves"] == lift["heavy"] * formula.k
-        # the cross atom's side problem has no heavy endpoint on a cycle
-        assert len(opt_calls) == lift["heavy_solves"] + lift["resolve_queries"]
+        # a cross atom's side problem makes one query per heavy endpoint (a
+        # cycle has none) and one over the light-light pairs
+        cross, _ = split_cross_atoms(formula)
+        heavy = sum(
+            structure.degree(v) ** 2 >= structure.m for v in range(structure.n)
+        )
+        side_queries = len(cross) * (2 * heavy + 1)
+        assert len(opt_calls) == (
+            lift["heavy_solves"] + lift["resolve_queries"] + side_queries
+        )
         assert lift["resolve_queries"] <= lift["resolves"]
         # an explicit top_k selects fewer combinations, or all of them
         for top_k in (3, 100):
