@@ -4,12 +4,19 @@ The residual three-variable problem is solved by per-vertex triangle counting
 with a heavy/light degree split, after decomposing the ternary Boolean body
 over the AND basis { AND_{i in S} a_i : S subseteq {1,2,3} }.  Everything
 above three variables is brute-forced, which matches the m^(k+l-3/2) shape.
+
+Each residual run buckets the pair colours once, by the unary classes of
+both endpoints and the colour bits, and every per-(class, colour) graph reads
+only its own buckets.  Each truth table is decomposed once per process, and
+a graph with an empty side skips the triangle pass: it has no triangle.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .baseline import OptResult, ProjectedAtom, _atom_truth, opt_of_table, resolve_domains
@@ -62,16 +69,24 @@ class BasisDecomposition:
 
 
 _SUBSETS = [frozenset(s) for s in ([], [1], [2], [3], [1, 2], [1, 3], [2, 3], [1, 2, 3])]
+_S0, _S1, _S2, _S3, _S12, _S13, _S23, _S123 = _SUBSETS
 
 
 def and_basis_coefficients(table: TruthTable) -> BasisDecomposition:
-    """Unique multilinear coefficients by Moebius inversion over subsets."""
+    """Unique multilinear coefficients by Moebius inversion over subsets.
+
+    A table is decomposed once per process; the coefficients are a read-only
+    mapping, so the shared decomposition cannot be changed by a caller."""
     if len(table) != 8:
         raise ContractError("truth table must have 8 entries")
+    return _decompose(sum(1 << idx for idx, bit in enumerate(table) if bit))
 
+
+@lru_cache(maxsize=256)
+def _decompose(code: int) -> BasisDecomposition:
     def phi_at(s: frozenset[int]) -> int:
         idx = ((1 in s) << 2) | ((2 in s) << 1) | (3 in s)
-        return 1 if table[idx] else 0
+        return code >> idx & 1
 
     coeffs = {}
     for s in _SUBSETS:
@@ -80,12 +95,14 @@ def and_basis_coefficients(table: TruthTable) -> BasisDecomposition:
             t = frozenset(i for i, b in zip(sorted(s), bits) if b)
             total += (-1) ** (len(s) - len(t)) * phi_at(t)
         coeffs[s] = total
-    return BasisDecomposition(coeffs)
+    return BasisDecomposition(MappingProxyType(coeffs))
 
 
 def _count_all_triangles(g: TripartiteGraph) -> list[int]:
     """Per-x count of (y, z) with all three edges present, via the
     heavy/light split at degree threshold ceil(sqrt(m))."""
+    if not (g.xy and g.xz and g.yz):
+        return [0] * g.nx  # a triangle needs an edge on every side
     m = g.m
     threshold = math.isqrt(m) + (0 if math.isqrt(m) ** 2 == m else 1)
 
@@ -159,48 +176,76 @@ def _count_all_triangles(g: TripartiteGraph) -> list[int]:
     return counts
 
 
+def _degrees(edges: frozenset[tuple[int, int]], n: int, end: int) -> list[int]:
+    deg = [0] * n
+    for e in edges:
+        deg[e[end]] += 1
+    return deg
+
+
 def triangle_counts(g: TripartiteGraph, table: TruthTable) -> list[int]:
-    """For every x: #{(y, z) : phi(E(x,y), E(x,z), E(y,z))}, exactly."""
-    basis = and_basis_coefficients(table)
-    deg_xy = [0] * g.nx
-    deg_xz = [0] * g.nx
-    deg_yz_of_y = [0] * g.ny
-    deg_yz_of_z = [0] * g.nz
-    for i, _ in g.xy:
-        deg_xy[i] += 1
-    for i, _ in g.xz:
-        deg_xz[i] += 1
-    for j, l in g.yz:
-        deg_yz_of_y[j] += 1
-        deg_yz_of_z[l] += 1
+    """For every x: #{(y, z) : phi(E(x,y), E(x,z), E(y,z))}, exactly.
 
-    psi: dict[frozenset[int], list[int] | int] = {}
-    psi[frozenset()] = g.ny * g.nz
-    psi[frozenset([1])] = [deg_xy[i] * g.nz for i in range(g.nx)]
-    psi[frozenset([2])] = [g.ny * deg_xz[i] for i in range(g.nx)]
-    psi[frozenset([3])] = len(g.yz)
-    psi[frozenset([1, 2])] = [deg_xy[i] * deg_xz[i] for i in range(g.nx)]
-    s13 = [0] * g.nx
-    for i, j in g.xy:
-        s13[i] += deg_yz_of_y[j]
-    psi[frozenset([1, 3])] = s13
-    s23 = [0] * g.nx
-    for i, l in g.xz:
-        s23[i] += deg_yz_of_z[l]
-    psi[frozenset([2, 3])] = s23
-    psi[frozenset([1, 2, 3])] = _count_all_triangles(g)
+    The sum over S of alpha_S * psi_S(x), where psi_S(x) counts the (y, z)
+    with every edge named by S present (1, 2, 3 name the xy, xz, yz edges).
+    Only the terms with a non-zero coefficient are computed."""
+    coeff = and_basis_coefficients(table).coefficients
+    nx, ny, nz = g.nx, g.ny, g.nz
+    out = [coeff[_S0] * ny * nz + coeff[_S3] * len(g.yz)] * nx
+    a1, a2, a12 = coeff[_S1], coeff[_S2], coeff[_S12]
+    if a1 or a2 or a12:
+        out = [
+            o + dy * (a1 * nz + a12 * dz) + a2 * ny * dz
+            for o, dy, dz in zip(out, _degrees(g.xy, nx, 0), _degrees(g.xz, nx, 0))
+        ]
+    # the path terms psi_{1,3} and psi_{2,3} are 0 without a yz edge
+    if coeff[_S13] and g.yz:
+        deg_y = _degrees(g.yz, ny, 0)
+        for i, j in g.xy:
+            out[i] += coeff[_S13] * deg_y[j]
+    if coeff[_S23] and g.yz:
+        deg_z = _degrees(g.yz, nz, 1)
+        for i, l in g.xz:
+            out[i] += coeff[_S23] * deg_z[l]
+    if coeff[_S123]:
+        out = [o + coeff[_S123] * t for o, t in zip(out, _count_all_triangles(g))]
+    return out
 
-    out = [0] * g.nx
-    for s, alpha in basis.coefficients.items():
-        if alpha == 0:
-            continue
-        vals = psi[s]
-        if isinstance(vals, int):
-            for i in range(g.nx):
-                out[i] += alpha * vals
-        else:
-            for i in range(g.nx):
-                out[i] += alpha * vals[i]
+
+_NO_EDGES: frozenset[tuple[int, int]] = frozenset()
+
+
+def _classes(
+    dom: Sequence[ObjectId], color: Mapping[ObjectId, int]
+) -> tuple[dict[int, list[ObjectId]], dict[ObjectId, int]]:
+    """The objects of each unary colour, and each object's index in its class."""
+    by_color: dict[int, list[ObjectId]] = {}
+    pos: dict[ObjectId, int] = {}
+    for o in dom:
+        cls = by_color.setdefault(color[o], [])
+        pos[o] = len(cls)
+        cls.append(o)
+    return by_color, pos
+
+
+def _buckets(
+    col: Mapping[tuple[ObjectId, ObjectId], int],
+    color_a: Mapping[ObjectId, int],
+    color_b: Mapping[ObjectId, int],
+    pos_a: Mapping[ObjectId, int],
+    pos_b: Mapping[ObjectId, int],
+) -> dict[tuple[int, int], dict[int, frozenset[tuple[int, int]]]]:
+    """The coloured pairs (a, b) as in-class index pairs, by (class of a,
+    class of b) and then by colour bits.  Bits 0 ("no atom holds") is never
+    a pair's colour, so key 0 holds the union: the pairs of any colour."""
+    lists: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
+    for (a, b), bits in col.items():
+        lists.setdefault((color_a[a], color_b[b], bits), []).append((pos_a[a], pos_b[b]))
+    out: dict[tuple[int, int], dict[int, frozenset[tuple[int, int]]]] = {}
+    for (ca, cb, bits), edges in lists.items():
+        out.setdefault((ca, cb), {})[bits] = frozenset(edges)
+    for per_bits in out.values():
+        per_bits[0] = frozenset().union(*per_bits.values())
     return out
 
 
@@ -210,7 +255,9 @@ class _Residual3:
 
     Step 1 corrects for atoms over all three free variables via per-u deltas,
     step 2 enumerates unary color classes, step 3 reduces each satisfying
-    edge-color combination to a triangle count.
+    edge-color combination to a triangle count.  ``run`` buckets each pair's
+    coloured pairs once (``_buckets``), so a graph reads only the edges of its
+    class pairs; a graph with an empty side costs no triangle pass.
     """
 
     def __init__(
@@ -258,6 +305,11 @@ class _Residual3:
             ProjectedAtom(structure, a, assigned, free) for a in self.triple_atoms
         ]
         self._memo: dict[tuple, bool] = {}
+        # counts over every run, reported by multi_counting_opt's stats_out
+        self.runs = 0
+        self.graphs = 0
+        self.empty_side = 0
+        self.tables: set[int] = set()
 
     def _phi0(self, fixed_bits, bits_u, bits_v, bits_w, pair_bits) -> bool:
         """Body with three-free-variable atoms replaced by false."""
@@ -314,37 +366,38 @@ class _Residual3:
         color_u = self._colors(u, asn)
         color_v = self._colors(v, asn)
         color_w = self._colors(w, asn)
+        by_color_u, pos_u = _classes(dom_u, color_u)
+        by_color_v, pos_v = _classes(dom_v, color_v)
+        by_color_w, pos_w = _classes(dom_w, color_w)
         uv_col = self._pair_colors((u, v), asn, dom_u, dom_v)
         uw_col = self._pair_colors((u, w), asn, dom_u, dom_w)
         vw_col = self._pair_colors((v, w), asn, dom_v, dom_w)
-
-        by_color_v: dict[int, list[ObjectId]] = {}
-        for o in dom_v:
-            by_color_v.setdefault(color_v[o], []).append(o)
-        by_color_w: dict[int, list[ObjectId]] = {}
-        for o in dom_w:
-            by_color_w.setdefault(color_w[o], []).append(o)
-        by_color_u: dict[int, list[ObjectId]] = {}
-        for o in dom_u:
-            by_color_u.setdefault(color_u[o], []).append(o)
+        uv_edges = _buckets(uv_col, color_u, color_v, pos_u, pos_v)
+        uw_edges = _buckets(uw_col, color_u, color_w, pos_u, pos_w)
+        vw_edges = _buckets(vw_col, color_v, color_w, pos_v, pos_w)
 
         uv_vals = sorted(set(uv_col.values()) | {0})
         uw_vals = sorted(set(uw_col.values()) | {0})
         vw_vals = sorted(set(vw_col.values()) | {0})
 
+        self.runs += 1
         psi0 = {o: 0 for o in dom_u}
         for delta, us in by_color_u.items():
-            u_index = {o: i for i, o in enumerate(us)}
             for beta, vs in by_color_v.items():
-                v_index = {o: i for i, o in enumerate(vs)}
+                xy = uv_edges.get((delta, beta), {})
                 for gamma, ws in by_color_w.items():
-                    w_index = {o: i for i, o in enumerate(ws)}
+                    xz = uw_edges.get((delta, gamma), {})
+                    yz = vw_edges.get((beta, gamma), {})
                     for alpha in product(uv_vals, uw_vals, vw_vals):
                         if not self._phi0_at(delta, beta, gamma, alpha, fixed_bits):
                             continue
-                        g = self._graph(
-                            alpha, us, vs, ws, u_index, v_index, w_index,
-                            uv_col, uw_col, vw_col,
+                        g = TripartiteGraph(
+                            len(us),
+                            len(vs),
+                            len(ws),
+                            xy.get(alpha[0], _NO_EDGES),
+                            xz.get(alpha[1], _NO_EDGES),
+                            yz.get(alpha[2], _NO_EDGES),
                         )
                         pattern = (
                             ((alpha[0] != 0) << 2)
@@ -353,6 +406,9 @@ class _Residual3:
                         )
                         table = [0] * 8
                         table[pattern] = 1
+                        self.graphs += 1
+                        self.empty_side += not (g.xy and g.xz and g.yz)
+                        self.tables.add(pattern)
                         for o, c in zip(us, triangle_counts(g, table)):
                             psi0[o] += c
 
@@ -382,39 +438,23 @@ class _Residual3:
         pair_bits = alpha[0] | alpha[1] << n_uv | alpha[2] << (n_uv + n_uw)
         return self._phi0(fixed_bits, delta, beta, gamma, pair_bits)
 
-    def _graph(
-        self, alpha, us, vs, ws, u_index, v_index, w_index, uv_col, uw_col, vw_col
-    ) -> TripartiteGraph:
-        def edges(col, a_index, b_index, comp):
-            out = []
-            for (a, b), bits in col.items():
-                if a in a_index and b in b_index and (bits == comp or comp == 0):
-                    out.append((a_index[a], b_index[b]))
-            return frozenset(out)
-
-        return TripartiteGraph(
-            len(us),
-            len(vs),
-            len(ws),
-            edges(uv_col, u_index, v_index, alpha[0]),
-            edges(uw_col, u_index, w_index, alpha[1]),
-            edges(vw_col, v_index, w_index, alpha[2]),
-        )
-
 
 def multi_counting_opt(
     structure: RelationalStructure,
     formula: OptFormula,
-    domains: Mapping[str, Sequence[ObjectId]] | None = None,
+    stats_out: dict | None = None,
 ) -> OptResult | None:
     """Exact optimum for two or more counting variables.
 
     Brute-forces all but the last three variables, then runs the corrected
-    triangle-count residual.
+    triangle-count residual.  ``stats_out``, when given, receives the
+    residual's counts: ``runs`` (one per brute-forced assignment), ``graphs``
+    (``triangle_counts`` calls), ``empty_side`` (graphs with an empty side,
+    whose triangle pass is skipped) and ``tables`` (distinct truth tables).
     """
     if formula.ell < 2:
         raise UnsupportedShapeError("needs at least two counting variables")
-    doms = resolve_domains(structure, formula, domains)
+    doms = resolve_domains(structure, formula, None)
     order = formula.opt_vars + formula.count_vars
     prefix = order[:-3]
     free = order[-3:]
@@ -447,9 +487,17 @@ def multi_counting_opt(
 
     # make sure every optimization tuple has an entry even if all zero
     opt_domains = [doms[x] for x in formula.opt_vars]
-    if any(not d for d in opt_domains):
-        return None
-    rec(0, {})
-    for key in product(*opt_domains):
-        table.setdefault(key, 0)
-    return opt_of_table(table, formula.kind)
+    result = None
+    if all(opt_domains):
+        rec(0, {})
+        for key in product(*opt_domains):
+            table.setdefault(key, 0)
+        result = opt_of_table(table, formula.kind)
+    if stats_out is not None:
+        stats_out.update(
+            runs=residual.runs,
+            graphs=residual.graphs,
+            empty_side=residual.empty_side,
+            tables=len(residual.tables),
+        )
+    return result

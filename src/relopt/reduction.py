@@ -875,7 +875,10 @@ def reduce_and_solve(
 
     if formula.ell >= 2:
         trace.path = "multicount"
-        return trace.answer(multi_counting_opt(structure, formula))
+        multicount_stats: dict = {}
+        res = multi_counting_opt(structure, formula, stats_out=multicount_stats)
+        trace.add("multicount", **multicount_stats)
+        return trace.answer(res)
 
     if formula.k == 1:
         trace.path = "baseline"

@@ -266,7 +266,9 @@ def test_criterion_6_multi_counting():
         )
         want = baseline_opt(structure, formula)
         got = multi_counting_opt(structure, formula)
-        assert got.value == want.value, f"trial {trial}: {formula}"
+        assert (got.value, got.witness) == (want.value, want.witness), (
+            f"trial {trial}: {formula}"
+        )
     print(f"\nACCEPTANCE 6 multi-counting solver on {trials} instances: PASS")
 
 

@@ -90,6 +90,24 @@ def test_solve_trace_output(toy_files, capsys, tmp_path):
     assert "stage input" in text
 
 
+def test_solve_trace_prints_the_multicount_stage(tmp_path, capsys):
+    s = tmp_path / "mc.structure"
+    f = tmp_path / "mc.formula"
+    s.write_text("rel E 2\nE a b\nE b c\nE a c\nE c a\n")
+    f.write_text("max x . count y1,y2 . E(x,y1) & E(x,y2) & E(y1,y2)\n")
+    code, out = run_main(
+        ["solve", "--structure", str(s), "--formula", str(f), "--trace", "-"],
+        capsys,
+    )
+    assert code == 0
+    assert "value 1" in out
+    stage = next(l for l in out.splitlines() if l.startswith("stage multicount"))
+    stats = dict(kv.split("=") for kv in stage.split()[2:])
+    assert set(stats) == {"runs", "graphs", "empty_side", "tables"}
+    assert int(stats["runs"]) == 1  # k + ell = 3: nothing is brute-forced
+    assert int(stats["graphs"]) > 0
+
+
 def test_gen_deterministic(tmp_path, capsys):
     a = tmp_path / "one"
     b = tmp_path / "two"

@@ -2,7 +2,9 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import relopt.fastcount as fastcount
 from relopt.baseline import baseline_opt
 from relopt.errors import UnsupportedShapeError
 from relopt.fastcount import (
@@ -12,6 +14,8 @@ from relopt.fastcount import (
     triangle_counts,
 )
 from relopt.formula import parse_formula
+from relopt.ip import exact_solver
+from relopt.reduction import reduce_and_solve
 from relopt.structure import build_structure, load_structure
 
 from oracles import random_instance, triangle_counts_naive
@@ -52,6 +56,25 @@ def test_basis_reconstructs_all_256_tables():
         dec = and_basis_coefficients(table)
         for a1, a2, a3 in product([0, 1], repeat=3):
             assert dec.reconstruct(a1, a2, a3) == table[idx(a1, a2, a3)]
+
+
+def test_basis_decomposition_is_read_only():
+    table = [0] * 8
+    table[idx(1, 1, 0)] = 1
+    g = TripartiteGraph(
+        2, 2, 2,
+        frozenset({(0, 0), (1, 1)}), frozenset({(0, 1), (1, 1)}), frozenset({(0, 1)}),
+    )
+    before = triangle_counts(g, table)
+    dec = and_basis_coefficients(table)
+    with pytest.raises(TypeError):
+        dec.coefficients[frozenset([1, 2])] = 5
+    with pytest.raises(TypeError):
+        del dec.coefficients[frozenset([1, 2, 3])]
+    assert and_basis_coefficients(table).coefficients == dec.coefficients
+    assert triangle_counts(g, table) == before == triangle_counts_naive(
+        g.nx, g.ny, g.nz, g.xy, g.xz, g.yz, table
+    )
 
 
 def random_graph(rng, max_part=8):
@@ -137,7 +160,9 @@ def test_multi_counting_matches_baseline_k1():
         )
         want = baseline_opt(structure, formula)
         got = multi_counting_opt(structure, formula)
-        assert got.value == want.value, f"trial {trial}: {formula}"
+        assert (got.value, got.witness) == (want.value, want.witness), (
+            f"trial {trial}: {formula}"
+        )
 
 
 def test_multi_counting_matches_baseline_k2():
@@ -152,7 +177,9 @@ def test_multi_counting_matches_baseline_k2():
         )
         want = baseline_opt(structure, formula)
         got = multi_counting_opt(structure, formula)
-        assert got.value == want.value, f"trial {trial}: {formula}"
+        assert (got.value, got.witness) == (want.value, want.witness), (
+            f"trial {trial}: {formula}"
+        )
 
 
 def test_multi_counting_ell3():
@@ -161,4 +188,99 @@ def test_multi_counting_ell3():
         structure, formula = random_instance(rng, k=1, ell=3, n_objects=4)
         want = baseline_opt(structure, formula)
         got = multi_counting_opt(structure, formula)
-        assert got.value == want.value
+        assert (got.value, got.witness) == (want.value, want.witness)
+
+
+# prefix variables are brute-forced, so n shrinks as k + ell grows
+_MAX_N = {3: 24, 4: 24, 5: 10, 6: 6}
+
+
+@st.composite
+def multicount_instances(draw):
+    """A structure and a formula with k in {1, 2, 3} optimization and ell in
+    {2, 3} counting variables over the residual variables (u, v, w), the last
+    three.  The body always has an atom over (v, w), the last two counting
+    variables, so yz sides are non-empty; mostly atoms over (u, v) and (u, w);
+    often a ternary atom over (u, v, w); and random atoms, some with repeated
+    variables.  Records
+    include self-loops, possibly empty relations and, with a hub object, the
+    skewed degrees that send residual graphs through the heavy/light split."""
+    k = draw(st.integers(1, 3))
+    ell = draw(st.integers(2, 3))
+    n = draw(st.integers(1, _MAX_N[k + ell]))
+    variables = [f"x{i + 1}" for i in range(k)] + [f"y{j + 1}" for j in range(ell)]
+    obj = st.integers(0, n - 1)
+    hub = draw(st.none() | obj)
+    rels = {}
+    for name in ("E0", "E1"):
+        recs = draw(st.sets(st.tuples(obj, obj), max_size=2 * n))
+        recs |= {(o, o) for o in draw(st.sets(obj, max_size=3))}
+        if hub is not None:
+            recs |= {(hub, o) for o in draw(st.sets(obj))}
+            recs |= {(o, hub) for o in draw(st.sets(obj))}
+        rels[name] = recs
+    rels["P0"] = {(o,) for o in draw(st.sets(obj))}
+    rels["R0"] = draw(st.sets(st.tuples(obj, obj, obj), max_size=2 * n))
+    arity = {"E0": 2, "E1": 2, "P0": 1, "R0": 3}
+    structure = build_structure([f"o{i}" for i in range(n)], rels, arity)
+
+    def atom(pred, args):
+        return f"{pred}({','.join(args)})"
+
+    u, v, w = variables[-3:]
+    binary = st.sampled_from(["E0", "E1"])
+    leaves = [atom(draw(binary), draw(st.permutations([v, w])))]
+    for pair in ([u, v], [u, w]):
+        if draw(st.integers(0, 3)):
+            leaves.append(atom(draw(binary), draw(st.permutations(pair))))
+    if draw(st.booleans()):
+        leaves.append(atom("R0", draw(st.permutations([u, v, w]))))
+    for _ in range(draw(st.integers(1, 4))):
+        pred = draw(st.sampled_from(sorted(arity)))
+        args = [draw(st.sampled_from(variables)) for _ in range(arity[pred])]
+        leaves.append(atom(pred, args))
+    leaves = draw(st.permutations(leaves))
+    body = leaves[0]
+    for leaf in leaves[1:]:
+        op = draw(st.sampled_from(["&", "|"]))
+        neg = "!" if draw(st.booleans()) else ""
+        body = f"({body} {op} {neg}{leaf})"
+    kind = draw(st.sampled_from(["max", "min"]))
+    text = (
+        f"{kind} {','.join(variables[:k])} . count {','.join(variables[k:])} . {body}"
+    )
+    return structure, parse_formula(text)
+
+
+@given(multicount_instances())
+@settings(max_examples=200, deadline=None)
+def test_multi_counting_equals_baseline_property(instance):
+    structure, formula = instance
+    want = baseline_opt(structure, formula)
+    got = multi_counting_opt(structure, formula)
+    assert (got.value, got.witness) == (want.value, want.witness), str(formula)
+
+
+def test_multicount_trace_counts_every_triangle_counts_call(monkeypatch):
+    calls = 0
+    original = fastcount.triangle_counts
+
+    def counted(g, table):
+        nonlocal calls
+        calls += 1
+        return original(g, table)
+
+    monkeypatch.setattr(fastcount, "triangle_counts", counted)
+    rng = random.Random(5)
+    for _ in range(10):
+        structure, formula = random_instance(rng, k=2, ell=2, n_objects=6)
+        before = calls
+        value, trace = reduce_and_solve(structure, formula, exact_solver(formula.kind))
+        assert trace.path == "multicount"
+        stats = dict(trace.stages)["multicount"]
+        assert stats["graphs"] == calls - before
+        assert stats["runs"] == structure.n  # one per value of x1
+        assert 0 <= stats["empty_side"] <= stats["graphs"]
+        assert (stats["tables"] > 0) == (stats["graphs"] > 0)
+        assert value == baseline_opt(structure, formula).value
+    assert calls > 0
