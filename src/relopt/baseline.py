@@ -20,20 +20,24 @@ package.
 ``PreparedBaseline`` indexes the structure's relations for one formula once
 and then answers queries over any domains; the pipeline keeps one per
 (structure, formula) and queries it per domain, and the module functions
-build one per call.  A query's guard is applied during the iteration, so the
-tuples that fail it are never evaluated: a literal over the base case's
-first variable restricts that variable's loop through a projection of its
-atom, cached per guard, and any other literal is checked once per
-assignment of its last variable.
+build one per call.  One recursion brute-forces the leading variables: it
+visits the assignments of x1..x(k-1) in lexicographic order and hands its
+caller, per assignment, the value of every xk (the base case's per-u counts
+when there is one counting variable).  ``values`` stores them; ``opt`` keeps
+a running best and builds no table.  A query's guard is applied during the
+iteration, so the tuples that fail it are never evaluated: a literal over the
+base case's first variable restricts that variable's loop through a
+projection of its atom, cached per guard, and any other literal is checked
+once per assignment of its last variable.
 
-All inputs are immutable; the outer loop over the leading variable touches
-disjoint table slices, so it parallelizes with an associative max/min merge
+All inputs are immutable; the outer loop over the leading variable visits
+disjoint prefixes, so it parallelizes with an associative max/min merge
 (kept single-threaded here).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ContractError, UnsupportedShapeError
 from .formula import Atom, Expr, OptFormula, atoms_of, eval_expr_table
@@ -179,7 +183,11 @@ class PreparedBaseline:
 
     def values(self, domains: Domains | None = None) -> ValueTable:
         """Val(x1,...,xk) for every optimization tuple over the domains."""
-        return ValueTable(self._table(domains, self._guard(())))
+        entries = {}
+        for prefix, counts in self._prefixes(self._query(domains, ())):
+            for o, c in counts.items():
+                entries[prefix + (o,)] = c
+        return ValueTable(entries)
 
     def opt(
         self,
@@ -194,13 +202,27 @@ class PreparedBaseline:
         minimization a conjunction inside the body would masquerade excluded
         tuples as value 0, so exclusion must happen at the tuple level.  The
         tuples that fail the guard are never evaluated.
-        """
-        table = self._table(domains, self._guard(tuple(guard)))
-        return opt_of_table(table, self.formula.kind)
 
-    def _table(self, domains: Domains | None, guard: _Guard) -> dict:
-        """The value table of the tuples over the domains that pass the
-        guard."""
+        No value table is built: the prefixes come in lexicographic order and
+        the counts of each in the order of its last variable's domain, so the
+        first optimum met, kept against every later tie, is the least witness.
+        """
+        is_max = self.formula.kind == "max"
+        pick = max if is_max else min
+        best: OptResult | None = None
+        for prefix, counts in self._prefixes(self._query(domains, tuple(guard))):
+            if not counts:
+                continue
+            value = pick(counts.values())
+            if best is None or (value > best.value if is_max else value < best.value):
+                last = next(o for o, c in counts.items() if c == value)
+                best = OptResult(value, prefix + (last,))
+        return best
+
+    def _query(
+        self, domains: Domains | None, guard: tuple[tuple[Atom, bool], ...]
+    ) -> _Query:
+        """The domains, the static colours and the applied guard of a query."""
         doms = resolve_domains(self.structure, self.formula, domains)
         dom_u, dom_w = set(doms[self.u_var]), set(doms[self.w_var])
         u_color = _colors(self.u_static, {}, dom_u)
@@ -208,10 +230,9 @@ class PreparedBaseline:
         w_count: dict[int, int] = {0: len(dom_w) - len(w_color)}
         for bits in w_color.values():
             w_count[bits] = w_count.get(bits, 0) + 1
-        query = _Query(doms, dom_u, dom_w, u_color, w_color, w_count, guard)
-        table = self._run(query, 0, {})
-        assert isinstance(table, dict)
-        return table
+        return _Query(
+            doms, dom_u, dom_w, u_color, w_color, w_count, self._guard(guard)
+        )
 
     def _guard(self, guard: tuple[tuple[Atom, bool], ...]) -> _Guard:
         """The guard's literals, each checked as soon as its variables are
@@ -333,41 +354,47 @@ class PreparedBaseline:
             out[uv] = cnt
         return out
 
-    def _run(self, q: _Query, depth: int, asn: dict[str, ObjectId]):
-        """Returns a dict over remaining-opt-variable tuples, or an int when
-        only counting variables remain."""
-        doms = q.doms
-        remaining = len(self.order) - depth
-        k = self.formula.k
-        if remaining == 2:
-            per_u = self._base_case(q, asn)
-            if depth <= k - 1:  # order[depth] is an optimization variable
-                return {(uv,): c for uv, c in per_u.items()}
-            return sum(per_u.values())
+    def _prefixes(
+        self,
+        q: _Query,
+        depth: int = 0,
+        prefix: tuple[ObjectId, ...] = (),
+        asn: dict[str, ObjectId] | None = None,
+    ) -> Iterator[tuple[tuple[ObjectId, ...], dict[ObjectId, int]]]:
+        """(prefix, counts) per assignment of x1..x(k-1) that passes the
+        guard, in lexicographic order; counts maps each xk of its domain that
+        passes the guard, in domain order, to the value of prefix + (xk,)."""
+        asn = {} if asn is None else asn
+        if depth < self.formula.k - 1:
+            for o in self._assign(q, depth, asn):
+                yield from self._prefixes(q, depth + 1, prefix + (o,), asn)
+        elif self.formula.ell == 1:  # xk is the base case's u
+            yield prefix, self._base_case(q, asn)
+        else:
+            yield prefix, {
+                o: self._count(q, depth + 1, asn) for o in self._assign(q, depth, asn)
+            }
+
+    def _count(self, q: _Query, depth: int, asn: dict[str, ObjectId]) -> int:
+        """The number of assignments of the counting variables from ``depth``
+        on that satisfy the body."""
+        if depth == len(self.order) - 2:
+            return sum(self._base_case(q, asn).values())
+        return sum(self._count(q, depth + 1, asn) for _ in self._assign(q, depth, asn))
+
+    def _assign(
+        self, q: _Query, depth: int, asn: dict[str, ObjectId]
+    ) -> Iterator[ObjectId]:
+        """Each value of the variable at ``depth`` that passes the guard
+        literals checked there, assigned in ``asn`` until the next one."""
         var = self.order[depth]
-        if depth < k:
-            checks = q.guard.at_depth[depth]
-            table: dict[tuple, int] = {}
-            for o in doms[var]:
-                asn[var] = o
-                if checks and not guard_holds(self.structure, checks, asn):
-                    continue
-                sub = self._run(q, depth + 1, asn)
-                if isinstance(sub, dict):
-                    for key, val in sub.items():
-                        table[(o,) + key] = val
-                else:
-                    table[(o,)] = sub
-            if doms[var]:
-                del asn[var]
-            return table
-        total = 0
-        for o in doms[var]:
+        checks = q.guard.at_depth[depth] if depth < self.formula.k else ()
+        for o in q.doms[var]:
             asn[var] = o
-            total += self._run(q, depth + 1, asn)
-        if doms[var]:
-            del asn[var]
-        return total
+            if checks and not guard_holds(self.structure, checks, asn):
+                continue
+            yield o
+        asn.pop(var, None)
 
 
 class _Guard(NamedTuple):
@@ -435,8 +462,7 @@ def baseline_opt(
     domains: Domains | None = None,
 ) -> OptResult | None:
     """Optimum and lexicographically least witness; None if no tuple exists."""
-    table = baseline_values(structure, formula, domains)
-    return opt_of_table(table.entries, formula.kind)
+    return PreparedBaseline(structure, formula).opt(domains)
 
 
 def opt_of_table(

@@ -7,8 +7,9 @@ above three variables is brute-forced, which matches the m^(k+l-3/2) shape.
 
 Each residual run buckets the pair colours once, by the unary classes of
 both endpoints and the colour bits, and every per-(class, colour) graph reads
-only its own buckets.  Each truth table is decomposed once per process, and
-a graph with an empty side skips the triangle pass: it has no triangle.
+only its own buckets; a nonzero colour without a bucket builds no graph, as
+its graph would count 0.  Each truth table is decomposed once per process,
+and a graph with an empty side skips the triangle pass: it has no triangle.
 """
 from __future__ import annotations
 
@@ -257,7 +258,9 @@ class _Residual3:
     step 2 enumerates unary color classes, step 3 reduces each satisfying
     edge-color combination to a triangle count.  ``run`` buckets each pair's
     coloured pairs once (``_buckets``), so a graph reads only the edges of its
-    class pairs; a graph with an empty side costs no triangle pass.
+    class pairs.  A colour combination with a nonzero colour that no pair of
+    its class pair has builds no graph, and a graph with an empty side costs
+    no triangle pass.
     """
 
     def __init__(
@@ -389,6 +392,14 @@ class _Residual3:
                     xz = uw_edges.get((delta, gamma), {})
                     yz = vw_edges.get((beta, gamma), {})
                     for alpha in product(uv_vals, uw_vals, vw_vals):
+                        # a nonzero colour with no pair of these classes asks
+                        # for an edge on an empty side: the graph counts 0
+                        if (
+                            alpha[0] and alpha[0] not in xy
+                            or alpha[1] and alpha[1] not in xz
+                            or alpha[2] and alpha[2] not in yz
+                        ):
+                            continue
                         if not self._phi0_at(delta, beta, gamma, alpha, fixed_bits):
                             continue
                         g = TripartiteGraph(

@@ -3,8 +3,10 @@ removal, cross-edge elimination with grouped top-K re-solving, conversion to
 the Hybrid Problem, and the end-to-end driver.
 
 The lift's scores only choose which K of its g^k group combinations get an
-exact re-solve, so the driver runs it only where g^k > K and answers every
-other main problem with its guarded baseline query.
+exact re-solve, so the driver runs it only where g^k > K.  Every other
+instance is answered by one baseline query of the input: the side problems
+and the guarded main problem partition its tuples, so solving them apart
+would only repeat that query's work.
 
 The paper merges the r binary edge predicates into one ("parallel-edge
 removal") before the hybrid conversion; ``to_hybrid`` does both in one pass
@@ -77,6 +79,17 @@ def combine_results(kind: str, results) -> OptResult | None:
     return opt_of_table(
         {res.witness: res.value for res in results if res is not None}, kind
     )
+
+
+def _winner(
+    kind: str, candidates: Sequence[tuple[str, OptResult | None]]
+) -> tuple[OptResult | None, str | None]:
+    """``combine_results`` over (source, result) candidates, with the source
+    of the first candidate that holds the optimum."""
+    best = combine_results(kind, [res for _, res in candidates])
+    if best is None:
+        return None, None
+    return best, next(source for source, res in candidates if res == best)
 
 
 # --- repeated-variable and orientation normalization ------------------------
@@ -387,12 +400,14 @@ def solve_cross_free_lift(
     combination of groups (group ci as the domain of the i-th optimization
     variable) in ``itertools.product`` order, None where none exists.
     ``top_k`` overrides the number of re-solved combinations (testing only).
+    ``stats_out`` receives the stage's counts and ``source``, the step whose
+    candidate is the answer: ``side``, ``heavy`` or ``resolve``.
     """
     if formula.ell != 1:
         raise ContractError("the lift expects exactly one count variable")
     k = formula.k
     cross, core = split_cross_atoms(formula)
-    candidates: list[OptResult] = []
+    candidates: list[tuple[str, OptResult | None]] = []
 
     # (1) exact side problems, one per cross atom
     for atom in cross:
@@ -403,8 +418,7 @@ def solve_cross_free_lift(
             extra_guard=guard,
             include_edgeless_pairs=False,
         )
-        if side is not None:
-            candidates.append(side)
+        candidates.append(("side", side))
 
     full_guard: Guard = tuple(guard) + tuple((a, False) for a in cross)
     # one evaluator of the guarded core serves steps (2) and (5)
@@ -414,9 +428,7 @@ def solve_cross_free_lift(
     grouping = lift_grouping(structure, k)
     for v in grouping.heavy:
         for var in formula.opt_vars:
-            res = evaluator.opt({var: (v,)}, full_guard)
-            if res is not None:
-                candidates.append(res)
+            candidates.append(("heavy", evaluator.opt({var: (v,)}, full_guard)))
 
     # (3) the groups of the light vertices
     groups = grouping.partition.groups
@@ -463,11 +475,10 @@ def solve_cross_free_lift(
         for prefix, lasts in last_groups.items():
             domains = {var: groups[ci] for var, ci in zip(prefix_vars, prefix)}
             domains[last_var] = [v for ci in sorted(lasts) for v in groups[ci]]
-            res = evaluator.opt(domains, full_guard)
-            if res is not None:
-                candidates.append(res)
+            candidates.append(("resolve", evaluator.opt(domains, full_guard)))
 
-    return combine_results(formula.kind, candidates)
+    best, stats["source"] = _winner(formula.kind, candidates)
+    return best
 
 
 # --- parallel-edge removal, the paper's lemma (off the solve path) -----------
@@ -647,12 +658,13 @@ def to_hybrid(
     With the r forward edge predicates P_0..P_{r-1}, the colour c(x, y) of a
     pair has bit b set when P_b(x, y) holds.  A universe element is a pair
     (y, alpha), alpha a colour per slot packed r bits per slot, kept when the
-    body holds under P_b(x_i, y) := bit b of alpha_i; its type has bit i set
-    when alpha_i != 0.  The set of object x in slot i holds the elements
-    (y, alpha) with c(x, y) != 0 and alpha_i in {0, c(x, y)}, so a tuple
-    counts exactly the elements whose alpha is its colour vector, and tuple
-    values are preserved instance-wise under the back-map.  Elements are
-    labelled ``y:alpha``.
+    body holds under P_b(x_i, y) := bit b of alpha_i and every nonzero
+    alpha_i is the colour c(x, y) of some object x (no tuple counts the other
+    elements); its type has bit i set when alpha_i != 0.  The set of object
+    x in slot i holds the elements (y, alpha) with c(x, y) != 0 and alpha_i
+    in {0, c(x, y)}, so a tuple counts exactly the elements whose alpha is
+    its colour vector, and tuple values are preserved instance-wise under
+    the back-map.  Elements are labelled ``y:alpha``.
     """
     if formula.ell != 1:
         raise ContractError("hybrid conversion expects one count variable")
@@ -688,6 +700,11 @@ def to_hybrid(
         for a, b in structure.relation(pred).records:
             colours = out_edges.setdefault(a, {})
             colours[b] = colours.get(b, 0) | 1 << bit
+    # per y, the slot colours alpha_i a tuple can give it: 0 and each c(x, y)
+    in_colours: dict[ObjectId, set[int]] = {}
+    for colours in out_edges.values():
+        for b, c in colours.items():
+            in_colours.setdefault(b, {0}).add(c)
 
     doms = resolve_domains(structure, formula, domains)
     membership = {a.pred: structure.unary_members(a.pred) for a in unary_atoms}
@@ -713,9 +730,11 @@ def to_hybrid(
 
     kept_memo: dict[tuple, list[int]] = {}
 
-    def kept(y_colour: frozenset[str], sigma) -> list[int]:
-        # the alphas for which the body holds, per (y colour, sigma)
-        hit = kept_memo.get((y_colour, sigma))
+    def kept(y_colour: frozenset[str], sigma, at_y: frozenset[int]) -> list[int]:
+        # the alphas whose every slot colour is in at_y, the colours realized
+        # at y, and for which the body holds, per (y colour, sigma, at_y)
+        key = (y_colour, sigma, at_y)
+        hit = kept_memo.get(key)
         if hit is None:
             values = {
                 a: a.pred in (y_colour if a.args[0] == y else sigma[slot[a.args[0]]])
@@ -723,15 +742,18 @@ def to_hybrid(
             }
             hit = []
             for alpha in alphas:
+                if not all((alpha >> (r * i) & low) in at_y for i in range(k)):
+                    continue
                 for a, shift in edge_shifts:
                     values[a] = bool(alpha >> shift & 1)
                 if eval_expr_table(formula.body, values):
                     hit.append(alpha)
-            kept_memo[y_colour, sigma] = hit
+            kept_memo[key] = hit
         return hit
 
     y_domain = doms[y]
     y_colours = {v: colour_of(v, y_preds) for v in y_domain}
+    y_in_colours = {v: frozenset(in_colours.get(v, (0,))) for v in y_domain}
     out: list[tuple[HybridInstance, HybridBackMap]] = []
     for sigma in product(*realized):
         fam_objects = tuple(
@@ -741,7 +763,7 @@ def to_hybrid(
         labels: list[str] = []
         elements_of: dict[ObjectId, list[tuple[int, int]]] = {}
         for v in y_domain:
-            for alpha in kept(y_colours[v], sigma):
+            for alpha in kept(y_colours[v], sigma, y_in_colours[v]):
                 elements_of.setdefault(v, []).append((alpha, len(types)))
                 types.append(type_of[alpha])
                 labels.append(f"{structure.labels[v]}:{alpha}")
@@ -826,19 +848,27 @@ class HybridScorer:
 
 @dataclass
 class ReductionTrace:
-    """Per-stage statistics of one reduce_and_solve run."""
+    """Per-stage statistics of one reduce_and_solve run, and the source of
+    its answer: ``side`` (a side problem), ``heavy`` (a heavy vertex),
+    ``resolve`` (a re-solved group combination), ``guarded-baseline``,
+    ``baseline`` or ``multicount``; None when no tuple exists."""
 
     path: str = ""
     stages: list[tuple[str, dict]] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
     witness: tuple[ObjectId, ...] | None = None
+    source: str | None = None
 
     def add(self, name: str, **stats):
         self.stages.append((name, stats))
 
-    def answer(self, res: OptResult | None) -> tuple[int | None, ReductionTrace]:
-        """The driver's return value for its optimum ``res``."""
+    def answer(
+        self, res: OptResult | None, source: str | None
+    ) -> tuple[int | None, ReductionTrace]:
+        """The driver's return value for its optimum ``res``, which
+        ``source`` produced."""
         self.witness = None if res is None else res.witness
+        self.source = None if res is None else source
         return (None if res is None else res.value), self
 
     def render(self) -> str:
@@ -846,6 +876,8 @@ class ReductionTrace:
         for name, stats in self.stages:
             kv = " ".join(f"{key}={value}" for key, value in sorted(stats.items()))
             lines.append(f"stage {name} {kv}".rstrip())
+        if self.source is not None:
+            lines.append(f"source {self.source}")
         for w in self.warnings:
             lines.append(f"warning {w}")
         return "\n".join(lines) + "\n"
@@ -860,12 +892,13 @@ def reduce_and_solve(
 
     Two or more counting variables go to the multi-counting solver; a single
     optimization variable is a baseline base case; everything else runs
-    hyperedge removal with its exact side problems.  The main problem goes
-    through the grouped cross-edge lift with the hybrid-through-IP scorer
-    only where the scores can prune (``LiftGrouping.prunes``).  Elsewhere,
-    and past a resource limit of the lift, one guarded baseline query solves
-    it; where nothing is pruned the lift's sources cover exactly the guarded
-    tuples, so the (value, witness) is the lift's.
+    hyperedge removal.  Where the lift's scores can prune
+    (``LiftGrouping.prunes``), the exact side problems are solved and the main
+    problem goes through the grouped cross-edge lift with the
+    hybrid-through-IP scorer; past a resource limit of the lift one guarded
+    baseline query solves the main problem.  Elsewhere one baseline query of
+    the input answers: the side problems and the guarded main problem
+    partition its tuples, so the (value, witness) is theirs.
     """
     if ip_solver.kind != formula.kind:
         raise ContractError("ip solver kind does not match the formula")
@@ -878,11 +911,11 @@ def reduce_and_solve(
         multicount_stats: dict = {}
         res = multi_counting_opt(structure, formula, stats_out=multicount_stats)
         trace.add("multicount", **multicount_stats)
-        return trace.answer(res)
+        return trace.answer(res, "multicount")
 
     if formula.k == 1:
         trace.path = "baseline"
-        return trace.answer(baseline_opt(structure, formula))
+        return trace.answer(baseline_opt(structure, formula), "baseline")
 
     trace.path = "reduction"
     structure0, formula0 = normalize_formula(structure, formula)
@@ -894,9 +927,18 @@ def reduce_and_solve(
         sides=len(plan.side_problems),
     )
 
-    candidates = [
-        solve_positive_cross_edge(
-            side.structure, side.formula, side.forced, include_edgeless_pairs=False
+    grouping = lift_grouping(plan.main_structure, plan.main_core.k)
+    if not grouping.prunes:
+        groups = len(grouping.partition.groups)
+        trace.add("baseline", reason="no-prune", groups=groups, bound=grouping.bound)
+        return trace.answer(baseline_opt(structure, formula), "baseline")
+
+    candidates: list[tuple[str, OptResult | None]] = [
+        (
+            "side",
+            solve_positive_cross_edge(
+                side.structure, side.formula, side.forced, include_edgeless_pairs=False
+            ),
         )
         for side in plan.side_problems
     ]
@@ -908,36 +950,32 @@ def reduce_and_solve(
         scorer = HybridScorer(s, f, ip_solver)
         return scorer
 
-    grouping = lift_grouping(plan.main_structure, plan.main_core.k)
-    fallback: dict | None = None
-    if grouping.prunes:
-        lift_stats: dict = {}
-        try:
-            main = solve_cross_free_lift(
-                plan.main_structure,
-                plan.main_core,
-                prepare,
-                guard=plan.main_guard,
-                stats_out=lift_stats,
-            )
-        except ResourceLimitError as exc:
-            trace.warnings.append(f"falling back to baseline: {exc}")
-            fallback = {"reason": "resource-limit"}
-        trace.add("cross-free-lift", **lift_stats)
-        if scorer is not None:
-            trace.add(
-                "hybrid",
-                universe=scorer.universe,
-                ip_calls=scorer.ip_calls,
-                block_calls=scorer.block_calls,
-                pairs_joined=scorer.pairs_joined,
-            )
-    else:
-        groups = len(grouping.partition.groups)
-        fallback = {"reason": "no-prune", "groups": groups, "bound": grouping.bound}
-    if fallback is not None:
-        trace.add("guarded-baseline", **fallback)
+    lift_stats: dict = {}
+    try:
+        main = solve_cross_free_lift(
+            plan.main_structure,
+            plan.main_core,
+            prepare,
+            guard=plan.main_guard,
+            stats_out=lift_stats,
+        )
+        source = lift_stats.pop("source")
+    except ResourceLimitError as exc:
+        trace.warnings.append(f"falling back to baseline: {exc}")
+        main, source = None, "guarded-baseline"
+    trace.add("cross-free-lift", **lift_stats)
+    if scorer is not None:
+        trace.add(
+            "hybrid",
+            universe=scorer.universe,
+            ip_calls=scorer.ip_calls,
+            block_calls=scorer.block_calls,
+            pairs_joined=scorer.pairs_joined,
+        )
+    if source == "guarded-baseline":
+        trace.add("guarded-baseline", reason="resource-limit")
         main = baseline_opt_restricted(
             plan.main_structure, plan.main_core, plan.main_guard
         )
-    return trace.answer(combine_results(formula.kind, candidates + [main]))
+    candidates.append((source, main))
+    return trace.answer(*_winner(formula.kind, candidates))

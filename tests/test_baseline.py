@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relopt.baseline import (
     PreparedBaseline,
@@ -228,6 +229,57 @@ def test_prepared_baseline_answers_many_queries():
         with pytest.raises(ContractError):
             prepared.opt(guard=[(Atom("P0", ("y1",)), True)])
     assert empties >= 6 and filtered and found
+
+
+# the most objects per instance, by k + ell, that keep the nested loop small
+MAX_OBJECTS = {2: 6, 3: 6, 4: 5, 5: 4}
+
+
+@st.composite
+def opt_queries(draw):
+    """An instance with k in {1, 2, 3} and ell in {1, 2}, domains that are
+    absent, empty, a single object or a random list, and a guard of up to two
+    literals over the optimization variables."""
+    k, ell = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    n = draw(st.integers(1, MAX_OBJECTS[k + ell]))
+    kind = draw(st.sampled_from(["max", "min"]))
+    rng = draw(st.randoms(use_true_random=False))
+    structure, formula = random_instance(rng, k=k, ell=ell, n_objects=n, kind=kind)
+    objects = st.integers(0, n - 1)
+    domain = st.one_of(
+        st.none(), st.just([]), objects.map(lambda o: [o]), st.lists(objects, max_size=n)
+    )
+    domains = {}
+    for v in formula.opt_vars + formula.count_vars:
+        dom = draw(domain)
+        if dom is not None:
+            domains[v] = dom
+    opt_vars = formula.opt_vars
+    pool = [Atom("P0", (x,)) for x in opt_vars] + [
+        Atom(f"E{b}", (x1, x2)) for b in range(2) for x1 in opt_vars for x2 in opt_vars
+    ]
+    literals = draw(st.lists(st.sampled_from(pool), max_size=2))
+    guard = [(a, draw(st.booleans())) for a in literals]
+    return structure, formula, domains, guard
+
+
+@given(opt_queries())
+@settings(max_examples=150, deadline=None)
+def test_opt_is_the_best_guarded_value_with_the_least_witness(query):
+    structure, formula, domains, guard = query
+    entries = naive_values(structure, formula, domains).entries
+    kept = {
+        key: value
+        for key, value in entries.items()
+        if guard_holds(structure, guard, dict(zip(formula.opt_vars, key)))
+    }
+    got = PreparedBaseline(structure, formula).opt(domains, guard)
+    if not kept:
+        assert got is None
+        return
+    best = (max if formula.kind == "max" else min)(kept.values())
+    witness = min(key for key, value in kept.items() if value == best)
+    assert got == (best, witness)
 
 
 def test_value_table_dump_format():

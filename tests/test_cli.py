@@ -88,6 +88,30 @@ def test_solve_trace_output(toy_files, capsys, tmp_path):
     text = trace.read_text()
     assert text.startswith("path reduction")
     assert "stage input" in text
+    # the toy's lift would not prune: one baseline query answers
+    assert "stage baseline " in text and "reason=no-prune" in text
+    assert text.endswith("source baseline\n")
+
+
+def test_solve_trace_prints_the_winning_source_of_the_lift(tmp_path, capsys):
+    # an 18-cycle: the lift prunes (g^2 = 36 > K = 25), and the objects with
+    # P reach its degree threshold 3, so they are heavy; the optimum holds one
+    n = 18
+    s = tmp_path / "cycle.structure"
+    f = tmp_path / "cycle.formula"
+    s.write_text(
+        "rel E 2\nrel P 1\n"
+        + "".join(f"E o{i} o{(i + 1) % n}\n" for i in range(n))
+        + "".join(f"P o{i}\n" for i in range(0, n, 3))
+    )
+    f.write_text("max x1,x2 . count y . E(x1,y) & !E(x2,y) & P(y)\n")
+    code, out = run_main(
+        ["solve", "--structure", str(s), "--formula", str(f), "--trace", "-"],
+        capsys,
+    )
+    assert code == 0
+    assert "stage cross-free-lift" in out
+    assert "witness o2 o0\n" in out and out.endswith("source heavy\n")
 
 
 def test_solve_trace_prints_the_multicount_stage(tmp_path, capsys):

@@ -43,3 +43,21 @@ def test_traced_lift_records_hybrid_and_ip_spans():
     assert dict(trace.stages)["cross-free-lift"]["groups"] > 0
     names = {span[0] for span in tracer.spans}
     assert {"reduction.to_hybrid", "hybrid.solve", "ip.solve"} <= names
+
+
+def test_traced_no_prune_instance_records_one_baseline_query():
+    # a hyperedge gives the instance a side problem, but the lift would not
+    # prune, so one baseline query of the input answers and no side runs
+    structure = load_structure(
+        "rel E 2\nrel R 3\nE a 1\nE b 2\nE c 2\nR a b 1\nR b c 2\n"
+    )
+    formula = parse_formula("max x1,x2 . count y . E(x1,y) & R(x1,x2,y) | E(x2,y)")
+    tracer = _load_tracer().Tracer()
+    with tracer.installed():
+        value, trace = reduce_and_solve(structure, formula, exact_solver("max"))
+    assert value == baseline_opt(structure, formula).value
+    assert dict(trace.stages)["hyperedge-removal"]["sides"] == 1
+    assert dict(trace.stages)["baseline"]["reason"] == "no-prune"
+    names = [span[0] for span in tracer.spans]
+    assert names.count("reduction.baseline_opt") == 1
+    assert "reduction.side" not in names

@@ -1,16 +1,19 @@
 import random
 from itertools import product
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from relopt.baseline import (
     PreparedBaseline,
     baseline_opt,
     baseline_opt_restricted,
     baseline_values,
+    naive_values,
 )
 from relopt.errors import ContractError, ResourceLimitError
-from relopt.formula import And, Atom, Or, parse_expr, parse_formula
+from relopt.formula import And, Atom, Or, atoms_of, parse_expr, parse_formula
 from relopt.hybrid import val
 from relopt.ip import IpSolver, approx_wrapper, exact_solver
 from relopt.reduction import (
@@ -315,7 +318,8 @@ def test_to_hybrid_sparse_max_ip_shape():
     assert len(instances) == 1
     inst, back = instances[0]
     assert set(inst.element_types) == {3}
-    assert inst.size == s.n  # every object is a candidate y with tau=11
+    # y = 1 and y = 2 are the only objects with an edge into them
+    assert inst.size == 2
 
 
 def test_to_hybrid_empty_body_universe():
@@ -369,7 +373,9 @@ def test_to_hybrid_preserves_values():
         seen = _tuple_values(to_hybrid(structure, formula))
         assert seen == want, f"trial {trial} {formula}"
     # parallel edges: several forward and reversed edge predicates, fused
-    # into the conversion; on k=2 the universes match the two-step chain
+    # into the conversion; on k=2 there are as many instances as in the
+    # two-step chain, none larger, since only the fused conversion sees the
+    # colours realized at each y
     compared = 0
     for trial in range(40):
         k = rng.choice([2, 2, 3])
@@ -388,11 +394,45 @@ def test_to_hybrid_preserves_values():
         if k == 2:
             s2, f2 = remove_parallel_edges(structure, formula)
             chain = to_hybrid(s2, f2, domains=slotted_domains(structure, s2, f2))
-            assert sorted(inst.size for inst, _ in instances) == sorted(
-                inst.size for inst, _ in chain
-            ), f"trial {trial} {formula}"
+            sizes = sorted(inst.size for inst, _ in instances)
+            chain_sizes = sorted(inst.size for inst, _ in chain)
+            assert len(sizes) == len(chain_sizes), f"trial {trial} {formula}"
+            assert all(map(int.__le__, sizes, chain_sizes)), f"trial {trial} {formula}"
             compared += 1
     assert compared
+
+
+def test_to_hybrid_keeps_only_alphas_realized_at_y():
+    # an element (y, alpha) whose nonzero alpha_i is no colour c(x, y) of any
+    # object x is counted by no tuple: it is dropped, and the tuple values
+    # stay those of the nested-loop evaluation
+    rng = random.Random(61)
+    dropped = 0
+    for trial in range(60):
+        k = rng.choice([2, 2, 3])
+        structure, formula = random_instance(
+            rng, k=k, ell=1, n_objects=rng.randint(2, 6), binary=rng.randint(1, 2),
+            allow_cross=False,
+        )
+        instances = to_hybrid(structure, formula)
+        want = naive_values(structure, formula).entries
+        assert _tuple_values(instances) == want, f"trial {trial} {formula}"
+        s0, f0 = normalize_formula(structure, formula)
+        preds = sorted({a.pred for a in atoms_of(f0.body) if len(a.args) == 2})
+        r, low = len(preds), (1 << len(preds)) - 1
+        colour = {}
+        for bit, pred in enumerate(preds):
+            for a, b in s0.relation(pred).records:
+                colour[a, b] = colour.get((a, b), 0) | 1 << bit
+        at = {y: {0} | {c for (_, b), c in colour.items() if b == y} for y in range(s0.n)}
+        for inst, _ in instances:
+            for label in inst.labels:
+                y_label, alpha = label.rsplit(":", 1)
+                slots = [int(alpha) >> (r * i) & low for i in range(k)]
+                assert set(slots) <= at[s0.index(y_label)], f"trial {trial} {label}"
+        # some y lacks a colour, so there were alphas to drop
+        dropped += any(len(at[y]) < 1 << r for y in range(s0.n))
+    assert dropped
 
 
 # --- the lift and the driver ---------------------------------------------------------
@@ -703,7 +743,7 @@ def test_batched_resolve_equals_one_query_per_selected_combination():
 
 def test_reduce_and_solve_skips_the_lift_where_nothing_is_pruned(monkeypatch):
     # on the 12-cycle the lift would re-solve every one of g^2 = 16 <= K = 17
-    # group combinations, so the guarded baseline answers without scoring
+    # group combinations, so one baseline query answers without scoring
     import relopt.reduction as reduction
 
     conversions = []
@@ -729,12 +769,12 @@ def test_reduce_and_solve_skips_the_lift_where_nothing_is_pruned(monkeypatch):
         assert conversions == [] and ip_calls == []
         stages = dict(trace.stages)
         assert "cross-free-lift" not in stages and "hybrid" not in stages
-        assert stages["guarded-baseline"] == {
-            "reason": "no-prune", "groups": 4, "bound": 17
-        }
-        assert "stage guarded-baseline bound=17 groups=4 reason=no-prune" in (
-            trace.render()
-        )
+        assert "guarded-baseline" not in stages
+        assert stages["baseline"] == {"reason": "no-prune", "groups": 4, "bound": 17}
+        assert trace.source == "baseline"
+        rendered = trace.render()
+        assert "stage baseline bound=17 groups=4 reason=no-prune" in rendered
+        assert rendered.endswith("source baseline\n")
 
 
 def test_guarded_baseline_answers_past_a_resource_limit_of_the_lift(monkeypatch):
@@ -754,6 +794,7 @@ def test_guarded_baseline_answers_past_a_resource_limit_of_the_lift(monkeypatch)
     assert (value, trace.witness) == (want.value, want.witness)
     stages = dict(trace.stages)
     assert stages["guarded-baseline"] == {"reason": "resource-limit"}
+    assert trace.source == "guarded-baseline"  # the body has no side problem
     assert "cross-free-lift" in stages and "hybrid" not in stages
     assert trace.warnings == ["falling back to baseline: over the cap"]
 
@@ -824,6 +865,92 @@ def test_lift_indexes_relations_independently_of_top_k(monkeypatch):
             runs[top_k] = (len(built), stats["resolves"])
         assert runs[1][1] < runs[None][1], text
         assert runs[1][0] == runs[None][0], text
+
+
+@st.composite
+def l1_instances(draw):
+    """Small instances with one counting variable: k in {1, 2, 3}, max and
+    min, one or two binary predicates with self-loops among their random
+    records, a unary predicate that may hold for no object, an optional
+    ternary predicate (a hyperedge) and an optional atom with a repeated
+    variable."""
+    k = draw(st.integers(1, 3))
+    rng = draw(st.randoms(use_true_random=False))
+    structure, formula = random_instance(
+        rng,
+        k=k,
+        n_objects=draw(st.integers(1, 6)),
+        kind=draw(st.sampled_from(["max", "min"])),
+        binary=draw(st.integers(1, 2)),
+        ternary=draw(st.integers(0, 1)),
+    )
+    repeated = [a for a in REPEATED_ATOMS[:3] if k > 1 or "x2" not in a]
+    extra = draw(st.sampled_from([None] + repeated))
+    if extra is not None:
+        join = draw(st.sampled_from([And, Or]))
+        formula = formula.with_body(join(formula.body, parse_expr(extra)))
+    return structure, formula
+
+
+def _pipeline_agrees_with_baseline(structure, formula):
+    value, trace = reduce_and_solve(structure, formula, exact_solver(formula.kind))
+    want = baseline_opt(structure, formula)
+    got = None if value is None else (value, trace.witness)
+    assert got == (None if want is None else tuple(want)), str(formula)
+    return want, trace
+
+
+@given(l1_instances())
+@settings(max_examples=150, deadline=None)
+def test_reduce_and_solve_equals_baseline_on_l1_instances(instance):
+    import relopt.reduction as reduction
+
+    structure, formula = instance
+    with mock.patch.object(
+        reduction, "solve_positive_cross_edge", wraps=reduction.solve_positive_cross_edge
+    ) as sides:
+        want, trace = _pipeline_agrees_with_baseline(structure, formula)
+    assert want == nested_loop_opt(structure, formula), str(formula)
+    # where the lift would not prune, the one baseline query is all that runs
+    if "baseline" in dict(trace.stages):
+        assert sides.call_count == 0
+        assert trace.source in (None, "baseline")
+
+
+@st.composite
+def sparse_prune_instances(draw):
+    """k=2 instances over 24-36 objects, no object in more than two records
+    (binary, unary or ternary), with a random body that may hold cross atoms
+    and a hyperedge, on which the lift prunes."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(24, 36))
+    arity = {"E0": 2, "E1": 2, "P0": 1, "R0": 3}
+    rels = {pred: set() for pred in arity}
+    degree = [0] * n
+    for _ in range(3 * n):
+        pred = rng.choice(sorted(arity))
+        rec = tuple(rng.randrange(n) for _ in range(arity[pred]))
+        if rec in rels[pred] or any(degree[v] >= 2 for v in set(rec)):
+            continue
+        rels[pred].add(rec)
+        for v in set(rec):
+            degree[v] += 1
+    structure = build_structure([f"o{v}" for v in range(n)], rels, arity)
+    body = random_body_text(rng, ["x1", "x2"], ["y1"], ternary=draw(st.integers(0, 1)))
+    kind = draw(st.sampled_from(["max", "min"]))
+    formula = parse_formula(f"{kind} x1,x2 . count y1 . {body}")
+    plan = remove_hyperedges(*normalize_formula(structure, formula))
+    assume(lift_grouping(plan.main_structure, 2).prunes)
+    return structure, formula
+
+
+@given(sparse_prune_instances())
+@settings(max_examples=60, deadline=None)
+def test_reduce_and_solve_equals_baseline_where_the_lift_prunes(instance):
+    structure, formula = instance
+    _, trace = _pipeline_agrees_with_baseline(structure, formula)
+    assert "cross-free-lift" in dict(trace.stages)
+    assert trace.source in (None, "side", "heavy", "resolve")
 
 
 def test_reduce_and_solve_exact_small():
