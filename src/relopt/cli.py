@@ -10,11 +10,12 @@ from pathlib import Path
 from .baseline import baseline_opt
 from .errors import ContractError, EngineError
 from .fastcount import multi_counting_opt
-from .formula import parse_formula
+from .formula import classify, parse_formula
 from .generate import GenProfile, generate, generate_texts
 from .hybrid import basic_to_ip, hybrid_to_basic
 from .ip import make_ip_solver
 from .reduction import (
+    ReductionTrace,
     reduce_and_solve,
     remove_hyperedges,
     remove_parallel_edges,
@@ -72,28 +73,34 @@ def _emit(out, key, value):
     print(f"{key} {value}", file=out)
 
 
-def cmd_solve(args) -> int:
+def _load(args):
+    """The structure and the formula a command reads, checked against each
+    other: every atom must name a relation of its arity."""
     structure = load_structure(Path(args.structure).read_text())
     formula = parse_formula(Path(args.formula).read_text().strip())
+    classify(formula, structure)
+    return structure, formula
+
+
+def cmd_solve(args) -> int:
+    structure, formula = _load(args)
     out = sys.stdout
     started = time.perf_counter()
-    witness = None
-    trace = None
-    if args.engine == "baseline":
-        res = baseline_opt(structure, formula)
-        value = res.value if res else None
-        witness = res.witness if res else None
-        path = "baseline"
-    elif args.engine == "multicount":
-        res = multi_counting_opt(structure, formula)
-        value = res.value if res else None
-        witness = res.witness if res else None
-        path = "multicount"
+    if args.engine in ("baseline", "multicount"):
+        # a forced engine's trace: its stage and the source line
+        trace = ReductionTrace(path=args.engine)
+        if args.engine == "baseline":
+            trace.add("baseline", reason="forced")
+            res = baseline_opt(structure, formula)
+        else:
+            stats: dict = {}
+            res = multi_counting_opt(structure, formula, stats_out=stats)
+            trace.add("multicount", **stats)
+        value, trace = trace.answer(res, args.engine)
     else:  # auto and reduction both run the routing pipeline
         solver = make_ip_solver(formula.kind, args.ip)
         value, trace = reduce_and_solve(structure, formula, solver)
-        witness = trace.witness
-        path = trace.path
+    witness, path = trace.witness, trace.path
     elapsed = time.perf_counter() - started
     _emit(out, "engine", args.engine)
     _emit(out, "path", path)
@@ -107,7 +114,7 @@ def cmd_solve(args) -> int:
         _emit(out, "verified", "pass" if ok else "FAIL")
         if not ok:
             return 1
-    if args.trace and trace is not None:
+    if args.trace:
         text = trace.render()
         if args.trace == "-":
             out.write(text)
@@ -117,8 +124,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    structure = load_structure(Path(args.structure).read_text())
-    formula = parse_formula(Path(args.formula).read_text().strip())
+    structure, formula = _load(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = []
@@ -174,8 +180,6 @@ def cmd_gen(args) -> int:
     s_path.write_text(structure_text)
     f_path.write_text(formula_text)
     # self check: the generated pair must parse and classify
-    from .formula import classify
-
     structure = load_structure(structure_text)
     formula = parse_formula(formula_text.strip())
     classify(formula, structure)

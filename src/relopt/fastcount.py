@@ -5,11 +5,16 @@ with a heavy/light degree split, after decomposing the ternary Boolean body
 over the AND basis { AND_{i in S} a_i : S subseteq {1,2,3} }.  Everything
 above three variables is brute-forced, which matches the m^(k+l-3/2) shape.
 
-Each residual run buckets the pair colours once, by the unary classes of
-both endpoints and the colour bits, and every per-(class, colour) graph reads
-only its own buckets; a nonzero colour without a bucket builds no graph, as
-its graph would count 0.  Each truth table is decomposed once per process,
-and a graph with an empty side skips the triangle pass: it has no triangle.
+The residual's static part is built once per solve: the colours, classes
+and pair buckets (by the unary classes of both endpoints and the colour
+bits) of the atoms that mention no brute-forced variable.  A run adds only
+what its assignment's atoms select: those objects leave their static class,
+those pairs leave their static bucket, and every other class and bucket is
+reused as it is; a run that selects nothing reuses the psi of an earlier run
+with the same fixed atoms.  Every per-(class, colour) graph reads only its
+own buckets; a nonzero colour without a bucket builds no graph, as its graph
+would count 0.  Each truth table is decomposed once per process, and a graph
+with an empty side skips the triangle pass: it has no triangle.
 """
 from __future__ import annotations
 
@@ -17,10 +22,20 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from operator import add
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .baseline import OptResult, ProjectedAtom, _atom_truth, opt_of_table, resolve_domains
+from .baseline import (
+    OptResult,
+    ProjectedAtom,
+    Projections,
+    _atom_truth,
+    _colors,
+    _split,
+    opt_of_table,
+    resolve_domains,
+)
 from .errors import ContractError, UnsupportedShapeError
 from .formula import Atom, OptFormula, atoms_of, eval_expr_table
 from .structure import ObjectId, RelationalStructure
@@ -208,46 +223,208 @@ def triangle_counts(g: TripartiteGraph, table: TruthTable) -> list[int]:
         deg_z = _degrees(g.yz, nz, 1)
         for i, l in g.xz:
             out[i] += coeff[_S23] * deg_z[l]
-    if coeff[_S123]:
+    # psi_{1,2,3} is 0 without an edge on every side
+    if coeff[_S123] and g.xy and g.xz and g.yz:
         out = [o + coeff[_S123] * t for o, t in zip(out, _count_all_triangles(g))]
     return out
 
 
 _NO_EDGES: frozenset[tuple[int, int]] = frozenset()
+# the buckets of a class pair without a coloured pair: colour 0, no edge
+_NO_BUCKETS: Mapping[int, frozenset[tuple[int, int]]] = MappingProxyType({0: _NO_EDGES})
 
 
-def _classes(
-    dom: Sequence[ObjectId], color: Mapping[ObjectId, int]
-) -> tuple[dict[int, list[ObjectId]], dict[ObjectId, int]]:
-    """The objects of each unary colour, and each object's index in its class."""
-    by_color: dict[int, list[ObjectId]] = {}
+class _Classes(NamedTuple):
+    """A residual variable's objects by unary colour: each object's colour,
+    the objects of each colour, and each object's index among them."""
+
+    color: Mapping[ObjectId, int]
+    members: Mapping[int, Sequence[ObjectId]]
+    pos: Mapping[ObjectId, int]
+
+
+def _static_classes(dom: Sequence[ObjectId], color: Mapping[ObjectId, int]) -> _Classes:
+    """The classes of the static colours; an object without one has colour 0."""
+    full: dict[ObjectId, int] = {}
+    lists: dict[int, list[ObjectId]] = {}
     pos: dict[ObjectId, int] = {}
     for o in dom:
-        cls = by_color.setdefault(color[o], [])
+        c = full[o] = color.get(o, 0)
+        cls = lists.setdefault(c, [])
         pos[o] = len(cls)
         cls.append(o)
-    return by_color, pos
+    return _Classes(full, {c: tuple(cls) for c, cls in lists.items()}, pos)
+
+
+def _moved(static: _Classes, extra: Mapping[ObjectId, int]) -> tuple[_Classes, set]:
+    """A run's classes, given the dynamic colour bits of its touched objects,
+    and the objects whose class or index differs from the static one.
+
+    No static colour has a dynamic bit, so a touched object leaves its static
+    class for a class of touched objects only, and the last member of the
+    class it leaves takes its index.  Every other class and index is kept."""
+    if not extra:
+        return static, set()
+    color = dict(static.color)
+    members: dict[int, Sequence[ObjectId]] = dict(static.members)
+    pos = dict(static.pos)
+    changed = set(extra)
+    leaving: dict[int, list[int]] = {}
+    for o in extra:
+        leaving.setdefault(color[o], []).append(pos[o])
+    for c, idxs in leaving.items():
+        cls = list(members[c])
+        for i in sorted(idxs, reverse=True):
+            last = cls.pop()
+            if i < len(cls):
+                cls[i] = last
+                pos[last] = i
+                changed.add(last)
+        if cls:
+            members[c] = cls
+        else:
+            del members[c]
+    for o, bits in extra.items():
+        c = color[o] = color[o] | bits
+        cls = members.setdefault(c, [])  # a new list: c is no static colour
+        pos[o] = len(cls)
+        cls.append(o)
+    return _Classes(color, members, pos), changed
+
+
+Buckets = Mapping[tuple[int, int], Mapping[int, frozenset[tuple[int, int]]]]
 
 
 def _buckets(
-    col: Mapping[tuple[ObjectId, ObjectId], int],
-    color_a: Mapping[ObjectId, int],
-    color_b: Mapping[ObjectId, int],
-    pos_a: Mapping[ObjectId, int],
-    pos_b: Mapping[ObjectId, int],
-) -> dict[tuple[int, int], dict[int, frozenset[tuple[int, int]]]]:
+    col: Mapping[tuple[ObjectId, ObjectId], int], ca: _Classes, cb: _Classes
+) -> Buckets:
     """The coloured pairs (a, b) as in-class index pairs, by (class of a,
     class of b) and then by colour bits.  Bits 0 ("no atom holds") is never
     a pair's colour, so key 0 holds the union: the pairs of any colour."""
     lists: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
     for (a, b), bits in col.items():
-        lists.setdefault((color_a[a], color_b[b], bits), []).append((pos_a[a], pos_b[b]))
+        lists.setdefault((ca.color[a], cb.color[b], bits), []).append(
+            (ca.pos[a], cb.pos[b])
+        )
     out: dict[tuple[int, int], dict[int, frozenset[tuple[int, int]]]] = {}
-    for (ca, cb, bits), edges in lists.items():
-        out.setdefault((ca, cb), {})[bits] = frozenset(edges)
+    for (c_a, c_b, bits), edges in lists.items():
+        out.setdefault((c_a, c_b), {})[bits] = frozenset(edges)
     for per_bits in out.values():
         per_bits[0] = frozenset().union(*per_bits.values())
     return out
+
+
+def _pair_colors(
+    projections: Projections, asn: Mapping[str, ObjectId], dom_a: set, dom_b: set
+) -> dict[tuple[ObjectId, ObjectId], int]:
+    """Bit i set for the pairs of ``dom_a`` x ``dom_b`` that atom i holds
+    for under the assignment; pairs with no bit set are left out."""
+    out: dict[tuple[ObjectId, ObjectId], int] = {}
+    for i, p in projections:
+        for pair in p.query(asn):
+            if pair[0] in dom_a and pair[1] in dom_b:
+                out[pair] = out.get(pair, 0) | 1 << i
+    return out
+
+
+class _PairSide:
+    """The atoms over one pair (a, b) of residual variables, split into
+    static and dynamic ones, with the static pair colours and buckets; and
+    per object of a (of b) its static partners and its index pairs by
+    bucket."""
+
+    def __init__(
+        self,
+        projections: Iterable[ProjectedAtom],
+        dom_a: set,
+        dom_b: set,
+        ca: _Classes,
+        cb: _Classes,
+    ):
+        static, self.dynamic = _split(projections)
+        self.dom_a, self.dom_b = dom_a, dom_b
+        self.ca, self.cb = ca, cb
+        self.color = _pair_colors(static, {}, dom_a, dom_b)
+        self.buckets = _buckets(self.color, ca, cb)
+        self.partners_a: dict[ObjectId, list[tuple[ObjectId, int]]] = {}
+        self.partners_b: dict[ObjectId, list[tuple[ObjectId, int]]] = {}
+        self.held_a: dict[ObjectId, dict[tuple[int, int, int], list]] = {}
+        self.held_b: dict[ObjectId, dict[tuple[int, int, int], list]] = {}
+        for (a, b), bits in self.color.items():
+            self.partners_a.setdefault(a, []).append((b, bits))
+            self.partners_b.setdefault(b, []).append((a, bits))
+            key = (ca.color[a], cb.color[b], bits)
+            idx = (ca.pos[a], cb.pos[b])
+            self.held_a.setdefault(a, {}).setdefault(key, []).append(idx)
+            self.held_b.setdefault(b, {}).setdefault(key, []).append(idx)
+
+    def run_buckets(
+        self,
+        ca: _Classes,
+        changed_a: set,
+        cb: _Classes,
+        changed_b: set,
+        extra: Mapping[tuple[ObjectId, ObjectId], int],
+    ) -> Buckets:
+        """A run's buckets, given its classes, the objects whose class or
+        index changed, and the dynamic colour bits of its touched pairs.
+        Only the pairs of a changed object and the touched pairs leave their
+        static bucket; every other bucket is the static one."""
+        if not (changed_a or changed_b or extra):
+            return self.buckets
+        # per (class of a, class of b, colour): the static index pairs that
+        # leave, and the run's index pairs that arrive; a pair of two changed
+        # objects is listed twice, which the set operations absorb
+        gone: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
+        new: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
+        for held, changed in ((self.held_a, changed_a), (self.held_b, changed_b)):
+            for o in changed:
+                for key, idxs in held.get(o, {}).items():
+                    gone.setdefault(key, []).extend(idxs)
+        for a in changed_a:
+            c_a, p_a = ca.color[a], ca.pos[a]
+            for b, bits in self.partners_a.get(a, ()):
+                if extra:
+                    bits |= extra.get((a, b), 0)
+                new.setdefault((c_a, cb.color[b], bits), []).append((p_a, cb.pos[b]))
+        for b in changed_b:
+            c_b, p_b = cb.color[b], cb.pos[b]
+            for a, bits in self.partners_b.get(b, ()):
+                if extra:
+                    bits |= extra.get((a, b), 0)
+                new.setdefault((ca.color[a], c_b, bits), []).append((ca.pos[a], p_b))
+        sa, sb = self.ca, self.cb
+        for (a, b), bits in extra.items():
+            old = self.color.get((a, b), 0)
+            if old:
+                key = (sa.color[a], sb.color[b], old)
+                gone.setdefault(key, []).append((sa.pos[a], sb.pos[b]))
+            key = (ca.color[a], cb.color[b], old | bits)
+            new.setdefault(key, []).append((ca.pos[a], cb.pos[b]))
+        by_pair: dict[tuple[int, int], list[int]] = {}
+        for c_a, c_b, bits in gone.keys() | new.keys():
+            by_pair.setdefault((c_a, c_b), []).append(bits)
+        out = dict(self.buckets)
+        for pair, bit_list in by_pair.items():
+            per_bits = dict(out.get(pair, _NO_BUCKETS))
+            gone_all: list[tuple[int, int]] = []
+            new_all: list[tuple[int, int]] = []
+            for bits in bit_list:
+                leave = gone.get(pair + (bits,), ())
+                arrive = new.get(pair + (bits,), ())
+                edges = per_bits.get(bits, _NO_EDGES).difference(leave).union(arrive)
+                if edges:
+                    per_bits[bits] = edges
+                else:
+                    del per_bits[bits]
+                gone_all += leave
+                new_all += arrive
+            per_bits[0] = per_bits[0].difference(gone_all).union(new_all)
+            if per_bits[0]:
+                out[pair] = per_bits
+            else:
+                del out[pair]
+        return out
 
 
 class _Residual3:
@@ -256,11 +433,20 @@ class _Residual3:
 
     Step 1 corrects for atoms over all three free variables via per-u deltas,
     step 2 enumerates unary color classes, step 3 reduces each satisfying
-    edge-color combination to a triangle count.  ``run`` buckets each pair's
-    coloured pairs once (``_buckets``), so a graph reads only the edges of its
-    class pairs.  A colour combination with a nonzero colour that no pair of
-    its class pair has builds no graph, and a graph with an empty side costs
-    no triangle pass.
+    edge-color combination to a triangle count.
+
+    The unary and pair atoms split as in ``relopt.baseline``: a static atom
+    mentions no brute-forced variable, so it colours the same objects and
+    pairs in every run; a dynamic one mentions one.  The static colours,
+    classes and buckets (each pair's coloured pairs by the classes of both
+    endpoints and by colour, as in-class index pairs) are built once.  A run
+    colours only its dynamic atoms.  The objects and pairs they select are
+    touched and leave their static class or bucket (``_moved``,
+    ``_PairSide.run_buckets``); every other class and bucket is the static
+    one.  A run that touches nothing returns the psi of an earlier such run
+    with the same fixed atom bits.  A colour combination with a nonzero
+    colour that no pair of its class pair has builds no graph, and a graph
+    with an empty side costs no triangle pass.
     """
 
     def __init__(
@@ -296,20 +482,48 @@ class _Residual3:
                 self.pairs[tuple(fv)].append(a)
             else:
                 self.triple_atoms.append(a)
-        self.single_proj = {
-            var: [ProjectedAtom(structure, a, assigned, (var,)) for a in atoms]
-            for var, atoms in self.single.items()
+        self.dom_sets = {var: set(domains[var]) for var in free}
+        # per variable its dynamic unary atoms and its static classes
+        self.single_dynamic: dict[str, Projections] = {}
+        self.classes: dict[str, _Classes] = {}
+        for var, atoms in self.single.items():
+            static, self.single_dynamic[var] = _split(
+                ProjectedAtom(structure, a, assigned, (var,)) for a in atoms
+            )
+            self.classes[var] = _static_classes(
+                domains[var], _colors(static, {}, self.dom_sets[var])
+            )
+        self.pair_sides = {
+            (a, b): _PairSide(
+                [ProjectedAtom(structure, atom, assigned, (a, b)) for atom in atoms],
+                self.dom_sets[a],
+                self.dom_sets[b],
+                self.classes[a],
+                self.classes[b],
+            )
+            for (a, b), atoms in self.pairs.items()
         }
-        self.pair_proj = {
-            pr: [ProjectedAtom(structure, a, assigned, pr) for a in atoms]
-            for pr, atoms in self.pairs.items()
-        }
-        self.triple_proj = [
+        triple_static, self.triple_dynamic = _split(
             ProjectedAtom(structure, a, assigned, free) for a in self.triple_atoms
-        ]
+        )
+        self.static_triples = self._triples(triple_static, {})
+        # the offsets of the (u, w) and (v, w) colours in _phi0's pair bits
+        self.uw_shift = len(self.pairs[(u, v)])
+        self.vw_shift = self.uw_shift + len(self.pairs[(u, w)])
         self._memo: dict[tuple, bool] = {}
+        # the psi of the runs that touched nothing, by their fixed atom bits
+        self._untouched: dict[int, dict[ObjectId, int]] = {}
+        self.dynamic_atoms = sum(map(len, self.single_dynamic.values())) + sum(
+            len(side.dynamic) for side in self.pair_sides.values()
+        )
+        self.static_atoms = (
+            sum(map(len, self.single.values()))
+            + sum(map(len, self.pairs.values()))
+            - self.dynamic_atoms
+        )
         # counts over every run, reported by multi_counting_opt's stats_out
         self.runs = 0
+        self.touched = 0
         self.graphs = 0
         self.empty_side = 0
         self.tables: set[int] = set()
@@ -336,118 +550,89 @@ class _Residual3:
         self._memo[key] = out
         return out
 
-    def _colors(self, var: str, asn) -> dict[ObjectId, int]:
-        sets = [p.query(asn) for p in self.single_proj[var]]
-        out = {}
-        for o in self.domains[var]:
-            bits = 0
-            for i, s in enumerate(sets):
-                if (o,) in s:
-                    bits |= 1 << i
-            out[o] = bits
-        return out
-
-    def _pair_colors(self, pr, asn, dom_a, dom_b) -> dict[tuple, int]:
-        out: dict[tuple, int] = {}
-        da, db = set(dom_a), set(dom_b)
-        for i, p in enumerate(self.pair_proj[pr]):
-            for pair in p.query(asn):
-                if pair[0] in da and pair[1] in db:
-                    out[pair] = out.get(pair, 0) | 1 << i
-        return out
+    def _triples(self, projections: Projections, asn) -> set[tuple]:
+        """The triples of the domains of (u, v, w) some of the atoms hold for."""
+        du, dv, dw = (self.dom_sets[x] for x in self.free)
+        return {
+            t
+            for _, p in projections
+            for t in p.query(asn)
+            if t[0] in du and t[1] in dv and t[2] in dw
+        }
 
     def run(self, asn: dict[str, ObjectId]) -> dict[ObjectId, int]:
+        """psi(u) for every u of its domain; the caller must not change it."""
         u, v, w = self.free
-        dom_u = self.domains[u]
-        dom_v = self.domains[v]
-        dom_w = self.domains[w]
+        self.runs += 1
         fixed_bits = 0
         for i, a in enumerate(self.fixed_atoms):
             if _atom_truth(self.structure, a, asn):
                 fixed_bits |= 1 << i
+        extra = {
+            var: _colors(self.single_dynamic[var], asn, self.dom_sets[var])
+            for var in self.free
+        }
+        extra_pairs = {
+            pr: _pair_colors(side.dynamic, asn, side.dom_a, side.dom_b)
+            for pr, side in self.pair_sides.items()
+        }
+        extra_triples = self._triples(self.triple_dynamic, asn)
+        untouched = not (
+            any(extra.values()) or any(extra_pairs.values()) or extra_triples
+        )
+        if untouched and fixed_bits in self._untouched:
+            return self._untouched[fixed_bits]
+        self.touched += len(set().union(*extra.values()))
 
-        color_u = self._colors(u, asn)
-        color_v = self._colors(v, asn)
-        color_w = self._colors(w, asn)
-        by_color_u, pos_u = _classes(dom_u, color_u)
-        by_color_v, pos_v = _classes(dom_v, color_v)
-        by_color_w, pos_w = _classes(dom_w, color_w)
-        uv_col = self._pair_colors((u, v), asn, dom_u, dom_v)
-        uw_col = self._pair_colors((u, w), asn, dom_u, dom_w)
-        vw_col = self._pair_colors((v, w), asn, dom_v, dom_w)
-        uv_edges = _buckets(uv_col, color_u, color_v, pos_u, pos_v)
-        uw_edges = _buckets(uw_col, color_u, color_w, pos_u, pos_w)
-        vw_edges = _buckets(vw_col, color_v, color_w, pos_v, pos_w)
+        moved = {var: _moved(self.classes[var], extra[var]) for var in self.free}
+        cls_u, cls_v, cls_w = (moved[var][0] for var in self.free)
+        uv_edges, uw_edges, vw_edges = (
+            side.run_buckets(*moved[a], *moved[b], extra_pairs[(a, b)])
+            for (a, b), side in self.pair_sides.items()
+        )
 
-        uv_vals = sorted(set(uv_col.values()) | {0})
-        uw_vals = sorted(set(uw_col.values()) | {0})
-        vw_vals = sorted(set(vw_col.values()) | {0})
-
-        self.runs += 1
-        psi0 = {o: 0 for o in dom_u}
-        for delta, us in by_color_u.items():
-            for beta, vs in by_color_v.items():
-                xy = uv_edges.get((delta, beta), {})
-                for gamma, ws in by_color_w.items():
-                    xz = uw_edges.get((delta, gamma), {})
-                    yz = vw_edges.get((beta, gamma), {})
-                    for alpha in product(uv_vals, uw_vals, vw_vals):
-                        # a nonzero colour with no pair of these classes asks
-                        # for an edge on an empty side: the graph counts 0
-                        if (
-                            alpha[0] and alpha[0] not in xy
-                            or alpha[1] and alpha[1] not in xz
-                            or alpha[2] and alpha[2] not in yz
-                        ):
+        uw_shift, vw_shift = self.uw_shift, self.vw_shift
+        psi0 = dict.fromkeys(self.domains[u], 0)
+        for delta, us in cls_u.members.items():
+            counts = [0] * len(us)
+            for beta, vs in cls_v.members.items():
+                xy = uv_edges.get((delta, beta), _NO_BUCKETS)
+                for gamma, ws in cls_w.members.items():
+                    xz = uw_edges.get((delta, gamma), _NO_BUCKETS)
+                    yz = vw_edges.get((beta, gamma), _NO_BUCKETS)
+                    # only the colours of some pair of these classes: a
+                    # nonzero colour without one asks for an edge on an
+                    # empty side, and its graph counts 0
+                    for (a0, e0), (a1, e1), (a2, e2) in product(
+                        xy.items(), xz.items(), yz.items()
+                    ):
+                        pair_bits = a0 | a1 << uw_shift | a2 << vw_shift
+                        if not self._phi0(fixed_bits, delta, beta, gamma, pair_bits):
                             continue
-                        if not self._phi0_at(delta, beta, gamma, alpha, fixed_bits):
-                            continue
-                        g = TripartiteGraph(
-                            len(us),
-                            len(vs),
-                            len(ws),
-                            xy.get(alpha[0], _NO_EDGES),
-                            xz.get(alpha[1], _NO_EDGES),
-                            yz.get(alpha[2], _NO_EDGES),
-                        )
-                        pattern = (
-                            ((alpha[0] != 0) << 2)
-                            | ((alpha[1] != 0) << 1)
-                            | (alpha[2] != 0)
-                        )
+                        g = TripartiteGraph(len(us), len(vs), len(ws), e0, e1, e2)
+                        pattern = (bool(a0) << 2) | (bool(a1) << 1) | bool(a2)
                         table = [0] * 8
                         table[pattern] = 1
                         self.graphs += 1
-                        self.empty_side += not (g.xy and g.xz and g.yz)
+                        self.empty_side += not (e0 and e1 and e2)
                         self.tables.add(pattern)
-                        for o, c in zip(us, triangle_counts(g, table)):
-                            psi0[o] += c
+                        counts = list(map(add, counts, triangle_counts(g, table)))
+            psi0.update(zip(us, counts))
 
         # step 1 correction: triples touched by a three-free-variable atom
-        if self.triple_atoms:
-            du, dv, dw = set(dom_u), set(dom_v), set(dom_w)
-            candidates = set()
-            for p in self.triple_proj:
-                for t in p.query(asn):
-                    if t[0] in du and t[1] in dv and t[2] in dw:
-                        candidates.add(t)
-            for t in candidates:
-                asn2 = dict(asn)
-                asn2[u], asn2[v], asn2[w] = t
-                values = {a: _atom_truth(self.structure, a, asn2) for a in self.atoms}
-                full = eval_expr_table(self.formula.body, values)
-                values0 = dict(values)
-                for a in self.triple_atoms:
-                    values0[a] = False
-                without = eval_expr_table(self.formula.body, values0)
-                psi0[t[0]] -= int(without) - int(full)
+        for t in self.static_triples | extra_triples:
+            asn2 = dict(asn)
+            asn2[u], asn2[v], asn2[w] = t
+            values = {a: _atom_truth(self.structure, a, asn2) for a in self.atoms}
+            full = eval_expr_table(self.formula.body, values)
+            values0 = dict(values)
+            for a in self.triple_atoms:
+                values0[a] = False
+            without = eval_expr_table(self.formula.body, values0)
+            psi0[t[0]] -= int(without) - int(full)
+        if untouched:
+            self._untouched[fixed_bits] = psi0
         return psi0
-
-    def _phi0_at(self, delta, beta, gamma, alpha, fixed_bits) -> bool:
-        n_uv = len(self.pairs[(self.free[0], self.free[1])])
-        n_uw = len(self.pairs[(self.free[0], self.free[2])])
-        pair_bits = alpha[0] | alpha[1] << n_uv | alpha[2] << (n_uv + n_uw)
-        return self._phi0(fixed_bits, delta, beta, gamma, pair_bits)
 
 
 def multi_counting_opt(
@@ -459,9 +644,13 @@ def multi_counting_opt(
 
     Brute-forces all but the last three variables, then runs the corrected
     triangle-count residual.  ``stats_out``, when given, receives the
-    residual's counts: ``runs`` (one per brute-forced assignment), ``graphs``
-    (``triangle_counts`` calls), ``empty_side`` (graphs with an empty side,
-    whose triangle pass is skipped) and ``tables`` (distinct truth tables).
+    residual's counts: ``runs`` (one per brute-forced assignment, a reused
+    run included), ``graphs`` (``triangle_counts`` calls), ``empty_side``
+    (graphs with an empty side, whose triangle pass is skipped), ``tables``
+    (distinct truth tables), ``static_atoms`` and ``dynamic_atoms`` (the
+    residual's unary and pair atoms without and with a brute-forced
+    variable) and ``touched`` (per run, the objects that leave a static class
+    of some residual variable, summed over the runs).
     """
     if formula.ell < 2:
         raise UnsupportedShapeError("needs at least two counting variables")
@@ -510,5 +699,8 @@ def multi_counting_opt(
             graphs=residual.graphs,
             empty_side=residual.empty_side,
             tables=len(residual.tables),
+            static_atoms=residual.static_atoms,
+            dynamic_atoms=residual.dynamic_atoms,
+            touched=residual.touched,
         )
     return result

@@ -72,7 +72,7 @@ def generate_texts(seed: int, profile: GenProfile) -> tuple[str, str]:
                 records.append((f"P{u}", (lab,)))
     for t in range(profile.ternary):
         seen = set()
-        for _ in range(rng.randint(0, max(1, int(profile.density * n)))):
+        for _ in range(rng.randint(0, max(1, int(profile.density * n))) if n else 0):
             rec = (rng.choice(labels), rng.choice(labels), rng.choice(labels))
             if rec not in seen:
                 seen.add(rec)

@@ -1,8 +1,12 @@
+import io
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relopt.cli import main
 
@@ -127,9 +131,43 @@ def test_solve_trace_prints_the_multicount_stage(tmp_path, capsys):
     assert "value 1" in out
     stage = next(l for l in out.splitlines() if l.startswith("stage multicount"))
     stats = dict(kv.split("=") for kv in stage.split()[2:])
-    assert set(stats) == {"runs", "graphs", "empty_side", "tables"}
+    assert set(stats) == {
+        "runs", "graphs", "empty_side", "tables",
+        "static_atoms", "dynamic_atoms", "touched",
+    }
     assert int(stats["runs"]) == 1  # k + ell = 3: nothing is brute-forced
     assert int(stats["graphs"]) > 0
+    # with nothing brute-forced, every atom is static and no run touches one
+    assert (stats["static_atoms"], stats["dynamic_atoms"]) == ("3", "0")
+    assert stats["touched"] == "0"
+
+
+@pytest.mark.parametrize("engine", ["baseline", "multicount"])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+def test_solve_trace_of_a_forced_engine(tmp_path, capsys, engine, to_file):
+    s = tmp_path / "mc.structure"
+    f = tmp_path / "mc.formula"
+    s.write_text("rel E 2\nE a b\nE b c\nE a c\nE c a\n")
+    f.write_text("max x1,x2 . count y1,y2 . E(x1,y1) & E(y1,y2) & !E(x2,y2)\n")
+    trace = tmp_path / "trace.txt"
+    argv = ["solve", "--structure", str(s), "--formula", str(f), "--engine", engine]
+    code, out = run_main(argv + ["--trace", str(trace) if to_file else "-"], capsys)
+    assert code == 0
+    if to_file:
+        lines = trace.read_text().splitlines()
+        assert "stage " not in out
+    else:  # the trace follows the report, whose last line is the time
+        lines = out.splitlines()
+        lines = lines[next(i for i, l in enumerate(lines) if l.startswith("seconds")) + 1:]
+    assert lines[0] == f"path {engine}"
+    assert lines[-1] == f"source {engine}"
+    stage = next(l for l in lines if l.startswith(f"stage {engine}"))
+    if engine == "multicount":
+        stats = dict(kv.split("=") for kv in stage.split()[2:])
+        assert int(stats["runs"]) == 3  # one per value of x1
+        assert int(stats["dynamic_atoms"]) == 1  # E(x1,y1)
+    else:
+        assert stage == "stage baseline reason=forced"
 
 
 def test_gen_deterministic(tmp_path, capsys):
@@ -300,3 +338,145 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "structure file" in proc.stdout
+
+
+# --- the CLI on arbitrary input -------------------------------------------
+
+_TOKENS = st.sampled_from(
+    ["rel", "E", "P", "a", "b", "0", "1", "-1", "99999999999", "#", "x1", "y1",
+     "(", ")", ".", ",", "&", "|", "!", "max", "min", "count", "dim", "vec"]
+)
+_ARITY = {"E": 2, "P": 1, "R": 3}
+
+
+def _mostly(draw, usual, *odd):
+    """``usual`` most of the time, else one of ``odd``."""
+    return draw(st.sampled_from(odd)) if draw(st.sampled_from(range(12))) == 0 else usual
+
+
+def _structure_text(draw, names):
+    lines = []
+    for name in names:
+        arity = _mostly(draw, str(_ARITY[name]), "0", "-1", "99999999999", "x")
+        lines.append(f"rel {name} {arity}")
+        for _ in range(draw(st.integers(0, 4))):
+            size = _mostly(draw, _ARITY[name], 0, 4)
+            labels = draw(st.lists(st.sampled_from("abcd"), min_size=size, max_size=size))
+            lines.append(" ".join([name, *labels]))
+    return "\n".join(lines)
+
+
+def _formula_text(draw, names):
+    k, ell = _mostly(draw, draw(st.integers(1, 3)), 0), _mostly(draw, draw(st.integers(1, 3)), 0)
+    variables = [f"x{i + 1}" for i in range(k)] + [f"y{j + 1}" for j in range(ell)]
+    atoms = []
+    for name in names:
+        size = _mostly(draw, _ARITY[name], 0, 4)
+        args = [_mostly(draw, draw(st.sampled_from(variables or ["z"])), "z") for _ in range(size)]
+        atoms.append(f"{name}({','.join(args)})")
+    body = draw(st.sampled_from([" & ", " | ", " & !"])).join(atoms) or "true"
+    head = _mostly(draw, "max", "min", "avg")
+    return f"{head} {','.join(variables[:k])} . count {','.join(variables[k:])} . {body}"
+
+
+@st.composite
+def input_file(draw):
+    """The bytes of a small structure, formula or IP instance file; of
+    tokens of any of them; or of arbitrary bytes, often not UTF-8."""
+    kind = draw(st.sampled_from(["structure", "formula", "ip", "tokens", "bytes"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=24))
+    names = draw(st.lists(st.sampled_from("EPR"), max_size=3))
+    if kind == "structure":
+        text = _structure_text(draw, names)
+    elif kind == "formula":
+        text = _formula_text(draw, names)
+    elif kind == "tokens":
+        text = " ".join(draw(st.lists(_TOKENS, max_size=10)))
+    else:
+        dim = draw(st.integers(-1, 3))
+        coords = " ".join(draw(st.lists(st.sampled_from(["0", "1", "2", "a"]), max_size=4)))
+        text = f"dim {dim}\nvec {draw(st.sampled_from(['0', '1', 'F']))} {coords}"
+    return text.encode()
+
+
+@st.composite
+def input_files(draw):
+    """A structure file and a formula file.  Half of the time they share
+    their relations (E/2, P/1, R/3), so they mostly fit together; else each
+    is an ``input_file``.  Arities may be zero, negative or huge."""
+    if draw(st.booleans()):
+        names = draw(st.lists(st.sampled_from("EPR"), min_size=1, max_size=3, unique=True))
+        return (
+            _structure_text(draw, names).encode(),
+            _formula_text(draw, draw(st.lists(st.sampled_from(names), max_size=3))).encode(),
+        )
+    return draw(input_file()), draw(input_file())
+
+
+@st.composite
+def profile_flags(draw):
+    """Generator flags, in and out of their ranges; n stays tiny."""
+    flags = []
+    for flag, values in (
+        ("--k", ["-1", "0", "1", "2", "3", "4", "9"]),
+        ("--ell", ["0", "1", "2", "3", "4"]),
+        ("--n", ["-1", "0", "1", "3", "4"]),
+        ("--density", ["-0.5", "0", "0.3", "1", "2", "nan", "inf", "x"]),
+        ("--binary", ["0", "1", "2"]),
+        ("--unary", ["0", "1", "2"]),
+        ("--ternary", ["0", "1", "2", "3"]),
+        ("--max-m", ["0", "3", "-1"]),
+        ("--kind", ["max", "min", "avg"]),
+    ):
+        if draw(st.booleans()):
+            flags += [flag, draw(st.sampled_from(values))]
+    if draw(st.booleans()):
+        flags.append("--no-cross")
+    return flags
+
+
+_IPS = st.sampled_from(["exact", "approx:2", "approx:0.5", "approx:x", "ip"])
+
+
+@given(data=st.data(), files=input_files())
+@settings(max_examples=150, deadline=None)
+def test_cli_fuzz_exits_cleanly(data, files):
+    """Every command, on arbitrary small inputs and flags, returns or exits
+    with 0, 1 or 2, and prints no traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        s, f = tmp / "in.structure", tmp / "in.formula"
+        s.write_bytes(files[0])
+        f.write_bytes(files[1])
+        command = data.draw(st.sampled_from(["solve", "reduce", "gen", "verify", "bench"]))
+        if command == "solve":
+            engine = data.draw(st.sampled_from(["auto", "baseline", "multicount", "reduction"]))
+            argv = ["solve", "--structure", str(s), "--formula", str(f),
+                    "--engine", engine, "--ip", data.draw(_IPS)]
+            if data.draw(st.booleans()):
+                argv.append("--verify")
+            if data.draw(st.booleans()):
+                argv += ["--trace", data.draw(st.sampled_from(["-", str(tmp / "t.txt"), str(tmp)]))]
+        elif command == "reduce":
+            argv = ["reduce", "--structure", str(s), "--formula", str(f), "--out", str(tmp / "out")]
+        elif command == "gen":
+            argv = ["gen", "--seed", data.draw(st.sampled_from(["0", "7", "-3", "x"])),
+                    "--out-prefix", str(tmp / "g"), *data.draw(profile_flags())]
+        else:
+            argv = [command, "--seeds", data.draw(st.sampled_from(["0", "1", "2", "-1"])),
+                    *data.draw(profile_flags())]
+            if command == "verify":
+                argv += ["--ip", data.draw(_IPS)]
+            else:
+                argv += ["--engines", data.draw(st.sampled_from(
+                    ["baseline", "auto", "multicount", "baseline,multicount", "x"]
+                ))]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the arguments
+                code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -199,12 +199,19 @@ _MAX_N = {3: 24, 4: 24, 5: 10, 6: 6}
 def multicount_instances(draw):
     """A structure and a formula with k in {1, 2, 3} optimization and ell in
     {2, 3} counting variables over the residual variables (u, v, w), the last
-    three.  The body always has an atom over (v, w), the last two counting
-    variables, so yz sides are non-empty; mostly atoms over (u, v) and (u, w);
-    often a ternary atom over (u, v, w); and random atoms, some with repeated
-    variables.  Records
-    include self-loops, possibly empty relations and, with a hub object, the
-    skewed degrees that send residual graphs through the heavy/light split."""
+    three; the variables before them are brute-forced (assigned).  The body
+    always has an atom over (v, w), the last two counting variables, so yz
+    sides are non-empty; mostly atoms over (u, v) and (u, w); often a ternary
+    atom over (u, v, w); and random atoms, some with repeated variables.
+    With an assigned variable, the body is one of: static (no atom mentions
+    an assigned variable, so every run touches nothing); fixed (one atom
+    over assigned variables only, so untouched runs differ in its bit); or
+    dynamic: some of an atom over an assigned variable and u, one with v,
+    one with w (so classes change per run) and a ternary atom over an
+    assigned variable and two of u, v, w (a pair atom whose pairs change per
+    run).  Records include self-loops, possibly empty relations and, with a
+    hub object, the skewed degrees that send residual graphs through the
+    heavy/light split."""
     k = draw(st.integers(1, 3))
     ell = draw(st.integers(2, 3))
     n = draw(st.integers(1, _MAX_N[k + ell]))
@@ -227,7 +234,8 @@ def multicount_instances(draw):
     def atom(pred, args):
         return f"{pred}({','.join(args)})"
 
-    u, v, w = variables[-3:]
+    assigned, residual = variables[:-3], variables[-3:]
+    u, v, w = residual
     binary = st.sampled_from(["E0", "E1"])
     leaves = [atom(draw(binary), draw(st.permutations([v, w])))]
     for pair in ([u, v], [u, w]):
@@ -235,9 +243,22 @@ def multicount_instances(draw):
             leaves.append(atom(draw(binary), draw(st.permutations(pair))))
     if draw(st.booleans()):
         leaves.append(atom("R0", draw(st.permutations([u, v, w]))))
+    mode = draw(st.sampled_from(["dynamic", "fixed", "static"])) if assigned else "static"
+    x = st.sampled_from(assigned)
+    if mode == "fixed":
+        pred = draw(st.sampled_from(["P0", "E0", "E1"]))
+        leaves.append(atom(pred, [draw(x) for _ in range(arity[pred])]))
+    if mode == "dynamic":
+        pair_atom = draw(st.booleans())
+        for r in draw(st.sets(st.sampled_from(residual), min_size=not pair_atom)):
+            leaves.append(atom(draw(binary), draw(st.permutations([draw(x), r]))))
+        if pair_atom:
+            pair = draw(st.lists(st.sampled_from(residual), min_size=2, max_size=2, unique=True))
+            leaves.append(atom("R0", draw(st.permutations([draw(x), *pair]))))
+    pool = variables if mode == "dynamic" else residual
     for _ in range(draw(st.integers(1, 4))):
         pred = draw(st.sampled_from(sorted(arity)))
-        args = [draw(st.sampled_from(variables)) for _ in range(arity[pred])]
+        args = [draw(st.sampled_from(pool)) for _ in range(arity[pred])]
         leaves.append(atom(pred, args))
     leaves = draw(st.permutations(leaves))
     body = leaves[0]
@@ -282,5 +303,19 @@ def test_multicount_trace_counts_every_triangle_counts_call(monkeypatch):
         assert stats["runs"] == structure.n  # one per value of x1
         assert 0 <= stats["empty_side"] <= stats["graphs"]
         assert (stats["tables"] > 0) == (stats["graphs"] > 0)
+        assert 0 <= stats["touched"] <= stats["runs"] * structure.n
         assert value == baseline_opt(structure, formula).value
     assert calls > 0
+
+    # no atom mentions x1: every run touches nothing, and all runs after the
+    # first reuse its psi, but each still counts as a run
+    structure, _ = random_instance(rng, k=2, ell=2, n_objects=6)
+    formula = parse_formula("max x1,x2 . count y1,y2 . E0(x2,y1) & !E1(y1,y2) | P0(y2)")
+    before = calls
+    value, trace = reduce_and_solve(structure, formula, exact_solver("max"))
+    stats = dict(trace.stages)["multicount"]
+    assert stats["runs"] == structure.n
+    assert stats["touched"] == 0
+    assert (stats["static_atoms"], stats["dynamic_atoms"]) == (3, 0)
+    assert stats["graphs"] == calls - before > 0
+    assert value == baseline_opt(structure, formula).value
