@@ -3,7 +3,7 @@ sparse relational structures, with a verifiable reduction chain down to
 k-ary maximum/minimum inner product."""
 
 from .baseline import OptResult, ValueTable, baseline_opt, baseline_values
-from .formula import FormulaProfile, OptFormula, classify, evaluate_body, parse_formula
+from .formula import FormulaProfile, OptFormula, check_schema, classify, evaluate_body, parse_formula
 from .generate import GenProfile, generate
 from .hybrid import (
     HybridInstance,

@@ -1,19 +1,24 @@
 """Exact reference solver: brute-force the leading variables, finish the last
 two with a color-decomposition count.
 
-The two-variable base case groups the counting domain by the truth pattern of
-its unary-like atoms and counts pair patterns only for pairs occurring in some
-positive record; absent pairs are recovered from the complement identity
-``C(x; a, 0) = |Y_a| - sum_b C(x; a, b)``.  Only objects in some record the
-assignment selects are coloured; the rest of a domain is colour 0, counted by
-complement, so a base case costs time in the domain of its first variable and
-in those records, not in the domain of the counting variable.  Atoms that
-mention no assigned variable (such as ``P(y)``) colour the same objects in
-every base case: a query colours them, and counts the counting domain per
-their colours, once, and a base case adds only the bits of the other atoms.
-The records of the atoms over both base-case variables are indexed per
-assignment of the leading variables and then per object of the first, so a
-base case reads only the records of the objects it outputs.
+The two-variable base case (u, w) colours each object by the truth of its
+unary-like atoms and counts, per u, the w objects that satisfy the body.
+Atoms that mention no assigned variable (such as ``P(y)``) colour the same
+objects in every base case, so a query colours them once and builds, per
+fixed-atom bit pattern, one static row: the count of every u of the domain
+from its static colour, with no atom over both u and w true and every w at
+its static colour.  A base case copies that row (or reads only the guarded u
+objects).  Each w that an atom with an assigned variable colours moves from
+its static colour to a richer one, which shifts the count of a whole static
+u colour class by the same amount; the shift is added only to the classes
+where it is nonzero.  Only the u objects such an atom colours are recounted.
+Last, each (u, w) pair that makes an atom over both true adds one memoized
+``phi(.., m) - phi(.., 0)``, keyed by its fixed, u, w and mixed bits, and a
+zero delta is skipped.  The pairs come from the records of those atoms,
+indexed by the values of the leading variables and restricted to the
+query's domains once per index entry.  So a base case costs one dict copy
+plus time in the records its assignment selects and in the u classes it
+shifts, not in the domain of the counting variable.
 This module is also the correctness oracle for everything else in the
 package.
 
@@ -40,7 +45,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ContractError, UnsupportedShapeError
-from .formula import Atom, Expr, OptFormula, atoms_of, eval_expr_table
+from .formula import Atom, Expr, OptFormula, atoms_of, check_schema, eval_expr_table
 from .structure import ObjectId, RelationalStructure
 
 Domains = Mapping[str, Sequence[ObjectId]]
@@ -134,6 +139,7 @@ class PreparedBaseline:
     def __init__(self, structure: RelationalStructure, formula: OptFormula):
         if formula.k + formula.ell < 2:
             raise UnsupportedShapeError("need at least two variables in total")
+        check_schema(formula, structure)
         self.structure = structure
         self.formula = formula
         self.order = formula.opt_vars + formula.count_vars
@@ -165,8 +171,8 @@ class PreparedBaseline:
             ProjectedAtom(structure, a, assigned, (w,)) for a in self.w_atoms
         )
         # per mixed atom, its fixed key and its (u, w) records indexed by the
-        # fixed key's values and then by u, so a base case reads only the
-        # records of the u objects it outputs
+        # fixed key's values and then by u; a query restricts each entry it
+        # reads to its domains once
         self.mixed_index = []
         for a in self.mixed_atoms:
             p = ProjectedAtom(structure, a, assigned, (u, w))
@@ -222,7 +228,8 @@ class PreparedBaseline:
     def _query(
         self, domains: Domains | None, guard: tuple[tuple[Atom, bool], ...]
     ) -> _Query:
-        """The domains, the static colours and the applied guard of a query."""
+        """The domains, the static colours and classes, the applied guard and
+        the empty base-case caches of a query."""
         doms = resolve_domains(self.structure, self.formula, domains)
         dom_u, dom_w = set(doms[self.u_var]), set(doms[self.w_var])
         u_color = _colors(self.u_static, {}, dom_u)
@@ -230,8 +237,12 @@ class PreparedBaseline:
         w_count: dict[int, int] = {0: len(dom_w) - len(w_color)}
         for bits in w_color.values():
             w_count[bits] = w_count.get(bits, 0) + 1
+        u_classes: dict[int, list[ObjectId]] = {}
+        for uv in doms[self.u_var]:
+            u_classes.setdefault(u_color.get(uv, 0), []).append(uv)
         return _Query(
-            doms, dom_u, dom_w, u_color, w_color, w_count, self._guard(guard)
+            doms, dom_u, dom_w, u_color, w_color, w_count, u_classes,
+            self._guard(guard), rows={}, counts={}, mixed={}, deltas={},
         )
 
     def _guard(self, guard: tuple[tuple[Atom, bool], ...]) -> _Guard:
@@ -283,76 +294,128 @@ class PreparedBaseline:
 
     def _base_case(self, q: _Query, asn: dict[str, ObjectId]) -> dict[ObjectId, int]:
         """psi(u) = #{w : body} for every u in its domain that passes the
-        guard, in time linear in the records the assignment selects and in
-        the domain of u, or the hits of a positive guard literal over u."""
+        guard: a copy of the query's static row for the fixed bits, shifted
+        per static u colour class by the moves of the w objects with dynamic
+        bits, recounted at the u objects with dynamic bits and corrected by
+        one delta per mixed pair."""
         fixed_bits = 0
         for i, a in enumerate(self.fixed_atoms):
             if _atom_truth(self.structure, a, asn):
                 fixed_bits |= 1 << i
-        us = q.doms[self.u_var]
-        for i, (p, want) in enumerate(q.guard.on_u):
-            hits = p.query(asn)
-            if i == 0 and want:
-                # the u loop reads a positive literal's hits, not the domain
-                us = sorted(uv for (uv,) in hits if uv in q.dom_u)
-            else:
-                us = [uv for uv in us if ((uv,) in hits) == want]
-        # only objects some u- or w-atom holds for get a colour; every other
-        # object of the domain has colour 0.  The query coloured the objects
-        # of atoms without assigned variables; add the bits of the others.
+        row = q.rows.get(fixed_bits)
+        if row is None:
+            row = q.rows[fixed_bits] = self._row(q, fixed_bits)
+        if q.guard.on_u:
+            us = q.doms[self.u_var]
+            for i, (p, want) in enumerate(q.guard.on_u):
+                hits = p.query(asn)
+                if i == 0 and want:
+                    # the u loop reads a positive literal's hits, not the domain
+                    us = sorted(uv for (uv,) in hits if uv in q.dom_u)
+                else:
+                    us = [uv for uv in us if ((uv,) in hits) == want]
+            out = {uv: row[uv] for uv in us}
+        else:
+            out = row.copy()
         u_static, w_static = q.u_color, q.w_color
         u_extra = _colors(self.u_dynamic, asn, q.dom_u)
         w_extra = _colors(self.w_dynamic, asn, q.dom_w)
-        color_count = q.w_count
-        if w_extra:
-            color_count = dict(color_count)
-            for wv, bits in w_extra.items():
-                old = w_static.get(wv, 0)
-                color_count[old] -= 1
-                color_count[old | bits] = color_count.get(old | bits, 0) + 1
 
-        # pairs of an output u that make at least one mixed atom true
-        pair_bits: dict[tuple[ObjectId, ObjectId], int] = {}
-        dom_w = q.dom_w
-        for i, (fixed_key, index) in enumerate(self.mixed_index):
-            by_u = index.get(tuple(asn[v] for v in fixed_key))
-            if not by_u:
-                continue
-            bit = 1 << i
-            for uv in us:
-                for wv in by_u.get(uv, ()):
-                    if wv in dom_w:
-                        pair_bits[uv, wv] = pair_bits.get((uv, wv), 0) | bit
+        # each w with dynamic bits moves from its static colour to a richer
+        # one, which shifts the count of every u by the same amount per u colour
+        moves: dict[tuple[int, int], int] = {}
+        for wv, bits in w_extra.items():
+            old = w_static.get(wv, 0)
+            moves[old, old | bits] = moves.get((old, old | bits), 0) + 1
+        phi = self._phi
+        shifts: dict[int, int] = {}
 
-        # per-u counters C(u; alpha, beta) for beta != 0
-        counters: dict[ObjectId, dict[tuple[int, int], int]] = {}
-        for (uv, wv), m_bits in pair_bits.items():
-            key = (w_static.get(wv, 0) | w_extra.get(wv, 0), m_bits)
-            c = counters.setdefault(uv, {})
-            c[key] = c.get(key, 0) + 1
+        def shift(u_bits: int) -> int:
+            s = shifts.get(u_bits)
+            if s is None:
+                s = shifts[u_bits] = sum(
+                    c * (phi(fixed_bits, u_bits, new, 0) - phi(fixed_bits, u_bits, old, 0))
+                    for (old, new), c in moves.items()
+                )
+            return s
 
-        # per u colour, the count if no pair made a mixed atom true; each
-        # counted pair then moves from its colour's (alpha, 0) class to
-        # (alpha, beta), since C(u; alpha, 0) = |W_alpha| - sum_beta C(u; alpha, beta)
-        edgeless: dict[int, int] = {}
-        out = {}
-        for uv in us:
+        if moves:
+            for u_bits, members in q.u_classes.items():
+                s = shift(u_bits)
+                if s:
+                    for uv in members:
+                        if uv in out:
+                            out[uv] += s
+        # a u with dynamic bits has another colour than its row entry's
+        for uv, bits in u_extra.items():
+            if uv in out:
+                u_bits = u_static.get(uv, 0) | bits
+                out[uv] = self._class_count(q, fixed_bits, u_bits) + shift(u_bits)
+
+        # each pair of an output u that makes a mixed atom true moves from its
+        # colours' no-mixed-atom count to its own
+        pairs = self._pairs(q, asn)
+        if len(pairs) <= len(out):
+            walk = [(uv, m) for uv, m in pairs.items() if uv in out]
+        else:
+            walk = [(uv, pairs[uv]) for uv in out if uv in pairs]
+        deltas = q.deltas
+        for uv, m in walk:
             u_bits = u_static.get(uv, 0) | u_extra.get(uv, 0)
-            cnt = edgeless.get(u_bits)
-            if cnt is None:
-                cnt = sum(
-                    total
-                    for alpha, total in color_count.items()
-                    if self._phi(fixed_bits, u_bits, alpha, 0)
-                )
-                edgeless[u_bits] = cnt
-            for (alpha, m_bits), c in counters.get(uv, {}).items():
-                cnt += c * (
-                    self._phi(fixed_bits, u_bits, alpha, m_bits)
-                    - self._phi(fixed_bits, u_bits, alpha, 0)
-                )
-            out[uv] = cnt
+            memo = deltas.get((fixed_bits, u_bits))
+            if memo is None:
+                memo = deltas[fixed_bits, u_bits] = {}
+            total = 0
+            for wv, m_bits in m.items():
+                key = (w_static.get(wv, 0) | w_extra.get(wv, 0), m_bits)
+                d = memo.get(key)
+                if d is None:
+                    d = memo[key] = (
+                        phi(fixed_bits, u_bits, *key) - phi(fixed_bits, u_bits, key[0], 0)
+                    )
+                total += d
+            if total:
+                out[uv] += total
         return out
+
+    def _row(self, q: _Query, fixed_bits: int) -> dict[ObjectId, int]:
+        """The static row of the fixed bits: the count of every u of the
+        domain, in domain order, from its static colour."""
+        per_class = {a: self._class_count(q, fixed_bits, a) for a in q.u_classes}
+        return {uv: per_class[q.u_color.get(uv, 0)] for uv in q.doms[self.u_var]}
+
+    def _pairs(
+        self, q: _Query, asn: dict[str, ObjectId]
+    ) -> dict[ObjectId, dict[ObjectId, int]]:
+        """Per u, its w objects that make at least one mixed atom true under
+        the assignment, with their mixed bits.  Each mixed atom's index entry
+        is restricted to the query's domains once; several atoms' pairs are
+        merged into a new dict, so the cached ones are never changed."""
+        found = []
+        for i, (fixed_key, index) in enumerate(self.mixed_index):
+            key = tuple(asn[v] for v in fixed_key)
+            if key in index:
+                atom_pairs = q.mixed.get((i, key))
+                if atom_pairs is None:
+                    atom_pairs = q.mixed[i, key] = _atom_pairs(index[key], 1 << i, q)
+                if atom_pairs:
+                    found.append(atom_pairs)
+        if not found:
+            return {}
+        return found[0] if len(found) == 1 else _merge_pairs(found)
+
+    def _class_count(self, q: _Query, fixed_bits: int, u_bits: int) -> int:
+        """The count of a u of colour ``u_bits`` with no mixed atom true and
+        every w at its static colour."""
+        key = (fixed_bits, u_bits)
+        cnt = q.counts.get(key)
+        if cnt is None:
+            cnt = q.counts[key] = sum(
+                total
+                for alpha, total in q.w_count.items()
+                if self._phi(fixed_bits, u_bits, alpha, 0)
+            )
+        return cnt
 
     def _prefixes(
         self,
@@ -407,9 +470,21 @@ class _Guard(NamedTuple):
 
 
 class _Query(NamedTuple):
-    """One query's domains, with the last two as sets; the colours of the
-    u- and w-atoms that mention no assigned variable, with the number of
-    w objects per such colour (colour 0 included); and the guard."""
+    """One query's domains, with the last two as sets; the static colours
+    (those of the u- and w-atoms that mention no assigned variable), the
+    number of w objects per static colour (colour 0 included) and the u
+    objects of the domain per static colour, in domain order; the guard; and
+    the caches of its base cases, which die with the query:
+
+    - ``rows``: per fixed-atom bit pattern, the static row, the count of
+      every u of the domain from its static colour with no mixed atom true
+      and every w at its static colour;
+    - ``counts``: that count per (fixed, u) bits, for any u colour;
+    - ``mixed``: per (mixed atom, fixed key values), the atom's (u, w)
+      records within the domains, as u -> w -> the atom's bit;
+    - ``deltas``: per (fixed, u) bits and then per (w, mixed) bits, the
+      change ``phi(.., m) - phi(.., 0)`` one such pair makes to the count.
+    """
 
     doms: Mapping[str, tuple[ObjectId, ...]]
     dom_u: set[ObjectId]
@@ -417,7 +492,12 @@ class _Query(NamedTuple):
     u_color: dict[ObjectId, int]
     w_color: dict[ObjectId, int]
     w_count: dict[int, int]
+    u_classes: dict[int, list[ObjectId]]
     guard: _Guard
+    rows: dict[int, dict[ObjectId, int]]
+    counts: dict[tuple[int, int], int]
+    mixed: dict[tuple[int, tuple], dict[ObjectId, dict[ObjectId, int]]]
+    deltas: dict[tuple[int, int], dict[tuple[int, int], int]]
 
 
 Projections = Sequence[tuple[int, ProjectedAtom]]
@@ -445,6 +525,37 @@ def _colors(
             if v in domain:
                 color[v] = color.get(v, 0) | 1 << i
     return color
+
+
+def _atom_pairs(
+    by_u: Mapping[ObjectId, Sequence[ObjectId]], bit: int, q: _Query
+) -> dict[ObjectId, dict[ObjectId, int]]:
+    """The (u, w) records of one mixed atom over the query's domains, as
+    u -> w -> the atom's bit."""
+    out = {}
+    dom_w = q.dom_w
+    for uv, ws in by_u.items():
+        if uv in q.dom_u:
+            m = {wv: bit for wv in ws if wv in dom_w}
+            if m:
+                out[uv] = m
+    return out
+
+
+def _merge_pairs(
+    found: Sequence[dict[ObjectId, dict[ObjectId, int]]]
+) -> dict[ObjectId, dict[ObjectId, int]]:
+    """The union of the pairs of several mixed atoms, their bits or-ed."""
+    merged: dict[ObjectId, dict[ObjectId, int]] = {}
+    for atom_pairs in found:
+        for uv, m in atom_pairs.items():
+            into = merged.get(uv)
+            if into is None:
+                merged[uv] = dict(m)
+            else:
+                for wv, bit in m.items():
+                    into[wv] = into.get(wv, 0) | bit
+    return merged
 
 
 def baseline_values(

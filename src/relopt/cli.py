@@ -10,7 +10,7 @@ from pathlib import Path
 from .baseline import baseline_opt
 from .errors import ContractError, EngineError
 from .fastcount import multi_counting_opt
-from .formula import classify, parse_formula
+from .formula import check_schema, parse_formula
 from .generate import GenProfile, generate, generate_texts
 from .hybrid import basic_to_ip, hybrid_to_basic
 from .ip import make_ip_solver
@@ -78,7 +78,7 @@ def _load(args):
     other: every atom must name a relation of its arity."""
     structure = load_structure(Path(args.structure).read_text())
     formula = parse_formula(Path(args.formula).read_text().strip())
-    classify(formula, structure)
+    check_schema(formula, structure)
     return structure, formula
 
 
@@ -179,10 +179,10 @@ def cmd_gen(args) -> int:
     f_path = prefix.with_suffix(".formula")
     s_path.write_text(structure_text)
     f_path.write_text(formula_text)
-    # self check: the generated pair must parse and classify
+    # self check: the generated pair must parse and match its structure
     structure = load_structure(structure_text)
     formula = parse_formula(formula_text.strip())
-    classify(formula, structure)
+    check_schema(formula, structure)
     print(f"wrote {s_path} and {f_path} (m={structure.m} n={structure.n})")
     return 0
 

@@ -37,7 +37,7 @@ from .baseline import (
     resolve_domains,
 )
 from .errors import ContractError, UnsupportedShapeError
-from .formula import Atom, OptFormula, atoms_of, eval_expr_table
+from .formula import Atom, OptFormula, atoms_of, check_schema, eval_expr_table
 from .structure import ObjectId, RelationalStructure
 
 TruthTable = Sequence[int]  # 8 entries indexed by (a1 << 2) | (a2 << 1) | a3
@@ -654,6 +654,7 @@ def multi_counting_opt(
     """
     if formula.ell < 2:
         raise UnsupportedShapeError("needs at least two counting variables")
+    check_schema(formula, structure)
     doms = resolve_domains(structure, formula, None)
     order = formula.opt_vars + formula.count_vars
     prefix = order[:-3]

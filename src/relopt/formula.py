@@ -336,19 +336,9 @@ def parse_expr(text: str) -> Expr:
 
 # --- analysis --------------------------------------------------------------
 
-def classify(formula: OptFormula, structure: RelationalStructure) -> FormulaProfile:
-    """Compute the profile of ``formula`` over ``structure``.
-
-    Every predicate used in the body must exist in the structure with the
-    arity its atoms use.
-    """
-    opt = set(formula.opt_vars)
-    cnt = set(formula.count_vars)
-    arities: dict[str, int] = {}
-    cross: list[Atom] = []
-    seen_cross: set[Atom] = set()
-    linking: set[str] = set()
-    has_hyper = False
+def check_schema(formula: OptFormula, structure: RelationalStructure) -> None:
+    """Raise ``SchemaError`` unless every predicate used in the body exists
+    in the structure with the arity its atoms use."""
     for atom in atoms_of(formula.body):
         if atom.pred not in structure.relations:
             raise SchemaError(f"predicate {atom.pred!r} missing from structure")
@@ -358,7 +348,21 @@ def classify(formula: OptFormula, structure: RelationalStructure) -> FormulaProf
                 f"atom {atom.pred} used with {len(atom.args)} arguments, "
                 f"relation has arity {arity}"
             )
-        arities[atom.pred] = arity
+
+
+def classify(formula: OptFormula, structure: RelationalStructure) -> FormulaProfile:
+    """Compute the profile of ``formula`` over ``structure``; see
+    ``check_schema`` for what the structure must provide."""
+    check_schema(formula, structure)
+    opt = set(formula.opt_vars)
+    cnt = set(formula.count_vars)
+    arities: dict[str, int] = {}
+    cross: list[Atom] = []
+    seen_cross: set[Atom] = set()
+    linking: set[str] = set()
+    has_hyper = False
+    for atom in atoms_of(formula.body):
+        arity = arities[atom.pred] = len(atom.args)
         if arity >= 3:
             has_hyper = True
         if arity == 2:

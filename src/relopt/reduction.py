@@ -47,7 +47,7 @@ from .formula import (
     Not,
     OptFormula,
     atoms_of,
-    classify,
+    check_schema,
     conjoin,
     conjuncts,
     disjoin,
@@ -103,6 +103,7 @@ def normalize_formula(
     After this pass every atom has pairwise distinct arguments, so an atom is
     a hyperedge exactly when it has three or more arguments.
     """
+    check_schema(formula, structure)
     new_relations = dict(structure.relations)
     derived: dict[tuple, str] = {}
     opt = set(formula.opt_vars)
@@ -902,7 +903,7 @@ def reduce_and_solve(
     """
     if ip_solver.kind != formula.kind:
         raise ContractError("ip solver kind does not match the formula")
-    classify(formula, structure)
+    check_schema(formula, structure)
     trace = ReductionTrace()
     trace.add("input", m=structure.m, n=structure.n, k=formula.k, ell=formula.ell)
 

@@ -16,7 +16,7 @@ from relopt.errors import ContractError, UnsupportedShapeError
 from relopt.formula import Atom, parse_formula
 from relopt.structure import build_structure, load_structure
 
-from oracles import nested_loop_opt, nested_loop_values, random_instance
+from oracles import nested_loop_opt, nested_loop_values, random_instance, random_structure
 
 
 TOY = "rel E 2\nE a 1\nE a 2\nE b 2\n"
@@ -236,50 +236,121 @@ MAX_OBJECTS = {2: 6, 3: 6, 4: 5, 5: 4}
 
 
 @st.composite
-def opt_queries(draw):
-    """An instance with k in {1, 2, 3} and ell in {1, 2}, domains that are
-    absent, empty, a single object or a random list, and a guard of up to two
-    literals over the optimization variables."""
+def instances(draw):
+    """An instance with k in {1, 2, 3} and ell in {1, 2}."""
     k, ell = draw(st.integers(1, 3)), draw(st.integers(1, 2))
     n = draw(st.integers(1, MAX_OBJECTS[k + ell]))
     kind = draw(st.sampled_from(["max", "min"]))
     rng = draw(st.randoms(use_true_random=False))
-    structure, formula = random_instance(rng, k=k, ell=ell, n_objects=n, kind=kind)
+    return random_instance(rng, k=k, ell=ell, n_objects=n, kind=kind)
+
+
+@st.composite
+def queries(draw, structure, formula):
+    """Domains that are absent, empty, a single object, a random list or a
+    random subset, and a guard of up to two literals over the optimization
+    variables.  A domain is absent (every object) about as often as it is
+    anything else, so that many queries have many base cases."""
+    n = structure.n
     objects = st.integers(0, n - 1)
-    domain = st.one_of(
-        st.none(), st.just([]), objects.map(lambda o: [o]), st.lists(objects, max_size=n)
-    )
+    shapes = st.sampled_from(["absent"] * 3 + ["empty", "one", "list", "subset"])
     domains = {}
     for v in formula.opt_vars + formula.count_vars:
-        dom = draw(domain)
-        if dom is not None:
-            domains[v] = dom
+        shape = draw(shapes)
+        if shape == "empty":
+            domains[v] = []
+        elif shape == "one":
+            domains[v] = [draw(objects)]
+        elif shape == "list":
+            domains[v] = draw(st.lists(objects, max_size=n))
+        elif shape == "subset":
+            keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            domains[v] = [o for o in range(n) if keep[o]]
     opt_vars = formula.opt_vars
     pool = [Atom("P0", (x,)) for x in opt_vars] + [
         Atom(f"E{b}", (x1, x2)) for b in range(2) for x1 in opt_vars for x2 in opt_vars
     ]
     literals = draw(st.lists(st.sampled_from(pool), max_size=2))
     guard = [(a, draw(st.booleans())) for a in literals]
-    return structure, formula, domains, guard
+    return domains, guard
 
 
-@given(opt_queries())
-@settings(max_examples=150, deadline=None)
-def test_opt_is_the_best_guarded_value_with_the_least_witness(query):
-    structure, formula, domains, guard = query
+def guarded_opt(structure, formula, domains, guard):
+    """The best value over the tuples that pass the guard, with the least
+    witness, from the nested-loop table; None if no tuple passes."""
     entries = naive_values(structure, formula, domains).entries
     kept = {
         key: value
         for key, value in entries.items()
         if guard_holds(structure, guard, dict(zip(formula.opt_vars, key)))
     }
-    got = PreparedBaseline(structure, formula).opt(domains, guard)
     if not kept:
-        assert got is None
-        return
+        return None
     best = (max if formula.kind == "max" else min)(kept.values())
-    witness = min(key for key, value in kept.items() if value == best)
-    assert got == (best, witness)
+    return best, min(key for key, value in kept.items() if value == best)
+
+
+@st.composite
+def opt_queries(draw):
+    structure, formula = draw(instances())
+    return (structure, formula) + draw(queries(structure, formula))
+
+
+@given(opt_queries())
+@settings(max_examples=150, deadline=None)
+def test_opt_is_the_best_guarded_value_with_the_least_witness(query):
+    structure, formula, domains, guard = query
+    got = PreparedBaseline(structure, formula).opt(domains, guard)
+    assert got == guarded_opt(structure, formula, domains, guard)
+
+
+# larger than MAX_OBJECTS, so that a query's base cases share colours and pairs
+SEQUENCE_OBJECTS = {2: 9, 3: 9, 4: 7, 5: 5}
+
+
+@st.composite
+def class_balanced_instances(draw):
+    """An instance with k in {1, 2, 3} and ell in {1, 2} whose body has 2-6
+    literals whose atoms take the base case's atom classes in a random turn:
+    over neither of the last two variables (u, w), over u only, over w only,
+    and over both."""
+    k, ell = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    rng = draw(st.randoms(use_true_random=True))
+    n = rng.randint(SEQUENCE_OBJECTS[k + ell] // 2, SEQUENCE_OBJECTS[k + ell])
+    structure = random_structure(rng, n, density=rng.choice([0.25, 0.5]))
+    variables = [f"x{i + 1}" for i in range(k)] + [f"y{j + 1}" for j in range(ell)]
+    u, w = variables[-2:]
+    classes: dict[tuple[bool, bool], list[tuple[str, ...]]] = {}
+    for args in [(v,) for v in variables] + [(a, b) for a in variables for b in variables]:
+        classes.setdefault((u in args, w in args), []).append(args)
+    order = rng.sample(sorted(classes), len(classes))
+    literals = []
+    for i in range(rng.randint(2, 6)):
+        args = rng.choice(classes[order[i % len(order)]])
+        pred = "P0" if len(args) == 1 else f"E{rng.randrange(2)}"
+        literals.append(("!" if rng.random() < 0.3 else "") + f"{pred}({','.join(args)})")
+    formula = parse_formula(
+        f"{rng.choice(['max', 'min'])} {','.join(variables[:k])} . "
+        f"count {','.join(variables[k:])} . {_random_tree(rng, literals)}"
+    )
+    return structure, formula
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_one_evaluator_answers_a_sequence_of_queries(data):
+    # the per-query caches (static rows, class counts, mixed pairs, deltas)
+    # must not leak from one query into the next
+    structure, formula = data.draw(class_balanced_instances())
+    prepared = PreparedBaseline(structure, formula)
+    for _ in range(data.draw(st.integers(2, 6))):
+        domains, guard = data.draw(queries(structure, formula))
+        if data.draw(st.booleans()):
+            got = prepared.values(domains).entries
+            assert got == naive_values(structure, formula, domains).entries
+        else:
+            got = prepared.opt(domains, guard)
+            assert got == guarded_opt(structure, formula, domains, guard)
 
 
 def test_value_table_dump_format():

@@ -3,7 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from relopt.baseline import PreparedBaseline, baseline_opt
 from relopt.errors import FormulaParseError, SchemaError
+from relopt.fastcount import multi_counting_opt
 from relopt.formula import (
     And,
     Atom,
@@ -15,6 +17,7 @@ from relopt.formula import (
     parse_formula,
     print_expr,
 )
+from relopt.reduction import normalize_formula, remove_hyperedges
 from relopt.structure import load_structure
 
 from oracles import random_instance
@@ -127,6 +130,34 @@ def test_classify_errors():
         classify(parse_formula("max x . count y . F(x,y)"), s)
     with pytest.raises(SchemaError):
         classify(parse_formula("max x . count y . E(x,y,y)"), s)
+
+
+# library entry points that read a body's atoms against the structure, with
+# the counting variables each takes
+SCHEMA_ENTRY_POINTS = {
+    "baseline_opt": ("count y1,y2", baseline_opt),
+    "PreparedBaseline": ("count y1", PreparedBaseline),
+    "multi_counting_opt": ("count y1,y2", multi_counting_opt),
+    "normalize_formula": ("count y1", normalize_formula),
+    "remove_hyperedges": ("count y1", remove_hyperedges),
+}
+
+
+@pytest.mark.parametrize("entry", list(SCHEMA_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "body",
+    [
+        "P(x1,x1,y1,x2)",  # a repeated variable and more arguments than the arity
+        "P(x1,x2,y1)",  # more arguments than the arity
+        "Q(x1,y1)",  # no such relation
+    ],
+)
+def test_library_entry_points_check_the_schema(entry, body):
+    counted, solve = SCHEMA_ENTRY_POINTS[entry]
+    s = load_structure("rel P 1\nP a\nP b\n")
+    f = parse_formula(f"max x1,x2 . {counted} . {body}")
+    with pytest.raises(SchemaError):
+        solve(s, f)
 
 
 def test_classify_invariant_under_renaming():
