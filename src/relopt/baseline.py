@@ -297,14 +297,9 @@ class PreparedBaseline:
         guard: a copy of the query's static row for the fixed bits, shifted
         per static u colour class by the moves of the w objects with dynamic
         bits, recounted at the u objects with dynamic bits and corrected by
-        one delta per mixed pair."""
-        fixed_bits = 0
-        for i, a in enumerate(self.fixed_atoms):
-            if _atom_truth(self.structure, a, asn):
-                fixed_bits |= 1 << i
-        row = q.rows.get(fixed_bits)
-        if row is None:
-            row = q.rows[fixed_bits] = self._row(q, fixed_bits)
+        one delta per mixed pair.  Empty, with nothing coloured, when a
+        positive u literal of the guard leaves no u."""
+        us = None
         if q.guard.on_u:
             us = q.doms[self.u_var]
             for i, (p, want) in enumerate(q.guard.on_u):
@@ -312,11 +307,18 @@ class PreparedBaseline:
                 if i == 0 and want:
                     # the u loop reads a positive literal's hits, not the domain
                     us = sorted(uv for (uv,) in hits if uv in q.dom_u)
+                    if not us:
+                        return {}
                 else:
                     us = [uv for uv in us if ((uv,) in hits) == want]
-            out = {uv: row[uv] for uv in us}
-        else:
-            out = row.copy()
+        fixed_bits = 0
+        for i, a in enumerate(self.fixed_atoms):
+            if _atom_truth(self.structure, a, asn):
+                fixed_bits |= 1 << i
+        row = q.rows.get(fixed_bits)
+        if row is None:
+            row = q.rows[fixed_bits] = self._row(q, fixed_bits)
+        out = row.copy() if us is None else {uv: row[uv] for uv in us}
         u_static, w_static = q.u_color, q.w_color
         u_extra = _colors(self.u_dynamic, asn, q.dom_u)
         w_extra = _colors(self.w_dynamic, asn, q.dom_w)

@@ -1,9 +1,10 @@
 """The simplification chain for single-counting-variable formulas: hyperedge
-removal, cross-edge elimination with grouped top-K re-solving, conversion to
-the Hybrid Problem, and the end-to-end driver.
+removal, cross-edge elimination with grouped re-solving, conversion to the
+Hybrid Problem, and the end-to-end driver.
 
-The lift's scores only choose which K of its g^k group combinations get an
-exact re-solve, so the driver runs it only where g^k > K.  Every other
+The lift's scores only choose which of its g^k group combinations get an
+exact re-solve: those ranked up to the first clean one and its possible
+ties, at most K.  The driver runs it only where g^k > K.  Every other
 instance is answered by one baseline query of the input: the side problems
 and the guarded main problem partition its tuples, so solving them apart
 would only repeat that query's work.
@@ -23,6 +24,7 @@ in the chain skips tuples that fail them.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from itertools import product
@@ -176,12 +178,13 @@ def solve_positive_cross_edge(
     an accumulated guard.
 
     Uses the degree split, with one ``PreparedBaseline`` of the formula
-    answering every query: one query per heavy endpoint v (v as the domain
-    of its variable), and one query over the light objects as the domains of
-    x_i and x_j, guarded by the forced edge, so it evaluates only the
-    light-light tuples that carry it.  The light-light tuples without the
-    edge all have value 0; with ``include_edgeless_pairs`` the least of them
-    that passes the guard stands for them.
+    answering every query: one query per endpoint variable with the heavy
+    objects as its domain (none when no object is heavy), and one query over
+    the light objects as the domains of x_i and x_j, guarded by the forced
+    edge, so it evaluates only the light-light tuples that carry it.  The
+    light-light tuples without the edge all have value 0; with
+    ``include_edgeless_pairs`` the least of them that passes the guard stands
+    for them.
     """
     if formula.ell != 1:
         raise ContractError("positive-cross-edge solver needs exactly one count variable")
@@ -202,11 +205,11 @@ def solve_positive_cross_edge(
     evaluator = PreparedBaseline(structure, formula)
     candidates: list[OptResult | None] = []
 
-    # a heavy endpoint is brute-forced with the baseline
+    # a heavy endpoint is brute-forced with the baseline, one query per slot
     heavy_guard = extra_guard if include_edgeless_pairs else with_edge
-    for var in (xi, xj):
-        for v in heavy:
-            candidates.append(evaluator.opt({var: (v,)}, heavy_guard))
+    if heavy:
+        for var in (xi, xj):
+            candidates.append(evaluator.opt({var: heavy}, heavy_guard))
 
     # light-light tuples carrying the forced edge
     candidates.append(evaluator.opt({xi: light, xj: light}, with_edge))
@@ -335,8 +338,12 @@ def build_group_partition(
 class LiftGrouping:
     """The lift's split of the objects for k optimization variables: vertices
     of degree at least ``ceil(m^(1/(k+1)))`` are heavy, the light ones are
-    grouped, and ``bound`` is K = C(k,2)·m·n^(k-2) + 1, the number of the g^k
-    group combinations (``combos``) that the scores select for re-solving."""
+    grouped, and ``bound`` is K = C(k,2)·m·n^(k-2) + 1.  At most K - 1 of the
+    g^k group combinations (``combos``) hold a record of a cross atom or a
+    guard between their groups, so K caps the combinations the lift
+    re-solves; its rule (``solve_cross_free_lift``) stops at the first clean
+    one, mostly far sooner.  The lift runs only where it ``prunes``
+    (g^k > K)."""
 
     heavy: tuple[ObjectId, ...]
     partition: GroupPartition
@@ -379,6 +386,88 @@ def split_cross_atoms(formula: OptFormula) -> tuple[list[Atom], OptFormula]:
 Groups = Sequence[Sequence[ObjectId]]
 Scorer = Callable[[Groups], Sequence["int | None"]]
 PrepareScorer = Callable[[RelationalStructure, OptFormula], Scorer]
+# per pair of slots (i, j), the (group at i, group at j) pairs of a record
+DirtyPairs = Mapping[tuple[int, int], set[tuple[int, int]]]
+
+
+def _dirty_pairs(
+    structure: RelationalStructure,
+    opt_vars: Sequence[str],
+    guard: Guard,
+    groups: Groups,
+) -> DirtyPairs | None:
+    """The group pairs that a record of a guard literal falls between, per
+    pair of the literal's slots; None when a literal is not an (atom, False)
+    over two distinct optimization variables, which makes every combination
+    dirty."""
+    slot = {v: i for i, v in enumerate(opt_vars)}
+    group_of = {v: gi for gi, group in enumerate(groups) for v in group}
+    out: dict[tuple[int, int], set[tuple[int, int]]] = {}
+    for atom, want in guard:
+        args = atom.args
+        if want or len(args) != 2 or args[0] == args[1] or not set(args) <= slot.keys():
+            return None
+        pairs = out.setdefault((slot[args[0]], slot[args[1]]), set())
+        for a, b in structure.relation(atom.pred).records:
+            if a in group_of and b in group_of:
+                pairs.add((group_of[a], group_of[b]))
+    return out
+
+
+def _select_combinations(
+    kind: str,
+    scores: Sequence[int | None],
+    g: int,
+    k: int,
+    dirty: DirtyPairs | None,
+    ratio: float,
+    top_k: int,
+) -> tuple[list[tuple[int, ...]], int | None, int]:
+    """The combinations the lift re-solves by its rule (see
+    ``solve_cross_free_lift``), best first; the rank of the first clean one
+    from 1, or None; and the number of scored combinations.  The ranking is
+    a heap of (signed score, index), the index being the combination's
+    position in ``itertools.product`` order, which is combination order."""
+    sign = -1 if kind == "max" else 1
+    heap = [(sign * value, i) for i, value in enumerate(scores) if value is not None]
+    heapq.heapify(heap)
+    combos = len(heap)
+    selected: list[tuple[int, ...]] = []
+    clean: tuple[int, int] | None = None  # (S*, c*'s first group)
+    clean_rank = None
+    while heap and len(selected) < top_k:
+        key, i = heapq.heappop(heap)
+        combo = _combo_of(i, g, k)
+        if clean is None:
+            if dirty is not None and not any(
+                (combo[a], combo[b]) in pairs for (a, b), pairs in dirty.items()
+            ):
+                clean, clean_rank = (sign * key, combo[0]), len(selected) + 1
+        elif not _may_reach(kind, sign * key, combo[0], clean, ratio):
+            break
+        selected.append(combo)
+    return selected, clean_rank, combos
+
+
+def _combo_of(index: int, g: int, k: int) -> tuple[int, ...]:
+    """The combination at ``index`` in ``product(range(g), repeat=k)``."""
+    digits = []
+    for _ in range(k):
+        index, digit = divmod(index, g)
+        digits.append(digit)
+    return tuple(reversed(digits))
+
+
+def _may_reach(
+    kind: str, score: int, first: int, clean: tuple[int, int], ratio: float
+) -> bool:
+    """Whether a combination ranked after c* may hold the lift's answer: with
+    an exact scorer a tie at S* in c*'s first group, with a c-approximate one
+    any score within the ratio of S*."""
+    best, clean_first = clean
+    if ratio == 1:
+        return score == best and first == clean_first
+    return score * ratio >= best if kind == "max" else score <= ratio * best
 
 
 def solve_cross_free_lift(
@@ -388,21 +477,59 @@ def solve_cross_free_lift(
     guard: Guard = (),
     top_k: int | None = None,
     stats_out: dict | None = None,
+    ratio: float = 1.0,
 ) -> OptResult | None:
     """Eliminate cross edges: exact side problems per cross atom, heavy-vertex
-    brute force, grouped relaxed scoring, and exact top-K re-solving under the
-    guarded main body.  The re-solve makes one exact query per slot prefix:
-    the selected combinations that share their first k-1 groups are solved
-    together, over the union of their last groups.
+    brute force (one query per slot, with the heavy vertices as its domain),
+    grouped relaxed scoring, and an exact re-solve of a prefix of the ranked
+    group combinations under the guarded main body.  The re-solve makes one
+    exact query per slot prefix: the selected combinations that share their
+    first k-1 groups are solved together, over the union of their last
+    groups.
 
     ``prepare(structure, core)`` is called once, when there is at least one
     group, and returns the scorer of the cross-free core.  The scorer is
     called once, with the groups, and returns the relaxed value of every
     combination of groups (group ci as the domain of the i-th optimization
-    variable) in ``itertools.product`` order, None where none exists.
-    ``top_k`` overrides the number of re-solved combinations (testing only).
+    variable) in ``itertools.product`` order, None where none exists.  Its
+    values lie within ``ratio`` of the core's optimum over the combination:
+    in [OPT/ratio, OPT] for max and [OPT, ratio·OPT] for min.
+
+    The rule.  A combination is *dirty* when a record of a guard literal (a
+    cross atom or a literal of ``guard``, each an (atom, False) over two
+    distinct optimization variables) falls between its groups in the atom's
+    slots, and *clean* otherwise; any other guard shape makes every
+    combination dirty.  Every tuple of a clean combination passes the
+    guard, so its guarded optimum is the core's optimum over it.  The
+    combinations are ranked lazily, best score first and ties in
+    combination order, until the rule is met.  Let c* be the first clean
+    one and S* its score.
+    - Exact scorer (``ratio`` 1): re-solve every combination ranked before
+      c*, c* and the combinations tied at S* that share c*'s first group.
+      For max, a combination's guarded optimum is at most its score and
+      c*'s is S*, so one ranked after c* beats S* never and ties it only if
+      its score is S*.  Such a tie comes after c* in combination order; if
+      its first group differs from c*'s, that group is a later run of the
+      sorted light objects, so each of its tuples has a larger x1 than
+      c*'s witness.  For min, a guarded optimum is at least the score, and
+      the same argument holds with every inequality reversed.
+    - c-approximate scorer: c*'s guarded optimum is its core optimum, at
+      least S* for max, and any combination's guarded optimum is at most
+      its core optimum, at most score·c.  So only a combination with
+      ``score·c >= S*`` can reach c*'s; for min, with every inequality
+      reversed, only one with ``score <= c·S*``.  Re-solve every ranked
+      combination that can, ties included.
+    Either way the lift returns the exact optimum and least witness of its
+    tuples.  The selection is capped at ``top_k`` (by default min(g^k, K));
+    where no clean combination is ranked within the cap, the top ``top_k``
+    are re-solved.  ``top_k`` is overridden by tests only.
+
     ``stats_out`` receives the stage's counts and ``source``, the step whose
-    candidate is the answer: ``side``, ``heavy`` or ``resolve``.
+    candidate is the answer: ``side``, ``heavy`` or ``resolve``.  ``dirty``
+    counts the dirty combinations ranked before c* (all those ranked, where
+    none is clean), ``clean_rank`` is c*'s rank from 1 (None where none is
+    clean within the cap), ``resolves`` the re-solved combinations and
+    ``resolve_queries`` their exact queries.
     """
     if formula.ell != 1:
         raise ContractError("the lift expects exactly one count variable")
@@ -425,11 +552,12 @@ def solve_cross_free_lift(
     # one evaluator of the guarded core serves steps (2) and (5)
     evaluator = PreparedBaseline(structure, core)
 
-    # (2) heavy vertices: fix and solve the residual problem with the baseline
+    # (2) heavy vertices: per slot, one query with the heavy set as its domain
     grouping = lift_grouping(structure, k)
-    for v in grouping.heavy:
+    if grouping.heavy:
         for var in formula.opt_vars:
-            candidates.append(("heavy", evaluator.opt({var: (v,)}, full_guard)))
+            heavy = evaluator.opt({var: grouping.heavy}, full_guard)
+            candidates.append(("heavy", heavy))
 
     # (3) the groups of the light vertices
     groups = grouping.partition.groups
@@ -437,7 +565,7 @@ def solve_cross_free_lift(
     stats.update(
         threshold=grouping.partition.threshold,
         heavy=len(grouping.heavy),
-        heavy_solves=len(grouping.heavy) * k,
+        heavy_solves=k if grouping.heavy else 0,
         groups=len(groups),
         m=structure.m,
         n=structure.n,
@@ -446,17 +574,14 @@ def solve_cross_free_lift(
     if groups:
         # (4) score every group combination on the relaxed body
         scores = prepare(structure, core)(groups)
-        combos = product(range(len(groups)), repeat=k)
-        scored = [
-            (value, combo)
-            for combo, value in zip(combos, scores, strict=True)
-            if value is not None
-        ]
+        if len(scores) != len(groups) ** k:
+            raise ContractError("the scorer must score every group combination")
         if top_k is None:
             top_k = min(grouping.combos, grouping.bound)
-        reverse = formula.kind == "max"
-        scored.sort(key=lambda vc: ((-vc[0] if reverse else vc[0]), vc[1]))
-        selected = scored[:top_k]
+        dirty = _dirty_pairs(structure, formula.opt_vars, full_guard, groups)
+        selected, clean_rank, combos = _select_combinations(
+            formula.kind, scores, len(groups), k, dirty, ratio, top_k
+        )
 
         # (5) exact re-solve of the selected combinations under the guard, one
         # query per prefix combo[:-1]: the last slot's domain is the union of
@@ -464,11 +589,13 @@ def solve_cross_free_lift(
         # exactly the tuples of those combinations, and its best value and
         # least witness are those of their per-combination optima
         last_groups: dict[tuple[int, ...], list[int]] = {}
-        for _, combo in selected:
+        for combo in selected:
             last_groups.setdefault(combo[:-1], []).append(combo[-1])
         stats.update(
-            combos=len(scored),
+            combos=combos,
             top_k=top_k,
+            dirty=len(selected) if clean_rank is None else clean_rank - 1,
+            clean_rank=clean_rank,
             resolves=len(selected),
             resolve_queries=len(last_groups),
         )
@@ -959,6 +1086,7 @@ def reduce_and_solve(
             prepare,
             guard=plan.main_guard,
             stats_out=lift_stats,
+            ratio=ip_solver.ratio,
         )
         source = lift_stats.pop("source")
     except ResourceLimitError as exc:

@@ -168,6 +168,30 @@ def test_ip_ranking_decides_the_lift_answer(lift_corpus):
     assert dropped, "the IP ranking never decided a max answer"
 
 
+def test_criterion_2_fails_on_scores_past_the_declared_ratio(lift_corpus):
+    # the lift re-solves only the combinations whose scores reach, within
+    # the declared ratio, the score of the first clean one; a solver that
+    # overstates the zero scores past that ratio sends a combination of
+    # value 0 to the top, so the answer falls out of criterion 2's interval
+    c, eps = 2.0, 0.1
+
+    def overstating(kind):
+        exact = exact_solver(kind)
+
+        def solve(instance):
+            value = exact.solve(instance)
+            return 10**6 if value == 0 else value
+
+        return IpSolver(kind, c, solve)
+
+    outside = 0
+    for name, formula, opt, value in _solve_lift_corpus(lift_corpus, overstating):
+        if formula.kind == "max":
+            assert value <= opt, name
+            outside += value < opt / (c + eps)
+    assert outside, "no overstated score moved a max answer out of the interval"
+
+
 def test_criterion_3_universe_reduction_error_bound():
     rng = random.Random(2024)
     trials = 200

@@ -114,7 +114,13 @@ def test_solve_trace_prints_the_winning_source_of_the_lift(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    assert "stage cross-free-lift" in out
+    # the top-ranked combination is clean and the lift re-solves it with its
+    # 5 ties in its first group, in one query; the 6 heavy vertices take one
+    # query per slot
+    assert (
+        "stage cross-free-lift clean_rank=1 combos=36 dirty=0 groups=6 heavy=6 "
+        "heavy_solves=2 m=24 n=18 resolve_queries=1 resolves=6 threshold=3 top_k=25\n"
+    ) in out
     assert "witness o2 o0\n" in out and out.endswith("source heavy\n")
 
 

@@ -10,6 +10,7 @@ from relopt.baseline import (
     baseline_opt,
     baseline_opt_restricted,
     baseline_values,
+    guard_holds,
     naive_values,
 )
 from relopt.errors import ContractError, ResourceLimitError
@@ -586,21 +587,53 @@ CYCLE_BODIES = (
 )
 
 
-def _selected_combinations(structure, formula, prepare, top_k):
-    """The group combinations the lift re-solves: the top_k best scores of
-    the cross-free core, ties broken by the least combination."""
-    _, core = split_cross_atoms(formula)
+def _rule_combinations(structure, formula, scores, top_k, guard=(), ratio=1.0):
+    """The group combinations the lift re-solves, recomputed from the scores
+    and the records: rank the scored combinations best first, ties by the
+    least combination; c* is the first one within top_k all of whose tuples
+    pass the guard with every cross atom false, S* its score.  Keep the
+    ranking through c* and on while a combination can still hold the answer
+    (exact: a tie at S* in c*'s first group; c-approximate: a score within
+    the ratio of S*), then cap at top_k.  Without c*, the top top_k.
+    Returns the combinations and c*'s rank from 1, or None."""
+    cross, _ = split_cross_atoms(formula)
+    full_guard = tuple(guard) + tuple((a, False) for a in cross)
     groups = lift_grouping(structure, formula.k).partition.groups
-    if not groups:
-        return []
-    scores = prepare(structure, core)(groups)
-    sign = -1 if formula.kind == "max" else 1
+    is_max = formula.kind == "max"
+    sign = -1 if is_max else 1
     ranked = sorted(
         (sign * value, combo)
         for combo, value in zip(product(range(len(groups)), repeat=formula.k), scores)
         if value is not None
     )
-    return [combo for _, combo in ranked[:top_k]]
+
+    def clean(combo):
+        return all(
+            guard_holds(structure, full_guard, dict(zip(formula.opt_vars, xs)))
+            for xs in product(*(groups[ci] for ci in combo))
+        )
+
+    star = next((r for r, (_, c) in enumerate(ranked[:top_k]) if clean(c)), None)
+    if star is None:
+        return [combo for _, combo in ranked[:top_k]], None
+    best, first = sign * ranked[star][0], ranked[star][1][0]
+
+    def may_hold(value, combo):
+        if ratio == 1:
+            return value == best and combo[0] == first
+        return value * ratio >= best if is_max else value <= ratio * best
+
+    end = star + 1
+    while end < len(ranked) and may_hold(sign * ranked[end][0], ranked[end][1]):
+        end += 1
+    return [combo for _, combo in ranked[: min(end, top_k)]], star + 1
+
+
+def _lift_scores(structure, formula, solver):
+    """The lift's scores of the cross-free core under the solver."""
+    _, core = split_cross_atoms(formula)
+    groups = lift_grouping(structure, formula.k).partition.groups
+    return HybridScorer(structure, core, solver)(groups) if groups else []
 
 
 def test_trace_counts_heavy_solves_resolves_and_ip_calls(monkeypatch):
@@ -615,6 +648,7 @@ def test_trace_counts_heavy_solves_resolves_and_ip_calls(monkeypatch):
 
     monkeypatch.setattr(PreparedBaseline, "opt", counting_opt)
     structure = _cycle_structure()
+    seen = set()
     for text in CYCLE_BODIES:
         formula = parse_formula(text)
         exact = exact_solver(formula.kind)
@@ -632,21 +666,28 @@ def test_trace_counts_heavy_solves_resolves_and_ip_calls(monkeypatch):
         lift = stages["cross-free-lift"]
         assert lift["groups"] and ip_calls
         assert stages["hybrid"]["ip_calls"] == len(ip_calls)
-        assert lift["resolves"] == min(lift["top_k"], lift["combos"])
-        assert lift["heavy_solves"] == lift["heavy"] * formula.k
-        # a cross atom's side problem makes one query per heavy endpoint (a
-        # cycle has none) and one over the light-light pairs
+        assert lift["heavy"] and lift["heavy_solves"] == formula.k
+        # the re-solved combinations are the rule's, recomputed from the
+        # scores and the records, within the cap
+        scores = _lift_scores(structure, formula, exact)
+        rule, clean_rank = _rule_combinations(structure, formula, scores, lift["top_k"])
+        assert lift["resolves"] == len(rule) <= lift["top_k"]
+        assert lift["resolve_queries"] == len({c[:-1] for c in rule})
+        assert (lift["clean_rank"], lift["dirty"]) == (clean_rank, clean_rank - 1)
+        # a cross atom's side problem makes one query per endpoint slot when
+        # some object is heavy (a cycle has none) and one over the light-light
+        # pairs
         cross, _ = split_cross_atoms(formula)
-        heavy = sum(
+        heavy = any(
             structure.degree(v) ** 2 >= structure.m for v in range(structure.n)
         )
         side_queries = len(cross) * (2 * heavy + 1)
         assert len(opt_calls) == (
             lift["heavy_solves"] + lift["resolve_queries"] + side_queries
         )
-        assert lift["resolve_queries"] <= lift["resolves"]
-        # an explicit top_k selects fewer combinations, or all of them
-        for top_k in (3, 100):
+        # an explicit top_k caps the rule's combinations; where no clean one
+        # is ranked within it, the top top_k are re-solved
+        for top_k in (1, 3, 100):
             stats = {}
 
             def prepare(s, f, exact=exact):
@@ -655,11 +696,17 @@ def test_trace_counts_heavy_solves_resolves_and_ip_calls(monkeypatch):
             solve_cross_free_lift(
                 structure, formula, prepare, top_k=top_k, stats_out=stats
             )
-            assert stats["resolves"] == min(top_k, stats["combos"])
+            rule, clean_rank = _rule_combinations(structure, formula, scores, top_k)
+            assert stats["resolves"] == len(rule) <= top_k
+            assert stats["clean_rank"] == clean_rank
+            if clean_rank is None:
+                assert stats["dirty"] == stats["resolves"] == top_k
             # one query per prefix of the selected combinations
-            selected = _selected_combinations(structure, formula, prepare, top_k)
-            assert stats["resolve_queries"] == len({c[:-1] for c in selected})
-            assert stats["resolve_queries"] <= stats["resolves"]
+            assert stats["resolve_queries"] == len({c[:-1] for c in rule})
+            seen.add((clean_rank, len(rule) < top_k))
+    # the rule stops short of the cap at a c* of rank 1 and of rank 2, and
+    # at top_k 1 the second body has no clean combination within the cap
+    assert {(1, True), (2, True), (None, False)} <= seen
 
 
 def _two_record_instance(rng, k, kind):
@@ -689,11 +736,11 @@ def _two_record_instance(rng, k, kind):
 
 def test_batched_resolve_equals_one_query_per_selected_combination():
     # the re-solve answers one query per slot prefix; the reference re-solves
-    # every selected combination on its own.  Under inverted or random scores
-    # the selection is not the best combinations, so a query that also
-    # covers unselected ones changes the answer.
+    # every combination of the rule on its own.  Under inverted or random
+    # scores the selection is not the best combinations, so a query that
+    # also covers unselected ones changes the answer.
     rng = random.Random(71)
-    pruned = batched = 0
+    pruned = batched = capped = 0
     for trial in range(100):
         k = (2, 3)[trial % 2]
         kind = ("max", "min")[trial // 2 % 2]
@@ -724,21 +771,25 @@ def test_batched_resolve_equals_one_query_per_selected_combination():
         )
 
         guard = tuple((a, False) for a in cross)
+        rule, clean_rank = _rule_combinations(structure, formula, scores, top_k)
         resolved = [
             evaluator.opt(
                 {v: groups[ci] for v, ci in zip(formula.opt_vars, combo)}, guard
             )
-            for combo in _selected_combinations(structure, formula, prepare, top_k)
+            for combo in rule
         ]
         # top_k=0: the side problems and the heavy vertices only
         rest = solve_cross_free_lift(structure, formula, prepare, top_k=0)
         want = combine_results(kind, [rest] + resolved)
         assert got == want, f"trial {trial} top_k {top_k} {formula}"
         if groups:
-            assert stats["resolves"] == len(resolved)
+            assert stats["resolves"] == len(rule) <= top_k
+            assert stats["resolve_queries"] == len({c[:-1] for c in rule})
+            assert stats["clean_rank"] == clean_rank
             pruned += stats["resolves"] < stats["combos"]
             batched += stats["resolve_queries"] < stats["resolves"]
-    assert pruned > 50 and batched > 25
+            capped += clean_rank is None
+    assert pruned > 50 and batched > 25 and capped, (pruned, batched, capped)
 
 
 def test_reduce_and_solve_skips_the_lift_where_nothing_is_pruned(monkeypatch):
@@ -851,6 +902,7 @@ def test_lift_indexes_relations_independently_of_top_k(monkeypatch):
     for text in CYCLE_BODIES:
         formula = parse_formula(text)
         solver = exact_solver(formula.kind)
+        scores = _lift_scores(structure, formula, solver)
         runs = {}
         for top_k in (1, None):
             built.clear()
@@ -862,7 +914,11 @@ def test_lift_indexes_relations_independently_of_top_k(monkeypatch):
                 top_k=top_k,
                 stats_out=stats,
             )
+            rule, _ = _rule_combinations(structure, formula, scores, stats["top_k"])
+            assert stats["resolves"] == len(rule) <= stats["top_k"], text
             runs[top_k] = (len(built), stats["resolves"])
+        # the rule re-solves more than one combination without the cap of 1,
+        # and the evaluator indexes the same relations either way
         assert runs[1][1] < runs[None][1], text
         assert runs[1][0] == runs[None][0], text
 
@@ -918,10 +974,12 @@ def test_reduce_and_solve_equals_baseline_on_l1_instances(instance):
 
 
 @st.composite
-def sparse_prune_instances(draw):
-    """k=2 instances over 24-36 objects, no object in more than two records
-    (binary, unary or ternary), with a random body that may hold cross atoms
-    and a hyperedge, on which the lift prunes."""
+def sparse_prune_instances(draw, k=2):
+    """Instances with k optimization variables over 24-36 objects, no object
+    in more than two records (binary, unary or ternary), with a random body
+    that may hold cross atoms and a hyperedge.  At k=2 the lift prunes on
+    each; at k=3, g^3 stays below K at this size, so the lift's cap never
+    binds."""
     rng = draw(st.randoms(use_true_random=False))
     n = draw(st.integers(24, 36))
     arity = {"E0": 2, "E1": 2, "P0": 1, "R0": 3}
@@ -936,11 +994,13 @@ def sparse_prune_instances(draw):
         for v in set(rec):
             degree[v] += 1
     structure = build_structure([f"o{v}" for v in range(n)], rels, arity)
-    body = random_body_text(rng, ["x1", "x2"], ["y1"], ternary=draw(st.integers(0, 1)))
+    opt_vars = [f"x{i + 1}" for i in range(k)]
+    body = random_body_text(rng, opt_vars, ["y1"], ternary=draw(st.integers(0, 1)))
     kind = draw(st.sampled_from(["max", "min"]))
-    formula = parse_formula(f"{kind} x1,x2 . count y1 . {body}")
-    plan = remove_hyperedges(*normalize_formula(structure, formula))
-    assume(lift_grouping(plan.main_structure, 2).prunes)
+    formula = parse_formula(f"{kind} {','.join(opt_vars)} . count y1 . {body}")
+    if k == 2:
+        plan = remove_hyperedges(*normalize_formula(structure, formula))
+        assume(lift_grouping(plan.main_structure, 2).prunes)
     return structure, formula
 
 
@@ -951,6 +1011,109 @@ def test_reduce_and_solve_equals_baseline_where_the_lift_prunes(instance):
     _, trace = _pipeline_agrees_with_baseline(structure, formula)
     assert "cross-free-lift" in dict(trace.stages)
     assert trace.source in (None, "side", "heavy", "resolve")
+
+
+def _lift_route(structure, formula, solver):
+    """The driver's lift route, taken whether or not the lift prunes: the
+    side problems of hyperedge removal, and the lift of the guarded main
+    problem scored under the solver.  Returns the optimum, the lift's stats,
+    the plan and the scores."""
+    plan = remove_hyperedges(*normalize_formula(structure, formula))
+    sides = [
+        solve_positive_cross_edge(
+            side.structure, side.formula, side.forced, include_edgeless_pairs=False
+        )
+        for side in plan.side_problems
+    ]
+    scores = []
+
+    def prepare(s, f):
+        scorer = HybridScorer(s, f, solver)
+
+        def score(groups):
+            scores.extend(scorer(groups))
+            return scores
+
+        return score
+
+    stats = {}
+    main = solve_cross_free_lift(
+        plan.main_structure,
+        plan.main_core,
+        prepare,
+        guard=plan.main_guard,
+        stats_out=stats,
+        ratio=solver.ratio,
+    )
+    return combine_results(formula.kind, sides + [main]), stats, plan, scores
+
+
+def _dirty_first_scores(structure, formula, guard, scores):
+    """The scores with every dirty combination's (one with a tuple that
+    fails the guard or a cross atom) shifted to rank before every clean
+    one, so the rule reaches c* only past all of them; and the number of
+    scored dirty combinations."""
+    cross, _ = split_cross_atoms(formula)
+    full_guard = tuple(guard) + tuple((a, False) for a in cross)
+    groups = lift_grouping(structure, formula.k).partition.groups
+    group_of = {v: gi for gi, group in enumerate(groups) for v in group}
+    dirty = {
+        tuple(group_of[x] for x in xs)
+        for xs in product(group_of, repeat=formula.k)
+        if not guard_holds(structure, full_guard, dict(zip(formula.opt_vars, xs)))
+    }
+    shift = max((v for v in scores if v is not None), default=0) + 1
+    if formula.kind == "min":
+        shift = -shift
+    combos = list(product(range(len(groups)), repeat=formula.k))
+    return [
+        v if v is None or c not in dirty else v + shift for c, v in zip(combos, scores)
+    ], sum(v is not None and c in dirty for c, v in zip(combos, scores))
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_lift_rule_gives_the_optimum_under_exact_and_approximate_scores(data):
+    # the re-solved combinations are the rule's, recomputed from the scores
+    # and the guard; with exact scores the answer is the optimum, and with
+    # c-approximate ones too wherever the rule's combinations fit the cap
+    k = data.draw(st.sampled_from([2, 3]))
+    structure, formula = data.draw(sparse_prune_instances(k))
+    want = baseline_opt(structure, formula)
+    exact = exact_solver(formula.kind)
+    c = data.draw(st.sampled_from([1.5, 2.0, 3.0]))
+    for solver in (exact, approx_wrapper(exact, c)):
+        got, stats, plan, scores = _lift_route(structure, formula, solver)
+        if not scores:
+            assert got == want, str(formula)
+            continue
+        main = (plan.main_structure, plan.main_core)
+        top_k = stats["top_k"]
+        rule, clean_rank = _rule_combinations(
+            *main, scores, len(scores), plan.main_guard, solver.ratio
+        )
+        assert stats["resolves"] == min(len(rule), top_k) <= top_k
+        within = clean_rank is not None and clean_rank <= top_k
+        assert stats["clean_rank"] == (clean_rank if within else None)
+        if len(rule) <= top_k:
+            assert got == want, f"{formula} ratio {solver.ratio}"
+    if not scores:
+        return
+
+    # scores that rank every dirty combination first: the rule's c* is the
+    # first clean one past all of them, so the marking of every guard record
+    # decides it
+    dirty_first, dirty = _dirty_first_scores(*main, plan.main_guard, scores)
+    stats = {}
+    solve_cross_free_lift(
+        *main, lambda s, f: (lambda groups: dirty_first), guard=plan.main_guard,
+        stats_out=stats,
+    )
+    rule, clean_rank = _rule_combinations(
+        *main, dirty_first, stats["top_k"], plan.main_guard
+    )
+    assert (stats["resolves"], stats["clean_rank"]) == (len(rule), clean_rank)
+    assert clean_rank is None or stats["dirty"] == clean_rank - 1 == dirty
 
 
 def test_reduce_and_solve_exact_small():
