@@ -10,7 +10,7 @@ from pathlib import Path
 from .baseline import baseline_opt
 from .errors import ContractError, EngineError
 from .fastcount import multi_counting_opt
-from .formula import check_schema, parse_formula
+from .formula import And, check_schema, parse_formula
 from .generate import GenProfile, generate, generate_texts
 from .hybrid import basic_to_ip, hybrid_to_basic
 from .ip import make_ip_solver
@@ -39,6 +39,8 @@ structure file (UTF-8, line based):
 ip instance file: 'dim D' then 'vec FAMILY COORD...' lines.
 hybrid dump: 'universe ID TAUBITS' then 'set FAMILY NAME ID...' lines.
 """
+
+ENGINES = ("auto", "baseline", "multicount", "reduction")
 
 
 def _profile_from_args(args) -> GenProfile:
@@ -134,10 +136,13 @@ def cmd_reduce(args) -> int:
     (out_dir / "main.formula").write_text(str(plan.main_formula) + "\n")
     summary.append(
         f"stage hyperedge-removal m={plan.main_structure.m} "
-        f"n={plan.main_structure.n} sides={len(plan.side_problems)}"
+        f"n={plan.main_structure.n} sides={len(plan.main_guard)}"
     )
-    for idx, side in enumerate(plan.side_problems):
-        (out_dir / f"side{idx}.formula").write_text(str(side.formula) + "\n")
+    # a side is the normalized formula over the tuples that carry its guard
+    # atom, written as that atom conjoined to the body
+    for idx, (atom, _) in enumerate(plan.main_guard):
+        side = plan.formula.with_body(And(atom, plan.formula.body))
+        (out_dir / f"side{idx}.formula").write_text(str(side) + "\n")
 
     # cross atoms leave the main body exactly as in the lift: one exactly
     # solved side problem each, false inside the relaxed core
@@ -220,6 +225,9 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     profile = _profile_from_args(args)
     engines = args.engines.split(",")
+    for engine in engines:
+        if engine not in ENGINES:
+            raise EngineError(f"unknown engine {engine!r}; choose from {', '.join(ENGINES)}")
     rows = []
     for engine in engines:
         total = 0.0
@@ -233,7 +241,7 @@ def cmd_bench(args) -> int:
             elif engine == "multicount":
                 res = multi_counting_opt(structure, formula)
                 values.append(res.value if res else None)
-            else:
+            else:  # auto and reduction both run the routing pipeline
                 solver = make_ip_solver(formula.kind, args.ip)
                 value, _ = reduce_and_solve(structure, formula, solver)
                 values.append(value)
@@ -267,7 +275,7 @@ def main(argv=None) -> int:
     p.add_argument("--formula", required=True)
     p.add_argument(
         "--engine",
-        choices=["auto", "baseline", "multicount", "reduction"],
+        choices=ENGINES,
         default="auto",
     )
     p.add_argument("--ip", default="exact", help="'exact' or 'approx:<c>'")
@@ -301,7 +309,10 @@ def main(argv=None) -> int:
     p = sub.add_parser("bench", help="time engines on seeded instances")
     p.add_argument("--seeds", type=int, default=5)
     p.add_argument("--start-seed", type=int, default=0)
-    p.add_argument("--engines", default="baseline,auto")
+    p.add_argument(
+        "--engines", default="baseline,auto",
+        help=f"comma-separated engines: {', '.join(ENGINES)}",
+    )
     p.add_argument("--ip", default="exact")
     _add_profile_flags(p)
     p.set_defaults(func=cmd_bench)

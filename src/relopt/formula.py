@@ -72,20 +72,6 @@ def atoms_of(expr: Expr) -> Iterator[Atom]:
             stack.append(e.left)
 
 
-def conjuncts(expr: Expr) -> list[Expr]:
-    """Flatten the top-level conjunction chain."""
-    out: list[Expr] = []
-    stack = [expr]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, And):
-            stack.append(e.right)
-            stack.append(e.left)
-        else:
-            out.append(e)
-    return out
-
-
 def _balanced(parts: list[Expr], node) -> Expr:
     # balanced tree keeps recursive walkers at logarithmic depth even for the
     # wide disjunctions the reductions generate

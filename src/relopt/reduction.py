@@ -21,6 +21,15 @@ a conjunction of negated literals inside the body would do, but a masked tuple
 evaluates to 0, which is not neutral for minimization.  Guards therefore
 travel beside the body as explicit (atom, expected) literals and every solver
 in the chain skips tuples that fail them.
+
+A side problem (a hyperedge pair's N atom, or a cross atom E(x_i, x_j)) is
+the formula over the tuples that carry its atom, so it is one guarded query
+on an evaluator of the formula that the step already holds
+(``solve_positive_cross_edge``).  The paper's degree split of such a side
+is not needed: the evaluator seeds its loop over the last optimization
+variable from the hits of a positive guard literal over it and checks any
+other literal once per assignment of its last variable, as the split's
+light-light query did.
 """
 from __future__ import annotations
 
@@ -35,14 +44,12 @@ from .baseline import (
     PreparedBaseline,
     baseline_opt,
     baseline_opt_restricted,
-    guard_holds,
     opt_of_table,
     resolve_domains,
 )
 from .errors import ContractError, ResourceLimitError
 from .fastcount import multi_counting_opt
 from .formula import (
-    And,
     Atom,
     Const,
     Expr,
@@ -51,7 +58,6 @@ from .formula import (
     atoms_of,
     check_schema,
     conjoin,
-    conjuncts,
     disjoin,
     eval_expr_table,
     map_atoms,
@@ -164,86 +170,41 @@ def normalize_formula(
 # --- positive-cross-edge exact solver ---------------------------------------
 
 def solve_positive_cross_edge(
-    structure: RelationalStructure,
-    formula: OptFormula,
-    forced: Atom,
-    extra_guard: Guard = (),
-    include_edgeless_pairs: bool = True,
+    evaluator: PreparedBaseline, forced: Atom, guard: Guard = ()
 ) -> OptResult | None:
-    """Exact solver for bodies of the shape E(x_i, x_j) & phi'.
+    """The optimum and least witness of the evaluator's formula over the
+    tuples that carry the forced edge E(x_i, x_j) and pass ``guard``; None
+    if no tuple does.
 
-    With ``include_edgeless_pairs`` (the formula semantics) every tuple
-    participates and pairs without the forced edge have value 0.  The
-    decomposition passes False to optimize over forced-edge tuples only, plus
-    an accumulated guard.
-
-    Uses the degree split, with one ``PreparedBaseline`` of the formula
-    answering every query: one query per endpoint variable with the heavy
-    objects as its domain (none when no object is heavy), and one query over
-    the light objects as the domains of x_i and x_j, guarded by the forced
-    edge, so it evaluates only the light-light tuples that carry it.  The
-    light-light tuples without the edge all have value 0; with
-    ``include_edgeless_pairs`` the least of them that passes the guard stands
-    for them.
+    This is one guarded query, ``evaluator.opt(None, guard + ((forced,
+    True),))``.  It replaces the paper's degree split (heavy endpoints
+    brute-forced, light-light tuples enumerated along their edges) at no
+    extra cost: the evaluator seeds its loop over the last optimization
+    variable from the hits of a positive literal over it, so a forced edge
+    that ends there is enumerated along its records, and checks any other
+    literal once per assignment of its last variable, as the split's
+    light-light query did.
     """
-    if formula.ell != 1:
-        raise ContractError("positive-cross-edge solver needs exactly one count variable")
-    if forced not in conjuncts(formula.body):
-        raise ContractError("forced atom must be a top-level conjunct of the body")
     if len(forced.args) != 2 or forced.args[0] == forced.args[1]:
         raise ContractError("forced atom must be binary over two distinct variables")
-    xi, xj = forced.args
-    if xi not in formula.opt_vars or xj not in formula.opt_vars:
+    if not set(forced.args) <= set(evaluator.formula.opt_vars):
         raise ContractError("forced atom must relate two optimization variables")
-
-    m = structure.m
-    objects = range(structure.n)
-    heavy = [v for v in objects if structure.degree(v) ** 2 >= m]
-    light = [v for v in objects if structure.degree(v) ** 2 < m]
-    extra_guard = tuple(extra_guard)
-    with_edge: Guard = extra_guard + ((forced, True),)
-    evaluator = PreparedBaseline(structure, formula)
-    candidates: list[OptResult | None] = []
-
-    # a heavy endpoint is brute-forced with the baseline, one query per slot
-    heavy_guard = extra_guard if include_edgeless_pairs else with_edge
-    if heavy:
-        for var in (xi, xj):
-            candidates.append(evaluator.opt({var: heavy}, heavy_guard))
-
-    # light-light tuples carrying the forced edge
-    candidates.append(evaluator.opt({xi: light, xj: light}, with_edge))
-
-    if include_edgeless_pairs:
-        without_edge = extra_guard + ((forced, False),)
-        opt_vars = formula.opt_vars
-        doms = [light if v in forced.args else objects for v in opt_vars]
-        for xs in product(*doms):
-            if guard_holds(structure, without_edge, dict(zip(opt_vars, xs))):
-                candidates.append(OptResult(0, xs))
-                break
-    return combine_results(formula.kind, candidates)
+    return evaluator.opt(None, tuple(guard) + ((forced, True),))
 
 
 # --- step 1: hyperedge removal ----------------------------------------------
 
 @dataclass(frozen=True)
-class SideProblem:
-    structure: RelationalStructure
-    formula: OptFormula
-    forced: Atom
-
-
-@dataclass(frozen=True)
 class DecompositionPlan:
-    """Main simplified instance plus exactly solvable side problems; the
-    original optimum is the combiner over all sub-optima."""
+    """The normalized instance split into a guarded main problem and one
+    side per guard atom: the side of atom N is ``formula`` over the tuples
+    that carry N, and the main problem is ``main_core`` over those that
+    pass every guard literal.  The original optimum is the best of them."""
 
     main_structure: RelationalStructure
+    formula: OptFormula  # the normalized input, which the sides solve
     main_core: OptFormula  # body without the guard literals
     main_guard: Guard
-    side_problems: tuple[SideProblem, ...]
-    combiner: str
 
     @property
     def main_formula(self) -> OptFormula:
@@ -261,13 +222,14 @@ def remove_hyperedges(
 ) -> DecompositionPlan:
     """Replace hyperpredicates by false in the main problem, guarded by
     non-adjacency in a fresh co-occurrence relation N; every pair of
-    optimization variables gets an exactly solvable side problem."""
+    optimization variables gets an exactly solvable side, the tuples that
+    carry its N atom."""
     if formula.ell != 1:
         raise ContractError("hyperedge removal expects exactly one count variable")
     structure, formula = normalize_formula(structure, formula)
     hyper = [a for a in dict.fromkeys(atoms_of(formula.body)) if len(a.args) >= 3]
     if not hyper:
-        return DecompositionPlan(structure, formula, (), (), formula.kind)
+        return DecompositionPlan(structure, formula, formula, ())
 
     opt = set(formula.opt_vars)
     n_records = set()
@@ -292,17 +254,7 @@ def remove_hyperedges(
         for i in range(formula.k)
         for j in range(i + 1, formula.k)
     )
-    sides = tuple(
-        SideProblem(
-            main_structure,
-            formula.with_body(And(atom, formula.body)),
-            atom,
-        )
-        for atom, _ in guard
-    )
-    return DecompositionPlan(
-        main_structure, formula.with_body(phi0), guard, sides, formula.kind
-    )
+    return DecompositionPlan(main_structure, formula, formula.with_body(phi0), guard)
 
 
 # --- step 2: cross-edge elimination (the grouped lift) -----------------------
@@ -479,13 +431,15 @@ def solve_cross_free_lift(
     stats_out: dict | None = None,
     ratio: float = 1.0,
 ) -> OptResult | None:
-    """Eliminate cross edges: exact side problems per cross atom, heavy-vertex
-    brute force (one query per slot, with the heavy vertices as its domain),
-    grouped relaxed scoring, and an exact re-solve of a prefix of the ranked
-    group combinations under the guarded main body.  The re-solve makes one
-    exact query per slot prefix: the selected combinations that share their
-    first k-1 groups are solved together, over the union of their last
-    groups.
+    """Eliminate cross edges: an exact side per cross atom (its tuples that
+    carry the atom and pass ``guard``), heavy-vertex brute force (one query
+    per slot, with the heavy vertices as its domain), grouped relaxed
+    scoring, and an exact re-solve of a prefix of the ranked group
+    combinations under the guarded main body.  The re-solve makes one exact
+    query per slot prefix: the selected combinations that share their first
+    k-1 groups are solved together, over the union of their last groups.
+    One ``PreparedBaseline`` of the formula answers the side, heavy and
+    re-solve queries.
 
     ``prepare(structure, core)`` is called once, when there is at least one
     group, and returns the scorer of the cross-free core.  The scorer is
@@ -525,11 +479,12 @@ def solve_cross_free_lift(
     are re-solved.  ``top_k`` is overridden by tests only.
 
     ``stats_out`` receives the stage's counts and ``source``, the step whose
-    candidate is the answer: ``side``, ``heavy`` or ``resolve``.  ``dirty``
-    counts the dirty combinations ranked before c* (all those ranked, where
-    none is clean), ``clean_rank`` is c*'s rank from 1 (None where none is
-    clean within the cap), ``resolves`` the re-solved combinations and
-    ``resolve_queries`` their exact queries.
+    candidate is the answer: ``side``, ``heavy`` or ``resolve``.  ``sides``
+    counts the cross-atom side queries, ``dirty`` the dirty combinations
+    ranked before c* (all those ranked, where none is clean), ``clean_rank``
+    is c*'s rank from 1 (None where none is clean within the cap),
+    ``resolves`` the re-solved combinations and ``resolve_queries`` their
+    exact queries.
     """
     if formula.ell != 1:
         raise ContractError("the lift expects exactly one count variable")
@@ -537,20 +492,16 @@ def solve_cross_free_lift(
     cross, core = split_cross_atoms(formula)
     candidates: list[tuple[str, OptResult | None]] = []
 
+    # one evaluator of the formula answers steps (1), (2) and (5); on the
+    # tuples that pass full_guard every cross atom is false, so there the
+    # formula is the core
+    evaluator = PreparedBaseline(structure, formula)
+
     # (1) exact side problems, one per cross atom
     for atom in cross:
-        side = solve_positive_cross_edge(
-            structure,
-            formula.with_body(And(atom, formula.body)),
-            atom,
-            extra_guard=guard,
-            include_edgeless_pairs=False,
-        )
-        candidates.append(("side", side))
+        candidates.append(("side", solve_positive_cross_edge(evaluator, atom, guard)))
 
     full_guard: Guard = tuple(guard) + tuple((a, False) for a in cross)
-    # one evaluator of the guarded core serves steps (2) and (5)
-    evaluator = PreparedBaseline(structure, core)
 
     # (2) heavy vertices: per slot, one query with the heavy set as its domain
     grouping = lift_grouping(structure, k)
@@ -564,6 +515,7 @@ def solve_cross_free_lift(
     stats = {} if stats_out is None else stats_out
     stats.update(
         threshold=grouping.partition.threshold,
+        sides=len(cross),
         heavy=len(grouping.heavy),
         heavy_solves=k if grouping.heavy else 0,
         groups=len(groups),
@@ -1021,12 +973,13 @@ def reduce_and_solve(
     Two or more counting variables go to the multi-counting solver; a single
     optimization variable is a baseline base case; everything else runs
     hyperedge removal.  Where the lift's scores can prune
-    (``LiftGrouping.prunes``), the exact side problems are solved and the main
-    problem goes through the grouped cross-edge lift with the
-    hybrid-through-IP scorer; past a resource limit of the lift one guarded
-    baseline query solves the main problem.  Elsewhere one baseline query of
-    the input answers: the side problems and the guarded main problem
-    partition its tuples, so the (value, witness) is theirs.
+    (``LiftGrouping.prunes``), one evaluator of the normalized input answers
+    the hyperedge sides, one guarded query each, and the main problem goes
+    through the grouped cross-edge lift with the hybrid-through-IP scorer;
+    past a resource limit of the lift one guarded baseline query solves the
+    main problem.  Elsewhere one baseline query of the input answers: the
+    side problems and the guarded main problem partition its tuples, so the
+    (value, witness) is theirs.
     """
     if ip_solver.kind != formula.kind:
         raise ContractError("ip solver kind does not match the formula")
@@ -1052,7 +1005,7 @@ def reduce_and_solve(
         "hyperedge-removal",
         m=plan.main_structure.m,
         n=plan.main_structure.n,
-        sides=len(plan.side_problems),
+        sides=len(plan.main_guard),
     )
 
     grouping = lift_grouping(plan.main_structure, plan.main_core.k)
@@ -1061,15 +1014,14 @@ def reduce_and_solve(
         trace.add("baseline", reason="no-prune", groups=groups, bound=grouping.bound)
         return trace.answer(baseline_opt(structure, formula), "baseline")
 
-    candidates: list[tuple[str, OptResult | None]] = [
-        (
-            "side",
-            solve_positive_cross_edge(
-                side.structure, side.formula, side.forced, include_edgeless_pairs=False
-            ),
-        )
-        for side in plan.side_problems
-    ]
+    candidates: list[tuple[str, OptResult | None]] = []
+    if plan.main_guard:
+        # one evaluator of the normalized input answers every hyperedge side
+        evaluator = PreparedBaseline(plan.main_structure, plan.formula)
+        candidates = [
+            ("side", solve_positive_cross_edge(evaluator, atom))
+            for atom, _ in plan.main_guard
+        ]
 
     scorer: HybridScorer | None = None
 

@@ -44,6 +44,31 @@ def nested_loop_opt(structure, formula, domains=None):
     return best
 
 
+def guarded_opt(structure, formula, domains, guard):
+    """The best value over the optimization tuples that pass the guard, with
+    the least witness, by a nested loop that counts only those tuples; None
+    if no tuple passes.  A domain is read as a set, as the engine reads it."""
+    everything = range(structure.n)
+    doms = {
+        v: sorted(set(domains[v])) if domains and v in domains else everything
+        for v in formula.opt_vars + formula.count_vars
+    }
+    checks = [(atom.args, structure.relation(atom.pred).records, want) for atom, want in guard]
+    best = None
+    for xs in product(*(doms[v] for v in formula.opt_vars)):
+        asn = dict(zip(formula.opt_vars, xs))
+        if any((tuple(asn[v] for v in args) in records) != want for args, records, want in checks):
+            continue
+        value = 0
+        for ys in product(*(doms[v] for v in formula.count_vars)):
+            asn.update(zip(formula.count_vars, ys))
+            value += evaluate_body(formula, structure, asn)
+        # tuples come in lexicographic order: only a strict gain moves the best
+        if best is None or (value > best[0] if formula.kind == "max" else value < best[0]):
+            best = (value, xs)
+    return best
+
+
 def triangle_counts_naive(nx, ny, nz, xy, xz, yz, table):
     """Cubic count of phi(E(x,y), E(x,z), E(y,z)) pairs per x, via numpy.
 

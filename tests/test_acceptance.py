@@ -10,7 +10,7 @@ from itertools import product
 
 import pytest
 
-from relopt.baseline import baseline_opt, baseline_values
+from relopt.baseline import PreparedBaseline, baseline_opt, baseline_values
 from relopt.fastcount import TripartiteGraph, triangle_counts
 from relopt.generate import GenProfile, generate
 from relopt.hybrid import (
@@ -39,6 +39,7 @@ from relopt.reduction import (
 )
 
 from oracles import (
+    guarded_opt,
     hybrid_opt_naive,
     random_hybrid,
     random_instance,
@@ -333,7 +334,9 @@ def test_criterion_7_per_tuple_value_preservation():
 
 
 def test_criterion_8_positive_cross_edge():
-    from relopt.formula import And, Atom
+    # the solver is the optimum over the tuples that carry the forced edge,
+    # with the least witness, in either orientation of the edge
+    from relopt.formula import Atom
 
     rng = random.Random(44)
     trials = 200
@@ -345,11 +348,10 @@ def test_criterion_8_positive_cross_edge():
         structure, formula = random_instance(
             rng, k=k, ell=1, n_objects=rng.randint(2, 7), kind=kind
         )
-        forced = Atom("E0", (formula.opt_vars[0], formula.opt_vars[1]))
-        formula = formula.with_body(And(forced, formula.body))
-        want = baseline_opt(structure, formula)
-        got = solve_positive_cross_edge(structure, formula, forced)
-        assert got == want, f"trial {trial}: {formula}"
+        forced = Atom("E0", tuple(rng.sample(formula.opt_vars, 2)))
+        want = guarded_opt(structure, formula, None, [(forced, True)])
+        got = solve_positive_cross_edge(PreparedBaseline(structure, formula), forced)
+        assert got == want, f"trial {trial}: {formula} forced {forced}"
     assert n_min >= 50
     print(
         f"\nACCEPTANCE 8 positive-cross-edge solver on {trials} instances "

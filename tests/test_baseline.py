@@ -16,7 +16,13 @@ from relopt.errors import ContractError, UnsupportedShapeError
 from relopt.formula import Atom, parse_formula
 from relopt.structure import build_structure, load_structure
 
-from oracles import nested_loop_opt, nested_loop_values, random_instance, random_structure
+from oracles import (
+    guarded_opt,
+    nested_loop_opt,
+    nested_loop_values,
+    random_instance,
+    random_structure,
+)
 
 
 TOY = "rel E 2\nE a 1\nE a 2\nE b 2\n"
@@ -273,21 +279,6 @@ def queries(draw, structure, formula):
     literals = draw(st.lists(st.sampled_from(pool), max_size=2))
     guard = [(a, draw(st.booleans())) for a in literals]
     return domains, guard
-
-
-def guarded_opt(structure, formula, domains, guard):
-    """The best value over the tuples that pass the guard, with the least
-    witness, from the nested-loop table; None if no tuple passes."""
-    entries = naive_values(structure, formula, domains).entries
-    kept = {
-        key: value
-        for key, value in entries.items()
-        if guard_holds(structure, guard, dict(zip(formula.opt_vars, key)))
-    }
-    if not kept:
-        return None
-    best = (max if formula.kind == "max" else min)(kept.values())
-    return best, min(key for key, value in kept.items() if value == best)
 
 
 @given(st.data())

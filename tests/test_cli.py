@@ -119,7 +119,8 @@ def test_solve_trace_prints_the_winning_source_of_the_lift(tmp_path, capsys):
     # query per slot
     assert (
         "stage cross-free-lift clean_rank=1 combos=36 dirty=0 groups=6 heavy=6 "
-        "heavy_solves=2 m=24 n=18 resolve_queries=1 resolves=6 threshold=3 top_k=25\n"
+        "heavy_solves=2 m=24 n=18 resolve_queries=1 resolves=6 sides=0 threshold=3 "
+        "top_k=25\n"
     ) in out
     assert "witness o2 o0\n" in out and out.endswith("source heavy\n")
 
@@ -281,6 +282,15 @@ def test_bench_runs(capsys):
     )
     assert code == 0
     assert "baseline" in out and "auto" in out
+
+
+@pytest.mark.parametrize("engines", ["foo,baseline", "", "baseline,"])
+def test_bench_rejects_unknown_engines(engines, capsys):
+    code = main(["bench", "--seeds", "1", "--n", "5", "--engines", engines])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error unknown engine")
 
 
 def test_error_exit_code(tmp_path, capsys):

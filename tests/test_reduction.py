@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from relopt.baseline import (
+    OptResult,
     PreparedBaseline,
     baseline_opt,
     baseline_opt_restricted,
@@ -14,7 +15,7 @@ from relopt.baseline import (
     naive_values,
 )
 from relopt.errors import ContractError, ResourceLimitError
-from relopt.formula import And, Atom, Or, atoms_of, parse_expr, parse_formula
+from relopt.formula import And, Atom, Not, Or, atoms_of, parse_expr, parse_formula
 from relopt.hybrid import val
 from relopt.ip import IpSolver, approx_wrapper, exact_solver
 from relopt.reduction import (
@@ -34,7 +35,7 @@ from relopt.reduction import (
 )
 from relopt.structure import build_structure, load_structure
 
-from oracles import nested_loop_opt, random_body_text, random_instance
+from oracles import guarded_opt, nested_loop_opt, random_body_text, random_instance
 
 
 def conforming_instance(rng, k=2, n_objects=7, unary=2, kind=None):
@@ -95,27 +96,34 @@ def test_normalize_preserves_values():
 
 # --- positive cross edge --------------------------------------------------------
 
+def _cross_edge(structure, formula, forced, guard=()):
+    return solve_positive_cross_edge(PreparedBaseline(structure, formula), forced, guard)
+
+
 def test_cross_edge_toy():
     s = load_structure("rel E 2\nrel F 2\nE a b\nF a 1\nF a 2\n")
     f = parse_formula("max x1,x2 . count y . E(x1,x2) & F(x1,y)")
     forced = Atom("E", ("x1", "x2"))
-    res = solve_positive_cross_edge(s, f, forced)
-    assert res.value == 2
-    assert res.witness == (s.index("a"), s.index("b"))
+    res = _cross_edge(s, f, forced)
+    assert res == (2, (s.index("a"), s.index("b")))
+    assert res == guarded_opt(s, f, None, [(forced, True)])
 
 
-def test_cross_edge_no_edges_all_zero():
+def test_cross_edge_without_forced_records_is_none():
+    # no tuple carries the forced edge, so the side has no optimum
     s = load_structure("rel E 2\nrel F 2\nF a 1\n")
     f = parse_formula("max x1,x2 . count y . E(x1,x2) & F(x1,y)")
-    res = solve_positive_cross_edge(s, f, Atom("E", ("x1", "x2")))
-    assert res.value == 0
+    forced = Atom("E", ("x1", "x2"))
+    assert _cross_edge(s, f, forced) is None
+    assert guarded_opt(s, f, None, [(forced, True)]) is None
 
 
-def test_cross_edge_requires_conjunct():
+def test_cross_edge_rejects_a_forced_atom_over_a_count_variable():
     s = load_structure("rel E 2\nE a b\n")
     f = parse_formula("max x1,x2 . count y . E(x1,y)")
-    with pytest.raises(ContractError):
-        solve_positive_cross_edge(s, f, Atom("E", ("x1", "x2")))
+    for args in (("x1", "y"), ("y", "x2"), ("x1", "x1")):
+        with pytest.raises(ContractError):
+            _cross_edge(s, f, Atom("E", args))
 
 
 def test_cross_edge_matches_baseline_random():
@@ -125,43 +133,49 @@ def test_cross_edge_matches_baseline_random():
         structure, formula = random_instance(
             rng, k=k, ell=1, n_objects=rng.randint(2, 7), allow_cross=True
         )
-        # force a cross conjunction onto the body
         forced = Atom("E0", (formula.opt_vars[0], formula.opt_vars[1]))
-        formula = formula.with_body(And(forced, formula.body))
-        want = baseline_opt(structure, formula)
-        got = solve_positive_cross_edge(structure, formula, forced)
-        assert got.value == want.value, f"trial {trial} {formula}"
-        assert got.witness == want.witness, f"trial {trial} {formula}"
-
-
-def test_cross_edge_min_kind_counts_edgeless_pairs():
-    # both orientations of the forced edge: with E0(x2, x1) the least
-    # edgeless witness in (x1, x2) order is not the least in (x2, x1) order
-    rng = random.Random(52)
-    for trial in range(200):
-        structure, formula = random_instance(
-            rng, k=2, ell=1, n_objects=rng.randint(2, 6), kind="min"
-        )
-        forced = Atom("E0", ("x1", "x2")[:: 1 if trial % 2 else -1])
-        formula = formula.with_body(And(forced, formula.body))
-        want = baseline_opt(structure, formula)
-        got = solve_positive_cross_edge(structure, formula, forced)
-        assert got == want, f"trial {trial}"
+        want = guarded_opt(structure, formula, None, [(forced, True)])
+        assert _cross_edge(structure, formula, forced) == want, f"trial {trial} {formula}"
 
 
 def test_cross_edge_restricted_mode():
     s = load_structure("rel E 2\nrel F 2\nE a b\nF a 1\nF b 1\n")
     fmin = parse_formula("min x1,x2 . count y . E(x1,x2) & F(x1,y)")
     forced = Atom("E", ("x1", "x2"))
-    # restricted: only the single E pair participates, value 1
-    res = solve_positive_cross_edge(
-        s, fmin, forced, include_edgeless_pairs=False
+    # only the single E pair takes part, value 1; over every tuple the
+    # pairs without the edge drag the minimum to 0
+    assert _cross_edge(s, fmin, forced) == (1, (s.index("a"), s.index("b")))
+    assert baseline_opt(s, fmin).value == 0
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_cross_edge_is_the_guarded_optimum_of_the_forced_tuples(data):
+    # k in {2, 3}, both kinds and both orientations of the forced atom, which
+    # the body may also hold plain, negated or under a disjunction; an extra
+    # (atom, False) literal may join the guard
+    k = data.draw(st.sampled_from([2, 3]))
+    rng = data.draw(st.randoms(use_true_random=False))
+    structure, formula = random_instance(
+        rng,
+        k=k,
+        n_objects=data.draw(st.integers(2, 6)),
+        kind=data.draw(st.sampled_from(["max", "min"])),
     )
-    assert res.value == 1
-    assert res.witness == (s.index("a"), s.index("b"))
-    # masked: edgeless pairs drag the minimum to 0
-    res = solve_positive_cross_edge(s, fmin, forced)
-    assert res.value == 0
+    forced = Atom("E0", tuple(data.draw(st.permutations(formula.opt_vars))[:2]))
+    placed = data.draw(st.sampled_from(["none", "and", "not-and", "or", "not-or"]))
+    if placed != "none":
+        literal = Not(forced) if placed.startswith("not") else forced
+        join = And if placed.endswith("and") else Or
+        formula = formula.with_body(join(literal, formula.body))
+    guard = []
+    if data.draw(st.booleans()):
+        a, b = data.draw(st.permutations(formula.opt_vars))[:2]
+        guard.append((Atom("E1", (a, b)), False))
+    got = _cross_edge(structure, formula, forced, tuple(guard))
+    assert got == guarded_opt(structure, formula, None, guard + [(forced, True)]), (
+        f"{formula} forced {forced} guard {guard}"
+    )
 
 
 # --- hyperedge removal ----------------------------------------------------------
@@ -170,16 +184,15 @@ def test_remove_hyperedges_identity():
     s = load_structure("rel E 2\nE a b\n")
     f = parse_formula("max x1,x2 . count y . E(x1,y)")
     plan = remove_hyperedges(s, f)
-    assert plan.side_problems == ()
     assert plan.main_guard == ()
-    assert plan.main_core.body == f.body
+    assert plan.formula == plan.main_core == f
 
 
 def test_remove_hyperedges_ternary():
     s = load_structure("rel R 3\nR a b c\nR a b d\n")
     f = parse_formula("max x1,x2 . count y . R(x1,x2,y)")
     plan = remove_hyperedges(s, f)
-    assert len(plan.side_problems) == 1
+    assert len(plan.main_guard) == 1
     from relopt.formula import Const, atoms_of
 
     assert not any(len(a.args) >= 3 for a in atoms_of(plan.main_core.body))
@@ -190,19 +203,18 @@ def test_remove_hyperedges_ternary():
 
 
 def _solve_plan(plan):
-    candidates = []
-    for side in plan.side_problems:
-        res = solve_positive_cross_edge(
-            side.structure, side.formula, side.forced, include_edgeless_pairs=False
-        )
-        if res is not None:
-            candidates.append(res)
-    main = baseline_opt_restricted(
-        plan.main_structure, plan.main_core, plan.main_guard
+    """The plan's optimum from the naive oracle: each side is the normalized
+    formula over the tuples that carry its guard atom, and the main problem
+    the core over the tuples that pass the whole guard."""
+    structure = plan.main_structure
+    candidates = [
+        guarded_opt(structure, plan.formula, None, [(atom, True)])
+        for atom, _ in plan.main_guard
+    ]
+    candidates.append(guarded_opt(structure, plan.main_core, None, plan.main_guard))
+    return combine_results(
+        plan.formula.kind, [OptResult(*res) for res in candidates if res is not None]
     )
-    if main is not None:
-        candidates.append(main)
-    return combine_results(plan.combiner, candidates)
 
 
 def test_plan_soundness_random():
@@ -217,8 +229,7 @@ def test_plan_soundness_random():
         )
         plan = remove_hyperedges(structure, formula)
         want = baseline_opt(structure, formula)
-        got = _solve_plan(plan)
-        assert got is not None and got.value == want.value, f"trial {trial} {formula}"
+        assert _solve_plan(plan) == want, f"trial {trial} {formula}"
 
 
 # --- group partition -------------------------------------------------------------
@@ -674,16 +685,11 @@ def test_trace_counts_heavy_solves_resolves_and_ip_calls(monkeypatch):
         assert lift["resolves"] == len(rule) <= lift["top_k"]
         assert lift["resolve_queries"] == len({c[:-1] for c in rule})
         assert (lift["clean_rank"], lift["dirty"]) == (clean_rank, clean_rank - 1)
-        # a cross atom's side problem makes one query per endpoint slot when
-        # some object is heavy (a cycle has none) and one over the light-light
-        # pairs
+        # a cross atom's side problem is one query
         cross, _ = split_cross_atoms(formula)
-        heavy = any(
-            structure.degree(v) ** 2 >= structure.m for v in range(structure.n)
-        )
-        side_queries = len(cross) * (2 * heavy + 1)
+        assert lift["sides"] == len(cross)
         assert len(opt_calls) == (
-            lift["heavy_solves"] + lift["resolve_queries"] + side_queries
+            lift["heavy_solves"] + lift["resolve_queries"] + len(cross)
         )
         # an explicit top_k caps the rule's combinations; where no clean one
         # is ranked within it, the top top_k are re-solved
@@ -826,6 +832,53 @@ def test_reduce_and_solve_skips_the_lift_where_nothing_is_pruned(monkeypatch):
         rendered = trace.render()
         assert "stage baseline bound=17 groups=4 reason=no-prune" in rendered
         assert rendered.endswith("source baseline\n")
+
+
+def test_prune_path_builds_two_evaluators_and_one_query_per_side(monkeypatch):
+    # a 24-cycle with a hub of degree 8 and two hyperedge records: the lift
+    # prunes, and the body has one hyperedge pair and one cross atom
+    import relopt.reduction as reduction
+
+    built, opt_calls, per_side = [], [], []
+
+    class Counting(PreparedBaseline):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+        def opt(self, *args, **kwargs):
+            opt_calls.append(args)
+            return super().opt(*args, **kwargs)
+
+    real_side = reduction.solve_positive_cross_edge
+
+    def side(*args, **kwargs):
+        before = len(opt_calls)
+        result = real_side(*args, **kwargs)
+        per_side.append(len(opt_calls) - before)
+        return result
+
+    monkeypatch.setattr(reduction, "PreparedBaseline", Counting)
+    monkeypatch.setattr(reduction, "solve_positive_cross_edge", side)
+    n = 24
+    structure = load_structure(
+        "rel E 2\nrel P 1\nrel R 3\nR o0 o5 o1\nR o7 o2 o3\n"
+        + "".join(f"E o{i} o{(i + 1) % n}\n" for i in range(n))
+        + "".join(f"P o{i}\n" for i in range(0, n, 3))
+        + "".join(f"E h o{i}\n" for i in range(0, 16, 2))
+    )
+    for kind in ("max", "min"):
+        formula = parse_formula(
+            f"{kind} x1,x2 . count y . E(x1,y) & E(x2,y) | E(x1,x2) & P(x1) | R(x1,x2,y)"
+        )
+        built.clear()
+        per_side.clear()
+        value, trace = reduce_and_solve(structure, formula, exact_solver(kind))
+        assert (value, trace.witness) == tuple(baseline_opt(structure, formula))
+        assert len(built) <= 2
+        assert per_side == [1, 1]
+        stages = dict(trace.stages)
+        assert stages["hyperedge-removal"]["sides"] == stages["cross-free-lift"]["sides"] == 1
 
 
 def test_guarded_baseline_answers_past_a_resource_limit_of_the_lift(monkeypatch):
@@ -1015,15 +1068,13 @@ def test_reduce_and_solve_equals_baseline_where_the_lift_prunes(instance):
 
 def _lift_route(structure, formula, solver):
     """The driver's lift route, taken whether or not the lift prunes: the
-    side problems of hyperedge removal, and the lift of the guarded main
-    problem scored under the solver.  Returns the optimum, the lift's stats,
-    the plan and the scores."""
+    sides of hyperedge removal, from the naive oracle, and the lift of the
+    guarded main problem scored under the solver.  Returns the optimum, the
+    lift's stats, the plan and the scores."""
     plan = remove_hyperedges(*normalize_formula(structure, formula))
     sides = [
-        solve_positive_cross_edge(
-            side.structure, side.formula, side.forced, include_edgeless_pairs=False
-        )
-        for side in plan.side_problems
+        guarded_opt(plan.main_structure, plan.formula, None, [(atom, True)])
+        for atom, _ in plan.main_guard
     ]
     scores = []
 
@@ -1045,7 +1096,8 @@ def _lift_route(structure, formula, solver):
         stats_out=stats,
         ratio=solver.ratio,
     )
-    return combine_results(formula.kind, sides + [main]), stats, plan, scores
+    candidates = [OptResult(*side) for side in sides if side is not None] + [main]
+    return combine_results(formula.kind, candidates), stats, plan, scores
 
 
 def _dirty_first_scores(structure, formula, guard, scores):
