@@ -10,7 +10,7 @@ from pathlib import Path
 from .baseline import baseline_opt
 from .errors import ContractError, EngineError
 from .fastcount import multi_counting_opt
-from .formula import And, check_schema, parse_formula
+from .formula import And, Atom, check_schema, parse_formula
 from .generate import GenProfile, generate, generate_texts
 from .hybrid import basic_to_ip, hybrid_to_basic
 from .ip import make_ip_solver
@@ -138,19 +138,20 @@ def cmd_reduce(args) -> int:
         f"stage hyperedge-removal m={plan.main_structure.m} "
         f"n={plan.main_structure.n} sides={len(plan.main_guard)}"
     )
-    # a side is the normalized formula over the tuples that carry its guard
-    # atom, written as that atom conjoined to the body
-    for idx, (atom, _) in enumerate(plan.main_guard):
+    def write_side(name: str, atom: Atom) -> None:
+        # a side is the normalized formula over the tuples that carry its
+        # atom, written as that atom conjoined to the body
         side = plan.formula.with_body(And(atom, plan.formula.body))
-        (out_dir / f"side{idx}.formula").write_text(str(side) + "\n")
+        (out_dir / name).write_text(str(side) + "\n")
+
+    for idx, (atom, _) in enumerate(plan.main_guard):
+        write_side(f"side{idx}.formula", atom)
 
     # cross atoms leave the main body exactly as in the lift: one exactly
     # solved side problem each, false inside the relaxed core
     cross, core = split_cross_atoms(plan.main_core)
     for idx, atom in enumerate(cross):
-        (out_dir / f"cross{idx}.formula").write_text(
-            str(plan.main_core.with_body(atom)) + "\n"
-        )
+        write_side(f"cross{idx}.formula", atom)
     (out_dir / "crossfree.formula").write_text(str(core) + "\n")
     summary.append(f"stage cross-edge-removal sides={len(cross)}")
 

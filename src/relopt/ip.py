@@ -318,10 +318,8 @@ def approx_wrapper(exact: IpSolver, c: float) -> IpSolver:
         if opt is None:
             return None
         if exact.kind == "max":
-            val = math.ceil(opt / c)
-            return max(min(val, opt), math.ceil(opt / c))
-        val = math.floor(opt * c)
-        return min(max(val, opt), math.floor(opt * c))
+            return math.ceil(opt / c)
+        return math.floor(opt * c)
 
     def solve(instance: IPInstance) -> int | None:
         return degrade(exact.solve(instance))

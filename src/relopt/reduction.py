@@ -5,9 +5,10 @@ Hybrid Problem, and the end-to-end driver.
 The lift's scores only choose which of its g^k group combinations get an
 exact re-solve: those ranked up to the first clean one and its possible
 ties, at most K.  The driver runs it only where g^k > K.  Every other
-instance is answered by one baseline query of the input: the side problems
-and the guarded main problem partition its tuples, so solving them apart
-would only repeat that query's work.
+instance, and one where the lift hits a resource limit, is answered by one
+baseline query of the input: the side problems and the guarded main problem
+partition its tuples, so solving them apart would only repeat that query's
+work.
 
 The paper merges the r binary edge predicates into one ("parallel-edge
 removal") before the hybrid conversion; ``to_hybrid`` does both in one pass
@@ -23,19 +24,20 @@ travel beside the body as explicit (atom, expected) literals and every solver
 in the chain skips tuples that fail them.
 
 A side problem (a hyperedge pair's N atom, or a cross atom E(x_i, x_j)) is
-the formula over the tuples that carry its atom, so it is one guarded query
-on an evaluator of the formula that the step already holds
-(``solve_positive_cross_edge``).  The paper's degree split of such a side
-is not needed: the evaluator seeds its loop over the last optimization
-variable from the hits of a positive guard literal over it and checks any
-other literal once per assignment of its last variable, as the split's
-light-light query did.
+the normalized input over the tuples that carry its atom, so the lift
+answers each with one guarded query (``solve_positive_cross_edge``) on the
+one evaluator of the input that also answers its heavy and re-solve
+queries.  The paper's degree split of such a side is not needed: the
+evaluator seeds its loop over the last optimization variable from the hits
+of a positive guard literal over it and checks any other literal once per
+assignment of its last variable, as the split's light-light query did.
 """
 from __future__ import annotations
 
 import heapq
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Callable, Mapping, Sequence
 
@@ -43,7 +45,9 @@ from .baseline import (
     OptResult,
     PreparedBaseline,
     baseline_opt,
-    baseline_opt_restricted,
+    # unused here, but the benchmark's tracer wraps it at this attribute and
+    # resolves every target it names, traced run or not
+    baseline_opt_restricted,  # noqa: F401
     opt_of_table,
     resolve_domains,
 )
@@ -199,7 +203,8 @@ class DecompositionPlan:
     """The normalized instance split into a guarded main problem and one
     side per guard atom: the side of atom N is ``formula`` over the tuples
     that carry N, and the main problem is ``main_core`` over those that
-    pass every guard literal.  The original optimum is the best of them."""
+    pass every guard literal.  The original optimum is the best of them.
+    ``grouping`` is the lift's split of the main structure's objects."""
 
     main_structure: RelationalStructure
     formula: OptFormula  # the normalized input, which the sides solve
@@ -215,6 +220,10 @@ class DecompositionPlan:
         return self.main_core.with_body(
             conjoin(guard_expr + [self.main_core.body])
         )
+
+    @cached_property
+    def grouping(self) -> LiftGrouping:
+        return lift_grouping(self.main_structure, self.formula.k)
 
 
 def remove_hyperedges(
@@ -345,20 +354,17 @@ DirtyPairs = Mapping[tuple[int, int], set[tuple[int, int]]]
 def _dirty_pairs(
     structure: RelationalStructure,
     opt_vars: Sequence[str],
-    guard: Guard,
+    atoms: Sequence[Atom],
     groups: Groups,
-) -> DirtyPairs | None:
-    """The group pairs that a record of a guard literal falls between, per
-    pair of the literal's slots; None when a literal is not an (atom, False)
-    over two distinct optimization variables, which makes every combination
-    dirty."""
+) -> DirtyPairs:
+    """The group pairs that a record of a side atom (binary over two
+    distinct optimization variables) falls between, per pair of the atom's
+    slots."""
     slot = {v: i for i, v in enumerate(opt_vars)}
     group_of = {v: gi for gi, group in enumerate(groups) for v in group}
     out: dict[tuple[int, int], set[tuple[int, int]]] = {}
-    for atom, want in guard:
+    for atom in atoms:
         args = atom.args
-        if want or len(args) != 2 or args[0] == args[1] or not set(args) <= slot.keys():
-            return None
         pairs = out.setdefault((slot[args[0]], slot[args[1]]), set())
         for a, b in structure.relation(atom.pred).records:
             if a in group_of and b in group_of:
@@ -371,7 +377,7 @@ def _select_combinations(
     scores: Sequence[int | None],
     g: int,
     k: int,
-    dirty: DirtyPairs | None,
+    dirty: DirtyPairs,
     ratio: float,
     top_k: int,
 ) -> tuple[list[tuple[int, ...]], int | None, int]:
@@ -391,7 +397,7 @@ def _select_combinations(
         key, i = heapq.heappop(heap)
         combo = _combo_of(i, g, k)
         if clean is None:
-            if dirty is not None and not any(
+            if not any(
                 (combo[a], combo[b]) in pairs for (a, b), pairs in dirty.items()
             ):
                 clean, clean_rank = (sign * key, combo[0]), len(selected) + 1
@@ -423,38 +429,40 @@ def _may_reach(
 
 
 def solve_cross_free_lift(
-    structure: RelationalStructure,
-    formula: OptFormula,
+    plan: DecompositionPlan,
     prepare: PrepareScorer,
-    guard: Guard = (),
     top_k: int | None = None,
     stats_out: dict | None = None,
     ratio: float = 1.0,
 ) -> OptResult | None:
-    """Eliminate cross edges: an exact side per cross atom (its tuples that
-    carry the atom and pass ``guard``), heavy-vertex brute force (one query
-    per slot, with the heavy vertices as its domain), grouped relaxed
-    scoring, and an exact re-solve of a prefix of the ranked group
-    combinations under the guarded main body.  The re-solve makes one exact
-    query per slot prefix: the selected combinations that share their first
-    k-1 groups are solved together, over the union of their last groups.
-    One ``PreparedBaseline`` of the formula answers the side, heavy and
-    re-solve queries.
+    """The optimum and least witness of ``plan.formula`` over all tuples;
+    None if there is none.
 
-    ``prepare(structure, core)`` is called once, when there is at least one
-    group, and returns the scorer of the cross-free core.  The scorer is
-    called once, with the groups, and returns the relaxed value of every
-    combination of groups (group ci as the domain of the i-th optimization
-    variable) in ``itertools.product`` order, None where none exists.  Its
-    values lie within ``ratio`` of the core's optimum over the combination:
-    in [OPT/ratio, OPT] for max and [OPT, ratio·OPT] for min.
+    The lift solves the whole plan: an exact side per side atom (the plan's
+    guard atoms, then the cross atoms of ``plan.main_core``: the tuples that
+    carry the atom), heavy-vertex brute force (one query per slot, with the
+    heavy vertices as its domain), grouped relaxed scoring, and an exact
+    re-solve of a prefix of the ranked group combinations.  The heavy and
+    re-solve queries take the tuples on which every side atom is false;
+    there every hyperedge and cross atom is false, so ``plan.formula`` is
+    the cross-free core.  The re-solve makes one exact query per slot
+    prefix: the selected combinations that share their first k-1 groups are
+    solved together, over the union of their last groups.  One
+    ``PreparedBaseline`` of ``plan.formula`` answers every query.
 
-    The rule.  A combination is *dirty* when a record of a guard literal (a
-    cross atom or a literal of ``guard``, each an (atom, False) over two
-    distinct optimization variables) falls between its groups in the atom's
-    slots, and *clean* otherwise; any other guard shape makes every
-    combination dirty.  Every tuple of a clean combination passes the
-    guard, so its guarded optimum is the core's optimum over it.  The
+    ``prepare(plan.main_structure, core)`` is called once, when there is at
+    least one group, and returns the scorer of the cross-free core.  The
+    scorer is called once, with the groups, and returns the relaxed value of
+    every combination of groups (group ci as the domain of the i-th
+    optimization variable) in ``itertools.product`` order, None where none
+    exists.  Its values lie within ``ratio`` of the core's optimum over the
+    combination: in [OPT/ratio, OPT] for max and [OPT, ratio·OPT] for min.
+
+    The rule.  A combination is *dirty* when a record of a side atom (a
+    guard atom of the plan or a cross atom, each over two distinct
+    optimization variables) falls between its groups in the atom's slots,
+    and *clean* otherwise.  Every tuple of a clean combination carries no
+    side atom, so its guarded optimum is the core's optimum over it.  The
     combinations are ranked lazily, best score first and ties in
     combination order, until the rule is met.  Let c* be the first clean
     one and S* its score.
@@ -480,31 +488,30 @@ def solve_cross_free_lift(
 
     ``stats_out`` receives the stage's counts and ``source``, the step whose
     candidate is the answer: ``side``, ``heavy`` or ``resolve``.  ``sides``
-    counts the cross-atom side queries, ``dirty`` the dirty combinations
-    ranked before c* (all those ranked, where none is clean), ``clean_rank``
-    is c*'s rank from 1 (None where none is clean within the cap),
-    ``resolves`` the re-solved combinations and ``resolve_queries`` their
-    exact queries.
+    counts the cross-atom side queries (the hyperedge-removal stage counts
+    the plan's guard atoms), ``dirty`` the dirty combinations ranked before
+    c* (all those ranked, where none is clean), ``clean_rank`` is c*'s rank
+    from 1 (None where none is clean within the cap), ``resolves`` the
+    re-solved combinations and ``resolve_queries`` their exact queries.
     """
-    if formula.ell != 1:
-        raise ContractError("the lift expects exactly one count variable")
+    structure, formula = plan.main_structure, plan.formula
     k = formula.k
-    cross, core = split_cross_atoms(formula)
-    candidates: list[tuple[str, OptResult | None]] = []
+    cross, core = split_cross_atoms(plan.main_core)
+    sides = [atom for atom, _ in plan.main_guard] + cross
 
     # one evaluator of the formula answers steps (1), (2) and (5); on the
-    # tuples that pass full_guard every cross atom is false, so there the
-    # formula is the core
+    # tuples that pass full_guard every hyperedge and cross atom is false,
+    # so there the formula is the core
     evaluator = PreparedBaseline(structure, formula)
 
-    # (1) exact side problems, one per cross atom
-    for atom in cross:
-        candidates.append(("side", solve_positive_cross_edge(evaluator, atom, guard)))
-
-    full_guard: Guard = tuple(guard) + tuple((a, False) for a in cross)
+    # (1) exact side problems, one per side atom
+    candidates: list[tuple[str, OptResult | None]] = [
+        ("side", solve_positive_cross_edge(evaluator, atom)) for atom in sides
+    ]
+    full_guard: Guard = tuple((atom, False) for atom in sides)
 
     # (2) heavy vertices: per slot, one query with the heavy set as its domain
-    grouping = lift_grouping(structure, k)
+    grouping = plan.grouping
     if grouping.heavy:
         for var in formula.opt_vars:
             heavy = evaluator.opt({var: grouping.heavy}, full_guard)
@@ -530,7 +537,7 @@ def solve_cross_free_lift(
             raise ContractError("the scorer must score every group combination")
         if top_k is None:
             top_k = min(grouping.combos, grouping.bound)
-        dirty = _dirty_pairs(structure, formula.opt_vars, full_guard, groups)
+        dirty = _dirty_pairs(structure, formula.opt_vars, sides, groups)
         selected, clean_rank, combos = _select_combinations(
             formula.kind, scores, len(groups), k, dirty, ratio, top_k
         )
@@ -930,8 +937,8 @@ class HybridScorer:
 class ReductionTrace:
     """Per-stage statistics of one reduce_and_solve run, and the source of
     its answer: ``side`` (a side problem), ``heavy`` (a heavy vertex),
-    ``resolve`` (a re-solved group combination), ``guarded-baseline``,
-    ``baseline`` or ``multicount``; None when no tuple exists."""
+    ``resolve`` (a re-solved group combination), ``baseline`` or
+    ``multicount``; None when no tuple exists."""
 
     path: str = ""
     stages: list[tuple[str, dict]] = field(default_factory=list)
@@ -973,13 +980,11 @@ def reduce_and_solve(
     Two or more counting variables go to the multi-counting solver; a single
     optimization variable is a baseline base case; everything else runs
     hyperedge removal.  Where the lift's scores can prune
-    (``LiftGrouping.prunes``), one evaluator of the normalized input answers
-    the hyperedge sides, one guarded query each, and the main problem goes
-    through the grouped cross-edge lift with the hybrid-through-IP scorer;
-    past a resource limit of the lift one guarded baseline query solves the
-    main problem.  Elsewhere one baseline query of the input answers: the
-    side problems and the guarded main problem partition its tuples, so the
-    (value, witness) is theirs.
+    (``LiftGrouping.prunes``), the grouped cross-edge lift with the
+    hybrid-through-IP scorer solves the whole plan, its hyperedge and cross
+    sides included.  Elsewhere, and past a resource limit of the lift, one
+    baseline query of the input answers: the side problems and the guarded
+    main problem partition its tuples, so the (value, witness) is theirs.
     """
     if ip_solver.kind != formula.kind:
         raise ContractError("ip solver kind does not match the formula")
@@ -999,8 +1004,7 @@ def reduce_and_solve(
         return trace.answer(baseline_opt(structure, formula), "baseline")
 
     trace.path = "reduction"
-    structure0, formula0 = normalize_formula(structure, formula)
-    plan = remove_hyperedges(structure0, formula0)
+    plan = remove_hyperedges(structure, formula)
     trace.add(
         "hyperedge-removal",
         m=plan.main_structure.m,
@@ -1008,20 +1012,13 @@ def reduce_and_solve(
         sides=len(plan.main_guard),
     )
 
-    grouping = lift_grouping(plan.main_structure, plan.main_core.k)
-    if not grouping.prunes:
-        groups = len(grouping.partition.groups)
-        trace.add("baseline", reason="no-prune", groups=groups, bound=grouping.bound)
+    def baseline_answer(reason: str) -> tuple[int | None, ReductionTrace]:
+        groups = len(plan.grouping.partition.groups)
+        trace.add("baseline", reason=reason, groups=groups, bound=plan.grouping.bound)
         return trace.answer(baseline_opt(structure, formula), "baseline")
 
-    candidates: list[tuple[str, OptResult | None]] = []
-    if plan.main_guard:
-        # one evaluator of the normalized input answers every hyperedge side
-        evaluator = PreparedBaseline(plan.main_structure, plan.formula)
-        candidates = [
-            ("side", solve_positive_cross_edge(evaluator, atom))
-            for atom, _ in plan.main_guard
-        ]
+    if not plan.grouping.prunes:
+        return baseline_answer("no-prune")
 
     scorer: HybridScorer | None = None
 
@@ -1031,19 +1028,14 @@ def reduce_and_solve(
         return scorer
 
     lift_stats: dict = {}
+    limit: ResourceLimitError | None = None
     try:
-        main = solve_cross_free_lift(
-            plan.main_structure,
-            plan.main_core,
-            prepare,
-            guard=plan.main_guard,
-            stats_out=lift_stats,
-            ratio=ip_solver.ratio,
+        res = solve_cross_free_lift(
+            plan, prepare, stats_out=lift_stats, ratio=ip_solver.ratio
         )
-        source = lift_stats.pop("source")
     except ResourceLimitError as exc:
-        trace.warnings.append(f"falling back to baseline: {exc}")
-        main, source = None, "guarded-baseline"
+        limit = exc
+    source = lift_stats.pop("source", None)
     trace.add("cross-free-lift", **lift_stats)
     if scorer is not None:
         trace.add(
@@ -1053,10 +1045,7 @@ def reduce_and_solve(
             block_calls=scorer.block_calls,
             pairs_joined=scorer.pairs_joined,
         )
-    if source == "guarded-baseline":
-        trace.add("guarded-baseline", reason="resource-limit")
-        main = baseline_opt_restricted(
-            plan.main_structure, plan.main_core, plan.main_guard
-        )
-    candidates.append((source, main))
-    return trace.answer(*_winner(formula.kind, candidates))
+    if limit is not None:
+        trace.warnings.append(f"falling back to baseline: {limit}")
+        return baseline_answer("resource-limit")
+    return trace.answer(res, source)

@@ -276,6 +276,33 @@ def test_reduce_dumps(toy_files, capsys, tmp_path):
     load_structure((out_dir / "paralleled.structure").read_text())
 
 
+def test_reduce_writes_each_cross_side_as_the_lift_solves_it(tmp_path, capsys):
+    # the side of a cross atom is the formula over the tuples that carry it:
+    # here the body forbids the atom, so the side scores 0, while the bare
+    # atom would score n at any pair with an edge
+    from relopt.baseline import baseline_opt
+    from relopt.formula import parse_formula
+    from relopt.structure import load_structure
+
+    s = tmp_path / "tri.structure"
+    f = tmp_path / "tri.formula"
+    s.write_text("rel E 2\nE a b\nE b c\nE c a\n")
+    f.write_text("max x1,x2 . count y . E(x1,y) & !E(x1,x2)\n")
+    out_dir = tmp_path / "stages"
+    code, _ = run_main(
+        ["reduce", "--structure", str(s), "--formula", str(f), "--out", str(out_dir)],
+        capsys,
+    )
+    assert code == 0
+    structure = load_structure(s.read_text())
+    side = parse_formula((out_dir / "cross0.formula").read_text().strip())
+    assert str(side) == "max x1,x2 . count y . E(x1,x2) & E(x1,y) & !E(x1,x2)"
+    assert baseline_opt(structure, side).value == 0
+    bare = parse_formula("max x1,x2 . count y . E(x1,x2)")
+    assert baseline_opt(structure, bare).value == structure.n
+    assert not (out_dir / "cross1.formula").exists()
+
+
 def test_bench_runs(capsys):
     code, out = run_main(
         ["bench", "--seeds", "2", "--n", "5", "--engines", "baseline,auto"], capsys

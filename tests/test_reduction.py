@@ -466,9 +466,8 @@ def test_lift_no_cross_exact_inner_matches_baseline():
         structure, formula = random_instance(
             rng, k=2, ell=1, n_objects=rng.randint(2, 8), allow_cross=False
         )
-        got = solve_cross_free_lift(structure, formula, _baseline_inner)
-        want = baseline_opt(structure, formula)
-        assert got.value == want.value, f"trial {trial} {formula}"
+        got = solve_cross_free_lift(remove_hyperedges(structure, formula), _baseline_inner)
+        assert got == baseline_opt(structure, formula), f"trial {trial} {formula}"
 
 
 def test_lift_with_cross_matches_baseline():
@@ -477,9 +476,8 @@ def test_lift_with_cross_matches_baseline():
         structure, formula = random_instance(
             rng, k=2, ell=1, n_objects=rng.randint(2, 8), allow_cross=True
         )
-        got = solve_cross_free_lift(structure, formula, _baseline_inner)
-        want = baseline_opt(structure, formula)
-        assert got.value == want.value, f"trial {trial} {formula}"
+        got = solve_cross_free_lift(remove_hyperedges(structure, formula), _baseline_inner)
+        assert got == baseline_opt(structure, formula), f"trial {trial} {formula}"
 
 
 def test_lift_heavy_vertex_optimum():
@@ -490,9 +488,9 @@ def test_lift_heavy_vertex_optimum():
         "rel E 2\n" + "\n".join(f"E {a} {b}" for a, b in sorted(recs)) + "\n"
     )
     f = parse_formula("max x1,x2 . count y . E(x1,y)")
-    got = solve_cross_free_lift(s, f, _baseline_inner)
+    got = solve_cross_free_lift(remove_hyperedges(s, f), _baseline_inner)
     want = baseline_opt(s, f)
-    assert got.value == want.value == 8
+    assert got == want and want.value == 8
 
 
 def test_lift_k_override_plumbs_through():
@@ -500,8 +498,7 @@ def test_lift_k_override_plumbs_through():
     f = parse_formula("max x1,x2 . count y . E(x1,y)")
     stats = {}
     solve_cross_free_lift(
-        s,
-        f,
+        remove_hyperedges(s, f),
         _baseline_inner,
         top_k=1,
         stats_out=stats,
@@ -572,8 +569,7 @@ def test_lift_converts_to_hybrid_at_most_once(monkeypatch):
         stats = {}
         solver = exact_solver(formula.kind)
         solve_cross_free_lift(
-            structure,
-            formula,
+            remove_hyperedges(structure, formula),
             lambda s, f: HybridScorer(s, f, solver),
             stats_out=stats,
         )
@@ -700,7 +696,10 @@ def test_trace_counts_heavy_solves_resolves_and_ip_calls(monkeypatch):
                 return HybridScorer(s, f, exact)
 
             solve_cross_free_lift(
-                structure, formula, prepare, top_k=top_k, stats_out=stats
+                remove_hyperedges(structure, formula),
+                prepare,
+                top_k=top_k,
+                stats_out=stats,
             )
             rule, clean_rank = _rule_combinations(structure, formula, scores, top_k)
             assert stats["resolves"] == len(rule) <= top_k
@@ -750,7 +749,8 @@ def test_batched_resolve_equals_one_query_per_selected_combination():
     for trial in range(100):
         k = (2, 3)[trial % 2]
         kind = ("max", "min")[trial // 2 % 2]
-        structure, formula = _two_record_instance(rng, k, kind)
+        plan = remove_hyperedges(*_two_record_instance(rng, k, kind))
+        structure, formula = plan.main_structure, plan.formula
         cross, core = split_cross_atoms(formula)
         evaluator = PreparedBaseline(structure, core)
         grouping = lift_grouping(structure, k)
@@ -772,9 +772,7 @@ def test_batched_resolve_equals_one_query_per_selected_combination():
             [1, rng.randint(2, 6), rng.randint(1, max(1, grouping.combos))]
         )
         stats = {}
-        got = solve_cross_free_lift(
-            structure, formula, prepare, top_k=top_k, stats_out=stats
-        )
+        got = solve_cross_free_lift(plan, prepare, top_k=top_k, stats_out=stats)
 
         guard = tuple((a, False) for a in cross)
         rule, clean_rank = _rule_combinations(structure, formula, scores, top_k)
@@ -785,7 +783,7 @@ def test_batched_resolve_equals_one_query_per_selected_combination():
             for combo in rule
         ]
         # top_k=0: the side problems and the heavy vertices only
-        rest = solve_cross_free_lift(structure, formula, prepare, top_k=0)
+        rest = solve_cross_free_lift(plan, prepare, top_k=0)
         want = combine_results(kind, [rest] + resolved)
         assert got == want, f"trial {trial} top_k {top_k} {formula}"
         if groups:
@@ -826,7 +824,6 @@ def test_reduce_and_solve_skips_the_lift_where_nothing_is_pruned(monkeypatch):
         assert conversions == [] and ip_calls == []
         stages = dict(trace.stages)
         assert "cross-free-lift" not in stages and "hybrid" not in stages
-        assert "guarded-baseline" not in stages
         assert stages["baseline"] == {"reason": "no-prune", "groups": 4, "bound": 17}
         assert trace.source == "baseline"
         rendered = trace.render()
@@ -834,9 +831,25 @@ def test_reduce_and_solve_skips_the_lift_where_nothing_is_pruned(monkeypatch):
         assert rendered.endswith("source baseline\n")
 
 
-def test_prune_path_builds_two_evaluators_and_one_query_per_side(monkeypatch):
-    # a 24-cycle with a hub of degree 8 and two hyperedge records: the lift
-    # prunes, and the body has one hyperedge pair and one cross atom
+def _hub_cycle_structure(n=24):
+    """An n-cycle with P on every third object, a hub of degree 8 and two
+    records of the ternary R: the lift prunes, and on R(x1,x2,y) hyperedge
+    removal gives one side."""
+    return load_structure(
+        "rel E 2\nrel P 1\nrel R 3\nR o0 o5 o1\nR o7 o2 o3\n"
+        + "".join(f"E o{i} o{(i + 1) % n}\n" for i in range(n))
+        + "".join(f"P o{i}\n" for i in range(0, n, 3))
+        + "".join(f"E h o{i}\n" for i in range(0, 16, 2))
+    )
+
+
+HUB_BODY = "x1,x2 . count y . E(x1,y) & E(x2,y) | E(x1,x2) & P(x1) | R(x1,x2,y)"
+
+
+def test_prune_path_builds_one_evaluator_and_one_query_per_side(monkeypatch):
+    # the body has one hyperedge pair and one cross atom: one evaluator of
+    # the normalized input answers both sides, the heavy vertices and the
+    # re-solves
     import relopt.reduction as reduction
 
     built, opt_calls, per_side = [], [], []
@@ -860,47 +873,50 @@ def test_prune_path_builds_two_evaluators_and_one_query_per_side(monkeypatch):
 
     monkeypatch.setattr(reduction, "PreparedBaseline", Counting)
     monkeypatch.setattr(reduction, "solve_positive_cross_edge", side)
-    n = 24
-    structure = load_structure(
-        "rel E 2\nrel P 1\nrel R 3\nR o0 o5 o1\nR o7 o2 o3\n"
-        + "".join(f"E o{i} o{(i + 1) % n}\n" for i in range(n))
-        + "".join(f"P o{i}\n" for i in range(0, n, 3))
-        + "".join(f"E h o{i}\n" for i in range(0, 16, 2))
-    )
+    structure = _hub_cycle_structure()
     for kind in ("max", "min"):
-        formula = parse_formula(
-            f"{kind} x1,x2 . count y . E(x1,y) & E(x2,y) | E(x1,x2) & P(x1) | R(x1,x2,y)"
-        )
+        formula = parse_formula(f"{kind} {HUB_BODY}")
         built.clear()
         per_side.clear()
         value, trace = reduce_and_solve(structure, formula, exact_solver(kind))
         assert (value, trace.witness) == tuple(baseline_opt(structure, formula))
-        assert len(built) <= 2
+        assert len(built) == 1
         assert per_side == [1, 1]
         stages = dict(trace.stages)
         assert stages["hyperedge-removal"]["sides"] == stages["cross-free-lift"]["sides"] == 1
 
 
-def test_guarded_baseline_answers_past_a_resource_limit_of_the_lift(monkeypatch):
+def test_baseline_answers_past_a_resource_limit_of_the_lift(monkeypatch):
     import relopt.reduction as reduction
-
-    structure = _cycle_structure()
-    formula = parse_formula(CYCLE_BODIES[0])
-    want = baseline_opt(structure, formula)
-    _, trace = reduce_and_solve(structure, formula, exact_solver("max"))
-    assert "guarded-baseline" not in dict(trace.stages)
 
     def over_cap(*args, **kwargs):
         raise ResourceLimitError("over the cap")
 
-    monkeypatch.setattr(reduction, "to_hybrid", over_cap)
-    value, trace = reduce_and_solve(structure, formula, exact_solver("max"))
-    assert (value, trace.witness) == (want.value, want.witness)
-    stages = dict(trace.stages)
-    assert stages["guarded-baseline"] == {"reason": "resource-limit"}
-    assert trace.source == "guarded-baseline"  # the body has no side problem
-    assert "cross-free-lift" in stages and "hybrid" not in stages
-    assert trace.warnings == ["falling back to baseline: over the cap"]
+    # the cycle's body has no side; the hub cycle's has a hyperedge side and
+    # a cross atom
+    cases = [(_cycle_structure(), CYCLE_BODIES[0])] + [
+        (_hub_cycle_structure(), f"{kind} {HUB_BODY}") for kind in ("max", "min")
+    ]
+    for structure, text in cases:
+        formula = parse_formula(text)
+        solver = exact_solver(formula.kind)
+        want = baseline_opt(structure, formula)
+        _, trace = reduce_and_solve(structure, formula, solver)
+        assert "baseline" not in dict(trace.stages)  # the lift answers
+        with monkeypatch.context() as patch:
+            patch.setattr(reduction, "to_hybrid", over_cap)
+            value, trace = reduce_and_solve(structure, formula, solver)
+        assert (value, trace.witness) == (want.value, want.witness), text
+        grouping = remove_hyperedges(structure, formula).grouping
+        stages = dict(trace.stages)
+        assert stages["baseline"] == {
+            "reason": "resource-limit",
+            "groups": len(grouping.partition.groups),
+            "bound": grouping.bound,
+        }
+        assert trace.source == "baseline"
+        assert "cross-free-lift" in stages and "hybrid" not in stages
+        assert trace.warnings == ["falling back to baseline: over the cap"]
 
 
 def test_lift_converts_each_hybrid_instance_to_basic_once(monkeypatch):
@@ -929,7 +945,9 @@ def test_lift_converts_each_hybrid_instance_to_basic_once(monkeypatch):
         return score
 
     stats = {}
-    solve_cross_free_lift(_cycle_structure(), formula, prepare, stats_out=stats)
+    solve_cross_free_lift(
+        remove_hyperedges(_cycle_structure(), formula), prepare, stats_out=stats
+    )
     (scorer,) = scorers
     prepared = {id(inst) for inst, _ in scorer.per_sigma}
     assert len(prepared) > 1
@@ -961,8 +979,7 @@ def test_lift_indexes_relations_independently_of_top_k(monkeypatch):
             built.clear()
             stats = {}
             solve_cross_free_lift(
-                structure,
-                formula,
+                remove_hyperedges(structure, formula),
                 lambda s, f: HybridScorer(s, f, solver),
                 top_k=top_k,
                 stats_out=stats,
@@ -1052,8 +1069,7 @@ def sparse_prune_instances(draw, k=2):
     kind = draw(st.sampled_from(["max", "min"]))
     formula = parse_formula(f"{kind} {','.join(opt_vars)} . count y1 . {body}")
     if k == 2:
-        plan = remove_hyperedges(*normalize_formula(structure, formula))
-        assume(lift_grouping(plan.main_structure, 2).prunes)
+        assume(remove_hyperedges(structure, formula).grouping.prunes)
     return structure, formula
 
 
@@ -1067,15 +1083,10 @@ def test_reduce_and_solve_equals_baseline_where_the_lift_prunes(instance):
 
 
 def _lift_route(structure, formula, solver):
-    """The driver's lift route, taken whether or not the lift prunes: the
-    sides of hyperedge removal, from the naive oracle, and the lift of the
-    guarded main problem scored under the solver.  Returns the optimum, the
-    lift's stats, the plan and the scores."""
-    plan = remove_hyperedges(*normalize_formula(structure, formula))
-    sides = [
-        guarded_opt(plan.main_structure, plan.formula, None, [(atom, True)])
-        for atom, _ in plan.main_guard
-    ]
+    """The lift of the whole plan, taken whether or not it prunes, scored
+    under the solver.  Returns the optimum, the lift's stats, the plan and
+    the scores."""
+    plan = remove_hyperedges(structure, formula)
     scores = []
 
     def prepare(s, f):
@@ -1088,16 +1099,8 @@ def _lift_route(structure, formula, solver):
         return score
 
     stats = {}
-    main = solve_cross_free_lift(
-        plan.main_structure,
-        plan.main_core,
-        prepare,
-        guard=plan.main_guard,
-        stats_out=stats,
-        ratio=solver.ratio,
-    )
-    candidates = [OptResult(*side) for side in sides if side is not None] + [main]
-    return combine_results(formula.kind, candidates), stats, plan, scores
+    got = solve_cross_free_lift(plan, prepare, stats_out=stats, ratio=solver.ratio)
+    return got, stats, plan, scores
 
 
 def _dirty_first_scores(structure, formula, guard, scores):
@@ -1158,8 +1161,7 @@ def test_lift_rule_gives_the_optimum_under_exact_and_approximate_scores(data):
     dirty_first, dirty = _dirty_first_scores(*main, plan.main_guard, scores)
     stats = {}
     solve_cross_free_lift(
-        *main, lambda s, f: (lambda groups: dirty_first), guard=plan.main_guard,
-        stats_out=stats,
+        plan, lambda s, f: (lambda groups: dirty_first), stats_out=stats
     )
     rule, clean_rank = _rule_combinations(
         *main, dirty_first, stats["top_k"], plan.main_guard
