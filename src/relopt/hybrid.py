@@ -1,6 +1,6 @@
 """The Hybrid Problem: k set families over a universe partitioned into 2^k
-typed parts, its Basic single-type form, and its solve through one k-IP
-instance.
+typed parts, its Basic single-type form, and its solve: for k=2 one signed
+join over the sparse sets, otherwise one k-IP instance.
 
 The paper shrinks the universe with a deterministic prime-residue reduction
 before complementing sets, so that the Basic form stays sparse; the reduction
@@ -14,10 +14,15 @@ Universe elements are identified with 0..|U|-1 in canonical order; set and
 part membership is cached as integer bitmasks, so the set algebra runs on
 machine words.  Types tau are packed ints with family i at bit i.
 
-An instance builds its IP vectors (the all-ones Basic form) once, on first
-use.  ``solve_hybrid_with_info`` solves many sub-instances at once, each
-keeping one block of sets per family, through one IP block query on those
-vectors, so each set is converted once.
+``solve_hybrid_with_info`` solves many sub-instances at once, each keeping
+one block of sets per family, with one block query.  For k=2 every tuple
+value is a constant plus a per-set offset plus signed weights summed over
+the elements the two sets share (``HybridInstance.signed_pairs``), so a
+solver with a signed query (``IpSolver.signed_blocks``) scores the sets as
+they are, reading m_h coordinates.  Otherwise the instance builds its IP
+vectors (the all-ones Basic form) once, on first use, and the solver's IP
+block query runs on them; complementing makes each vector about |U| long,
+however few elements its set holds.
 """
 from __future__ import annotations
 
@@ -28,7 +33,7 @@ from itertools import product
 from typing import Sequence
 
 from .errors import ContractError, ResourceLimitError
-from .ip import Blocks, IPInstance, IpSolver
+from .ip import Blocks, IPInstance, IpSolver, SignedPairs
 
 MAX_MATERIALIZED_UNIVERSE = 5_000_000
 
@@ -108,6 +113,22 @@ class HybridInstance:
         per set, family by family."""
         tau_ones = (1 << self.k) - 1
         return basic_to_ip(hybrid_to_basic(self, tau_ones)).families
+
+    @cached_property
+    def signed_pairs(self) -> SignedPairs:
+        """The k=2 tuple values as signed pairs (``relopt.ip.SignedPairs``):
+        constant |P_0|, offsets |A∩P_1| - |A∩P_0| for family 0 and
+        |B∩P_2| - |B∩P_0| for family 1, weight +1 on P_0 ∪ P_3 and -1 on
+        P_1 ∪ P_2, P_tau being the part of type tau."""
+        if self.k != 2:
+            raise ContractError("signed pairs need k=2")
+        p0, p1, p2, _ = self.part_masks
+        offsets = tuple(
+            [(mask & own).bit_count() - (mask & p0).bit_count() for mask in masks]
+            for masks, own in zip(self.set_masks, (p1, p2))
+        )
+        weight = [1 if tau in (0, 3) else -1 for tau in self.element_types]
+        return SignedPairs(self.families, offsets, weight, p0.bit_count())
 
     def part(self, tau: int) -> list[int]:
         return [u for u, t in enumerate(self.element_types) if t == tau]
@@ -197,7 +218,8 @@ def hybrid_to_basic(instance: HybridInstance, tau: int) -> BasicInstance:
     Total tuple values are preserved exactly; sparsity may grow up to
     n * |U|, which the paper bounds by reducing the universe first.  The
     solve reaches the all-ones form through ``HybridInstance.ip_families``,
-    once per instance; ``relopt reduce`` and the tests call this directly.
+    once per instance, where it does not take the k=2 signed query;
+    ``relopt reduce`` and the tests call this directly.
     """
     size = instance.size
     full = (1 << size) - 1
@@ -388,13 +410,16 @@ def solve_hybrid_with_info(
 ) -> tuple[list[int | None], dict]:
     """The hybrid optimum of every sub-instance that keeps one block of sets
     per family, in ``itertools.product`` order of the block indices, from one
-    IP block query (``IpSolver.block_values``) on the instance's all-ones
-    Basic vectors.  Without ``blocks`` the one sub-instance is the instance.
+    block query.  Without ``blocks`` the one sub-instance is the instance.
 
-    The conversion preserves every tuple value, so each value is the
-    sub-instance's optimum within the solver's ratio: exact for an exact
-    solver, a c-approximation for a c-approximate one.  A value is None where
-    a block is empty.  ``info`` holds the universe size and the block query's
+    For k=2, where the solver has a signed query, that query runs on the
+    instance's signed pairs; otherwise the IP block query
+    (``IpSolver.block_values``) runs on its all-ones Basic vectors.  Both
+    preserve every tuple value, so each value is the sub-instance's optimum
+    within the solver's ratio: exact for an exact solver, a c-approximation
+    for a c-approximate one.  A value is None where a block is empty.
+    ``info`` holds the universe size, ``coords``, the coordinates the query
+    reads (m_h of the sets or m_ip of the vectors), and the block query's
     ``solve_calls`` and ``pairs_joined``.
     """
     if ip_solver.kind != instance.kind:
@@ -402,5 +427,9 @@ def solve_hybrid_with_info(
     if blocks is None:
         blocks = [[list(range(len(fam)))] for fam in instance.families]
     info = {"universe": instance.size}
+    if instance.k == 2 and ip_solver.signed_blocks is not None:
+        info["coords"] = instance.m_h
+        return ip_solver.signed_blocks(instance.signed_pairs, blocks, info), info
     ip = IPInstance(instance.k, instance.ip_families, instance.size)
+    info["coords"] = ip.m_ip
     return ip_solver.block_values(ip, blocks, info), info

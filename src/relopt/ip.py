@@ -2,16 +2,18 @@
 
 Vectors are sorted coordinate tuples.  The brute-force solvers are the
 reference inner solvers of the reduction pipeline; the external fast solvers
-they stand in for plug in through the same IpSolver interface.
+they stand in for plug in through the same IpSolver interface.  For k=2 the
+exact solver's block query is one sparse join (``signed_join``), which also
+scores pairs of sets by a constant, per-set offsets and signed per-coordinate
+weights: the k=2 hybrid scores, read without complementing any set.
 """
 from __future__ import annotations
 
 import math
 import operator
 from dataclasses import dataclass
-from collections import Counter
-from itertools import chain, product
-from typing import Callable, Sequence
+from itertools import product
+from typing import Callable, Collection, Sequence
 
 from .errors import ContractError, ResourceLimitError
 
@@ -187,6 +189,33 @@ BlockQuery = Callable[[IPInstance, Blocks, dict], list]
 
 
 @dataclass(frozen=True)
+class SignedPairs:
+    """The pair scores of two set families, read from their sparse sets:
+    the i-th set A of family 0 and the j-th set B of family 1 score
+
+        const + offsets[0][i] + offsets[1][j] + sum of weight[c], c in A ∩ B.
+
+    ``weight`` maps every coordinate to its weight; None weighs each 1.
+    With unit weights, zero offsets and constant 0 (``unit_pairs``) a
+    pair's score is its inner product.
+    """
+
+    sets: tuple[Sequence[Collection[int]], Sequence[Collection[int]]]
+    offsets: tuple[Sequence[int], Sequence[int]]
+    weight: Sequence[int] | None = None
+    const: int = 0
+
+
+def unit_pairs(instance: IPInstance) -> SignedPairs:
+    """The k=2 instance's inner products as signed pairs."""
+    fam0, fam1 = instance.families
+    return SignedPairs(instance.families, ([0] * len(fam0), [0] * len(fam1)))
+
+
+SignedQuery = Callable[[SignedPairs, Blocks, dict], list]
+
+
+@dataclass(frozen=True)
 class IpSolver:
     """A value oracle for k-IP with a declared approximation ratio.
 
@@ -195,13 +224,16 @@ class IpSolver:
 
     ``solve_blocks`` is the optional block query behind ``block_values``;
     a fast MaxIP/MinIP algorithm plugs in there.  Without it every block
-    combination goes through ``solve``.
+    combination goes through ``solve``.  ``signed_blocks`` is the optional
+    k=2 query on signed pairs (``signed_join``), with the same ratio; the
+    hybrid solve uses it where present to skip the IP vectors.
     """
 
     kind: str  # "max" | "min"
     ratio: float
     solve: Callable[[IPInstance], int | None]
     solve_blocks: BlockQuery | None = None
+    signed_blocks: SignedQuery | None = None
 
     def block_values(
         self, instance: IPInstance, blocks: Blocks, stats_out: dict | None = None
@@ -240,59 +272,116 @@ def _block_loop(solve, instance: IPInstance, blocks: Blocks, stats: dict) -> lis
     return out
 
 
-def _pair_join(kind: str, instance: IPInstance, blocks: Blocks, stats: dict) -> list:
-    """Exact k=2 block values from one output-sensitive sparse join.
+def signed_join(kind: str, pairs: SignedPairs, blocks: Blocks, stats: dict) -> list:
+    """The best pair score of every combination of a block of family-0 sets
+    and a block of family-1 sets, in ``itertools.product`` order; None where
+    a block is empty.  ``stats`` accumulates ``pairs_joined``, the pairs
+    that share a coordinate.
 
-    Family 1 is indexed by coordinate, and one pass over family 0 counts the
-    shared coordinates of every pair that shares any.  That costs the sum
-    over coordinates c of deg_0(c) * deg_1(c), plus |family 0| times the
-    number of family-1 blocks.  A block pair's max is its largest count, or
-    0 when no pair shares a coordinate.  Its min is its smallest count when
-    every pair shares one, and 0 otherwise.
+    Family 1 is indexed by coordinate, and one pass over family 0 sums the
+    shared weights of every pair that shares a coordinate: sum over
+    coordinates c of deg_0(c) * deg_1(c).  A pair that shares nothing scores
+    const + offsets alone, so a set A's best such partner in a block is the
+    first, in the block's offset order, that is not one of A's sharers; it
+    is absent when A shares with every set of the block.  Mostly that
+    partner is the block's head, its first set.  So per pair of blocks the
+    best pair of the head and an A that does not share with it comes from
+    the first such A in offset order, and only an A that shares with the
+    head walks further, and only where the head's offset could still beat
+    the block's best.  Past the join the cost is about one step per pair of
+    blocks or per sharing pair.
+
+    For k=2 the hybrid value of ``relopt.hybrid.val`` is such a score.  With
+    P_tau the part of type tau, summing the four parts' counts gives
+
+        val(A, B) = |P_0| + a(A) + b(B) + sum of w(u), u in A ∩ B,
+
+    with a(A) = |A∩P_1| - |A∩P_0|, b(B) = |B∩P_2| - |B∩P_0| and w = +1 on
+    P_0 ∪ P_3, -1 on P_1 ∪ P_2 (``HybridInstance.signed_pairs``).  So the
+    join scores hybrid sets directly, without complementing them.
     """
-    fam0, fam1 = instance.families
+    if len(blocks) != 2:
+        raise ContractError("need one list of blocks per family")
+    sets0, sets1 = pairs.sets
+    off0, off1 = pairs.offsets
+    weight, const = pairs.weight, pairs.const
     blocks0, blocks1 = blocks
+    is_max = kind == "max"
+    better = max if is_max else min
     block_of: dict[int, int] = {}
     by_coord: dict[int, list[int]] = {}
     for b, block in enumerate(blocks1):
         for j in block:
             if block_of.setdefault(j, b) != b:
                 raise ContractError("the blocks of a family must be disjoint")
-            for c in fam1[j]:
+            for c in sets1[j]:
                 by_coord.setdefault(c, []).append(j)
-    sizes1 = [len(block) for block in blocks1]
-    pairs = 0
+    # per family-1 block its sets, best offset first, and the first's offset
+    ranked = [sorted(block, key=off1.__getitem__, reverse=is_max) for block in blocks1]
+    heads = {order[0] for order in ranked if order}
+    tops = [off1[order[0]] if order else None for order in ranked]
+    no_sets = [None] * len(blocks1)
+    joined = 0
     out: list[int | None] = []
     for block in blocks0:
-        best: list[int | None] = [None] * len(blocks1)  # over sharing pairs
-        full = [True] * len(blocks1)  # every pair so far shares
+        if not block:
+            out.extend(no_sets)
+            continue
+        found: dict[int, int] = {}  # per family-1 block, its best explicit pair
+        shared_of = {}
         for i in block:
-            counts = Counter(chain.from_iterable(by_coord.get(c, ()) for c in fam0[i]))
-            pairs += len(counts)
-            hits = [0] * len(blocks1)
-            for j, n in counts.items():
+            shared: dict[int, int] = {}  # sharer -> its shared weight
+            for c in sets0[i]:
+                w = 1 if weight is None else weight[c]
+                for j in by_coord.get(c, ()):
+                    shared[j] = shared.get(j, 0) + w
+            shared_of[i] = shared
+            joined += len(shared)
+            base = const + off0[i]
+            for j, s in shared.items():
                 b = block_of[j]
-                hits[b] += 1
-                if best[b] is None or (n > best[b] if kind == "max" else n < best[b]):
-                    best[b] = n
-            if kind == "min":
-                for b, size in enumerate(sizes1):
-                    if hits[b] < size:
-                        full[b] = False
-        for b, size in enumerate(sizes1):
-            if not block or not size:
-                out.append(None)
-            elif kind == "max" or full[b]:
-                out.append(best[b] or 0)
-            else:
-                out.append(0)
-    stats["pairs_joined"] = stats.get("pairs_joined", 0) + pairs
+                value = base + off1[j] + s
+                cur = found.get(b)
+                if cur is None or (value > cur if is_max else value < cur):
+                    found[b] = value
+            # in a block whose head A shares, A's best non-sharing partner is
+            # the first later set it does not share with; it scores at most
+            # base + the head's offset, so look for it only where that beats
+            # the block's best so far
+            for j in heads.intersection(shared):
+                b = block_of[j]
+                bound, cur = base + tops[b], found[b]
+                if bound > cur if is_max else bound < cur:
+                    for p in ranked[b]:
+                        if p not in shared:
+                            found[b] = better(found[b], base + off1[p])
+                            break
+        # the best pair of a head and an A that shares nothing with it: the
+        # first such A in offset order, mostly the first A
+        order0 = sorted(block, key=off0.__getitem__, reverse=is_max)
+        lead = const + off0[order0[0]]
+        row = [None if top is None else lead + top for top in tops]
+        for j in heads.intersection(shared_of[order0[0]]):
+            b = block_of[j]
+            row[b] = None
+            bound, cur = lead + tops[b], found[b]
+            if bound > cur if is_max else bound < cur:
+                for i in order0:
+                    if j not in shared_of[i]:
+                        row[b] = const + off0[i] + tops[b]
+                        break
+        for b, value in found.items():
+            cur = row[b]
+            row[b] = value if cur is None else better(cur, value)
+        out.extend(row)
+    stats["pairs_joined"] = stats.get("pairs_joined", 0) + joined
     return out
 
 
 def exact_solver(kind: str, budget: int = DEFAULT_TUPLE_BUDGET) -> IpSolver:
     """Brute force per instance; for k=2 the block query is one sparse join
-    (``_pair_join``), and for other k it loops over ``solve``."""
+    (``signed_join`` with unit weights), and for other k it loops over
+    ``solve``.  The signed query is the join itself."""
     brute = brute_force_kmaxip if kind == "max" else brute_force_kminip
 
     def solve(instance: IPInstance) -> int | None:
@@ -301,16 +390,20 @@ def exact_solver(kind: str, budget: int = DEFAULT_TUPLE_BUDGET) -> IpSolver:
 
     def solve_blocks(instance: IPInstance, blocks: Blocks, stats: dict) -> list:
         if instance.k == 2:
-            return _pair_join(kind, instance, blocks, stats)
+            return signed_join(kind, unit_pairs(instance), blocks, stats)
         return _block_loop(solve, instance, blocks, stats)
 
-    return IpSolver(kind, 1.0, solve, solve_blocks)
+    def signed_blocks(pairs: SignedPairs, blocks: Blocks, stats: dict) -> list:
+        return signed_join(kind, pairs, blocks, stats)
+
+    return IpSolver(kind, 1.0, solve, solve_blocks, signed_blocks)
 
 
 def approx_wrapper(exact: IpSolver, c: float) -> IpSolver:
     """Degrade an exact solver to a deterministic c-approximation sitting at
     the worst end of the allowed interval (test oracle for ratio preservation).
-    The block query degrades each of the exact solver's block values alike."""
+    The block and signed queries degrade each of the exact solver's values
+    alike; the signed one exists where the exact solver has one."""
     if not 1 <= c < math.inf:
         raise ContractError(f"approximation ratio must be finite and >= 1, not {c}")
 
@@ -327,7 +420,16 @@ def approx_wrapper(exact: IpSolver, c: float) -> IpSolver:
     def solve_blocks(instance: IPInstance, blocks: Blocks, stats: dict) -> list:
         return [degrade(v) for v in exact.block_values(instance, blocks, stats)]
 
-    return IpSolver(exact.kind, c * exact.ratio, solve, solve_blocks)
+    def signed_blocks(pairs: SignedPairs, blocks: Blocks, stats: dict) -> list:
+        return [degrade(v) for v in exact.signed_blocks(pairs, blocks, stats)]
+
+    return IpSolver(
+        exact.kind,
+        c * exact.ratio,
+        solve,
+        solve_blocks,
+        None if exact.signed_blocks is None else signed_blocks,
+    )
 
 
 def make_ip_solver(kind: str, spec: str) -> IpSolver:

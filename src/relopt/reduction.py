@@ -174,26 +174,24 @@ def normalize_formula(
 # --- positive-cross-edge exact solver ---------------------------------------
 
 def solve_positive_cross_edge(
-    evaluator: PreparedBaseline, forced: Atom, guard: Guard = ()
+    evaluator: PreparedBaseline, forced: Atom
 ) -> OptResult | None:
     """The optimum and least witness of the evaluator's formula over the
-    tuples that carry the forced edge E(x_i, x_j) and pass ``guard``; None
-    if no tuple does.
+    tuples that carry the forced edge E(x_i, x_j); None if no tuple does.
 
-    This is one guarded query, ``evaluator.opt(None, guard + ((forced,
-    True),))``.  It replaces the paper's degree split (heavy endpoints
-    brute-forced, light-light tuples enumerated along their edges) at no
-    extra cost: the evaluator seeds its loop over the last optimization
-    variable from the hits of a positive literal over it, so a forced edge
-    that ends there is enumerated along its records, and checks any other
-    literal once per assignment of its last variable, as the split's
-    light-light query did.
+    This is one guarded query, ``evaluator.opt(None, ((forced, True),))``.
+    It replaces the paper's degree split (heavy endpoints brute-forced,
+    light-light tuples enumerated along their edges) at no extra cost: the
+    evaluator seeds its loop over the last optimization variable from the
+    hits of a positive literal over it, so a forced edge that ends there is
+    enumerated along its records, and checks any other literal once per
+    assignment of its last variable, as the split's light-light query did.
     """
     if len(forced.args) != 2 or forced.args[0] == forced.args[1]:
         raise ContractError("forced atom must be binary over two distinct variables")
     if not set(forced.args) <= set(evaluator.formula.opt_vars):
         raise ContractError("forced atom must relate two optimization variables")
-    return evaluator.opt(None, tuple(guard) + ((forced, True),))
+    return evaluator.opt(None, ((forced, True),))
 
 
 # --- step 1: hyperedge removal ----------------------------------------------
@@ -451,7 +449,8 @@ def solve_cross_free_lift(
     ``PreparedBaseline`` of ``plan.formula`` answers every query.
 
     ``prepare(plan.main_structure, core)`` is called once, when there is at
-    least one group, and returns the scorer of the cross-free core.  The
+    least one group, before any evaluator work, so that a resource limit it
+    raises wastes none; it returns the scorer of the cross-free core.  The
     scorer is called once, with the groups, and returns the relaxed value of
     every combination of groups (group ci as the domain of the i-th
     optimization variable) in ``itertools.product`` order, None where none
@@ -499,7 +498,21 @@ def solve_cross_free_lift(
     cross, core = split_cross_atoms(plan.main_core)
     sides = [atom for atom, _ in plan.main_guard] + cross
 
-    # one evaluator of the formula answers steps (1), (2) and (5); on the
+    # (0) the groups of the light vertices, and the scorer of the core
+    grouping = plan.grouping
+    groups = grouping.partition.groups
+    stats = {} if stats_out is None else stats_out
+    stats.update(
+        threshold=grouping.partition.threshold,
+        heavy=len(grouping.heavy),
+        heavy_solves=k if grouping.heavy else 0,
+        groups=len(groups),
+        m=structure.m,
+        n=structure.n,
+    )
+    score = prepare(structure, core) if groups else None
+
+    # one evaluator of the formula answers steps (1), (2) and (4); on the
     # tuples that pass full_guard every hyperedge and cross atom is false,
     # so there the formula is the core
     evaluator = PreparedBaseline(structure, formula)
@@ -508,31 +521,18 @@ def solve_cross_free_lift(
     candidates: list[tuple[str, OptResult | None]] = [
         ("side", solve_positive_cross_edge(evaluator, atom)) for atom in sides
     ]
+    stats["sides"] = len(cross)
     full_guard: Guard = tuple((atom, False) for atom in sides)
 
     # (2) heavy vertices: per slot, one query with the heavy set as its domain
-    grouping = plan.grouping
     if grouping.heavy:
         for var in formula.opt_vars:
             heavy = evaluator.opt({var: grouping.heavy}, full_guard)
             candidates.append(("heavy", heavy))
 
-    # (3) the groups of the light vertices
-    groups = grouping.partition.groups
-    stats = {} if stats_out is None else stats_out
-    stats.update(
-        threshold=grouping.partition.threshold,
-        sides=len(cross),
-        heavy=len(grouping.heavy),
-        heavy_solves=k if grouping.heavy else 0,
-        groups=len(groups),
-        m=structure.m,
-        n=structure.n,
-    )
-
-    if groups:
-        # (4) score every group combination on the relaxed body
-        scores = prepare(structure, core)(groups)
+    if score is not None:
+        # (3) score every group combination on the relaxed body
+        scores = score(groups)
         if len(scores) != len(groups) ** k:
             raise ContractError("the scorer must score every group combination")
         if top_k is None:
@@ -542,7 +542,7 @@ def solve_cross_free_lift(
             formula.kind, scores, len(groups), k, dirty, ratio, top_k
         )
 
-        # (5) exact re-solve of the selected combinations under the guard, one
+        # (4) exact re-solve of the selected combinations under the guard, one
         # query per prefix combo[:-1]: the last slot's domain is the union of
         # the prefix's selected groups, which are disjoint, so the query covers
         # exactly the tuples of those combinations, and its best value and
@@ -880,13 +880,15 @@ class HybridScorer:
     """The lift's scorer for one (structure, cross-free core).
 
     The hybrid conversion runs once, at construction.  A call scores every
-    combination of the given groups with one IP block query per hybrid
-    instance (one instance per unary assignment sigma): family i's blocks are
-    the set indices of each group's objects in that instance.  A
-    combination's score is its best value over the instances.
+    combination of the given groups with one block query per hybrid
+    instance (one instance per unary assignment sigma; see
+    ``solve_hybrid_with_info``): family i's blocks are the set indices of
+    each group's objects in that instance.  A combination's score is its
+    best value over the instances.
 
     ``ip_calls`` counts the IP solver's ``solve`` calls, ``block_calls`` its
-    block queries and ``pairs_joined`` the vector pairs its joins counted.
+    block queries, ``coords`` the coordinates they read and
+    ``pairs_joined`` the pairs of sets or vectors its joins counted.
     """
 
     def __init__(
@@ -909,7 +911,7 @@ class HybridScorer:
             for inst, back in instances
         ]
         self.universe = max((inst.size for inst, _ in instances), default=0)
-        self.ip_calls = self.block_calls = self.pairs_joined = 0
+        self.ip_calls = self.block_calls = self.coords = self.pairs_joined = 0
 
     def __call__(self, groups: Groups) -> list[int | None]:
         best: list[int | None] = [None] * len(groups) ** self.k
@@ -923,6 +925,7 @@ class HybridScorer:
             values, info = solve_hybrid_with_info(inst, self.ip_solver, blocks)
             self.block_calls += 1
             self.ip_calls += info.get("solve_calls", 0)
+            self.coords += info["coords"]
             self.pairs_joined += info.get("pairs_joined", 0)
             best = [
                 b if v is None else v if b is None else self.better(b, v)
@@ -1043,6 +1046,7 @@ def reduce_and_solve(
             universe=scorer.universe,
             ip_calls=scorer.ip_calls,
             block_calls=scorer.block_calls,
+            coords=scorer.coords,
             pairs_joined=scorer.pairs_joined,
         )
     if limit is not None:

@@ -1,8 +1,9 @@
 import math
 import random
-from itertools import product
+from itertools import chain, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relopt.errors import ContractError
 from relopt.hybrid import (
@@ -20,7 +21,14 @@ from relopt.hybrid import (
     universe_reduce,
     val,
 )
-from relopt.ip import approx_wrapper, brute_force_kmaxip, exact_solver
+from relopt.ip import (
+    IPInstance,
+    IpSolver,
+    _block_loop,
+    approx_wrapper,
+    brute_force_kmaxip,
+    exact_solver,
+)
 
 from oracles import hybrid_opt_naive, hybrid_val_naive, random_hybrid
 
@@ -326,3 +334,92 @@ def test_dump_format():
     assert "universe u1 00" in text
     assert "set 0 a u0" in text
     assert "set 1 b u0 u1" in text
+
+
+# --- the k=2 signed join -------------------------------------------------------
+
+@st.composite
+def signed_block_queries(draw):
+    """A k=2 hybrid instance with all four parts non-empty and disjoint
+    blocks of sets per family, some of them empty.  With ``shared`` every
+    set holds element 0, so every pair shares and no min block has a pair
+    that shares nothing."""
+    extra = draw(st.lists(st.integers(0, 3), max_size=6))
+    types = draw(st.permutations([0, 1, 2, 3] + extra))
+    shared = draw(st.booleans())
+    members = st.sets(st.integers(0, len(types) - 1), max_size=4)
+    families, blocks = [], []
+    for _ in range(2):
+        sets = draw(st.lists(members, min_size=1, max_size=6))
+        families.append([s | {0} if shared else s for s in sets])
+        count = draw(st.integers(0, 3))
+        owner = draw(
+            st.lists(st.integers(-1, count - 1), min_size=len(sets), max_size=len(sets))
+        )
+        blocks.append([[j for j, b in enumerate(owner) if b == i] for i in range(count)])
+    kind = draw(st.sampled_from(["max", "min"]))
+    return HybridInstance(2, kind, types, families), blocks
+
+
+@given(signed_block_queries())
+@settings(max_examples=400, deadline=None)
+def test_signed_block_values_equal_the_brute_force_on_the_ip_vectors(query):
+    inst, blocks = query
+    exact = exact_solver(inst.kind)
+    stats = {}
+    got = exact.signed_blocks(inst.signed_pairs, blocks, stats)
+    want = _block_loop(exact.solve, IPInstance(2, inst.ip_families, inst.size), blocks, {})
+    assert got == want
+    fam0, fam1 = inst.families
+    sharing = sum(
+        1
+        for i in chain.from_iterable(blocks[0])
+        for j in chain.from_iterable(blocks[1])
+        if fam0[i] & fam1[j]
+    )
+    assert stats == {"pairs_joined": sharing}
+    degraded = approx_wrapper(exact, 2.0).signed_blocks(inst.signed_pairs, blocks, {})
+    assert degraded == [
+        None if v is None else math.ceil(v / 2) if inst.kind == "max" else 2 * v
+        for v in want
+    ]
+
+
+def test_signed_pairs_expand_the_hybrid_value():
+    # one element per part: |P_0| = 1, a(A) = |A∩P_1| - |A∩P_0|,
+    # b(B) = |B∩P_2| - |B∩P_0|, w = +1 on P_0 and P_3, -1 on P_1 and P_2
+    inst = HybridInstance(
+        2, "max", [0, 1, 2, 3], [[{1}, {0, 3}, {0, 1, 2, 3}], [{2}, {0, 1}, {3}]]
+    )
+    pairs = inst.signed_pairs
+    assert pairs.const == 1
+    assert pairs.offsets == ([1, -1, 0], [1, -1, 0])
+    assert pairs.weight == [1, -1, -1, 1]
+    for key in product(range(3), range(3)):
+        a, b = (inst.families[f][j] for f, j in enumerate(key))
+        score = (
+            pairs.const
+            + pairs.offsets[0][key[0]]
+            + pairs.offsets[1][key[1]]
+            + sum(pairs.weight[u] for u in a & b)
+        )
+        assert score == val(inst, key)[1], key
+    with pytest.raises(ContractError, match="k=2"):
+        random_hybrid(random.Random(0), 3, 4).signed_pairs
+
+
+def test_solve_hybrid_takes_the_signed_query_at_k2_only():
+    # the signed query reads the sets' m_h coordinates; the plain path, a
+    # solver without one or k != 2, reads the IP vectors' m_ip
+    rng = random.Random(31)
+    for k in (1, 2, 3):
+        inst = random_hybrid(rng, k, 8, kind="max")
+        ip = IPInstance(k, inst.ip_families, inst.size)
+        exact = exact_solver("max")
+        plain = IpSolver("max", 1.0, exact.solve)
+        got, info = solve_hybrid_with_info(inst, exact)
+        want, plain_info = solve_hybrid_with_info(inst, plain)
+        assert got == want == [hybrid_baseline(inst)[0]]
+        assert info["coords"] == (inst.m_h if k == 2 else ip.m_ip)
+        assert plain_info["coords"] == ip.m_ip
+        assert info.get("solve_calls") == (None if k == 2 else 1)

@@ -17,7 +17,9 @@ from relopt.ip import (
     inner_product,
     make_ip_solver,
     parse_ip_instance,
+    signed_join,
     sparsify,
+    unit_pairs,
 )
 
 
@@ -296,16 +298,41 @@ def test_block_query_equals_the_per_block_solve_loop(query, kind, c):
         assert got == per_block_solves(solver, instance, blocks)
         if instance.k == 2:
             # the join counts each overlapping pair once and calls no solve
-            fam0, fam1 = instance.families
-            overlapping = sum(
-                1
-                for i in chain.from_iterable(blocks[0])
-                for j in chain.from_iterable(blocks[1])
-                if set(fam0[i]) & set(fam1[j])
-            )
-            assert stats == {"pairs_joined": overlapping}
+            assert stats == {"pairs_joined": _sharing_pairs(instance, blocks)}
         else:
             assert stats == {"solve_calls": sum(v is not None for v in got)}
+
+
+def _sharing_pairs(instance, blocks):
+    fam0, fam1 = instance.families
+    return sum(
+        1
+        for i in chain.from_iterable(blocks[0])
+        for j in chain.from_iterable(blocks[1])
+        if set(fam0[i]) & set(fam1[j])
+    )
+
+
+@given(block_queries().filter(lambda q: q[0].k == 2), st.sampled_from(["max", "min"]))
+@settings(max_examples=300, deadline=None)
+def test_signed_join_with_unit_weights_is_the_ip_block_query(query, kind):
+    # unit weights, zero offsets and constant 0 score each pair by its inner
+    # product, so the join gives the per-block optima and counts each pair
+    # that shares a coordinate once
+    instance, blocks = query
+    stats = {}
+    got = signed_join(kind, unit_pairs(instance), blocks, stats)
+    assert got == per_block_solves(exact_solver(kind), instance, blocks)
+    assert stats == {"pairs_joined": _sharing_pairs(instance, blocks)}
+
+
+def test_only_an_exact_solver_and_its_approximation_have_a_signed_query():
+    exact = exact_solver("max")
+    plain = IpSolver("max", 1.0, exact.solve)
+    assert exact.signed_blocks is not None
+    assert approx_wrapper(exact, 2.0).signed_blocks is not None
+    assert plain.signed_blocks is None
+    assert approx_wrapper(plain, 2.0).signed_blocks is None
 
 
 @given(block_queries(), st.sampled_from(["max", "min"]))

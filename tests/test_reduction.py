@@ -96,8 +96,8 @@ def test_normalize_preserves_values():
 
 # --- positive cross edge --------------------------------------------------------
 
-def _cross_edge(structure, formula, forced, guard=()):
-    return solve_positive_cross_edge(PreparedBaseline(structure, formula), forced, guard)
+def _cross_edge(structure, formula, forced):
+    return solve_positive_cross_edge(PreparedBaseline(structure, formula), forced)
 
 
 def test_cross_edge_toy():
@@ -144,7 +144,8 @@ def test_cross_edge_restricted_mode():
     forced = Atom("E", ("x1", "x2"))
     # only the single E pair takes part, value 1; over every tuple the
     # pairs without the edge drag the minimum to 0
-    assert _cross_edge(s, fmin, forced) == (1, (s.index("a"), s.index("b")))
+    evaluator = PreparedBaseline(s, fmin)
+    assert evaluator.opt(None, ((forced, True),)) == (1, (s.index("a"), s.index("b")))
     assert baseline_opt(s, fmin).value == 0
 
 
@@ -172,7 +173,7 @@ def test_cross_edge_is_the_guarded_optimum_of_the_forced_tuples(data):
     if data.draw(st.booleans()):
         a, b = data.draw(st.permutations(formula.opt_vars))[:2]
         guard.append((Atom("E1", (a, b)), False))
-    got = _cross_edge(structure, formula, forced, tuple(guard))
+    got = PreparedBaseline(structure, formula).opt(None, tuple(guard) + ((forced, True),))
     assert got == guarded_opt(structure, formula, None, guard + [(forced, True)]), (
         f"{formula} forced {forced} guard {guard}"
     )
@@ -919,7 +920,12 @@ def test_baseline_answers_past_a_resource_limit_of_the_lift(monkeypatch):
         assert trace.warnings == ["falling back to baseline: over the cap"]
 
 
-def test_lift_converts_each_hybrid_instance_to_basic_once(monkeypatch):
+def test_lift_converts_hybrid_instances_to_basic_only_without_a_signed_query(
+    monkeypatch,
+):
+    # at k=2 the exact solver scores the sparse sets with its signed query
+    # and converts nothing; a plain IpSolver(kind, ratio, solve) has no
+    # signed query, so each instance it scores is converted exactly once
     import relopt.hybrid as hybrid
 
     converted = []
@@ -931,31 +937,41 @@ def test_lift_converts_each_hybrid_instance_to_basic_once(monkeypatch):
 
     monkeypatch.setattr(hybrid, "hybrid_to_basic", counting)
     formula = parse_formula(CYCLE_BODIES[1])
-    scorers = []
-    score_calls = []
+    assert formula.k == 2
+    exact = exact_solver(formula.kind)
+    for solver, plain in (
+        (exact, False),
+        (IpSolver(exact.kind, exact.ratio, exact.solve), True),
+    ):
+        converted.clear()
+        scorers = []
+        score_calls = []
 
-    def prepare(s, f):
-        scorer = HybridScorer(s, f, exact_solver(f.kind))
-        scorers.append(scorer)
+        def prepare(s, f, solver=solver):
+            scorer = HybridScorer(s, f, solver)
+            scorers.append(scorer)
 
-        def score(groups):
-            score_calls.append(groups)
-            return scorer(groups)
+            def score(groups):
+                score_calls.append(groups)
+                return scorer(groups)
 
-        return score
+            return score
 
-    stats = {}
-    solve_cross_free_lift(
-        remove_hyperedges(_cycle_structure(), formula), prepare, stats_out=stats
-    )
-    (scorer,) = scorers
-    prepared = {id(inst) for inst, _ in scorer.per_sigma}
-    assert len(prepared) > 1
-    assert len({id(inst) for inst in converted}) == len(converted)
-    assert {id(inst) for inst in converted} <= prepared
-    # one scorer call, one block query per instance, for all the combinations
-    assert len(score_calls) == 1 and stats["combos"] > len(converted)
-    assert scorer.block_calls == len(converted)
+        stats = {}
+        solve_cross_free_lift(
+            remove_hyperedges(_cycle_structure(), formula), prepare, stats_out=stats
+        )
+        (scorer,) = scorers
+        prepared = {id(inst) for inst, _ in scorer.per_sigma}
+        assert len(prepared) > 1
+        # one scorer call, one block query per instance, for all the combinations
+        assert len(score_calls) == 1 and stats["combos"] > scorer.block_calls > 0
+        if not plain:
+            assert converted == []
+            continue
+        assert len({id(inst) for inst in converted}) == len(converted)
+        assert {id(inst) for inst in converted} <= prepared
+        assert scorer.block_calls == len(converted)
 
 
 def test_lift_indexes_relations_independently_of_top_k(monkeypatch):
@@ -1252,19 +1268,25 @@ def test_reduce_and_solve_k1_routes_baseline():
     assert value == baseline_opt(structure, formula).value
 
 
-def test_reduce_and_solve_falls_back_past_the_edge_predicate_cap():
-    # a 20-cycle whose edges take the predicates E0..E4 in turn: every vertex
-    # is light, so the lift forms groups and prepares the hybrid scorer, and
-    # five forward edge predicates exceed the cap of the hybrid conversion
-    n = 20
-    structure = load_structure(
+OVER_CAP_BODY = (
+    "max x1,x2 . count y . !E0(x1,y) & !E1(x2,y) & !E2(x1,y) | E3(x2,y) & !E4(x1,y)"
+)
+
+
+def _over_cap_structure(n=20):
+    """A 20-cycle whose edges take the predicates E0..E4 in turn: every
+    vertex is light, so the lift forms groups and prepares the hybrid
+    scorer, and five forward edge predicates exceed the cap of the hybrid
+    conversion."""
+    return load_structure(
         "".join(f"rel E{b} 2\n" for b in range(5))
         + "".join(f"E{i % 5} o{i} o{(i + 1) % n}\n" for i in range(n))
     )
-    formula = parse_formula(
-        "max x1,x2 . count y . "
-        "!E0(x1,y) & !E1(x2,y) & !E2(x1,y) | E3(x2,y) & !E4(x1,y)"
-    )
+
+
+def test_reduce_and_solve_falls_back_past_the_edge_predicate_cap():
+    structure = _over_cap_structure()
+    formula = parse_formula(OVER_CAP_BODY)
     value, trace = reduce_and_solve(structure, formula, exact_solver("max"))
     want = baseline_opt(structure, formula)
     assert (value, trace.witness) == (want.value, want.witness)
@@ -1273,6 +1295,73 @@ def test_reduce_and_solve_falls_back_past_the_edge_predicate_cap():
         w.startswith("falling back to baseline: 5 parallel edge predicates")
         for w in trace.warnings
     ), trace.warnings
+
+
+def test_a_scorer_past_the_cap_wastes_no_evaluator_work(monkeypatch):
+    # the lift prepares its scorer before it builds its evaluator, so when
+    # the hybrid conversion hits its cap only the driver's baseline query
+    # runs, with or without a cross atom whose side would be a query
+    import relopt.baseline as baseline
+
+    built, opt_calls = [], []
+    real_init, real_opt = baseline.PreparedBaseline.__init__, baseline.PreparedBaseline.opt
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    def counting_opt(self, *args, **kwargs):
+        opt_calls.append(args)
+        return real_opt(self, *args, **kwargs)
+
+    monkeypatch.setattr(baseline.PreparedBaseline, "__init__", counting_init)
+    monkeypatch.setattr(baseline.PreparedBaseline, "opt", counting_opt)
+    structure = _over_cap_structure()
+    for body in (OVER_CAP_BODY, OVER_CAP_BODY + " | E0(x1,x2)"):
+        formula = parse_formula(body)
+        built.clear()
+        opt_calls.clear()
+        value, trace = reduce_and_solve(structure, formula, exact_solver("max"))
+        assert dict(trace.stages)["baseline"]["reason"] == "resource-limit"
+        assert len(opt_calls) == len(built) == 1, body
+        assert value == baseline_opt(structure, formula).value
+
+
+def _lift_sparse_shaped(rng, n=150, kind="max"):
+    """The shape of the benchmark's lift-sparse slots: n objects, about
+    n^2/200 binary records split between E0 and E1, P0 on half of them, and
+    a body with one cross atom and one edge predicate towards y1."""
+    records = set()
+    while len(records) < round(0.01 * n * n / 2):
+        records.add((rng.randrange(2), rng.randrange(n), rng.randrange(n)))
+    text = "rel E0 2\nrel E1 2\nrel P0 1\n"
+    text += "".join(f"E{b} o{a} o{c}\n" for b, a, c in sorted(records))
+    text += "".join(f"P0 o{v}\n" for v in sorted(rng.sample(range(n), n // 2)))
+    body = f"{kind} x1,x2 . count y1 . E0(x1,y1) & (E0(x2,y1) | P0(y1)) & !E1(x1,x2)"
+    return load_structure(text), parse_formula(body)
+
+
+def test_lift_scores_sparse_sets_without_ip_solves():
+    # at k=2 the exact solver and its approximation score the hybrid sets
+    # with the signed join: no IP solve, and the block queries read at most
+    # the sets' m_h coordinates, fewer than the complemented IP vectors hold
+    rng = random.Random(71)
+    for kind in ("max", "min"):
+        structure, formula = _lift_sparse_shaped(rng, kind=kind)
+        plan = remove_hyperedges(structure, formula)
+        assert plan.grouping.prunes
+        _, core = split_cross_atoms(plan.main_core)
+        instances = [inst for inst, _ in to_hybrid(plan.main_structure, core)]
+        m_h = sum(inst.m_h for inst in instances)
+        m_ip = sum(len(v) for inst in instances for fam in inst.ip_families for v in fam)
+        want = baseline_opt(structure, formula)
+        for solver in (exact_solver(kind), approx_wrapper(exact_solver(kind), 2.0)):
+            value, trace = reduce_and_solve(structure, formula, solver)
+            assert (value, trace.witness) == (want.value, want.witness)
+            hybrid = dict(trace.stages)["hybrid"]
+            assert hybrid["ip_calls"] == 0
+            assert 0 < hybrid["coords"] <= m_h < m_ip
+            assert f"coords={hybrid['coords']}" in trace.render()
 
 
 def test_reduce_and_solve_witness_attains_value():
