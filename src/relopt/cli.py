@@ -7,7 +7,7 @@ import sys
 import time
 from pathlib import Path
 
-from .baseline import baseline_opt
+from .baseline import OptResult, baseline_opt
 from .errors import ContractError, EngineError
 from .fastcount import multi_counting_opt
 from .formula import And, Atom, check_schema, parse_formula
@@ -84,10 +84,22 @@ def _load(args):
     return structure, formula
 
 
+def _is_oracle_answer(res: OptResult | None, value, witness) -> bool:
+    """Whether an exact answer is the oracle's optimum and least witness."""
+    return (value, witness) == ((None, None) if res is None else tuple(res))
+
+
+def _answer_text(structure, value, witness) -> str:
+    if witness is None:
+        return str(value)
+    return f"{value} at {' '.join(structure.labels[x] for x in witness)}"
+
+
 def cmd_solve(args) -> int:
     structure, formula = _load(args)
     out = sys.stdout
     started = time.perf_counter()
+    exact = True  # the forced engines are exact
     if args.engine in ("baseline", "multicount"):
         # a forced engine's trace: its stage and the source line
         trace = ReductionTrace(path=args.engine)
@@ -101,6 +113,7 @@ def cmd_solve(args) -> int:
         value, trace = trace.answer(res, args.engine)
     else:  # auto and reduction both run the routing pipeline
         solver = make_ip_solver(formula.kind, args.ip)
+        exact = solver.ratio == 1.0
         value, trace = reduce_and_solve(structure, formula, solver)
     witness, path = trace.witness, trace.path
     elapsed = time.perf_counter() - started
@@ -112,7 +125,10 @@ def cmd_solve(args) -> int:
     _emit(out, "seconds", f"{elapsed:.4f}")
     if args.verify:
         res = baseline_opt(structure, formula)
-        ok = (res.value if res else None) == value
+        if exact:
+            ok = _is_oracle_answer(res, value, witness)
+        else:
+            ok = (res.value if res else None) == value
         _emit(out, "verified", "pass" if ok else "FAIL")
         if not ok:
             return 1
@@ -203,11 +219,11 @@ def cmd_verify(args) -> int:
         solver = make_ip_solver(formula.kind, args.ip)
         if solver.ratio != 1.0 and not 0 < args.eps < 0.5:
             raise ContractError("an approximate verify needs eps in (0, 1/2)")
-        value, _ = reduce_and_solve(structure, formula, solver)
+        value, trace = reduce_and_solve(structure, formula, solver)
         res = baseline_opt(structure, formula)
         opt = res.value if res else None
         if solver.ratio == 1.0:
-            ok = value == opt
+            ok = _is_oracle_answer(res, value, trace.witness)
         elif opt is None:
             ok = value is None
         else:
@@ -218,8 +234,11 @@ def cmd_verify(args) -> int:
                 ok = value is not None and opt <= value <= hi * opt
         if not ok:
             mismatches.append((seed, value, opt))
-            print(f"mismatch seed {seed} got {value} expected {opt}")
+            got = _answer_text(structure, value, trace.witness)
+            want = _answer_text(structure, opt, res.witness if res else None)
+            print(f"mismatch seed {seed} got {got} expected {want}")
     print(f"checked {args.seeds} seeds, mismatches {len(mismatches)}")
+    print(f"verified {'FAIL' if mismatches else 'pass'}")
     return 1 if mismatches else 0
 
 

@@ -4,11 +4,12 @@ Hybrid Problem, and the end-to-end driver.
 
 The lift's scores only choose which of its g^k group combinations get an
 exact re-solve: those ranked up to the first clean one and its possible
-ties, at most K.  The driver runs it only where g^k > K.  Every other
-instance, and one where the lift hits a resource limit, is answered by one
-baseline query of the input: the side problems and the guarded main problem
-partition its tuples, so solving them apart would only repeat that query's
-work.
+ties, at most K.  The driver runs it only for k=2 and only where the
+paper's grouping of the light vertices would have more than K
+combinations.  Every other instance, and one where the lift hits a
+resource limit, is answered by one baseline query of the input: the side
+problems and the guarded main problem partition its tuples, so solving them
+apart would only repeat that query's work.
 
 The paper merges the r binary edge predicates into one ("parallel-edge
 removal") before the hybrid conversion; ``to_hybrid`` does both in one pass
@@ -26,11 +27,11 @@ in the chain skips tuples that fail them.
 A side problem (a hyperedge pair's N atom, or a cross atom E(x_i, x_j)) is
 the normalized input over the tuples that carry its atom, so the lift
 answers each with one guarded query (``solve_positive_cross_edge``) on the
-one evaluator of the input that also answers its heavy and re-solve
-queries.  The paper's degree split of such a side is not needed: the
-evaluator seeds its loop over the last optimization variable from the hits
-of a positive guard literal over it and checks any other literal once per
-assignment of its last variable, as the split's light-light query did.
+one evaluator of the input that also answers its re-solve queries.  The
+paper's degree split of such a side is not needed: the evaluator seeds its
+loop over the last optimization variable from the hits of a positive guard
+literal over it and checks any other literal once per assignment of its
+last variable, as the split's light-light query did.
 """
 from __future__ import annotations
 
@@ -268,21 +269,22 @@ def remove_hyperedges(
 
 @dataclass(frozen=True)
 class GroupPartition:
-    """Greedy partition of the light vertices; the same partition applies to
-    every optimization variable's domain.  Total degree per group is at most
-    twice the threshold."""
+    """Greedy partition of objects into contiguous runs of their sorted
+    order; the same partition applies to every optimization variable's
+    domain.  A run closes once its total degree exceeds the threshold, so
+    every group but the last has degree above it."""
 
     threshold: int
     groups: tuple[tuple[ObjectId, ...], ...]
 
 
 def build_group_partition(
-    structure: RelationalStructure, light: Sequence[ObjectId], threshold: int
+    structure: RelationalStructure, objects: Sequence[ObjectId], threshold: int
 ) -> GroupPartition:
     groups = []
     cur: list[ObjectId] = []
     cur_deg = 0
-    for v in sorted(light):
+    for v in sorted(objects):
         cur.append(v)
         cur_deg += structure.degree(v)
         if cur_deg > threshold:
@@ -295,33 +297,48 @@ def build_group_partition(
 
 @dataclass(frozen=True)
 class LiftGrouping:
-    """The lift's split of the objects for k optimization variables: vertices
-    of degree at least ``ceil(m^(1/(k+1)))`` are heavy, the light ones are
-    grouped, and ``bound`` is K = C(k,2)·m·n^(k-2) + 1.  At most K - 1 of the
-    g^k group combinations (``combos``) hold a record of a cross atom or a
-    guard between their groups, so K caps the combinations the lift
-    re-solves; its rule (``solve_cross_free_lift``) stops at the first clean
-    one, mostly far sooner.  The lift runs only where it ``prunes``
-    (g^k > K)."""
+    """The lift's split of the objects for k optimization variables, with
+    the degree threshold ``ceil(m^(1/(k+1)))``.  ``partition`` groups every
+    object, and ``combos`` is its g^k.  ``heavy`` counts the vertices of
+    degree at least the threshold; each fills its group to the threshold,
+    so the group ends with it or with the next object of positive degree.
+    ``bound`` is K = C(k,2)·m·n^(k-2) + 1, the paper's bound on the group
+    combinations that hold a record of a cross atom or a guard between
+    their groups when each relation serves one pair of slots.  K caps the
+    combinations the lift re-solves; its rule (``solve_cross_free_lift``)
+    stops at the first clean one, mostly far sooner.
 
-    heavy: tuple[ObjectId, ...]
+    The driver's routing is the paper's count: the lift runs only where it
+    ``prunes``, when ``light_combos``, the g^k of the light vertices' groups
+    alone (``light_groups`` of them), exceeds K."""
+
+    heavy: int
     partition: GroupPartition
     combos: int
+    light_groups: int
+    light_combos: int
     bound: int
 
     @property
     def prunes(self) -> bool:
-        return self.combos > self.bound
+        return self.light_combos > self.bound
 
 
 def lift_grouping(structure: RelationalStructure, k: int) -> LiftGrouping:
     m, n = structure.m, structure.n
     threshold = math.ceil(m ** (1.0 / (k + 1))) if m else 0
-    heavy = tuple(v for v in range(n) if structure.degree(v) >= threshold)
     light = [v for v in range(n) if structure.degree(v) < threshold]
-    partition = build_group_partition(structure, light, threshold)
+    partition = build_group_partition(structure, range(n), threshold)
+    light_groups = len(build_group_partition(structure, light, threshold).groups)
     bound = math.comb(k, 2) * m * (n ** (k - 2) if k >= 2 else 0) + 1
-    return LiftGrouping(heavy, partition, len(partition.groups) ** k, bound)
+    return LiftGrouping(
+        n - len(light),
+        partition,
+        len(partition.groups) ** k,
+        light_groups,
+        light_groups ** k,
+        bound,
+    )
 
 
 def split_cross_atoms(formula: OptFormula) -> tuple[list[Atom], OptFormula]:
@@ -357,16 +374,15 @@ def _dirty_pairs(
 ) -> DirtyPairs:
     """The group pairs that a record of a side atom (binary over two
     distinct optimization variables) falls between, per pair of the atom's
-    slots."""
+    slots; the groups partition the objects."""
     slot = {v: i for i, v in enumerate(opt_vars)}
     group_of = {v: gi for gi, group in enumerate(groups) for v in group}
     out: dict[tuple[int, int], set[tuple[int, int]]] = {}
     for atom in atoms:
         args = atom.args
-        pairs = out.setdefault((slot[args[0]], slot[args[1]]), set())
-        for a, b in structure.relation(atom.pred).records:
-            if a in group_of and b in group_of:
-                pairs.add((group_of[a], group_of[b]))
+        out.setdefault((slot[args[0]], slot[args[1]]), set()).update(
+            (group_of[a], group_of[b]) for a, b in structure.relation(atom.pred).records
+        )
     return out
 
 
@@ -438,15 +454,16 @@ def solve_cross_free_lift(
 
     The lift solves the whole plan: an exact side per side atom (the plan's
     guard atoms, then the cross atoms of ``plan.main_core``: the tuples that
-    carry the atom), heavy-vertex brute force (one query per slot, with the
-    heavy vertices as its domain), grouped relaxed scoring, and an exact
-    re-solve of a prefix of the ranked group combinations.  The heavy and
-    re-solve queries take the tuples on which every side atom is false;
-    there every hyperedge and cross atom is false, so ``plan.formula`` is
-    the cross-free core.  The re-solve makes one exact query per slot
-    prefix: the selected combinations that share their first k-1 groups are
-    solved together, over the union of their last groups.  One
-    ``PreparedBaseline`` of ``plan.formula`` answers every query.
+    carry the atom), grouped relaxed scoring, and an exact re-solve of a
+    prefix of the ranked group combinations.  The groups
+    (``plan.grouping.partition``) are contiguous runs of the sorted objects
+    and cover all of them, heavy vertices included, so the combinations
+    partition the tuples.  The re-solve queries take the tuples on which
+    every side atom is false; there every hyperedge and cross atom is false,
+    so ``plan.formula`` is the cross-free core.  The re-solve makes one exact
+    query per slot prefix: the selected combinations that share their first
+    k-1 groups are solved together, over the union of their last groups.
+    One ``PreparedBaseline`` of ``plan.formula`` answers every query.
 
     ``prepare(plan.main_structure, core)`` is called once, when there is at
     least one group, before any evaluator work, so that a resource limit it
@@ -471,9 +488,9 @@ def solve_cross_free_lift(
       c*'s is S*, so one ranked after c* beats S* never and ties it only if
       its score is S*.  Such a tie comes after c* in combination order; if
       its first group differs from c*'s, that group is a later run of the
-      sorted light objects, so each of its tuples has a larger x1 than
-      c*'s witness.  For min, a guarded optimum is at least the score, and
-      the same argument holds with every inequality reversed.
+      sorted objects, so each of its tuples has a larger x1 than c*'s
+      witness.  For min, a guarded optimum is at least the score, and the
+      same argument holds with every inequality reversed.
     - c-approximate scorer: c*'s guarded optimum is its core optimum, at
       least S* for max, and any combination's guarded optimum is at most
       its core optimum, at most score·c.  So only a combination with
@@ -485,36 +502,47 @@ def solve_cross_free_lift(
     where no clean combination is ranked within the cap, the top ``top_k``
     are re-solved.  ``top_k`` is overridden by tests only.
 
+    Degrees do not enter this argument.  It needs only that the groups are
+    disjoint contiguous runs of the sorted objects (the tie step) and that
+    at most K - 1 combinations are dirty, so that the default cap reaches
+    c*.  A dirty combination holds a side record between its groups, so
+    their number is bounded by a count of the side atoms' records (K is
+    the paper's), whatever the groups' sizes.  The paper's heavy vertices
+    (degree at least the threshold) are brute-forced apart only to keep
+    its groups small for its IP analysis; the scorer's cost does not
+    depend on group degree, so here a heavy vertex is grouped like any
+    other object.
+
     ``stats_out`` receives the stage's counts and ``source``, the step whose
-    candidate is the answer: ``side``, ``heavy`` or ``resolve``.  ``sides``
-    counts the cross-atom side queries (the hyperedge-removal stage counts
-    the plan's guard atoms), ``dirty`` the dirty combinations ranked before
-    c* (all those ranked, where none is clean), ``clean_rank`` is c*'s rank
-    from 1 (None where none is clean within the cap), ``resolves`` the
-    re-solved combinations and ``resolve_queries`` their exact queries.
+    candidate is the answer: ``side`` or ``resolve``.  ``heavy`` counts the
+    vertices at or above the threshold, ``sides`` the cross-atom side
+    queries (the hyperedge-removal stage counts the plan's guard atoms),
+    ``dirty`` the dirty combinations ranked before c* (all those ranked,
+    where none is clean), ``clean_rank`` is c*'s rank from 1 (None where
+    none is clean within the cap), ``resolves`` the re-solved combinations
+    and ``resolve_queries`` their exact queries.
     """
     structure, formula = plan.main_structure, plan.formula
     k = formula.k
     cross, core = split_cross_atoms(plan.main_core)
     sides = [atom for atom, _ in plan.main_guard] + cross
 
-    # (0) the groups of the light vertices, and the scorer of the core
+    # (0) the groups of the objects, and the scorer of the core
     grouping = plan.grouping
     groups = grouping.partition.groups
     stats = {} if stats_out is None else stats_out
     stats.update(
         threshold=grouping.partition.threshold,
-        heavy=len(grouping.heavy),
-        heavy_solves=k if grouping.heavy else 0,
+        heavy=grouping.heavy,
         groups=len(groups),
         m=structure.m,
         n=structure.n,
     )
     score = prepare(structure, core) if groups else None
 
-    # one evaluator of the formula answers steps (1), (2) and (4); on the
-    # tuples that pass full_guard every hyperedge and cross atom is false,
-    # so there the formula is the core
+    # one evaluator of the formula answers steps (1) and (3); on the tuples
+    # that pass full_guard every hyperedge and cross atom is false, so there
+    # the formula is the core
     evaluator = PreparedBaseline(structure, formula)
 
     # (1) exact side problems, one per side atom
@@ -524,14 +552,8 @@ def solve_cross_free_lift(
     stats["sides"] = len(cross)
     full_guard: Guard = tuple((atom, False) for atom in sides)
 
-    # (2) heavy vertices: per slot, one query with the heavy set as its domain
-    if grouping.heavy:
-        for var in formula.opt_vars:
-            heavy = evaluator.opt({var: grouping.heavy}, full_guard)
-            candidates.append(("heavy", heavy))
-
     if score is not None:
-        # (3) score every group combination on the relaxed body
+        # (2) score every group combination on the relaxed body
         scores = score(groups)
         if len(scores) != len(groups) ** k:
             raise ContractError("the scorer must score every group combination")
@@ -542,7 +564,7 @@ def solve_cross_free_lift(
             formula.kind, scores, len(groups), k, dirty, ratio, top_k
         )
 
-        # (4) exact re-solve of the selected combinations under the guard, one
+        # (3) exact re-solve of the selected combinations under the guard, one
         # query per prefix combo[:-1]: the last slot's domain is the union of
         # the prefix's selected groups, which are disjoint, so the query covers
         # exactly the tuples of those combinations, and its best value and
@@ -939,9 +961,9 @@ class HybridScorer:
 @dataclass
 class ReductionTrace:
     """Per-stage statistics of one reduce_and_solve run, and the source of
-    its answer: ``side`` (a side problem), ``heavy`` (a heavy vertex),
-    ``resolve`` (a re-solved group combination), ``baseline`` or
-    ``multicount``; None when no tuple exists."""
+    its answer: ``side`` (a side problem), ``resolve`` (a re-solved group
+    combination; the groups hold every object, heavy vertices included),
+    ``baseline`` or ``multicount``; None when no tuple exists."""
 
     path: str = ""
     stages: list[tuple[str, dict]] = field(default_factory=list)
@@ -981,13 +1003,16 @@ def reduce_and_solve(
     """Route an instance through the full pipeline.
 
     Two or more counting variables go to the multi-counting solver; a single
-    optimization variable is a baseline base case; everything else runs
-    hyperedge removal.  Where the lift's scores can prune
-    (``LiftGrouping.prunes``), the grouped cross-edge lift with the
-    hybrid-through-IP scorer solves the whole plan, its hyperedge and cross
-    sides included.  Elsewhere, and past a resource limit of the lift, one
-    baseline query of the input answers: the side problems and the guarded
-    main problem partition its tuples, so the (value, witness) is theirs.
+    optimization variable is a baseline base case.  So are three or more
+    (stage ``baseline reason=k>=3``): there the scorer solves one IP
+    instance per group combination, so the lift loses to one oracle query
+    wherever it prunes.  k=2 runs hyperedge removal.  Where the lift's
+    scores can prune (``LiftGrouping.prunes``), the grouped cross-edge lift
+    with the hybrid-through-IP scorer solves the whole plan, its hyperedge
+    and cross sides included.  Elsewhere, and past a resource limit of the
+    lift, one baseline query of the input answers: the side problems and
+    the guarded main problem partition its tuples, so the (value, witness)
+    is theirs.
     """
     if ip_solver.kind != formula.kind:
         raise ContractError("ip solver kind does not match the formula")
@@ -1002,8 +1027,10 @@ def reduce_and_solve(
         trace.add("multicount", **multicount_stats)
         return trace.answer(res, "multicount")
 
-    if formula.k == 1:
+    if formula.k != 2:
         trace.path = "baseline"
+        if formula.k >= 3:
+            trace.add("baseline", reason="k>=3")
         return trace.answer(baseline_opt(structure, formula), "baseline")
 
     trace.path = "reduction"
@@ -1016,8 +1043,10 @@ def reduce_and_solve(
     )
 
     def baseline_answer(reason: str) -> tuple[int | None, ReductionTrace]:
-        groups = len(plan.grouping.partition.groups)
-        trace.add("baseline", reason=reason, groups=groups, bound=plan.grouping.bound)
+        grouping = plan.grouping
+        trace.add(
+            "baseline", reason=reason, groups=grouping.light_groups, bound=grouping.bound
+        )
         return trace.answer(baseline_opt(structure, formula), "baseline")
 
     if not plan.grouping.prunes:

@@ -98,8 +98,9 @@ def test_solve_trace_output(toy_files, capsys, tmp_path):
 
 
 def test_solve_trace_prints_the_winning_source_of_the_lift(tmp_path, capsys):
-    # an 18-cycle: the lift prunes (g^2 = 36 > K = 25), and the objects with
-    # P reach its degree threshold 3, so they are heavy; the optimum holds one
+    # an 18-cycle: the lift prunes (the light vertices' g^2 = 36 > K = 25),
+    # and the objects with P reach its degree threshold 3, so they are
+    # heavy; the optimum holds one
     n = 18
     s = tmp_path / "cycle.structure"
     f = tmp_path / "cycle.formula"
@@ -114,15 +115,14 @@ def test_solve_trace_prints_the_winning_source_of_the_lift(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    # the top-ranked combination is clean and the lift re-solves it with its
-    # 5 ties in its first group, in one query; the 6 heavy vertices take one
-    # query per slot
+    # the 6 heavy vertices are grouped with the others, in 9 groups; the
+    # top-ranked combination is clean and the lift re-solves it with its 8
+    # ties in its first group, in one query
     assert (
-        "stage cross-free-lift clean_rank=1 combos=36 dirty=0 groups=6 heavy=6 "
-        "heavy_solves=2 m=24 n=18 resolve_queries=1 resolves=6 sides=0 threshold=3 "
-        "top_k=25\n"
+        "stage cross-free-lift clean_rank=1 combos=81 dirty=0 groups=9 heavy=6 "
+        "m=24 n=18 resolve_queries=1 resolves=9 sides=0 threshold=3 top_k=25\n"
     ) in out
-    assert "witness o2 o0\n" in out and out.endswith("source heavy\n")
+    assert "witness o2 o0\n" in out and out.endswith("source resolve\n")
 
 
 def test_solve_trace_prints_the_multicount_stage(tmp_path, capsys):
@@ -239,6 +239,46 @@ def test_verify_approx(capsys):
     )
     assert code == 0
     assert "mismatches 0" in out
+
+
+def test_verify_checks_the_witness_of_an_exact_answer(
+    toy_files, monkeypatch, capsys
+):
+    # the right value with a wrong witness: both cross-checks must fail
+    import relopt.cli as cli
+
+    real = cli.reduce_and_solve
+
+    def wrong_witness(structure, formula, solver):
+        value, trace = real(structure, formula, solver)
+        if trace.witness is not None:
+            trace.witness = tuple((x + 1) % structure.n for x in trace.witness)
+        return value, trace
+
+    monkeypatch.setattr(cli, "reduce_and_solve", wrong_witness)
+    s, f = toy_files
+    code, out = run_main(
+        ["solve", "--structure", str(s), "--formula", str(f), "--verify"], capsys
+    )
+    assert code == 1
+    assert "value 2\n" in out and "verified FAIL\n" in out
+    code, out = run_main(
+        ["verify", "--seeds", "3", "--n", "6", "--density", "0.25"], capsys
+    )
+    assert code == 1
+    assert "mismatch seed 0 got " in out and out.endswith("verified FAIL\n")
+    # the approximate checks compare values only
+    code, out = run_main(
+        ["solve", "--structure", str(s), "--formula", str(f), "--verify",
+         "--ip", "approx:2"],
+        capsys,
+    )
+    assert code == 0 and "verified pass\n" in out
+    code, out = run_main(
+        ["verify", "--seeds", "3", "--n", "6", "--density", "0.25", "--ip", "approx:2"],
+        capsys,
+    )
+    assert code == 0 and out.endswith("verified pass\n")
 
 
 def test_verify_approx_rejects_large_eps():

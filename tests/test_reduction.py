@@ -3,7 +3,7 @@ from itertools import product
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from relopt.baseline import (
     OptResult,
@@ -482,7 +482,7 @@ def test_lift_with_cross_matches_baseline():
 
 
 def test_lift_heavy_vertex_optimum():
-    # pin the optimum on the highest-degree vertex: the heavy phase must see it
+    # pin the optimum on the highest-degree vertex: its group must hold it
     recs = {("h", str(i)) for i in range(8)}
     recs |= {("u", "1"), ("v", "2")}
     s = load_structure(
@@ -674,7 +674,9 @@ def test_trace_counts_heavy_solves_resolves_and_ip_calls(monkeypatch):
         lift = stages["cross-free-lift"]
         assert lift["groups"] and ip_calls
         assert stages["hybrid"]["ip_calls"] == len(ip_calls)
-        assert lift["heavy"] and lift["heavy_solves"] == formula.k
+        # the heavy vertices are grouped like any other object: no query of
+        # their own
+        assert lift["heavy"] and "heavy_solves" not in lift
         # the re-solved combinations are the rule's, recomputed from the
         # scores and the records, within the cap
         scores = _lift_scores(structure, formula, exact)
@@ -685,9 +687,7 @@ def test_trace_counts_heavy_solves_resolves_and_ip_calls(monkeypatch):
         # a cross atom's side problem is one query
         cross, _ = split_cross_atoms(formula)
         assert lift["sides"] == len(cross)
-        assert len(opt_calls) == (
-            lift["heavy_solves"] + lift["resolve_queries"] + len(cross)
-        )
+        assert len(opt_calls) == lift["resolve_queries"] + len(cross)
         # an explicit top_k caps the rule's combinations; where no clean one
         # is ranked within it, the top top_k are re-solved
         for top_k in (1, 3, 100):
@@ -710,15 +710,15 @@ def test_trace_counts_heavy_solves_resolves_and_ip_calls(monkeypatch):
             # one query per prefix of the selected combinations
             assert stats["resolve_queries"] == len({c[:-1] for c in rule})
             seen.add((clean_rank, len(rule) < top_k))
-    # the rule stops short of the cap at a c* of rank 1 and of rank 2, and
-    # at top_k 1 the second body has no clean combination within the cap
-    assert {(1, True), (2, True), (None, False)} <= seen
+    # the rule stops short of the cap at a c* of rank 1 and of rank 3 (past
+    # two dirty ones), and at top_k 1 the second body has no clean
+    # combination within the cap
+    assert {(1, True), (3, True), (None, False)} <= seen
 
 
 def _two_record_instance(rng, k, kind):
-    """A random instance whose objects lie in at most two records each: the
-    lift's degree threshold is mostly 3 or more, so no vertex is heavy and
-    the re-solved combinations cover the light vertices' tuples."""
+    """A random instance whose objects lie in at most two records each,
+    before normalization adds its reversed and collapsed relations."""
     n = rng.randint(14, 20)
     degree = [0] * n
     rels = {"E0": set(), "E1": set(), "P0": set()}
@@ -769,8 +769,12 @@ def test_batched_resolve_equals_one_query_per_selected_combination():
         def prepare(s, f, scores=scores):
             return lambda groups: scores
 
+        # a random cap, or one just short of c*'s uncapped rank, where the
+        # cap binds before the rule is met
+        _, star = _rule_combinations(structure, formula, scores, len(scores))
         top_k = rng.choice(
             [1, rng.randint(2, 6), rng.randint(1, max(1, grouping.combos))]
+            + ([star - 1] if star and star > 1 else [])
         )
         stats = {}
         got = solve_cross_free_lift(plan, prepare, top_k=top_k, stats_out=stats)
@@ -783,7 +787,7 @@ def test_batched_resolve_equals_one_query_per_selected_combination():
             )
             for combo in rule
         ]
-        # top_k=0: the side problems and the heavy vertices only
+        # top_k=0: the side problems only
         rest = solve_cross_free_lift(plan, prepare, top_k=0)
         want = combine_results(kind, [rest] + resolved)
         assert got == want, f"trial {trial} top_k {top_k} {formula}"
@@ -830,6 +834,42 @@ def test_reduce_and_solve_skips_the_lift_where_nothing_is_pruned(monkeypatch):
         rendered = trace.render()
         assert "stage baseline bound=17 groups=4 reason=no-prune" in rendered
         assert rendered.endswith("source baseline\n")
+
+
+K3_BODY = "x1,x2,x3 . count y . E(x1,y) & !E(x2,y) | E(x3,y) & E(x1,x2)"
+
+
+def test_reduce_and_solve_answers_k3_with_one_baseline_query(monkeypatch):
+    # on a 26-cycle the k=3 lift would prune (the light vertices' g^3 =
+    # 13^3 = 2197 > K = 2029), but at k >= 3 its scorer solves one IP
+    # instance per combination: one oracle query answers, and no scorer is
+    # built
+    import relopt.reduction as reduction
+
+    built = []
+
+    class Counting(HybridScorer):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(reduction, "HybridScorer", Counting)
+    n = 26
+    structure = load_structure(
+        "rel E 2\n" + "".join(f"E o{i} o{(i + 1) % n}\n" for i in range(n))
+    )
+    for kind in ("max", "min"):
+        formula = parse_formula(f"{kind} {K3_BODY}")
+        assert remove_hyperedges(structure, formula).grouping.prunes
+        value, trace = reduce_and_solve(structure, formula, exact_solver(kind))
+        assert (value, trace.witness) == tuple(baseline_opt(structure, formula))
+        assert built == []
+        assert trace.path == "baseline" and trace.source == "baseline"
+        assert [name for name, _ in trace.stages] == ["input", "baseline"]
+        assert "stage baseline reason=k>=3\n" in trace.render()
+    # the same counter sees the k=2 lift build its scorer
+    reduce_and_solve(_cycle_structure(), parse_formula(CYCLE_BODIES[0]), exact_solver("max"))
+    assert len(built) == 1
 
 
 def _hub_cycle_structure(n=24):
@@ -910,9 +950,10 @@ def test_baseline_answers_past_a_resource_limit_of_the_lift(monkeypatch):
         assert (value, trace.witness) == (want.value, want.witness), text
         grouping = remove_hyperedges(structure, formula).grouping
         stages = dict(trace.stages)
+        # the groups the routing counted: the light vertices'
         assert stages["baseline"] == {
             "reason": "resource-limit",
-            "groups": len(grouping.partition.groups),
+            "groups": grouping.light_groups,
             "bound": grouping.bound,
         }
         assert trace.source == "baseline"
@@ -1059,6 +1100,25 @@ def test_reduce_and_solve_equals_baseline_on_l1_instances(instance):
         assert trace.source in (None, "baseline")
 
 
+SPARSE_ARITY = {"E0": 2, "E1": 2, "P0": 1, "R0": 3}
+
+
+def _sparse_records(rng, n):
+    """Random records of E0, E1, P0 and R0 over n objects, no object in
+    more than two of them."""
+    rels = {pred: set() for pred in SPARSE_ARITY}
+    degree = [0] * n
+    for _ in range(3 * n):
+        pred = rng.choice(sorted(SPARSE_ARITY))
+        rec = tuple(rng.randrange(n) for _ in range(SPARSE_ARITY[pred]))
+        if rec in rels[pred] or any(degree[v] >= 2 for v in set(rec)):
+            continue
+        rels[pred].add(rec)
+        for v in set(rec):
+            degree[v] += 1
+    return rels
+
+
 @st.composite
 def sparse_prune_instances(draw, k=2):
     """Instances with k optimization variables over 24-36 objects, no object
@@ -1068,18 +1128,9 @@ def sparse_prune_instances(draw, k=2):
     binds."""
     rng = draw(st.randoms(use_true_random=False))
     n = draw(st.integers(24, 36))
-    arity = {"E0": 2, "E1": 2, "P0": 1, "R0": 3}
-    rels = {pred: set() for pred in arity}
-    degree = [0] * n
-    for _ in range(3 * n):
-        pred = rng.choice(sorted(arity))
-        rec = tuple(rng.randrange(n) for _ in range(arity[pred]))
-        if rec in rels[pred] or any(degree[v] >= 2 for v in set(rec)):
-            continue
-        rels[pred].add(rec)
-        for v in set(rec):
-            degree[v] += 1
-    structure = build_structure([f"o{v}" for v in range(n)], rels, arity)
+    structure = build_structure(
+        [f"o{v}" for v in range(n)], _sparse_records(rng, n), SPARSE_ARITY
+    )
     opt_vars = [f"x{i + 1}" for i in range(k)]
     body = random_body_text(rng, opt_vars, ["y1"], ternary=draw(st.integers(0, 1)))
     kind = draw(st.sampled_from(["max", "min"]))
@@ -1095,7 +1146,7 @@ def test_reduce_and_solve_equals_baseline_where_the_lift_prunes(instance):
     structure, formula = instance
     _, trace = _pipeline_agrees_with_baseline(structure, formula)
     assert "cross-free-lift" in dict(trace.stages)
-    assert trace.source in (None, "side", "heavy", "resolve")
+    assert trace.source in (None, "side", "resolve")
 
 
 def _lift_route(structure, formula, solver):
@@ -1184,6 +1235,94 @@ def test_lift_rule_gives_the_optimum_under_exact_and_approximate_scores(data):
     )
     assert (stats["resolves"], stats["clean_rank"]) == (len(rule), clean_rank)
     assert clean_rank is None or stats["dirty"] == clean_rank - 1 == dirty
+
+
+@st.composite
+def hub_instances(draw):
+    """k=2 instances over 20-36 objects: the sparse records of
+    ``sparse_prune_instances`` plus 1-4 hubs with 9-14 E0 records each, so
+    a hub's degree reaches the lift's threshold ceil(m^(1/3)) and it is
+    heavy.  The body is random; in half the draws it is joined by
+    ``E0(x_i, y1)``, and a max optimum then tends to sit on a hub.  Returns
+    the structure, the formula and the hubs."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(20, 36))
+    rels = _sparse_records(rng, n)
+    hubs = rng.sample(range(n), draw(st.integers(1, 4)))
+    for hub in hubs:
+        rels["E0"].update((hub, y) for y in rng.sample(range(n), rng.randint(9, 14)))
+    structure = build_structure([f"o{v}" for v in range(n)], rels, SPARSE_ARITY)
+    body = random_body_text(rng, ["x1", "x2"], ["y1"], ternary=draw(st.integers(0, 1)))
+    if draw(st.booleans()):
+        join = draw(st.sampled_from(["|", "&"]))
+        body = f"E0({draw(st.sampled_from(['x1', 'x2']))},y1) {join} ({body})"
+    kind = draw(st.sampled_from(["max", "min"]))
+    return structure, parse_formula(f"{kind} x1,x2 . count y1 . {body}"), hubs
+
+
+@given(hub_instances(), st.sampled_from([1.5, 2.0, 3.0]))
+@settings(max_examples=60, deadline=None)
+def test_lift_groups_heavy_vertices_and_keeps_the_optimum(instance, c):
+    # the groups hold the heavy vertices: no query of their own, and the
+    # lift still returns the oracle's optimum and least witness, also where
+    # that witness holds a hub
+    structure, formula, hubs = instance
+    want = baseline_opt(structure, formula)
+    exact = exact_solver(formula.kind)
+    for solver in (exact, approx_wrapper(exact, c)):
+        got, stats, plan, scores = _lift_route(structure, formula, solver)
+        assert stats["heavy"] > 0 and stats["source"] in (None, "side", "resolve")
+        # the re-solved combinations are the rule's, ties included
+        rule, _ = _rule_combinations(
+            plan.main_structure, plan.main_core, scores, len(scores),
+            plan.main_guard, solver.ratio,
+        )
+        assert stats["resolves"] == min(len(rule), stats["top_k"])
+        if len(rule) <= stats["top_k"]:
+            assert got == want, f"{formula} ratio {solver.ratio}"
+            continue
+        # a c-approximate rule past the cap K: with c* re-solved, the answer
+        # is within the ratio of the optimum
+        event("the approximate rule passes the cap")
+        assert solver.ratio > 1 and stats["clean_rank"] is not None
+        if formula.kind == "max":
+            assert want.value / c <= got.value <= want.value, str(formula)
+        else:
+            assert want.value <= got.value <= want.value * c, str(formula)
+    grouped = {v for group in plan.grouping.partition.groups for v in group}
+    assert grouped == set(range(plan.main_structure.n))
+    if want is not None and set(want.witness) & set(hubs):
+        event("the optimum holds a hub")
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_lift_partition_is_contiguous_runs_of_all_objects(data):
+    # every object is in exactly one group, the groups are runs of the
+    # sorted objects, and every group but the last has degree above the
+    # threshold; the light vertices' partition the routing counts likewise
+    rng = data.draw(st.randoms(use_true_random=False))
+    n = data.draw(st.integers(0, 36))
+    rels = _sparse_records(rng, n)
+    for hub in rng.sample(range(n), data.draw(st.integers(0, min(n, 4)))):
+        rels["E0"].update((hub, y) for y in rng.sample(range(n), rng.randint(1, n)))
+    structure = build_structure([f"o{v}" for v in range(n)], rels, SPARSE_ARITY)
+    k = data.draw(st.integers(2, 3))
+    grouping = lift_grouping(structure, k)
+    part = grouping.partition
+    threshold = part.threshold
+    assert [v for group in part.groups for v in group] == list(range(n))
+    assert all(part.groups)
+    for group in part.groups[:-1]:
+        assert sum(structure.degree(v) for v in group) > threshold
+    heavy = [v for v in range(n) if structure.degree(v) >= threshold]
+    assert grouping.heavy == len(heavy)
+    assert grouping.combos == len(part.groups) ** k
+    light = build_group_partition(
+        structure, [v for v in range(n) if v not in heavy], threshold
+    )
+    assert grouping.light_groups == len(light.groups)
+    assert grouping.prunes == (len(light.groups) ** k > grouping.bound)
 
 
 def test_reduce_and_solve_exact_small():
@@ -1426,9 +1565,8 @@ def test_false_positive_bound():
         )
         guard = tuple((a, False) for a in cross)
         m, n, k = structure.m, structure.n, formula.k
-        threshold = _math.ceil(m ** (1.0 / (k + 1))) if m else 0
-        light = [v for v in range(n) if structure.degree(v) < threshold]
-        part = build_group_partition(structure, light, threshold)
+        # the lift's groups, heavy vertices included
+        part = lift_grouping(structure, k).partition
         if not part.groups:
             continue
         checked += 1
