@@ -12,7 +12,6 @@ from .errors import ContractError, EngineError
 from .fastcount import multi_counting_opt
 from .formula import And, Atom, check_schema, parse_formula
 from .generate import GenProfile, generate, generate_texts
-from .hybrid import basic_to_ip, hybrid_to_basic
 from .ip import make_ip_solver
 from .reduction import (
     ReductionTrace,
@@ -182,8 +181,7 @@ def cmd_reduce(args) -> int:
     # cross-free core in one pass
     for idx, (inst, _) in enumerate(to_hybrid(plan.main_structure, core)):
         (out_dir / f"hybrid{idx}.txt").write_text(inst.dump())
-        basic = hybrid_to_basic(inst, (1 << inst.k) - 1)
-        (out_dir / f"ip{idx}.txt").write_text(basic_to_ip(basic).dump())
+        (out_dir / f"ip{idx}.txt").write_text(inst.ip.dump())
         summary.append(
             f"stage hybrid index={idx} universe={inst.size} m_h={inst.m_h}"
         )

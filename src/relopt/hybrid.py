@@ -15,14 +15,14 @@ part membership is cached as integer bitmasks, so the set algebra runs on
 machine words.  Types tau are packed ints with family i at bit i.
 
 ``solve_hybrid_with_info`` solves many sub-instances at once, each keeping
-one block of sets per family, with one block query.  For k=2 every tuple
-value is a constant plus a per-set offset plus signed weights summed over
-the elements the two sets share (``HybridInstance.signed_pairs``), so a
-solver with a signed query (``IpSolver.signed_blocks``) scores the sets as
-they are, reading m_h coordinates.  Otherwise the instance builds its IP
-vectors (the all-ones Basic form) once, on first use, and the solver's IP
-block query runs on them; complementing makes each vector about |U| long,
-however few elements its set holds.
+one block of sets per family.  For k=2 every tuple value is a constant plus
+a per-set offset plus signed weights summed over the elements the two sets
+share (``HybridInstance.signed_pairs``), so a solver with a signed query
+(``IpSolver.signed_blocks``) scores the sets as they are, reading m_h
+coordinates, in one query.  Otherwise the instance builds its IP instance
+(``HybridInstance.ip``, the all-ones Basic form) once, on first use, and
+the solver's ``solve`` runs on each sub-instance's vectors; complementing
+makes each vector about |U| long, however few elements its set holds.
 """
 from __future__ import annotations
 
@@ -108,11 +108,10 @@ class HybridInstance:
         return sum(len(s) for fam in self.families for s in fam)
 
     @cached_property
-    def ip_families(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """IP vectors of the all-ones Basic form: one sorted coordinate tuple
-        per set, family by family."""
-        tau_ones = (1 << self.k) - 1
-        return basic_to_ip(hybrid_to_basic(self, tau_ones)).families
+    def ip(self) -> IPInstance:
+        """The IP instance of the all-ones Basic form: one sorted coordinate
+        tuple per set, family by family, in dimension |U|."""
+        return basic_to_ip(hybrid_to_basic(self, (1 << self.k) - 1))
 
     @cached_property
     def signed_pairs(self) -> SignedPairs:
@@ -217,9 +216,8 @@ def hybrid_to_basic(instance: HybridInstance, tau: int) -> BasicInstance:
 
     Total tuple values are preserved exactly; sparsity may grow up to
     n * |U|, which the paper bounds by reducing the universe first.  The
-    solve reaches the all-ones form through ``HybridInstance.ip_families``,
-    once per instance, where it does not take the k=2 signed query;
-    ``relopt reduce`` and the tests call this directly.
+    solve and ``relopt reduce`` reach the all-ones form through
+    ``HybridInstance.ip``, once per instance.
     """
     size = instance.size
     full = (1 << size) - 1
@@ -409,18 +407,19 @@ def solve_hybrid_with_info(
     instance: HybridInstance, ip_solver: IpSolver, blocks: Blocks | None = None
 ) -> tuple[list[int | None], dict]:
     """The hybrid optimum of every sub-instance that keeps one block of sets
-    per family, in ``itertools.product`` order of the block indices, from one
-    block query.  Without ``blocks`` the one sub-instance is the instance.
+    per family, in ``itertools.product`` order of the block indices.
+    Without ``blocks`` the one sub-instance is the instance.
 
-    For k=2, where the solver has a signed query, that query runs on the
-    instance's signed pairs; otherwise the IP block query
-    (``IpSolver.block_values``) runs on its all-ones Basic vectors.  Both
-    preserve every tuple value, so each value is the sub-instance's optimum
-    within the solver's ratio: exact for an exact solver, a c-approximation
-    for a c-approximate one.  A value is None where a block is empty.
-    ``info`` holds the universe size, ``coords``, the coordinates the query
-    reads (m_h of the sets or m_ip of the vectors), and the block query's
-    ``solve_calls`` and ``pairs_joined``.
+    For k=2, where the solver has a signed query, that one query runs on
+    the instance's signed pairs; otherwise ``IpSolver.block_values`` calls
+    ``solve`` once per sub-instance on its all-ones Basic vectors
+    (``HybridInstance.ip``).  Both preserve every tuple value, so each value
+    is the sub-instance's optimum within the solver's ratio: exact for an
+    exact solver, a c-approximation for a c-approximate one.  A value is
+    None where a block is empty.  ``info`` holds the universe size,
+    ``coords``, the coordinates the queries read (m_h of the sets or m_ip of
+    the vectors), and the signed query's ``pairs_joined`` or the
+    ``solve_calls``.
     """
     if ip_solver.kind != instance.kind:
         raise ContractError("ip solver kind does not match instance kind")
@@ -430,6 +429,6 @@ def solve_hybrid_with_info(
     if instance.k == 2 and ip_solver.signed_blocks is not None:
         info["coords"] = instance.m_h
         return ip_solver.signed_blocks(instance.signed_pairs, blocks, info), info
-    ip = IPInstance(instance.k, instance.ip_families, instance.size)
+    ip = instance.ip
     info["coords"] = ip.m_ip
     return ip_solver.block_values(ip, blocks, info), info

@@ -2,10 +2,12 @@
 
 Vectors are sorted coordinate tuples.  The brute-force solvers are the
 reference inner solvers of the reduction pipeline; the external fast solvers
-they stand in for plug in through the same IpSolver interface.  For k=2 the
-exact solver's block query is one sparse join (``signed_join``), which also
-scores pairs of sets by a constant, per-set offsets and signed per-coordinate
-weights: the k=2 hybrid scores, read without complementing any set.
+they stand in for plug in through the same IpSolver interface, whose
+``solve`` answers every query on IP vectors.  For k=2 a solver may also
+answer one batched query on signed pairs (``IpSolver.signed_blocks``); the
+exact solver's is one sparse join (``signed_join``), which scores pairs of
+sets by a constant, per-set offsets and signed per-coordinate weights: the
+k=2 hybrid scores, read without complementing any set.
 """
 from __future__ import annotations
 
@@ -185,7 +187,6 @@ def sparsify(dense_families: Sequence[Sequence[Sequence[int]]], d: int) -> IPIns
 
 
 Blocks = Sequence[Sequence[Sequence[int]]]
-BlockQuery = Callable[[IPInstance, Blocks, dict], list]
 
 
 @dataclass(frozen=True)
@@ -195,21 +196,13 @@ class SignedPairs:
 
         const + offsets[0][i] + offsets[1][j] + sum of weight[c], c in A ∩ B.
 
-    ``weight`` maps every coordinate to its weight; None weighs each 1.
-    With unit weights, zero offsets and constant 0 (``unit_pairs``) a
-    pair's score is its inner product.
+    ``weight`` maps every coordinate to its weight.
     """
 
     sets: tuple[Sequence[Collection[int]], Sequence[Collection[int]]]
     offsets: tuple[Sequence[int], Sequence[int]]
-    weight: Sequence[int] | None = None
-    const: int = 0
-
-
-def unit_pairs(instance: IPInstance) -> SignedPairs:
-    """The k=2 instance's inner products as signed pairs."""
-    fam0, fam1 = instance.families
-    return SignedPairs(instance.families, ([0] * len(fam0), [0] * len(fam1)))
+    weight: Sequence[int]
+    const: int
 
 
 SignedQuery = Callable[[SignedPairs, Blocks, dict], list]
@@ -220,19 +213,16 @@ class IpSolver:
     """A value oracle for k-IP with a declared approximation ratio.
 
     For max kind the returned value lies in [OPT/c, OPT]; for min kind in
-    [OPT, c*OPT].  ``solve`` returns None when some family is empty.
-
-    ``solve_blocks`` is the optional block query behind ``block_values``;
-    a fast MaxIP/MinIP algorithm plugs in there.  Without it every block
-    combination goes through ``solve``.  ``signed_blocks`` is the optional
-    k=2 query on signed pairs (``signed_join``), with the same ratio; the
-    hybrid solve uses it where present to skip the IP vectors.
+    [OPT, c*OPT].  ``solve`` returns None when some family is empty; a
+    fast MaxIP/MinIP algorithm plugs in there, and every query on IP
+    vectors goes through it.  ``signed_blocks`` is the optional k=2 query
+    on signed pairs (``signed_join``), with the same ratio; the hybrid solve
+    uses it where present to skip the IP vectors.
     """
 
     kind: str  # "max" | "min"
     ratio: float
     solve: Callable[[IPInstance], int | None]
-    solve_blocks: BlockQuery | None = None
     signed_blocks: SignedQuery | None = None
 
     def block_values(
@@ -241,35 +231,29 @@ class IpSolver:
         """The value of every combination of blocks, in ``itertools.product``
         order of the block indices.
 
-        ``blocks[i]`` lists disjoint blocks of vector indices of family i.  A
+        ``blocks[i]`` lists blocks of vector indices of family i.  A
         combination's value is what ``solve`` gives on the instance that
-        keeps its blocks' vectors, and None when one of its blocks is empty.
-        ``stats_out`` accumulates ``solve_calls`` and ``pairs_joined``.
+        keeps its blocks' vectors, one call per combination, and None when
+        one of its blocks is empty.  ``stats_out`` accumulates
+        ``solve_calls``.
         """
         if len(blocks) != instance.k:
             raise ContractError("need one list of blocks per family")
-        stats = {} if stats_out is None else stats_out
-        if self.solve_blocks is not None:
-            return self.solve_blocks(instance, blocks, stats)
-        return _block_loop(self.solve, instance, blocks, stats)
-
-
-def _block_loop(solve, instance: IPInstance, blocks: Blocks, stats: dict) -> list:
-    """One ``solve`` call per block combination with no empty block."""
-    out = []
-    calls = 0
-    for combo in product(*blocks):
-        if all(combo):
-            families = tuple(
-                tuple(fam[j] for j in block)
-                for fam, block in zip(instance.families, combo)
-            )
-            out.append(solve(IPInstance(instance.k, families, instance.d)))
-            calls += 1
-        else:
-            out.append(None)
-    stats["solve_calls"] = stats.get("solve_calls", 0) + calls
-    return out
+        out = []
+        calls = 0
+        for combo in product(*blocks):
+            if all(combo):
+                families = tuple(
+                    tuple(fam[j] for j in block)
+                    for fam, block in zip(instance.families, combo)
+                )
+                out.append(self.solve(IPInstance(instance.k, families, instance.d)))
+                calls += 1
+            else:
+                out.append(None)
+        if stats_out is not None:
+            stats_out["solve_calls"] = stats_out.get("solve_calls", 0) + calls
+        return out
 
 
 def signed_join(kind: str, pairs: SignedPairs, blocks: Blocks, stats: dict) -> list:
@@ -332,7 +316,7 @@ def signed_join(kind: str, pairs: SignedPairs, blocks: Blocks, stats: dict) -> l
         for i in block:
             shared: dict[int, int] = {}  # sharer -> its shared weight
             for c in sets0[i]:
-                w = 1 if weight is None else weight[c]
+                w = weight[c]
                 for j in by_coord.get(c, ()):
                     shared[j] = shared.get(j, 0) + w
             shared_of[i] = shared
@@ -379,31 +363,25 @@ def signed_join(kind: str, pairs: SignedPairs, blocks: Blocks, stats: dict) -> l
 
 
 def exact_solver(kind: str, budget: int = DEFAULT_TUPLE_BUDGET) -> IpSolver:
-    """Brute force per instance; for k=2 the block query is one sparse join
-    (``signed_join`` with unit weights), and for other k it loops over
-    ``solve``.  The signed query is the join itself."""
+    """Brute force per instance; the signed query is one sparse join
+    (``signed_join``)."""
     brute = brute_force_kmaxip if kind == "max" else brute_force_kminip
 
     def solve(instance: IPInstance) -> int | None:
         res = brute(instance, budget)
         return None if res is None else res[0]
 
-    def solve_blocks(instance: IPInstance, blocks: Blocks, stats: dict) -> list:
-        if instance.k == 2:
-            return signed_join(kind, unit_pairs(instance), blocks, stats)
-        return _block_loop(solve, instance, blocks, stats)
-
     def signed_blocks(pairs: SignedPairs, blocks: Blocks, stats: dict) -> list:
         return signed_join(kind, pairs, blocks, stats)
 
-    return IpSolver(kind, 1.0, solve, solve_blocks, signed_blocks)
+    return IpSolver(kind, 1.0, solve, signed_blocks)
 
 
 def approx_wrapper(exact: IpSolver, c: float) -> IpSolver:
     """Degrade an exact solver to a deterministic c-approximation sitting at
     the worst end of the allowed interval (test oracle for ratio preservation).
-    The block and signed queries degrade each of the exact solver's values
-    alike; the signed one exists where the exact solver has one."""
+    The signed query, where the exact solver has one, degrades each of its
+    values alike."""
     if not 1 <= c < math.inf:
         raise ContractError(f"approximation ratio must be finite and >= 1, not {c}")
 
@@ -417,9 +395,6 @@ def approx_wrapper(exact: IpSolver, c: float) -> IpSolver:
     def solve(instance: IPInstance) -> int | None:
         return degrade(exact.solve(instance))
 
-    def solve_blocks(instance: IPInstance, blocks: Blocks, stats: dict) -> list:
-        return [degrade(v) for v in exact.block_values(instance, blocks, stats)]
-
     def signed_blocks(pairs: SignedPairs, blocks: Blocks, stats: dict) -> list:
         return [degrade(v) for v in exact.signed_blocks(pairs, blocks, stats)]
 
@@ -427,7 +402,6 @@ def approx_wrapper(exact: IpSolver, c: float) -> IpSolver:
         exact.kind,
         c * exact.ratio,
         solve,
-        solve_blocks,
         None if exact.signed_blocks is None else signed_blocks,
     )
 

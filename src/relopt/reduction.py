@@ -304,9 +304,10 @@ class LiftGrouping:
     so the group ends with it or with the next object of positive degree.
     ``bound`` is K = C(k,2)·m·n^(k-2) + 1, the paper's bound on the group
     combinations that hold a record of a cross atom or a guard between
-    their groups when each relation serves one pair of slots.  K caps the
-    combinations the lift re-solves; its rule (``solve_cross_free_lift``)
-    stops at the first clean one, mostly far sooner.
+    their groups when each relation serves one pair of slots.  The lift's
+    default re-solve cap is at least K and covers every combination a side
+    record marks (``solve_cross_free_lift``); its rule stops at the first
+    clean one, mostly far sooner.
 
     The driver's routing is the paper's count: the lift runs only where it
     ``prunes``, when ``light_combos``, the g^k of the light vertices' groups
@@ -497,21 +498,39 @@ def solve_cross_free_lift(
       ``score·c >= S*`` can reach c*'s; for min, with every inequality
       reversed, only one with ``score <= c·S*``.  Re-solve every ranked
       combination that can, ties included.
-    Either way the lift returns the exact optimum and least witness of its
-    tuples.  The selection is capped at ``top_k`` (by default min(g^k, K));
-    where no clean combination is ranked within the cap, the top ``top_k``
-    are re-solved.  ``top_k`` is overridden by tests only.
+    The selection is capped at ``top_k``; where no clean combination is
+    ranked within the cap, the top ``top_k`` are re-solved.  ``top_k`` is
+    overridden by tests only.  The default cap is min(g^k, max(K, D + 1)),
+    D being g^(k-2) times the group pairs that side records mark, summed
+    over the side atoms' slot pairs.  A marked pair is dirty in g^(k-2)
+    combinations, so at most D combinations are dirty and the cap reaches
+    c* wherever a clean combination is scored; where none is, it covers
+    every scored combination.  (K alone does not suffice: with one relation
+    as a cross atom in both orientations each record marks two pairs, up
+    to 2m dirty combinations for k=2 against K - 1 = m.)
+
+    What this gives.  Once c* is re-solved the answer is within the ratio
+    of the optimum: for max, a combination that is not re-solved ranks
+    after c*, so its guarded optimum is at most score·c <= S*·c, and the
+    answer is at least c*'s guarded optimum, itself at least S*; for min
+    the same with every inequality reversed.  With an exact scorer that is
+    the exact value.  The answer is the exact optimum and least witness
+    of the lift's tuples only where the rule's set fits the cap.  Under a
+    c-approximate scorer it often does not: the rule compares with S*, and
+    the set of combinations with score·c >= S* fills the cap.  The fix is
+    to re-solve c* first and keep ranking only while a combination can
+    beat or tie its exact optimum V* >= S* (the ROADMAP item "Stop the
+    lift's re-solves at the exact value of c*").
 
     Degrees do not enter this argument.  It needs only that the groups are
     disjoint contiguous runs of the sorted objects (the tie step) and that
-    at most K - 1 combinations are dirty, so that the default cap reaches
-    c*.  A dirty combination holds a side record between its groups, so
-    their number is bounded by a count of the side atoms' records (K is
-    the paper's), whatever the groups' sizes.  The paper's heavy vertices
-    (degree at least the threshold) are brute-forced apart only to keep
-    its groups small for its IP analysis; the scorer's cost does not
-    depend on group degree, so here a heavy vertex is grouped like any
-    other object.
+    the default cap passes every dirty combination.  A dirty combination
+    holds a side record between its groups, so D, a count of the side
+    atoms' records, bounds their number whatever the groups' sizes.  The
+    paper's heavy vertices (degree at least the threshold) are brute-forced
+    apart only to keep its groups small for its IP analysis; the scorer's
+    cost does not depend on group degree, so here a heavy vertex is grouped
+    like any other object.
 
     ``stats_out`` receives the stage's counts and ``source``, the step whose
     candidate is the answer: ``side`` or ``resolve``.  ``heavy`` counts the
@@ -557,9 +576,11 @@ def solve_cross_free_lift(
         scores = score(groups)
         if len(scores) != len(groups) ** k:
             raise ContractError("the scorer must score every group combination")
-        if top_k is None:
-            top_k = min(grouping.combos, grouping.bound)
         dirty = _dirty_pairs(structure, formula.opt_vars, sides, groups)
+        if top_k is None:
+            # each marked group pair is dirty in g^(k-2) combinations
+            marked = sum(map(len, dirty.values())) * len(groups) ** max(k - 2, 0)
+            top_k = min(grouping.combos, max(grouping.bound, marked + 1))
         selected, clean_rank, combos = _select_combinations(
             formula.kind, scores, len(groups), k, dirty, ratio, top_k
         )
@@ -910,7 +931,7 @@ class HybridScorer:
 
     ``ip_calls`` counts the IP solver's ``solve`` calls, ``block_calls`` its
     block queries, ``coords`` the coordinates they read and
-    ``pairs_joined`` the pairs of sets or vectors its joins counted.
+    ``pairs_joined`` the pairs of sets its joins counted.
     """
 
     def __init__(

@@ -91,16 +91,6 @@ class RelationalStructure:
         except KeyError:
             raise SchemaError(f"unknown relation {name!r}") from None
 
-    def records_containing(self, x: ObjectId) -> list[tuple[str, tuple[ObjectId, ...]]]:
-        if not 0 <= x < self.n:
-            raise UnknownObjectError(f"object index {x} out of range")
-        out = []
-        for name in sorted(self.relations):
-            for rec in self.relations[name].records:
-                if x in rec:
-                    out.append((name, rec))
-        return out
-
     def unary_members(self, name: str) -> frozenset[ObjectId]:
         rel = self.relation(name)
         if rel.arity != 1:

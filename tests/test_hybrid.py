@@ -22,9 +22,7 @@ from relopt.hybrid import (
     val,
 )
 from relopt.ip import (
-    IPInstance,
     IpSolver,
-    _block_loop,
     approx_wrapper,
     brute_force_kmaxip,
     exact_solver,
@@ -271,14 +269,15 @@ def _sub_instance(inst, picks):
 
 
 def test_ip_families_equal_the_basic_conversion():
-    # a sub-selection of the vectors an instance caches is exactly the
-    # all-ones Basic conversion of the sub-instance keeping those sets
+    # the IP instance an instance caches is its all-ones Basic conversion,
+    # and a sub-selection of its vectors is exactly the conversion of the
+    # sub-instance keeping those sets
     rng = random.Random(29)
     for _ in range(40):
         k = rng.choice([1, 2, 3])
         inst = random_hybrid(rng, k, rng.randint(0, 10))
         ones = (1 << k) - 1
-        assert inst.ip_families == basic_to_ip(hybrid_to_basic(inst, ones)).families
+        assert inst.ip == basic_to_ip(hybrid_to_basic(inst, ones))
         for _ in range(3):
             picks = [
                 rng.sample(range(len(fam)), rng.randint(1, len(fam)))
@@ -286,7 +285,7 @@ def test_ip_families_equal_the_basic_conversion():
             ]
             selected = tuple(
                 tuple(vecs[j] for j in idxs)
-                for vecs, idxs in zip(inst.ip_families, picks)
+                for vecs, idxs in zip(inst.ip.families, picks)
             )
             sub = _sub_instance(inst, picks)
             assert selected == basic_to_ip(hybrid_to_basic(sub, ones)).families
@@ -368,7 +367,7 @@ def test_signed_block_values_equal_the_brute_force_on_the_ip_vectors(query):
     exact = exact_solver(inst.kind)
     stats = {}
     got = exact.signed_blocks(inst.signed_pairs, blocks, stats)
-    want = _block_loop(exact.solve, IPInstance(2, inst.ip_families, inst.size), blocks, {})
+    want = exact.block_values(inst.ip, blocks)
     assert got == want
     fam0, fam1 = inst.families
     sharing = sum(
@@ -414,7 +413,7 @@ def test_solve_hybrid_takes_the_signed_query_at_k2_only():
     rng = random.Random(31)
     for k in (1, 2, 3):
         inst = random_hybrid(rng, k, 8, kind="max")
-        ip = IPInstance(k, inst.ip_families, inst.size)
+        ip = inst.ip
         exact = exact_solver("max")
         plain = IpSolver("max", 1.0, exact.solve)
         got, info = solve_hybrid_with_info(inst, exact)

@@ -1,10 +1,12 @@
 import math
 import random
-from itertools import chain, product
+from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import relopt.ip
 from relopt.errors import ContractError, ResourceLimitError
 from relopt.ip import (
     IPInstance,
@@ -18,8 +20,8 @@ from relopt.ip import (
     make_ip_solver,
     parse_ip_instance,
     signed_join,
+    SignedPairs,
     sparsify,
-    unit_pairs,
 )
 
 
@@ -288,44 +290,6 @@ def per_block_solves(solver, instance, blocks):
     return out
 
 
-@given(block_queries(), st.sampled_from(["max", "min"]), st.floats(1.0, 4.0))
-@settings(max_examples=400, deadline=None)
-def test_block_query_equals_the_per_block_solve_loop(query, kind, c):
-    instance, blocks = query
-    for solver in (exact_solver(kind), approx_wrapper(exact_solver(kind), c)):
-        stats = {}
-        got = solver.block_values(instance, blocks, stats)
-        assert got == per_block_solves(solver, instance, blocks)
-        if instance.k == 2:
-            # the join counts each overlapping pair once and calls no solve
-            assert stats == {"pairs_joined": _sharing_pairs(instance, blocks)}
-        else:
-            assert stats == {"solve_calls": sum(v is not None for v in got)}
-
-
-def _sharing_pairs(instance, blocks):
-    fam0, fam1 = instance.families
-    return sum(
-        1
-        for i in chain.from_iterable(blocks[0])
-        for j in chain.from_iterable(blocks[1])
-        if set(fam0[i]) & set(fam1[j])
-    )
-
-
-@given(block_queries().filter(lambda q: q[0].k == 2), st.sampled_from(["max", "min"]))
-@settings(max_examples=300, deadline=None)
-def test_signed_join_with_unit_weights_is_the_ip_block_query(query, kind):
-    # unit weights, zero offsets and constant 0 score each pair by its inner
-    # product, so the join gives the per-block optima and counts each pair
-    # that shares a coordinate once
-    instance, blocks = query
-    stats = {}
-    got = signed_join(kind, unit_pairs(instance), blocks, stats)
-    assert got == per_block_solves(exact_solver(kind), instance, blocks)
-    assert stats == {"pairs_joined": _sharing_pairs(instance, blocks)}
-
-
 def test_only_an_exact_solver_and_its_approximation_have_a_signed_query():
     exact = exact_solver("max")
     plain = IpSolver("max", 1.0, exact.solve)
@@ -335,21 +299,25 @@ def test_only_an_exact_solver_and_its_approximation_have_a_signed_query():
     assert approx_wrapper(plain, 2.0).signed_blocks is None
 
 
-@given(block_queries(), st.sampled_from(["max", "min"]))
-@settings(max_examples=100, deadline=None)
-def test_three_argument_solver_routes_every_block_through_solve(query, kind):
+@given(block_queries(), st.sampled_from(["max", "min"]), st.floats(1.0, 4.0))
+@settings(max_examples=150, deadline=None)
+def test_three_argument_solver_routes_every_block_through_solve(query, kind, c):
+    # every query on IP vectors, at every k and from every solver, is one
+    # solve call per block combination with no empty block
     instance, blocks = query
     exact = exact_solver(kind)
-    calls = []
-
-    def solve(inst):
-        calls.append(inst)
-        return exact.solve(inst)
-
-    stats = {}
-    got = IpSolver(kind, 1.0, solve).block_values(instance, blocks, stats)
-    assert got == exact.block_values(instance, blocks)
-    assert len(calls) == stats["solve_calls"] == sum(v is not None for v in got)
+    plain = IpSolver(kind, 1.0, exact.solve)
+    for solver in (plain, exact, approx_wrapper(exact, c)):
+        want = per_block_solves(solver, instance, blocks)
+        stats = {}
+        with mock.patch.object(
+            relopt.ip, "_brute_force", wraps=relopt.ip._brute_force
+        ) as brute:
+            got = solver.block_values(instance, blocks, stats)
+        assert got == want
+        calls = sum(v is not None for v in got)
+        assert brute.call_count == calls
+        assert stats == {"solve_calls": calls}
 
 
 def test_min_block_value_needs_every_pair_to_overlap():
@@ -357,15 +325,24 @@ def test_min_block_value_needs_every_pair_to_overlap():
     fam1 = (vec("111"), vec("100"), vec("001"))
     inst = IPInstance(2, (fam0, fam1), 3)
     blocks = [[[0, 1]], [[0, 1], [2], []]]
+    # unit weights, zero offsets and constant 0 score a pair by its inner
+    # product
+    unit = SignedPairs(inst.families, ([0, 0], [0, 0, 0]), [1, 1, 1], 0)
     # block {0, 1} x {0, 1}: every pair shares coordinate 0, smallest count 1;
     # block {0, 1} x {2}: vector 110 shares nothing with 001
-    assert exact_solver("min").block_values(inst, blocks) == [1, 0, None]
-    assert exact_solver("max").block_values(inst, blocks) == [3, 1, None]
+    for kind, want in (("min", [1, 0, None]), ("max", [3, 1, None])):
+        assert exact_solver(kind).block_values(inst, blocks) == want
+        assert signed_join(kind, unit, blocks, {}) == want
 
 
 def test_block_query_rejects_overlapping_or_missing_blocks():
     inst = IPInstance(2, ((vec("1"),), (vec("1"), vec("1"))), 1)
+    unit = SignedPairs(inst.families, ([0], [0, 0]), [1], 0)
     with pytest.raises(ContractError, match="disjoint"):
-        exact_solver("max").block_values(inst, [[[0]], [[0, 1], [1]]])
-    with pytest.raises(ContractError, match="one list of blocks per family"):
-        exact_solver("max").block_values(inst, [[[0]]])
+        signed_join("max", unit, [[[0]], [[0, 1], [1]]], {})
+    for query in (
+        lambda blocks: exact_solver("max").block_values(inst, blocks),
+        lambda blocks: signed_join("max", unit, blocks, {}),
+    ):
+        with pytest.raises(ContractError, match="one list of blocks per family"):
+            query([[[0]]])

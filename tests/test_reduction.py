@@ -1237,6 +1237,29 @@ def test_lift_rule_gives_the_optimum_under_exact_and_approximate_scores(data):
     assert clean_rank is None or stats["dirty"] == clean_rank - 1 == dirty
 
 
+def test_default_cap_exceeds_the_dirty_combinations_of_both_orientations():
+    # with one relation as a cross atom in both orientations each record
+    # marks two group pairs, so more than K - 1 = m combinations can be
+    # dirty; the default cap still passes them all, so it reaches c*
+    rng = random.Random(79)
+    for trial in range(30):
+        n = rng.randint(30, 60)
+        records = {(rng.randrange(n), rng.randrange(n)) for _ in range(n)}
+        structure = build_structure([f"o{v}" for v in range(n)], {"E0": records}, {"E0": 2})
+        kind = rng.choice(["max", "min"])
+        formula = parse_formula(
+            f"{kind} x1,x2 . count y1 . !E0(x1,x2) & !E0(x2,x1) & E0(x1,y1)"
+        )
+        got, stats, plan, _ = _lift_route(structure, formula, exact_solver(kind))
+        groups = plan.grouping.partition.groups
+        group_of = {v: gi for gi, group in enumerate(groups) for v in group}
+        dirty = {(group_of[a], group_of[b]) for a, b in records}
+        dirty |= {(gb, ga) for ga, gb in dirty}
+        assert stats["top_k"] > len(dirty), f"trial {trial}"
+        assert stats["clean_rank"] is not None, f"trial {trial}"
+        assert got == baseline_opt(structure, formula), f"trial {trial}"
+
+
 @st.composite
 def hub_instances(draw):
     """k=2 instances over 20-36 objects: the sparse records of
@@ -1492,7 +1515,7 @@ def test_lift_scores_sparse_sets_without_ip_solves():
         _, core = split_cross_atoms(plan.main_core)
         instances = [inst for inst, _ in to_hybrid(plan.main_structure, core)]
         m_h = sum(inst.m_h for inst in instances)
-        m_ip = sum(len(v) for inst in instances for fam in inst.ip_families for v in fam)
+        m_ip = sum(inst.ip.m_ip for inst in instances)
         want = baseline_opt(structure, formula)
         for solver in (exact_solver(kind), approx_wrapper(exact_solver(kind), 2.0)):
             value, trace = reduce_and_solve(structure, formula, solver)
