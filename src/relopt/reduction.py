@@ -39,8 +39,8 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
-from typing import Callable, Mapping, Sequence
+from itertools import chain, islice, product
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .baseline import (
     OptResult,
@@ -387,39 +387,19 @@ def _dirty_pairs(
     return out
 
 
-def _select_combinations(
-    kind: str,
-    scores: Sequence[int | None],
-    g: int,
-    k: int,
-    dirty: DirtyPairs,
-    ratio: float,
-    top_k: int,
-) -> tuple[list[tuple[int, ...]], int | None, int]:
-    """The combinations the lift re-solves by its rule (see
-    ``solve_cross_free_lift``), best first; the rank of the first clean one
-    from 1, or None; and the number of scored combinations.  The ranking is
-    a heap of (signed score, index), the index being the combination's
-    position in ``itertools.product`` order, which is combination order."""
+def _ranked(
+    kind: str, scores: Sequence[int | None], g: int, k: int
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The scored combinations as (score, combination), best score first and
+    ties in combination order, popped lazily from one heap of (signed score,
+    index), the index being the combination's position in
+    ``itertools.product`` order."""
     sign = -1 if kind == "max" else 1
     heap = [(sign * value, i) for i, value in enumerate(scores) if value is not None]
     heapq.heapify(heap)
-    combos = len(heap)
-    selected: list[tuple[int, ...]] = []
-    clean: tuple[int, int] | None = None  # (S*, c*'s first group)
-    clean_rank = None
-    while heap and len(selected) < top_k:
+    while heap:
         key, i = heapq.heappop(heap)
-        combo = _combo_of(i, g, k)
-        if clean is None:
-            if not any(
-                (combo[a], combo[b]) in pairs for (a, b), pairs in dirty.items()
-            ):
-                clean, clean_rank = (sign * key, combo[0]), len(selected) + 1
-        elif not _may_reach(kind, sign * key, combo[0], clean, ratio):
-            break
-        selected.append(combo)
-    return selected, clean_rank, combos
+        yield sign * key, _combo_of(i, g, k)
 
 
 def _combo_of(index: int, g: int, k: int) -> tuple[int, ...]:
@@ -432,15 +412,15 @@ def _combo_of(index: int, g: int, k: int) -> tuple[int, ...]:
 
 
 def _may_reach(
-    kind: str, score: int, first: int, clean: tuple[int, int], ratio: float
+    kind: str, score: int, first: int, bar: tuple[int, int], ratio: float
 ) -> bool:
-    """Whether a combination ranked after c* may hold the lift's answer: with
-    an exact scorer a tie at S* in c*'s first group, with a c-approximate one
-    any score within the ratio of S*."""
-    best, clean_first = clean
-    if ratio == 1:
-        return score == best and first == clean_first
-    return score * ratio >= best if kind == "max" else score <= ratio * best
+    """Whether a combination of this score and first group may beat or tie
+    the bar (B, the group of w's x1): its guarded optimum is at most
+    score·ratio for max and at least score/ratio for min, and a tie needs
+    its first group not after w's."""
+    best, bar_first = bar
+    low, high = (best, score * ratio) if kind == "max" else (score, ratio * best)
+    return high > low or high == low and first <= bar_first
 
 
 def solve_cross_free_lift(
@@ -480,47 +460,59 @@ def solve_cross_free_lift(
     optimization variables) falls between its groups in the atom's slots,
     and *clean* otherwise.  Every tuple of a clean combination carries no
     side atom, so its guarded optimum is the core's optimum over it.  The
-    combinations are ranked lazily, best score first and ties in
-    combination order, until the rule is met.  Let c* be the first clean
-    one and S* its score.
-    - Exact scorer (``ratio`` 1): re-solve every combination ranked before
-      c*, c* and the combinations tied at S* that share c*'s first group.
-      For max, a combination's guarded optimum is at most its score and
-      c*'s is S*, so one ranked after c* beats S* never and ties it only if
-      its score is S*.  Such a tie comes after c* in combination order; if
-      its first group differs from c*'s, that group is a later run of the
-      sorted objects, so each of its tuples has a larger x1 than c*'s
-      witness.  For min, a guarded optimum is at least the score, and the
-      same argument holds with every inequality reversed.
-    - c-approximate scorer: c*'s guarded optimum is its core optimum, at
-      least S* for max, and any combination's guarded optimum is at most
-      its core optimum, at most score·c.  So only a combination with
-      ``score·c >= S*`` can reach c*'s; for min, with every inequality
-      reversed, only one with ``score <= c·S*``.  Re-solve every ranked
-      combination that can, ties included.
-    The selection is capped at ``top_k``; where no clean combination is
-    ranked within the cap, the top ``top_k`` are re-solved.  ``top_k`` is
-    overridden by tests only.  The default cap is min(g^k, max(K, D + 1)),
-    D being g^(k-2) times the group pairs that side records mark, summed
-    over the side atoms' slot pairs.  A marked pair is dirty in g^(k-2)
-    combinations, so at most D combinations are dirty and the cap reaches
-    c* wherever a clean combination is scored; where none is, it covers
-    every scored combination.  (K alone does not suffice: with one relation
-    as a cross atom in both orientations each record marks two pairs, up
-    to 2m dirty combinations for k=2 against K - 1 = m.)
+    combinations are ranked lazily from one heap, best score first and ties
+    in combination order.  Let c* be the first clean one and S* its score.
+    - The bar.  The lift compares the other combinations with (B, w), the
+      value and least witness of one of its candidates.  Under an exact
+      scorer (``ratio`` 1) that candidate is c*'s re-solve, known before it
+      runs: c*'s guarded optimum is its core optimum S*, and its least
+      witness lies in c*'s first group, so B = S* with no extra query.
+      Under a c-approximate scorer c* is re-solved on its own first (one
+      query, over c*'s groups), and (B, w) is the best of the sides and c*.
+    - The cut.  For max, a combination's guarded optimum is at most its
+      core optimum, at most score·c.  So it can beat B only if
+      ``score·c > B``, and tie B only if ``score·c >= B``.  A tie also needs
+      a witness before w: if the combination's first group comes after the
+      group of w's x1, that group is a later run of the sorted objects, so
+      each of its tuples has a larger x1 than w.  For min, the guarded
+      optimum is at least score/c, and the same holds with every inequality
+      reversed: beat only if ``score < c·B``, tie only if ``score <= c·B``.
+      Every ranked combination other than a re-solved c*, before c* or
+      after it, is kept where it can beat (B, w), or tie it with its first
+      group not after w's.  The ranking stops at the first combination it
+      does not keep: each one ranked later has a worse score, which cannot
+      tie B either, or the same score and a first group no earlier.  The
+      kept combinations are re-solved in one query per slot prefix
+      (below).  Under an exact scorer this keeps every combination ranked
+      before c*, c* and the combinations tied at S* in c*'s first group.
+    The selection, c*'s own re-solve included, is capped at ``top_k``;
+    where no clean combination is ranked within the cap, the top ``top_k``
+    are re-solved.  ``top_k`` is overridden by tests only.  The default cap
+    is min(g^k, max(K, D + 1)), D being g^(k-2) times the group pairs that
+    side records mark, summed over the side atoms' slot pairs.  A marked
+    pair is dirty in g^(k-2) combinations, so at most D combinations are
+    dirty and the cap reaches c* wherever a clean combination is scored;
+    where none is, it covers every scored combination.  (K alone does not
+    suffice: with one relation as a cross atom in both orientations each
+    record marks two pairs, up to 2m dirty combinations for k=2 against
+    K - 1 = m.)
 
-    What this gives.  Once c* is re-solved the answer is within the ratio
-    of the optimum: for max, a combination that is not re-solved ranks
-    after c*, so its guarded optimum is at most score·c <= S*·c, and the
-    answer is at least c*'s guarded optimum, itself at least S*; for min
-    the same with every inequality reversed.  With an exact scorer that is
-    the exact value.  The answer is the exact optimum and least witness
-    of the lift's tuples only where the rule's set fits the cap.  Under a
-    c-approximate scorer it often does not: the rule compares with S*, and
-    the set of combinations with score·c >= S* fills the cap.  The fix is
-    to re-solve c* first and keep ranking only while a combination can
-    beat or tie its exact optimum V* >= S* (the ROADMAP item "Stop the
-    lift's re-solves at the exact value of c*").
+    What this gives.  The side queries cover every tuple that carries a
+    side atom, and every other tuple lies in exactly one combination.  The
+    answer is the best of the sides and the re-solves, so it is at least as
+    good as (B, w): a better value, or B with a witness no later than w.
+    Where the cap cuts nothing, a combination that is not re-solved has a
+    guarded optimum worse than B, or equal to B with every witness after
+    w; either way it changes neither the value nor the least witness.  So
+    wherever the kept set fits the cap, the answer is the exact optimum
+    and least witness of the input, under a c-approximate scorer too.  The cap itself
+    drops only combinations ranked after c*, since c* and the ones ranked
+    before it number at most ``top_k``.  For max, such a combination's
+    guarded optimum is at most score·c <= S*·c, and the answer is at least
+    c*'s guarded optimum, itself at least S*; for min the same with every
+    inequality reversed.  So the answer is always within the ratio of the
+    optimum once c* is reached, and with an exact scorer it is the exact
+    value.
 
     Degrees do not enter this argument.  It needs only that the groups are
     disjoint contiguous runs of the sorted objects (the tie step) and that
@@ -538,8 +530,9 @@ def solve_cross_free_lift(
     queries (the hyperedge-removal stage counts the plan's guard atoms),
     ``dirty`` the dirty combinations ranked before c* (all those ranked,
     where none is clean), ``clean_rank`` is c*'s rank from 1 (None where
-    none is clean within the cap), ``resolves`` the re-solved combinations
-    and ``resolve_queries`` their exact queries.
+    none is clean within the cap), ``bar`` is B (None where c* is not
+    reached), ``resolves`` the re-solved combinations and
+    ``resolve_queries`` their exact queries, c*'s own included.
     """
     structure, formula = plan.main_structure, plan.formula
     k = formula.k
@@ -559,7 +552,7 @@ def solve_cross_free_lift(
     )
     score = prepare(structure, core) if groups else None
 
-    # one evaluator of the formula answers steps (1) and (3); on the tuples
+    # one evaluator of the formula answers steps (1), (4) and (5); on the tuples
     # that pass full_guard every hyperedge and cross atom is false, so there
     # the formula is the core
     evaluator = PreparedBaseline(structure, formula)
@@ -581,25 +574,67 @@ def solve_cross_free_lift(
             # each marked group pair is dirty in g^(k-2) combinations
             marked = sum(map(len, dirty.values())) * len(groups) ** max(k - 2, 0)
             top_k = min(grouping.combos, max(grouping.bound, marked + 1))
-        selected, clean_rank, combos = _select_combinations(
-            formula.kind, scores, len(groups), k, dirty, ratio, top_k
-        )
+        kind = formula.kind
+        ranked = _ranked(kind, scores, len(groups), k)
 
-        # (3) exact re-solve of the selected combinations under the guard, one
+        # (3) rank up to c*, the first clean combination within the cap
+        before: list[tuple[int, tuple[int, ...]]] = []
+        clean = None
+        for scored in islice(ranked, top_k):
+            combo = scored[1]
+            if not any(
+                (combo[a], combo[b]) in pairs for (a, b), pairs in dirty.items()
+            ):
+                clean = scored
+                break
+            before.append(scored)
+
+        # (4) the bar (B, w), then the kept combinations: without c*, the top
+        # top_k
+        selected = [combo for _, combo in before]
+        bar = None  # (B, the group of w's x1)
+        solo = 0  # c*'s own re-solve query
+        if clean is not None:
+            if ratio == 1:
+                # c*'s guarded optimum is S* and its least witness lies in its
+                # first group: c* is the bar, re-solved with the kept ones
+                bar = (clean[0], clean[1][0])
+                queue = before + [clean]
+            else:
+                solo = 1
+                domains = {var: groups[ci] for var, ci in zip(formula.opt_vars, clean[1])}
+                candidates.append(("resolve", evaluator.opt(domains, full_guard)))
+                so_far = combine_results(kind, [res for _, res in candidates])
+                x1 = so_far.witness[0]
+                w_group = next(gi for gi, group in enumerate(groups) if x1 <= group[-1])
+                bar = (so_far.value, w_group)
+                queue = before
+            # the stream is in rank order, so past the first combination that
+            # is not kept none is
+            selected = []
+            for value, combo in chain(queue, ranked):
+                if solo + len(selected) == top_k or not _may_reach(
+                    kind, value, combo[0], bar, ratio
+                ):
+                    break
+                selected.append(combo)
+
+        # (5) exact re-solve of the kept combinations under the guard, one
         # query per prefix combo[:-1]: the last slot's domain is the union of
-        # the prefix's selected groups, which are disjoint, so the query covers
+        # the prefix's kept groups, which are disjoint, so the query covers
         # exactly the tuples of those combinations, and its best value and
         # least witness are those of their per-combination optima
         last_groups: dict[tuple[int, ...], list[int]] = {}
         for combo in selected:
             last_groups.setdefault(combo[:-1], []).append(combo[-1])
         stats.update(
-            combos=combos,
+            combos=len(scores) - scores.count(None),
             top_k=top_k,
-            dirty=len(selected) if clean_rank is None else clean_rank - 1,
-            clean_rank=clean_rank,
-            resolves=len(selected),
-            resolve_queries=len(last_groups),
+            dirty=len(before),
+            clean_rank=None if clean is None else len(before) + 1,
+            bar=None if bar is None else bar[0],
+            resolves=solo + len(selected),
+            resolve_queries=solo + len(last_groups),
         )
         *prefix_vars, last_var = formula.opt_vars
         for prefix, lasts in last_groups.items():

@@ -1,5 +1,7 @@
+import math
 import random
 from itertools import product
+from typing import NamedTuple
 from unittest import mock
 
 import pytest
@@ -13,6 +15,7 @@ from relopt.baseline import (
     baseline_values,
     guard_holds,
     naive_values,
+    opt_of_table,
 )
 from relopt.errors import ContractError, ResourceLimitError
 from relopt.formula import And, Atom, Not, Or, atoms_of, parse_expr, parse_formula
@@ -595,25 +598,43 @@ CYCLE_BODIES = (
 )
 
 
-def _rule_combinations(structure, formula, scores, top_k, guard=(), ratio=1.0):
-    """The group combinations the lift re-solves, recomputed from the scores
-    and the records: rank the scored combinations best first, ties by the
-    least combination; c* is the first one within top_k all of whose tuples
-    pass the guard with every cross atom false, S* its score.  Keep the
-    ranking through c* and on while a combination can still hold the answer
-    (exact: a tie at S* in c*'s first group; c-approximate: a score within
-    the ratio of S*), then cap at top_k.  Without c*, the top top_k.
-    Returns the combinations and c*'s rank from 1, or None."""
-    cross, _ = split_cross_atoms(formula)
-    full_guard = tuple(guard) + tuple((a, False) for a in cross)
+class Rule(NamedTuple):
+    """The lift's re-solves by its rule: the combinations (c*'s own re-solve
+    first where it has one), the exact queries, c*'s rank from 1 (None where
+    it is not within the cap), the bar B, and whether the rule's set fits
+    the cap."""
+
+    combos: list
+    queries: int
+    clean_rank: int | None
+    bar: int | None
+    fits: bool
+
+
+def _rule_combinations(plan, scores, top_k, ratio=1.0):
+    """The lift's re-solves, recomputed from the scores, the records and
+    brute-force optima.  Rank the scored combinations best first, ties by
+    the least combination; c* is the first one within top_k all of whose
+    tuples pass the plan's guard with every cross atom false, S* its score.
+    The bar (B, w) is (S*, c*'s least witness) under an exact scorer, and
+    otherwise the naive optimum and least witness over the tuples that fail
+    that guard and c*'s, c* being re-solved on its own.  Keep a ranked
+    combination other than that re-solved c* while its score can still tie
+    B, if it can beat B or its first group is not after the group of w's
+    x1; cap the re-solves at top_k.  Without c*, the top top_k.  The
+    queries are one per slot prefix of the kept combinations, plus c*'s.
+    The set fits the cap where the cap cuts none of it."""
+    structure, formula = plan.main_structure, plan.formula
+    cross, _ = split_cross_atoms(plan.main_core)
+    full_guard = tuple(plan.main_guard) + tuple((a, False) for a in cross)
     groups = lift_grouping(structure, formula.k).partition.groups
     is_max = formula.kind == "max"
-    sign = -1 if is_max else 1
     ranked = sorted(
-        (sign * value, combo)
+        ((-value if is_max else value, combo), value)
         for combo, value in zip(product(range(len(groups)), repeat=formula.k), scores)
         if value is not None
     )
+    ranked = [(value, combo) for (_, combo), value in ranked]
 
     def clean(combo):
         return all(
@@ -623,18 +644,49 @@ def _rule_combinations(structure, formula, scores, top_k, guard=(), ratio=1.0):
 
     star = next((r for r, (_, c) in enumerate(ranked[:top_k]) if clean(c)), None)
     if star is None:
-        return [combo for _, combo in ranked[:top_k]], None
-    best, first = sign * ranked[star][0], ranked[star][1][0]
+        top = [combo for _, combo in ranked[:top_k]]
+        return Rule(top, len({c[:-1] for c in top}), None, None, len(ranked) <= top_k)
+    s_star, c_star = ranked[star]
+    if ratio == 1:
+        bar, bar_group, solo = s_star, c_star[0], []
+    else:
+        values = _side_and_combo_values(plan, full_guard, groups, c_star)
+        bar, w = opt_of_table(values, formula.kind)
+        bar_group = next(gi for gi, group in enumerate(groups) if w[0] in group)
+        solo = [c_star]
+    kept = []
+    for value, combo in ranked[:star] + ranked[star + len(solo):]:
+        # the combination's guarded optimum is at most value·c (max), at
+        # least value/c (min)
+        beat = value * ratio > bar if is_max else value < ratio * bar
+        tie = value * ratio >= bar if is_max else value <= ratio * bar
+        if not tie:
+            break
+        if beat or combo[0] <= bar_group:
+            kept.append(combo)
+    capped = kept[: top_k - len(solo)]
+    return Rule(
+        solo + capped,
+        len(solo) + len({c[:-1] for c in capped}),
+        star + 1,
+        bar,
+        len(solo) + len(kept) <= top_k,
+    )
 
-    def may_hold(value, combo):
-        if ratio == 1:
-            return value == best and combo[0] == first
-        return value * ratio >= best if is_max else value <= ratio * best
 
-    end = star + 1
-    while end < len(ranked) and may_hold(sign * ranked[end][0], ranked[end][1]):
-        end += 1
-    return [combo for _, combo in ranked[: min(end, top_k)]], star + 1
+def _side_and_combo_values(plan, full_guard, groups, combo):
+    """The naive values of ``plan.formula`` over the tuples that carry a side
+    atom of ``full_guard`` and over the combination's tuples."""
+    structure, formula = plan.main_structure, plan.formula
+    values = naive_values(
+        structure, formula, dict(zip(formula.opt_vars, (groups[ci] for ci in combo)))
+    ).entries
+    for atom, _ in full_guard:
+        for rec in structure.relation(atom.pred).records:
+            # every tuple with the atom's variables at the record
+            domains = {var: [x] for var, x in zip(atom.args, rec)}
+            values.update(naive_values(structure, formula, domains).entries)
+    return values
 
 
 def _lift_scores(structure, formula, solver):
@@ -657,18 +709,19 @@ def test_trace_counts_heavy_solves_resolves_and_ip_calls(monkeypatch):
     monkeypatch.setattr(PreparedBaseline, "opt", counting_opt)
     structure = _cycle_structure()
     seen = set()
-    for text in CYCLE_BODIES:
+    for text, c in product(CYCLE_BODIES, (1, 2)):
         formula = parse_formula(text)
-        exact = exact_solver(formula.kind)
+        plan = remove_hyperedges(structure, formula)
+        scorer = approx_wrapper(exact_solver(formula.kind), c)
         ip_calls = []
 
-        def solve(instance, exact=exact):
+        def solve(instance, scorer=scorer):
             ip_calls.append(instance)
-            return exact.solve(instance)
+            return scorer.solve(instance)
 
         opt_calls.clear()
         _, trace = reduce_and_solve(
-            structure, formula, IpSolver(exact.kind, exact.ratio, solve)
+            structure, formula, IpSolver(scorer.kind, scorer.ratio, solve)
         )
         stages = dict(trace.stages)
         lift = stages["cross-free-lift"]
@@ -678,42 +731,41 @@ def test_trace_counts_heavy_solves_resolves_and_ip_calls(monkeypatch):
         # their own
         assert lift["heavy"] and "heavy_solves" not in lift
         # the re-solved combinations are the rule's, recomputed from the
-        # scores and the records, within the cap
-        scores = _lift_scores(structure, formula, exact)
-        rule, clean_rank = _rule_combinations(structure, formula, scores, lift["top_k"])
-        assert lift["resolves"] == len(rule) <= lift["top_k"]
-        assert lift["resolve_queries"] == len({c[:-1] for c in rule})
-        assert (lift["clean_rank"], lift["dirty"]) == (clean_rank, clean_rank - 1)
+        # scores, the records and brute-force optima, within the cap; under
+        # the approximate scorer c*'s own re-solve is one more query
+        scores = _lift_scores(structure, formula, scorer)
+        rule = _rule_combinations(plan, scores, lift["top_k"], c)
+        assert lift["resolves"] == len(rule.combos) <= lift["top_k"]
+        assert lift["resolve_queries"] == rule.queries
+        assert lift["bar"] == rule.bar is not None
+        assert (lift["clean_rank"], lift["dirty"]) == (rule.clean_rank, rule.clean_rank - 1)
         # a cross atom's side problem is one query
         cross, _ = split_cross_atoms(formula)
         assert lift["sides"] == len(cross)
         assert len(opt_calls) == lift["resolve_queries"] + len(cross)
-        # an explicit top_k caps the rule's combinations; where no clean one
-        # is ranked within it, the top top_k are re-solved
+        # an explicit top_k caps the rule's combinations, c*'s own re-solve
+        # included; where no clean one is ranked within it, the top top_k
+        # are re-solved
         for top_k in (1, 3, 100):
             stats = {}
 
-            def prepare(s, f, exact=exact):
-                return HybridScorer(s, f, exact)
+            def prepare(s, f, scorer=scorer):
+                return HybridScorer(s, f, scorer)
 
-            solve_cross_free_lift(
-                remove_hyperedges(structure, formula),
-                prepare,
-                top_k=top_k,
-                stats_out=stats,
-            )
-            rule, clean_rank = _rule_combinations(structure, formula, scores, top_k)
-            assert stats["resolves"] == len(rule) <= top_k
-            assert stats["clean_rank"] == clean_rank
-            if clean_rank is None:
+            solve_cross_free_lift(plan, prepare, top_k=top_k, stats_out=stats, ratio=c)
+            rule = _rule_combinations(plan, scores, top_k, c)
+            assert stats["resolves"] == len(rule.combos) <= top_k
+            assert (stats["clean_rank"], stats["bar"]) == (rule.clean_rank, rule.bar)
+            if rule.clean_rank is None:
                 assert stats["dirty"] == stats["resolves"] == top_k
-            # one query per prefix of the selected combinations
-            assert stats["resolve_queries"] == len({c[:-1] for c in rule})
-            seen.add((clean_rank, len(rule) < top_k))
-    # the rule stops short of the cap at a c* of rank 1 and of rank 3 (past
-    # two dirty ones), and at top_k 1 the second body has no clean
-    # combination within the cap
-    assert {(1, True), (3, True), (None, False)} <= seen
+            # one query per prefix of the kept combinations, plus c*'s
+            assert stats["resolve_queries"] == rule.queries
+            seen.add((c, rule.clean_rank, len(rule.combos) < top_k))
+    # under either scorer the rule stops short of the cap at a c* of rank 1
+    # and of rank 3 (past two dirty ones), and at top_k 1 the second body
+    # has no clean combination within the cap
+    cases = ((1, True), (3, True), (None, False))
+    assert {(c, rank, short) for c in (1, 2) for rank, short in cases} <= seen
 
 
 def _two_record_instance(rng, k, kind):
@@ -771,33 +823,39 @@ def test_batched_resolve_equals_one_query_per_selected_combination():
 
         # a random cap, or one just short of c*'s uncapped rank, where the
         # cap binds before the rule is met
-        _, star = _rule_combinations(structure, formula, scores, len(scores))
+        star = _rule_combinations(plan, scores, len(scores)).clean_rank
         top_k = rng.choice(
             [1, rng.randint(2, 6), rng.randint(1, max(1, grouping.combos))]
             + ([star - 1] if star and star > 1 else [])
         )
-        stats = {}
-        got = solve_cross_free_lift(plan, prepare, top_k=top_k, stats_out=stats)
-
         guard = tuple((a, False) for a in cross)
-        rule, clean_rank = _rule_combinations(structure, formula, scores, top_k)
-        resolved = [
-            evaluator.opt(
-                {v: groups[ci] for v, ci in zip(formula.opt_vars, combo)}, guard
-            )
-            for combo in rule
-        ]
         # top_k=0: the side problems only
         rest = solve_cross_free_lift(plan, prepare, top_k=0)
-        want = combine_results(kind, [rest] + resolved)
-        assert got == want, f"trial {trial} top_k {top_k} {formula}"
-        if groups:
-            assert stats["resolves"] == len(rule) <= top_k
-            assert stats["resolve_queries"] == len({c[:-1] for c in rule})
-            assert stats["clean_rank"] == clean_rank
-            pruned += stats["resolves"] < stats["combos"]
-            batched += stats["resolve_queries"] < stats["resolves"]
-            capped += clean_rank is None
+        # ratio 2 re-solves c* on its own first, and its cut compares with the
+        # best of the sides and c*
+        for ratio in (1, 2):
+            stats = {}
+            got = solve_cross_free_lift(
+                plan, prepare, top_k=top_k, stats_out=stats, ratio=ratio
+            )
+            rule = _rule_combinations(plan, scores, top_k, ratio)
+            resolved = [
+                evaluator.opt(
+                    {v: groups[ci] for v, ci in zip(formula.opt_vars, combo)}, guard
+                )
+                for combo in rule.combos
+            ]
+            want = combine_results(kind, [rest] + resolved)
+            assert got == want, f"trial {trial} top_k {top_k} ratio {ratio} {formula}"
+            if not groups:
+                continue
+            assert stats["resolves"] == len(rule.combos) <= top_k
+            assert stats["resolve_queries"] == rule.queries
+            assert (stats["clean_rank"], stats["bar"]) == (rule.clean_rank, rule.bar)
+            if ratio == 1:
+                pruned += stats["resolves"] < stats["combos"]
+                batched += stats["resolve_queries"] < stats["resolves"]
+                capped += rule.clean_rank is None
     assert pruned > 50 and batched > 25 and capped, (pruned, batched, capped)
 
 
@@ -1041,8 +1099,10 @@ def test_lift_indexes_relations_independently_of_top_k(monkeypatch):
                 top_k=top_k,
                 stats_out=stats,
             )
-            rule, _ = _rule_combinations(structure, formula, scores, stats["top_k"])
-            assert stats["resolves"] == len(rule) <= stats["top_k"], text
+            rule = _rule_combinations(
+                remove_hyperedges(structure, formula), scores, stats["top_k"]
+            )
+            assert stats["resolves"] == len(rule.combos) <= stats["top_k"], text
             runs[top_k] = (len(built), stats["resolves"])
         # the rule re-solves more than one combination without the cap of 1,
         # and the evaluator indexes the same relations either way
@@ -1209,15 +1269,11 @@ def test_lift_rule_gives_the_optimum_under_exact_and_approximate_scores(data):
         if not scores:
             assert got == want, str(formula)
             continue
-        main = (plan.main_structure, plan.main_core)
-        top_k = stats["top_k"]
-        rule, clean_rank = _rule_combinations(
-            *main, scores, len(scores), plan.main_guard, solver.ratio
-        )
-        assert stats["resolves"] == min(len(rule), top_k) <= top_k
-        within = clean_rank is not None and clean_rank <= top_k
-        assert stats["clean_rank"] == (clean_rank if within else None)
-        if len(rule) <= top_k:
+        rule = _rule_combinations(plan, scores, stats["top_k"], solver.ratio)
+        assert stats["resolves"] == len(rule.combos) <= stats["top_k"]
+        assert stats["resolve_queries"] == rule.queries
+        assert (stats["clean_rank"], stats["bar"]) == (rule.clean_rank, rule.bar)
+        if rule.fits:
             assert got == want, f"{formula} ratio {solver.ratio}"
     if not scores:
         return
@@ -1225,16 +1281,93 @@ def test_lift_rule_gives_the_optimum_under_exact_and_approximate_scores(data):
     # scores that rank every dirty combination first: the rule's c* is the
     # first clean one past all of them, so the marking of every guard record
     # decides it
-    dirty_first, dirty = _dirty_first_scores(*main, plan.main_guard, scores)
+    dirty_first, dirty = _dirty_first_scores(
+        plan.main_structure, plan.main_core, plan.main_guard, scores
+    )
     stats = {}
     solve_cross_free_lift(
         plan, lambda s, f: (lambda groups: dirty_first), stats_out=stats
     )
-    rule, clean_rank = _rule_combinations(
-        *main, dirty_first, stats["top_k"], plan.main_guard
+    rule = _rule_combinations(plan, dirty_first, stats["top_k"])
+    assert (stats["resolves"], stats["clean_rank"]) == (len(rule.combos), rule.clean_rank)
+    assert rule.clean_rank is None or stats["dirty"] == rule.clean_rank - 1 == dirty
+
+
+def test_lift_cut_keeps_the_ties_that_can_hold_the_least_witness(monkeypatch):
+    # instances where the lift's answer sits in a combination that can only
+    # tie the bar, and where the first-group cut drops a possible tie.  Read
+    # with a strict ">" in place of the tie test (may-tie as may-beat), the
+    # lift misses the least witness on some of them; without the cut (every
+    # possible tie kept) it re-solves more than the rule on some, a count
+    # the oracle pins, though the answer stays the same there: a dropped cut
+    # only adds ties ranked after every combination that can beat the bar.
+    import relopt.reduction as reduction
+
+    real = reduction._may_reach
+    # a first group after every bar's never ties, one before every bar's
+    # always does
+    mutants = {
+        "strict": lambda kind, score, first, bar, ratio: real(
+            kind, score, math.inf, bar, ratio
+        ),
+        "no-cut": lambda kind, score, first, bar, ratio: real(kind, score, -1, bar, ratio),
+    }
+    rng = random.Random(1)
+    wrong = {1: 0, 2: 0}
+    more = {1: 0, 2: 0}
+    for trial in range(22):
+        kind = rng.choice(["max", "min"])
+        n = rng.randint(24, 36)
+        structure = build_structure(
+            [f"o{v}" for v in range(n)], _sparse_records(rng, n), SPARSE_ARITY
+        )
+        body = random_body_text(rng, ["x1", "x2"], ["y1"], ternary=rng.randint(0, 1))
+        formula = parse_formula(f"{kind} x1,x2 . count y1 . {body}")
+        want = baseline_opt(structure, formula)
+        for c in (1, 2):
+            solver = approx_wrapper(exact_solver(kind), c)
+            got, stats, plan, scores = _lift_route(structure, formula, solver)
+            assert got == want, f"trial {trial} ratio {c}"
+            if not scores:
+                continue
+            rule = _rule_combinations(plan, scores, stats["top_k"], c)
+            counts = (stats["resolves"], stats["resolve_queries"])
+            assert counts == (len(rule.combos), rule.queries)
+            with monkeypatch.context() as m:
+                m.setattr(reduction, "_may_reach", mutants["strict"])
+                wrong[c] += _lift_route(structure, formula, solver)[0] != want
+                m.setattr(reduction, "_may_reach", mutants["no-cut"])
+                mutant_stats = _lift_route(structure, formula, solver)[1]
+                more[c] += mutant_stats["resolves"] > stats["resolves"]
+    assert all(wrong.values()) and all(more.values()), (wrong, more)
+
+
+@given(sparse_prune_instances(), st.sampled_from([None, 1, 2, 8]))
+@settings(max_examples=40, deadline=None)
+def test_approximate_lift_is_exact_wherever_the_kept_set_fits_the_cap(instance, top_k):
+    # under a 2-approximate scorer the lift re-solves c* first and cuts at its
+    # exact bar: where the kept set fits the cap the answer is the oracle's
+    # (value, witness), and past it within the ratio of the optimum
+    structure, formula = instance
+    want = baseline_opt(structure, formula)
+    solver = approx_wrapper(exact_solver(formula.kind), 2)
+    plan = remove_hyperedges(structure, formula)
+    scores = _lift_scores(plan.main_structure, plan.main_core, solver)
+    stats = {}
+    got = solve_cross_free_lift(
+        plan, lambda s, f: (lambda groups: scores), top_k=top_k, stats_out=stats, ratio=2
     )
-    assert (stats["resolves"], stats["clean_rank"]) == (len(rule), clean_rank)
-    assert clean_rank is None or stats["dirty"] == clean_rank - 1 == dirty
+    rule = _rule_combinations(plan, scores, stats["top_k"], 2)
+    assert (stats["resolves"], stats["resolve_queries"]) == (len(rule.combos), rule.queries)
+    if rule.fits:
+        event("the kept set fits the cap")
+        assert got == want, str(formula)
+    elif rule.clean_rank is not None:
+        event("the cap cuts the kept set after c*")
+        if formula.kind == "max":
+            assert want.value / 2 <= got.value <= want.value, str(formula)
+        else:
+            assert want.value <= got.value <= want.value * 2, str(formula)
 
 
 def test_default_cap_exceeds_the_dirty_combinations_of_both_orientations():
@@ -1295,13 +1428,12 @@ def test_lift_groups_heavy_vertices_and_keeps_the_optimum(instance, c):
     for solver in (exact, approx_wrapper(exact, c)):
         got, stats, plan, scores = _lift_route(structure, formula, solver)
         assert stats["heavy"] > 0 and stats["source"] in (None, "side", "resolve")
-        # the re-solved combinations are the rule's, ties included
-        rule, _ = _rule_combinations(
-            plan.main_structure, plan.main_core, scores, len(scores),
-            plan.main_guard, solver.ratio,
-        )
-        assert stats["resolves"] == min(len(rule), stats["top_k"])
-        if len(rule) <= stats["top_k"]:
+        # the re-solved combinations are the rule's, ties included, and
+        # under the approximate scorer c*'s own re-solve
+        rule = _rule_combinations(plan, scores, stats["top_k"], solver.ratio)
+        assert stats["resolves"] == len(rule.combos)
+        assert stats["resolve_queries"] == rule.queries
+        if rule.fits:
             assert got == want, f"{formula} ratio {solver.ratio}"
             continue
         # a c-approximate rule past the cap K: with c* re-solved, the answer
