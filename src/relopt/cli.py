@@ -7,8 +7,8 @@ import sys
 import time
 from pathlib import Path
 
-from .baseline import OptResult, baseline_opt
-from .errors import ContractError, EngineError
+from .baseline import OptResult, PreparedBaseline, baseline_opt
+from .errors import EngineError
 from .fastcount import multi_counting_opt
 from .formula import And, Atom, check_schema, parse_formula
 from .generate import GenProfile, generate, generate_texts
@@ -39,7 +39,7 @@ ip instance file: 'dim D' then 'vec FAMILY COORD...' lines.
 hybrid dump: 'universe ID TAUBITS' then 'set FAMILY NAME ID...' lines.
 """
 
-ENGINES = ("auto", "baseline", "multicount", "reduction")
+ENGINES = ("auto", "baseline", "multicount")
 
 
 def _profile_from_args(args) -> GenProfile:
@@ -83,9 +83,47 @@ def _load(args):
     return structure, formula
 
 
-def _is_oracle_answer(res: OptResult | None, value, witness) -> bool:
-    """Whether an exact answer is the oracle's optimum and least witness."""
-    return (value, witness) == ((None, None) if res is None else tuple(res))
+def _run(engine: str, structure, formula, ip: str):
+    """One engine's answer: (value, trace, ratio).  ``auto`` runs the routing
+    pipeline with the IP solver ``ip`` names; ``baseline`` and ``multicount``
+    are forced and exact."""
+    if engine == "auto":
+        solver = make_ip_solver(formula.kind, ip)
+        value, trace = reduce_and_solve(structure, formula, solver)
+        return value, trace, solver.ratio
+    # a forced engine's trace: its stage and the source line
+    trace = ReductionTrace(path=engine)
+    if engine == "baseline":
+        trace.add("baseline", reason="forced")
+        res = baseline_opt(structure, formula)
+    else:
+        stats: dict = {}
+        res = multi_counting_opt(structure, formula, stats_out=stats)
+        trace.add("multicount", **stats)
+    value, trace = trace.answer(res, engine)
+    return value, trace, 1.0
+
+
+def _accepts(structure, formula, res: OptResult | None, value, witness, ratio) -> bool:
+    """Whether an answer passes against the oracle's ``res``.  Under an exact
+    solver (value, witness) must be the oracle's optimum and least witness.
+    Under ratio c the value is None exactly when the oracle's is; else it
+    lies within c of OPT on the right side, and it is the witness's own value."""
+    if ratio == 1.0:
+        return (value, witness) == ((None, None) if res is None else tuple(res))
+    if res is None or value is None:
+        return res is None and value is None
+    opt = res.value
+    if formula.kind == "max":
+        within = opt / ratio <= value <= opt
+    else:
+        within = opt <= value <= ratio * opt
+    if not within or witness is None:
+        return False
+    # the witness's own value: one query over singleton domains
+    domains = {x: (o,) for x, o in zip(formula.opt_vars, witness)}
+    at = PreparedBaseline(structure, formula).opt(domains)
+    return at is not None and at.value == value
 
 
 def _answer_text(structure, value, witness) -> str:
@@ -98,36 +136,18 @@ def cmd_solve(args) -> int:
     structure, formula = _load(args)
     out = sys.stdout
     started = time.perf_counter()
-    exact = True  # the forced engines are exact
-    if args.engine in ("baseline", "multicount"):
-        # a forced engine's trace: its stage and the source line
-        trace = ReductionTrace(path=args.engine)
-        if args.engine == "baseline":
-            trace.add("baseline", reason="forced")
-            res = baseline_opt(structure, formula)
-        else:
-            stats: dict = {}
-            res = multi_counting_opt(structure, formula, stats_out=stats)
-            trace.add("multicount", **stats)
-        value, trace = trace.answer(res, args.engine)
-    else:  # auto and reduction both run the routing pipeline
-        solver = make_ip_solver(formula.kind, args.ip)
-        exact = solver.ratio == 1.0
-        value, trace = reduce_and_solve(structure, formula, solver)
-    witness, path = trace.witness, trace.path
+    value, trace, ratio = _run(args.engine, structure, formula, args.ip)
+    witness = trace.witness
     elapsed = time.perf_counter() - started
     _emit(out, "engine", args.engine)
-    _emit(out, "path", path)
+    _emit(out, "path", trace.path)
     _emit(out, "value", value if value is not None else "none")
     if witness is not None:
         _emit(out, "witness", " ".join(structure.labels[x] for x in witness))
     _emit(out, "seconds", f"{elapsed:.4f}")
     if args.verify:
         res = baseline_opt(structure, formula)
-        if exact:
-            ok = _is_oracle_answer(res, value, witness)
-        else:
-            ok = (res.value if res else None) == value
+        ok = _accepts(structure, formula, res, value, witness, ratio)
         _emit(out, "verified", "pass" if ok else "FAIL")
         if not ok:
             return 1
@@ -209,33 +229,19 @@ def cmd_gen(args) -> int:
 
 def cmd_verify(args) -> int:
     profile = _profile_from_args(args)
-    mismatches = []
+    mismatches = 0
     if args.seeds == 0:
         print("warning no seeds requested; vacuous pass")
     for seed in range(args.start_seed, args.start_seed + args.seeds):
         structure, formula = generate(seed, profile)
-        solver = make_ip_solver(formula.kind, args.ip)
-        if solver.ratio != 1.0 and not 0 < args.eps < 0.5:
-            raise ContractError("an approximate verify needs eps in (0, 1/2)")
-        value, trace = reduce_and_solve(structure, formula, solver)
+        value, trace, ratio = _run("auto", structure, formula, args.ip)
         res = baseline_opt(structure, formula)
-        opt = res.value if res else None
-        if solver.ratio == 1.0:
-            ok = _is_oracle_answer(res, value, trace.witness)
-        elif opt is None:
-            ok = value is None
-        else:
-            hi = solver.ratio + args.eps
-            if formula.kind == "max":
-                ok = value is not None and opt / hi <= value <= opt
-            else:
-                ok = value is not None and opt <= value <= hi * opt
-        if not ok:
-            mismatches.append((seed, value, opt))
+        if not _accepts(structure, formula, res, value, trace.witness, ratio):
+            mismatches += 1
             got = _answer_text(structure, value, trace.witness)
-            want = _answer_text(structure, opt, res.witness if res else None)
+            want = _answer_text(structure, *(res or (None, None)))
             print(f"mismatch seed {seed} got {got} expected {want}")
-    print(f"checked {args.seeds} seeds, mismatches {len(mismatches)}")
+    print(f"checked {args.seeds} seeds, mismatches {mismatches}")
     print(f"verified {'FAIL' if mismatches else 'pass'}")
     return 1 if mismatches else 0
 
@@ -246,34 +252,24 @@ def cmd_bench(args) -> int:
     for engine in engines:
         if engine not in ENGINES:
             raise EngineError(f"unknown engine {engine!r}; choose from {', '.join(ENGINES)}")
-    rows = []
-    for engine in engines:
-        total = 0.0
-        values = []
-        for seed in range(args.start_seed, args.start_seed + args.seeds):
-            structure, formula = generate(seed, profile)
+    totals = dict.fromkeys(engines, 0.0)
+    mismatches = []
+    for seed in range(args.start_seed, args.start_seed + args.seeds):
+        structure, formula = generate(seed, profile)
+        res = baseline_opt(structure, formula)  # the oracle, not timed
+        for engine in engines:
             started = time.perf_counter()
-            if engine == "baseline":
-                res = baseline_opt(structure, formula)
-                values.append(res.value if res else None)
-            elif engine == "multicount":
-                res = multi_counting_opt(structure, formula)
-                values.append(res.value if res else None)
-            else:  # auto and reduction both run the routing pipeline
-                solver = make_ip_solver(formula.kind, args.ip)
-                value, _ = reduce_and_solve(structure, formula, solver)
-                values.append(value)
-            total += time.perf_counter() - started
-        rows.append((engine, total, values))
+            value, trace, ratio = _run(engine, structure, formula, args.ip)
+            totals[engine] += time.perf_counter() - started
+            if not _accepts(structure, formula, res, value, trace.witness, ratio):
+                mismatches.append(f"mismatch engine={engine} seed={seed}")
     print(f"{'engine':<12} {'seconds':>10} {'per-instance':>14}")
-    for engine, total, _ in rows:
+    for engine, total in totals.items():
         per = total / max(args.seeds, 1)
         print(f"{engine:<12} {total:>10.3f} {per:>14.4f}")
-    first = rows[0][2]
-    for engine, _, values in rows[1:]:
-        if values != first and all(v is not None for v in first + values):
-            print(f"note {engine} disagrees with {rows[0][0]} on some seeds")
-    return 0
+    for line in mismatches:
+        print(line)
+    return 1 if mismatches else 0
 
 
 def main(argv=None) -> int:
@@ -291,11 +287,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("solve", help="solve one instance")
     p.add_argument("--structure", required=True)
     p.add_argument("--formula", required=True)
-    p.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="auto",
-    )
+    p.add_argument("--engine", choices=ENGINES, default="auto")
     p.add_argument("--ip", default="exact", help="'exact' or 'approx:<c>'")
     p.add_argument("--trace", default=None, help="write the stage trace ('-' = stdout)")
     p.add_argument("--verify", action="store_true", help="cross-check with the baseline")
@@ -317,10 +309,6 @@ def main(argv=None) -> int:
     p.add_argument("--seeds", type=int, required=True)
     p.add_argument("--start-seed", type=int, default=0)
     p.add_argument("--ip", default="exact")
-    p.add_argument(
-        "--eps", type=float, default=0.1,
-        help="approximate runs must land within ratio c+eps of the baseline",
-    )
     _add_profile_flags(p)
     p.set_defaults(func=cmd_verify)
 

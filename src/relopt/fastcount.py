@@ -124,21 +124,17 @@ def _count_all_triangles(g: TripartiteGraph) -> list[int]:
 
     deg = [[0] * g.nx, [0] * g.ny, [0] * g.nz]
     n_xy: dict[int, list[int]] = {}
-    n_yx: dict[int, list[int]] = {}
     n_xz: dict[int, list[int]] = {}
-    n_zx: dict[int, list[int]] = {}
     n_yz: dict[int, list[int]] = {}
     n_zy: dict[int, list[int]] = {}
     for i, j in g.xy:
         deg[0][i] += 1
         deg[1][j] += 1
         n_xy.setdefault(i, []).append(j)
-        n_yx.setdefault(j, []).append(i)
     for i, j in g.xz:
         deg[0][i] += 1
         deg[2][j] += 1
         n_xz.setdefault(i, []).append(j)
-        n_zx.setdefault(j, []).append(i)
     for i, j in g.yz:
         deg[1][i] += 1
         deg[2][j] += 1
@@ -171,18 +167,8 @@ def _count_all_triangles(g: TripartiteGraph) -> list[int]:
         for y in n_zy.get(z, ()):
             if y in heavy_y and (x, y) in xy:
                 counts[x] += 1
-    # heavy y, heavy z, light x
+    # heavy y, heavy z, any x
     for x in range(g.nx):
-        if x in heavy_x:
-            continue
-        ys = [y for y in n_xy.get(x, ()) if y in heavy_y]
-        zs = [z for z in n_xz.get(x, ()) if z in heavy_z]
-        for y in ys:
-            for z in zs:
-                if (y, z) in yz:
-                    counts[x] += 1
-    # all heavy
-    for x in heavy_x:
         ys = [y for y in n_xy.get(x, ()) if y in heavy_y]
         zs = [z for z in n_xz.get(x, ()) if z in heavy_z]
         for y in ys:
@@ -686,13 +672,11 @@ def multi_counting_opt(
         if doms[var]:
             del asn[var]
 
-    # make sure every optimization tuple has an entry even if all zero
-    opt_domains = [doms[x] for x in formula.opt_vars]
+    # every residual run counts each u of its domain, so each optimization
+    # tuple gets an entry, zero included
     result = None
-    if all(opt_domains):
+    if all(doms[x] for x in formula.opt_vars):
         rec(0, {})
-        for key in product(*opt_domains):
-            table.setdefault(key, 0)
         result = opt_of_table(table, formula.kind)
     if stats_out is not None:
         stats_out.update(

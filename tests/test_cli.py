@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import subprocess
 import sys
@@ -8,7 +9,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relopt.cli import main
+from relopt.baseline import OptResult, baseline_opt
+from relopt.cli import _accepts, main
+from relopt.formula import parse_formula
+from relopt.structure import load_structure
 
 TOY_STRUCTURE = "rel E 2\nrel F 2\nE a b\nF a 1\nF a 2\nF b 1\n"
 TOY_FORMULA = "max x1,x2 . count y . E(x1,x2) & F(x1,y)\n"
@@ -47,7 +51,7 @@ def test_solve_reduction_matches(toy_files, capsys):
             "solve",
             "--structure", str(s),
             "--formula", str(f),
-            "--engine", "reduction",
+            "--engine", "auto",
             "--ip", "exact",
             "--verify",
         ],
@@ -65,7 +69,7 @@ def test_solve_approx_interval(toy_files, capsys):
             "solve",
             "--structure", str(s),
             "--formula", str(f),
-            "--engine", "reduction",
+            "--engine", "auto",
             "--ip", "approx:2",
         ],
         capsys,
@@ -233,7 +237,7 @@ def test_verify_approx(capsys):
     code, out = run_main(
         [
             "verify", "--seeds", "6", "--n", "6", "--density", "0.25",
-            "--ip", "approx:2", "--eps", "0.1",
+            "--ip", "approx:2",
         ],
         capsys,
     )
@@ -267,25 +271,111 @@ def test_verify_checks_the_witness_of_an_exact_answer(
     )
     assert code == 1
     assert "mismatch seed 0 got " in out and out.endswith("verified FAIL\n")
-    # the approximate checks compare values only
+    # an approximate answer's witness must have the reported value: the
+    # toy's shifted witness (b, 1) has value 0, not 2
     code, out = run_main(
         ["solve", "--structure", str(s), "--formula", str(f), "--verify",
          "--ip", "approx:2"],
         capsys,
     )
-    assert code == 0 and "verified pass\n" in out
+    assert code == 1
+    assert "value 2\nwitness b 1\n" in out and "verified FAIL\n" in out
+    # of seeds 0-7, the shifted witness has another value on seeds 4 and 7
+    # only; every value is the oracle's
     code, out = run_main(
-        ["verify", "--seeds", "3", "--n", "6", "--density", "0.25", "--ip", "approx:2"],
+        ["verify", "--seeds", "8", "--n", "6", "--density", "0.25", "--ip", "approx:2"],
         capsys,
     )
-    assert code == 0 and out.endswith("verified pass\n")
+    assert code == 1
+    failed = [l.split()[2] for l in out.splitlines() if l.startswith("mismatch")]
+    assert failed == ["4", "7"] and out.endswith("verified FAIL\n")
 
 
-def test_verify_approx_rejects_large_eps():
-    code = main(
-        ["verify", "--seeds", "1", "--n", "6", "--ip", "approx:2", "--eps", "0.7"]
+def _load_instances():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "instances.py"
+    spec = importlib.util.spec_from_file_location("perfbench_instances", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_verify_passes_an_approximate_answer_below_the_optimum(tmp_path, capsys):
+    # slot 4 of the benchmark's lift-sparse-approx set at seed 5: the
+    # 2-approximate lift answers 1 where the optimum is 2, a valid
+    # 2-approximation that an exact-value check would fail
+    structure, formula = _load_instances().instance_texts(
+        "lift-sparse-approx", 5, count=5
+    )[4]
+    s, f = tmp_path / "inst.structure", tmp_path / "inst.formula"
+    s.write_text(structure)
+    f.write_text(formula)
+    assert baseline_opt(load_structure(structure), parse_formula(formula.strip())).value == 2
+    code, out = run_main(
+        ["solve", "--structure", str(s), "--formula", str(f),
+         "--ip", "approx:2", "--verify"],
+        capsys,
     )
-    assert code == 2
+    assert code == 0
+    assert "value 1\n" in out and "verified pass\n" in out
+
+
+# E(a,b) & F(a,.) counts 2 at (a, b), E(b,a) & F(b,.) counts 1 at (b, a);
+# !G(x1,.) counts 1 at a, 2 at b, 3 at c and 4 at d
+_GRADED = load_structure(
+    "rel E 2\nrel F 2\nrel G 2\nE a b\nE b a\nF a c\nF a d\nF b c\n"
+    "G a b\nG a c\nG a d\nG b c\nG b d\nG c d\n"
+)
+_MAX = parse_formula("max x1,x2 . count y . E(x1,x2) & F(x1,y)")
+_MIN = parse_formula("min x1,x2 . count y . !G(x1,y)")
+
+
+@pytest.mark.parametrize(
+    "formula, value, witness, ratio, ok",
+    [
+        (_MAX, 2, "a b", 1.0, True),
+        (_MAX, 1, "b a", 1.0, False),  # exact: only the optimum
+        (_MAX, 2, "a b", 2.0, True),
+        (_MAX, 1, "b a", 2.0, True),  # OPT/c <= 1
+        (_MAX, 1, "b a", 1.5, False),  # OPT/c > 1
+        (_MAX, 0, "a a", 2.0, False),
+        (_MAX, 1, "a b", 2.0, False),  # the witness counts 2, not 1
+        (_MAX, 3, "a b", 2.0, False),  # above OPT, so no witness counts it
+        (_MIN, 1, "a a", 1.0, True),
+        (_MIN, 1, "a b", 1.0, False),  # exact: only the least witness
+        (_MIN, 2, "b a", 2.0, True),  # 2 <= c*OPT
+        (_MIN, 2, "b a", 1.5, False),
+        (_MIN, 3, "c a", 2.0, False),
+        (_MIN, 2, "a a", 2.0, False),  # the witness counts 1, not 2
+        (_MIN, 0, "a a", 2.0, False),  # below OPT, so no witness counts it
+    ],
+)
+def test_accepts_is_the_one_answer_rule(formula, value, witness, ratio, ok):
+    res = baseline_opt(_GRADED, formula)
+    assert res.value == (2 if formula is _MAX else 1)
+    wit = tuple(_GRADED.labels.index(t) for t in witness.split())
+    assert _accepts(_GRADED, formula, res, value, wit, ratio) is ok
+
+
+@pytest.mark.parametrize("ratio", [1.0, 2.0])
+def test_accepts_no_answer_exactly_when_the_oracle_has_none(ratio):
+    assert _accepts(_GRADED, _MAX, None, None, None, ratio)
+    assert not _accepts(_GRADED, _MAX, None, 0, (0, 0), ratio)
+    assert not _accepts(_GRADED, _MAX, OptResult(2, (0, 1)), None, None, ratio)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--structure", "s", "--formula", "f", "--engine", "reduction"],
+        ["verify", "--seeds", "1", "--eps", "0.1"],
+    ],
+    ids=["engine-reduction", "verify-eps"],
+)
+def test_removed_options_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_verify_zero_seeds_warns(capsys):
@@ -310,8 +400,6 @@ def test_reduce_dumps(toy_files, capsys, tmp_path):
     assert ips
     assert "dim" in ips[0].read_text()
     # the dumped intermediate structures re-parse
-    from relopt.structure import load_structure
-
     load_structure((out_dir / "main.structure").read_text())
     load_structure((out_dir / "paralleled.structure").read_text())
 
@@ -320,10 +408,6 @@ def test_reduce_writes_each_cross_side_as_the_lift_solves_it(tmp_path, capsys):
     # the side of a cross atom is the formula over the tuples that carry it:
     # here the body forbids the atom, so the side scores 0, while the bare
     # atom would score n at any pair with an edge
-    from relopt.baseline import baseline_opt
-    from relopt.formula import parse_formula
-    from relopt.structure import load_structure
-
     s = tmp_path / "tri.structure"
     f = tmp_path / "tri.formula"
     s.write_text("rel E 2\nE a b\nE b c\nE c a\n")
@@ -349,6 +433,25 @@ def test_bench_runs(capsys):
     )
     assert code == 0
     assert "baseline" in out and "auto" in out
+    assert "mismatch" not in out
+
+
+def test_bench_fails_on_a_wrong_answer(monkeypatch, capsys):
+    import relopt.cli as cli
+
+    real = cli.reduce_and_solve
+
+    def off_by_one(structure, formula, solver):
+        value, trace = real(structure, formula, solver)
+        return (None if value is None else value + 1), trace
+
+    monkeypatch.setattr(cli, "reduce_and_solve", off_by_one)
+    code, out = run_main(
+        ["bench", "--seeds", "2", "--n", "5", "--engines", "baseline,auto"], capsys
+    )
+    assert code == 1
+    assert "mismatch engine=auto seed=0\n" in out
+    assert "mismatch engine=baseline" not in out
 
 
 @pytest.mark.parametrize("engines", ["foo,baseline", "", "baseline,"])
@@ -534,7 +637,7 @@ def test_cli_fuzz_exits_cleanly(data, files):
         f.write_bytes(files[1])
         command = data.draw(st.sampled_from(["solve", "reduce", "gen", "verify", "bench"]))
         if command == "solve":
-            engine = data.draw(st.sampled_from(["auto", "baseline", "multicount", "reduction"]))
+            engine = data.draw(st.sampled_from(["auto", "baseline", "multicount"]))
             argv = ["solve", "--structure", str(s), "--formula", str(f),
                     "--engine", engine, "--ip", data.draw(_IPS)]
             if data.draw(st.booleans()):
