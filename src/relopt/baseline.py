@@ -3,22 +3,38 @@ two with a color-decomposition count.
 
 The two-variable base case (u, w) colours each object by the truth of its
 unary-like atoms and counts, per u, the w objects that satisfy the body.
-Atoms that mention no assigned variable (such as ``P(y)``) colour the same
-objects in every base case, so a query colours them once and builds, per
-fixed-atom bit pattern, one static row: the count of every u of the domain
-from its static colour, with no atom over both u and w true and every w at
-its static colour.  A base case copies that row (or reads only the guarded u
-objects).  Each w that an atom with an assigned variable colours moves from
-its static colour to a richer one, which shifts the count of a whole static
-u colour class by the same amount; the shift is added only to the classes
-where it is nonzero.  Only the u objects such an atom colours are recounted.
-Last, each (u, w) pair that makes an atom over both true adds one memoized
-``phi(.., m) - phi(.., 0)``, keyed by its fixed, u, w and mixed bits, and a
-zero delta is skipped.  The pairs come from the records of those atoms,
+Atoms that mention no assigned variable hold for the same objects and pairs
+in every base case: ``P(y)`` colours the same w objects, and a mixed atom
+over u and w alone (lift-sparse's ``E0(x2,y1)``) holds for the same static
+pairs.  So a query colours them once and builds, per fixed-atom bit pattern,
+one row: the count of every u of the domain from its static colour with
+every w at its static colour, each static pair's delta
+``phi(.., m) - phi(.., 0)`` at those colours folded in, and the row's total.
+A base case then pays only for what its assignment moves:
+
+- each w that an atom with an assigned variable colours moves from its
+  static colour to a richer one, which shifts the count of a whole static u
+  colour class by the same amount (added only to the classes where it is
+  nonzero) and changes the delta of each of its static pairs, found through
+  a w -> static partners index built once per query;
+- each pair of a mixed atom with an assigned variable replaces the folded
+  delta of the pair (zero where it is not static) with the delta at its
+  full bits, the pair's static bits or-ed in;
+- each u that an atom with an assigned variable colours is recounted from
+  scratch, every pair of it walked.
+
+With one counting variable the base case copies the row and applies the
+shifts and corrections; with more, the caller needs only their sum, which is
+the row's total plus each class shift times the class size plus the
+corrections, with no per-u copy.  A query whose guard has a literal over u
+reads only a few u objects per base case, so it builds its rows without the
+static pairs and walks every pair of each u it reads instead of building the
+partners index.  The dynamic pairs come from the records of those atoms,
 indexed by the values of the leading variables and restricted to the
 query's domains once per index entry.  So a base case costs one dict copy
-plus time in the records its assignment selects and in the u classes it
-shifts, not in the domain of the counting variable.
+(none on the sum path) plus time in the records its assignment selects and
+in the u classes it shifts, not in the domain of the counting variable.
+
 This module is also the correctness oracle for everything else in the
 package.
 
@@ -170,22 +186,34 @@ class PreparedBaseline:
         self.w_static, self.w_dynamic = _split(
             ProjectedAtom(structure, a, assigned, (w,)) for a in self.w_atoms
         )
-        # per mixed atom, its fixed key and its (u, w) records indexed by the
-        # fixed key's values and then by u; a query restricts each entry it
-        # reads to its domains once
-        self.mixed_index = []
-        for a in self.mixed_atoms:
+        # per mixed atom, its (u, w) records as u -> w -> the atom's bit.  The
+        # atoms whose projection has no fixed variable hold for the same pairs
+        # in every base case and are merged into one map, the static pairs; a
+        # dynamic atom's records are indexed by its fixed key's values, and a
+        # query restricts each entry it reads to its domains once
+        static_pairs = []
+        self.mixed_dynamic = []
+        for i, a in enumerate(self.mixed_atoms):
             p = ProjectedAtom(structure, a, assigned, (u, w))
-            index: dict[tuple, dict[ObjectId, list[ObjectId]]] = {}
+            index: dict[tuple, dict[ObjectId, dict[ObjectId, int]]] = {}
             for key, pairs in p.by_fixed.items():
                 by_u = index[key] = {}
                 for uv, wv in pairs:
-                    by_u.setdefault(uv, []).append(wv)
-            self.mixed_index.append((p.fixed_key, index))
+                    by_u.setdefault(uv, {})[wv] = 1 << i
+            if p.fixed_key:
+                self.mixed_dynamic.append((p.fixed_key, index))
+            else:
+                static_pairs.append(index.get((), {}))
+        self.mixed_static = _merge_pairs(static_pairs)
         # keyed by the atom bit patterns that occur, so bounded by the queries
         self._phi_memo: dict[tuple, bool] = {}
+        self._delta_memo: dict[tuple, int] = {}
         # the applied form of each guard queried so far
         self._guards: dict[tuple[tuple[Atom, bool], ...], _Guard] = {}
+        # work counts since construction: base cases run, and the mixed-pair
+        # deltas they applied (the rows' folded deltas not included)
+        self.base_cases = 0
+        self.pair_deltas = 0
 
     def values(self, domains: Domains | None = None) -> ValueTable:
         """Val(x1,...,xk) for every optimization tuple over the domains."""
@@ -228,8 +256,9 @@ class PreparedBaseline:
     def _query(
         self, domains: Domains | None, guard: tuple[tuple[Atom, bool], ...]
     ) -> _Query:
-        """The domains, the static colours and classes, the applied guard and
-        the empty base-case caches of a query."""
+        """The domains, the static colours and classes, the applied guard,
+        the static pairs (and their partners index where the rows fold them)
+        and the empty base-case caches of a query."""
         doms = resolve_domains(self.structure, self.formula, domains)
         dom_u, dom_w = set(doms[self.u_var]), set(doms[self.w_var])
         u_color = _colors(self.u_static, {}, dom_u)
@@ -240,9 +269,19 @@ class PreparedBaseline:
         u_classes: dict[int, list[ObjectId]] = {}
         for uv in doms[self.u_var]:
             u_classes.setdefault(u_color.get(uv, 0), []).append(uv)
+        applied = self._guard(guard)
+        if domains is None or not {self.u_var, self.w_var} & set(domains):
+            static = self.mixed_static  # over every object: nothing to restrict
+        else:
+            static = _restrict(self.mixed_static, dom_u, dom_w)
+        partners: dict[ObjectId, dict[ObjectId, int]] = {}
+        if not applied.on_u:
+            for uv, m in static.items():
+                for wv, m_bits in m.items():
+                    partners.setdefault(wv, {})[uv] = m_bits
         return _Query(
-            doms, dom_u, dom_w, u_color, w_color, w_count, u_classes,
-            self._guard(guard), rows={}, counts={}, mixed={}, deltas={},
+            doms, dom_u, dom_w, u_color, w_color, w_count, u_classes, applied,
+            static, partners, rows={}, counts={}, mixed={},
         )
 
     def _guard(self, guard: tuple[tuple[Atom, bool], ...]) -> _Guard:
@@ -292,13 +331,23 @@ class PreparedBaseline:
         self._phi_memo[key] = out
         return out
 
+    def _delta(self, fixed_bits, u_bits, w_bits, m_bits) -> int:
+        """The change ``phi(.., m) - phi(.., 0)`` that one (u, w) pair with
+        mixed bits m makes to the count of u."""
+        key = (fixed_bits, u_bits, w_bits, m_bits)
+        hit = self._delta_memo.get(key)
+        if hit is None:
+            hit = self._delta_memo[key] = (
+                self._phi(*key) - self._phi(fixed_bits, u_bits, w_bits, 0)
+            )
+        return hit
+
     def _base_case(self, q: _Query, asn: dict[str, ObjectId]) -> dict[ObjectId, int]:
         """psi(u) = #{w : body} for every u in its domain that passes the
-        guard: a copy of the query's static row for the fixed bits, shifted
-        per static u colour class by the moves of the w objects with dynamic
-        bits, recounted at the u objects with dynamic bits and corrected by
-        one delta per mixed pair.  Empty, with nothing coloured, when a
-        positive u literal of the guard leaves no u."""
+        guard: a copy of the query's row for the fixed bits, shifted per
+        static u colour class and corrected per u as ``_moves`` says.  Empty,
+        with nothing coloured, when a positive u literal of the guard leaves
+        no u."""
         us = None
         if q.guard.on_u:
             us = q.doms[self.u_var]
@@ -311,95 +360,194 @@ class PreparedBaseline:
                         return {}
                 else:
                     us = [uv for uv in us if ((uv,) in hits) == want]
-        fixed_bits = 0
-        for i, a in enumerate(self.fixed_atoms):
-            if _atom_truth(self.structure, a, asn):
-                fixed_bits |= 1 << i
-        row = q.rows.get(fixed_bits)
-        if row is None:
-            row = q.rows[fixed_bits] = self._row(q, fixed_bits)
+        fixed_bits, row, _ = self._row(q, asn)
+        shifts, fix = self._moves(q, asn, fixed_bits, row, us)
         out = row.copy() if us is None else {uv: row[uv] for uv in us}
+        for u_bits, s in shifts.items():
+            for uv in q.u_classes[u_bits]:
+                if uv in out:
+                    out[uv] += s
+        for uv, c in fix.items():
+            out[uv] += c
+        return out
+
+    def _base_sum(self, q: _Query, asn: dict[str, ObjectId]) -> int:
+        """The sum of ``_base_case``'s counts, for a u with no guard: the
+        row's total plus each class shift times the class size plus the
+        corrections, with no per-u copy."""
+        fixed_bits, row, total = self._row(q, asn)
+        shifts, fix = self._moves(q, asn, fixed_bits, row, None)
+        for u_bits, s in shifts.items():
+            total += s * len(q.u_classes[u_bits])
+        return total + sum(fix.values())
+
+    def _moves(
+        self,
+        q: _Query,
+        asn: dict[str, ObjectId],
+        fixed_bits: int,
+        row: dict[ObjectId, int],
+        us: Sequence[ObjectId] | None,
+    ) -> tuple[dict[int, int], dict[ObjectId, int]]:
+        """What the assignment changes on the row: the nonzero shift of each
+        static u colour class, and per u of the output (``us``, or the whole
+        u domain when None) what to add to its row entry and class shift.
+
+        Each w with dynamic bits moves from its static colour to a richer
+        one, which shifts the count of every u by the same amount per u
+        colour.  A u with dynamic bits has another colour than its row
+        entry's: it is recounted and every pair of it walked.  Every pair of
+        each u of a query with a u guard, whose rows hold no pair deltas, is
+        walked too.  In a folded row only a pair the assignment moves needs
+        a correction, the delta at its full bits less the folded one at
+        static colours: a static pair of a moved w, found through the
+        w -> static partners index, and a pair of a dynamic mixed atom, with
+        the pair's static bits or-ed in.  Counts the base case and the pair
+        deltas it applies."""
         u_static, w_static = q.u_color, q.w_color
         u_extra = _colors(self.u_dynamic, asn, q.dom_u)
         w_extra = _colors(self.w_dynamic, asn, q.dom_w)
-
-        # each w with dynamic bits moves from its static colour to a richer
-        # one, which shifts the count of every u by the same amount per u colour
         moves: dict[tuple[int, int], int] = {}
         for wv, bits in w_extra.items():
             old = w_static.get(wv, 0)
             moves[old, old | bits] = moves.get((old, old | bits), 0) + 1
-        phi = self._phi
-        shifts: dict[int, int] = {}
+        phi, delta = self._phi, self._delta
+        shift_of: dict[int, int] = {}
 
         def shift(u_bits: int) -> int:
-            s = shifts.get(u_bits)
+            s = shift_of.get(u_bits)
             if s is None:
-                s = shifts[u_bits] = sum(
-                    c * (phi(fixed_bits, u_bits, new, 0) - phi(fixed_bits, u_bits, old, 0))
-                    for (old, new), c in moves.items()
-                )
+                s = 0
+                for (old, new), c in moves.items():
+                    s += c * (
+                        phi(fixed_bits, u_bits, new, 0) - phi(fixed_bits, u_bits, old, 0)
+                    )
+                shift_of[u_bits] = s
             return s
 
+        shifts = {}
         if moves:
-            for u_bits, members in q.u_classes.items():
+            for u_bits in q.u_classes:
                 s = shift(u_bits)
                 if s:
-                    for uv in members:
-                        if uv in out:
-                            out[uv] += s
-        # a u with dynamic bits has another colour than its row entry's
-        for uv, bits in u_extra.items():
-            if uv in out:
-                u_bits = u_static.get(uv, 0) | bits
-                out[uv] = self._class_count(q, fixed_bits, u_bits) + shift(u_bits)
-
-        # each pair of an output u that makes a mixed atom true moves from its
-        # colours' no-mixed-atom count to its own
-        pairs = self._pairs(q, asn)
-        if len(pairs) <= len(out):
-            walk = [(uv, m) for uv, m in pairs.items() if uv in out]
+                    shifts[u_bits] = s
+        dynamic = self._pairs(q, asn)
+        static = q.static
+        fix: dict[ObjectId, int] = {}
+        applied = 0
+        # the u objects recounted and, under a u guard, every u read: all
+        # their pairs are walked; per colour of a recounted u, its count less
+        # its class shift
+        recounts: dict[int, int] = {}
+        if us is None:
+            walked = u_extra.items()
         else:
-            walk = [(uv, pairs[uv]) for uv in out if uv in pairs]
-        deltas = q.deltas
-        for uv, m in walk:
-            u_bits = u_static.get(uv, 0) | u_extra.get(uv, 0)
-            memo = deltas.get((fixed_bits, u_bits))
-            if memo is None:
-                memo = deltas[fixed_bits, u_bits] = {}
-            total = 0
-            for wv, m_bits in m.items():
-                key = (w_static.get(wv, 0) | w_extra.get(wv, 0), m_bits)
-                d = memo.get(key)
-                if d is None:
-                    d = memo[key] = (
-                        phi(fixed_bits, u_bits, *key) - phi(fixed_bits, u_bits, key[0], 0)
+            walked = ((uv, u_extra.get(uv, 0)) for uv in us)
+        for uv, bits in walked:
+            base = u_static.get(uv, 0)
+            u_bits = base | bits
+            c = 0
+            if bits:
+                r = recounts.get(u_bits)
+                if r is None:
+                    r = recounts[u_bits] = (
+                        self._class_count(q, fixed_bits, u_bits)
+                        + shift(u_bits)
+                        - shift(base)
                     )
-                total += d
-            if total:
-                out[uv] += total
-        return out
+                c = r - row[uv]
+            pairs = static.get(uv)
+            own = dynamic.get(uv)
+            if own:
+                pairs = _or_bits(pairs, own) if pairs else own
+            if pairs:
+                for wv, m_bits in pairs.items():
+                    w_bits = w_static.get(wv, 0) | w_extra.get(wv, 0)
+                    c += delta(fixed_bits, u_bits, w_bits, m_bits)
+                applied += len(pairs)
+            if c:
+                fix[uv] = c
+        if us is None:
+            # a folded row: the static pairs of each moved w ...
+            partners = q.partners
+            for wv, bits in w_extra.items() if partners else ():
+                mine = partners.get(wv)
+                if mine is None:
+                    continue
+                old = w_static.get(wv, 0)
+                for uv, m_bits in mine.items():
+                    if uv in u_extra or wv in dynamic.get(uv, _NO_PAIRS):
+                        continue
+                    u_bits = u_static.get(uv, 0)
+                    d = delta(fixed_bits, u_bits, old | bits, m_bits) - delta(
+                        fixed_bits, u_bits, old, m_bits
+                    )
+                    applied += 1
+                    if d:
+                        fix[uv] = fix.get(uv, 0) + d
+            # ... and the pairs of the dynamic mixed atoms
+            for uv, own in dynamic.items():
+                if uv in u_extra:
+                    continue
+                u_bits = u_static.get(uv, 0)
+                folded = static.get(uv, _NO_PAIRS)
+                c = 0
+                for wv, m_bits in own.items():
+                    old = w_static.get(wv, 0)
+                    s_bits = folded.get(wv, 0)
+                    c += delta(
+                        fixed_bits, u_bits, old | w_extra.get(wv, 0), s_bits | m_bits
+                    ) - delta(fixed_bits, u_bits, old, s_bits)
+                applied += len(own)
+                if c:
+                    fix[uv] = fix.get(uv, 0) + c
+        self.base_cases += 1
+        self.pair_deltas += applied
+        return shifts, fix
 
-    def _row(self, q: _Query, fixed_bits: int) -> dict[ObjectId, int]:
-        """The static row of the fixed bits: the count of every u of the
-        domain, in domain order, from its static colour."""
+    def _row(
+        self, q: _Query, asn: dict[str, ObjectId]
+    ) -> tuple[int, dict[ObjectId, int], int]:
+        """The fixed bits of the assignment, the query's row for them and the
+        row's total.  The row maps every u of the domain, in domain order, to
+        its count from its static colour with every w at its static colour;
+        unless the query has a u guard it also holds the delta of each of the
+        u's static pairs at those colours."""
+        fixed_bits = 0
+        for i, a in enumerate(self.fixed_atoms):
+            if _atom_truth(self.structure, a, asn):
+                fixed_bits |= 1 << i
+        hit = q.rows.get(fixed_bits)
+        if hit is not None:
+            return fixed_bits, *hit
+        u_color, w_color = q.u_color, q.w_color
         per_class = {a: self._class_count(q, fixed_bits, a) for a in q.u_classes}
-        return {uv: per_class[q.u_color.get(uv, 0)] for uv in q.doms[self.u_var]}
+        row = {uv: per_class[u_color.get(uv, 0)] for uv in q.doms[self.u_var]}
+        if not q.guard.on_u:
+            delta = self._delta
+            for uv, m in q.static.items():
+                u_bits = u_color.get(uv, 0)
+                row[uv] += sum(
+                    delta(fixed_bits, u_bits, w_color.get(wv, 0), m_bits)
+                    for wv, m_bits in m.items()
+                )
+        hit = q.rows[fixed_bits] = (row, sum(row.values()))
+        return fixed_bits, *hit
 
     def _pairs(
         self, q: _Query, asn: dict[str, ObjectId]
     ) -> dict[ObjectId, dict[ObjectId, int]]:
-        """Per u, its w objects that make at least one mixed atom true under
-        the assignment, with their mixed bits.  Each mixed atom's index entry
-        is restricted to the query's domains once; several atoms' pairs are
-        merged into a new dict, so the cached ones are never changed."""
+        """Per u, its w objects that make at least one dynamic mixed atom
+        true under the assignment, with their mixed bits.  Each atom's index
+        entry is restricted to the query's domains once; several atoms' pairs
+        are merged into a new dict, so the cached ones are never changed."""
         found = []
-        for i, (fixed_key, index) in enumerate(self.mixed_index):
+        for j, (fixed_key, index) in enumerate(self.mixed_dynamic):
             key = tuple(asn[v] for v in fixed_key)
             if key in index:
-                atom_pairs = q.mixed.get((i, key))
+                atom_pairs = q.mixed.get((j, key))
                 if atom_pairs is None:
-                    atom_pairs = q.mixed[i, key] = _atom_pairs(index[key], 1 << i, q)
+                    atom_pairs = q.mixed[j, key] = _restrict(index[key], q.dom_u, q.dom_w)
                 if atom_pairs:
                     found.append(atom_pairs)
         if not found:
@@ -444,7 +592,7 @@ class PreparedBaseline:
         """The number of assignments of the counting variables from ``depth``
         on that satisfy the body."""
         if depth == len(self.order) - 2:
-            return sum(self._base_case(q, asn).values())
+            return self._base_sum(q, asn)
         return sum(self._count(q, depth + 1, asn) for _ in self._assign(q, depth, asn))
 
     def _assign(
@@ -475,17 +623,22 @@ class _Query(NamedTuple):
     """One query's domains, with the last two as sets; the static colours
     (those of the u- and w-atoms that mention no assigned variable), the
     number of w objects per static colour (colour 0 included) and the u
-    objects of the domain per static colour, in domain order; the guard; and
-    the caches of its base cases, which die with the query:
+    objects of the domain per static colour, in domain order; the guard; the
+    static pairs within the domains, as u -> w -> mixed bits (the
+    evaluator's own map, never changed, where no domain restricts u or w),
+    and, unless the guard has a literal over u, the same pairs as
+    w -> u -> mixed bits (each w's static partners); and the caches of its
+    base cases, which die with the query:
 
-    - ``rows``: per fixed-atom bit pattern, the static row, the count of
-      every u of the domain from its static colour with no mixed atom true
-      and every w at its static colour;
-    - ``counts``: that count per (fixed, u) bits, for any u colour;
-    - ``mixed``: per (mixed atom, fixed key values), the atom's (u, w)
-      records within the domains, as u -> w -> the atom's bit;
-    - ``deltas``: per (fixed, u) bits and then per (w, mixed) bits, the
-      change ``phi(.., m) - phi(.., 0)`` one such pair makes to the count.
+    - ``rows``: per fixed-atom bit pattern, the row and its total.  The row
+      is the count of every u of the domain from its static colour with
+      every w at its static colour; unless the guard has a literal over u,
+      each static pair's delta ``phi(.., m) - phi(.., 0)`` at those colours
+      is folded in, otherwise no mixed atom is true;
+    - ``counts``: the count with no mixed atom true per (fixed, u) bits, for
+      any u colour;
+    - ``mixed``: per (dynamic mixed atom, fixed key values), the atom's
+      (u, w) records within the domains, as u -> w -> the atom's bit.
     """
 
     doms: Mapping[str, tuple[ObjectId, ...]]
@@ -496,10 +649,11 @@ class _Query(NamedTuple):
     w_count: dict[int, int]
     u_classes: dict[int, list[ObjectId]]
     guard: _Guard
-    rows: dict[int, dict[ObjectId, int]]
+    static: dict[ObjectId, dict[ObjectId, int]]
+    partners: dict[ObjectId, dict[ObjectId, int]]
+    rows: dict[int, tuple[dict[ObjectId, int], int]]
     counts: dict[tuple[int, int], int]
     mixed: dict[tuple[int, tuple], dict[ObjectId, dict[ObjectId, int]]]
-    deltas: dict[tuple[int, int], dict[tuple[int, int], int]]
 
 
 Projections = Sequence[tuple[int, ProjectedAtom]]
@@ -529,18 +683,30 @@ def _colors(
     return color
 
 
-def _atom_pairs(
-    by_u: Mapping[ObjectId, Sequence[ObjectId]], bit: int, q: _Query
+_NO_PAIRS: Mapping[ObjectId, int] = {}
+
+
+def _restrict(
+    by_u: Mapping[ObjectId, Mapping[ObjectId, int]],
+    dom_u: set[ObjectId],
+    dom_w: set[ObjectId],
 ) -> dict[ObjectId, dict[ObjectId, int]]:
-    """The (u, w) records of one mixed atom over the query's domains, as
-    u -> w -> the atom's bit."""
+    """The (u, w) pairs of ``by_u``, as u -> w -> mixed bits, within the
+    domains."""
     out = {}
-    dom_w = q.dom_w
-    for uv, ws in by_u.items():
-        if uv in q.dom_u:
-            m = {wv: bit for wv in ws if wv in dom_w}
-            if m:
-                out[uv] = m
+    for uv, m in by_u.items():
+        if uv in dom_u:
+            kept = {wv: m_bits for wv, m_bits in m.items() if wv in dom_w}
+            if kept:
+                out[uv] = kept
+    return out
+
+
+def _or_bits(a: Mapping[ObjectId, int], b: Mapping[ObjectId, int]) -> dict[ObjectId, int]:
+    """The union of two w -> mixed bits maps, the bits of a w in both or-ed."""
+    out = dict(a)
+    for wv, m_bits in b.items():
+        out[wv] = out.get(wv, 0) | m_bits
     return out
 
 
@@ -551,12 +717,7 @@ def _merge_pairs(
     merged: dict[ObjectId, dict[ObjectId, int]] = {}
     for atom_pairs in found:
         for uv, m in atom_pairs.items():
-            into = merged.get(uv)
-            if into is None:
-                merged[uv] = dict(m)
-            else:
-                for wv, bit in m.items():
-                    into[wv] = into.get(wv, 0) | bit
+            merged[uv] = _or_bits(merged.get(uv, _NO_PAIRS), m)
     return merged
 
 
@@ -573,9 +734,18 @@ def baseline_opt(
     structure: RelationalStructure,
     formula: OptFormula,
     domains: Domains | None = None,
+    stats_out: dict | None = None,
 ) -> OptResult | None:
-    """Optimum and lexicographically least witness; None if no tuple exists."""
-    return PreparedBaseline(structure, formula).opt(domains)
+    """Optimum and lexicographically least witness; None if no tuple exists.
+    ``stats_out``, when given, receives the work counts: ``base_cases`` run
+    and ``pair_deltas``, the mixed-pair deltas they applied."""
+    evaluator = PreparedBaseline(structure, formula)
+    res = evaluator.opt(domains)
+    if stats_out is not None:
+        stats_out.update(
+            base_cases=evaluator.base_cases, pair_deltas=evaluator.pair_deltas
+        )
+    return res
 
 
 def opt_of_table(

@@ -94,13 +94,12 @@ def _run(engine: str, structure, formula, ip: str):
     # a forced engine's trace: its stage and the source line
     trace = ReductionTrace(path=engine)
     if engine == "baseline":
-        trace.add("baseline", reason="forced")
-        res = baseline_opt(structure, formula)
+        value, trace = trace.baseline_answer(structure, formula, reason="forced")
     else:
         stats: dict = {}
         res = multi_counting_opt(structure, formula, stats_out=stats)
         trace.add("multicount", **stats)
-    value, trace = trace.answer(res, engine)
+        value, trace = trace.answer(res, engine)
     return value, trace, 1.0
 
 
@@ -145,19 +144,20 @@ def cmd_solve(args) -> int:
     if witness is not None:
         _emit(out, "witness", " ".join(structure.labels[x] for x in witness))
     _emit(out, "seconds", f"{elapsed:.4f}")
+    ok = True
     if args.verify:
         res = baseline_opt(structure, formula)
         ok = _accepts(structure, formula, res, value, witness, ratio)
         _emit(out, "verified", "pass" if ok else "FAIL")
-        if not ok:
-            return 1
+    # the trace is written whatever the check says: a failed answer is the
+    # one that needs explaining
     if args.trace:
         text = trace.render()
         if args.trace == "-":
             out.write(text)
         else:
             Path(args.trace).write_text(text)
-    return 0
+    return 0 if ok else 1
 
 
 def cmd_reduce(args) -> int:

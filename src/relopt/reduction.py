@@ -1039,6 +1039,17 @@ class ReductionTrace:
         self.source = None if res is None else source
         return (None if res is None else res.value), self
 
+    def baseline_answer(
+        self, structure: RelationalStructure, formula: OptFormula, **route
+    ) -> tuple[int | None, ReductionTrace]:
+        """The (value, trace) to return when one baseline query of the input
+        answers; its ``baseline`` stage holds ``route`` and the query's work
+        counts."""
+        stats: dict = {}
+        res = baseline_opt(structure, formula, stats_out=stats)
+        self.add("baseline", **route, **stats)
+        return self.answer(res, "baseline")
+
     def render(self) -> str:
         lines = [f"path {self.path}"]
         for name, stats in self.stages:
@@ -1059,16 +1070,16 @@ def reduce_and_solve(
     """Route an instance through the full pipeline.
 
     Two or more counting variables go to the multi-counting solver; a single
-    optimization variable is a baseline base case.  So are three or more
-    (stage ``baseline reason=k>=3``): there the scorer solves one IP
-    instance per group combination, so the lift loses to one oracle query
-    wherever it prunes.  k=2 runs hyperedge removal.  Where the lift's
-    scores can prune (``LiftGrouping.prunes``), the grouped cross-edge lift
-    with the hybrid-through-IP scorer solves the whole plan, its hyperedge
-    and cross sides included.  Elsewhere, and past a resource limit of the
-    lift, one baseline query of the input answers: the side problems and
-    the guarded main problem partition its tuples, so the (value, witness)
-    is theirs.
+    optimization variable is a baseline base case (stage ``baseline
+    reason=k=1``).  So are three or more (stage ``baseline reason=k>=3``):
+    there the scorer solves one IP instance per group combination, so the
+    lift loses to one oracle query wherever it prunes.  k=2 runs hyperedge
+    removal.  Where the lift's scores can prune (``LiftGrouping.prunes``),
+    the grouped cross-edge lift with the hybrid-through-IP scorer solves the
+    whole plan, its hyperedge and cross sides included.  Elsewhere, and past
+    a resource limit of the lift, one baseline query of the input answers:
+    the side problems and the guarded main problem partition its tuples, so
+    the (value, witness) is theirs.
     """
     if ip_solver.kind != formula.kind:
         raise ContractError("ip solver kind does not match the formula")
@@ -1085,9 +1096,8 @@ def reduce_and_solve(
 
     if formula.k != 2:
         trace.path = "baseline"
-        if formula.k >= 3:
-            trace.add("baseline", reason="k>=3")
-        return trace.answer(baseline_opt(structure, formula), "baseline")
+        reason = "k=1" if formula.k == 1 else "k>=3"
+        return trace.baseline_answer(structure, formula, reason=reason)
 
     trace.path = "reduction"
     plan = remove_hyperedges(structure, formula)
@@ -1100,10 +1110,13 @@ def reduce_and_solve(
 
     def baseline_answer(reason: str) -> tuple[int | None, ReductionTrace]:
         grouping = plan.grouping
-        trace.add(
-            "baseline", reason=reason, groups=grouping.light_groups, bound=grouping.bound
+        return trace.baseline_answer(
+            structure,
+            formula,
+            reason=reason,
+            groups=grouping.light_groups,
+            bound=grouping.bound,
         )
-        return trace.answer(baseline_opt(structure, formula), "baseline")
 
     if not plan.grouping.prunes:
         return baseline_answer("no-prune")

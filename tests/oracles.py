@@ -6,8 +6,11 @@ independent of the implementations they check.
 """
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 
@@ -301,3 +304,14 @@ def sparse_lift_instances(count: int = 8):
             (structure, parse_formula(f"{kind} x1,x2 . count y1 . {SPARSE_LIFT_BODY}"))
         )
     return out
+
+
+def bench_instances():
+    """The benchmark's ``perfbench/instances.py`` module, whose
+    ``instance_texts(workload, seed)`` draws a workload's instance set."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "instances.py"
+    spec = importlib.util.spec_from_file_location("perfbench_instances", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module

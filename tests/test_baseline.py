@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from relopt.formula import Atom, parse_formula
 from relopt.structure import build_structure, load_structure
 
 from oracles import (
+    bench_instances,
     guarded_opt,
     nested_loop_opt,
     nested_loop_values,
@@ -401,3 +404,120 @@ def test_matches_naive_with_more_than_twenty_atoms_in_one_class():
             }
         want = naive_values(structure, formula, domains).entries
         assert prepared.values(domains).entries == want, f"trial {trial}"
+
+
+@st.composite
+def folded_pair_instances(draw):
+    """An instance whose body puts a static mixed atom E0(u,w) and a dynamic
+    one R0(a,u,w) on the same (u, w) pairs, a being an assigned variable: R0
+    holds on about half of E0's pairs.  The dynamic w atom E0(a,w) selects
+    the w objects that have static partners (u = a among them), and the body
+    also takes a dynamic u atom and, at random, static u, w and fixed atoms.
+    k + ell is 3 or 4 with ell in {1, 2}, so the sum path runs too."""
+    ell = draw(st.integers(1, 2))
+    k = draw(st.integers(3 - ell, 4 - ell))
+    rng = draw(st.randoms(use_true_random=True))
+    n = rng.randint(2, 6)
+    variables = [f"x{i + 1}" for i in range(k)] + [f"y{j + 1}" for j in range(ell)]
+    *assigned, u, w = variables
+    a = rng.choice(assigned)
+
+    def draw_pairs(count):
+        return {(rng.randrange(n), rng.randrange(n)) for _ in range(count)}
+
+    pairs = draw_pairs(rng.randint(1, n * n // 2))
+    rels = {
+        "E0": pairs | draw_pairs(n),
+        "E1": draw_pairs(rng.randint(1, n * n // 3)),
+        "P0": {(v,) for v in range(n) if rng.random() < 0.5},
+        "R0": {(rng.randrange(n), uv, wv) for uv, wv in pairs if rng.random() < 0.5},
+    }
+    structure = build_structure(
+        [f"o{v}" for v in range(n)], rels, {"E0": 2, "E1": 2, "P0": 1, "R0": 3}
+    )
+    atoms = [f"E0({u},{w})", f"R0({a},{u},{w})", f"E0({a},{w})"]
+    atoms.append(rng.choice([f"E1({a},{u})", f"E0({u},{a})"]))
+    optional = (f"P0({u})", f"P0({w})", f"P0({a})", f"E1({w},{u})")
+    atoms += [atom for atom in optional if rng.random() < 0.5]
+    literals = [("!" if rng.random() < 0.3 else "") + atom for atom in atoms]
+    formula = parse_formula(
+        f"{rng.choice(['max', 'min'])} {','.join(variables[:k])} . "
+        f"count {','.join(variables[k:])} . {_random_tree(rng, literals)}"
+    )
+    return structure, formula
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_folded_rows_move_only_what_an_assignment_moves(data):
+    # one evaluator answers several queries, values and guarded optima: a
+    # query with a guard literal over u keeps the static pairs out of its
+    # rows, the others fold them in, and the caches of one must not serve
+    # the next
+    structure, formula = data.draw(folded_pair_instances())
+    prepared = PreparedBaseline(structure, formula)
+    u = prepared.u_var
+    for _ in range(data.draw(st.integers(2, 5))):
+        domains, guard = data.draw(queries(structure, formula))
+        if u in formula.opt_vars and data.draw(st.booleans()):
+            other = data.draw(st.sampled_from(formula.opt_vars))
+            on_u = data.draw(st.sampled_from([Atom("P0", (u,)), Atom("E1", (other, u))]))
+            guard = [*guard, (on_u, data.draw(st.booleans()))]
+        entries = naive_values(structure, formula, domains).entries
+        assert prepared.values(domains).entries == entries
+        kept = {
+            key: value
+            for key, value in entries.items()
+            if guard_holds(structure, guard, dict(zip(formula.opt_vars, key)))
+        }
+        assert prepared.opt(domains, guard) == opt_of_table(kept, formula.kind)
+
+
+# the benchmark instance sets whose oracle answers GOLDEN holds, recorded
+# from an earlier version of relopt.baseline
+GOLDEN_SETS = (("lift-sparse", (0, 1, 2)), ("desk-mix", (0, 1, 2)), ("multicount", (0,)))
+GOLDEN = Path(__file__).resolve().parent / "data" / "baseline_golden.json"
+
+
+def golden_text() -> str:
+    """JSON text of ``baseline_opt``'s answer per instance of GOLDEN_SETS:
+    one line per set, keyed ``workload/seed``, holding the digest of its
+    texts and per instance [value, witness labels] or null."""
+    instances = bench_instances()
+    lines = []
+    for workload, seeds in GOLDEN_SETS:
+        for seed in seeds:
+            texts = instances.instance_texts(workload, seed)
+            answers = []
+            for structure_text, formula_text in texts:
+                structure = load_structure(structure_text)
+                res = baseline_opt(structure, parse_formula(formula_text))
+                answers.append(
+                    None
+                    if res is None
+                    else [res.value, [structure.labels[x] for x in res.witness]]
+                )
+            entry = {"digest": instances.texts_digest(texts), "answers": answers}
+            lines.append(f"{json.dumps(f'{workload}/{seed}')}: {json.dumps(entry)}")
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+def test_oracle_reproduces_the_recorded_benchmark_answers():
+    assert golden_text() == GOLDEN.read_text()
+
+
+def test_base_cases_apply_few_pair_deltas_on_the_benchmark_sets():
+    # a base case applies the delta of a mixed (u, w) pair only where its
+    # assignment moves the pair, so these sets, whose oracle passes hold
+    # 74,350 and 140,274 (u, w) pairs of their base cases' mixed atoms,
+    # apply a small share of them
+    instances = bench_instances()
+    for workload, bound in (("lift-sparse", 2_000), ("desk-mix", 40_000)):
+        applied = 0
+        for structure_text, formula_text in instances.instance_texts(workload, 1):
+            stats: dict = {}
+            structure = load_structure(structure_text)
+            baseline_opt(structure, parse_formula(formula_text), stats_out=stats)
+            assert stats["base_cases"] > 0
+            applied += stats["pair_deltas"]
+        assert applied <= bound, (workload, applied)

@@ -1,4 +1,3 @@
-import importlib.util
 import io
 import subprocess
 import sys
@@ -13,6 +12,8 @@ from relopt.baseline import OptResult, baseline_opt
 from relopt.cli import _accepts, main
 from relopt.formula import parse_formula
 from relopt.structure import load_structure
+
+from oracles import bench_instances
 
 TOY_STRUCTURE = "rel E 2\nrel F 2\nE a b\nF a 1\nF a 2\nF b 1\n"
 TOY_FORMULA = "max x1,x2 . count y . E(x1,x2) & F(x1,y)\n"
@@ -178,7 +179,10 @@ def test_solve_trace_of_a_forced_engine(tmp_path, capsys, engine, to_file):
         assert int(stats["runs"]) == 3  # one per value of x1
         assert int(stats["dynamic_atoms"]) == 1  # E(x1,y1)
     else:
-        assert stage == "stage baseline reason=forced"
+        stats = dict(kv.split("=") for kv in stage.split()[2:])
+        assert stats["reason"] == "forced"
+        assert int(stats["base_cases"]) == 9  # one per (x1, x2)
+        assert int(stats["pair_deltas"]) >= 0
 
 
 def test_gen_deterministic(tmp_path, capsys):
@@ -291,20 +295,38 @@ def test_verify_checks_the_witness_of_an_exact_answer(
     assert failed == ["4", "7"] and out.endswith("verified FAIL\n")
 
 
-def _load_instances():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "instances.py"
-    spec = importlib.util.spec_from_file_location("perfbench_instances", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
+def test_solve_writes_the_trace_of_a_failed_check(toy_files, monkeypatch, capsys, tmp_path):
+    # the answer that fails --verify is the one whose trace needs reading, so
+    # the trace is written before the exit code is returned
+    import relopt.cli as cli
+
+    real = cli._run
+
+    def wrong_value(engine, structure, formula, ip):
+        value, trace, ratio = real(engine, structure, formula, ip)
+        return value + 1, trace, ratio
+
+    monkeypatch.setattr(cli, "_run", wrong_value)
+    s, f = toy_files
+    argv = ["solve", "--structure", str(s), "--formula", str(f), "--verify"]
+    code, out = run_main(argv + ["--trace", "-"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    trace = lines[lines.index("verified FAIL") + 1:]
+    assert trace[0].startswith("path ")
+    assert any(line.startswith("stage ") for line in trace)
+    path = tmp_path / "trace.txt"
+    code, out = run_main(argv + ["--trace", str(path)], capsys)
+    assert code == 1 and "verified FAIL\n" in out and "stage " not in out
+    text = path.read_text()
+    assert text.startswith("path ") and "\nstage " in text
 
 
 def test_verify_passes_an_approximate_answer_below_the_optimum(tmp_path, capsys):
     # slot 4 of the benchmark's lift-sparse-approx set at seed 5: the
     # 2-approximate lift answers 1 where the optimum is 2, a valid
     # 2-approximation that an exact-value check would fail
-    structure, formula = _load_instances().instance_texts(
+    structure, formula = bench_instances().instance_texts(
         "lift-sparse-approx", 5, count=5
     )[4]
     s, f = tmp_path / "inst.structure", tmp_path / "inst.formula"

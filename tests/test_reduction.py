@@ -887,10 +887,20 @@ def test_reduce_and_solve_skips_the_lift_where_nothing_is_pruned(monkeypatch):
         assert conversions == [] and ip_calls == []
         stages = dict(trace.stages)
         assert "cross-free-lift" not in stages and "hybrid" not in stages
-        assert stages["baseline"] == {"reason": "no-prune", "groups": 4, "bound": 17}
+        # one base case per x1; each moves the one w of E(x1,y), whose static
+        # pair E(x2,y) is the only delta a base case applies (the second body's
+        # E(x1,x2) recolours one u, whose static pair is walked too)
+        deltas = 12 if formula.kind == "max" else 24
+        assert stages["baseline"] == {
+            "reason": "no-prune", "groups": 4, "bound": 17,
+            "base_cases": 12, "pair_deltas": deltas,
+        }
         assert trace.source == "baseline"
         rendered = trace.render()
-        assert "stage baseline bound=17 groups=4 reason=no-prune" in rendered
+        assert (
+            f"stage baseline base_cases=12 bound=17 groups=4 pair_deltas={deltas} "
+            "reason=no-prune\n"
+        ) in rendered
         assert rendered.endswith("source baseline\n")
 
 
@@ -924,7 +934,11 @@ def test_reduce_and_solve_answers_k3_with_one_baseline_query(monkeypatch):
         assert built == []
         assert trace.path == "baseline" and trace.source == "baseline"
         assert [name for name, _ in trace.stages] == ["input", "baseline"]
-        assert "stage baseline reason=k>=3\n" in trace.render()
+        # 26^2 base cases; each moves the w objects of E(x1,y) and E(x2,y),
+        # one static partner (over E(x3,y)) each, one w where x1 = x2
+        assert "stage baseline base_cases=676 pair_deltas=1326 reason=k>=3\n" in (
+            trace.render()
+        )
     # the same counter sees the k=2 lift build its scorer
     reduce_and_solve(_cycle_structure(), parse_formula(CYCLE_BODIES[0]), exact_solver("max"))
     assert len(built) == 1
@@ -999,7 +1013,8 @@ def test_baseline_answers_past_a_resource_limit_of_the_lift(monkeypatch):
     for structure, text in cases:
         formula = parse_formula(text)
         solver = exact_solver(formula.kind)
-        want = baseline_opt(structure, formula)
+        counts: dict = {}
+        want = baseline_opt(structure, formula, stats_out=counts)
         _, trace = reduce_and_solve(structure, formula, solver)
         assert "baseline" not in dict(trace.stages)  # the lift answers
         with monkeypatch.context() as patch:
@@ -1013,6 +1028,7 @@ def test_baseline_answers_past_a_resource_limit_of_the_lift(monkeypatch):
             "reason": "resource-limit",
             "groups": grouping.light_groups,
             "bound": grouping.bound,
+            **counts,  # the oracle query's base_cases and pair_deltas
         }
         assert trace.source == "baseline"
         assert "cross-free-lift" in stages and "hybrid" not in stages
@@ -1560,6 +1576,10 @@ def test_reduce_and_solve_k1_routes_baseline():
     value, trace = reduce_and_solve(structure, formula, exact_solver(formula.kind))
     assert trace.path == "baseline"
     assert value == baseline_opt(structure, formula).value
+    # the stage names the route and holds the oracle query's work counts:
+    # one base case, over (x1, y1)
+    stage = dict(trace.stages)["baseline"]
+    assert stage["reason"] == "k=1" and stage["base_cases"] == 1
 
 
 OVER_CAP_BODY = (
