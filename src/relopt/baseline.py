@@ -26,14 +26,13 @@ A base case then pays only for what its assignment moves:
 With one counting variable the base case copies the row and applies the
 shifts and corrections; with more, the caller needs only their sum, which is
 the row's total plus each class shift times the class size plus the
-corrections, with no per-u copy.  A query whose guard has a literal over u
-reads only a few u objects per base case, so it builds its rows without the
-static pairs and walks every pair of each u it reads instead of building the
-partners index.  The dynamic pairs come from the records of those atoms,
-indexed by the values of the leading variables and restricted to the
-query's domains once per index entry.  So a base case costs one dict copy
-(none on the sum path) plus time in the records its assignment selects and
-in the u classes it shifts, not in the domain of the counting variable.
+corrections, with no per-u copy.  A guard literal over u only narrows the
+u objects a base case copies from the row and corrects.  The dynamic pairs
+come from the records of those atoms, indexed by the values of the leading
+variables and restricted to the query's domains once per index entry.  So
+a base case costs one dict copy (none on the sum path) plus time in the
+records its assignment selects and in the u classes it shifts, not in the
+domain of the counting variable.
 
 This module is also the correctness oracle for everything else in the
 package.
@@ -210,8 +209,9 @@ class PreparedBaseline:
         self._delta_memo: dict[tuple, int] = {}
         # the applied form of each guard queried so far
         self._guards: dict[tuple[tuple[Atom, bool], ...], _Guard] = {}
-        # work counts since construction: base cases run, and the mixed-pair
-        # deltas they applied (the rows' folded deltas not included)
+        # work counts since construction: base cases run (those a guard over
+        # u empties included), and the mixed-pair deltas they applied (the
+        # rows' folded deltas not included)
         self.base_cases = 0
         self.pair_deltas = 0
 
@@ -257,8 +257,8 @@ class PreparedBaseline:
         self, domains: Domains | None, guard: tuple[tuple[Atom, bool], ...]
     ) -> _Query:
         """The domains, the static colours and classes, the applied guard,
-        the static pairs (and their partners index where the rows fold them)
-        and the empty base-case caches of a query."""
+        the static pairs and their partners index, and the empty base-case
+        caches of a query."""
         doms = resolve_domains(self.structure, self.formula, domains)
         dom_u, dom_w = set(doms[self.u_var]), set(doms[self.w_var])
         u_color = _colors(self.u_static, {}, dom_u)
@@ -275,10 +275,9 @@ class PreparedBaseline:
         else:
             static = _restrict(self.mixed_static, dom_u, dom_w)
         partners: dict[ObjectId, dict[ObjectId, int]] = {}
-        if not applied.on_u:
-            for uv, m in static.items():
-                for wv, m_bits in m.items():
-                    partners.setdefault(wv, {})[uv] = m_bits
+        for uv, m in static.items():
+            for wv, m_bits in m.items():
+                partners.setdefault(wv, {})[uv] = m_bits
         return _Query(
             doms, dom_u, dom_w, u_color, w_color, w_count, u_classes, applied,
             static, partners, rows={}, counts={}, mixed={},
@@ -348,6 +347,7 @@ class PreparedBaseline:
         static u colour class and corrected per u as ``_moves`` says.  Empty,
         with nothing coloured, when a positive u literal of the guard leaves
         no u."""
+        self.base_cases += 1
         us = None
         if q.guard.on_u:
             us = q.doms[self.u_var]
@@ -361,22 +361,24 @@ class PreparedBaseline:
                 else:
                     us = [uv for uv in us if ((uv,) in hits) == want]
         fixed_bits, row, _ = self._row(q, asn)
-        shifts, fix = self._moves(q, asn, fixed_bits, row, us)
+        shifts, fix = self._moves(q, asn, fixed_bits, row)
         out = row.copy() if us is None else {uv: row[uv] for uv in us}
         for u_bits, s in shifts.items():
             for uv in q.u_classes[u_bits]:
                 if uv in out:
                     out[uv] += s
         for uv, c in fix.items():
-            out[uv] += c
+            if uv in out:
+                out[uv] += c
         return out
 
     def _base_sum(self, q: _Query, asn: dict[str, ObjectId]) -> int:
         """The sum of ``_base_case``'s counts, for a u with no guard: the
         row's total plus each class shift times the class size plus the
         corrections, with no per-u copy."""
+        self.base_cases += 1
         fixed_bits, row, total = self._row(q, asn)
-        shifts, fix = self._moves(q, asn, fixed_bits, row, None)
+        shifts, fix = self._moves(q, asn, fixed_bits, row)
         for u_bits, s in shifts.items():
             total += s * len(q.u_classes[u_bits])
         return total + sum(fix.values())
@@ -387,23 +389,20 @@ class PreparedBaseline:
         asn: dict[str, ObjectId],
         fixed_bits: int,
         row: dict[ObjectId, int],
-        us: Sequence[ObjectId] | None,
     ) -> tuple[dict[int, int], dict[ObjectId, int]]:
         """What the assignment changes on the row: the nonzero shift of each
-        static u colour class, and per u of the output (``us``, or the whole
-        u domain when None) what to add to its row entry and class shift.
+        static u colour class, and per u of the domain what to add to its
+        row entry and class shift, where that is not zero.
 
         Each w with dynamic bits moves from its static colour to a richer
         one, which shifts the count of every u by the same amount per u
         colour.  A u with dynamic bits has another colour than its row
-        entry's: it is recounted and every pair of it walked.  Every pair of
-        each u of a query with a u guard, whose rows hold no pair deltas, is
-        walked too.  In a folded row only a pair the assignment moves needs
-        a correction, the delta at its full bits less the folded one at
-        static colours: a static pair of a moved w, found through the
-        w -> static partners index, and a pair of a dynamic mixed atom, with
-        the pair's static bits or-ed in.  Counts the base case and the pair
-        deltas it applies."""
+        entry's: it is recounted and every pair of it walked.  Of any other
+        u, only a pair the assignment moves needs a correction, the delta at
+        its full bits less the one folded into the row at static colours: a
+        static pair of a moved w, found through the w -> static partners
+        index, and a pair of a dynamic mixed atom, with the pair's static
+        bits or-ed in.  Counts the pair deltas it applies."""
         u_static, w_static = q.u_color, q.w_color
         u_extra = _colors(self.u_dynamic, asn, q.dom_u)
         w_extra = _colors(self.w_dynamic, asn, q.dom_w)
@@ -435,27 +434,18 @@ class PreparedBaseline:
         static = q.static
         fix: dict[ObjectId, int] = {}
         applied = 0
-        # the u objects recounted and, under a u guard, every u read: all
-        # their pairs are walked; per colour of a recounted u, its count less
-        # its class shift
+        # the u objects recounted, every pair of them walked; per colour of a
+        # recounted u, its count less its class shift
         recounts: dict[int, int] = {}
-        if us is None:
-            walked = u_extra.items()
-        else:
-            walked = ((uv, u_extra.get(uv, 0)) for uv in us)
-        for uv, bits in walked:
+        for uv, bits in u_extra.items():
             base = u_static.get(uv, 0)
             u_bits = base | bits
-            c = 0
-            if bits:
-                r = recounts.get(u_bits)
-                if r is None:
-                    r = recounts[u_bits] = (
-                        self._class_count(q, fixed_bits, u_bits)
-                        + shift(u_bits)
-                        - shift(base)
-                    )
-                c = r - row[uv]
+            r = recounts.get(u_bits)
+            if r is None:
+                r = recounts[u_bits] = (
+                    self._class_count(q, fixed_bits, u_bits) + shift(u_bits) - shift(base)
+                )
+            c = r - row[uv]
             pairs = static.get(uv)
             own = dynamic.get(uv)
             if own:
@@ -467,41 +457,39 @@ class PreparedBaseline:
                 applied += len(pairs)
             if c:
                 fix[uv] = c
-        if us is None:
-            # a folded row: the static pairs of each moved w ...
-            partners = q.partners
-            for wv, bits in w_extra.items() if partners else ():
-                mine = partners.get(wv)
-                if mine is None:
-                    continue
-                old = w_static.get(wv, 0)
-                for uv, m_bits in mine.items():
-                    if uv in u_extra or wv in dynamic.get(uv, _NO_PAIRS):
-                        continue
-                    u_bits = u_static.get(uv, 0)
-                    d = delta(fixed_bits, u_bits, old | bits, m_bits) - delta(
-                        fixed_bits, u_bits, old, m_bits
-                    )
-                    applied += 1
-                    if d:
-                        fix[uv] = fix.get(uv, 0) + d
-            # ... and the pairs of the dynamic mixed atoms
-            for uv, own in dynamic.items():
-                if uv in u_extra:
+        # the static pairs of each moved w ...
+        partners = q.partners
+        for wv, bits in w_extra.items() if partners else ():
+            mine = partners.get(wv)
+            if mine is None:
+                continue
+            old = w_static.get(wv, 0)
+            for uv, m_bits in mine.items():
+                if uv in u_extra or wv in dynamic.get(uv, _NO_PAIRS):
                     continue
                 u_bits = u_static.get(uv, 0)
-                folded = static.get(uv, _NO_PAIRS)
-                c = 0
-                for wv, m_bits in own.items():
-                    old = w_static.get(wv, 0)
-                    s_bits = folded.get(wv, 0)
-                    c += delta(
-                        fixed_bits, u_bits, old | w_extra.get(wv, 0), s_bits | m_bits
-                    ) - delta(fixed_bits, u_bits, old, s_bits)
-                applied += len(own)
-                if c:
-                    fix[uv] = fix.get(uv, 0) + c
-        self.base_cases += 1
+                d = delta(fixed_bits, u_bits, old | bits, m_bits) - delta(
+                    fixed_bits, u_bits, old, m_bits
+                )
+                applied += 1
+                if d:
+                    fix[uv] = fix.get(uv, 0) + d
+        # ... and the pairs of the dynamic mixed atoms
+        for uv, own in dynamic.items():
+            if uv in u_extra:
+                continue
+            u_bits = u_static.get(uv, 0)
+            folded = static.get(uv, _NO_PAIRS)
+            c = 0
+            for wv, m_bits in own.items():
+                old = w_static.get(wv, 0)
+                s_bits = folded.get(wv, 0)
+                c += delta(
+                    fixed_bits, u_bits, old | w_extra.get(wv, 0), s_bits | m_bits
+                ) - delta(fixed_bits, u_bits, old, s_bits)
+            applied += len(own)
+            if c:
+                fix[uv] = fix.get(uv, 0) + c
         self.pair_deltas += applied
         return shifts, fix
 
@@ -510,9 +498,8 @@ class PreparedBaseline:
     ) -> tuple[int, dict[ObjectId, int], int]:
         """The fixed bits of the assignment, the query's row for them and the
         row's total.  The row maps every u of the domain, in domain order, to
-        its count from its static colour with every w at its static colour;
-        unless the query has a u guard it also holds the delta of each of the
-        u's static pairs at those colours."""
+        its count from its static colour with every w at its static colour,
+        the delta of each of the u's static pairs at those colours included."""
         fixed_bits = 0
         for i, a in enumerate(self.fixed_atoms):
             if _atom_truth(self.structure, a, asn):
@@ -523,14 +510,13 @@ class PreparedBaseline:
         u_color, w_color = q.u_color, q.w_color
         per_class = {a: self._class_count(q, fixed_bits, a) for a in q.u_classes}
         row = {uv: per_class[u_color.get(uv, 0)] for uv in q.doms[self.u_var]}
-        if not q.guard.on_u:
-            delta = self._delta
-            for uv, m in q.static.items():
-                u_bits = u_color.get(uv, 0)
-                row[uv] += sum(
-                    delta(fixed_bits, u_bits, w_color.get(wv, 0), m_bits)
-                    for wv, m_bits in m.items()
-                )
+        delta = self._delta
+        for uv, m in q.static.items():
+            u_bits = u_color.get(uv, 0)
+            row[uv] += sum(
+                delta(fixed_bits, u_bits, w_color.get(wv, 0), m_bits)
+                for wv, m_bits in m.items()
+            )
         hit = q.rows[fixed_bits] = (row, sum(row.values()))
         return fixed_bits, *hit
 
@@ -626,15 +612,13 @@ class _Query(NamedTuple):
     objects of the domain per static colour, in domain order; the guard; the
     static pairs within the domains, as u -> w -> mixed bits (the
     evaluator's own map, never changed, where no domain restricts u or w),
-    and, unless the guard has a literal over u, the same pairs as
-    w -> u -> mixed bits (each w's static partners); and the caches of its
-    base cases, which die with the query:
+    and the same pairs as w -> u -> mixed bits (each w's static partners);
+    and the caches of its base cases, which die with the query:
 
     - ``rows``: per fixed-atom bit pattern, the row and its total.  The row
       is the count of every u of the domain from its static colour with
-      every w at its static colour; unless the guard has a literal over u,
-      each static pair's delta ``phi(.., m) - phi(.., 0)`` at those colours
-      is folded in, otherwise no mixed atom is true;
+      every w at its static colour, each static pair's delta
+      ``phi(.., m) - phi(.., 0)`` at those colours folded in;
     - ``counts``: the count with no mixed atom true per (fixed, u) bits, for
       any u colour;
     - ``mixed``: per (dynamic mixed atom, fixed key values), the atom's

@@ -1070,10 +1070,10 @@ def reduce_and_solve(
     """Route an instance through the full pipeline.
 
     Two or more counting variables go to the multi-counting solver; a single
-    optimization variable is a baseline base case (stage ``baseline
-    reason=k=1``).  So are three or more (stage ``baseline reason=k>=3``):
-    there the scorer solves one IP instance per group combination, so the
-    lift loses to one oracle query wherever it prunes.  k=2 runs hyperedge
+    optimization variable is a baseline base case.  So are three or more
+    (stage ``baseline reason=k>=3``): there the scorer solves one IP
+    instance per group combination, so the lift loses to one oracle query
+    wherever it prunes.  k=2 runs hyperedge
     removal.  Where the lift's scores can prune (``LiftGrouping.prunes``),
     the grouped cross-edge lift with the hybrid-through-IP scorer solves the
     whole plan, its hyperedge and cross sides included.  Elsewhere, and past
@@ -1096,8 +1096,9 @@ def reduce_and_solve(
 
     if formula.k != 2:
         trace.path = "baseline"
-        reason = "k=1" if formula.k == 1 else "k>=3"
-        return trace.baseline_answer(structure, formula, reason=reason)
+        if formula.k >= 3:
+            return trace.baseline_answer(structure, formula, reason="k>=3")
+        return trace.answer(baseline_opt(structure, formula), "baseline")
 
     trace.path = "reduction"
     plan = remove_hyperedges(structure, formula)

@@ -450,10 +450,10 @@ def folded_pair_instances(draw):
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_folded_rows_move_only_what_an_assignment_moves(data):
-    # one evaluator answers several queries, values and guarded optima: a
-    # query with a guard literal over u keeps the static pairs out of its
-    # rows, the others fold them in, and the caches of one must not serve
-    # the next
+    # one evaluator answers several queries, values and guarded optima, whose
+    # rows all fold the static pairs in: a guard literal over u narrows the u
+    # objects a base case corrects, and the caches of one query must not
+    # serve the next
     structure, formula = data.draw(folded_pair_instances())
     prepared = PreparedBaseline(structure, formula)
     u = prepared.u_var

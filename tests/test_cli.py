@@ -182,7 +182,10 @@ def test_solve_trace_of_a_forced_engine(tmp_path, capsys, engine, to_file):
         stats = dict(kv.split("=") for kv in stage.split()[2:])
         assert stats["reason"] == "forced"
         assert int(stats["base_cases"]) == 9  # one per (x1, x2)
-        assert int(stats["pair_deltas"]) >= 0
+        # the static pairs E(y1,y2) of the y1 that E(x1,y1) recolours (a: 2,
+        # b: 1, c: 1 pairs), and those of the y2 that E(x2,y2) moves whose y1
+        # is not recoloured: 9 + 8 + 9 over x1 = a, b, c
+        assert int(stats["pair_deltas"]) == 26
 
 
 def test_gen_deterministic(tmp_path, capsys):

@@ -1576,10 +1576,6 @@ def test_reduce_and_solve_k1_routes_baseline():
     value, trace = reduce_and_solve(structure, formula, exact_solver(formula.kind))
     assert trace.path == "baseline"
     assert value == baseline_opt(structure, formula).value
-    # the stage names the route and holds the oracle query's work counts:
-    # one base case, over (x1, y1)
-    stage = dict(trace.stages)["baseline"]
-    assert stage["reason"] == "k=1" and stage["base_cases"] == 1
 
 
 OVER_CAP_BODY = (
