@@ -274,10 +274,10 @@ class PreparedBaseline:
             static = self.mixed_static  # over every object: nothing to restrict
         else:
             static = _restrict(self.mixed_static, dom_u, dom_w)
-        partners: dict[ObjectId, dict[ObjectId, int]] = {}
+        partners: dict[ObjectId, list[ObjectId]] = {}
         for uv, m in static.items():
-            for wv, m_bits in m.items():
-                partners.setdefault(wv, {})[uv] = m_bits
+            for wv in m:
+                partners.setdefault(wv, []).append(uv)
         return _Query(
             doms, dom_u, dom_w, u_color, w_color, w_count, u_classes, applied,
             static, partners, rows={}, counts={}, mixed={},
@@ -464,9 +464,10 @@ class PreparedBaseline:
             if mine is None:
                 continue
             old = w_static.get(wv, 0)
-            for uv, m_bits in mine.items():
+            for uv in mine:
                 if uv in u_extra or wv in dynamic.get(uv, _NO_PAIRS):
                     continue
+                m_bits = static[uv][wv]
                 u_bits = u_static.get(uv, 0)
                 d = delta(fixed_bits, u_bits, old | bits, m_bits) - delta(
                     fixed_bits, u_bits, old, m_bits
@@ -536,9 +537,7 @@ class PreparedBaseline:
                     atom_pairs = q.mixed[j, key] = _restrict(index[key], q.dom_u, q.dom_w)
                 if atom_pairs:
                     found.append(atom_pairs)
-        if not found:
-            return {}
-        return found[0] if len(found) == 1 else _merge_pairs(found)
+        return _merge_pairs(found)
 
     def _class_count(self, q: _Query, fixed_bits: int, u_bits: int) -> int:
         """The count of a u of colour ``u_bits`` with no mixed atom true and
@@ -612,8 +611,8 @@ class _Query(NamedTuple):
     objects of the domain per static colour, in domain order; the guard; the
     static pairs within the domains, as u -> w -> mixed bits (the
     evaluator's own map, never changed, where no domain restricts u or w),
-    and the same pairs as w -> u -> mixed bits (each w's static partners);
-    and the caches of its base cases, which die with the query:
+    and per w its static partners, the u objects of its static pairs; and
+    the caches of its base cases, which die with the query:
 
     - ``rows``: per fixed-atom bit pattern, the row and its total.  The row
       is the count of every u of the domain from its static colour with
@@ -634,7 +633,7 @@ class _Query(NamedTuple):
     u_classes: dict[int, list[ObjectId]]
     guard: _Guard
     static: dict[ObjectId, dict[ObjectId, int]]
-    partners: dict[ObjectId, dict[ObjectId, int]]
+    partners: dict[ObjectId, list[ObjectId]]
     rows: dict[int, tuple[dict[ObjectId, int], int]]
     counts: dict[tuple[int, int], int]
     mixed: dict[tuple[int, tuple], dict[ObjectId, dict[ObjectId, int]]]
@@ -697,7 +696,10 @@ def _or_bits(a: Mapping[ObjectId, int], b: Mapping[ObjectId, int]) -> dict[Objec
 def _merge_pairs(
     found: Sequence[dict[ObjectId, dict[ObjectId, int]]]
 ) -> dict[ObjectId, dict[ObjectId, int]]:
-    """The union of the pairs of several mixed atoms, their bits or-ed."""
+    """The union of the pairs of several mixed atoms, their bits or-ed: a
+    new map, unless there is one atom, whose own map it returns."""
+    if len(found) == 1:
+        return found[0]
     merged: dict[ObjectId, dict[ObjectId, int]] = {}
     for atom_pairs in found:
         for uv, m in atom_pairs.items():
