@@ -26,8 +26,8 @@ A base case then pays only for what its assignment moves:
 With one counting variable the base case copies the row and applies the
 shifts and corrections; with more, the caller needs only their sum, which is
 the row's total plus each class shift times the class size plus the
-corrections, with no per-u copy.  A guard literal over u only narrows the
-u objects a base case copies from the row and corrects.  The dynamic pairs
+corrections, with no per-u copy.  A guard only narrows the u objects a
+base case copies from the row and corrects.  The dynamic pairs
 come from the records of those atoms, indexed by the values of the leading
 variables and restricted to the query's domains once per index entry.  So
 a base case costs one dict copy (none on the sum path) plus time in the
@@ -44,11 +44,10 @@ build one per call.  One recursion brute-forces the leading variables: it
 visits the assignments of x1..x(k-1) in lexicographic order and hands its
 caller, per assignment, the value of every xk (the base case's per-u counts
 when there is one counting variable).  ``values`` stores them; ``opt`` keeps
-a running best and builds no table.  A query's guard is applied during the
-iteration, so the tuples that fail it are never evaluated: a literal over the
-base case's first variable restricts that variable's loop through a
-projection of its atom, cached per guard, and any other literal is checked
-once per assignment of its last variable.
+a running best and builds no table.  A guard narrows the loops, so the
+tuples that fail it are never evaluated: a positive literal narrows the loop
+of every variable it mentions to the values that extend the assignment so
+far to one of its records, and a negative one filters its last variable's.
 
 All inputs are immutable; the outer loop over the leading variable visits
 disjoint prefixes, so it parallelizes with an associative max/min merge
@@ -207,7 +206,7 @@ class PreparedBaseline:
         # keyed by the atom bit patterns that occur, so bounded by the queries
         self._phi_memo: dict[tuple, bool] = {}
         self._delta_memo: dict[tuple, int] = {}
-        # the applied form of each guard queried so far
+        # the projected literals of each guard queried so far
         self._guards: dict[tuple[tuple[Atom, bool], ...], _Guard] = {}
         # work counts since construction: base cases run (those a guard over
         # u empties included), and the mixed-pair deltas they applied (the
@@ -256,11 +255,12 @@ class PreparedBaseline:
     def _query(
         self, domains: Domains | None, guard: tuple[tuple[Atom, bool], ...]
     ) -> _Query:
-        """The domains, the static colours and classes, the applied guard,
+        """The domains, the static colours and classes, the projected guard,
         the static pairs and their partners index, and the empty base-case
         caches of a query."""
         doms = resolve_domains(self.structure, self.formula, domains)
-        dom_u, dom_w = set(doms[self.u_var]), set(doms[self.w_var])
+        sets = tuple(set(doms[v]) for v in self.order)
+        dom_u, dom_w = sets[-2:]
         u_color = _colors(self.u_static, {}, dom_u)
         w_color = _colors(self.w_static, {}, dom_w)
         w_count: dict[int, int] = {0: len(dom_w) - len(w_color)}
@@ -269,7 +269,6 @@ class PreparedBaseline:
         u_classes: dict[int, list[ObjectId]] = {}
         for uv in doms[self.u_var]:
             u_classes.setdefault(u_color.get(uv, 0), []).append(uv)
-        applied = self._guard(guard)
         if domains is None or not {self.u_var, self.w_var} & set(domains):
             static = self.mixed_static  # over every object: nothing to restrict
         else:
@@ -279,37 +278,30 @@ class PreparedBaseline:
             for wv in m:
                 partners.setdefault(wv, []).append(uv)
         return _Query(
-            doms, dom_u, dom_w, u_color, w_color, w_count, u_classes, applied,
+            doms, sets, u_color, w_color, w_count, u_classes, self._guard(guard),
             static, partners, rows={}, counts={}, mixed={},
         )
 
     def _guard(self, guard: tuple[tuple[Atom, bool], ...]) -> _Guard:
-        """The guard's literals, each checked as soon as its variables are
-        assigned: a literal over the base case's u restricts the u loop
-        through a projection of its atom, any other is checked at the depth
-        of its last variable."""
-        hit = self._guards.get(guard)
-        if hit is not None:
-            return hit
+        """Per depth, the projected literals that narrow its variable's loop,
+        positive ones first: a positive literal's at every depth it
+        mentions, a negative one's at its last."""
+        if guard in self._guards:
+            return self._guards[guard]
         order = self.order
-        k = self.formula.k
-        at_depth: list[list[tuple[Atom, bool]]] = [[] for _ in range(k)]
-        on_u = []
+        at_depth: list[list[tuple[ProjectedAtom, bool]]] = [[] for _ in order]
         for atom, want in guard:
-            if not set(atom.args) <= set(self.formula.opt_vars):
+            if not atom.args or not set(atom.args) <= set(self.formula.opt_vars):
                 raise ContractError(
-                    f"guard atom {atom} uses non-optimization variables"
+                    f"guard atom {atom} needs one or more optimization variables only"
                 )
-            if self.u_var in atom.args:
-                p = ProjectedAtom(self.structure, atom, order[:-2], (self.u_var,))
-                on_u.append((p, want))
-            else:
-                last = max((order.index(v) for v in atom.args), default=0)
-                at_depth[last].append((atom, want))
-        # a positive literal, if any, comes first: its hits seed the u loop
-        on_u.sort(key=lambda literal: not literal[1])
-        out = _Guard(tuple(map(tuple, at_depth)), tuple(on_u))
-        self._guards[guard] = out
+            depths = sorted({order.index(v) for v in atom.args})
+            for d in depths if want else depths[-1:]:
+                p = ProjectedAtom(self.structure, atom, order[:d], (order[d],))
+                at_depth[d].append((p, want))
+        for literals in at_depth:
+            literals.sort(key=lambda literal: not literal[1])
+        out = self._guards[guard] = tuple(map(tuple, at_depth))
         return out
 
     def _phi(self, fixed_bits, u_bits, w_bits, m_bits) -> bool:
@@ -345,21 +337,13 @@ class PreparedBaseline:
         """psi(u) = #{w : body} for every u in its domain that passes the
         guard: a copy of the query's row for the fixed bits, shifted per
         static u colour class and corrected per u as ``_moves`` says.  Empty,
-        with nothing coloured, when a positive u literal of the guard leaves
-        no u."""
+        with nothing coloured, when the guard leaves no u."""
         self.base_cases += 1
         us = None
-        if q.guard.on_u:
-            us = q.doms[self.u_var]
-            for i, (p, want) in enumerate(q.guard.on_u):
-                hits = p.query(asn)
-                if i == 0 and want:
-                    # the u loop reads a positive literal's hits, not the domain
-                    us = sorted(uv for (uv,) in hits if uv in q.dom_u)
-                    if not us:
-                        return {}
-                else:
-                    us = [uv for uv in us if ((uv,) in hits) == want]
+        if q.guard[-2]:  # the literals of u, the second-last variable
+            us = _narrow(q.guard[-2], asn, q.doms[self.u_var], q.sets[-2])
+            if not us:
+                return {}
         fixed_bits, row, _ = self._row(q, asn)
         shifts, fix = self._moves(q, asn, fixed_bits, row)
         out = row.copy() if us is None else {uv: row[uv] for uv in us}
@@ -404,8 +388,8 @@ class PreparedBaseline:
         index, and a pair of a dynamic mixed atom, with the pair's static
         bits or-ed in.  Counts the pair deltas it applies."""
         u_static, w_static = q.u_color, q.w_color
-        u_extra = _colors(self.u_dynamic, asn, q.dom_u)
-        w_extra = _colors(self.w_dynamic, asn, q.dom_w)
+        u_extra = _colors(self.u_dynamic, asn, q.sets[-2])
+        w_extra = _colors(self.w_dynamic, asn, q.sets[-1])
         moves: dict[tuple[int, int], int] = {}
         for wv, bits in w_extra.items():
             old = w_static.get(wv, 0)
@@ -534,7 +518,7 @@ class PreparedBaseline:
             if key in index:
                 atom_pairs = q.mixed.get((j, key))
                 if atom_pairs is None:
-                    atom_pairs = q.mixed[j, key] = _restrict(index[key], q.dom_u, q.dom_w)
+                    atom_pairs = q.mixed[j, key] = _restrict(index[key], *q.sets[-2:])
                 if atom_pairs:
                     found.append(atom_pairs)
         return _merge_pairs(found)
@@ -583,36 +567,50 @@ class PreparedBaseline:
     def _assign(
         self, q: _Query, depth: int, asn: dict[str, ObjectId]
     ) -> Iterator[ObjectId]:
-        """Each value of the variable at ``depth`` that passes the guard
-        literals checked there, assigned in ``asn`` until the next one."""
+        """Each value of the variable at ``depth`` that the guard lets
+        through, assigned in ``asn`` until the next one."""
         var = self.order[depth]
-        checks = q.guard.at_depth[depth] if depth < self.formula.k else ()
-        for o in q.doms[var]:
+        values = q.doms[var]
+        if q.guard[depth]:
+            values = _narrow(q.guard[depth], asn, values, q.sets[depth])
+        for o in values:
             asn[var] = o
-            if checks and not guard_holds(self.structure, checks, asn):
-                continue
             yield o
         asn.pop(var, None)
 
 
-class _Guard(NamedTuple):
-    """A guard as ``PreparedBaseline`` applies it: per depth below k, the
-    literals whose last variable is assigned there, and the projected
-    literals over the base case's u, positive ones first."""
+# per depth, a guard's projected literals on that variable, positive ones first
+_Guard = tuple[tuple[tuple[ProjectedAtom, bool], ...], ...]
 
-    at_depth: tuple[tuple[tuple[Atom, bool], ...], ...]
-    on_u: tuple[tuple[ProjectedAtom, bool], ...]
+
+def _narrow(
+    literals: Sequence[tuple[ProjectedAtom, bool]],
+    asn: Mapping[str, ObjectId],
+    values: Sequence[ObjectId],
+    value_set: set[ObjectId],
+) -> Sequence[ObjectId]:
+    """The sorted values that the literals let through under ``asn``: a
+    leading positive one's hits within ``value_set`` replace them, and each
+    other one keeps its hits, or its misses if it is negative."""
+    for i, (p, want) in enumerate(literals):
+        hits = p.query(asn)
+        if i == 0 and want:
+            values = sorted(v for (v,) in hits if v in value_set)
+        else:
+            values = [v for v in values if ((v,) in hits) == want]
+    return values
 
 
 class _Query(NamedTuple):
-    """One query's domains, with the last two as sets; the static colours
-    (those of the u- and w-atoms that mention no assigned variable), the
-    number of w objects per static colour (colour 0 included) and the u
-    objects of the domain per static colour, in domain order; the guard; the
-    static pairs within the domains, as u -> w -> mixed bits (the
-    evaluator's own map, never changed, where no domain restricts u or w),
-    and per w its static partners, the u objects of its static pairs; and
-    the caches of its base cases, which die with the query:
+    """One query's domains, in order per variable and as sets per depth;
+    the static colours (those of the u- and w-atoms that mention no
+    assigned variable), the number of w objects per static colour (colour 0
+    included) and the u objects of the domain per static colour, in domain
+    order; the guard, as ``PreparedBaseline._guard`` projects it; the static
+    pairs within the domains, as u -> w -> mixed bits (the evaluator's own
+    map, never changed, where no domain restricts u or w), and per w its
+    static partners, the u objects of its static pairs; and the caches of
+    its base cases, which die with the query:
 
     - ``rows``: per fixed-atom bit pattern, the row and its total.  The row
       is the count of every u of the domain from its static colour with
@@ -625,8 +623,7 @@ class _Query(NamedTuple):
     """
 
     doms: Mapping[str, tuple[ObjectId, ...]]
-    dom_u: set[ObjectId]
-    dom_w: set[ObjectId]
+    sets: tuple[set[ObjectId], ...]
     u_color: dict[ObjectId, int]
     w_color: dict[ObjectId, int]
     w_count: dict[int, int]

@@ -28,10 +28,12 @@ A side problem (a hyperedge pair's N atom, or a cross atom E(x_i, x_j)) is
 the normalized input over the tuples that carry its atom, so the lift
 answers each with one guarded query (``solve_positive_cross_edge``) on the
 one evaluator of the input that also answers its re-solve queries.  The
-paper's degree split of such a side is not needed: the evaluator seeds its
-loop over the last optimization variable from the hits of a positive guard
-literal over it and checks any other literal once per assignment of its
-last variable, as the split's light-light query did.
+paper's degree split of such a side is not needed: the positive literal of
+the atom narrows the evaluator's loop of each variable it mentions to the
+values that extend the assignment to one of the atom's records.  So the
+query enumerates the tuples along the atom's records, about m of them, and
+runs one base case per x1 with a record, as the split's light-light query
+did.
 """
 from __future__ import annotations
 
@@ -183,10 +185,12 @@ def solve_positive_cross_edge(
     This is one guarded query, ``evaluator.opt(None, ((forced, True),))``.
     It replaces the paper's degree split (heavy endpoints brute-forced,
     light-light tuples enumerated along their edges) at no extra cost: the
-    evaluator seeds its loop over the last optimization variable from the
-    hits of a positive literal over it, so a forced edge that ends there is
-    enumerated along its records, and checks any other literal once per
-    assignment of its last variable, as the split's light-light query did.
+    positive literal narrows the evaluator's loop of each variable it
+    mentions to the values that extend the assignment to one of the edge's
+    records.  So the query runs base cases only for the prefixes that
+    extend to an edge (for E(x1,x2) at k=2, one per object of E's first
+    column) and enumerates the tuples along the edge's records, as the
+    split's light-light query did.
     """
     if len(forced.args) != 2 or forced.args[0] == forced.args[1]:
         raise ContractError("forced atom must be binary over two distinct variables")
@@ -532,7 +536,11 @@ def solve_cross_free_lift(
     where none is clean), ``clean_rank`` is c*'s rank from 1 (None where
     none is clean within the cap), ``bar`` is B (None where c* is not
     reached), ``resolves`` the re-solved combinations and
-    ``resolve_queries`` their exact queries, c*'s own included.
+    ``resolve_queries`` their exact queries, c*'s own included.  ``exact``
+    is 1 where the cap cut no combination that the rule keeps (where none
+    is clean within the cap: where the ranking ran out), so the answer is
+    the exact optimum and least witness, and 0 where it is only within the
+    ratio.
     """
     structure, formula = plan.main_structure, plan.formula
     k = formula.k
@@ -590,10 +598,12 @@ def solve_cross_free_lift(
             before.append(scored)
 
         # (4) the bar (B, w), then the kept combinations: without c*, the top
-        # top_k
+        # top_k, which the rule would all keep, so the cap cut nothing only
+        # where the ranking ran out
         selected = [combo for _, combo in before]
         bar = None  # (B, the group of w's x1)
         solo = 0  # c*'s own re-solve query
+        exact = clean is not None or next(ranked, None) is None
         if clean is not None:
             if ratio == 1:
                 # c*'s guarded optimum is S* and its least witness lies in its
@@ -613,9 +623,10 @@ def solve_cross_free_lift(
             # is not kept none is
             selected = []
             for value, combo in chain(queue, ranked):
-                if solo + len(selected) == top_k or not _may_reach(
-                    kind, value, combo[0], bar, ratio
-                ):
+                if not _may_reach(kind, value, combo[0], bar, ratio):
+                    break
+                if solo + len(selected) == top_k:
+                    exact = False  # the cap cuts a combination the rule keeps
                     break
                 selected.append(combo)
 
@@ -631,6 +642,7 @@ def solve_cross_free_lift(
             combos=len(scores) - scores.count(None),
             top_k=top_k,
             dirty=len(before),
+            exact=int(exact),
             clean_rank=None if clean is None else len(before) + 1,
             bar=None if bar is None else bar[0],
             resolves=solo + len(selected),

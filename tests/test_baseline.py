@@ -473,6 +473,32 @@ def test_folded_rows_move_only_what_an_assignment_moves(data):
         assert prepared.opt(domains, guard) == opt_of_table(kept, formula.kind)
 
 
+def test_a_positive_literal_narrows_every_variable_it_mentions():
+    # at k=3 a positive E1(x2,x3) narrows x2 inside the loop over the leading
+    # variables, not only the base case's u (x3): one base case per x1 and
+    # per x2 of E1's first column
+    rng = random.Random(83)
+    narrowed = 0
+    for trial in range(20):
+        structure, formula = random_instance(rng, k=3, n_objects=rng.randint(4, 8))
+        domains = {
+            v: [o for o in range(structure.n) if rng.random() < 0.7] for v in ("x1", "x2")
+        }
+        guard = [(Atom("E1", ("x2", "x3")), True)]
+        prepared = PreparedBaseline(structure, formula)
+        got = prepared.opt(domains, guard)
+        heads = {a for a, _ in structure.relation("E1").records} & set(domains["x2"])
+        assert prepared.base_cases == len(domains["x1"]) * len(heads), f"trial {trial}"
+        kept = {
+            key: value
+            for key, value in naive_values(structure, formula, domains).entries.items()
+            if guard_holds(structure, guard, dict(zip(formula.opt_vars, key)))
+        }
+        assert got == opt_of_table(kept, formula.kind), f"trial {trial}"
+        narrowed += 0 < len(heads) < len(domains["x2"])
+    assert narrowed >= 5
+
+
 # the benchmark instance sets whose oracle answers GOLDEN holds, recorded
 # from an earlier version of relopt.baseline
 GOLDEN_SETS = (("lift-sparse", (0, 1, 2)), ("desk-mix", (0, 1, 2)), ("multicount", (0,)))

@@ -124,8 +124,8 @@ def test_solve_trace_prints_the_winning_source_of_the_lift(tmp_path, capsys):
     # top-ranked combination is clean, its score 1 is the bar, and the lift
     # re-solves it with its 8 ties in its first group, in one query
     assert (
-        "stage cross-free-lift bar=1 clean_rank=1 combos=81 dirty=0 groups=9 heavy=6 "
-        "m=24 n=18 resolve_queries=1 resolves=9 sides=0 threshold=3 top_k=25\n"
+        "stage cross-free-lift bar=1 clean_rank=1 combos=81 dirty=0 exact=1 groups=9 "
+        "heavy=6 m=24 n=18 resolve_queries=1 resolves=9 sides=0 threshold=3 top_k=25\n"
     ) in out
     assert "witness o2 o0\n" in out and out.endswith("source resolve\n")
 

@@ -38,7 +38,13 @@ from relopt.reduction import (
 )
 from relopt.structure import build_structure, load_structure
 
-from oracles import guarded_opt, nested_loop_opt, random_body_text, random_instance
+from oracles import (
+    bench_instances,
+    guarded_opt,
+    nested_loop_opt,
+    random_body_text,
+    random_instance,
+)
 
 
 def conforming_instance(rng, k=2, n_objects=7, unary=2, kind=None):
@@ -180,6 +186,34 @@ def test_cross_edge_is_the_guarded_optimum_of_the_forced_tuples(data):
     assert got == guarded_opt(structure, formula, None, guard + [(forced, True)]), (
         f"{formula} forced {forced} guard {guard}"
     )
+
+
+def test_side_query_runs_a_base_case_per_object_of_its_atom(monkeypatch):
+    # the forced atom's positive literal narrows the loop of x1 too, so a
+    # side query of the lift runs one base case per x1 that has a record of
+    # the atom, not one per object: 399 base cases on lift-sparse seed 1,
+    # whose 8 instances have 1,127 objects
+    from relopt import reduction
+
+    calls = []
+
+    def counting(evaluator, forced):
+        before = evaluator.base_cases
+        res = solve_positive_cross_edge(evaluator, forced)
+        column = forced.args.index(evaluator.formula.opt_vars[0])
+        records = evaluator.structure.relation(forced.pred).records
+        calls.append((evaluator.base_cases - before, len({r[column] for r in records})))
+        return res
+
+    monkeypatch.setattr(reduction, "solve_positive_cross_edge", counting)
+    instances = bench_instances()
+    for structure_text, formula_text in instances.instance_texts("lift-sparse", 1):
+        formula = parse_formula(formula_text)
+        reduce_and_solve(load_structure(structure_text), formula, exact_solver(formula.kind))
+    assert calls, "no side query ran"
+    for ran, objects in calls:
+        assert ran <= objects, calls
+    assert sum(ran for ran, _ in calls) == 399
 
 
 # --- hyperedge removal ----------------------------------------------------------
@@ -756,6 +790,7 @@ def test_trace_counts_heavy_solves_resolves_and_ip_calls(monkeypatch):
             rule = _rule_combinations(plan, scores, top_k, c)
             assert stats["resolves"] == len(rule.combos) <= top_k
             assert (stats["clean_rank"], stats["bar"]) == (rule.clean_rank, rule.bar)
+            assert stats["exact"] == rule.fits
             if rule.clean_rank is None:
                 assert stats["dirty"] == stats["resolves"] == top_k
             # one query per prefix of the kept combinations, plus c*'s
@@ -1375,6 +1410,9 @@ def test_approximate_lift_is_exact_wherever_the_kept_set_fits_the_cap(instance, 
     )
     rule = _rule_combinations(plan, scores, stats["top_k"], 2)
     assert (stats["resolves"], stats["resolve_queries"]) == (len(rule.combos), rule.queries)
+    # the stage says whether the answer is exact: 1 exactly where the kept
+    # set fits the cap
+    assert stats["exact"] == rule.fits
     if rule.fits:
         event("the kept set fits the cap")
         assert got == want, str(formula)
