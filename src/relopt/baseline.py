@@ -37,6 +37,10 @@ domain of the counting variable.
 This module is also the correctness oracle for everything else in the
 package.
 
+``BodyAtoms`` holds the atom bookkeeping this solver shares with the
+multi-counting one (``relopt.fastcount``): it classifies the body's atoms by
+the counted variables they mention, projects each atom once per set of bound
+variables and memoizes the body's truth per class bits.
 ``PreparedBaseline`` indexes the structure's relations for one formula once
 and then answers queries over any domains; the pipeline keeps one per
 (structure, formula) and queries it per domain, and the module functions
@@ -56,7 +60,9 @@ disjoint prefixes, so it parallelizes with an associative max/min merge
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from itertools import combinations
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ContractError, UnsupportedShapeError
 from .formula import Atom, Expr, OptFormula, atoms_of, check_schema, eval_expr_table
@@ -99,12 +105,35 @@ def resolve_domains(
     return out
 
 
+def _projection_key(
+    atom: Atom, fixed_vars: Iterable[str], free_vars: Sequence[str]
+) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The fixed variables the atom mentions, sorted, and its free ones in
+    ``free_vars`` order: all a projection of the atom depends on."""
+    args = atom.args
+    fixed = tuple(sorted(set(fixed_vars).intersection(args)))
+    return fixed, tuple(v for v in free_vars if v in args)
+
+
+def _picker(keys: Sequence) -> Callable[[Any], tuple]:
+    """The function that reads ``keys`` (positions or names) off a record or
+    an assignment, as a tuple."""
+    if not keys:
+        return lambda _: ()
+    if len(keys) == 1:
+        (key,) = keys
+        return lambda rec: (rec[key],)
+    return itemgetter(*keys)
+
+
 class ProjectedAtom:
     """Records of one atom grouped by the values of its fixed variables.
 
     ``query(assignment)`` returns the set of value tuples for the atom's free
     variables (in ``free_vars`` order, restricted to variables the atom
-    actually uses) that make the atom true under the assignment.
+    actually uses) that make the atom true under the assignment.  A record
+    whose columns of a repeated variable disagree makes the atom true under
+    no assignment.
     """
 
     def __init__(
@@ -114,23 +143,20 @@ class ProjectedAtom:
         fixed_vars: Iterable[str],
         free_vars: Sequence[str],
     ):
-        fixed = set(fixed_vars)
-        args = atom.args
-        self.fixed_key = tuple(sorted({v for v in args if v in fixed}))
-        self.present_free = tuple(v for v in free_vars if v in args)
+        self.fixed_key, self.present_free = _projection_key(atom, fixed_vars, free_vars)
+        first = {v: atom.args.index(v) for v in atom.args}
+        repeats = [(first[v], i) for i, v in enumerate(atom.args) if first[v] != i]
+        key_of = _picker([first[v] for v in self.fixed_key])
+        free_of = _picker([first[v] for v in self.present_free])
         by_fixed: dict[tuple, set[tuple]] = {}
         for rec in structure.relation(atom.pred).records:
-            vals: dict[str, ObjectId] = {}
-            ok = True
-            for v, x in zip(args, rec):
-                if vals.setdefault(v, x) != x:
-                    ok = False
-                    break
-            if not ok:
+            if repeats and any(rec[i] != rec[j] for i, j in repeats):
                 continue
-            key = tuple(vals[v] for v in self.fixed_key)
-            free_val = tuple(vals[v] for v in self.present_free)
-            by_fixed.setdefault(key, set()).add(free_val)
+            key = key_of(rec)
+            hits = by_fixed.get(key)
+            if hits is None:
+                hits = by_fixed[key] = set()
+            hits.add(free_of(rec))
         self.by_fixed = by_fixed
 
     def query(self, assignment: Mapping[str, ObjectId]) -> set[tuple]:
@@ -138,17 +164,87 @@ class ProjectedAtom:
         return self.by_fixed.get(key, set())
 
 
-def _atom_truth(
-    structure: RelationalStructure, atom: Atom, assignment: Mapping[str, ObjectId]
-) -> bool:
-    rec = tuple(assignment[v] for v in atom.args)
-    return rec in structure.relation(atom.pred).records
+Projections = Sequence[tuple[int, ProjectedAtom]]
+
+
+class BodyAtoms:
+    """The body's atoms for an engine that brute-forces the leading variables
+    and counts the last ``free`` ones of the order.
+
+    An atom's class is the tuple of the free variables it mentions, in
+    order; ``classes`` lists every subset of them by size and then order,
+    from ``()``, the fixed atoms, to all of them.  Atom i of ``atoms[c]`` is
+    bit i of class c's bits.  ``split[c]`` holds the (bit, projection) pairs
+    of class c with the leading variables bound: static (mentioning none of
+    them, so the same in every assignment) and dynamic.  ``project`` builds
+    each projection once, for the classes and for a caller's literals."""
+
+    def __init__(self, structure: RelationalStructure, formula: OptFormula, free: int):
+        self.structure = structure
+        self.formula = formula
+        order = formula.opt_vars + formula.count_vars
+        bound, self.free = order[: len(order) - free], order[len(order) - free :]
+        self.classes = tuple(
+            c for size in range(free + 1) for c in combinations(self.free, size)
+        )
+        self.atoms: dict[tuple[str, ...], list[Atom]] = {c: [] for c in self.classes}
+        self._false = dict.fromkeys(atoms_of(formula.body), False)
+        for atom in self._false:
+            self.atoms[tuple(v for v in self.free if v in atom.args)].append(atom)
+        self._projections: dict[tuple, ProjectedAtom] = {}
+        self.split: dict[tuple[str, ...], tuple[Projections, Projections]] = {}
+        for c in self.classes[1:]:
+            static, dynamic = [], []
+            for i, atom in enumerate(self.atoms[c]):
+                p = self.project(atom, bound, c)
+                (dynamic if p.fixed_key else static).append((i, p))
+            self.split[c] = static, dynamic
+        # per class, each atom's argument picker and records, for ``bits``
+        self._records = {
+            c: [(_picker(a.args), structure.relation(a.pred).records) for a in atoms]
+            for c, atoms in self.atoms.items()
+        }
+        # keyed by the class bit patterns that occur, so bounded by the queries
+        self._truth: dict[tuple[int, ...], bool] = {}
+
+    def project(
+        self, atom: Atom, fixed_vars: Iterable[str], free_vars: Sequence[str]
+    ) -> ProjectedAtom:
+        """``ProjectedAtom(structure, atom, fixed_vars, free_vars)``, built
+        once per (atom, fixed variables, free variables) it mentions."""
+        key = (atom, *_projection_key(atom, fixed_vars, free_vars))
+        p = self._projections.get(key)
+        if p is None:
+            p = ProjectedAtom(self.structure, atom, fixed_vars, free_vars)
+            self._projections[key] = p
+        return p
+
+    def bits(self, asn: Mapping[str, ObjectId], c: tuple[str, ...] = ()) -> int:
+        """The bits of the atoms of class ``c`` (by default the fixed ones)
+        that hold under ``asn``, which assigns each of their variables."""
+        out = 0
+        for i, (args_of, records) in enumerate(self._records[c]):
+            if args_of(asn) in records:
+                out |= 1 << i
+        return out
+
+    def truth(self, bits: tuple[int, ...]) -> bool:
+        """The body's truth where the atoms of the i-th class take the i-th
+        bits; the atoms of the classes past ``bits`` are false."""
+        hit = self._truth.get(bits)
+        if hit is None:
+            values = dict(self._false)
+            for c, c_bits in zip(self.classes, bits):
+                for i, atom in enumerate(self.atoms[c]):
+                    values[atom] = bool(c_bits >> i & 1)
+            hit = self._truth[bits] = eval_expr_table(self.formula.body, values)
+        return hit
 
 
 class PreparedBaseline:
-    """The baseline evaluator of one (structure, formula): the relation
-    indexes and the body-truth memo are built once, and every query supplies
-    its own domains."""
+    """The baseline evaluator of one (structure, formula): its atoms
+    (``BodyAtoms`` over u and w) and the mixed atoms' pair indexes are built
+    once, and every query supplies its own domains."""
 
     def __init__(self, structure: RelationalStructure, formula: OptFormula):
         if formula.k + formula.ell < 2:
@@ -157,54 +253,21 @@ class PreparedBaseline:
         self.structure = structure
         self.formula = formula
         self.order = formula.opt_vars + formula.count_vars
-        self.atoms = tuple(dict.fromkeys(atoms_of(formula.body)))
-        u, w = self.order[-2], self.order[-1]
-        assigned = set(self.order[:-2])
-        self.u_var, self.w_var = u, w
-        self.fixed_atoms = []
-        self.u_atoms = []
-        self.w_atoms = []
-        self.mixed_atoms = []
-        for atom in self.atoms:
-            vs = set(atom.args)
-            if u in vs and w in vs:
-                self.mixed_atoms.append(atom)
-            elif u in vs:
-                self.u_atoms.append(atom)
-            elif w in vs:
-                self.w_atoms.append(atom)
-            else:
-                self.fixed_atoms.append(atom)
-        # (bit, projection) per u- and w-atom, split by whether the atom
-        # mentions an assigned variable: the others colour the same objects in
-        # every base case, so a query colours them once
-        self.u_static, self.u_dynamic = _split(
-            ProjectedAtom(structure, a, assigned, (u,)) for a in self.u_atoms
-        )
-        self.w_static, self.w_dynamic = _split(
-            ProjectedAtom(structure, a, assigned, (w,)) for a in self.w_atoms
-        )
+        # the u-, w- and mixed atoms; the static u- and w-atoms colour the
+        # same objects in every base case, so a query colours them once
+        self.body = BodyAtoms(structure, formula, 2)
+        self.u_var, self.w_var = u, w = self.body.free
+        self.u_static, self.u_dynamic = self.body.split[u,]
+        self.w_static, self.w_dynamic = self.body.split[w,]
         # per mixed atom, its (u, w) records as u -> w -> the atom's bit.  The
-        # atoms whose projection has no fixed variable hold for the same pairs
-        # in every base case and are merged into one map, the static pairs; a
-        # dynamic atom's records are indexed by its fixed key's values, and a
-        # query restricts each entry it reads to its domains once
-        static_pairs = []
-        self.mixed_dynamic = []
-        for i, a in enumerate(self.mixed_atoms):
-            p = ProjectedAtom(structure, a, assigned, (u, w))
-            index: dict[tuple, dict[ObjectId, dict[ObjectId, int]]] = {}
-            for key, pairs in p.by_fixed.items():
-                by_u = index[key] = {}
-                for uv, wv in pairs:
-                    by_u.setdefault(uv, {})[wv] = 1 << i
-            if p.fixed_key:
-                self.mixed_dynamic.append((p.fixed_key, index))
-            else:
-                static_pairs.append(index.get((), {}))
-        self.mixed_static = _merge_pairs(static_pairs)
+        # static atoms hold for the same pairs in every base case and are
+        # merged into one map, the static pairs; a dynamic atom's records are
+        # indexed by its fixed key's values, and a query restricts each entry
+        # it reads to its domains once
+        static, dynamic = self.body.split[u, w]
+        self.mixed_static = _merge_pairs([_by_u(i, p).get((), {}) for i, p in static])
+        self.mixed_dynamic = [(p.fixed_key, _by_u(i, p)) for i, p in dynamic]
         # keyed by the atom bit patterns that occur, so bounded by the queries
-        self._phi_memo: dict[tuple, bool] = {}
         self._delta_memo: dict[tuple, int] = {}
         # the projected literals of each guard queried so far
         self._guards: dict[tuple[tuple[Atom, bool], ...], _Guard] = {}
@@ -297,29 +360,11 @@ class PreparedBaseline:
                 )
             depths = sorted({order.index(v) for v in atom.args})
             for d in depths if want else depths[-1:]:
-                p = ProjectedAtom(self.structure, atom, order[:d], (order[d],))
+                p = self.body.project(atom, order[:d], (order[d],))
                 at_depth[d].append((p, want))
         for literals in at_depth:
             literals.sort(key=lambda literal: not literal[1])
         out = self._guards[guard] = tuple(map(tuple, at_depth))
-        return out
-
-    def _phi(self, fixed_bits, u_bits, w_bits, m_bits) -> bool:
-        key = (fixed_bits, u_bits, w_bits, m_bits)
-        hit = self._phi_memo.get(key)
-        if hit is not None:
-            return hit
-        values: dict[Atom, bool] = {}
-        for i, a in enumerate(self.fixed_atoms):
-            values[a] = bool(fixed_bits >> i & 1)
-        for i, a in enumerate(self.u_atoms):
-            values[a] = bool(u_bits >> i & 1)
-        for i, a in enumerate(self.w_atoms):
-            values[a] = bool(w_bits >> i & 1)
-        for i, a in enumerate(self.mixed_atoms):
-            values[a] = bool(m_bits >> i & 1)
-        out = eval_expr_table(self.formula.body, values)
-        self._phi_memo[key] = out
         return out
 
     def _delta(self, fixed_bits, u_bits, w_bits, m_bits) -> int:
@@ -328,9 +373,9 @@ class PreparedBaseline:
         key = (fixed_bits, u_bits, w_bits, m_bits)
         hit = self._delta_memo.get(key)
         if hit is None:
-            hit = self._delta_memo[key] = (
-                self._phi(*key) - self._phi(fixed_bits, u_bits, w_bits, 0)
-            )
+            truth = self.body.truth
+            hit = truth(key) - truth((fixed_bits, u_bits, w_bits, 0))
+            self._delta_memo[key] = hit
         return hit
 
     def _base_case(self, q: _Query, asn: dict[str, ObjectId]) -> dict[ObjectId, int]:
@@ -394,7 +439,7 @@ class PreparedBaseline:
         for wv, bits in w_extra.items():
             old = w_static.get(wv, 0)
             moves[old, old | bits] = moves.get((old, old | bits), 0) + 1
-        phi, delta = self._phi, self._delta
+        truth, delta = self.body.truth, self._delta
         shift_of: dict[int, int] = {}
 
         def shift(u_bits: int) -> int:
@@ -403,7 +448,8 @@ class PreparedBaseline:
                 s = 0
                 for (old, new), c in moves.items():
                     s += c * (
-                        phi(fixed_bits, u_bits, new, 0) - phi(fixed_bits, u_bits, old, 0)
+                        truth((fixed_bits, u_bits, new, 0))
+                        - truth((fixed_bits, u_bits, old, 0))
                     )
                 shift_of[u_bits] = s
             return s
@@ -485,10 +531,7 @@ class PreparedBaseline:
         row's total.  The row maps every u of the domain, in domain order, to
         its count from its static colour with every w at its static colour,
         the delta of each of the u's static pairs at those colours included."""
-        fixed_bits = 0
-        for i, a in enumerate(self.fixed_atoms):
-            if _atom_truth(self.structure, a, asn):
-                fixed_bits |= 1 << i
+        fixed_bits = self.body.bits(asn)
         hit = q.rows.get(fixed_bits)
         if hit is not None:
             return fixed_bits, *hit
@@ -532,7 +575,7 @@ class PreparedBaseline:
             cnt = q.counts[key] = sum(
                 total
                 for alpha, total in q.w_count.items()
-                if self._phi(fixed_bits, u_bits, alpha, 0)
+                if self.body.truth((fixed_bits, u_bits, alpha, 0))
             )
         return cnt
 
@@ -636,16 +679,14 @@ class _Query(NamedTuple):
     mixed: dict[tuple[int, tuple], dict[ObjectId, dict[ObjectId, int]]]
 
 
-Projections = Sequence[tuple[int, ProjectedAtom]]
-
-
-def _split(projections: Iterable[ProjectedAtom]) -> tuple[Projections, Projections]:
-    """(bit, projection) pairs of the projections without and with fixed
-    variables."""
-    static, dynamic = [], []
-    for i, p in enumerate(projections):
-        (dynamic if p.fixed_key else static).append((i, p))
-    return static, dynamic
+def _by_u(i: int, p: ProjectedAtom) -> dict[tuple, dict[ObjectId, dict[ObjectId, int]]]:
+    """A mixed atom's (u, w) records per fixed key, as u -> w -> bit i."""
+    index: dict[tuple, dict[ObjectId, dict[ObjectId, int]]] = {}
+    for key, pairs in p.by_fixed.items():
+        by_u = index[key] = {}
+        for uv, wv in pairs:
+            by_u.setdefault(uv, {})[wv] = 1 << i
+    return index
 
 
 def _colors(
@@ -747,7 +788,11 @@ def guard_holds(
     guard: Sequence[tuple[Atom, bool]],
     assignment: Mapping[str, ObjectId],
 ) -> bool:
-    return all(_atom_truth(structure, a, assignment) == want for a, want in guard)
+    return all(
+        (tuple(assignment[v] for v in a.args) in structure.relation(a.pred).records)
+        == want
+        for a, want in guard
+    )
 
 
 def baseline_opt_restricted(

@@ -5,7 +5,8 @@ with a heavy/light degree split, after decomposing the ternary Boolean body
 over the AND basis { AND_{i in S} a_i : S subseteq {1,2,3} }.  Everything
 above three variables is brute-forced, which matches the m^(k+l-3/2) shape.
 
-The residual's static part is built once per solve: the colours, classes
+The residual's atoms are classified and projected by the baseline's
+``BodyAtoms``.  Its static part is built once per solve: the colours, classes
 and pair buckets (by the unary classes of both endpoints and the colour
 bits) of the atoms that mention no brute-forced variable.  A run adds only
 what its assignment's atoms select: those objects leave their static class,
@@ -21,23 +22,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from operator import add
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .baseline import (
-    OptResult,
-    ProjectedAtom,
-    Projections,
-    _atom_truth,
-    _colors,
-    _split,
-    opt_of_table,
-    resolve_domains,
-)
+from .baseline import BodyAtoms, OptResult, Projections, _colors, opt_of_table, resolve_domains
 from .errors import ContractError, UnsupportedShapeError
-from .formula import Atom, OptFormula, atoms_of, check_schema, eval_expr_table
+from .formula import OptFormula, check_schema
 from .structure import ObjectId, RelationalStructure
 
 TruthTable = Sequence[int]  # 8 entries indexed by (a1 << 2) | (a2 << 1) | a3
@@ -314,20 +306,21 @@ def _pair_colors(
 
 
 class _PairSide:
-    """The atoms over one pair (a, b) of residual variables, split into
-    static and dynamic ones, with the static pair colours and buckets; and
+    """The atoms over one pair (a, b) of residual variables, as their static
+    and dynamic projections, with the static pair colours and buckets; and
     per object of a (of b) its static partners and its index pairs by
     bucket."""
 
     def __init__(
         self,
-        projections: Iterable[ProjectedAtom],
+        static: Projections,
+        dynamic: Projections,
         dom_a: set,
         dom_b: set,
         ca: _Classes,
         cb: _Classes,
     ):
-        static, self.dynamic = _split(projections)
+        self.dynamic = dynamic
         self.dom_a, self.dom_b = dom_a, dom_b
         self.ca, self.cb = ca, cb
         self.color = _pair_colors(static, {}, dom_a, dom_b)
@@ -421,9 +414,10 @@ class _Residual3:
     step 2 enumerates unary color classes, step 3 reduces each satisfying
     edge-color combination to a triangle count.
 
-    The unary and pair atoms split as in ``relopt.baseline``: a static atom
-    mentions no brute-forced variable, so it colours the same objects and
-    pairs in every run; a dynamic one mentions one.  The static colours,
+    ``relopt.baseline.BodyAtoms`` classifies and projects the atoms and
+    holds the body's truth per class bits.  A static atom mentions no
+    brute-forced variable, so it colours the same objects and pairs in every
+    run; a dynamic one mentions one.  The static colours,
     classes and buckets (each pair's coloured pairs by the classes of both
     endpoints and by colour, as in-class index pairs) are built once.  A run
     colours only its dynamic atoms.  The objects and pairs they select are
@@ -440,72 +434,37 @@ class _Residual3:
         structure: RelationalStructure,
         formula: OptFormula,
         domains: Mapping[str, tuple[ObjectId, ...]],
-        free: tuple[str, str, str],
     ):
-        self.structure = structure
-        self.formula = formula
-        self.free = free
+        self.body = body = BodyAtoms(structure, formula, 3)
+        self.free = body.free
         self.domains = domains
-        self.atoms = tuple(dict.fromkeys(atoms_of(formula.body)))
-        u, v, w = free
-        fixed = [a for a in self.atoms if not (set(a.args) & set(free))]
-        assigned = {x for x in formula.opt_vars + formula.count_vars if x not in free}
-        self.fixed_atoms = fixed
-        self.single: dict[str, list[Atom]] = {u: [], v: [], w: []}
-        self.pairs: dict[tuple[str, str], list[Atom]] = {
-            (u, v): [],
-            (u, w): [],
-            (v, w): [],
-        }
-        self.triple_atoms: list[Atom] = []
-        for a in self.atoms:
-            fv = [x for x in free if x in a.args]
-            if not fv:
-                continue
-            if len(fv) == 1:
-                self.single[fv[0]].append(a)
-            elif len(fv) == 2:
-                self.pairs[tuple(fv)].append(a)
-            else:
-                self.triple_atoms.append(a)
-        self.dom_sets = {var: set(domains[var]) for var in free}
+        self.dom_sets = {var: set(domains[var]) for var in self.free}
         # per variable its dynamic unary atoms and its static classes
         self.single_dynamic: dict[str, Projections] = {}
         self.classes: dict[str, _Classes] = {}
-        for var, atoms in self.single.items():
-            static, self.single_dynamic[var] = _split(
-                ProjectedAtom(structure, a, assigned, (var,)) for a in atoms
-            )
+        for var in self.free:
+            static, self.single_dynamic[var] = body.split[var,]
             self.classes[var] = _static_classes(
                 domains[var], _colors(static, {}, self.dom_sets[var])
             )
         self.pair_sides = {
             (a, b): _PairSide(
-                [ProjectedAtom(structure, atom, assigned, (a, b)) for atom in atoms],
+                *body.split[a, b],
                 self.dom_sets[a],
                 self.dom_sets[b],
                 self.classes[a],
                 self.classes[b],
             )
-            for (a, b), atoms in self.pairs.items()
+            for a, b in combinations(self.free, 2)
         }
-        triple_static, self.triple_dynamic = _split(
-            ProjectedAtom(structure, a, assigned, free) for a in self.triple_atoms
-        )
+        triple_static, self.triple_dynamic = body.split[self.free]
         self.static_triples = self._triples(triple_static, {})
-        # the offsets of the (u, w) and (v, w) colours in _phi0's pair bits
-        self.uw_shift = len(self.pairs[(u, v)])
-        self.vw_shift = self.uw_shift + len(self.pairs[(u, w)])
-        self._memo: dict[tuple, bool] = {}
         # the psi of the runs that touched nothing, by their fixed atom bits
         self._untouched: dict[int, dict[ObjectId, int]] = {}
-        self.dynamic_atoms = sum(map(len, self.single_dynamic.values())) + sum(
-            len(side.dynamic) for side in self.pair_sides.values()
-        )
-        self.static_atoms = (
-            sum(map(len, self.single.values()))
-            + sum(map(len, self.pairs.values()))
-            - self.dynamic_atoms
+        # the unary and pair atoms: the classes past the fixed atoms and
+        # short of the one over u, v and w
+        self.static_atoms, self.dynamic_atoms = (
+            sum(len(body.split[c][i]) for c in body.classes[1:-1]) for i in (0, 1)
         )
         # counts over every run, reported by multi_counting_opt's stats_out
         self.runs = 0
@@ -513,28 +472,6 @@ class _Residual3:
         self.graphs = 0
         self.empty_side = 0
         self.tables: set[int] = set()
-
-    def _phi0(self, fixed_bits, bits_u, bits_v, bits_w, pair_bits) -> bool:
-        """Body with three-free-variable atoms replaced by false."""
-        key = (fixed_bits, bits_u, bits_v, bits_w, pair_bits)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        u, v, w = self.free
-        values: dict[Atom, bool] = {a: False for a in self.triple_atoms}
-        for i, a in enumerate(self.fixed_atoms):
-            values[a] = bool(fixed_bits >> i & 1)
-        for var, bits in ((u, bits_u), (v, bits_v), (w, bits_w)):
-            for i, a in enumerate(self.single[var]):
-                values[a] = bool(bits >> i & 1)
-        off = 0
-        for pr in ((u, v), (u, w), (v, w)):
-            for i, a in enumerate(self.pairs[pr]):
-                values[a] = bool(pair_bits >> (off + i) & 1)
-            off += len(self.pairs[pr])
-        out = eval_expr_table(self.formula.body, values)
-        self._memo[key] = out
-        return out
 
     def _triples(self, projections: Projections, asn) -> set[tuple]:
         """The triples of the domains of (u, v, w) some of the atoms hold for."""
@@ -550,10 +487,8 @@ class _Residual3:
         """psi(u) for every u of its domain; the caller must not change it."""
         u, v, w = self.free
         self.runs += 1
-        fixed_bits = 0
-        for i, a in enumerate(self.fixed_atoms):
-            if _atom_truth(self.structure, a, asn):
-                fixed_bits |= 1 << i
+        body = self.body
+        fixed_bits = body.bits(asn)
         extra = {
             var: _colors(self.single_dynamic[var], asn, self.dom_sets[var])
             for var in self.free
@@ -577,7 +512,7 @@ class _Residual3:
             for (a, b), side in self.pair_sides.items()
         )
 
-        uw_shift, vw_shift = self.uw_shift, self.vw_shift
+        truth = body.truth
         psi0 = dict.fromkeys(self.domains[u], 0)
         for delta, us in cls_u.members.items():
             counts = [0] * len(us)
@@ -592,8 +527,8 @@ class _Residual3:
                     for (a0, e0), (a1, e1), (a2, e2) in product(
                         xy.items(), xz.items(), yz.items()
                     ):
-                        pair_bits = a0 | a1 << uw_shift | a2 << vw_shift
-                        if not self._phi0(fixed_bits, delta, beta, gamma, pair_bits):
+                        # the body with the atoms over u, v and w false
+                        if not truth((fixed_bits, delta, beta, gamma, a0, a1, a2)):
                             continue
                         g = TripartiteGraph(len(us), len(vs), len(ws), e0, e1, e2)
                         pattern = (bool(a0) << 2) | (bool(a1) << 1) | bool(a2)
@@ -609,13 +544,8 @@ class _Residual3:
         for t in self.static_triples | extra_triples:
             asn2 = dict(asn)
             asn2[u], asn2[v], asn2[w] = t
-            values = {a: _atom_truth(self.structure, a, asn2) for a in self.atoms}
-            full = eval_expr_table(self.formula.body, values)
-            values0 = dict(values)
-            for a in self.triple_atoms:
-                values0[a] = False
-            without = eval_expr_table(self.formula.body, values0)
-            psi0[t[0]] -= int(without) - int(full)
+            bits = tuple(body.bits(asn2, c) for c in body.classes)
+            psi0[t[0]] -= truth(bits[:-1]) - truth(bits)
         if untouched:
             self._untouched[fixed_bits] = psi0
         return psi0
@@ -644,10 +574,9 @@ def multi_counting_opt(
     doms = resolve_domains(structure, formula, None)
     order = formula.opt_vars + formula.count_vars
     prefix = order[:-3]
-    free = order[-3:]
     k = formula.k
-    residual = _Residual3(structure, formula, doms, free)
-    u_var = free[0]
+    residual = _Residual3(structure, formula, doms)
+    u_var = residual.free[0]
     u_is_opt = u_var in formula.opt_vars
 
     table: dict[tuple[ObjectId, ...], int] = {}

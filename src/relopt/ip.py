@@ -362,13 +362,13 @@ def signed_join(kind: str, pairs: SignedPairs, blocks: Blocks, stats: dict) -> l
     return out
 
 
-def exact_solver(kind: str, budget: int = DEFAULT_TUPLE_BUDGET) -> IpSolver:
-    """Brute force per instance; the signed query is one sparse join
-    (``signed_join``)."""
+def exact_solver(kind: str) -> IpSolver:
+    """Brute force per instance within ``DEFAULT_TUPLE_BUDGET`` tuples; the
+    signed query is one sparse join (``signed_join``)."""
     brute = brute_force_kmaxip if kind == "max" else brute_force_kminip
 
     def solve(instance: IPInstance) -> int | None:
-        res = brute(instance, budget)
+        res = brute(instance)
         return None if res is None else res[0]
 
     def signed_blocks(pairs: SignedPairs, blocks: Blocks, stats: dict) -> list:

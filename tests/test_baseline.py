@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from relopt.baseline import (
     PreparedBaseline,
+    ProjectedAtom,
     baseline_opt,
     baseline_opt_restricted,
     baseline_values,
@@ -348,6 +349,18 @@ def test_one_evaluator_answers_a_sequence_of_queries(data):
             assert got == guarded_opt(structure, formula, domains, guard)
 
 
+def test_projected_atom_keeps_records_whose_repeated_columns_agree():
+    s = load_structure("rel R 3\nR a a b\nR a b c\nR b b a\nR b b c\nR c a c\nR b a b\n")
+    a, b, c = (s.index(x) for x in "abc")
+    p = ProjectedAtom(s, Atom("R", ("x", "x", "y")), ("x",), ("y",))
+    assert (p.fixed_key, p.present_free) == (("x",), ("y",))
+    assert p.by_fixed == {(a,): {(b,)}, (b,): {(a,), (c,)}}
+    assert p.query({"x": b}) == {(a,), (c,)} and p.query({"x": c}) == set()
+    p = ProjectedAtom(s, Atom("R", ("x", "y", "x")), (), ("x", "y"))
+    assert (p.fixed_key, p.present_free) == ((), ("x", "y"))
+    assert p.by_fixed == {(): {(c, a), (b, a)}}
+
+
 def test_value_table_dump_format():
     s = load_structure(TOY)
     f = parse_formula(TOY_FORMULA)
@@ -395,7 +408,7 @@ def test_matches_naive_with_more_than_twenty_atoms_in_one_class():
             f"{kind} x1,x2 . count y . {_random_tree(rng, literals)}"
         )
         prepared = PreparedBaseline(structure, formula)
-        assert len(prepared.u_atoms) > 20 and len(prepared.w_atoms) > 20
+        assert len(prepared.body.atoms["x2",]) > 20 and len(prepared.body.atoms["y",]) > 20
         domains = None
         if trial % 2:
             domains = {

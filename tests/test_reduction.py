@@ -1161,6 +1161,30 @@ def test_lift_indexes_relations_independently_of_top_k(monkeypatch):
         assert runs[1][0] == runs[None][0], text
 
 
+def test_lift_projects_each_atom_once_per_key(monkeypatch):
+    # the lift's evaluator projects E1(x1,x2) with x1 bound as a u-atom, and
+    # the side query's and the re-solve's guards take that projection, not
+    # a copy: no (atom, bound variables, free variables) is built twice
+    import relopt.baseline as baseline
+
+    built = []
+    real_init = baseline.ProjectedAtom.__init__
+
+    def recording_init(self, structure, atom, *args):
+        real_init(self, structure, atom, *args)
+        built.append((atom, self.fixed_key, self.present_free))
+
+    monkeypatch.setattr(baseline.ProjectedAtom, "__init__", recording_init)
+    for structure_text, formula_text in bench_instances().instance_texts("lift-sparse", 1):
+        formula = parse_formula(formula_text)
+        built.clear()
+        _, trace = reduce_and_solve(
+            load_structure(structure_text), formula, exact_solver(formula.kind)
+        )
+        assert "cross-free-lift" in dict(trace.stages), trace.render()
+        assert built and len(set(built)) == len(built), built
+
+
 @st.composite
 def l1_instances(draw):
     """Small instances with one counting variable: k in {1, 2, 3}, max and
