@@ -44,11 +44,9 @@ variables and memoizes the body's truth per class bits.
 ``PreparedBaseline`` indexes the structure's relations for one formula once
 and then answers queries over any domains; the pipeline keeps one per
 (structure, formula) and queries it per domain, and the module functions
-build one per call.  One recursion brute-forces the leading variables: it
-visits the assignments of x1..x(k-1) in lexicographic order and hands its
-caller, per assignment, the value of every xk (the base case's per-u counts
-when there is one counting variable).  ``values`` stores them; ``opt`` keeps
-a running best and builds no table.  A guard narrows the loops, so the
+build one per call.  ``LeadingWalk``, the one recursion over the leading
+variables, serves both solvers: ``values`` stores what it yields and
+``opt_of_walk`` keeps a running best.  A guard narrows the loops, so the
 tuples that fail it are never evaluated: a positive literal narrows the loop
 of every variable it mentions to the values that extend the assignment so
 far to one of its records, and a negative one filters its last variable's.
@@ -60,6 +58,7 @@ disjoint prefixes, so it parallelizes with an associative max/min merge
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -241,6 +240,85 @@ class BodyAtoms:
         return hit
 
 
+Prefixes = Iterator[tuple[tuple[ObjectId, ...], dict[ObjectId, int]]]
+
+
+class LeadingWalk:
+    """The brute force over the leading variables that both exact engines
+    run: ``prefixes()`` yields (prefix, counts) per assignment of x1..x(k-1)
+    that passes the guard, in lexicographic order; counts maps each xk of
+    its domain that passes the guard, in domain order, to the value of
+    prefix + (xk,).  The base case counts the last ``free`` variables:
+    ``case(asn)`` maps each u, the first of them, that the guard lets
+    through to its count, in domain order, and ``total(asn)`` is their sum.
+    The loops before u run over ``doms``, narrowed by ``guard`` (per depth,
+    the literals that ``PreparedBaseline._guard`` projects) within
+    ``sets``."""
+
+    def __init__(
+        self,
+        formula: OptFormula,
+        free: int,
+        case: Callable[[dict[str, ObjectId]], dict[ObjectId, int]],
+        total: Callable[[dict[str, ObjectId]], int],
+        doms: Mapping[str, Sequence[ObjectId]],
+        sets: Sequence[set[ObjectId]] = (),
+        guard: _Guard = (),
+    ):
+        self.order = formula.opt_vars + formula.count_vars
+        self.last, self.base = formula.k - 1, len(self.order) - free  # xk's, u's depth
+        self.case, self.total = case, total
+        self.doms, self.sets, self.guard = doms, sets, guard
+
+    def prefixes(
+        self, depth: int = 0, prefix: tuple[ObjectId, ...] = (), asn: dict | None = None
+    ) -> Prefixes:
+        asn = {} if asn is None else asn
+        if depth < self.last:
+            for o in self._assign(depth, asn):
+                yield from self.prefixes(depth + 1, prefix + (o,), asn)
+        elif depth == self.base:  # xk is the base case's u
+            yield prefix, self.case(asn)
+        else:
+            yield prefix, {
+                o: self._count(depth + 1, asn) for o in self._assign(depth, asn)
+            }
+
+    def _count(self, depth: int, asn: dict[str, ObjectId]) -> int:
+        """The assignments from ``depth`` on that satisfy the body."""
+        if depth == self.base:
+            return self.total(asn)
+        return sum(self._count(depth + 1, asn) for _ in self._assign(depth, asn))
+
+    def _assign(self, depth: int, asn: dict[str, ObjectId]) -> Iterator[ObjectId]:
+        """Each value the guard lets through, assigned in ``asn`` until the next."""
+        var = self.order[depth]
+        values = self.doms[var]
+        if self.guard and self.guard[depth]:
+            values = _narrow(self.guard[depth], asn, values, self.sets[depth])
+        for o in values:
+            asn[var] = o
+            yield o
+        asn.pop(var, None)
+
+
+def opt_of_walk(prefixes: Prefixes, kind: str) -> OptResult | None:
+    """The optimum and least witness of a walk's prefixes, or None, with no
+    value table: the prefixes and each one's counts come in order, so the
+    first optimum met, kept against every later tie, is the least witness."""
+    is_max = kind == "max"
+    pick = max if is_max else min
+    best: OptResult | None = None
+    for prefix, counts in prefixes:
+        if not counts:
+            continue
+        value = pick(counts.values())
+        if best is None or (value > best.value if is_max else value < best.value):
+            last = next(o for o, c in counts.items() if c == value)
+            best = OptResult(value, prefix + (last,))
+    return best
+
+
 class PreparedBaseline:
     """The baseline evaluator of one (structure, formula): its atoms
     (``BodyAtoms`` over u and w) and the mixed atoms' pair indexes are built
@@ -280,9 +358,8 @@ class PreparedBaseline:
     def values(self, domains: Domains | None = None) -> ValueTable:
         """Val(x1,...,xk) for every optimization tuple over the domains."""
         entries = {}
-        for prefix, counts in self._prefixes(self._query(domains, ())):
-            for o, c in counts.items():
-                entries[prefix + (o,)] = c
+        for prefix, counts in self._walk(domains, ()):
+            entries.update((prefix + (o,), c) for o, c in counts.items())
         return ValueTable(entries)
 
     def opt(
@@ -298,29 +375,13 @@ class PreparedBaseline:
         minimization a conjunction inside the body would masquerade excluded
         tuples as value 0, so exclusion must happen at the tuple level.  The
         tuples that fail the guard are never evaluated.
-
-        No value table is built: the prefixes come in lexicographic order and
-        the counts of each in the order of its last variable's domain, so the
-        first optimum met, kept against every later tie, is the least witness.
         """
-        is_max = self.formula.kind == "max"
-        pick = max if is_max else min
-        best: OptResult | None = None
-        for prefix, counts in self._prefixes(self._query(domains, tuple(guard))):
-            if not counts:
-                continue
-            value = pick(counts.values())
-            if best is None or (value > best.value if is_max else value < best.value):
-                last = next(o for o, c in counts.items() if c == value)
-                best = OptResult(value, prefix + (last,))
-        return best
+        return opt_of_walk(self._walk(domains, tuple(guard)), self.formula.kind)
 
-    def _query(
+    def _walk(
         self, domains: Domains | None, guard: tuple[tuple[Atom, bool], ...]
-    ) -> _Query:
-        """The domains, the static colours and classes, the projected guard,
-        the static pairs and their partners index, and the empty base-case
-        caches of a query."""
+    ) -> Prefixes:
+        """The prefixes of one query's walk over its (u, w) base case."""
         doms = resolve_domains(self.structure, self.formula, domains)
         sets = tuple(set(doms[v]) for v in self.order)
         dom_u, dom_w = sets[-2:]
@@ -340,10 +401,12 @@ class PreparedBaseline:
         for uv, m in static.items():
             for wv in m:
                 partners.setdefault(wv, []).append(uv)
-        return _Query(
+        q = _Query(
             doms, sets, u_color, w_color, w_count, u_classes, self._guard(guard),
             static, partners, rows={}, counts={}, mixed={},
         )
+        base = partial(self._base_case, q), partial(self._base_sum, q)
+        return LeadingWalk(self.formula, 2, *base, doms, sets, q.guard).prefixes()
 
     def _guard(self, guard: tuple[tuple[Atom, bool], ...]) -> _Guard:
         """Per depth, the projected literals that narrow its variable's loop,
@@ -579,48 +642,6 @@ class PreparedBaseline:
             )
         return cnt
 
-    def _prefixes(
-        self,
-        q: _Query,
-        depth: int = 0,
-        prefix: tuple[ObjectId, ...] = (),
-        asn: dict[str, ObjectId] | None = None,
-    ) -> Iterator[tuple[tuple[ObjectId, ...], dict[ObjectId, int]]]:
-        """(prefix, counts) per assignment of x1..x(k-1) that passes the
-        guard, in lexicographic order; counts maps each xk of its domain that
-        passes the guard, in domain order, to the value of prefix + (xk,)."""
-        asn = {} if asn is None else asn
-        if depth < self.formula.k - 1:
-            for o in self._assign(q, depth, asn):
-                yield from self._prefixes(q, depth + 1, prefix + (o,), asn)
-        elif self.formula.ell == 1:  # xk is the base case's u
-            yield prefix, self._base_case(q, asn)
-        else:
-            yield prefix, {
-                o: self._count(q, depth + 1, asn) for o in self._assign(q, depth, asn)
-            }
-
-    def _count(self, q: _Query, depth: int, asn: dict[str, ObjectId]) -> int:
-        """The number of assignments of the counting variables from ``depth``
-        on that satisfy the body."""
-        if depth == len(self.order) - 2:
-            return self._base_sum(q, asn)
-        return sum(self._count(q, depth + 1, asn) for _ in self._assign(q, depth, asn))
-
-    def _assign(
-        self, q: _Query, depth: int, asn: dict[str, ObjectId]
-    ) -> Iterator[ObjectId]:
-        """Each value of the variable at ``depth`` that the guard lets
-        through, assigned in ``asn`` until the next one."""
-        var = self.order[depth]
-        values = q.doms[var]
-        if q.guard[depth]:
-            values = _narrow(q.guard[depth], asn, values, q.sets[depth])
-        for o in values:
-            asn[var] = o
-            yield o
-        asn.pop(var, None)
-
 
 # per depth, a guard's projected literals on that variable, positive ones first
 _Guard = tuple[tuple[tuple[ProjectedAtom, bool], ...], ...]
@@ -775,12 +796,9 @@ def baseline_opt(
 def opt_of_table(
     entries: Mapping[tuple[ObjectId, ...], int], kind: str
 ) -> OptResult | None:
-    best: OptResult | None = None
-    for key in sorted(entries):
-        val = entries[key]
-        if best is None or (val > best.value if kind == "max" else val < best.value):
-            best = OptResult(val, key)
-    return best
+    """``opt_of_walk`` over a table, each key a prefix and its last value."""
+    walk = ((key[:-1], {key[-1]: entries[key]}) for key in sorted(entries))
+    return opt_of_walk(walk, kind)
 
 
 def guard_holds(

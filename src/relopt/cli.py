@@ -9,7 +9,6 @@ from pathlib import Path
 
 from .baseline import OptResult, PreparedBaseline, baseline_opt
 from .errors import EngineError
-from .fastcount import multi_counting_opt
 from .formula import And, Atom, check_schema, parse_formula
 from .generate import GenProfile, generate, generate_texts
 from .ip import make_ip_solver
@@ -18,7 +17,6 @@ from .reduction import (
     reduce_and_solve,
     remove_hyperedges,
     remove_parallel_edges,
-    split_cross_atoms,
     to_hybrid,
 )
 from .structure import load_structure
@@ -94,13 +92,8 @@ def _run(engine: str, structure, formula, ip: str):
     # a forced engine's trace: its stage and the source line
     trace = ReductionTrace(path=engine)
     if engine == "baseline":
-        value, trace = trace.baseline_answer(structure, formula, reason="forced")
-    else:
-        stats: dict = {}
-        res = multi_counting_opt(structure, formula, stats_out=stats)
-        trace.add("multicount", **stats)
-        value, trace = trace.answer(res, engine)
-    return value, trace, 1.0
+        return (*trace.baseline_answer(structure, formula, reason="forced"), 1.0)
+    return (*trace.multicount_answer(structure, formula), 1.0)
 
 
 def _accepts(structure, formula, res: OptResult | None, value, witness, ratio) -> bool:
@@ -184,13 +177,12 @@ def cmd_reduce(args) -> int:
 
     # cross atoms leave the main body exactly as in the lift: one exactly
     # solved side problem each, false inside the relaxed core
-    cross, core = split_cross_atoms(plan.main_core)
-    for idx, atom in enumerate(cross):
+    for idx, atom in enumerate(plan.cross):
         write_side(f"cross{idx}.formula", atom)
-    (out_dir / "crossfree.formula").write_text(str(core) + "\n")
-    summary.append(f"stage cross-edge-removal sides={len(cross)}")
+    (out_dir / "crossfree.formula").write_text(str(plan.core) + "\n")
+    summary.append(f"stage cross-edge-removal sides={len(plan.cross)}")
 
-    transformed, tf = remove_parallel_edges(plan.main_structure, core)
+    transformed, tf = remove_parallel_edges(plan.main_structure, plan.core)
     (out_dir / "paralleled.structure").write_text(transformed.dump())
     (out_dir / "paralleled.formula").write_text(str(tf) + "\n")
     summary.append(
@@ -199,7 +191,7 @@ def cmd_reduce(args) -> int:
 
     # the hybrid instances the lift's scorer solves, converted from the
     # cross-free core in one pass
-    for idx, (inst, _) in enumerate(to_hybrid(plan.main_structure, core)):
+    for idx, (inst, _) in enumerate(to_hybrid(plan.main_structure, plan.core)):
         (out_dir / f"hybrid{idx}.txt").write_text(inst.dump())
         (out_dir / f"ip{idx}.txt").write_text(inst.ip.dump())
         summary.append(

@@ -3,7 +3,8 @@
 The residual three-variable problem is solved by per-vertex triangle counting
 with a heavy/light degree split, after decomposing the ternary Boolean body
 over the AND basis { AND_{i in S} a_i : S subseteq {1,2,3} }.  Everything
-above three variables is brute-forced, which matches the m^(k+l-3/2) shape.
+above three variables is brute-forced by the walk the baseline shares
+(``relopt.baseline.LeadingWalk``), which matches the m^(k+l-3/2) shape.
 
 The residual's atoms are classified and projected by the baseline's
 ``BodyAtoms``.  Its static part is built once per solve: the colours, classes
@@ -27,7 +28,7 @@ from operator import add
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
-from .baseline import BodyAtoms, OptResult, Projections, _colors, opt_of_table, resolve_domains
+from .baseline import BodyAtoms, LeadingWalk, OptResult, Projections, _colors, opt_of_walk, resolve_domains
 from .errors import ContractError, UnsupportedShapeError
 from .formula import OptFormula, check_schema
 from .structure import ObjectId, RelationalStructure
@@ -429,15 +430,10 @@ class _Residual3:
     with an empty side costs no triangle pass.
     """
 
-    def __init__(
-        self,
-        structure: RelationalStructure,
-        formula: OptFormula,
-        domains: Mapping[str, tuple[ObjectId, ...]],
-    ):
+    def __init__(self, structure: RelationalStructure, formula: OptFormula):
         self.body = body = BodyAtoms(structure, formula, 3)
         self.free = body.free
-        self.domains = domains
+        self.domains = domains = resolve_domains(structure, formula, None)
         self.dom_sets = {var: set(domains[var]) for var in self.free}
         # per variable its dynamic unary atoms and its static classes
         self.single_dynamic: dict[str, Projections] = {}
@@ -550,6 +546,10 @@ class _Residual3:
             self._untouched[fixed_bits] = psi0
         return psi0
 
+    def run_sum(self, asn: dict[str, ObjectId]) -> int:
+        """The sum of ``run``'s psi over u, where u is a counting variable."""
+        return sum(self.run(asn).values())
+
 
 def multi_counting_opt(
     structure: RelationalStructure,
@@ -558,8 +558,8 @@ def multi_counting_opt(
 ) -> OptResult | None:
     """Exact optimum for two or more counting variables.
 
-    Brute-forces all but the last three variables, then runs the corrected
-    triangle-count residual.  ``stats_out``, when given, receives the
+    Runs the walk it shares with the baseline, ``LeadingWalk``, over the
+    corrected triangle-count residual.  ``stats_out``, when given, receives the
     residual's counts: ``runs`` (one per brute-forced assignment, a reused
     run included), ``graphs`` (``triangle_counts`` calls), ``empty_side``
     (graphs with an empty side, whose triangle pass is skipped), ``tables``
@@ -571,42 +571,9 @@ def multi_counting_opt(
     if formula.ell < 2:
         raise UnsupportedShapeError("needs at least two counting variables")
     check_schema(formula, structure)
-    doms = resolve_domains(structure, formula, None)
-    order = formula.opt_vars + formula.count_vars
-    prefix = order[:-3]
-    k = formula.k
-    residual = _Residual3(structure, formula, doms)
-    u_var = residual.free[0]
-    u_is_opt = u_var in formula.opt_vars
-
-    table: dict[tuple[ObjectId, ...], int] = {}
-    opt_prefix_len = min(k, len(prefix))
-
-    def rec(depth: int, asn: dict[str, ObjectId]):
-        if depth == len(prefix):
-            per_u = residual.run(asn)
-            opt_key = tuple(asn[x] for x in formula.opt_vars[:opt_prefix_len])
-            if u_is_opt:
-                for o, c in per_u.items():
-                    key = opt_key + (o,)
-                    table[key] = table.get(key, 0) + c
-            else:
-                total = sum(per_u.values())
-                table[opt_key] = table.get(opt_key, 0) + total
-            return
-        var = prefix[depth]
-        for o in doms[var]:
-            asn[var] = o
-            rec(depth + 1, asn)
-        if doms[var]:
-            del asn[var]
-
-    # every residual run counts each u of its domain, so each optimization
-    # tuple gets an entry, zero included
-    result = None
-    if all(doms[x] for x in formula.opt_vars):
-        rec(0, {})
-        result = opt_of_table(table, formula.kind)
+    residual = _Residual3(structure, formula)
+    walk = LeadingWalk(formula, 3, residual.run, residual.run_sum, residual.domains)
+    result = opt_of_walk(walk.prefixes(), formula.kind)
     if stats_out is not None:
         stats_out.update(
             runs=residual.runs,

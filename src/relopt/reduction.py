@@ -207,7 +207,9 @@ class DecompositionPlan:
     side per guard atom: the side of atom N is ``formula`` over the tuples
     that carry N, and the main problem is ``main_core`` over those that
     pass every guard literal.  The original optimum is the best of them.
-    ``grouping`` is the lift's split of the main structure's objects."""
+    ``grouping`` is the lift's split of the main structure's objects.
+    ``cross`` and ``core`` are ``split_cross_atoms(main_core)``, and
+    ``sides`` the atoms of the exact sides: the guard atoms, then ``cross``."""
 
     main_structure: RelationalStructure
     formula: OptFormula  # the normalized input, which the sides solve
@@ -227,6 +229,17 @@ class DecompositionPlan:
     @cached_property
     def grouping(self) -> LiftGrouping:
         return lift_grouping(self.main_structure, self.formula.k)
+
+    @cached_property
+    def _cross_split(self) -> tuple[list[Atom], OptFormula]:
+        return split_cross_atoms(self.main_core)
+
+    cross = property(lambda self: self._cross_split[0])
+    core = property(lambda self: self._cross_split[1])
+
+    @cached_property
+    def sides(self) -> tuple[Atom, ...]:
+        return tuple(atom for atom, _ in self.main_guard) + tuple(self.cross)
 
 
 def remove_hyperedges(
@@ -544,8 +557,6 @@ def solve_cross_free_lift(
     """
     structure, formula = plan.main_structure, plan.formula
     k = formula.k
-    cross, core = split_cross_atoms(plan.main_core)
-    sides = [atom for atom, _ in plan.main_guard] + cross
 
     # (0) the groups of the objects, and the scorer of the core
     grouping = plan.grouping
@@ -558,7 +569,7 @@ def solve_cross_free_lift(
         m=structure.m,
         n=structure.n,
     )
-    score = prepare(structure, core) if groups else None
+    score = prepare(structure, plan.core) if groups else None
 
     # one evaluator of the formula answers steps (1), (4) and (5); on the tuples
     # that pass full_guard every hyperedge and cross atom is false, so there
@@ -567,17 +578,17 @@ def solve_cross_free_lift(
 
     # (1) exact side problems, one per side atom
     candidates: list[tuple[str, OptResult | None]] = [
-        ("side", solve_positive_cross_edge(evaluator, atom)) for atom in sides
+        ("side", solve_positive_cross_edge(evaluator, atom)) for atom in plan.sides
     ]
-    stats["sides"] = len(cross)
-    full_guard: Guard = tuple((atom, False) for atom in sides)
+    stats["sides"] = len(plan.cross)
+    full_guard: Guard = tuple((atom, False) for atom in plan.sides)
 
     if score is not None:
         # (2) score every group combination on the relaxed body
         scores = score(groups)
         if len(scores) != len(groups) ** k:
             raise ContractError("the scorer must score every group combination")
-        dirty = _dirty_pairs(structure, formula.opt_vars, sides, groups)
+        dirty = _dirty_pairs(structure, formula.opt_vars, plan.sides, groups)
         if top_k is None:
             # each marked group pair is dirty in g^(k-2) combinations
             marked = sum(map(len, dirty.values())) * len(groups) ** max(k - 2, 0)
@@ -1062,6 +1073,15 @@ class ReductionTrace:
         self.add("baseline", **route, **stats)
         return self.answer(res, "baseline")
 
+    def multicount_answer(
+        self, structure: RelationalStructure, formula: OptFormula
+    ) -> tuple[int | None, ReductionTrace]:
+        """``baseline_answer``'s twin for the multi-counting solver."""
+        stats: dict = {}
+        res = multi_counting_opt(structure, formula, stats_out=stats)
+        self.add("multicount", **stats)
+        return self.answer(res, "multicount")
+
     def render(self) -> str:
         lines = [f"path {self.path}"]
         for name, stats in self.stages:
@@ -1101,10 +1121,7 @@ def reduce_and_solve(
 
     if formula.ell >= 2:
         trace.path = "multicount"
-        multicount_stats: dict = {}
-        res = multi_counting_opt(structure, formula, stats_out=multicount_stats)
-        trace.add("multicount", **multicount_stats)
-        return trace.answer(res, "multicount")
+        return trace.multicount_answer(structure, formula)
 
     if formula.k != 2:
         trace.path = "baseline"

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import relopt.reduction as reduction
 from relopt.baseline import OptResult, baseline_opt
 from relopt.cli import _accepts, main
 from relopt.formula import parse_formula
@@ -156,7 +157,14 @@ def test_solve_trace_prints_the_multicount_stage(tmp_path, capsys):
 
 @pytest.mark.parametrize("engine", ["baseline", "multicount"])
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
-def test_solve_trace_of_a_forced_engine(tmp_path, capsys, engine, to_file):
+def test_solve_trace_of_a_forced_engine(tmp_path, capsys, monkeypatch, engine, to_file):
+    # a forced engine answers through its solver's attribute of
+    # relopt.reduction, which the benchmark's tracer wraps
+    target = "baseline_opt" if engine == "baseline" else "multi_counting_opt"
+    solve, calls = getattr(reduction, target), []
+    monkeypatch.setattr(
+        reduction, target, lambda *args, **kw: calls.append(args) or solve(*args, **kw)
+    )
     s = tmp_path / "mc.structure"
     f = tmp_path / "mc.formula"
     s.write_text("rel E 2\nE a b\nE b c\nE a c\nE c a\n")
@@ -171,6 +179,7 @@ def test_solve_trace_of_a_forced_engine(tmp_path, capsys, engine, to_file):
     else:  # the trace follows the report, whose last line is the time
         lines = out.splitlines()
         lines = lines[next(i for i, l in enumerate(lines) if l.startswith("seconds")) + 1:]
+    assert len(calls) == 1
     assert lines[0] == f"path {engine}"
     assert lines[-1] == f"source {engine}"
     stage = next(l for l in lines if l.startswith(f"stage {engine}"))

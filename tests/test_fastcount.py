@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import relopt.fastcount as fastcount
-from relopt.baseline import baseline_opt
+from relopt.baseline import baseline_opt, naive_values, opt_of_table
 from relopt.errors import UnsupportedShapeError
 from relopt.fastcount import (
     TripartiteGraph,
@@ -191,15 +191,17 @@ def test_multi_counting_ell3():
         assert (got.value, got.witness) == (want.value, want.witness)
 
 
-# prefix variables are brute-forced, so n shrinks as k + ell grows
+# prefix variables are brute-forced, so n shrinks as k + ell grows; ell=4
+# draws keep n <= 3
 _MAX_N = {3: 24, 4: 24, 5: 10, 6: 6}
 
 
 @st.composite
 def multicount_instances(draw):
     """A structure and a formula with k in {1, 2, 3} optimization and ell in
-    {2, 3} counting variables over the residual variables (u, v, w), the last
-    three; the variables before them are brute-forced (assigned).  The body
+    {2, 3} counting variables, or ell=4 for k <= 2 at n <= 3, over the
+    residual variables (u, v, w), the last three; the variables before them
+    are brute-forced (assigned), y1 among them where ell=4.  The body
     always has an atom over (v, w), the last two counting variables, so yz
     sides are non-empty; mostly atoms over (u, v) and (u, w); often a ternary
     atom over (u, v, w); and random atoms, some with repeated variables.
@@ -213,8 +215,8 @@ def multicount_instances(draw):
     hub object, the skewed degrees that send residual graphs through the
     heavy/light split."""
     k = draw(st.integers(1, 3))
-    ell = draw(st.integers(2, 3))
-    n = draw(st.integers(1, _MAX_N[k + ell]))
+    ell = draw(st.integers(2, 4 if k <= 2 else 3))
+    n = draw(st.integers(1, 3 if ell == 4 else _MAX_N[k + ell]))
     variables = [f"x{i + 1}" for i in range(k)] + [f"y{j + 1}" for j in range(ell)]
     obj = st.integers(0, n - 1)
     hub = draw(st.none() | obj)
@@ -280,6 +282,11 @@ def test_multi_counting_equals_baseline_property(instance):
     want = baseline_opt(structure, formula)
     got = multi_counting_opt(structure, formula)
     assert (got.value, got.witness) == (want.value, want.witness), str(formula)
+    # both engines walk the leading variables through the same code, so the
+    # nested loops check that walk too, where they are cheap: every ell=4 draw
+    if structure.n ** (formula.k + formula.ell) <= 3**6:
+        naive = opt_of_table(naive_values(structure, formula).entries, formula.kind)
+        assert (got.value, got.witness) == tuple(naive), str(formula)
 
 
 def test_multicount_trace_counts_every_triangle_counts_call(monkeypatch):

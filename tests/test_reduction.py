@@ -240,6 +240,19 @@ def test_remove_hyperedges_ternary():
     assert (a, b) in n_rel.records and (b, a) in n_rel.records
 
 
+def test_plan_carries_its_cross_split():
+    # the lift and `relopt reduce` read the cross split off the plan, built
+    # once; the sides are the guard's atoms, then the cross atoms
+    s = load_structure("rel R 3\nR a b c\nrel E 2\nE a b\n")
+    f = parse_formula("max x1,x2 . count y . R(x1,x2,y) | E(x1,y) & !E(x2,x1)")
+    plan = remove_hyperedges(s, f)
+    cross, core = split_cross_atoms(plan.main_core)
+    assert len(plan.main_guard) == len(cross) == 1
+    assert (plan.cross, plan.core) == (cross, core)
+    assert plan.cross is plan.cross and plan.core is plan.core
+    assert plan.sides == (plan.main_guard[0][0], *cross)
+
+
 def _solve_plan(plan):
     """The plan's optimum from the naive oracle: each side is the normalized
     formula over the tuples that carry its guard atom, and the main problem
