@@ -2,8 +2,8 @@
 sparse relational structures, with a verifiable reduction chain down to
 k-ary maximum/minimum inner product."""
 
-from .baseline import OptResult, ValueTable, baseline_opt, baseline_values
-from .formula import FormulaProfile, OptFormula, check_schema, classify, evaluate_body, parse_formula
+from .baseline import OptResult, baseline_opt, baseline_values
+from .formula import OptFormula, check_schema, evaluate_body, parse_formula
 from .generate import GenProfile, generate
 from .hybrid import (
     HybridInstance,
@@ -27,6 +27,6 @@ from .reduction import (
     solve_positive_cross_edge,
     to_hybrid,
 )
-from .structure import RelationalStructure, load_structure, restrict_by_unary
+from .structure import RelationalStructure, load_structure
 
 __all__ = [name for name in dir() if not name.startswith("_")]

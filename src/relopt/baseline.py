@@ -57,7 +57,6 @@ disjoint prefixes, so it parallelizes with an associative max/min merge
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
 from operator import itemgetter
@@ -73,20 +72,6 @@ Domains = Mapping[str, Sequence[ObjectId]]
 class OptResult(NamedTuple):
     value: int
     witness: tuple[ObjectId, ...]
-
-
-@dataclass
-class ValueTable:
-    """Values of all optimization tuples: entries[(x1, ..., xk)] = count."""
-
-    entries: dict[tuple[ObjectId, ...], int]
-
-    def dump(self, structure: RelationalStructure) -> str:
-        lines = []
-        for key in sorted(self.entries):
-            labs = " ".join(structure.labels[x] for x in key)
-            lines.append(f"{labs} {self.entries[key]}")
-        return "\n".join(lines) + ("\n" if lines else "")
 
 
 def resolve_domains(
@@ -355,12 +340,12 @@ class PreparedBaseline:
         self.base_cases = 0
         self.pair_deltas = 0
 
-    def values(self, domains: Domains | None = None) -> ValueTable:
+    def values(self, domains: Domains | None = None) -> dict[tuple[ObjectId, ...], int]:
         """Val(x1,...,xk) for every optimization tuple over the domains."""
         entries = {}
         for prefix, counts in self._walk(domains, ()):
             entries.update((prefix + (o,), c) for o, c in counts.items())
-        return ValueTable(entries)
+        return entries
 
     def opt(
         self,
@@ -770,7 +755,7 @@ def baseline_values(
     structure: RelationalStructure,
     formula: OptFormula,
     domains: Domains | None = None,
-) -> ValueTable:
+) -> dict[tuple[ObjectId, ...], int]:
     """Val(x1,...,xk) for every optimization tuple over the given domains."""
     return PreparedBaseline(structure, formula).values(domains)
 
@@ -828,7 +813,7 @@ def naive_values(
     structure: RelationalStructure,
     formula: OptFormula,
     domains: Domains | None = None,
-) -> ValueTable:
+) -> dict[tuple[ObjectId, ...], int]:
     """Plain nested-loop evaluation; exponential, for cross-checks only."""
     from .formula import evaluate_body
     from itertools import product
@@ -844,4 +829,4 @@ def naive_values(
             asn.update(zip(formula.count_vars, ys))
             total += evaluate_body(formula, structure, asn)
         entries[xs] = total
-    return ValueTable(entries)
+    return entries

@@ -160,18 +160,6 @@ class OptFormula:
         )
 
 
-@dataclass(frozen=True)
-class FormulaProfile:
-    """Structural facts that route an instance through the solver pipeline."""
-
-    k: int
-    ell: int
-    predicate_arities: Mapping[str, int]
-    has_hyper: bool
-    cross_atoms: tuple[Atom, ...]
-    r: int  # distinct binary predicates linking an opt variable to a count variable
-
-
 # --- printing --------------------------------------------------------------
 
 def print_expr(expr: Expr, _level: int = 0) -> str:
@@ -290,8 +278,8 @@ def _parse_or(lx: _Lexer) -> Expr:
 
 
 def parse_formula(text: str) -> OptFormula:
-    """Parse a formula.  Unknown predicate names are allowed here; they are
-    resolved against a structure by classify()."""
+    """Parse a formula.  Unknown predicate names are allowed here;
+    check_schema() checks them against a structure."""
     lx = _Lexer(text)
     kind = lx.tok
     if kind not in ("max", "min"):
@@ -334,38 +322,6 @@ def check_schema(formula: OptFormula, structure: RelationalStructure) -> None:
                 f"atom {atom.pred} used with {len(atom.args)} arguments, "
                 f"relation has arity {arity}"
             )
-
-
-def classify(formula: OptFormula, structure: RelationalStructure) -> FormulaProfile:
-    """Compute the profile of ``formula`` over ``structure``; see
-    ``check_schema`` for what the structure must provide."""
-    check_schema(formula, structure)
-    opt = set(formula.opt_vars)
-    cnt = set(formula.count_vars)
-    arities: dict[str, int] = {}
-    cross: list[Atom] = []
-    seen_cross: set[Atom] = set()
-    linking: set[str] = set()
-    has_hyper = False
-    for atom in atoms_of(formula.body):
-        arity = arities[atom.pred] = len(atom.args)
-        if arity >= 3:
-            has_hyper = True
-        if arity == 2:
-            a, b = atom.args
-            if a in opt and b in opt and a != b and atom not in seen_cross:
-                seen_cross.add(atom)
-                cross.append(atom)
-            if (a in opt and b in cnt) or (a in cnt and b in opt):
-                linking.add(atom.pred)
-    return FormulaProfile(
-        k=formula.k,
-        ell=formula.ell,
-        predicate_arities=arities,
-        has_hyper=has_hyper,
-        cross_atoms=tuple(cross),
-        r=len(linking),
-    )
 
 
 def eval_expr(

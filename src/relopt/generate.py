@@ -12,7 +12,7 @@ from .errors import ContractError
 from .formula import OptFormula, parse_formula
 from .structure import RelationalStructure, load_structure
 
-CAPS = {"k": 4, "ell": 3, "n": 64, "binary": 4, "unary": 4, "ternary": 2}
+CAPS = {"k": 4, "ell": 4, "n": 64, "binary": 4, "unary": 4, "ternary": 2}
 
 
 @dataclass(frozen=True)

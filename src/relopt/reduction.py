@@ -679,10 +679,32 @@ def _copy_label(label: str, pattern_index: int) -> str:
     return f"{label}{COPY_SEP}{pattern_index}"
 
 
+def _edge_colours(
+    structure: RelationalStructure, atoms: Sequence[Atom], y: str, k: int
+) -> tuple[list[str], dict[ObjectId, dict[ObjectId, int]]]:
+    """The sorted forward edge predicates P_0..P_{r-1} of the atoms (binary,
+    ending in ``y``) and the colour map x -> y -> c(x, y) of the pairs with a
+    nonzero colour, bit b of c(x, y) set when P_b(x, y) holds.  More than
+    ``DEFAULT_R_CAP`` predicates raise ``ResourceLimitError``: both callers
+    build 2^(r*k) colour vectors."""
+    edge_preds = sorted({a.pred for a in atoms if len(a.args) == 2 and a.args[1] == y})
+    r = len(edge_preds)
+    if r > DEFAULT_R_CAP:
+        raise ResourceLimitError(
+            f"{r} parallel edge predicates would blow the universe up by "
+            f"2^{r * k}"
+        )
+    colours: dict[ObjectId, dict[ObjectId, int]] = {}
+    for bit, pred in enumerate(edge_preds):
+        for a, b in structure.relation(pred).records:
+            row = colours.setdefault(a, {})
+            row[b] = row.get(b, 0) | 1 << bit
+    return edge_preds, colours
+
+
 def remove_parallel_edges(
     structure: RelationalStructure,
     formula: OptFormula,
-    r_cap: int = DEFAULT_R_CAP,
 ) -> tuple[RelationalStructure, OptFormula]:
     """Combine the r binary opt/count predicates into one edge predicate.
 
@@ -706,22 +728,8 @@ def remove_parallel_edges(
             raise ContractError("hyperpredicates must be removed first")
         if len(a.args) == 2 and set(a.args) <= opt:
             raise ContractError("cross predicates must be removed first")
-    edge_preds = sorted(
-        {a.pred for a in atoms if len(a.args) == 2 and a.args[1] == y}
-    )
-    r = len(edge_preds)
-    if r > r_cap:
-        raise ResourceLimitError(
-            f"{r} parallel edge predicates would blow the universe up by "
-            f"2^{r * k}; raise r_cap only if that is affordable"
-        )
-    patterns = list(product(range(1 << r), repeat=k))
-
-    # colors of all (object, object) pairs over the edge predicates
-    pair_color: dict[tuple[ObjectId, ObjectId], int] = {}
-    for bit, pred in enumerate(edge_preds):
-        for a, b in structure.relation(pred).records:
-            pair_color[a, b] = pair_color.get((a, b), 0) | 1 << bit
+    edge_preds, colours = _edge_colours(structure, atoms, y, k)
+    patterns = list(product(range(1 << len(edge_preds)), repeat=k))
 
     n = structure.n
     labels: list[str] = []
@@ -771,12 +779,13 @@ def remove_parallel_edges(
     e_name = _fresh("E", taken)
     taken.add(e_name)
     edges = set()
-    for (v, w), color in pair_color.items():
-        for i in range(k):
-            vc = clone_id[v, i]
-            for pi, alpha in enumerate(patterns):
-                if alpha[i] == color or alpha[i] == 0:
-                    edges.add((vc, copy_id[w, pi]))
+    for v, row in colours.items():
+        for w, color in row.items():
+            for i in range(k):
+                vc = clone_id[v, i]
+                for pi, alpha in enumerate(patterns):
+                    if alpha[i] == color or alpha[i] == 0:
+                        edges.add((vc, copy_id[w, pi]))
     relations[e_name] = frozenset(edges)
     arities[e_name] = 2
 
@@ -864,13 +873,8 @@ def to_hybrid(
     for a in atoms:
         if len(a.args) > 2 or len(a.args) == 2 and a.args[1] != y:
             raise ContractError(f"atom {a} is not unary or a forward edge")
-    edge_preds = sorted({a.pred for a in atoms if len(a.args) == 2})
+    edge_preds, out_edges = _edge_colours(structure, atoms, y, k)
     r = len(edge_preds)
-    if r > DEFAULT_R_CAP:
-        raise ResourceLimitError(
-            f"{r} parallel edge predicates would blow the universe up by "
-            f"2^{r * k}"
-        )
     low = (1 << r) - 1
     alphas = range(1 << (r * k))
     type_of = [
@@ -883,11 +887,6 @@ def to_hybrid(
         if len(a.args) == 2
     ]
 
-    out_edges: dict[ObjectId, dict[ObjectId, int]] = {}
-    for bit, pred in enumerate(edge_preds):
-        for a, b in structure.relation(pred).records:
-            colours = out_edges.setdefault(a, {})
-            colours[b] = colours.get(b, 0) | 1 << bit
     # per y, the slot colours alpha_i a tuple can give it: 0 and each c(x, y)
     in_colours: dict[ObjectId, set[int]] = {}
     for colours in out_edges.values():

@@ -119,7 +119,7 @@ def build_structure(
     arities: Mapping[str, int] | None = None,
     duplicate_records: int = 0,
 ) -> RelationalStructure:
-    """Assemble a structure from index-based records (test and reduction helper)."""
+    """Assemble a structure from index-based records (test helper)."""
     rels = {}
     for name, recs in relations.items():
         recs = frozenset(tuple(r) for r in recs)
@@ -193,38 +193,3 @@ def load_structure(text: str) -> RelationalStructure:
     }
     return RelationalStructure(tuple(labels), rels, duplicates)
 
-
-def restrict_by_unary(
-    structure: RelationalStructure,
-    requirements: Mapping[str, bool],
-    candidates: Iterable[ObjectId] | None = None,
-) -> RelationalStructure:
-    """Substructure keeping only candidates whose unary memberships match.
-
-    ``requirements`` maps unary predicate names to required truth values.
-    Objects in ``candidates`` (all objects by default) failing any requirement
-    are removed together with every record mentioning them; other objects are
-    untouched.  Idempotent for a fixed call.  Per-variable domain restriction
-    is realized by one call per variable with that variable's candidate set.
-    """
-    members = {name: structure.unary_members(name) for name in requirements}
-    cand = set(range(structure.n)) if candidates is None else set(candidates)
-    dead = {
-        x
-        for x in cand
-        if any((x in members[name]) != want for name, want in requirements.items())
-    }
-    if not dead:
-        return structure
-
-    keep = [x for x in range(structure.n) if x not in dead]
-    remap = {old: new for new, old in enumerate(keep)}
-    rels = {}
-    for name, rel in structure.relations.items():
-        recs = frozenset(
-            tuple(remap[x] for x in rec)
-            for rec in rel.records
-            if not any(x in dead for x in rec)
-        )
-        rels[name] = Relation(name, rel.arity, recs)
-    return RelationalStructure(tuple(structure.labels[x] for x in keep), rels)

@@ -312,8 +312,8 @@ def test_criterion_7_per_tuple_value_preservation():
         )
         s2, f2 = remove_parallel_edges(structure, formula)
         doms = slotted_domains(structure, s2, formula)
-        got = baseline_values(s2, f2, doms).entries
-        want = baseline_values(structure, formula).entries
+        got = baseline_values(s2, f2, doms)
+        want = baseline_values(structure, formula)
         for key, value in want.items():
             mapped = tuple(doms[formula.opt_vars[i]][key[i]] for i in range(k))
             assert got[mapped] == value, f"rpe trial {trial}"
@@ -323,7 +323,7 @@ def test_criterion_7_per_tuple_value_preservation():
     for trial in range(100):
         k = rng.choice([2, 2, 3])
         structure, formula = conforming_instance(rng, k=k, n_objects=rng.randint(2, 7))
-        want = baseline_values(structure, formula).entries
+        want = baseline_values(structure, formula)
         seen = {}
         for inst, back in to_hybrid(structure, formula):
             for key in product(*(range(len(f)) for f in inst.families)):

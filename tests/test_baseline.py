@@ -42,7 +42,7 @@ def test_values_on_toy_instance():
     s = load_structure(TOY)
     f = parse_formula(TOY_FORMULA)
     a, b = s.index("a"), s.index("b")
-    table = baseline_values(s, f, _toy_domains(s)).entries
+    table = baseline_values(s, f, _toy_domains(s))
     assert table[a, a] == 2
     assert table[a, b] == 1
     assert table[b, b] == 1
@@ -66,7 +66,7 @@ def test_min_kind_breaks_ties_lexicographically():
     # Val(a,b)=Val(b,a)=Val(b,b)=1; lexicographically least witness wins
     candidates = sorted(
         key
-        for key, v in baseline_values(s, f, _toy_domains(s)).entries.items()
+        for key, v in baseline_values(s, f, _toy_domains(s)).items()
         if v == 1
     )
     assert res.witness == candidates[0]
@@ -75,14 +75,14 @@ def test_min_kind_breaks_ties_lexicographically():
 def test_empty_structure_all_zero():
     s = load_structure("rel E 2\nrel P 1\nP a\nP b\n")
     f = parse_formula("max x . count y . E(x,y)")
-    table = baseline_values(s, f).entries
+    table = baseline_values(s, f)
     assert set(table.values()) == {0}
 
 
 def test_body_true_counts_whole_domain():
     s = load_structure("rel P 1\nP a\nP b\nP c\n")
     f = parse_formula("max x . count y . true")
-    table = baseline_values(s, f).entries
+    table = baseline_values(s, f)
     assert all(v == s.n for v in table.values())
 
 
@@ -130,7 +130,7 @@ def test_matches_naive_on_random_instances():
             rng, k=k, ell=ell, n_objects=rng.randint(2, n_max), ternary=rng.choice([0, 1])
         )
         expected = nested_loop_values(structure, formula)
-        got = baseline_values(structure, formula).entries
+        got = baseline_values(structure, formula)
         assert got == expected, f"trial {trial}"
 
 
@@ -141,7 +141,7 @@ def test_base_case_matches_naive_exhaustively():
         structure, formula = random_instance(
             rng, k=k, ell=ell, n_objects=rng.randint(1, 8)
         )
-        assert baseline_values(structure, formula).entries == nested_loop_values(
+        assert baseline_values(structure, formula) == nested_loop_values(
             structure, formula
         ), f"trial {trial}"
 
@@ -154,7 +154,7 @@ def test_matches_naive_with_restricted_domains():
             "x1": [i for i in range(structure.n) if rng.random() < 0.6],
             "y1": [i for i in range(structure.n) if rng.random() < 0.6],
         }
-        assert baseline_values(structure, formula, doms).entries == nested_loop_values(
+        assert baseline_values(structure, formula, doms) == nested_loop_values(
             structure, formula, doms
         )
 
@@ -222,8 +222,8 @@ def test_prepared_baseline_answers_many_queries():
                 domains[rng.choice(opt_vars)] = []
             literals = rng.sample(pool, rng.randint(0, 2))
             guard = [(a, rng.random() < 0.5) for a in literals]
-            entries = naive_values(structure, formula, domains).entries
-            assert prepared.values(domains).entries == entries
+            entries = naive_values(structure, formula, domains)
+            assert prepared.values(domains) == entries
             kept = {
                 key: value
                 for key, value in entries.items()
@@ -342,8 +342,8 @@ def test_one_evaluator_answers_a_sequence_of_queries(data):
     for _ in range(data.draw(st.integers(2, 6))):
         domains, guard = data.draw(queries(structure, formula))
         if data.draw(st.booleans()):
-            got = prepared.values(domains).entries
-            assert got == naive_values(structure, formula, domains).entries
+            got = prepared.values(domains)
+            assert got == naive_values(structure, formula, domains)
         else:
             got = prepared.opt(domains, guard)
             assert got == guarded_opt(structure, formula, domains, guard)
@@ -362,12 +362,13 @@ def test_projected_atom_keeps_records_whose_repeated_columns_agree():
 
 
 def test_value_table_dump_format():
+    # the table is a plain dict from index tuples to counts
     s = load_structure(TOY)
     f = parse_formula(TOY_FORMULA)
-    dump = baseline_values(s, f, _toy_domains(s)).dump(s)
-    lines = dump.strip().split("\n")
-    assert lines[0].split() == ["a", "a", "2"]
-    assert len(lines) == 4
+    table = baseline_values(s, f, _toy_domains(s))
+    a = s.index("a")
+    assert type(table) is dict and len(table) == 4
+    assert min(table) == (a, a) and table[a, a] == 2
 
 
 def test_opt_of_table_empty():
@@ -415,8 +416,8 @@ def test_matches_naive_with_more_than_twenty_atoms_in_one_class():
                 var: [v for v in range(n) if rng.random() < 0.7]
                 for var in ("x1", "x2", "y")
             }
-        want = naive_values(structure, formula, domains).entries
-        assert prepared.values(domains).entries == want, f"trial {trial}"
+        want = naive_values(structure, formula, domains)
+        assert prepared.values(domains) == want, f"trial {trial}"
 
 
 @st.composite
@@ -476,8 +477,8 @@ def test_folded_rows_move_only_what_an_assignment_moves(data):
             other = data.draw(st.sampled_from(formula.opt_vars))
             on_u = data.draw(st.sampled_from([Atom("P0", (u,)), Atom("E1", (other, u))]))
             guard = [*guard, (on_u, data.draw(st.booleans()))]
-        entries = naive_values(structure, formula, domains).entries
-        assert prepared.values(domains).entries == entries
+        entries = naive_values(structure, formula, domains)
+        assert prepared.values(domains) == entries
         kept = {
             key: value
             for key, value in entries.items()
@@ -504,7 +505,7 @@ def test_a_positive_literal_narrows_every_variable_it_mentions():
         assert prepared.base_cases == len(domains["x1"]) * len(heads), f"trial {trial}"
         kept = {
             key: value
-            for key, value in naive_values(structure, formula, domains).entries.items()
+            for key, value in naive_values(structure, formula, domains).items()
             if guard_holds(structure, guard, dict(zip(formula.opt_vars, key)))
         }
         assert got == opt_of_table(kept, formula.kind), f"trial {trial}"

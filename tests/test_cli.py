@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 import relopt.reduction as reduction
 from relopt.baseline import OptResult, baseline_opt
 from relopt.cli import _accepts, main
+from relopt.errors import ContractError
 from relopt.formula import parse_formula
+from relopt.generate import GenProfile
 from relopt.structure import load_structure
 
 from oracles import bench_instances
@@ -239,6 +241,18 @@ def test_gen_self_check(tmp_path, capsys):
             capsys,
         )
         assert code == 0
+
+
+def test_gen_profile_allows_four_counting_variables(tmp_path, capsys):
+    # at ell=4 the multi-counting walk assigns a counting variable above its
+    # three-variable residual, so gen, verify and bench must reach it
+    assert GenProfile(ell=4).ell == 4
+    with pytest.raises(ContractError, match="ell=5"):
+        GenProfile(ell=5)
+    prefix = tmp_path / "ell4"
+    code, _ = run_main(["gen", "--seed", "3", "--ell", "4", "--out-prefix", str(prefix)], capsys)
+    assert code == 0
+    assert parse_formula(prefix.with_suffix(".formula").read_text()).ell == 4
 
 
 def test_verify_exact(capsys):

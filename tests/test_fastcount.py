@@ -285,7 +285,7 @@ def test_multi_counting_equals_baseline_property(instance):
     # both engines walk the leading variables through the same code, so the
     # nested loops check that walk too, where they are cheap: every ell=4 draw
     if structure.n ** (formula.k + formula.ell) <= 3**6:
-        naive = opt_of_table(naive_values(structure, formula).entries, formula.kind)
+        naive = opt_of_table(naive_values(structure, formula), formula.kind)
         assert (got.value, got.witness) == tuple(naive), str(formula)
 
 

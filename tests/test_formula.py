@@ -12,7 +12,6 @@ from relopt.formula import (
     Const,
     Not,
     Or,
-    classify,
     evaluate_body,
     parse_formula,
     print_expr,
@@ -93,45 +92,6 @@ def test_print_parse_fixpoint(expr):
         assert eval_expr_table(expr, vals) == eval_expr_table(reparsed, vals)
 
 
-def test_classify_sparse_max_ip_profile():
-    s = load_structure("rel E 2\nE a y\n")
-    f = parse_formula("max x1,x2 . count y . E(x1,y) & E(x2,y)")
-    p = classify(f, s)
-    assert (p.k, p.ell) == (2, 1)
-    assert not p.has_hyper
-    assert p.cross_atoms == ()
-    assert p.r == 1
-
-
-def test_classify_hyper_flag():
-    s = load_structure("rel R 3\nR a b c\n")
-    f = parse_formula("max x1,x2 . count y . R(x1,x2,y)")
-    assert classify(f, s).has_hyper
-
-
-def test_classify_cross_atoms_and_r():
-    s = load_structure("rel E 2\nrel F 2\nE a b\nF a y\n")
-    f = parse_formula("max x1,x2 . count y . E(x1,x2) & F(x1,y)")
-    p = classify(f, s)
-    assert p.cross_atoms == (Atom("E", ("x1", "x2")),)
-    assert p.r == 1
-    assert not p.has_hyper
-
-
-def test_classify_repeated_variable_atom_is_not_cross():
-    s = load_structure("rel E 2\nE a a\n")
-    f = parse_formula("max x1,x2 . count y . E(x1,x1)")
-    assert classify(f, s).cross_atoms == ()
-
-
-def test_classify_errors():
-    s = load_structure("rel E 2\nE a b\n")
-    with pytest.raises(SchemaError):
-        classify(parse_formula("max x . count y . F(x,y)"), s)
-    with pytest.raises(SchemaError):
-        classify(parse_formula("max x . count y . E(x,y,y)"), s)
-
-
 # library entry points that read a body's atoms against the structure, with
 # the counting variables each takes
 SCHEMA_ENTRY_POINTS = {
@@ -158,15 +118,6 @@ def test_library_entry_points_check_the_schema(entry, body):
     f = parse_formula(f"max x1,x2 . {counted} . {body}")
     with pytest.raises(SchemaError):
         solve(s, f)
-
-
-def test_classify_invariant_under_renaming():
-    s = load_structure("rel E 2\nrel P 1\nE a b\nP a\n")
-    f1 = parse_formula("max x1,x2 . count y . E(x1,y) & P(x2)")
-    f2 = parse_formula("max u,v . count w . E(u,w) & P(v)")
-    p1, p2 = classify(f1, s), classify(f2, s)
-    assert (p1.k, p1.ell, p1.has_hyper, p1.r) == (p2.k, p2.ell, p2.has_hyper, p2.r)
-    assert len(p1.cross_atoms) == len(p2.cross_atoms)
 
 
 def test_evaluate_body_basics():

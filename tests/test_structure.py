@@ -3,7 +3,7 @@ import random
 import pytest
 
 from relopt.errors import SchemaError, StructureParseError, UnknownObjectError
-from relopt.structure import build_structure, load_structure, restrict_by_unary
+from relopt.structure import build_structure, load_structure
 
 from oracles import random_structure
 
@@ -85,40 +85,3 @@ def test_dump_roundtrip():
         assert s2.dump() == text
         assert s2.m == s.m
         assert s2.n == s.n
-
-
-def test_restrict_identity_when_all_match():
-    s = load_structure("rel P 1\nrel E 2\nP a\nP b\nE a b\n")
-    out = restrict_by_unary(s, {"P": True})
-    assert out is s
-
-
-def test_restrict_unsatisfied_empties_structure():
-    s = load_structure("rel P 1\nrel E 2\nE a b\n")
-    out = restrict_by_unary(s, {"P": True})
-    assert out.n == 0
-    assert out.m == 0
-
-
-def test_restrict_filters_candidates_only():
-    # unary P={a}, binary E={(a,y),(b,y)}; requiring P over the first-position
-    # candidates keeps a, drops b and its record, leaves y alone
-    s = load_structure("rel P 1\nrel E 2\nP a\nE a y\nE b y\n")
-    cands = [s.index("a"), s.index("b")]
-    out = restrict_by_unary(s, {"P": True}, candidates=cands)
-    assert set(out.labels) == {"a", "y"}
-    recs = {
-        tuple(out.labels[x] for x in rec) for rec in out.relations["E"].records
-    }
-    assert recs == {("a", "y")}
-    assert out.m == 2  # P a plus E a y
-
-
-def test_restrict_idempotent():
-    rng = random.Random(11)
-    for _ in range(10):
-        s = random_structure(rng, rng.randint(3, 8), binary=1, unary=1)
-        req = {"P0": bool(rng.getrandbits(1))}
-        once = restrict_by_unary(s, req)
-        twice = restrict_by_unary(once, req)
-        assert once.dump() == twice.dump()
