@@ -1,6 +1,6 @@
 """The Hybrid Problem: k set families over a universe partitioned into 2^k
-typed parts, its Basic single-type form, and its solve: for k=2 one signed
-join over the sparse sets, otherwise one k-IP instance.
+typed parts, its Basic single-type form, and its solve by one batched IP
+query.
 
 The paper shrinks the universe with a deterministic prime-residue reduction
 before complementing sets, so that the Basic form stays sparse; the reduction
@@ -15,14 +15,13 @@ part membership is cached as integer bitmasks, so the set algebra runs on
 machine words.  Types tau are packed ints with family i at bit i.
 
 ``solve_hybrid_with_info`` solves many sub-instances at once, each keeping
-one block of sets per family.  For k=2 every tuple value is a constant plus
-a per-set offset plus signed weights summed over the elements the two sets
-share (``HybridInstance.signed_pairs``), so a solver with a signed query
-(``IpSolver.signed_blocks``) scores the sets as they are, reading m_h
-coordinates, in one query.  Otherwise the instance builds its IP instance
-(``HybridInstance.ip``, the all-ones Basic form) once, on first use, and
-the solver's ``solve`` runs on each sub-instance's vectors; complementing
-makes each vector about |U| long, however few elements its set holds.
+one block of sets per family, by one batched query of the IP solver
+(``IpSolver.query``).  The exact solver scores a k=2 instance's sets as they
+are, reading m_h coordinates, since every tuple value is a constant plus
+per-set offsets plus signed weights summed over the elements the two sets
+share (``HybridInstance.signed_pairs``).  Other queries solve the vectors of
+the IP instance (``HybridInstance.ip``, the all-ones Basic form, built once);
+complementing makes each about |U| long, however few elements its set holds.
 """
 from __future__ import annotations
 
@@ -410,25 +409,17 @@ def solve_hybrid_with_info(
     per family, in ``itertools.product`` order of the block indices.
     Without ``blocks`` the one sub-instance is the instance.
 
-    For k=2, where the solver has a signed query, that one query runs on
-    the instance's signed pairs; otherwise ``IpSolver.block_values`` calls
-    ``solve`` once per sub-instance on its all-ones Basic vectors
-    (``HybridInstance.ip``).  Both preserve every tuple value, so each value
-    is the sub-instance's optimum within the solver's ratio: exact for an
-    exact solver, a c-approximation for a c-approximate one.  A value is
-    None where a block is empty.  ``info`` holds the universe size,
-    ``coords``, the coordinates the queries read (m_h of the sets or m_ip of
-    the vectors), and the signed query's ``pairs_joined`` or the
-    ``solve_calls``.
+    The values are one query of the solver (``IpSolver.query``), which
+    preserves every tuple value, so each is the sub-instance's optimum
+    within the solver's ratio: exact for an exact solver, a c-approximation
+    for a c-approximate one.  A value is None where a block is empty.
+    ``info`` holds the universe size and what the query reports: ``coords``,
+    the coordinates it read (m_h of the sets or m_ip of the vectors), and
+    ``pairs_joined`` or ``solve_calls``.
     """
     if ip_solver.kind != instance.kind:
         raise ContractError("ip solver kind does not match instance kind")
     if blocks is None:
         blocks = [[list(range(len(fam)))] for fam in instance.families]
     info = {"universe": instance.size}
-    if instance.k == 2 and ip_solver.signed_blocks is not None:
-        info["coords"] = instance.m_h
-        return ip_solver.signed_blocks(instance.signed_pairs, blocks, info), info
-    ip = instance.ip
-    info["coords"] = ip.m_ip
-    return ip_solver.block_values(ip, blocks, info), info
+    return ip_solver.query(instance, blocks, info), info

@@ -2,12 +2,12 @@
 
 Vectors are sorted coordinate tuples.  The brute-force solvers are the
 reference inner solvers of the reduction pipeline; the external fast solvers
-they stand in for plug in through the same IpSolver interface, whose
-``solve`` answers every query on IP vectors.  For k=2 a solver may also
-answer one batched query on signed pairs (``IpSolver.signed_blocks``); the
-exact solver's is one sparse join (``signed_join``), which scores pairs of
-sets by a constant, per-set offsets and signed per-coordinate weights: the
-k=2 hybrid scores, read without complementing any set.
+they stand in for plug in through the same IpSolver interface, whose one
+batched query (``IpSolver.query``) scores every block combination of a hybrid
+instance: on IP vectors (``vector_query``) or, for the exact solver at k=2,
+by one sparse join (``signed_join``) of the sets' signed pairs, a constant,
+per-set offsets and signed per-coordinate weights, read without
+complementing any set.
 """
 from __future__ import annotations
 
@@ -15,9 +15,13 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Collection, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Collection, Sequence
 
 from .errors import ContractError, ResourceLimitError
+
+if TYPE_CHECKING:
+    from .hybrid import HybridInstance
 
 Vector = tuple[int, ...]
 
@@ -205,55 +209,59 @@ class SignedPairs:
     const: int
 
 
-SignedQuery = Callable[[SignedPairs, Blocks, dict], list]
+Solve = Callable[[IPInstance], int | None]
 
 
 @dataclass(frozen=True)
 class IpSolver:
     """A value oracle for k-IP with a declared approximation ratio.
 
-    For max kind the returned value lies in [OPT/c, OPT]; for min kind in
-    [OPT, c*OPT].  ``solve`` returns None when some family is empty; a
-    fast MaxIP/MinIP algorithm plugs in there, and every query on IP
-    vectors goes through it.  ``signed_blocks`` is the optional k=2 query
-    on signed pairs (``signed_join``), with the same ratio; the hybrid solve
-    uses it where present to skip the IP vectors.
+    For max kind every value lies in [OPT/c, OPT]; for min kind in
+    [OPT, c*OPT].  ``solve`` answers one IP instance, None when some family
+    is empty; a fast MaxIP/MinIP algorithm plugs in there.  ``query`` is
+    the one query every hybrid solve makes: ``query(instance, blocks,
+    info)`` takes a hybrid instance and, per family, blocks of set indices,
+    and returns the value of every combination of blocks in
+    ``itertools.product`` order, None where a block is empty.  It sets
+    ``info["coords"]``, the coordinates it read, and accumulates
+    ``solve_calls`` or ``pairs_joined``.  Left out, it is the vector query
+    of ``solve`` (``vector_query``).
     """
 
     kind: str  # "max" | "min"
     ratio: float
-    solve: Callable[[IPInstance], int | None]
-    signed_blocks: SignedQuery | None = None
+    solve: Solve
+    query: Callable[[HybridInstance, Blocks, dict], list] | None = None
 
-    def block_values(
-        self, instance: IPInstance, blocks: Blocks, stats_out: dict | None = None
-    ) -> list[int | None]:
-        """The value of every combination of blocks, in ``itertools.product``
-        order of the block indices.
+    def __post_init__(self):
+        if self.query is None:
+            object.__setattr__(self, "query", partial(vector_query, self.solve))
 
-        ``blocks[i]`` lists blocks of vector indices of family i.  A
-        combination's value is what ``solve`` gives on the instance that
-        keeps its blocks' vectors, one call per combination, and None when
-        one of its blocks is empty.  ``stats_out`` accumulates
-        ``solve_calls``.
-        """
-        if len(blocks) != instance.k:
-            raise ContractError("need one list of blocks per family")
-        out = []
-        calls = 0
-        for combo in product(*blocks):
-            if all(combo):
-                families = tuple(
-                    tuple(fam[j] for j in block)
-                    for fam, block in zip(instance.families, combo)
-                )
-                out.append(self.solve(IPInstance(instance.k, families, instance.d)))
-                calls += 1
-            else:
-                out.append(None)
-        if stats_out is not None:
-            stats_out["solve_calls"] = stats_out.get("solve_calls", 0) + calls
-        return out
+
+def vector_query(
+    solve: Solve, instance: HybridInstance, blocks: Blocks, info: dict
+) -> list[int | None]:
+    """The ``IpSolver.query`` of a per-instance ``solve``: one call per
+    combination with no empty block, on the instance's IP vectors
+    (``HybridInstance.ip``, built once) that its blocks keep.  ``coords`` is
+    the vectors' m_ip."""
+    if len(blocks) != instance.k:
+        raise ContractError("need one list of blocks per family")
+    ip = instance.ip
+    info["coords"] = ip.m_ip
+    out = []
+    calls = 0
+    for combo in product(*blocks):
+        if all(combo):
+            families = tuple(
+                tuple(fam[j] for j in block) for fam, block in zip(ip.families, combo)
+            )
+            out.append(solve(IPInstance(ip.k, families, ip.d)))
+            calls += 1
+        else:
+            out.append(None)
+    info["solve_calls"] = info.get("solve_calls", 0) + calls
+    return out
 
 
 def signed_join(kind: str, pairs: SignedPairs, blocks: Blocks, stats: dict) -> list:
@@ -363,25 +371,28 @@ def signed_join(kind: str, pairs: SignedPairs, blocks: Blocks, stats: dict) -> l
 
 
 def exact_solver(kind: str) -> IpSolver:
-    """Brute force per instance within ``DEFAULT_TUPLE_BUDGET`` tuples; the
-    signed query is one sparse join (``signed_join``)."""
+    """Brute force per instance within ``DEFAULT_TUPLE_BUDGET`` tuples.  Its
+    query is one sparse join of a k=2 instance's signed pairs (``signed_join``,
+    reading m_h coordinates) and the brute force's vector query at other k."""
     brute = brute_force_kmaxip if kind == "max" else brute_force_kminip
 
     def solve(instance: IPInstance) -> int | None:
         res = brute(instance)
         return None if res is None else res[0]
 
-    def signed_blocks(pairs: SignedPairs, blocks: Blocks, stats: dict) -> list:
-        return signed_join(kind, pairs, blocks, stats)
+    def query(instance: HybridInstance, blocks: Blocks, info: dict) -> list:
+        if instance.k != 2:
+            return vector_query(solve, instance, blocks, info)
+        info["coords"] = instance.m_h
+        return signed_join(kind, instance.signed_pairs, blocks, info)
 
-    return IpSolver(kind, 1.0, solve, signed_blocks)
+    return IpSolver(kind, 1.0, solve, query)
 
 
 def approx_wrapper(exact: IpSolver, c: float) -> IpSolver:
     """Degrade an exact solver to a deterministic c-approximation sitting at
     the worst end of the allowed interval (test oracle for ratio preservation).
-    The signed query, where the exact solver has one, degrades each of its
-    values alike."""
+    Its query degrades each value of the exact solver's query alike."""
     if not 1 <= c < math.inf:
         raise ContractError(f"approximation ratio must be finite and >= 1, not {c}")
 
@@ -395,15 +406,10 @@ def approx_wrapper(exact: IpSolver, c: float) -> IpSolver:
     def solve(instance: IPInstance) -> int | None:
         return degrade(exact.solve(instance))
 
-    def signed_blocks(pairs: SignedPairs, blocks: Blocks, stats: dict) -> list:
-        return [degrade(v) for v in exact.signed_blocks(pairs, blocks, stats)]
+    def query(instance: HybridInstance, blocks: Blocks, info: dict) -> list:
+        return [degrade(v) for v in exact.query(instance, blocks, info)]
 
-    return IpSolver(
-        exact.kind,
-        c * exact.ratio,
-        solve,
-        None if exact.signed_blocks is None else signed_blocks,
-    )
+    return IpSolver(exact.kind, c * exact.ratio, solve, query)
 
 
 def make_ip_solver(kind: str, spec: str) -> IpSolver:

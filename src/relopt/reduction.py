@@ -980,15 +980,15 @@ class HybridScorer:
     """The lift's scorer for one (structure, cross-free core).
 
     The hybrid conversion runs once, at construction.  A call scores every
-    combination of the given groups with one block query per hybrid
-    instance (one instance per unary assignment sigma; see
-    ``solve_hybrid_with_info``): family i's blocks are the set indices of
-    each group's objects in that instance.  A combination's score is its
-    best value over the instances.
+    combination of the given groups with one batched query of the IP solver
+    (``IpSolver.query``) per hybrid instance (one instance per unary
+    assignment sigma; see ``solve_hybrid_with_info``): family i's blocks are
+    the set indices of each group's objects in that instance.  A
+    combination's score is its best value over the instances.
 
-    ``ip_calls`` counts the IP solver's ``solve`` calls, ``block_calls`` its
-    block queries, ``coords`` the coordinates they read and
-    ``pairs_joined`` the pairs of sets its joins counted.
+    ``block_calls`` counts the batched queries, ``ip_calls`` the
+    per-instance ``solve`` calls they made, ``coords`` the coordinates they
+    read and ``pairs_joined`` the pairs of sets their joins counted.
     """
 
     def __init__(

@@ -6,6 +6,7 @@ approximation criteria.
 """
 import math
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -28,6 +29,7 @@ from relopt.ip import (
     brute_force_kminip,
     densify,
     exact_solver,
+    signed_join,
     sparsify,
 )
 from relopt.reduction import (
@@ -86,13 +88,14 @@ def lift_corpus():
 
 
 def _counting(solver):
+    # counts the solver's batched queries, the one call a hybrid solve makes
     calls = []
 
-    def solve(instance):
+    def query(instance, blocks, info):
         calls.append(instance)
-        return solver.solve(instance)
+        return solver.query(instance, blocks, info)
 
-    return IpSolver(solver.kind, solver.ratio, solve), calls
+    return IpSolver(solver.kind, solver.ratio, solver.solve, query), calls
 
 
 def _solve_lift_corpus(lift_corpus, make_solver):
@@ -103,13 +106,19 @@ def _solve_lift_corpus(lift_corpus, make_solver):
         yield name, formula, opt, value
 
 
+def _vector_solver(kind):
+    # the paper's plug-in: a per-instance solve, queried on the IP vectors
+    return IpSolver(kind, 1.0, exact_solver(kind).solve)
+
+
 def test_criterion_1_end_to_end_exactness(corpus, lift_corpus):
     for seed, structure, formula, opt in corpus:
         solver = exact_solver(formula.kind)
         value, _ = reduce_and_solve(structure, formula, solver)
         assert value == opt, f"seed {seed}: pipeline {value} != baseline {opt}"
-    for name, _, opt, value in _solve_lift_corpus(lift_corpus, exact_solver):
-        assert value == opt, f"{name}: pipeline {value} != baseline {opt}"
+    for make in (exact_solver, _vector_solver):
+        for name, _, opt, value in _solve_lift_corpus(lift_corpus, make):
+            assert value == opt, f"{name}: pipeline {value} != baseline {opt}"
     print(
         f"\nACCEPTANCE 1 end-to-end exactness over {len(corpus)} + "
         f"{len(lift_corpus)} instances: PASS"
@@ -147,7 +156,12 @@ def test_ip_ranking_decides_the_lift_answer(lift_corpus):
     # combinations to the exact re-solve, so the answer moves off OPT
     def inverted(kind):
         exact = exact_solver(kind)
-        return IpSolver(kind, 1.0, lambda instance: -exact.solve(instance))
+
+        def query(instance, blocks, info):
+            values = exact.query(instance, blocks, info)
+            return [None if v is None else -v for v in values]
+
+        return IpSolver(kind, 1.0, lambda instance: -exact.solve(instance), query)
 
     answers = {
         solver: {
@@ -179,11 +193,13 @@ def test_criterion_2_fails_on_scores_past_the_declared_ratio(lift_corpus):
     def overstating(kind):
         exact = exact_solver(kind)
 
-        def solve(instance):
-            value = exact.solve(instance)
+        def overstate(value):
             return 10**6 if value == 0 else value
 
-        return IpSolver(kind, c, solve)
+        def query(instance, blocks, info):
+            return [overstate(v) for v in exact.query(instance, blocks, info)]
+
+        return IpSolver(kind, c, lambda instance: overstate(exact.solve(instance)), query)
 
     outside = 0
     for name, formula, opt, value in _solve_lift_corpus(lift_corpus, overstating):
@@ -191,6 +207,30 @@ def test_criterion_2_fails_on_scores_past_the_declared_ratio(lift_corpus):
             assert value <= opt, name
             outside += value < opt / (c + eps)
     assert outside, "no overstated score moved a max answer out of the interval"
+
+
+def test_criterion_1_fails_without_the_shared_coordinate_term(lift_corpus):
+    # the exact solver's k=2 query is one sparse join that scores a pair of
+    # sets by const + offsets + the weights of the coordinates both hold; a
+    # join that drops that last term misranks the combinations, so the
+    # lift's re-solves miss the optimum of some instance
+    def unshared(kind):
+        exact = exact_solver(kind)
+
+        def query(instance, blocks, info):
+            pairs = instance.signed_pairs
+            flat = replace(pairs, weight=[0] * len(pairs.weight))
+            info["coords"] = instance.m_h
+            return signed_join(kind, flat, blocks, info)
+
+        return IpSolver(kind, 1.0, exact.solve, query)
+
+    off = 0
+    for name, formula, opt, value in _solve_lift_corpus(lift_corpus, unshared):
+        # every answer is the value of a re-solved tuple
+        assert value <= opt if formula.kind == "max" else value >= opt, name
+        off += value != opt
+    assert off, "no answer moved off OPT without the shared-coordinate term"
 
 
 def test_criterion_3_universe_reduction_error_bound():

@@ -1,10 +1,12 @@
 import math
 import random
 from itertools import chain, product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import relopt.ip
 from relopt.errors import ContractError
 from relopt.hybrid import (
     BasicInstance,
@@ -22,6 +24,7 @@ from relopt.hybrid import (
     val,
 )
 from relopt.ip import (
+    IPInstance,
     IpSolver,
     approx_wrapper,
     brute_force_kmaxip,
@@ -335,21 +338,24 @@ def test_dump_format():
     assert "set 1 b u0 u1" in text
 
 
-# --- the k=2 signed join -------------------------------------------------------
+# --- the batched IP query -----------------------------------------------------
 
 @st.composite
-def signed_block_queries(draw):
-    """A k=2 hybrid instance with all four parts non-empty and disjoint
-    blocks of sets per family, some of them empty.  With ``shared`` every
-    set holds element 0, so every pair shares and no min block has a pair
-    that shares nothing."""
-    extra = draw(st.lists(st.integers(0, 3), max_size=6))
-    types = draw(st.permutations([0, 1, 2, 3] + extra))
+def block_queries(draw):
+    """A hybrid instance at k in {1, 2, 3} with every part non-empty, and
+    disjoint blocks of sets per family, some of them empty, some sets in
+    none and some families empty.  With ``shared`` every set holds element
+    0, so every pair shares and no min block has a pair that shares
+    nothing."""
+    k = draw(st.integers(1, 3))
+    parts = list(range(1 << k))
+    extra = draw(st.lists(st.sampled_from(parts), max_size=6))
+    types = draw(st.permutations(parts + extra))
     shared = draw(st.booleans())
     members = st.sets(st.integers(0, len(types) - 1), max_size=4)
     families, blocks = [], []
-    for _ in range(2):
-        sets = draw(st.lists(members, min_size=1, max_size=6))
+    for _ in range(k):
+        sets = draw(st.lists(members, max_size=5))
         families.append([s | {0} if shared else s for s in sets])
         count = draw(st.integers(0, 3))
         owner = draw(
@@ -357,31 +363,72 @@ def signed_block_queries(draw):
         )
         blocks.append([[j for j, b in enumerate(owner) if b == i] for i in range(count)])
     kind = draw(st.sampled_from(["max", "min"]))
-    return HybridInstance(2, kind, types, families), blocks
+    return HybridInstance(k, kind, types, families), blocks
 
 
-@given(signed_block_queries())
-@settings(max_examples=400, deadline=None)
-def test_signed_block_values_equal_the_brute_force_on_the_ip_vectors(query):
+def _vector_values(solve, inst, blocks):
+    """One ``solve`` per block combination on the IP vectors its blocks
+    keep; None where a block is empty."""
+    ip = inst.ip
+    return [
+        solve(
+            IPInstance(
+                ip.k,
+                tuple(tuple(fam[j] for j in b) for fam, b in zip(ip.families, combo)),
+                ip.d,
+            )
+        )
+        if all(combo)
+        else None
+        for combo in product(*blocks)
+    ]
+
+
+@given(block_queries(), st.floats(1.0, 4.0))
+@settings(max_examples=500, deadline=None)
+def test_every_solver_query_is_the_vector_query_of_its_solve(query, c):
+    # a hybrid solve is one query of its solver, whatever the solver and k.
+    # Its values are one solve per block combination on the IP vectors, and
+    # the approximation wrapper degrades the exact values alike.  At k=2 the
+    # exact solver and its wrapper join the sets' signed pairs: they read
+    # the sets' m_h coordinates and count the pairs that share an element,
+    # with no solve call.  Every other query reads the vectors' m_ip with
+    # one solve call per combination with no empty block.
     inst, blocks = query
     exact = exact_solver(inst.kind)
-    stats = {}
-    got = exact.signed_blocks(inst.signed_pairs, blocks, stats)
-    want = exact.block_values(inst.ip, blocks)
-    assert got == want
-    fam0, fam1 = inst.families
-    sharing = sum(
-        1
-        for i in chain.from_iterable(blocks[0])
-        for j in chain.from_iterable(blocks[1])
-        if fam0[i] & fam1[j]
-    )
-    assert stats == {"pairs_joined": sharing}
-    degraded = approx_wrapper(exact, 2.0).signed_blocks(inst.signed_pairs, blocks, {})
-    assert degraded == [
-        None if v is None else math.ceil(v / 2) if inst.kind == "max" else 2 * v
+    plain = IpSolver(inst.kind, 1.0, exact.solve)
+    want = _vector_values(exact.solve, inst, blocks)
+    degraded = [
+        None if v is None else math.ceil(v / c) if inst.kind == "max" else math.floor(v * c)
         for v in want
     ]
+    calls = sum(v is not None for v in want)
+    solvers = (
+        (exact, want, True),
+        (approx_wrapper(exact, c), degraded, True),
+        (plain, want, False),
+        (approx_wrapper(plain, c), degraded, False),
+    )
+    for solver, values, joins in solvers:
+        own = _vector_values(solver.solve, inst, blocks)
+        with mock.patch.object(
+            relopt.ip, "_brute_force", wraps=relopt.ip._brute_force
+        ) as brute:
+            got, info = solve_hybrid_with_info(inst, solver, blocks)
+        assert got == own == values
+        if joins and inst.k == 2:
+            fam0, fam1 = inst.families
+            sharing = sum(
+                1
+                for i in chain.from_iterable(blocks[0])
+                for j in chain.from_iterable(blocks[1])
+                if fam0[i] & fam1[j]
+            )
+            assert brute.call_count == 0
+            assert info == {"universe": inst.size, "coords": inst.m_h, "pairs_joined": sharing}
+        else:
+            assert brute.call_count == calls
+            assert info == {"universe": inst.size, "coords": inst.ip.m_ip, "solve_calls": calls}
 
 
 def test_signed_pairs_expand_the_hybrid_value():
@@ -405,20 +452,3 @@ def test_signed_pairs_expand_the_hybrid_value():
         assert score == val(inst, key)[1], key
     with pytest.raises(ContractError, match="k=2"):
         random_hybrid(random.Random(0), 3, 4).signed_pairs
-
-
-def test_solve_hybrid_takes_the_signed_query_at_k2_only():
-    # the signed query reads the sets' m_h coordinates; the plain path, a
-    # solver without one or k != 2, reads the IP vectors' m_ip
-    rng = random.Random(31)
-    for k in (1, 2, 3):
-        inst = random_hybrid(rng, k, 8, kind="max")
-        ip = inst.ip
-        exact = exact_solver("max")
-        plain = IpSolver("max", 1.0, exact.solve)
-        got, info = solve_hybrid_with_info(inst, exact)
-        want, plain_info = solve_hybrid_with_info(inst, plain)
-        assert got == want == [hybrid_baseline(inst)[0]]
-        assert info["coords"] == (inst.m_h if k == 2 else ip.m_ip)
-        assert plain_info["coords"] == ip.m_ip
-        assert info.get("solve_calls") == (None if k == 2 else 1)

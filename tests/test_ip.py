@@ -1,16 +1,14 @@
 import math
 import random
-from itertools import product
-from unittest import mock
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import relopt.ip
 from relopt.errors import ContractError, ResourceLimitError
+from relopt.hybrid import HybridInstance
 from relopt.ip import (
     IPInstance,
-    IpSolver,
     approx_wrapper,
     brute_force_kmaxip,
     brute_force_kminip,
@@ -19,9 +17,8 @@ from relopt.ip import (
     inner_product,
     make_ip_solver,
     parse_ip_instance,
-    signed_join,
-    SignedPairs,
     sparsify,
+    vector_query,
 )
 
 
@@ -257,92 +254,25 @@ def test_parse_ip_instance_rejects_malformed_lines(text, k, match):
 
 # --- the block query -----------------------------------------------------------
 
-@st.composite
-def block_queries(draw):
-    """An IP instance and disjoint blocks per family, some of them empty.
-    With ``shared`` every vector holds coordinate 0, so every pair overlaps."""
-    k = draw(st.sampled_from((1, 2, 2, 3)))
-    d = draw(st.integers(1, 6))
-    shared = draw(st.booleans())
-    coords = st.sets(st.integers(0, d - 1), max_size=3)
-    families, blocks = [], []
-    for _ in range(k):
-        vectors = draw(st.lists(coords, max_size=6))
-        families.append(tuple(tuple(sorted(v | {0} if shared else v)) for v in vectors))
-        count = draw(st.integers(0, 3))
-        owner = draw(
-            st.lists(st.integers(-1, count - 1), min_size=len(vectors), max_size=len(vectors))
-        )
-        blocks.append([[j for j, b in enumerate(owner) if b == i] for i in range(count)])
-    return IPInstance(k, tuple(families), d), blocks
-
-
-def per_block_solves(solver, instance, blocks):
-    out = []
-    for combo in product(*blocks):
-        if all(combo):
-            fams = tuple(
-                tuple(fam[j] for j in block) for fam, block in zip(instance.families, combo)
-            )
-            out.append(solver.solve(IPInstance(instance.k, fams, instance.d)))
-        else:
-            out.append(None)
-    return out
-
-
-def test_only_an_exact_solver_and_its_approximation_have_a_signed_query():
-    exact = exact_solver("max")
-    plain = IpSolver("max", 1.0, exact.solve)
-    assert exact.signed_blocks is not None
-    assert approx_wrapper(exact, 2.0).signed_blocks is not None
-    assert plain.signed_blocks is None
-    assert approx_wrapper(plain, 2.0).signed_blocks is None
-
-
-@given(block_queries(), st.sampled_from(["max", "min"]), st.floats(1.0, 4.0))
-@settings(max_examples=150, deadline=None)
-def test_three_argument_solver_routes_every_block_through_solve(query, kind, c):
-    # every query on IP vectors, at every k and from every solver, is one
-    # solve call per block combination with no empty block
-    instance, blocks = query
-    exact = exact_solver(kind)
-    plain = IpSolver(kind, 1.0, exact.solve)
-    for solver in (plain, exact, approx_wrapper(exact, c)):
-        want = per_block_solves(solver, instance, blocks)
-        stats = {}
-        with mock.patch.object(
-            relopt.ip, "_brute_force", wraps=relopt.ip._brute_force
-        ) as brute:
-            got = solver.block_values(instance, blocks, stats)
-        assert got == want
-        calls = sum(v is not None for v in got)
-        assert brute.call_count == calls
-        assert stats == {"solve_calls": calls}
-
-
 def test_min_block_value_needs_every_pair_to_overlap():
-    fam0 = (vec("110"), vec("111"))
-    fam1 = (vec("111"), vec("100"), vec("001"))
-    inst = IPInstance(2, (fam0, fam1), 3)
+    # every element is of type 3, in both sets: a pair's hybrid value is its
+    # inner product, and the IP vectors are the sets themselves
+    families = [({0, 1}, {0, 1, 2}), ({0, 1, 2}, {0}, {2})]
     blocks = [[[0, 1]], [[0, 1], [2], []]]
-    # unit weights, zero offsets and constant 0 score a pair by its inner
-    # product
-    unit = SignedPairs(inst.families, ([0, 0], [0, 0, 0]), [1, 1, 1], 0)
-    # block {0, 1} x {0, 1}: every pair shares coordinate 0, smallest count 1;
-    # block {0, 1} x {2}: vector 110 shares nothing with 001
+    # block {0, 1} x {0, 1}: every pair shares element 0, smallest count 1;
+    # block {0, 1} x {2}: set {0, 1} shares nothing with {2}
     for kind, want in (("min", [1, 0, None]), ("max", [3, 1, None])):
-        assert exact_solver(kind).block_values(inst, blocks) == want
-        assert signed_join(kind, unit, blocks, {}) == want
+        inst = HybridInstance(2, kind, [3, 3, 3], families)
+        exact = exact_solver(kind)
+        assert exact.query(inst, blocks, {}) == want  # the signed join
+        assert vector_query(exact.solve, inst, blocks, {}) == want
 
 
 def test_block_query_rejects_overlapping_or_missing_blocks():
-    inst = IPInstance(2, ((vec("1"),), (vec("1"), vec("1"))), 1)
-    unit = SignedPairs(inst.families, ([0], [0, 0]), [1], 0)
+    inst = HybridInstance(2, "max", [3], [[{0}], [{0}, {0}]])
+    exact = exact_solver("max")
     with pytest.raises(ContractError, match="disjoint"):
-        signed_join("max", unit, [[[0]], [[0, 1], [1]]], {})
-    for query in (
-        lambda blocks: exact_solver("max").block_values(inst, blocks),
-        lambda blocks: signed_join("max", unit, blocks, {}),
-    ):
+        exact.query(inst, [[[0]], [[0, 1], [1]]], {})
+    for query in (exact.query, partial(vector_query, exact.solve)):
         with pytest.raises(ContractError, match="one list of blocks per family"):
-            query([[[0]]])
+            query(inst, [[[0]]], {})

@@ -767,20 +767,26 @@ def test_trace_counts_heavy_solves_resolves_and_ip_calls(monkeypatch):
         formula = parse_formula(text)
         plan = remove_hyperedges(structure, formula)
         scorer = approx_wrapper(exact_solver(formula.kind), c)
-        ip_calls = []
+        reports = []  # the info of each batched query
 
-        def solve(instance, scorer=scorer):
-            ip_calls.append(instance)
-            return scorer.solve(instance)
+        def query(instance, blocks, info, scorer=scorer):
+            values = scorer.query(instance, blocks, info)
+            reports.append(dict(info))
+            return values
 
         opt_calls.clear()
         _, trace = reduce_and_solve(
-            structure, formula, IpSolver(scorer.kind, scorer.ratio, solve)
+            structure, formula, IpSolver(scorer.kind, scorer.ratio, scorer.solve, query)
         )
         stages = dict(trace.stages)
         lift = stages["cross-free-lift"]
-        assert lift["groups"] and ip_calls
-        assert stages["hybrid"]["ip_calls"] == len(ip_calls)
+        assert lift["groups"] and reports
+        hybrid = stages["hybrid"]
+        assert hybrid["block_calls"] == len(reports)
+        for stage_key, info_key in (
+            ("ip_calls", "solve_calls"), ("coords", "coords"), ("pairs_joined", "pairs_joined")
+        ):
+            assert hybrid[stage_key] == sum(r.get(info_key, 0) for r in reports)
         # the heavy vertices are grouped like any other object: no query of
         # their own
         assert lift["heavy"] and "heavy_solves" not in lift
@@ -928,18 +934,18 @@ def test_reduce_and_solve_skips_the_lift_where_nothing_is_pruned(monkeypatch):
     for text in CYCLE_BODIES:
         formula = parse_formula(text)
         exact = exact_solver(formula.kind)
-        ip_calls = []
+        queries = []
 
-        def solve(instance, exact=exact):
-            ip_calls.append(instance)
-            return exact.solve(instance)
+        def query(instance, blocks, info, exact=exact):
+            queries.append(instance)
+            return exact.query(instance, blocks, info)
 
         value, trace = reduce_and_solve(
-            structure, formula, IpSolver(exact.kind, exact.ratio, solve)
+            structure, formula, IpSolver(exact.kind, exact.ratio, exact.solve, query)
         )
         want = baseline_opt(structure, formula)
         assert (value, trace.witness) == (want.value, want.witness)
-        assert conversions == [] and ip_calls == []
+        assert conversions == [] and queries == []
         stages = dict(trace.stages)
         assert "cross-free-lift" not in stages and "hybrid" not in stages
         # one base case per x1; each moves the one w of E(x1,y), whose static
@@ -1090,12 +1096,13 @@ def test_baseline_answers_past_a_resource_limit_of_the_lift(monkeypatch):
         assert trace.warnings == ["falling back to baseline: over the cap"]
 
 
-def test_lift_converts_hybrid_instances_to_basic_only_without_a_signed_query(
+def test_lift_converts_hybrid_instances_to_basic_only_under_the_vector_query(
     monkeypatch,
 ):
-    # at k=2 the exact solver scores the sparse sets with its signed query
-    # and converts nothing; a plain IpSolver(kind, ratio, solve) has no
-    # signed query, so each instance it scores is converted exactly once
+    # at k=2 the exact solver's query scores the sparse sets with the signed
+    # join and converts nothing; the query of a plain IpSolver(kind, ratio,
+    # solve) is the vector query, which converts each instance it scores
+    # exactly once and calls solve once per block combination
     import relopt.hybrid as hybrid
 
     converted = []
@@ -1109,9 +1116,15 @@ def test_lift_converts_hybrid_instances_to_basic_only_without_a_signed_query(
     formula = parse_formula(CYCLE_BODIES[1])
     assert formula.k == 2
     exact = exact_solver(formula.kind)
+    solves = []
+
+    def solve(instance):
+        solves.append(instance)
+        return exact.solve(instance)
+
     for solver, plain in (
         (exact, False),
-        (IpSolver(exact.kind, exact.ratio, exact.solve), True),
+        (IpSolver(exact.kind, exact.ratio, solve), True),
     ):
         converted.clear()
         scorers = []
@@ -1137,11 +1150,12 @@ def test_lift_converts_hybrid_instances_to_basic_only_without_a_signed_query(
         # one scorer call, one block query per instance, for all the combinations
         assert len(score_calls) == 1 and stats["combos"] > scorer.block_calls > 0
         if not plain:
-            assert converted == []
+            assert converted == [] and scorer.ip_calls == 0
             continue
         assert len({id(inst) for inst in converted}) == len(converted)
         assert {id(inst) for inst in converted} <= prepared
         assert scorer.block_calls == len(converted)
+        assert scorer.ip_calls == len(solves) > 0
 
 
 def test_lift_indexes_relations_independently_of_top_k(monkeypatch):
