@@ -34,13 +34,24 @@ a base case costs one dict copy (none on the sum path) plus time in the
 records its assignment selects and in the u classes it shifts, not in the
 domain of the counting variable.
 
+Many assignments hand the base case the same inputs: an object with no
+record of a dynamic atom reads what any other such object reads.  So the
+walk keeps, per query, a memo keyed by all that a base case reads: the
+fixed-atom bits, the values of each dynamic atom's fixed variables (None
+where no atom over them has a record there), and the values the guard's
+literals on u read.  A key whose values pin every leading variable belongs
+to one assignment and is never stored, and a guard on u that alone pins
+them (the lift's side queries) turns the memo off, so the memo holds only
+keys that can recur.
+
 This module is also the correctness oracle for everything else in the
 package.
 
 ``BodyAtoms`` holds the atom bookkeeping this solver shares with the
 multi-counting one (``relopt.fastcount``): it classifies the body's atoms by
 the counted variables they mention, projects each atom once per set of bound
-variables and memoizes the body's truth per class bits.
+variables, memoizes the body's truth per class bits and builds the memo key
+of a base case (``signature``).
 ``PreparedBaseline`` indexes the structure's relations for one formula once
 and then answers queries over any domains; the pipeline keeps one per
 (structure, formula) and queries it per domain, and the module functions
@@ -183,6 +194,17 @@ class BodyAtoms:
                 p = self.project(atom, bound, c)
                 (dynamic if p.fixed_key else static).append((i, p))
             self.split[c] = static, dynamic
+        # for ``signature``: bit j stands for the j-th bound variable, and
+        # per fixed key of the dynamic projections, its picker, the records
+        # of each projection with that key by its values, and its bits
+        self._var_bit = {v: 1 << j for j, v in enumerate(bound)}
+        by_key: dict[tuple[str, ...], list[dict]] = {}
+        for c in self.classes[1:]:
+            for _, p in self.split[c][1]:
+                by_key.setdefault(p.fixed_key, []).append(p.by_fixed)
+        self._dynamic = [
+            (_picker(key), maps, self._pins(key)) for key, maps in by_key.items()
+        ]
         # per class, each atom's argument picker and records, for ``bits``
         self._records = {
             c: [(_picker(a.args), structure.relation(a.pred).records) for a in atoms]
@@ -202,6 +224,49 @@ class BodyAtoms:
             p = ProjectedAtom(self.structure, atom, fixed_vars, free_vars)
             self._projections[key] = p
         return p
+
+    def _pins(self, fixed_key: Sequence[str]) -> int:
+        """The bits of the bound variables of a projection's fixed key."""
+        return sum(self._var_bit[v] for v in fixed_key)
+
+    def signature(
+        self, reads: Sequence[ProjectedAtom] = ()
+    ) -> Callable[[Mapping[str, ObjectId]], tuple | None] | None:
+        """The memo key of a base case: all its assignment of the bound
+        variables reads.  That is the fixed-atom bits; per fixed key of the
+        dynamic projections of ``split``, its values, or None where no such
+        projection has records for them (any such values select nothing);
+        and the fixed-key values of ``reads``, the caller's own projections
+        that the base case reads.  A walk visits each assignment once, so a
+        key whose values pin every bound variable cannot recur: the key
+        function returns None for it, and there is none (None) where
+        ``reads`` alone pin them."""
+        full = sum(self._var_bit.values())
+        read_pins = 0
+        for p in reads:
+            read_pins |= self._pins(p.fixed_key)
+        if read_pins == full:
+            return None
+        dynamic, bits = self._dynamic, self.bits
+        read_keys = [_picker(p.fixed_key) for p in reads]
+
+        def key(asn: Mapping[str, ObjectId]) -> tuple | None:
+            pinned = read_pins
+            parts = []
+            for key_of, maps, pins in dynamic:
+                values = key_of(asn)
+                for by_fixed in maps:
+                    if values in by_fixed:
+                        parts.append(values)
+                        pinned |= pins
+                        break
+                else:
+                    parts.append(None)
+            if pinned == full:
+                return None
+            return bits(asn), *parts, *(read(asn) for read in read_keys)
+
+        return key
 
     def bits(self, asn: Mapping[str, ObjectId], c: tuple[str, ...] = ()) -> int:
         """The bits of the atoms of class ``c`` (by default the fixed ones)
@@ -238,7 +303,14 @@ class LeadingWalk:
     through to its count, in domain order, and ``total(asn)`` is their sum.
     The loops before u run over ``doms``, narrowed by ``guard`` (per depth,
     the literals that ``PreparedBaseline._guard`` projects) within
-    ``sets``."""
+    ``sets``.
+
+    A walk reaches its base case through one of them: ``case`` where u is
+    xk, else ``total``.  Two assignments with one ``key`` (a
+    ``BodyAtoms.signature``) read the same, so ``memo`` answers the second
+    from the first; it keeps only the keys that are not None and dies with
+    the walk.  ``cases`` counts the base cases reached, ``reused`` those the
+    memo answered."""
 
     def __init__(
         self,
@@ -249,11 +321,15 @@ class LeadingWalk:
         doms: Mapping[str, Sequence[ObjectId]],
         sets: Sequence[set[ObjectId]] = (),
         guard: _Guard = (),
+        key: Callable[[Mapping[str, ObjectId]], tuple | None] | None = None,
     ):
         self.order = formula.opt_vars + formula.count_vars
         self.last, self.base = formula.k - 1, len(self.order) - free  # xk's, u's depth
-        self.case, self.total = case, total
+        self.run = case if self.base == self.last else total
         self.doms, self.sets, self.guard = doms, sets, guard
+        self.key = key
+        self.memo: dict[tuple, Any] = {}
+        self.cases = self.reused = 0
 
     def prefixes(
         self, depth: int = 0, prefix: tuple[ObjectId, ...] = (), asn: dict | None = None
@@ -263,7 +339,7 @@ class LeadingWalk:
             for o in self._assign(depth, asn):
                 yield from self.prefixes(depth + 1, prefix + (o,), asn)
         elif depth == self.base:  # xk is the base case's u
-            yield prefix, self.case(asn)
+            yield prefix, self._base_case(asn)
         else:
             yield prefix, {
                 o: self._count(depth + 1, asn) for o in self._assign(depth, asn)
@@ -272,8 +348,22 @@ class LeadingWalk:
     def _count(self, depth: int, asn: dict[str, ObjectId]) -> int:
         """The assignments from ``depth`` on that satisfy the body."""
         if depth == self.base:
-            return self.total(asn)
+            return self._base_case(asn)
         return sum(self._count(depth + 1, asn) for _ in self._assign(depth, asn))
+
+    def _base_case(self, asn: dict[str, ObjectId]) -> Any:
+        """The base case's counts or total, from the memo where an earlier
+        assignment read the same."""
+        self.cases += 1
+        key = self.key(asn) if self.key else None
+        if key is None:
+            return self.run(asn)
+        hit = self.memo.get(key)
+        if hit is None:
+            hit = self.memo[key] = self.run(asn)
+        else:
+            self.reused += 1
+        return hit
 
     def _assign(self, depth: int, asn: dict[str, ObjectId]) -> Iterator[ObjectId]:
         """Each value the guard lets through, assigned in ``asn`` until the next."""
@@ -334,10 +424,14 @@ class PreparedBaseline:
         self._delta_memo: dict[tuple, int] = {}
         # the projected literals of each guard queried so far
         self._guards: dict[tuple[tuple[Atom, bool], ...], _Guard] = {}
-        # work counts since construction: base cases run (those a guard over
-        # u empties included), and the mixed-pair deltas they applied (the
-        # rows' folded deltas not included)
+        # per (fixed, u, old w, new w) bits, the shift that moving one w makes
+        self._move_memo: dict[tuple, int] = {}
+        # work counts since construction: base cases reached (those a guard
+        # over u empties included), those of them the walk's memo answered,
+        # and the mixed-pair deltas the others applied (the rows' folded
+        # deltas not included)
         self.base_cases = 0
+        self.reused = 0
         self.pair_deltas = 0
 
     def values(self, domains: Domains | None = None) -> dict[tuple[ObjectId, ...], int]:
@@ -366,7 +460,9 @@ class PreparedBaseline:
     def _walk(
         self, domains: Domains | None, guard: tuple[tuple[Atom, bool], ...]
     ) -> Prefixes:
-        """The prefixes of one query's walk over its (u, w) base case."""
+        """The prefixes of one query's walk over its (u, w) base case, its
+        base case keyed by what it reads, the literals on u included; the
+        walk's counts are added to the evaluator's once it is done."""
         doms = resolve_domains(self.structure, self.formula, domains)
         sets = tuple(set(doms[v]) for v in self.order)
         dom_u, dom_w = sets[-2:]
@@ -391,7 +487,11 @@ class PreparedBaseline:
             static, partners, rows={}, counts={}, mixed={},
         )
         base = partial(self._base_case, q), partial(self._base_sum, q)
-        return LeadingWalk(self.formula, 2, *base, doms, sets, q.guard).prefixes()
+        key = self.body.signature([p for p, _ in q.guard[-2]])  # u's literals
+        walk = LeadingWalk(self.formula, 2, *base, doms, sets, q.guard, key)
+        yield from walk.prefixes()
+        self.base_cases += walk.cases
+        self.reused += walk.reused
 
     def _guard(self, guard: tuple[tuple[Atom, bool], ...]) -> _Guard:
         """Per depth, the projected literals that narrow its variable's loop,
@@ -426,12 +526,22 @@ class PreparedBaseline:
             self._delta_memo[key] = hit
         return hit
 
+    def _move(self, fixed_bits, u_bits, old, new) -> int:
+        """The change ``phi(.., new, 0) - phi(.., old, 0)`` that one w moving
+        from colour old to new makes to the count of a u of colour u_bits."""
+        key = (fixed_bits, u_bits, old, new)
+        hit = self._move_memo.get(key)
+        if hit is None:
+            truth = self.body.truth
+            hit = truth((fixed_bits, u_bits, new, 0)) - truth((fixed_bits, u_bits, old, 0))
+            self._move_memo[key] = hit
+        return hit
+
     def _base_case(self, q: _Query, asn: dict[str, ObjectId]) -> dict[ObjectId, int]:
         """psi(u) = #{w : body} for every u in its domain that passes the
         guard: a copy of the query's row for the fixed bits, shifted per
         static u colour class and corrected per u as ``_moves`` says.  Empty,
         with nothing coloured, when the guard leaves no u."""
-        self.base_cases += 1
         us = None
         if q.guard[-2]:  # the literals of u, the second-last variable
             us = _narrow(q.guard[-2], asn, q.doms[self.u_var], q.sets[-2])
@@ -453,7 +563,6 @@ class PreparedBaseline:
         """The sum of ``_base_case``'s counts, for a u with no guard: the
         row's total plus each class shift times the class size plus the
         corrections, with no per-u copy."""
-        self.base_cases += 1
         fixed_bits, row, total = self._row(q, asn)
         shifts, fix = self._moves(q, asn, fixed_bits, row)
         for u_bits, s in shifts.items():
@@ -487,7 +596,7 @@ class PreparedBaseline:
         for wv, bits in w_extra.items():
             old = w_static.get(wv, 0)
             moves[old, old | bits] = moves.get((old, old | bits), 0) + 1
-        truth, delta = self.body.truth, self._delta
+        move, delta = self._move, self._delta
         shift_of: dict[int, int] = {}
 
         def shift(u_bits: int) -> int:
@@ -495,10 +604,7 @@ class PreparedBaseline:
             if s is None:
                 s = 0
                 for (old, new), c in moves.items():
-                    s += c * (
-                        truth((fixed_bits, u_bits, new, 0))
-                        - truth((fixed_bits, u_bits, old, 0))
-                    )
+                    s += c * move(fixed_bits, u_bits, old, new)
                 shift_of[u_bits] = s
             return s
 
@@ -767,13 +873,16 @@ def baseline_opt(
     stats_out: dict | None = None,
 ) -> OptResult | None:
     """Optimum and lexicographically least witness; None if no tuple exists.
-    ``stats_out``, when given, receives the work counts: ``base_cases`` run
-    and ``pair_deltas``, the mixed-pair deltas they applied."""
+    ``stats_out``, when given, receives the work counts: ``base_cases``
+    reached, ``reused``, those of them the walk's memo answered, and
+    ``pair_deltas``, the mixed-pair deltas the others applied."""
     evaluator = PreparedBaseline(structure, formula)
     res = evaluator.opt(domains)
     if stats_out is not None:
         stats_out.update(
-            base_cases=evaluator.base_cases, pair_deltas=evaluator.pair_deltas
+            base_cases=evaluator.base_cases,
+            reused=evaluator.reused,
+            pair_deltas=evaluator.pair_deltas,
         )
     return res
 

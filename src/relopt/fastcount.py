@@ -12,10 +12,10 @@ and pair buckets (by the unary classes of both endpoints and the colour
 bits) of the atoms that mention no brute-forced variable.  A run adds only
 what its assignment's atoms select: those objects leave their static class,
 those pairs leave their static bucket, and every other class and bucket is
-reused as it is; a run that selects nothing reuses the psi of an earlier run
-with the same fixed atoms.  Every per-(class, colour) graph reads only its
-own buckets; a nonzero colour without a bucket builds no graph, as its graph
-would count 0.  Each truth table is decomposed once per process, and a graph
+reused as it is.  The walk answers a run from an earlier one that read the
+same (``relopt.baseline.BodyAtoms.signature``).  Every per-(class, colour)
+graph reads only its own buckets; a nonzero colour without a bucket builds
+no graph, as its graph would count 0.  Each truth table is decomposed once per process, and a graph
 with an empty side skips the triangle pass: it has no triangle.
 """
 from __future__ import annotations
@@ -424,10 +424,9 @@ class _Residual3:
     colours only its dynamic atoms.  The objects and pairs they select are
     touched and leave their static class or bucket (``_moved``,
     ``_PairSide.run_buckets``); every other class and bucket is the static
-    one.  A run that touches nothing returns the psi of an earlier such run
-    with the same fixed atom bits.  A colour combination with a nonzero
-    colour that no pair of its class pair has builds no graph, and a graph
-    with an empty side costs no triangle pass.
+    one.  A colour combination with a nonzero colour that no pair of its
+    class pair has builds no graph, and a graph with an empty side costs no
+    triangle pass.
     """
 
     def __init__(self, structure: RelationalStructure, formula: OptFormula):
@@ -455,15 +454,12 @@ class _Residual3:
         }
         triple_static, self.triple_dynamic = body.split[self.free]
         self.static_triples = self._triples(triple_static, {})
-        # the psi of the runs that touched nothing, by their fixed atom bits
-        self._untouched: dict[int, dict[ObjectId, int]] = {}
         # the unary and pair atoms: the classes past the fixed atoms and
         # short of the one over u, v and w
         self.static_atoms, self.dynamic_atoms = (
             sum(len(body.split[c][i]) for c in body.classes[1:-1]) for i in (0, 1)
         )
         # counts over every run, reported by multi_counting_opt's stats_out
-        self.runs = 0
         self.touched = 0
         self.graphs = 0
         self.empty_side = 0
@@ -482,7 +478,6 @@ class _Residual3:
     def run(self, asn: dict[str, ObjectId]) -> dict[ObjectId, int]:
         """psi(u) for every u of its domain; the caller must not change it."""
         u, v, w = self.free
-        self.runs += 1
         body = self.body
         fixed_bits = body.bits(asn)
         extra = {
@@ -494,11 +489,6 @@ class _Residual3:
             for pr, side in self.pair_sides.items()
         }
         extra_triples = self._triples(self.triple_dynamic, asn)
-        untouched = not (
-            any(extra.values()) or any(extra_pairs.values()) or extra_triples
-        )
-        if untouched and fixed_bits in self._untouched:
-            return self._untouched[fixed_bits]
         self.touched += len(set().union(*extra.values()))
 
         moved = {var: _moved(self.classes[var], extra[var]) for var in self.free}
@@ -542,8 +532,6 @@ class _Residual3:
             asn2[u], asn2[v], asn2[w] = t
             bits = tuple(body.bits(asn2, c) for c in body.classes)
             psi0[t[0]] -= truth(bits[:-1]) - truth(bits)
-        if untouched:
-            self._untouched[fixed_bits] = psi0
         return psi0
 
     def run_sum(self, asn: dict[str, ObjectId]) -> int:
@@ -559,24 +547,30 @@ def multi_counting_opt(
     """Exact optimum for two or more counting variables.
 
     Runs the walk it shares with the baseline, ``LeadingWalk``, over the
-    corrected triangle-count residual.  ``stats_out``, when given, receives the
-    residual's counts: ``runs`` (one per brute-forced assignment, a reused
-    run included), ``graphs`` (``triangle_counts`` calls), ``empty_side``
-    (graphs with an empty side, whose triangle pass is skipped), ``tables``
-    (distinct truth tables), ``static_atoms`` and ``dynamic_atoms`` (the
-    residual's unary and pair atoms without and with a brute-forced
-    variable) and ``touched`` (per run, the objects that leave a static class
-    of some residual variable, summed over the runs).
+    corrected triangle-count residual, a run answered from the walk's memo
+    where an earlier one read the same.  ``stats_out``, when given, receives
+    the residual's counts: ``runs`` (one per brute-forced assignment),
+    ``reused`` (the runs the memo answered), ``graphs`` (``triangle_counts``
+    calls), ``empty_side`` (graphs with an empty side, whose triangle pass
+    is skipped), ``tables`` (distinct truth tables), ``static_atoms`` and
+    ``dynamic_atoms`` (the residual's unary and pair atoms without and with
+    a brute-forced variable) and ``touched`` (per run the memo did not
+    answer, the objects that leave a static class of some residual
+    variable, summed over those runs).
     """
     if formula.ell < 2:
         raise UnsupportedShapeError("needs at least two counting variables")
     check_schema(formula, structure)
     residual = _Residual3(structure, formula)
-    walk = LeadingWalk(formula, 3, residual.run, residual.run_sum, residual.domains)
+    walk = LeadingWalk(
+        formula, 3, residual.run, residual.run_sum, residual.domains,
+        key=residual.body.signature(),
+    )
     result = opt_of_walk(walk.prefixes(), formula.kind)
     if stats_out is not None:
         stats_out.update(
-            runs=residual.runs,
+            runs=walk.cases,
+            reused=walk.reused,
             graphs=residual.graphs,
             empty_side=residual.empty_side,
             tables=len(residual.tables),

@@ -988,7 +988,8 @@ class HybridScorer:
 
     ``block_calls`` counts the batched queries, ``ip_calls`` the
     per-instance ``solve`` calls they made, ``coords`` the coordinates they
-    read and ``pairs_joined`` the pairs of sets their joins counted.
+    read and ``pairs_joined`` the pairs of sets their joins counted.  A
+    query that leaves ``coords`` unset breaks the ``IpSolver`` contract.
     """
 
     def __init__(
@@ -1025,6 +1026,10 @@ class HybridScorer:
             values, info = solve_hybrid_with_info(inst, self.ip_solver, blocks)
             self.block_calls += 1
             self.ip_calls += info.get("solve_calls", 0)
+            if "coords" not in info:
+                raise ContractError(
+                    "the IP solver's query must set info['coords'], the coordinates it read"
+                )
             self.coords += info["coords"]
             self.pairs_joined += info.get("pairs_joined", 0)
             best = [

@@ -561,3 +561,98 @@ def test_base_cases_apply_few_pair_deltas_on_the_benchmark_sets():
             assert stats["base_cases"] > 0
             applied += stats["pair_deltas"]
         assert applied <= bound, (workload, applied)
+
+
+@st.composite
+def recurring_key_instances(draw):
+    """An instance with k in {2, 3} and ell in {1, 2} whose base cases often
+    read the same, with a guard of at most one literal on u where u is xk.
+    Its dynamic atoms mention a strict subset of the leading variables where
+    there are two or more (x1 where it is the only one), always in the first
+    column of E0 or E1, whose records start at some objects only: an
+    assignment of any other object reads no record.  Its fixed atoms, over
+    the leading variables only, read P0, which any object may hold; its
+    static atoms read P0 and E0.  The guard reads P0 or G0, whose records
+    start at any object, so it tells apart assignments that the atoms do
+    not."""
+    k, ell = draw(st.integers(2, 3)), draw(st.integers(1, 2))
+    rng = draw(st.randoms(use_true_random=False))
+    variables = [f"x{i + 1}" for i in range(k)] + [f"y{j + 1}" for j in range(ell)]
+    *leading, u, w = variables
+    n = rng.randint(3, MAX_OBJECTS[k + ell])
+    heads = rng.sample(range(n), rng.randint(1, n - 1))
+    rels = {
+        f"E{b}": {(rng.choice(heads), rng.randrange(n)) for _ in range(rng.randint(1, 2 * n))}
+        for b in range(2)
+    }
+    rels["P0"] = {(v,) for v in range(n) if rng.random() < 0.5}
+    rels["G0"] = {(a, b) for a in range(n) for b in range(n) if rng.random() < 0.5}
+    structure = build_structure(
+        [f"o{v}" for v in range(n)], rels, {"E0": 2, "E1": 2, "P0": 1, "G0": 2}
+    )
+    reading = rng.sample(leading, max(1, len(leading) - 1))
+    atoms = [f"E{rng.randrange(2)}({rng.choice(reading)},{x})" for x in (u, w)]
+    atoms += [f"P0({x})" for x in leading if rng.random() < 0.6]
+    optional = (f"E0({u},{w})", f"P0({u})", f"P0({w})", f"E0({w},{u})")
+    atoms += [atom for atom in optional if rng.random() < 0.4]
+    literals = [("!" if rng.random() < 0.3 else "") + atom for atom in atoms]
+    formula = parse_formula(
+        f"{rng.choice(['max', 'min'])} {','.join(variables[:k])} . "
+        f"count {','.join(variables[k:])} . {_random_tree(rng, literals)}"
+    )
+    guard = []
+    if ell == 1 and rng.random() < 0.5:
+        on_u = rng.choice([Atom("P0", (u,)), Atom("G0", (rng.choice(leading), u))])
+        guard.append((on_u, rng.random() < 0.5))
+    return structure, formula, guard
+
+
+def test_the_memo_answers_base_cases_that_read_the_same():
+    # two assignments whose keys agree read the same fixed bits, records and
+    # guard hits on u, so the second base case is the first's: values and
+    # guarded optima still match the nested loops, and most draws reuse one
+    reused = []
+
+    @given(recurring_key_instances())
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def check(instance):
+        structure, formula, guard = instance
+        prepared = PreparedBaseline(structure, formula)
+        assert prepared.values() == naive_values(structure, formula)
+        assert prepared.opt(None, guard) == guarded_opt(structure, formula, None, guard)
+        reused.append(prepared.reused > 0)
+
+    check()
+    assert sum(reused) >= len(reused) // 2, (sum(reused), len(reused))
+
+
+def test_keys_that_pin_every_leading_variable_are_not_stored(monkeypatch):
+    # at k=2 the dynamic atom E0(x1,y) reads x1's records: where every x1
+    # has one, each key pins x1 and belongs to one assignment, so the walk
+    # stores none; an x1 without a record (o0 and o1 once their records
+    # move to o2) reads what any other such x1 reads, and only their one
+    # key is stored
+    from relopt import baseline
+
+    walks = []
+
+    class Recording(baseline.LeadingWalk):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            walks.append(self)
+
+    monkeypatch.setattr(baseline, "LeadingWalk", Recording)
+    n = 6
+    cycle = [f"E0 o{i} o{(i + 1) % n}\n" for i in range(n)]
+    marks = "rel P0 1\nP0 o0\nP0 o3\n"
+    for kind in ("max", "min"):
+        formula = parse_formula(f"{kind} x1,x2 . count y . E0(x1,y) & !E0(x2,y) | P0(y)")
+        moved = cycle[2:] + ["E0 o2 o1\n"]
+        for records, reused, stored in ((cycle, 0, 0), (moved, 1, 1)):
+            structure = load_structure("rel E0 2\n" + "".join(records) + marks)
+            stats: dict = {}
+            got = baseline_opt(structure, formula, stats_out=stats)
+            assert got == opt_of_table(naive_values(structure, formula), kind)
+            assert (stats["base_cases"], stats["reused"]) == (n, reused)
+            walk = walks.pop()
+            assert walk.key is not None and len(walk.memo) == stored

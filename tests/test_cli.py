@@ -147,10 +147,11 @@ def test_solve_trace_prints_the_multicount_stage(tmp_path, capsys):
     stage = next(l for l in out.splitlines() if l.startswith("stage multicount"))
     stats = dict(kv.split("=") for kv in stage.split()[2:])
     assert set(stats) == {
-        "runs", "graphs", "empty_side", "tables",
+        "runs", "reused", "graphs", "empty_side", "tables",
         "static_atoms", "dynamic_atoms", "touched",
     }
     assert int(stats["runs"]) == 1  # k + ell = 3: nothing is brute-forced
+    assert stats["reused"] == "0"
     assert int(stats["graphs"]) > 0
     # with nothing brute-forced, every atom is static and no run touches one
     assert (stats["static_atoms"], stats["dynamic_atoms"]) == ("3", "0")
@@ -185,12 +186,14 @@ def test_solve_trace_of_a_forced_engine(tmp_path, capsys, monkeypatch, engine, t
     assert lines[0] == f"path {engine}"
     assert lines[-1] == f"source {engine}"
     stage = next(l for l in lines if l.startswith(f"stage {engine}"))
+    stats = dict(kv.split("=") for kv in stage.split()[2:])
+    # every object has a record of E, so each key of the walk's memo pins the
+    # leading variables and no run is reused
+    assert int(stats["reused"]) == 0
     if engine == "multicount":
-        stats = dict(kv.split("=") for kv in stage.split()[2:])
         assert int(stats["runs"]) == 3  # one per value of x1
         assert int(stats["dynamic_atoms"]) == 1  # E(x1,y1)
     else:
-        stats = dict(kv.split("=") for kv in stage.split()[2:])
         assert stats["reason"] == "forced"
         assert int(stats["base_cases"]) == 9  # one per (x1, x2)
         # the static pairs E(y1,y2) of the y1 that E(x1,y1) recolours (a: 2,

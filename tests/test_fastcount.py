@@ -314,14 +314,15 @@ def test_multicount_trace_counts_every_triangle_counts_call(monkeypatch):
         assert value == baseline_opt(structure, formula).value
     assert calls > 0
 
-    # no atom mentions x1: every run touches nothing, and all runs after the
-    # first reuse its psi, but each still counts as a run
+    # no atom mentions x1: every run reads the same, and the walk's memo
+    # answers all runs after the first, but each still counts as a run
     structure, _ = random_instance(rng, k=2, ell=2, n_objects=6)
     formula = parse_formula("max x1,x2 . count y1,y2 . E0(x2,y1) & !E1(y1,y2) | P0(y2)")
     before = calls
     value, trace = reduce_and_solve(structure, formula, exact_solver("max"))
     stats = dict(trace.stages)["multicount"]
     assert stats["runs"] == structure.n
+    assert stats["reused"] == structure.n - 1
     assert stats["touched"] == 0
     assert (stats["static_atoms"], stats["dynamic_atoms"]) == (3, 0)
     assert stats["graphs"] == calls - before > 0

@@ -216,6 +216,37 @@ def test_side_query_runs_a_base_case_per_object_of_its_atom(monkeypatch):
     assert sum(ran for ran, _ in calls) == 399
 
 
+def test_side_queries_never_reach_the_walks_memo(monkeypatch):
+    # a side query's positive literal on u (x2 at k=2) reads x1, so it pins
+    # every leading variable: its walk gets no key function, and builds and
+    # stores no key
+    from relopt import baseline, reduction
+
+    walks, side_walks = [], []
+
+    class Recording(baseline.LeadingWalk):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            walks.append(self)
+
+    def side(evaluator, forced):
+        before = len(walks)
+        res = solve_positive_cross_edge(evaluator, forced)
+        side_walks.extend(walks[before:])
+        return res
+
+    monkeypatch.setattr(baseline, "LeadingWalk", Recording)
+    monkeypatch.setattr(reduction, "solve_positive_cross_edge", side)
+    instances = bench_instances()
+    for structure_text, formula_text in instances.instance_texts("lift-sparse", 1):
+        formula = parse_formula(formula_text)
+        reduce_and_solve(load_structure(structure_text), formula, exact_solver(formula.kind))
+    assert side_walks, "no side query ran"
+    for walk in side_walks:
+        assert walk.key is None and walk.memo == {} and walk.reused == 0
+        assert walk.cases > 0
+
+
 # --- hyperedge removal ----------------------------------------------------------
 
 def test_remove_hyperedges_identity():
@@ -750,6 +781,26 @@ def _lift_scores(structure, formula, solver):
     return HybridScorer(structure, core, solver)(groups) if groups else []
 
 
+def test_a_query_that_leaves_coords_unset_breaks_the_contract():
+    # the scorer sums each batched query's info["coords"]; a query that
+    # returns values without setting it is refused by name, not left to
+    # escape as a bare KeyError
+    structure, formula = _cycle_structure(), parse_formula(CYCLE_BODIES[0])
+    exact = exact_solver("max")
+
+    def query(instance, blocks, info):
+        values = exact.query(instance, blocks, info)
+        del info["coords"]
+        return values
+
+    solver = IpSolver("max", 1.0, exact.solve, query)
+    with pytest.raises(ContractError, match=r"info\['coords'\]"):
+        _lift_scores(structure, formula, solver)
+    with pytest.raises(ContractError, match=r"info\['coords'\]"):
+        reduce_and_solve(structure, formula, solver)
+    assert _lift_scores(structure, formula, exact)  # the shipped query sets it
+
+
 def test_trace_counts_heavy_solves_resolves_and_ip_calls(monkeypatch):
     from relopt.baseline import PreparedBaseline
 
@@ -950,17 +1001,18 @@ def test_reduce_and_solve_skips_the_lift_where_nothing_is_pruned(monkeypatch):
         assert "cross-free-lift" not in stages and "hybrid" not in stages
         # one base case per x1; each moves the one w of E(x1,y), whose static
         # pair E(x2,y) is the only delta a base case applies (the second body's
-        # E(x1,x2) recolours one u, whose static pair is walked too)
+        # E(x1,x2) recolours one u, whose static pair is walked too).  Every
+        # x1 has a record of E, so each key pins x1 and the memo reuses none
         deltas = 12 if formula.kind == "max" else 24
         assert stages["baseline"] == {
             "reason": "no-prune", "groups": 4, "bound": 17,
-            "base_cases": 12, "pair_deltas": deltas,
+            "base_cases": 12, "reused": 0, "pair_deltas": deltas,
         }
         assert trace.source == "baseline"
         rendered = trace.render()
         assert (
             f"stage baseline base_cases=12 bound=17 groups=4 pair_deltas={deltas} "
-            "reason=no-prune\n"
+            "reason=no-prune reused=0\n"
         ) in rendered
         assert rendered.endswith("source baseline\n")
 
@@ -996,10 +1048,11 @@ def test_reduce_and_solve_answers_k3_with_one_baseline_query(monkeypatch):
         assert trace.path == "baseline" and trace.source == "baseline"
         assert [name for name, _ in trace.stages] == ["input", "baseline"]
         # 26^2 base cases; each moves the w objects of E(x1,y) and E(x2,y),
-        # one static partner (over E(x3,y)) each, one w where x1 = x2
-        assert "stage baseline base_cases=676 pair_deltas=1326 reason=k>=3\n" in (
-            trace.render()
-        )
+        # one static partner (over E(x3,y)) each, one w where x1 = x2; every
+        # object has a record of E, so each key pins (x1, x2) and none recurs
+        assert (
+            "stage baseline base_cases=676 pair_deltas=1326 reason=k>=3 reused=0\n"
+        ) in trace.render()
     # the same counter sees the k=2 lift build its scorer
     reduce_and_solve(_cycle_structure(), parse_formula(CYCLE_BODIES[0]), exact_solver("max"))
     assert len(built) == 1
