@@ -466,8 +466,8 @@ class PreparedBaseline:
         doms = resolve_domains(self.structure, self.formula, domains)
         sets = tuple(set(doms[v]) for v in self.order)
         dom_u, dom_w = sets[-2:]
-        u_color = _colors(self.u_static, {}, dom_u)
-        w_color = _colors(self.w_static, {}, dom_w)
+        u_color = unary_colors(self.u_static, {}, dom_u)
+        w_color = unary_colors(self.w_static, {}, dom_w)
         w_count: dict[int, int] = {0: len(dom_w) - len(w_color)}
         for bits in w_color.values():
             w_count[bits] = w_count.get(bits, 0) + 1
@@ -590,8 +590,8 @@ class PreparedBaseline:
         index, and a pair of a dynamic mixed atom, with the pair's static
         bits or-ed in.  Counts the pair deltas it applies."""
         u_static, w_static = q.u_color, q.w_color
-        u_extra = _colors(self.u_dynamic, asn, q.sets[-2])
-        w_extra = _colors(self.w_dynamic, asn, q.sets[-1])
+        u_extra = unary_colors(self.u_dynamic, asn, q.sets[-2])
+        w_extra = unary_colors(self.w_dynamic, asn, q.sets[-1])
         moves: dict[tuple[int, int], int] = {}
         for wv, bits in w_extra.items():
             old = w_static.get(wv, 0)
@@ -801,7 +801,7 @@ def _by_u(i: int, p: ProjectedAtom) -> dict[tuple, dict[ObjectId, dict[ObjectId,
     return index
 
 
-def _colors(
+def unary_colors(
     projections: Projections,
     asn: Mapping[str, ObjectId],
     domain: set[ObjectId],

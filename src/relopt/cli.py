@@ -90,10 +90,9 @@ def _run(engine: str, structure, formula, ip: str):
         value, trace = reduce_and_solve(structure, formula, solver)
         return value, trace, solver.ratio
     # a forced engine's trace: its stage and the source line
+    route = {"reason": "forced"} if engine == "baseline" else {}
     trace = ReductionTrace(path=engine)
-    if engine == "baseline":
-        return (*trace.baseline_answer(structure, formula, reason="forced"), 1.0)
-    return (*trace.multicount_answer(structure, formula), 1.0)
+    return (*trace.engine_answer(engine, structure, formula, **route), 1.0)
 
 
 def _accepts(structure, formula, res: OptResult | None, value, witness, ratio) -> bool:
@@ -182,7 +181,7 @@ def cmd_reduce(args) -> int:
     (out_dir / "crossfree.formula").write_text(str(plan.core) + "\n")
     summary.append(f"stage cross-edge-removal sides={len(plan.cross)}")
 
-    transformed, tf = remove_parallel_edges(plan.main_structure, plan.core)
+    transformed, tf, _ = remove_parallel_edges(plan.main_structure, plan.core)
     (out_dir / "paralleled.structure").write_text(transformed.dump())
     (out_dir / "paralleled.formula").write_text(str(tf) + "\n")
     summary.append(

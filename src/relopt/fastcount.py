@@ -28,7 +28,9 @@ from operator import add
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
-from .baseline import BodyAtoms, LeadingWalk, OptResult, Projections, _colors, opt_of_walk, resolve_domains
+from .baseline import (
+    BodyAtoms, LeadingWalk, OptResult, Projections, opt_of_walk, resolve_domains, unary_colors,
+)
 from .errors import ContractError, UnsupportedShapeError
 from .formula import OptFormula, check_schema
 from .structure import ObjectId, RelationalStructure
@@ -440,7 +442,7 @@ class _Residual3:
         for var in self.free:
             static, self.single_dynamic[var] = body.split[var,]
             self.classes[var] = _static_classes(
-                domains[var], _colors(static, {}, self.dom_sets[var])
+                domains[var], unary_colors(static, {}, self.dom_sets[var])
             )
         self.pair_sides = {
             (a, b): _PairSide(
@@ -481,7 +483,7 @@ class _Residual3:
         body = self.body
         fixed_bits = body.bits(asn)
         extra = {
-            var: _colors(self.single_dynamic[var], asn, self.dom_sets[var])
+            var: unary_colors(self.single_dynamic[var], asn, self.dom_sets[var])
             for var in self.free
         }
         extra_pairs = {

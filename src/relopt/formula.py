@@ -93,19 +93,6 @@ def disjoin(parts: list[Expr]) -> Expr:
     return _balanced(list(parts), Or)
 
 
-def substitute_atoms(expr: Expr, mapping: Mapping[Atom, Expr]) -> Expr:
-    """Replace atom occurrences according to ``mapping`` (identity otherwise)."""
-    if isinstance(expr, Atom):
-        return mapping.get(expr, expr)
-    if isinstance(expr, Not):
-        return Not(substitute_atoms(expr.arg, mapping))
-    if isinstance(expr, And):
-        return And(substitute_atoms(expr.left, mapping), substitute_atoms(expr.right, mapping))
-    if isinstance(expr, Or):
-        return Or(substitute_atoms(expr.left, mapping), substitute_atoms(expr.right, mapping))
-    return expr
-
-
 def map_atoms(expr: Expr, fn) -> Expr:
     """Rebuild the expression, applying ``fn`` to every atom."""
     if isinstance(expr, Atom):

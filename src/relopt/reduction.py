@@ -57,8 +57,9 @@ from .baseline import (
 from .errors import ContractError, ResourceLimitError
 from .fastcount import multi_counting_opt
 from .formula import (
+    FALSE,
+    TRUE,
     Atom,
-    Const,
     Expr,
     Not,
     OptFormula,
@@ -68,7 +69,6 @@ from .formula import (
     disjoin,
     eval_expr_table,
     map_atoms,
-    substitute_atoms,
 )
 from .hybrid import HybridInstance, solve_hybrid_with_info
 from .ip import IpSolver
@@ -77,8 +77,6 @@ from .structure import ObjectId, Relation, RelationalStructure
 Guard = tuple[tuple[Atom, bool], ...]
 Domains = Mapping[str, Sequence[ObjectId]]
 
-SLOT_SEP = "@"
-COPY_SEP = "#"
 DEFAULT_R_CAP = 4
 SIGMA_CAP = 1 << 16
 
@@ -271,9 +269,7 @@ def remove_hyperedges(
     relations[n_name] = Relation(n_name, 2, frozenset(n_records))
     main_structure = RelationalStructure(structure.labels, relations)
 
-    phi0 = substitute_atoms(
-        formula.body, {a: Const(False) for a in hyper}
-    )
+    phi0 = map_atoms(formula.body, lambda a: FALSE if a in hyper else a)
     guard = tuple(
         (Atom(n_name, (formula.opt_vars[i], formula.opt_vars[j])), False)
         for i in range(formula.k)
@@ -284,20 +280,13 @@ def remove_hyperedges(
 
 # --- step 2: cross-edge elimination (the grouped lift) -----------------------
 
-@dataclass(frozen=True)
-class GroupPartition:
+def build_group_partition(
+    structure: RelationalStructure, objects: Sequence[ObjectId], threshold: int
+) -> tuple[tuple[ObjectId, ...], ...]:
     """Greedy partition of objects into contiguous runs of their sorted
     order; the same partition applies to every optimization variable's
     domain.  A run closes once its total degree exceeds the threshold, so
     every group but the last has degree above it."""
-
-    threshold: int
-    groups: tuple[tuple[ObjectId, ...], ...]
-
-
-def build_group_partition(
-    structure: RelationalStructure, objects: Sequence[ObjectId], threshold: int
-) -> GroupPartition:
     groups = []
     cur: list[ObjectId] = []
     cur_deg = 0
@@ -309,16 +298,17 @@ def build_group_partition(
             cur, cur_deg = [], 0
     if cur:
         groups.append(tuple(cur))
-    return GroupPartition(threshold, tuple(groups))
+    return tuple(groups)
 
 
 @dataclass(frozen=True)
 class LiftGrouping:
     """The lift's split of the objects for k optimization variables, with
-    the degree threshold ``ceil(m^(1/(k+1)))``.  ``partition`` groups every
-    object, and ``combos`` is its g^k.  ``heavy`` counts the vertices of
-    degree at least the threshold; each fills its group to the threshold,
-    so the group ends with it or with the next object of positive degree.
+    the degree threshold ``ceil(m^(1/(k+1)))``.  ``groups`` partition every
+    object (``build_group_partition``), and ``combos`` is their g^k.
+    ``heavy`` counts the vertices of degree at least the threshold; each
+    fills its group to the threshold, so the group ends with it or with the
+    next object of positive degree.
     ``bound`` is K = C(k,2)·m·n^(k-2) + 1, the paper's bound on the group
     combinations that hold a record of a cross atom or a guard between
     their groups when each relation serves one pair of slots.  The lift's
@@ -330,8 +320,9 @@ class LiftGrouping:
     ``prunes``, when ``light_combos``, the g^k of the light vertices' groups
     alone (``light_groups`` of them), exceeds K."""
 
+    threshold: int
+    groups: tuple[tuple[ObjectId, ...], ...]
     heavy: int
-    partition: GroupPartition
     combos: int
     light_groups: int
     light_combos: int
@@ -346,13 +337,14 @@ def lift_grouping(structure: RelationalStructure, k: int) -> LiftGrouping:
     m, n = structure.m, structure.n
     threshold = math.ceil(m ** (1.0 / (k + 1))) if m else 0
     light = [v for v in range(n) if structure.degree(v) < threshold]
-    partition = build_group_partition(structure, range(n), threshold)
-    light_groups = len(build_group_partition(structure, light, threshold).groups)
+    groups = build_group_partition(structure, range(n), threshold)
+    light_groups = len(build_group_partition(structure, light, threshold))
     bound = math.comb(k, 2) * m * (n ** (k - 2) if k >= 2 else 0) + 1
     return LiftGrouping(
+        threshold,
+        groups,
         n - len(light),
-        partition,
-        len(partition.groups) ** k,
+        len(groups) ** k,
         light_groups,
         light_groups ** k,
         bound,
@@ -372,7 +364,7 @@ def split_cross_atoms(formula: OptFormula) -> tuple[list[Atom], OptFormula]:
         and a.args[0] != a.args[1]
     ]
     core = formula.with_body(
-        substitute_atoms(formula.body, {a: Const(False) for a in cross})
+        map_atoms(formula.body, lambda a: FALSE if a in cross else a)
     )
     return cross, core
 
@@ -454,7 +446,7 @@ def solve_cross_free_lift(
     guard atoms, then the cross atoms of ``plan.main_core``: the tuples that
     carry the atom), grouped relaxed scoring, and an exact re-solve of a
     prefix of the ranked group combinations.  The groups
-    (``plan.grouping.partition``) are contiguous runs of the sorted objects
+    (``plan.grouping.groups``) are contiguous runs of the sorted objects
     and cover all of them, heavy vertices included, so the combinations
     partition the tuples.  The re-solve queries take the tuples on which
     every side atom is false; there every hyperedge and cross atom is false,
@@ -560,10 +552,10 @@ def solve_cross_free_lift(
 
     # (0) the groups of the objects, and the scorer of the core
     grouping = plan.grouping
-    groups = grouping.partition.groups
+    groups = grouping.groups
     stats = {} if stats_out is None else stats_out
     stats.update(
-        threshold=grouping.partition.threshold,
+        threshold=grouping.threshold,
         heavy=grouping.heavy,
         groups=len(groups),
         m=structure.m,
@@ -671,14 +663,6 @@ def solve_cross_free_lift(
 
 # --- parallel-edge removal, the paper's lemma (off the solve path) -----------
 
-def _slot_label(label: str, slot: int) -> str:
-    return f"{label}{SLOT_SEP}{slot + 1}"
-
-
-def _copy_label(label: str, pattern_index: int) -> str:
-    return f"{label}{COPY_SEP}{pattern_index}"
-
-
 def _edge_colours(
     structure: RelationalStructure, atoms: Sequence[Atom], y: str, k: int
 ) -> tuple[list[str], dict[ObjectId, dict[ObjectId, int]]]:
@@ -705,7 +689,7 @@ def _edge_colours(
 def remove_parallel_edges(
     structure: RelationalStructure,
     formula: OptFormula,
-) -> tuple[RelationalStructure, OptFormula]:
+) -> tuple[RelationalStructure, OptFormula, dict[str, tuple[ObjectId, ...]]]:
     """Combine the r binary opt/count predicates into one edge predicate.
 
     Every object v is cloned once per optimization slot (labelled ``v@i``,
@@ -713,8 +697,9 @@ def remove_parallel_edges(
     tuple alpha in ({0,1}^r)^k (labelled ``v#j``, marked C_j).  An edge
     (x-clone at slot i, copy y_alpha) exists iff alpha_i is the exact color of
     (x, y) or alpha_i = 0 with a nonzero color.  Slot markers keep the shared
-    object domain from mixing slots; tuple values are preserved under the
-    slot-clone back-map.
+    object domain from mixing slots.  The third value maps each optimization
+    variable to its slot's clones in original object order: tuple values
+    are preserved under that back-map.
     """
     if formula.ell != 1:
         raise ContractError("parallel-edge removal expects one count variable")
@@ -738,11 +723,11 @@ def remove_parallel_edges(
     for v in range(n):
         for i in range(k):
             clone_id[v, i] = len(labels)
-            labels.append(_slot_label(structure.labels[v], i))
+            labels.append(f"{structure.labels[v]}@{i + 1}")
     for v in range(n):
         for pi in range(len(patterns)):
             copy_id[v, pi] = len(labels)
-            labels.append(_copy_label(structure.labels[v], pi))
+            labels.append(f"{structure.labels[v]}#{pi}")
 
     relations: dict[str, frozenset] = {}
     arities: dict[str, int] = {}
@@ -806,51 +791,33 @@ def remove_parallel_edges(
             if len(a.args) == 2 and a.args[1] == y:
                 i = formula.opt_vars.index(a.args[0])
                 bit = edge_preds.index(a.pred)
-                sub[a] = Const(bool(alpha[i] >> bit & 1))
-        parts.append(substitute_atoms(formula.body, sub))
+                sub[a] = TRUE if alpha[i] >> bit & 1 else FALSE
+        parts.append(map_atoms(formula.body, lambda a: sub.get(a, a)))
         disjuncts.append(conjoin(parts))
     slot_atoms: list[Expr] = [
         Atom(slot_names[i], (xvar,))
         for i, xvar in enumerate(formula.opt_vars)
     ]
     body = conjoin(slot_atoms + [disjoin(disjuncts)])
-    return new_structure, formula.with_body(body)
-
-
-def slotted_domains(
-    original: RelationalStructure,
-    transformed: RelationalStructure,
-    formula: OptFormula,
-) -> dict[str, tuple[ObjectId, ...]]:
-    """Domains mapping each optimization variable to its slot clones, in
-    original object order (the tuple back-map of remove_parallel_edges)."""
-    out = {}
-    for i, var in enumerate(formula.opt_vars):
-        out[var] = tuple(
-            transformed.index(_slot_label(original.labels[v], i))
-            for v in range(original.n)
-        )
-    return out
+    domains = {
+        var: tuple(clone_id[v, i] for v in range(n))
+        for i, var in enumerate(formula.opt_vars)
+    }
+    return new_structure, formula.with_body(body), domains
 
 
 # --- step 3: conversion to the Hybrid Problem --------------------------------
-
-@dataclass(frozen=True)
-class HybridBackMap:
-    """Witness back-map for one unary assignment: the object each family set
-    came from."""
-
-    family_objects: tuple[tuple[ObjectId, ...], ...]
-
 
 def to_hybrid(
     structure: RelationalStructure,
     formula: OptFormula,
     domains: Domains | None = None,
-) -> list[tuple[HybridInstance, HybridBackMap]]:
+) -> list[tuple[HybridInstance, tuple[tuple[ObjectId, ...], ...]]]:
     """Rewrite a cross-free, hyperedge-free formula as Hybrid Problem
     instances, one per realized unary assignment sigma of the optimization
-    variables; parallel-edge removal is fused into the conversion.
+    variables; parallel-edge removal is fused into the conversion.  Each
+    instance comes with its witness back-map: per family, the object each
+    set came from.
 
     With the r forward edge predicates P_0..P_{r-1}, the colour c(x, y) of a
     pair has bit b set when P_b(x, y) holds.  A universe element is a pair
@@ -941,7 +908,7 @@ def to_hybrid(
     y_domain = doms[y]
     y_colours = {v: colour_of(v, y_preds) for v in y_domain}
     y_in_colours = {v: frozenset(in_colours.get(v, (0,))) for v in y_domain}
-    out: list[tuple[HybridInstance, HybridBackMap]] = []
+    out: list[tuple[HybridInstance, tuple[tuple[ObjectId, ...], ...]]] = []
     for sigma in product(*realized):
         fam_objects = tuple(
             tuple(members_by_colour[i][sigma[i]]) for i in range(k)
@@ -970,7 +937,7 @@ def to_hybrid(
         inst = HybridInstance(
             k, formula.kind, types, families, labels=labels, set_labels=set_labels
         )
-        out.append((inst, HybridBackMap(fam_objects)))
+        out.append((inst, fam_objects))
     return out
 
 
@@ -1007,9 +974,9 @@ class HybridScorer:
         self.per_sigma = [
             (
                 inst,
-                [{v: j for j, v in enumerate(objects)} for objects in back.family_objects],
+                [{v: j for j, v in enumerate(objects)} for objects in family_objects],
             )
-            for inst, back in instances
+            for inst, family_objects in instances
         ]
         self.universe = max((inst.size for inst, _ in instances), default=0)
         self.ip_calls = self.block_calls = self.coords = self.pairs_joined = 0
@@ -1066,25 +1033,17 @@ class ReductionTrace:
         self.source = None if res is None else source
         return (None if res is None else res.value), self
 
-    def baseline_answer(
-        self, structure: RelationalStructure, formula: OptFormula, **route
+    def engine_answer(
+        self, engine: str, structure: RelationalStructure, formula: OptFormula, **route
     ) -> tuple[int | None, ReductionTrace]:
-        """The (value, trace) to return when one baseline query of the input
-        answers; its ``baseline`` stage holds ``route`` and the query's work
-        counts."""
+        """The (value, trace) to return when one query of an exact engine,
+        ``baseline`` or ``multicount``, answers the input; the stage named
+        after the engine holds ``route`` and the query's work counts."""
+        solve = baseline_opt if engine == "baseline" else multi_counting_opt
         stats: dict = {}
-        res = baseline_opt(structure, formula, stats_out=stats)
-        self.add("baseline", **route, **stats)
-        return self.answer(res, "baseline")
-
-    def multicount_answer(
-        self, structure: RelationalStructure, formula: OptFormula
-    ) -> tuple[int | None, ReductionTrace]:
-        """``baseline_answer``'s twin for the multi-counting solver."""
-        stats: dict = {}
-        res = multi_counting_opt(structure, formula, stats_out=stats)
-        self.add("multicount", **stats)
-        return self.answer(res, "multicount")
+        res = solve(structure, formula, stats_out=stats)
+        self.add(engine, **route, **stats)
+        return self.answer(res, engine)
 
     def render(self) -> str:
         lines = [f"path {self.path}"]
@@ -1106,13 +1065,13 @@ def reduce_and_solve(
     """Route an instance through the full pipeline.
 
     Two or more counting variables go to the multi-counting solver; a single
-    optimization variable is a baseline base case.  So are three or more
-    (stage ``baseline reason=k>=3``): there the scorer solves one IP
-    instance per group combination, so the lift loses to one oracle query
-    wherever it prunes.  k=2 runs hyperedge
-    removal.  Where the lift's scores can prune (``LiftGrouping.prunes``),
-    the grouped cross-edge lift with the hybrid-through-IP scorer solves the
-    whole plan, its hyperedge and cross sides included.  Elsewhere, and past
+    optimization variable is a baseline base case (stage ``baseline
+    reason=k=1``).  So are three or more (``reason=k>=3``): there the scorer
+    solves one IP instance per group combination, so the lift loses to one
+    oracle query wherever it prunes.  k=2 runs hyperedge removal.  Where
+    the lift's scores can prune (``LiftGrouping.prunes``), the grouped
+    cross-edge lift with the hybrid-through-IP scorer solves the whole plan,
+    its hyperedge and cross sides included.  Elsewhere, and past
     a resource limit of the lift, one baseline query of the input answers:
     the side problems and the guarded main problem partition its tuples, so
     the (value, witness) is theirs.
@@ -1125,13 +1084,12 @@ def reduce_and_solve(
 
     if formula.ell >= 2:
         trace.path = "multicount"
-        return trace.multicount_answer(structure, formula)
+        return trace.engine_answer("multicount", structure, formula)
 
     if formula.k != 2:
         trace.path = "baseline"
-        if formula.k >= 3:
-            return trace.baseline_answer(structure, formula, reason="k>=3")
-        return trace.answer(baseline_opt(structure, formula), "baseline")
+        reason = "k>=3" if formula.k >= 3 else "k=1"
+        return trace.engine_answer("baseline", structure, formula, reason=reason)
 
     trace.path = "reduction"
     plan = remove_hyperedges(structure, formula)
@@ -1144,12 +1102,9 @@ def reduce_and_solve(
 
     def baseline_answer(reason: str) -> tuple[int | None, ReductionTrace]:
         grouping = plan.grouping
-        return trace.baseline_answer(
-            structure,
-            formula,
-            reason=reason,
-            groups=grouping.light_groups,
-            bound=grouping.bound,
+        return trace.engine_answer(
+            "baseline", structure, formula,
+            reason=reason, groups=grouping.light_groups, bound=grouping.bound,
         )
 
     if not plan.grouping.prunes:

@@ -35,7 +35,6 @@ from relopt.ip import (
 from relopt.reduction import (
     reduce_and_solve,
     remove_parallel_edges,
-    slotted_domains,
     solve_positive_cross_edge,
     to_hybrid,
 )
@@ -350,8 +349,7 @@ def test_criterion_7_per_tuple_value_preservation():
             binary=1 if k == 3 else rng.choice([1, 2]),
             allow_cross=False,
         )
-        s2, f2 = remove_parallel_edges(structure, formula)
-        doms = slotted_domains(structure, s2, formula)
+        s2, f2, doms = remove_parallel_edges(structure, formula)
         got = baseline_values(s2, f2, doms)
         want = baseline_values(structure, formula)
         for key, value in want.items():
@@ -365,9 +363,9 @@ def test_criterion_7_per_tuple_value_preservation():
         structure, formula = conforming_instance(rng, k=k, n_objects=rng.randint(2, 7))
         want = baseline_values(structure, formula)
         seen = {}
-        for inst, back in to_hybrid(structure, formula):
+        for inst, family_objects in to_hybrid(structure, formula):
             for key in product(*(range(len(f)) for f in inst.families)):
-                tup = tuple(back.family_objects[i][j] for i, j in enumerate(key))
+                tup = tuple(family_objects[i][j] for i, j in enumerate(key))
                 seen[tup] = val(inst, key)[1]
         assert seen == want, f"to_hybrid trial {trial}"
     print("\nACCEPTANCE 7 per-tuple value preservation (100 + 100 instances): PASS")

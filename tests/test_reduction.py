@@ -30,13 +30,12 @@ from relopt.reduction import (
     reduce_and_solve,
     remove_hyperedges,
     remove_parallel_edges,
-    slotted_domains,
     solve_cross_free_lift,
     solve_positive_cross_edge,
     split_cross_atoms,
     to_hybrid,
 )
-from relopt.structure import build_structure, load_structure
+from relopt.structure import Relation, RelationalStructure, build_structure, load_structure
 
 from oracles import (
     bench_instances,
@@ -328,13 +327,13 @@ def test_group_partition_bounds():
         s = random_structure(rng, rng.randint(2, 12), binary=2, unary=1)
         threshold = rng.randint(1, 6)
         light = [v for v in range(s.n) if s.degree(v) < threshold]
-        part = build_group_partition(s, light, threshold)
-        seen = [v for g in part.groups for v in g]
+        groups = build_group_partition(s, light, threshold)
+        seen = [v for g in groups for v in g]
         assert sorted(seen) == sorted(light)
-        for g in part.groups:
+        for g in groups:
             assert sum(s.degree(v) for v in g) <= 2 * threshold
         total = sum(s.degree(v) for v in light)
-        assert len(part.groups) <= total // max(threshold, 1) + 1
+        assert len(groups) <= total // max(threshold, 1) + 1
 
 
 # --- parallel edge removal --------------------------------------------------------
@@ -343,7 +342,7 @@ def test_remove_parallel_edges_blowup_counts():
     # r=1, k=2: four copies per object, four edges per nonzero-colored pair
     s = load_structure("rel E 2\nE a b\n")
     f = parse_formula("max x1,x2 . count y . E(x1,y) & E(x2,y)")
-    s2, f2 = remove_parallel_edges(s, f)
+    s2, f2, _ = remove_parallel_edges(s, f)
     copies = [lab for lab in s2.labels if "#" in lab]
     assert len(copies) == 4 * s.n
     from relopt.formula import atoms_of
@@ -387,8 +386,7 @@ def test_remove_parallel_edges_preserves_values():
             binary=1 if k == 3 else rng.choice([1, 2]),
             allow_cross=False,
         )
-        s2, f2 = remove_parallel_edges(structure, formula)
-        doms = slotted_domains(structure, s2, formula)
+        s2, f2, doms = remove_parallel_edges(structure, formula)
         got = baseline_values(s2, f2, doms)
         want = baseline_values(structure, formula)
         mapping = {v: i for i, v in enumerate(range(structure.n))}
@@ -401,13 +399,48 @@ def test_remove_parallel_edges_zero_color_copy():
     # an object unrelated to anything still counts through its zero copy
     s = load_structure("rel E 2\nrel P 1\nE a b\nP c\n")
     f = parse_formula("max x1,x2 . count y . !E(x1,y) & P(y)")
-    s2, f2 = remove_parallel_edges(s, f)
-    doms = slotted_domains(s, s2, f)
+    s2, f2, doms = remove_parallel_edges(s, f)
     got = baseline_values(s2, f2, doms)
     want = baseline_values(s, f)
     for key, value in want.items():
         mapped = tuple(doms[f.opt_vars[i]][key[i]] for i in range(2))
         assert got[mapped] == value
+
+
+def test_remove_parallel_edges_slot_domains_follow_labels_and_markers():
+    # the returned back-map keeps the labelling rule: slot i's domain maps
+    # object v to the clone labelled <label(v)>@<i+1>, and it is exactly the
+    # member set of the slot's marker, the one fresh unary relation on x_i
+    rng = random.Random(57)
+    for trial in range(40):
+        k = rng.choice([2, 2, 3])
+        structure, formula = random_instance(
+            rng,
+            k=k,
+            ell=1,
+            n_objects=rng.randint(1, 6),
+            binary=1 if k == 3 else rng.choice([1, 2]),
+            allow_cross=False,
+        )
+        if rng.random() < 0.3:
+            # a relation already named like a marker makes the marker fresh
+            taken = Relation("slot1", 1, frozenset())
+            structure = RelationalStructure(
+                structure.labels, {**structure.relations, "slot1": taken}
+            )
+        normalized, _ = normalize_formula(structure, formula)
+        s2, f2, doms = remove_parallel_edges(structure, formula)
+        assert list(doms) == list(formula.opt_vars), f"trial {trial}"
+        for i, var in enumerate(formula.opt_vars):
+            want = [f"{structure.labels[v]}@{i + 1}" for v in range(structure.n)]
+            assert [s2.labels[c] for c in doms[var]] == want, f"trial {trial}"
+            markers = {
+                a.pred
+                for a in atoms_of(f2.body)
+                if a.args == (var,) and a.pred not in normalized.relations
+            }
+            assert len(markers) == 1, f"trial {trial} {markers}"
+            assert s2.unary_members(markers.pop()) == set(doms[var]), f"trial {trial}"
 
 
 # --- to_hybrid ---------------------------------------------------------------------
@@ -454,9 +487,9 @@ def test_to_hybrid_rejects_cross():
 
 def _tuple_values(instances):
     seen = {}
-    for inst, back in instances:
+    for inst, family_objects in instances:
         for key in product(*(range(len(f)) for f in inst.families)):
-            tup = tuple(back.family_objects[i][j] for i, j in enumerate(key))
+            tup = tuple(family_objects[i][j] for i, j in enumerate(key))
             seen[tup] = val(inst, key)[1]
     return seen
 
@@ -493,8 +526,8 @@ def test_to_hybrid_preserves_values():
         want = baseline_values(structure, formula)
         assert _tuple_values(instances) == want, f"trial {trial} {formula}"
         if k == 2:
-            s2, f2 = remove_parallel_edges(structure, formula)
-            chain = to_hybrid(s2, f2, domains=slotted_domains(structure, s2, f2))
+            s2, f2, doms = remove_parallel_edges(structure, formula)
+            chain = to_hybrid(s2, f2, domains=doms)
             sizes = sorted(inst.size for inst, _ in instances)
             chain_sizes = sorted(inst.size for inst, _ in chain)
             assert len(sizes) == len(chain_sizes), f"trial {trial} {formula}"
@@ -641,10 +674,9 @@ def test_lift_converts_to_hybrid_at_most_once(monkeypatch):
     monkeypatch.setattr(reduction, "to_hybrid", counting)
     # parallel-edge removal is fused into to_hybrid; the lift never runs it
     chain_calls = []
-    for name in ("remove_parallel_edges", "slotted_domains"):
-        monkeypatch.setattr(
-            reduction, name, lambda *a, name=name, **kw: chain_calls.append(name)
-        )
+    monkeypatch.setattr(
+        reduction, "remove_parallel_edges", lambda *a, **kw: chain_calls.append(a)
+    )
     rng = random.Random(65)
     cases = [
         (load_structure("rel E 2\n"), parse_formula("max x1,x2 . count y . E(x1,y)"))
@@ -712,7 +744,7 @@ def _rule_combinations(plan, scores, top_k, ratio=1.0):
     structure, formula = plan.main_structure, plan.formula
     cross, _ = split_cross_atoms(plan.main_core)
     full_guard = tuple(plan.main_guard) + tuple((a, False) for a in cross)
-    groups = lift_grouping(structure, formula.k).partition.groups
+    groups = lift_grouping(structure, formula.k).groups
     is_max = formula.kind == "max"
     ranked = sorted(
         ((-value if is_max else value, combo), value)
@@ -777,7 +809,7 @@ def _side_and_combo_values(plan, full_guard, groups, combo):
 def _lift_scores(structure, formula, solver):
     """The lift's scores of the cross-free core under the solver."""
     _, core = split_cross_atoms(formula)
-    groups = lift_grouping(structure, formula.k).partition.groups
+    groups = lift_grouping(structure, formula.k).groups
     return HybridScorer(structure, core, solver)(groups) if groups else []
 
 
@@ -919,7 +951,7 @@ def test_batched_resolve_equals_one_query_per_selected_combination():
         cross, core = split_cross_atoms(formula)
         evaluator = PreparedBaseline(structure, core)
         grouping = lift_grouping(structure, k)
-        groups = grouping.partition.groups
+        groups = grouping.groups
         # the exact scores (the optimum of the cross-free core per
         # combination), the same in inverted order, or random ones
         mode = trial // 4 % 3
@@ -1399,7 +1431,7 @@ def _dirty_first_scores(structure, formula, guard, scores):
     scored dirty combinations."""
     cross, _ = split_cross_atoms(formula)
     full_guard = tuple(guard) + tuple((a, False) for a in cross)
-    groups = lift_grouping(structure, formula.k).partition.groups
+    groups = lift_grouping(structure, formula.k).groups
     group_of = {v: gi for gi, group in enumerate(groups) for v in group}
     dirty = {
         tuple(group_of[x] for x in xs)
@@ -1549,7 +1581,7 @@ def test_default_cap_exceeds_the_dirty_combinations_of_both_orientations():
             f"{kind} x1,x2 . count y1 . !E0(x1,x2) & !E0(x2,x1) & E0(x1,y1)"
         )
         got, stats, plan, _ = _lift_route(structure, formula, exact_solver(kind))
-        groups = plan.grouping.partition.groups
+        groups = plan.grouping.groups
         group_of = {v: gi for gi, group in enumerate(groups) for v in group}
         dirty = {(group_of[a], group_of[b]) for a, b in records}
         dirty |= {(gb, ga) for ga, gb in dirty}
@@ -1609,7 +1641,7 @@ def test_lift_groups_heavy_vertices_and_keeps_the_optimum(instance, c):
             assert want.value / c <= got.value <= want.value, str(formula)
         else:
             assert want.value <= got.value <= want.value * c, str(formula)
-    grouped = {v for group in plan.grouping.partition.groups for v in group}
+    grouped = {v for group in plan.grouping.groups for v in group}
     assert grouped == set(range(plan.main_structure.n))
     if want is not None and set(want.witness) & set(hubs):
         event("the optimum holds a hub")
@@ -1629,20 +1661,19 @@ def test_lift_partition_is_contiguous_runs_of_all_objects(data):
     structure = build_structure([f"o{v}" for v in range(n)], rels, SPARSE_ARITY)
     k = data.draw(st.integers(2, 3))
     grouping = lift_grouping(structure, k)
-    part = grouping.partition
-    threshold = part.threshold
-    assert [v for group in part.groups for v in group] == list(range(n))
-    assert all(part.groups)
-    for group in part.groups[:-1]:
+    groups, threshold = grouping.groups, grouping.threshold
+    assert [v for group in groups for v in group] == list(range(n))
+    assert all(groups)
+    for group in groups[:-1]:
         assert sum(structure.degree(v) for v in group) > threshold
     heavy = [v for v in range(n) if structure.degree(v) >= threshold]
     assert grouping.heavy == len(heavy)
-    assert grouping.combos == len(part.groups) ** k
+    assert grouping.combos == len(groups) ** k
     light = build_group_partition(
         structure, [v for v in range(n) if v not in heavy], threshold
     )
-    assert grouping.light_groups == len(light.groups)
-    assert grouping.prunes == (len(light.groups) ** k > grouping.bound)
+    assert grouping.light_groups == len(light)
+    assert grouping.prunes == (len(light) ** k > grouping.bound)
 
 
 def test_reduce_and_solve_exact_small():
@@ -1725,6 +1756,14 @@ def test_reduce_and_solve_k1_routes_baseline():
     value, trace = reduce_and_solve(structure, formula, exact_solver(formula.kind))
     assert trace.path == "baseline"
     assert value == baseline_opt(structure, formula).value
+    # the route records its stage with the oracle query's work counts, as
+    # k>=3 does
+    stats = {}
+    baseline_opt(structure, formula, stats_out=stats)
+    assert trace.stages[1:] == [("baseline", {"reason": "k=1", **stats})]
+    lines = trace.render().splitlines()
+    assert lines[2].startswith("stage baseline ") and "reason=k=1" in lines[2]
+    assert lines[3] == "source baseline"
 
 
 OVER_CAP_BODY = (
@@ -1864,7 +1903,7 @@ def test_false_positive_bound():
     # optimum differs from the guarded one is at most C(k,2) * m * n^(k-2)
     import math as _math
 
-    from relopt.formula import Const, atoms_of, substitute_atoms
+    from relopt.formula import FALSE, atoms_of, map_atoms
 
     rng = random.Random(63)
     checked = 0
@@ -1881,19 +1920,19 @@ def test_false_positive_bound():
         if not cross:
             continue
         core = formula.with_body(
-            substitute_atoms(formula.body, {a: Const(False) for a in cross})
+            map_atoms(formula.body, lambda a: FALSE if a in cross else a)
         )
         guard = tuple((a, False) for a in cross)
         m, n, k = structure.m, structure.n, formula.k
         # the lift's groups, heavy vertices included
-        part = lift_grouping(structure, k).partition
-        if not part.groups:
+        groups = lift_grouping(structure, k).groups
+        if not groups:
             continue
         checked += 1
         mismatches = 0
-        for combo in product(range(len(part.groups)), repeat=k):
+        for combo in product(range(len(groups)), repeat=k):
             domains = {
-                var: part.groups[ci]
+                var: groups[ci]
                 for var, ci in zip(formula.opt_vars, combo)
             }
             relaxed = baseline_opt(structure, core, domains)
