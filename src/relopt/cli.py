@@ -7,7 +7,7 @@ import sys
 import time
 from pathlib import Path
 
-from .baseline import OptResult, PreparedBaseline, baseline_opt
+from .baseline import OptResult, PreparedBaseline
 from .errors import EngineError
 from .formula import And, Atom, check_schema, parse_formula
 from .generate import GenProfile, generate, generate_texts
@@ -95,25 +95,28 @@ def _run(engine: str, structure, formula, ip: str):
     return (*trace.engine_answer(engine, structure, formula, **route), 1.0)
 
 
-def _accepts(structure, formula, res: OptResult | None, value, witness, ratio) -> bool:
-    """Whether an answer passes against the oracle's ``res``.  Under an exact
-    solver (value, witness) must be the oracle's optimum and least witness.
-    Under ratio c the value is None exactly when the oracle's is; else it
-    lies within c of OPT on the right side, and it is the witness's own value."""
+def _accepts(
+    oracle: PreparedBaseline, res: OptResult | None, value, witness, ratio
+) -> bool:
+    """Whether an answer passes against ``res``, the optimum of the oracle's
+    evaluator ``oracle``.  Under an exact solver (value, witness) must be the
+    oracle's optimum and least witness.  Under ratio c the value is None
+    exactly when the oracle's is; else it lies within c of OPT on the right
+    side, and it is the witness's own value, which ``oracle`` reads."""
     if ratio == 1.0:
         return (value, witness) == ((None, None) if res is None else tuple(res))
     if res is None or value is None:
         return res is None and value is None
     opt = res.value
-    if formula.kind == "max":
+    if oracle.formula.kind == "max":
         within = opt / ratio <= value <= opt
     else:
         within = opt <= value <= ratio * opt
     if not within or witness is None:
         return False
     # the witness's own value: one query over singleton domains
-    domains = {x: (o,) for x, o in zip(formula.opt_vars, witness)}
-    at = PreparedBaseline(structure, formula).opt(domains)
+    domains = {x: (o,) for x, o in zip(oracle.formula.opt_vars, witness)}
+    at = oracle.opt(domains)
     return at is not None and at.value == value
 
 
@@ -138,8 +141,8 @@ def cmd_solve(args) -> int:
     _emit(out, "seconds", f"{elapsed:.4f}")
     ok = True
     if args.verify:
-        res = baseline_opt(structure, formula)
-        ok = _accepts(structure, formula, res, value, witness, ratio)
+        oracle = PreparedBaseline(structure, formula)
+        ok = _accepts(oracle, oracle.opt(), value, witness, ratio)
         _emit(out, "verified", "pass" if ok else "FAIL")
     # the trace is written whatever the check says: a failed answer is the
     # one that needs explaining
@@ -226,8 +229,9 @@ def cmd_verify(args) -> int:
     for seed in range(args.start_seed, args.start_seed + args.seeds):
         structure, formula = generate(seed, profile)
         value, trace, ratio = _run("auto", structure, formula, args.ip)
-        res = baseline_opt(structure, formula)
-        if not _accepts(structure, formula, res, value, trace.witness, ratio):
+        oracle = PreparedBaseline(structure, formula)
+        res = oracle.opt()
+        if not _accepts(oracle, res, value, trace.witness, ratio):
             mismatches += 1
             got = _answer_text(structure, value, trace.witness)
             want = _answer_text(structure, *(res or (None, None)))
@@ -247,12 +251,14 @@ def cmd_bench(args) -> int:
     mismatches = []
     for seed in range(args.start_seed, args.start_seed + args.seeds):
         structure, formula = generate(seed, profile)
-        res = baseline_opt(structure, formula)  # the oracle, not timed
+        # the oracle, not timed
+        oracle = PreparedBaseline(structure, formula)
+        res = oracle.opt()
         for engine in engines:
             started = time.perf_counter()
             value, trace, ratio = _run(engine, structure, formula, args.ip)
             totals[engine] += time.perf_counter() - started
-            if not _accepts(structure, formula, res, value, trace.witness, ratio):
+            if not _accepts(oracle, res, value, trace.witness, ratio):
                 mismatches.append(f"mismatch engine={engine} seed={seed}")
     print(f"{'engine':<12} {'seconds':>10} {'per-instance':>14}")
     for engine, total in totals.items():

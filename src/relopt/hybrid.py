@@ -10,9 +10,10 @@ t = 2*bound + 1, and at that t every part of at most 4*t*log2(t) elements,
 far more than the lift's universes hold, is copied verbatim t times; solving
 t copies is solving the instance itself.
 
-Universe elements are identified with 0..|U|-1 in canonical order; set and
-part membership is cached as integer bitmasks, so the set algebra runs on
-machine words.  Types tau are packed ints with family i at bit i.
+Universe elements are identified with 0..|U|-1 in canonical order.  Each
+set, and each part P_tau (the elements of type tau), is stored once, as a
+frozenset, and the set algebra is frozenset algebra.  Types tau are packed
+ints with family i at bit i.
 
 ``solve_hybrid_with_info`` solves many sub-instances at once, each keeping
 one block of sets per family, by one batched query of the IP solver
@@ -37,27 +38,12 @@ from .ip import Blocks, IPInstance, IpSolver, SignedPairs
 MAX_MATERIALIZED_UNIVERSE = 5_000_000
 
 
-def _mask_of(members) -> int:
-    mask = 0
-    for u in members:
-        mask |= 1 << u
-    return mask
-
-
-def _bits_of(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 class HybridInstance:
     """Immutable hybrid problem instance.
 
     ``element_types[u]`` is the packed type of element ``u``; ``families`` is
-    a tuple of k tuples of frozensets of element indices.  ``labels`` and
+    a tuple of k tuples of frozensets of element indices, and ``parts[tau]``
+    the frozenset of the elements of type ``tau``.  ``labels`` and
     ``set_labels`` are optional names used by dumps and witness back-maps.
     """
 
@@ -70,6 +56,8 @@ class HybridInstance:
         labels: Sequence[str] | None = None,
         set_labels: Sequence[Sequence[str]] | None = None,
     ):
+        if k < 1:
+            raise ContractError(f"k must be at least 1, got {k}")
         if kind not in ("max", "min"):
             raise ContractError(f"kind must be max or min, got {kind!r}")
         if len(families) != k:
@@ -78,9 +66,12 @@ class HybridInstance:
         self.kind = kind
         self.element_types = tuple(element_types)
         size = len(self.element_types)
-        for tau in self.element_types:
+        parts: list[list[int]] = [[] for _ in range(1 << k)]
+        for u, tau in enumerate(self.element_types):
             if not 0 <= tau < (1 << k):
                 raise ContractError(f"type {tau} out of range for k={k}")
+            parts[tau].append(u)
+        self.parts = tuple(map(frozenset, parts))
         self.families = tuple(tuple(frozenset(s) for s in fam) for fam in families)
         for fam in self.families:
             for s in fam:
@@ -90,12 +81,6 @@ class HybridInstance:
         self.labels = tuple(labels) if labels is not None else None
         self.set_labels = (
             tuple(tuple(sl) for sl in set_labels) if set_labels is not None else None
-        )
-        self.part_masks = [0] * (1 << k)
-        for u, tau in enumerate(self.element_types):
-            self.part_masks[tau] |= 1 << u
-        self.set_masks = tuple(
-            tuple(_mask_of(s) for s in fam) for fam in self.families
         )
 
     @property
@@ -120,16 +105,13 @@ class HybridInstance:
         P_1 ∪ P_2, P_tau being the part of type tau."""
         if self.k != 2:
             raise ContractError("signed pairs need k=2")
-        p0, p1, p2, _ = self.part_masks
+        p0, p1, p2, _ = self.parts
         offsets = tuple(
-            [(mask & own).bit_count() - (mask & p0).bit_count() for mask in masks]
-            for masks, own in zip(self.set_masks, (p1, p2))
+            [len(s & own) - len(s & p0) for s in fam]
+            for fam, own in zip(self.families, (p1, p2))
         )
         weight = [1 if tau in (0, 3) else -1 for tau in self.element_types]
-        return SignedPairs(self.families, offsets, weight, p0.bit_count())
-
-    def part(self, tau: int) -> list[int]:
-        return [u for u, t in enumerate(self.element_types) if t == tau]
+        return SignedPairs(self.families, offsets, weight, len(p0))
 
     def label(self, u: int) -> str:
         return self.labels[u] if self.labels is not None else str(u)
@@ -159,21 +141,16 @@ def val(
     """Per-type and total value of one set per family (by set index)."""
     if len(chosen) != instance.k:
         raise ContractError("need one chosen set per family")
-    masks = [instance.set_masks[i][j] for i, j in enumerate(chosen)]
-    full = (1 << instance.size) - 1
+    sets = [instance.families[i][j] for i, j in enumerate(chosen)]
     per_tau = {}
-    total = 0
-    for tau in range(1 << instance.k):
-        acc = instance.part_masks[tau]
-        for i in range(instance.k):
-            acc &= masks[i] if tau >> i & 1 else full & ~masks[i]
+    for tau, acc in enumerate(instance.parts):
+        for i, s in enumerate(sets):
             if not acc:
                 break
-        c = acc.bit_count()
-        if c:
-            per_tau[tau] = c
-        total += c
-    return per_tau, total
+            acc = acc & s if tau >> i & 1 else acc - s
+        if acc:
+            per_tau[tau] = len(acc)
+    return per_tau, sum(per_tau.values())
 
 
 def hybrid_baseline(instance: HybridInstance) -> tuple[int, tuple[int, ...]] | None:
@@ -211,30 +188,21 @@ class BasicInstance:
 
 def hybrid_to_basic(instance: HybridInstance, tau: int) -> BasicInstance:
     """Convert to an equivalent Basic instance of type ``tau`` by
-    complementing sets on every part that disagrees with ``tau``.
+    complementing sets on every part that disagrees with ``tau``: family i's
+    sets become S ^ F_i, F_i the union of the parts whose bit i is not tau's.
 
     Total tuple values are preserved exactly; sparsity may grow up to
     n * |U|, which the paper bounds by reducing the universe first.  The
     solve and ``relopt reduce`` reach the all-ones form through
     ``HybridInstance.ip``, once per instance.
     """
-    size = instance.size
-    full = (1 << size) - 1
-    agree = []
-    for i in range(instance.k):
-        mask = 0
-        for t in range(1 << instance.k):
-            if (t >> i & 1) == (tau >> i & 1):
-                mask |= instance.part_masks[t]
-        agree.append(mask)
     fams = []
-    for i in range(instance.k):
-        new_sets = []
-        for smask in instance.set_masks[i]:
-            new_mask = (smask & agree[i]) | (full & ~agree[i] & ~smask)
-            new_sets.append(frozenset(_bits_of(new_mask)))
-        fams.append(tuple(new_sets))
-    return BasicInstance(instance.k, instance.kind, tau, size, tuple(fams))
+    for i, fam in enumerate(instance.families):
+        flip = frozenset().union(
+            *(part for t, part in enumerate(instance.parts) if (t ^ tau) >> i & 1)
+        )
+        fams.append(tuple(s ^ flip for s in fam))
+    return BasicInstance(instance.k, instance.kind, tau, instance.size, tuple(fams))
 
 
 def basic_to_ip(basic: BasicInstance) -> IPInstance:
@@ -322,7 +290,7 @@ def universe_reduce(
         raise ContractError("t must be at least 1")
     k = instance.k
     copy_threshold = 4 * t * math.log2(t) if t > 1 else 0.0
-    part_elements = {tau: instance.part(tau) for tau in range(1 << k)}
+    part_elements = [sorted(part) for part in instance.parts]
     primes: tuple[int, ...] | None = None
     residue_space = None
 

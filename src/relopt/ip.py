@@ -37,6 +37,8 @@ class IPInstance:
     d: int
 
     def __post_init__(self):
+        if self.k < 1:
+            raise ContractError(f"k must be at least 1, got {self.k}")
         if len(self.families) != self.k:
             raise ContractError("family count must equal k")
         for fam in self.families:
@@ -107,27 +109,8 @@ def parse_ip_instance(text: str, k: int | None = None) -> IPInstance:
 
 
 def inner_product(vectors: Sequence[Vector]) -> int:
-    """Size of the common support, by merge intersection of sorted lists."""
-    if not vectors:
-        return 0
-    acc = vectors[0]
-    for vec in vectors[1:]:
-        if not acc:
-            return 0
-        merged = []
-        i = j = 0
-        while i < len(acc) and j < len(vec):
-            a, b = acc[i], vec[j]
-            if a == b:
-                merged.append(a)
-                i += 1
-                j += 1
-            elif a < b:
-                i += 1
-            else:
-                j += 1
-        acc = merged
-    return len(acc)
+    """Size of the common support of one or more vectors."""
+    return len(set(vectors[0]).intersection(*vectors[1:]))
 
 
 def _brute_force(instance: IPInstance, kind: str, budget: int):

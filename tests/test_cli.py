@@ -1,4 +1,6 @@
+import hashlib
 import io
+import json
 import subprocess
 import sys
 import tempfile
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import relopt.reduction as reduction
-from relopt.baseline import OptResult, baseline_opt
+from relopt.baseline import OptResult, PreparedBaseline, baseline_opt
 from relopt.cli import _accepts, main
 from relopt.errors import ContractError
 from relopt.formula import parse_formula
@@ -402,17 +404,55 @@ _MIN = parse_formula("min x1,x2 . count y . !G(x1,y)")
     ],
 )
 def test_accepts_is_the_one_answer_rule(formula, value, witness, ratio, ok):
-    res = baseline_opt(_GRADED, formula)
+    oracle = PreparedBaseline(_GRADED, formula)
+    res = oracle.opt()
     assert res.value == (2 if formula is _MAX else 1)
     wit = tuple(_GRADED.labels.index(t) for t in witness.split())
-    assert _accepts(_GRADED, formula, res, value, wit, ratio) is ok
+    assert _accepts(oracle, res, value, wit, ratio) is ok
 
 
 @pytest.mark.parametrize("ratio", [1.0, 2.0])
 def test_accepts_no_answer_exactly_when_the_oracle_has_none(ratio):
-    assert _accepts(_GRADED, _MAX, None, None, None, ratio)
-    assert not _accepts(_GRADED, _MAX, None, 0, (0, 0), ratio)
-    assert not _accepts(_GRADED, _MAX, OptResult(2, (0, 1)), None, None, ratio)
+    oracle = PreparedBaseline(_GRADED, _MAX)
+    assert _accepts(oracle, None, None, None, ratio)
+    assert not _accepts(oracle, None, 0, (0, 0), ratio)
+    assert not _accepts(oracle, OptResult(2, (0, 1)), None, None, ratio)
+
+
+def test_each_checked_answer_builds_one_oracle_evaluator(toy_files, monkeypatch, capsys):
+    # the optimum and, under a ratio, the witness's value are two queries of
+    # one evaluator per checked instance; the answers' own solves, inside
+    # _run, are not counted
+    import relopt.cli as cli
+
+    solving, built = [], []
+    real_run, real_init = cli._run, PreparedBaseline.__init__
+
+    def run(*args):
+        solving.append(True)
+        try:
+            return real_run(*args)
+        finally:
+            solving.pop()
+
+    def init(self, structure, formula):
+        if not solving:
+            built.append(formula)
+        real_init(self, structure, formula)
+
+    monkeypatch.setattr(cli, "_run", run)
+    monkeypatch.setattr(PreparedBaseline, "__init__", init)
+    s, f = toy_files
+    argvs = [
+        (["solve", "--structure", str(s), "--formula", str(f), "--verify"], 1),
+        (["verify", "--seeds", "3", "--n", "6"], 3),
+        (["bench", "--seeds", "2", "--n", "5", "--engines", "auto,baseline"], 2),
+    ]
+    for argv, checked in argvs:
+        built.clear()
+        code, out = run_main(argv + ["--ip", "approx:2"], capsys)
+        assert code == 0 and "mismatch " not in out and "FAIL" not in out, out
+        assert len(built) == checked, argv
 
 
 @pytest.mark.parametrize(
@@ -476,6 +516,32 @@ def test_reduce_writes_each_cross_side_as_the_lift_solves_it(tmp_path, capsys):
     bare = parse_formula("max x1,x2 . count y . E(x1,x2)")
     assert baseline_opt(structure, bare).value == structure.n
     assert not (out_dir / "cross1.formula").exists()
+
+
+# per benchmark instance, the sha256 of every file ``relopt reduce`` writes;
+# lift-sparse slot 0 has a cross side and desk-mix slot 4 a hyperedge side
+REDUCE_GOLDEN = Path(__file__).resolve().parent / "data" / "reduce_golden.json"
+
+
+@pytest.mark.parametrize("key", ["lift-sparse 0 0", "desk-mix 0 4"])
+def test_reduce_writes_the_recorded_files(key, tmp_path, capsys):
+    workload, seed, slot = key.split()
+    texts = bench_instances().instance_texts(workload, int(seed), count=int(slot) + 1)
+    structure, formula = texts[int(slot)]
+    s, f = tmp_path / "inst.structure", tmp_path / "inst.formula"
+    s.write_text(structure)
+    f.write_text(formula)
+    out_dir = tmp_path / "stages"
+    code, _ = run_main(
+        ["reduce", "--structure", str(s), "--formula", str(f), "--out", str(out_dir)],
+        capsys,
+    )
+    assert code == 0
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out_dir.iterdir())
+    }
+    assert digests == json.loads(REDUCE_GOLDEN.read_text())[key]
 
 
 def test_bench_runs(capsys):

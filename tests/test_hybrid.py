@@ -91,6 +91,36 @@ def test_hybrid_to_basic_complements_all_zero_element():
     assert basic.val((0, 0)) == 1 == val(inst, (0, 0))[1]
 
 
+def test_hybrid_to_basic_complements_each_set_where_its_part_disagrees():
+    # u is in the Basic image of S at family i iff u's membership in S
+    # agrees with whether u's type agrees with tau at bit i; at the all-ones
+    # tau these are the sets ``relopt reduce`` writes to its ip*.txt files
+    rng = random.Random(31)
+    empty_parts = empty_sets = 0
+    for _ in range(80):
+        k = rng.choice([1, 2, 3])
+        inst = random_hybrid(rng, k, rng.randint(0, 8))
+        types = inst.element_types
+        assert inst.parts == tuple(
+            {u for u, t in enumerate(types) if t == tau} for tau in range(1 << k)
+        )
+        empty_parts += len(set(types)) < 1 << k
+        empty_sets += any(not s for fam in inst.families for s in fam)
+        for tau in range(1 << k):
+            basic = hybrid_to_basic(inst, tau)
+            assert (basic.k, basic.kind, basic.tau, basic.size) == (
+                k, inst.kind, tau, inst.size
+            )
+            for i, (fam, images) in enumerate(zip(inst.families, basic.families, strict=True)):
+                for s, image in zip(fam, images, strict=True):
+                    assert image == {
+                        u
+                        for u, t in enumerate(types)
+                        if (u in s) == ((tau >> i & 1) == (t >> i & 1))
+                    }
+    assert empty_parts and empty_sets
+
+
 def test_hybrid_to_basic_preserves_every_tuple():
     rng = random.Random(22)
     for _ in range(40):
@@ -219,6 +249,13 @@ def test_solve_hybrid_approx_intervals():
             assert opt / (c + 0.1) <= got <= opt, f"trial {trial}"
         else:
             assert opt <= got <= (c + 0.1) * opt, f"trial {trial}"
+
+
+def test_k_must_be_at_least_one():
+    # at k=0 the one empty tuple would read the whole universe through val
+    # but an empty inner product through the IP vectors
+    with pytest.raises(ContractError, match="k must be at least 1"):
+        HybridInstance(0, "max", [0, 0, 0], [])
 
 
 def test_solve_hybrid_empty_family():
