@@ -21,18 +21,24 @@ A base case then pays only for what its assignment moves:
   delta of the pair (zero where it is not static) with the delta at its
   full bits, the pair's static bits or-ed in;
 - each u that an atom with an assigned variable colours is recounted from
-  scratch, every pair of it walked.
+  scratch: its class count at its full colour, that colour's shift and the
+  delta of each of its pairs at the w's full bits.
 
 With one counting variable the base case copies the row and applies the
 shifts and corrections; with more, the caller needs only their sum, which is
 the row's total plus each class shift times the class size plus the
-corrections, with no per-u copy.  A guard only narrows the u objects a
-base case copies from the row and corrects.  The dynamic pairs
+corrections, with no per-u copy.  A guard whose first literal on u is
+positive seeds the base case's u objects from that literal's records,
+usually a few of them (deg(x1) for a lift side query's E(x1,x2)): each one
+is recounted as above, so the query builds no row and no w -> partners
+index, and its base cases walk no class, partner or other u.  A guard
+whose literals on u are all negative narrows the u objects a base case
+copies from the row and corrects.  The dynamic pairs
 come from the records of those atoms, indexed by the values of the leading
 variables and restricted to the query's domains once per index entry.  So
-a base case costs one dict copy (none on the sum path) plus time in the
-records its assignment selects and in the u classes it shifts, not in the
-domain of the counting variable.
+a base case costs one dict copy (none on the sum path, none where the u
+objects are seeded) plus time in the records its assignment selects and in
+the u classes it shifts, not in the domain of the counting variable.
 
 Many assignments hand the base case the same inputs: an object with no
 record of a dynamic atom reads what any other such object reads.  So the
@@ -429,7 +435,8 @@ class PreparedBaseline:
         # work counts since construction: base cases reached (those a guard
         # over u empties included), those of them the walk's memo answered,
         # and the mixed-pair deltas the others applied (the rows' folded
-        # deltas not included)
+        # deltas not included; where a positive guard literal seeds the u
+        # objects, the pairs of the recounted ones)
         self.base_cases = 0
         self.reused = 0
         self.pair_deltas = 0
@@ -478,12 +485,14 @@ class PreparedBaseline:
             static = self.mixed_static  # over every object: nothing to restrict
         else:
             static = _restrict(self.mixed_static, dom_u, dom_w)
+        projected = self._guard(guard)
+        seeded = bool(projected[-2]) and projected[-2][0][1]  # u's first literal is positive
         partners: dict[ObjectId, list[ObjectId]] = {}
-        for uv, m in static.items():
+        for uv, m in () if seeded else static.items():
             for wv in m:
                 partners.setdefault(wv, []).append(uv)
         q = _Query(
-            doms, sets, u_color, w_color, w_count, u_classes, self._guard(guard),
+            doms, sets, u_color, w_color, w_count, u_classes, projected, seeded,
             static, partners, rows={}, counts={}, mixed={},
         )
         base = partial(self._base_case, q), partial(self._base_sum, q)
@@ -539,16 +548,21 @@ class PreparedBaseline:
 
     def _base_case(self, q: _Query, asn: dict[str, ObjectId]) -> dict[ObjectId, int]:
         """psi(u) = #{w : body} for every u in its domain that passes the
-        guard: a copy of the query's row for the fixed bits, shifted per
-        static u colour class and corrected per u as ``_moves`` says.  Empty,
-        with nothing coloured, when the guard leaves no u."""
+        guard.  Where a positive literal on u seeded the u objects, each one
+        is recounted as ``_moves`` says, with no row; otherwise the count is
+        a copy of the query's row for the fixed bits, shifted per static u
+        colour class, corrected per u and with the recounted u objects
+        replaced.  Empty, with nothing coloured, when the guard leaves no u."""
         us = None
         if q.guard[-2]:  # the literals of u, the second-last variable
             us = _narrow(q.guard[-2], asn, q.doms[self.u_var], q.sets[-2])
             if not us:
                 return {}
-        fixed_bits, row, _ = self._row(q, asn)
-        shifts, fix = self._moves(q, asn, fixed_bits, row)
+        fixed_bits = self.body.bits(asn)
+        if q.seeded:
+            return self._moves(q, asn, fixed_bits, us)[1]
+        row, _ = self._row(q, fixed_bits)
+        shifts, counts, fix = self._moves(q, asn, fixed_bits)
         out = row.copy() if us is None else {uv: row[uv] for uv in us}
         for u_bits, s in shifts.items():
             for uv in q.u_classes[u_bits]:
@@ -557,16 +571,23 @@ class PreparedBaseline:
         for uv, c in fix.items():
             if uv in out:
                 out[uv] += c
+        for uv, c in counts.items():
+            if uv in out:
+                out[uv] = c
         return out
 
     def _base_sum(self, q: _Query, asn: dict[str, ObjectId]) -> int:
         """The sum of ``_base_case``'s counts, for a u with no guard: the
         row's total plus each class shift times the class size plus the
-        corrections, with no per-u copy."""
-        fixed_bits, row, total = self._row(q, asn)
-        shifts, fix = self._moves(q, asn, fixed_bits, row)
+        corrections, a recounted u's count replacing its row entry and class
+        shift, with no per-u copy."""
+        fixed_bits = self.body.bits(asn)
+        row, total = self._row(q, fixed_bits)
+        shifts, counts, fix = self._moves(q, asn, fixed_bits)
         for u_bits, s in shifts.items():
             total += s * len(q.u_classes[u_bits])
+        for uv, c in counts.items():
+            total += c - row[uv] - shifts.get(q.u_color.get(uv, 0), 0)
         return total + sum(fix.values())
 
     def _moves(
@@ -574,21 +595,28 @@ class PreparedBaseline:
         q: _Query,
         asn: dict[str, ObjectId],
         fixed_bits: int,
-        row: dict[ObjectId, int],
-    ) -> tuple[dict[int, int], dict[ObjectId, int]]:
-        """What the assignment changes on the row: the nonzero shift of each
-        static u colour class, and per u of the domain what to add to its
-        row entry and class shift, where that is not zero.
+        seeded: Sequence[ObjectId] | None = None,
+    ) -> tuple[dict[int, int], dict[ObjectId, int], dict[ObjectId, int]]:
+        """What the assignment changes: the nonzero shift of each static u
+        colour class, the count of each u recounted, and per other u of the
+        domain what to add to its row entry and class shift, where that is
+        not zero.
 
         Each w with dynamic bits moves from its static colour to a richer
         one, which shifts the count of every u by the same amount per u
-        colour.  A u with dynamic bits has another colour than its row
-        entry's: it is recounted and every pair of it walked.  Of any other
-        u, only a pair the assignment moves needs a correction, the delta at
-        its full bits less the one folded into the row at static colours: a
-        static pair of a moved w, found through the w -> static partners
-        index, and a pair of a dynamic mixed atom, with the pair's static
-        bits or-ed in.  Counts the pair deltas it applies."""
+        colour.  A u is recounted from its full colour (static | dynamic):
+        its class count there, plus that colour's shift, plus the delta of
+        each of its pairs (static or-ed with dynamic) at the w's full bits.
+        The u objects recounted are the ``seeded`` ones, in their order,
+        where a positive guard literal on u seeded them; the base case reads
+        nothing else, so no class shift, row or correction is made.  Else
+        they are the u with dynamic bits, whose colour is another than their
+        row entry's.  Of any other u, only a pair the assignment moves needs
+        a correction, the delta at its full bits less the one folded into
+        the row at static colours: a static pair of a moved w, found through
+        the w -> static partners index, and a pair of a dynamic mixed atom,
+        with the pair's static bits or-ed in.  Counts the pair deltas it
+        applies."""
         u_static, w_static = q.u_color, q.w_color
         u_extra = unary_colors(self.u_dynamic, asn, q.sets[-2])
         w_extra = unary_colors(self.w_dynamic, asn, q.sets[-1])
@@ -608,28 +636,20 @@ class PreparedBaseline:
                 shift_of[u_bits] = s
             return s
 
-        shifts = {}
-        if moves:
-            for u_bits in q.u_classes:
-                s = shift(u_bits)
-                if s:
-                    shifts[u_bits] = s
         dynamic = self._pairs(q, asn)
         static = q.static
-        fix: dict[ObjectId, int] = {}
+        recount = u_extra
+        if seeded is not None:
+            recount = {uv: u_extra.get(uv, 0) for uv in seeded}
+        counts: dict[ObjectId, int] = {}
         applied = 0
-        # the u objects recounted, every pair of them walked; per colour of a
-        # recounted u, its count less its class shift
-        recounts: dict[int, int] = {}
-        for uv, bits in u_extra.items():
-            base = u_static.get(uv, 0)
-            u_bits = base | bits
-            r = recounts.get(u_bits)
-            if r is None:
-                r = recounts[u_bits] = (
-                    self._class_count(q, fixed_bits, u_bits) + shift(u_bits) - shift(base)
-                )
-            c = r - row[uv]
+        # per full colour of a recounted u, its count with no mixed atom true
+        base_of: dict[int, int] = {}
+        for uv, bits in recount.items():
+            u_bits = u_static.get(uv, 0) | bits
+            c = base_of.get(u_bits)
+            if c is None:
+                c = base_of[u_bits] = self._class_count(q, fixed_bits, u_bits) + shift(u_bits)
             pairs = static.get(uv)
             own = dynamic.get(uv)
             if own:
@@ -639,8 +659,17 @@ class PreparedBaseline:
                     w_bits = w_static.get(wv, 0) | w_extra.get(wv, 0)
                     c += delta(fixed_bits, u_bits, w_bits, m_bits)
                 applied += len(pairs)
-            if c:
-                fix[uv] = c
+            counts[uv] = c
+        if seeded is not None:  # the base case reads nothing else
+            self.pair_deltas += applied
+            return {}, counts, {}
+        shifts = {}
+        if moves:
+            for u_bits in q.u_classes:
+                s = shift(u_bits)
+                if s:
+                    shifts[u_bits] = s
+        fix: dict[ObjectId, int] = {}
         # the static pairs of each moved w ...
         partners = q.partners
         for wv, bits in w_extra.items() if partners else ():
@@ -676,19 +705,16 @@ class PreparedBaseline:
             if c:
                 fix[uv] = fix.get(uv, 0) + c
         self.pair_deltas += applied
-        return shifts, fix
+        return shifts, counts, fix
 
-    def _row(
-        self, q: _Query, asn: dict[str, ObjectId]
-    ) -> tuple[int, dict[ObjectId, int], int]:
-        """The fixed bits of the assignment, the query's row for them and the
-        row's total.  The row maps every u of the domain, in domain order, to
-        its count from its static colour with every w at its static colour,
-        the delta of each of the u's static pairs at those colours included."""
-        fixed_bits = self.body.bits(asn)
+    def _row(self, q: _Query, fixed_bits: int) -> tuple[dict[ObjectId, int], int]:
+        """The query's row for the fixed bits and the row's total.  The row
+        maps every u of the domain, in domain order, to its count from its
+        static colour with every w at its static colour, the delta of each
+        of the u's static pairs at those colours included."""
         hit = q.rows.get(fixed_bits)
         if hit is not None:
-            return fixed_bits, *hit
+            return hit
         u_color, w_color = q.u_color, q.w_color
         per_class = {a: self._class_count(q, fixed_bits, a) for a in q.u_classes}
         row = {uv: per_class[u_color.get(uv, 0)] for uv in q.doms[self.u_var]}
@@ -700,7 +726,7 @@ class PreparedBaseline:
                 for wv, m_bits in m.items()
             )
         hit = q.rows[fixed_bits] = (row, sum(row.values()))
-        return fixed_bits, *hit
+        return hit
 
     def _pairs(
         self, q: _Query, asn: dict[str, ObjectId]
@@ -761,11 +787,13 @@ class _Query(NamedTuple):
     the static colours (those of the u- and w-atoms that mention no
     assigned variable), the number of w objects per static colour (colour 0
     included) and the u objects of the domain per static colour, in domain
-    order; the guard, as ``PreparedBaseline._guard`` projects it; the static
-    pairs within the domains, as u -> w -> mixed bits (the evaluator's own
-    map, never changed, where no domain restricts u or w), and per w its
-    static partners, the u objects of its static pairs; and the caches of
-    its base cases, which die with the query:
+    order; the guard, as ``PreparedBaseline._guard`` projects it, and
+    whether its first literal on u is positive, so that it seeds the u
+    objects; the static pairs within the domains, as u -> w -> mixed bits
+    (the evaluator's own map, never changed, where no domain restricts u or
+    w), and per w its static partners, the u objects of its static pairs
+    (none where the guard seeds u, as no base case reads them then); and
+    the caches of its base cases, which die with the query:
 
     - ``rows``: per fixed-atom bit pattern, the row and its total.  The row
       is the count of every u of the domain from its static colour with
@@ -784,6 +812,7 @@ class _Query(NamedTuple):
     w_count: dict[int, int]
     u_classes: dict[int, list[ObjectId]]
     guard: _Guard
+    seeded: bool
     static: dict[ObjectId, dict[ObjectId, int]]
     partners: dict[ObjectId, list[ObjectId]]
     rows: dict[int, tuple[dict[ObjectId, int], int]]
@@ -875,7 +904,9 @@ def baseline_opt(
     """Optimum and lexicographically least witness; None if no tuple exists.
     ``stats_out``, when given, receives the work counts: ``base_cases``
     reached, ``reused``, those of them the walk's memo answered, and
-    ``pair_deltas``, the mixed-pair deltas the others applied."""
+    ``pair_deltas``, the mixed-pair deltas the others applied.  A query of
+    ``PreparedBaseline.opt`` whose guard seeds the u objects with a positive
+    literal counts the pairs of the u objects it recounts."""
     evaluator = PreparedBaseline(structure, formula)
     res = evaluator.opt(domains)
     if stats_out is not None:

@@ -545,7 +545,8 @@ def solve_cross_free_lift(
     is 1 where the cap cut no combination that the rule keeps (where none
     is clean within the cap: where the ranking ran out), so the answer is
     the exact optimum and least witness, and 0 where it is only within the
-    ratio.
+    ratio.  ``base_cases`` and ``pair_deltas`` are the evaluator's work
+    counts over all its queries, sides and re-solves (see ``baseline_opt``).
     """
     structure, formula = plan.main_structure, plan.formula
     k = formula.k
@@ -657,6 +658,7 @@ def solve_cross_free_lift(
             domains[last_var] = [v for ci in sorted(lasts) for v in groups[ci]]
             candidates.append(("resolve", evaluator.opt(domains, full_guard)))
 
+    stats.update(base_cases=evaluator.base_cases, pair_deltas=evaluator.pair_deltas)
     best, stats["source"] = _winner(formula.kind, candidates)
     return best
 

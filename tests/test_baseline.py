@@ -305,12 +305,12 @@ SEQUENCE_OBJECTS = {2: 9, 3: 9, 4: 7, 5: 5}
 
 
 @st.composite
-def class_balanced_instances(draw):
-    """An instance with k in {1, 2, 3} and ell in {1, 2} whose body has 2-6
-    literals whose atoms take the base case's atom classes in a random turn:
-    over neither of the last two variables (u, w), over u only, over w only,
-    and over both."""
-    k, ell = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+def class_balanced_instances(draw, ks=st.integers(1, 3), ells=st.integers(1, 2)):
+    """An instance with k drawn from ``ks`` and ell from ``ells`` whose body
+    has 2-6 literals whose atoms take the base case's atom classes in a
+    random turn: over neither of the last two variables (u, w), over u only,
+    over w only, and over both."""
+    k, ell = draw(ks), draw(ells)
     rng = draw(st.randoms(use_true_random=True))
     n = rng.randint(SEQUENCE_OBJECTS[k + ell] // 2, SEQUENCE_OBJECTS[k + ell])
     structure = random_structure(rng, n, density=rng.choice([0.25, 0.5]))
@@ -347,6 +347,42 @@ def test_one_evaluator_answers_a_sequence_of_queries(data):
         else:
             got = prepared.opt(domains, guard)
             assert got == guarded_opt(structure, formula, domains, guard)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_seeded_base_cases_match_the_nested_loop_on_a_shared_evaluator(data):
+    # a guard whose first literal on u (xk) is positive seeds the base case's
+    # u objects, and each is recounted with no row; one evaluator answers
+    # seeded, unguarded and negative-only queries in a random turn, so the
+    # delta and move memos that both paths fill carry from each into the next
+    structure, formula = data.draw(
+        class_balanced_instances(ks=st.integers(2, 3), ells=st.just(1))
+    )
+    *others, u = formula.opt_vars
+    on_u = [Atom("P0", (u,))] + [
+        Atom(f"E{b}", args) for b in range(2) for x in others for args in ((x, u), (u, x))
+    ]
+    anywhere = [Atom("P0", (x,)) for x in formula.opt_vars] + [
+        Atom(f"E{b}", (x1, x2))
+        for b in range(2)
+        for x1 in formula.opt_vars
+        for x2 in formula.opt_vars
+    ]
+    turns = ["seeded", "unguarded", "negative"]
+    turns = data.draw(st.permutations(turns)) + data.draw(
+        st.lists(st.sampled_from(turns), max_size=2)
+    )
+    prepared = PreparedBaseline(structure, formula)
+    for turn in turns:
+        domains, _ = data.draw(queries(structure, formula))
+        guard = []
+        if turn == "seeded":
+            guard.append((data.draw(st.sampled_from(on_u)), True))
+        if turn == "negative" or turn == "seeded" and data.draw(st.booleans()):
+            guard.append((data.draw(st.sampled_from(anywhere)), False))
+        got = prepared.opt(domains, guard)
+        assert got == guarded_opt(structure, formula, domains, guard), (turn, guard)
 
 
 def test_projected_atom_keeps_records_whose_repeated_columns_agree():

@@ -127,10 +127,12 @@ def test_solve_trace_prints_the_winning_source_of_the_lift(tmp_path, capsys):
     assert code == 0
     # the 6 heavy vertices are grouped with the others, in 9 groups; the
     # top-ranked combination is clean, its score 1 is the bar, and the lift
-    # re-solves it with its 8 ties in its first group, in one query
+    # re-solves it with its 8 ties in its first group, in one query of one
+    # base case per x1 of that group
     assert (
-        "stage cross-free-lift bar=1 clean_rank=1 combos=81 dirty=0 exact=1 groups=9 "
-        "heavy=6 m=24 n=18 resolve_queries=1 resolves=9 sides=0 threshold=3 top_k=25\n"
+        "stage cross-free-lift bar=1 base_cases=2 clean_rank=1 combos=81 dirty=0 exact=1 "
+        "groups=9 heavy=6 m=24 n=18 pair_deltas=2 resolve_queries=1 resolves=9 sides=0 "
+        "threshold=3 top_k=25\n"
     ) in out
     assert "witness o2 o0\n" in out and out.endswith("source resolve\n")
 

@@ -215,6 +215,53 @@ def test_side_query_runs_a_base_case_per_object_of_its_atom(monkeypatch):
     assert sum(ran for ran, _ in calls) == 399
 
 
+def _seeded_pairs(evaluator, forced):
+    """Over the base cases of a k=2 side query forced by E(x1,x2) or
+    E(x2,x1), the mixed pairs (u, w), static and dynamic, of each base
+    case's seeded u objects: one (x1, u) per record of E, and per record
+    each w that makes a mixed atom true."""
+    formula, structure = evaluator.formula, evaluator.structure
+    u, (w,) = formula.opt_vars[-1], formula.count_vars
+    mixed = [
+        (a.args, structure.relation(a.pred).records)
+        for a in atoms_of(formula.body)
+        if u in a.args and w in a.args
+    ]
+    total = 0
+    for rec in structure.relation(forced.pred).records:
+        asn = dict(zip(forced.args, rec))
+        for wv in range(structure.n):
+            asn[w] = wv
+            total += any(tuple(asn[v] for v in args) in records for args, records in mixed)
+    return total
+
+
+def test_side_query_applies_only_its_seeded_u_objects_pair_deltas(monkeypatch):
+    # a side query's positive literal seeds each base case's u objects, and
+    # each is recounted from its own mixed pairs: no other u is corrected, so
+    # the query applies at most the deltas of those pairs.  On lift-sparse
+    # seed 1 that is 185 deltas over the 8 side queries, where a walk over
+    # every u that a moved w reaches through its static partners applies 428
+    from relopt import reduction
+
+    calls = []
+
+    def counting(evaluator, forced):
+        before = evaluator.pair_deltas
+        res = solve_positive_cross_edge(evaluator, forced)
+        calls.append((evaluator.pair_deltas - before, _seeded_pairs(evaluator, forced)))
+        return res
+
+    monkeypatch.setattr(reduction, "solve_positive_cross_edge", counting)
+    instances = bench_instances()
+    for structure_text, formula_text in instances.instance_texts("lift-sparse", 1):
+        formula = parse_formula(formula_text)
+        reduce_and_solve(load_structure(structure_text), formula, exact_solver(formula.kind))
+    assert len(calls) == 8 and sum(bound for _, bound in calls) > 0, calls
+    for applied, bound in calls:
+        assert applied <= bound, calls
+
+
 def test_side_queries_never_reach_the_walks_memo(monkeypatch):
     # a side query's positive literal on u (x2 at k=2) reads x1, so it pins
     # every leading variable: its walk gets no key function, and builds and
