@@ -478,15 +478,15 @@ class PreparedBaseline:
         w_count: dict[int, int] = {0: len(dom_w) - len(w_color)}
         for bits in w_color.values():
             w_count[bits] = w_count.get(bits, 0) + 1
-        u_classes: dict[int, list[ObjectId]] = {}
-        for uv in doms[self.u_var]:
-            u_classes.setdefault(u_color.get(uv, 0), []).append(uv)
         if domains is None or not {self.u_var, self.w_var} & set(domains):
             static = self.mixed_static  # over every object: nothing to restrict
         else:
             static = _restrict(self.mixed_static, dom_u, dom_w)
         projected = self._guard(guard)
         seeded = bool(projected[-2]) and projected[-2][0][1]  # u's first literal is positive
+        u_classes: dict[int, list[ObjectId]] = {}
+        for uv in () if seeded else doms[self.u_var]:
+            u_classes.setdefault(u_color.get(uv, 0), []).append(uv)
         partners: dict[ObjectId, list[ObjectId]] = {}
         for uv, m in () if seeded else static.items():
             for wv in m:
@@ -787,7 +787,8 @@ class _Query(NamedTuple):
     the static colours (those of the u- and w-atoms that mention no
     assigned variable), the number of w objects per static colour (colour 0
     included) and the u objects of the domain per static colour, in domain
-    order; the guard, as ``PreparedBaseline._guard`` projects it, and
+    order (none where the guard seeds u, as no base case reads a class
+    then); the guard, as ``PreparedBaseline._guard`` projects it, and
     whether its first literal on u is positive, so that it seeds the u
     objects; the static pairs within the domains, as u -> w -> mixed bits
     (the evaluator's own map, never changed, where no domain restricts u or

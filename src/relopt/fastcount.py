@@ -1,10 +1,15 @@
 """Improved exact solver for formulas with two or more counting variables.
 
-The residual three-variable problem is solved by per-vertex triangle counting
-with a heavy/light degree split, after decomposing the ternary Boolean body
-over the AND basis { AND_{i in S} a_i : S subseteq {1,2,3} }.  Everything
-above three variables is brute-forced by the walk the baseline shares
-(``relopt.baseline.LeadingWalk``), which matches the m^(k+l-3/2) shape.
+The residual three-variable problem is solved by per-vertex triangle
+counting, after decomposing the ternary Boolean body over the AND basis
+{ AND_{i in S} a_i : S subseteq {1,2,3} }.  Each yz edge (y, z) finds its
+triangles by scanning the smaller of the x neighbourhoods of y and z for
+members of the other.  Over m edges that costs O(m^1.5) (Chiba and
+Nishizeki): an edge costs at most sqrt(m) unless both its ends have more
+than sqrt(m) x neighbours, and fewer than sqrt(m) objects of a part do.
+Everything above three variables is brute-forced by the walk the baseline
+shares (``relopt.baseline.LeadingWalk``), which matches the m^(k+l-3/2)
+shape.
 
 The residual's atoms are classified and projected by the baseline's
 ``BodyAtoms``.  Its static part is built once per solve: the colours, classes
@@ -15,8 +20,9 @@ those pairs leave their static bucket, and every other class and bucket is
 reused as it is.  The walk answers a run from an earlier one that read the
 same (``relopt.baseline.BodyAtoms.signature``).  Every per-(class, colour)
 graph reads only its own buckets; a nonzero colour without a bucket builds
-no graph, as its graph would count 0.  Each truth table is decomposed once per process, and a graph
-with an empty side skips the triangle pass: it has no triangle.
+no graph, as its graph would count 0.  Each truth table is decomposed once
+per process, and a graph with an empty side skips the triangle pass: it has
+no triangle.
 """
 from __future__ import annotations
 
@@ -59,10 +65,6 @@ class TripartiteGraph:
         for i, j in self.yz:
             if not (0 <= i < self.ny and 0 <= j < self.nz):
                 raise ContractError("yz edge endpoint out of range")
-
-    @property
-    def m(self) -> int:
-        return len(self.xy) + len(self.xz) + len(self.yz)
 
 
 @dataclass(frozen=True)
@@ -110,66 +112,33 @@ def _decompose(code: int) -> BasisDecomposition:
 
 
 def _count_all_triangles(g: TripartiteGraph) -> list[int]:
-    """Per-x count of (y, z) with all three edges present, via the
-    heavy/light split at degree threshold ceil(sqrt(m))."""
-    if not (g.xy and g.xz and g.yz):
-        return [0] * g.nx  # a triangle needs an edge on every side
-    m = g.m
-    threshold = math.isqrt(m) + (0 if math.isqrt(m) ** 2 == m else 1)
+    """Per-x count of (y, z) with all three edges present.
 
-    deg = [[0] * g.nx, [0] * g.ny, [0] * g.nz]
-    n_xy: dict[int, list[int]] = {}
-    n_xz: dict[int, list[int]] = {}
-    n_yz: dict[int, list[int]] = {}
-    n_zy: dict[int, list[int]] = {}
-    for i, j in g.xy:
-        deg[0][i] += 1
-        deg[1][j] += 1
-        n_xy.setdefault(i, []).append(j)
-    for i, j in g.xz:
-        deg[0][i] += 1
-        deg[2][j] += 1
-        n_xz.setdefault(i, []).append(j)
-    for i, j in g.yz:
-        deg[1][i] += 1
-        deg[2][j] += 1
-        n_yz.setdefault(i, []).append(j)
-        n_zy.setdefault(j, []).append(i)
-
-    # ties at the threshold stay light
-    heavy_x = {i for i in range(g.nx) if deg[0][i] > threshold}
-    heavy_y = {j for j in range(g.ny) if deg[1][j] > threshold}
-    heavy_z = {l for l in range(g.nz) if deg[2][l] > threshold}
-    n_heavy = len(heavy_x) + len(heavy_y) + len(heavy_z)
-    if threshold:
-        assert n_heavy * threshold <= 2 * m, "heavy vertex bound violated"
-
-    counts = [0] * g.nx
-    xz = g.xz
-    xy = g.xy
-    yz = g.yz
-    # light y: every triangle through it
+    Each y and each z is mapped to the set of its x neighbours X(y), X(z);
+    a yz edge closes a triangle at each x in both, found by scanning the
+    smaller set for members of the other.  The cost is the sum over the yz
+    edges of min(|X(y)|, |X(z)|), which is O(m^1.5) for m edges (Chiba and
+    Nishizeki's argument): an edge whose smaller side has at most sqrt(m)
+    members costs at most sqrt(m); fewer than sqrt(m) objects of each part
+    have more than sqrt(m) x neighbours, so each y meets fewer than sqrt(m)
+    of the remaining edges, and they cost less than the sum of |X(y)| times
+    sqrt(m), at most m * sqrt(m)."""
+    xs_of_y: dict[int, set[int]] = {}
     for x, y in g.xy:
-        if y in heavy_y:
-            continue
-        for z in n_yz.get(y, ()):
-            if (x, z) in xz:
-                counts[x] += 1
-    # heavy y, light z
+        xs_of_y.setdefault(y, set()).add(x)
+    xs_of_z: dict[int, set[int]] = {}
     for x, z in g.xz:
-        if z in heavy_z:
+        xs_of_z.setdefault(z, set()).add(x)
+    counts = [0] * g.nx
+    for y, z in g.yz:
+        small, big = xs_of_y.get(y), xs_of_z.get(z)
+        if small is None or big is None:
             continue
-        for y in n_zy.get(z, ()):
-            if y in heavy_y and (x, y) in xy:
+        if len(small) > len(big):
+            small, big = big, small
+        for x in small:
+            if x in big:
                 counts[x] += 1
-    # heavy y, heavy z, any x
-    for x in range(g.nx):
-        ys = [y for y in n_xy.get(x, ()) if y in heavy_y]
-        zs = [z for z in n_xz.get(x, ()) if z in heavy_z]
-        for y in ys:
-            for z in zs:
-                if (y, z) in yz:
-                    counts[x] += 1
     return counts
 
 
@@ -311,8 +280,7 @@ def _pair_colors(
 class _PairSide:
     """The atoms over one pair (a, b) of residual variables, as their static
     and dynamic projections, with the static pair colours and buckets; and
-    per object of a (of b) its static partners and its index pairs by
-    bucket."""
+    per object of a (of b) its static partners with their colours."""
 
     def __init__(
         self,
@@ -330,15 +298,9 @@ class _PairSide:
         self.buckets = _buckets(self.color, ca, cb)
         self.partners_a: dict[ObjectId, list[tuple[ObjectId, int]]] = {}
         self.partners_b: dict[ObjectId, list[tuple[ObjectId, int]]] = {}
-        self.held_a: dict[ObjectId, dict[tuple[int, int, int], list]] = {}
-        self.held_b: dict[ObjectId, dict[tuple[int, int, int], list]] = {}
         for (a, b), bits in self.color.items():
             self.partners_a.setdefault(a, []).append((b, bits))
             self.partners_b.setdefault(b, []).append((a, bits))
-            key = (ca.color[a], cb.color[b], bits)
-            idx = (ca.pos[a], cb.pos[b])
-            self.held_a.setdefault(a, {}).setdefault(key, []).append(idx)
-            self.held_b.setdefault(b, {}).setdefault(key, []).append(idx)
 
     def run_buckets(
         self,
@@ -355,27 +317,28 @@ class _PairSide:
         if not (changed_a or changed_b or extra):
             return self.buckets
         # per (class of a, class of b, colour): the static index pairs that
-        # leave, and the run's index pairs that arrive; a pair of two changed
-        # objects is listed twice, which the set operations absorb
+        # leave, at the static classes, and the run's index pairs that
+        # arrive, at the run's; a pair of two changed objects is listed
+        # twice, which the set operations absorb
         gone: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
         new: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
-        for held, changed in ((self.held_a, changed_a), (self.held_b, changed_b)):
-            for o in changed:
-                for key, idxs in held.get(o, {}).items():
-                    gone.setdefault(key, []).extend(idxs)
+        sa, sb = self.ca, self.cb
         for a in changed_a:
+            s_a, q_a = sa.color[a], sa.pos[a]
             c_a, p_a = ca.color[a], ca.pos[a]
             for b, bits in self.partners_a.get(a, ()):
+                gone.setdefault((s_a, sb.color[b], bits), []).append((q_a, sb.pos[b]))
                 if extra:
                     bits |= extra.get((a, b), 0)
                 new.setdefault((c_a, cb.color[b], bits), []).append((p_a, cb.pos[b]))
         for b in changed_b:
+            s_b, q_b = sb.color[b], sb.pos[b]
             c_b, p_b = cb.color[b], cb.pos[b]
             for a, bits in self.partners_b.get(b, ()):
+                gone.setdefault((sa.color[a], s_b, bits), []).append((sa.pos[a], q_b))
                 if extra:
                     bits |= extra.get((a, b), 0)
                 new.setdefault((ca.color[a], c_b, bits), []).append((ca.pos[a], p_b))
-        sa, sb = self.ca, self.cb
         for (a, b), bits in extra.items():
             old = self.color.get((a, b), 0)
             if old:

@@ -108,8 +108,7 @@ def test_triangle_counts_match_naive_all_tables():
             assert got == want, (g, code)
 
 
-def test_triangle_counts_heavy_path():
-    # a dense-ish graph to force heavy vertices through the split
+def test_triangle_counts_dense_graph():
     rng = random.Random(99)
     nx = ny = nz = 12
     xy = frozenset((i, j) for i in range(nx) for j in range(ny) if rng.random() < 0.8)
@@ -121,6 +120,60 @@ def test_triangle_counts_heavy_path():
     assert triangle_counts(g, table) == triangle_counts_naive(
         nx, ny, nz, xy, xz, yz, table
     )
+
+
+def test_triangle_counts_scan_either_side_of_a_skewed_yz_edge():
+    # y0 has every x but 7 and z0 only {3, 7}; y1 has only {5, 6} and z1
+    # every x but 6: edge (y0, z0) scans z0's x neighbours, (y1, z1) scans
+    # y1's, and they meet x3 and x5
+    nx = 30
+    xy = frozenset((x, 0) for x in range(nx) if x != 7) | {(5, 1), (6, 1)}
+    xz = frozenset({(3, 0), (7, 0)}) | {(x, 1) for x in range(nx) if x != 6}
+    g = TripartiteGraph(nx, 2, 2, xy, xz, frozenset({(0, 0), (1, 1)}))
+    table = [0] * 8
+    table[idx(1, 1, 1)] = 1
+    want = [0] * nx
+    want[3] = want[5] = 1
+    assert triangle_counts(g, table) == want == triangle_counts_naive(
+        g.nx, g.ny, g.nz, g.xy, g.xz, g.yz, table
+    )
+
+
+@st.composite
+def hub_graphs(draw):
+    """A tripartite graph of up to 40 objects per part: random edges at a
+    drawn density, plus one to three hubs, each an object adjacent to most
+    of another part."""
+    sizes = [draw(st.integers(1, 40)) for _ in range(3)]
+    rng = draw(st.randoms(use_true_random=False))
+    density = draw(st.floats(0, 0.3))
+    pairs = ((0, 1), (0, 2), (1, 2))
+    sides = {
+        (a, b): {(i, j) for i, j in product(range(sizes[a]), range(sizes[b]))
+                 if rng.random() < density}
+        for a, b in pairs
+    }
+    for _ in range(draw(st.integers(1, 3))):
+        part, other = draw(st.sampled_from(pairs + tuple((b, a) for a, b in pairs)))
+        hub = draw(st.integers(0, sizes[part] - 1))
+        for o in range(sizes[other]):
+            if rng.random() < 0.9:
+                if part < other:
+                    sides[part, other].add((hub, o))
+                else:
+                    sides[other, part].add((o, hub))
+    return TripartiteGraph(*sizes, *(frozenset(sides[pr]) for pr in pairs))
+
+
+@given(hub_graphs(), st.lists(st.integers(0, 1), min_size=8, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_triangle_counts_match_naive_on_hub_graphs(g, table):
+    triangles = [0] * 8
+    triangles[idx(1, 1, 1)] = 1
+    for t in (table, triangles):
+        assert triangle_counts(g, t) == triangle_counts_naive(
+            g.nx, g.ny, g.nz, g.xy, g.xz, g.yz, t
+        )
 
 
 def test_multi_counting_requires_two_count_vars():
@@ -212,8 +265,8 @@ def multicount_instances(draw):
     one with w (so classes change per run) and a ternary atom over an
     assigned variable and two of u, v, w (a pair atom whose pairs change per
     run).  Records include self-loops, possibly empty relations and, with a
-    hub object, the skewed degrees that send residual graphs through the
-    heavy/light split."""
+    hub object, skewed degrees: residual graphs whose yz edges join an end
+    with many x neighbours to one with few."""
     k = draw(st.integers(1, 3))
     ell = draw(st.integers(2, 4 if k <= 2 else 3))
     n = draw(st.integers(1, 3 if ell == 4 else _MAX_N[k + ell]))
