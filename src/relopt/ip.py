@@ -390,7 +390,10 @@ def approx_wrapper(exact: IpSolver, c: float) -> IpSolver:
         return degrade(exact.solve(instance))
 
     def query(instance: HybridInstance, blocks: Blocks, info: dict) -> list:
-        return [degrade(v) for v in exact.query(instance, blocks, info)]
+        # the values are few distinct small integers: degrade each one once
+        values = exact.query(instance, blocks, info)
+        degraded = {v: degrade(v) for v in set(values)}
+        return list(map(degraded.__getitem__, values))
 
     return IpSolver(exact.kind, c * exact.ratio, solve, query)
 

@@ -37,11 +37,11 @@ did.
 """
 from __future__ import annotations
 
-import heapq
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, islice, product
+from itertools import chain, compress, count, islice, product, repeat
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .baseline import (
@@ -400,15 +400,20 @@ def _ranked(
     kind: str, scores: Sequence[int | None], g: int, k: int
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """The scored combinations as (score, combination), best score first and
-    ties in combination order, popped lazily from one heap of (signed score,
-    index), the index being the combination's position in
-    ``itertools.product`` order."""
-    sign = -1 if kind == "max" else 1
-    heap = [(sign * value, i) for i, value in enumerate(scores) if value is not None]
-    heapq.heapify(heap)
-    while heap:
-        key, i = heapq.heappop(heap)
-        yield sign * key, _combo_of(i, g, k)
+    ties in combination order, the order of (signed score, index), the index
+    being the combination's position in ``itertools.product`` order.
+
+    The stream is lazy per score level: the distinct scores are sorted once,
+    and each level the caller reaches costs one C-level scan of ``scores``
+    for the indices that hold it.  ``operator.eq`` is the test, since a None
+    entry must compare unequal (``int.__eq__(None)`` is ``NotImplemented``,
+    which is truthy)."""
+    levels = set(scores)
+    levels.discard(None)
+    indices = range(len(scores))
+    for level in sorted(levels, reverse=kind == "max"):
+        for i in compress(indices, map(operator.eq, scores, repeat(level))):
+            yield level, _combo_of(i, g, k)
 
 
 def _combo_of(index: int, g: int, k: int) -> tuple[int, ...]:
@@ -469,8 +474,9 @@ def solve_cross_free_lift(
     optimization variables) falls between its groups in the atom's slots,
     and *clean* otherwise.  Every tuple of a clean combination carries no
     side atom, so its guarded optimum is the core's optimum over it.  The
-    combinations are ranked lazily from one heap, best score first and ties
-    in combination order.  Let c* be the first clean one and S* its score.
+    combinations are ranked lazily, one score level at a time (``_ranked``),
+    best score first and ties in combination order.  Let c* be the first
+    clean one and S* its score.
     - The bar.  The lift compares the other combinations with (B, w), the
       value and least witness of one of its candidates.  Under an exact
       scorer (``ratio`` 1) that candidate is c*'s re-solve, known before it
@@ -831,6 +837,11 @@ def to_hybrid(
     in {0, c(x, y)}, so a tuple counts exactly the elements whose alpha is
     its colour vector, and tuple values are preserved instance-wise under
     the back-map.  Elements are labelled ``y:alpha``.
+
+    The per-object work follows the records: an object in no unary
+    predicate of the body has the empty colour, a y with no in-edge can
+    only be given alpha_i = 0, and an x with no out-edge has the empty set,
+    so each of them costs one lookup.
     """
     if formula.ell != 1:
         raise ContractError("hybrid conversion expects one count variable")
@@ -856,32 +867,41 @@ def to_hybrid(
         if len(a.args) == 2
     ]
 
-    # per y, the slot colours alpha_i a tuple can give it: 0 and each c(x, y)
-    in_colours: dict[ObjectId, set[int]] = {}
+    # per y with an in-edge, the slot colours alpha_i a tuple can give it: 0
+    # and each c(x, y); every other y can only be given 0
+    in_sets: dict[ObjectId, set[int]] = {}
     for colours in out_edges.values():
         for b, c in colours.items():
-            in_colours.setdefault(b, {0}).add(c)
+            in_sets.setdefault(b, {0}).add(c)
+    in_colours = {b: frozenset(cs) for b, cs in in_sets.items()}
+    no_in = frozenset({0})
+
+    def unary_colours(preds: set[str]) -> dict[ObjectId, frozenset[str]]:
+        # the unary predicates of preds holding each object in one of them;
+        # every other object has the empty colour
+        held: dict[ObjectId, set[str]] = {}
+        for p in preds:
+            for v in structure.unary_members(p):
+                held.setdefault(v, set()).add(p)
+        return {v: frozenset(ps) for v, ps in held.items()}
 
     doms = resolve_domains(structure, formula, domains)
-    membership = {a.pred: structure.unary_members(a.pred) for a in unary_atoms}
-    x_preds = {a.pred for a in unary_atoms if a.args[0] != y}
-    y_preds = {a.pred for a in unary_atoms if a.args[0] == y}
-
-    def colour_of(v: ObjectId, preds: set[str]) -> frozenset[str]:
-        return frozenset(p for p in preds if v in membership[p])
+    no_colour: frozenset[str] = frozenset()
+    x_colours = unary_colours({a.pred for a in unary_atoms if a.args[0] != y})
+    y_colours = unary_colours({a.pred for a in unary_atoms if a.args[0] == y})
 
     realized: list[list[frozenset[str]]] = []
     members_by_colour: list[dict[frozenset[str], list[ObjectId]]] = []
     for var in formula.opt_vars:
         groups: dict[frozenset[str], list[ObjectId]] = {}
         for v in doms[var]:
-            groups.setdefault(colour_of(v, x_preds), []).append(v)
+            groups.setdefault(x_colours.get(v, no_colour), []).append(v)
         realized.append(sorted(groups, key=sorted))
         members_by_colour.append(groups)
-    count = math.prod(len(colours) for colours in realized)
-    if count > SIGMA_CAP:
+    assignments = math.prod(len(colours) for colours in realized)
+    if assignments > SIGMA_CAP:
         raise ResourceLimitError(
-            f"{count} unary assignments exceed the cap of {SIGMA_CAP}"
+            f"{assignments} unary assignments exceed the cap of {SIGMA_CAP}"
         )
 
     kept_memo: dict[tuple, list[int]] = {}
@@ -907,9 +927,7 @@ def to_hybrid(
             kept_memo[key] = hit
         return hit
 
-    y_domain = doms[y]
-    y_colours = {v: colour_of(v, y_preds) for v in y_domain}
-    y_in_colours = {v: frozenset(in_colours.get(v, (0,))) for v in y_domain}
+    no_set: frozenset[int] = frozenset()
     out: list[tuple[HybridInstance, tuple[tuple[ObjectId, ...], ...]]] = []
     for sigma in product(*realized):
         fam_objects = tuple(
@@ -917,20 +935,28 @@ def to_hybrid(
         )
         types: list[int] = []
         labels: list[str] = []
+        # per y with an in-edge, its elements as (alpha, element); no set
+        # holds an element of any other y
         elements_of: dict[ObjectId, list[tuple[int, int]]] = {}
-        for v in y_domain:
-            for alpha in kept(y_colours[v], sigma, y_in_colours[v]):
-                elements_of.setdefault(v, []).append((alpha, len(types)))
-                types.append(type_of[alpha])
-                labels.append(f"{structure.labels[v]}:{alpha}")
+        for v in doms[y]:
+            hit = kept(y_colours.get(v, no_colour), sigma, in_colours.get(v, no_in))
+            if not hit:
+                continue
+            if v in in_colours:
+                elements_of[v] = list(zip(hit, count(len(types))))
+            types.extend(map(type_of.__getitem__, hit))
+            name = structure.labels[v]
+            labels.extend(f"{name}:{alpha}" for alpha in hit)
         families = [
             [
                 frozenset(
                     u
-                    for w, c in out_edges.get(x, {}).items()
+                    for w, c in out_edges[x].items()
                     for alpha, u in elements_of.get(w, ())
                     if (alpha >> (r * i) & low) in (0, c)
                 )
+                if x in out_edges
+                else no_set
                 for x in objects
             ]
             for i, objects in enumerate(fam_objects)
@@ -984,7 +1010,7 @@ class HybridScorer:
         self.ip_calls = self.block_calls = self.coords = self.pairs_joined = 0
 
     def __call__(self, groups: Groups) -> list[int | None]:
-        best: list[int | None] = [None] * len(groups) ** self.k
+        best: list[int | None] | None = None
         for inst, set_index in self.per_sigma:
             blocks = [
                 [[index[v] for v in group if v in index] for group in groups]
@@ -1001,11 +1027,14 @@ class HybridScorer:
                 )
             self.coords += info["coords"]
             self.pairs_joined += info.get("pairs_joined", 0)
-            best = [
-                b if v is None else v if b is None else self.better(b, v)
-                for b, v in zip(best, values)
-            ]
-        return best
+            if best is None:
+                best = values  # the first scored instance's values, as they are
+            else:
+                best = [
+                    b if v is None else v if b is None else self.better(b, v)
+                    for b, v in zip(best, values)
+                ]
+        return [None] * len(groups) ** self.k if best is None else best
 
 
 # --- end-to-end driver --------------------------------------------------------

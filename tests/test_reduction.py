@@ -5,7 +5,7 @@ from typing import NamedTuple
 from unittest import mock
 
 import pytest
-from hypothesis import assume, event, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from relopt.baseline import (
     OptResult,
@@ -18,11 +18,22 @@ from relopt.baseline import (
     opt_of_table,
 )
 from relopt.errors import ContractError, ResourceLimitError
-from relopt.formula import And, Atom, Not, Or, atoms_of, parse_expr, parse_formula
+from relopt.formula import (
+    And,
+    Atom,
+    Not,
+    Or,
+    atoms_of,
+    eval_expr_table,
+    parse_expr,
+    parse_formula,
+)
 from relopt.hybrid import val
 from relopt.ip import IpSolver, approx_wrapper, exact_solver
 from relopt.reduction import (
     HybridScorer,
+    _combo_of,
+    _ranked,
     build_group_partition,
     combine_results,
     lift_grouping,
@@ -616,7 +627,174 @@ def test_to_hybrid_keeps_only_alphas_realized_at_y():
     assert dropped
 
 
+def _hybrid_reference(structure, formula, domains=None):
+    """to_hybrid's instances by its docstring's definition, one object and
+    one alpha at a time: per realized sigma, (element types, families,
+    labels, set labels, back-map).  An object's unary colour is the set of
+    unary predicates on optimization variables that hold at it; slot i's
+    realized colours are those of its domain, in the order of their sorted
+    predicate names, and a family lists its objects in domain order."""
+    s, f = normalize_formula(structure, formula)
+    k, y = f.k, f.count_vars[0]
+    atoms = set(atoms_of(f.body))
+    preds = sorted({a.pred for a in atoms if len(a.args) == 2})
+    r, low = len(preds), (1 << len(preds)) - 1
+
+    def domain(var):
+        return sorted(set(domains[var])) if domains and var in domains else range(s.n)
+
+    def colour(x, v):  # c(x, y): bit b set when P_b(x, y) holds
+        return sum(1 << b for b, p in enumerate(preds) if (x, v) in s.relation(p))
+
+    x_preds = {a.pred for a in atoms if len(a.args) == 1 and a.args[0] != y}
+
+    def unary_colour(v):
+        return frozenset(p for p in x_preds if v in s.unary_members(p))
+
+    realized = [
+        sorted({unary_colour(v) for v in domain(var)}, key=sorted) for var in f.opt_vars
+    ]
+    out = []
+    for sigma in product(*realized):
+        elements = []  # (y, alpha), in order
+        for v in domain(y):
+            at_v = {0} | {colour(x, v) for x in range(s.n)}
+            for alpha in range(1 << (r * k)):
+                slots = [alpha >> (r * i) & low for i in range(k)]
+                if any(c not in at_v for c in slots):
+                    continue
+                values = {}
+                for a in atoms:
+                    if len(a.args) == 2:
+                        i = f.opt_vars.index(a.args[0])
+                        values[a] = bool(slots[i] >> preds.index(a.pred) & 1)
+                    elif a.args[0] == y:
+                        values[a] = v in s.unary_members(a.pred)
+                    else:
+                        values[a] = a.pred in sigma[f.opt_vars.index(a.args[0])]
+                if eval_expr_table(f.body, values):
+                    elements.append((v, alpha))
+        back = tuple(
+            tuple(x for x in domain(var) if unary_colour(x) == sigma[i])
+            for i, var in enumerate(f.opt_vars)
+        )
+        families = tuple(
+            tuple(
+                frozenset(
+                    u
+                    for u, (v, alpha) in enumerate(elements)
+                    if colour(x, v) and (alpha >> (r * i) & low) in (0, colour(x, v))
+                )
+                for x in objects
+            )
+            for i, objects in enumerate(back)
+        )
+        types = tuple(
+            sum(1 << i for i in range(k) if alpha >> (r * i) & low) for _, alpha in elements
+        )
+        labels = tuple(f"{s.labels[v]}:{alpha}" for v, alpha in elements)
+        set_labels = tuple(tuple(s.labels[x] for x in objects) for objects in back)
+        out.append((types, families, labels, set_labels, back))
+    return out
+
+
+def _hybrid_dump(instances):
+    return [
+        (inst.element_types, inst.families, inst.labels, inst.set_labels, back)
+        for inst, back in instances
+    ]
+
+
+def test_to_hybrid_matches_a_per_object_reference():
+    # f is isolated; e has a unary colour and no edge; a, d, e and f have no
+    # in-edge; the unary colours {P0}, {P1}, {P0, P1} and {} are realized in
+    # both slots, so there are 16 sigmas
+    labels = ["a", "b", "c", "d", "e", "f"]
+    a, b, c, d, e, _ = range(6)
+    structure = build_structure(
+        labels,
+        {
+            "E0": {(a, b), (a, c), (d, b)},
+            "E1": {(a, c), (c, b), (b, b)},
+            "P0": {(a,), (e,)},
+            "P1": {(b,), (e,)},
+        },
+    )
+    formula = parse_formula(
+        "max x1,x2 . count y . (E0(x1,y) | P1(y)) & (E1(x2,y) | !P1(x2)) | P0(x1) & !E0(x2,y)"
+    )
+    instances = to_hybrid(structure, formula)
+    assert len(instances) == 16
+    assert _hybrid_dump(instances) == _hybrid_reference(structure, formula)
+    # random instances with extra isolated objects, some restricted to
+    # domains; each case below must occur
+    rng = random.Random(73)
+    seen = dict(isolated_x=0, coloured_no_edge=0, no_in_edge=0, sigmas=0, domains=0)
+    for trial in range(60):
+        k = rng.choice([2, 2, 3])
+        n = rng.randint(3, 7)
+        structure, formula = random_instance(
+            rng, k=k, ell=1, n_objects=n, binary=rng.randint(1, 2),
+            unary=rng.randint(1, 2), density=0.15, allow_cross=False,
+        )
+        structure = build_structure(
+            structure.labels + ("z0", "z1"),
+            {name: rel.records for name, rel in structure.relations.items()},
+            arities={name: rel.arity for name, rel in structure.relations.items()},
+        )
+        domains = None
+        if rng.random() < 0.3:
+            domains = {
+                var: rng.sample(range(structure.n), rng.randint(1, structure.n))
+                for var in formula.opt_vars + formula.count_vars
+            }
+            seen["domains"] += 1
+        instances = to_hybrid(structure, formula, domains=domains)
+        assert _hybrid_dump(instances) == _hybrid_reference(structure, formula, domains), (
+            f"trial {trial} {formula}"
+        )
+        s0, f0 = normalize_formula(structure, formula)
+        binary = [rel for rel in s0.relations.values() if rel.arity == 2]
+        tails = {x for rel in binary for x, _ in rel.records}
+        heads = {v for rel in binary for _, v in rel.records}
+        unary = set().union(*(rel.records for rel in s0.relations.values() if rel.arity == 1))
+        seen["isolated_x"] += any(x not in tails | heads for x in range(s0.n))
+        seen["coloured_no_edge"] += any((x,) in unary and x not in tails for x in range(s0.n))
+        seen["no_in_edge"] += any(v not in heads for v in range(s0.n))
+        seen["sigmas"] += len(instances) >= 2
+    assert all(seen.values()), seen
+
+
 # --- the lift and the driver ---------------------------------------------------------
+
+@st.composite
+def _score_lists(draw):
+    g, k = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    values = st.none() | st.integers(-3, 3)
+    if draw(st.booleans()):
+        values = st.none() | st.just(draw(st.integers(-3, 3)))  # one level
+    return g, k, draw(st.lists(values, min_size=g**k, max_size=g**k))
+
+
+@given(st.sampled_from(["max", "min"]), _score_lists())
+@example("max", (2, 2, [None, 1, None, 1]))
+@example("min", (3, 1, [None, None, None]))
+@example("max", (2, 2, [0, 0, 0, 0]))
+@settings(max_examples=200, deadline=None)
+def test_ranked_is_the_sorted_signed_scores(kind, drawn):
+    # best score first, ties in combination order, None entries never
+    # ranked: the order of sorted (signed score, index)
+    g, k, scores = drawn
+    sign = -1 if kind == "max" else 1
+    combos = list(product(range(g), repeat=k))
+    want = [
+        (sign * key, combos[i])
+        for key, i in sorted((sign * v, i) for i, v in enumerate(scores) if v is not None)
+    ]
+    assert list(_ranked(kind, scores, g, k)) == want
+    assert [_combo_of(i, g, k) for i in range(g**k)] == combos
+
+
 
 def _baseline_inner(structure, formula):
     def score(groups):
