@@ -217,8 +217,16 @@ class IpSolver:
     query: Callable[[HybridInstance, Blocks, dict], list] | None = None
 
     def __post_init__(self):
+        check_ratio(self.ratio)
         if self.query is None:
             object.__setattr__(self, "query", partial(vector_query, self.solve))
+
+
+def check_ratio(c: float) -> None:
+    """Raise ``ContractError`` unless ``c`` is an approximation ratio: finite
+    and at least 1 (nan is neither)."""
+    if not 1 <= c < math.inf:
+        raise ContractError(f"approximation ratio must be finite and >= 1, not {c}")
 
 
 def vector_query(
@@ -376,8 +384,7 @@ def approx_wrapper(exact: IpSolver, c: float) -> IpSolver:
     """Degrade an exact solver to a deterministic c-approximation sitting at
     the worst end of the allowed interval (test oracle for ratio preservation).
     Its query degrades each value of the exact solver's query alike."""
-    if not 1 <= c < math.inf:
-        raise ContractError(f"approximation ratio must be finite and >= 1, not {c}")
+    check_ratio(c)
 
     def degrade(opt: int | None) -> int | None:
         if opt is None:

@@ -71,7 +71,7 @@ from .formula import (
     map_atoms,
 )
 from .hybrid import HybridInstance, solve_hybrid_with_info
-from .ip import IpSolver
+from .ip import IpSolver, check_ratio
 from .structure import ObjectId, Relation, RelationalStructure
 
 Guard = tuple[tuple[Atom, bool], ...]
@@ -280,32 +280,17 @@ def remove_hyperedges(
 
 # --- step 2: cross-edge elimination (the grouped lift) -----------------------
 
-def build_group_partition(
-    structure: RelationalStructure, objects: Sequence[ObjectId], threshold: int
-) -> tuple[tuple[ObjectId, ...], ...]:
-    """Greedy partition of objects into contiguous runs of their sorted
-    order; the same partition applies to every optimization variable's
-    domain.  A run closes once its total degree exceeds the threshold, so
-    every group but the last has degree above it."""
-    groups = []
-    cur: list[ObjectId] = []
-    cur_deg = 0
-    for v in sorted(objects):
-        cur.append(v)
-        cur_deg += structure.degree(v)
-        if cur_deg > threshold:
-            groups.append(tuple(cur))
-            cur, cur_deg = [], 0
-    if cur:
-        groups.append(tuple(cur))
-    return tuple(groups)
-
-
 @dataclass(frozen=True)
 class LiftGrouping:
     """The lift's split of the objects for k optimization variables, with
-    the degree threshold ``ceil(m^(1/(k+1)))``.  ``groups`` partition every
-    object (``build_group_partition``), and ``combos`` is their g^k.
+    the degree threshold ``ceil(m^(1/(k+1)))``, built in one pass over the
+    objects in order (``lift_grouping``).  A group closes once its total
+    degree exceeds the threshold, so every group but the last has degree
+    above it.  ``groups`` partition every object into contiguous runs, each
+    a ``range``, and ``group_of`` maps each object to its group's index.
+    Contiguity carries the lift's tie step: a combination whose first group
+    comes after the group of a witness's x1 holds only tuples with a larger
+    x1.  ``combos`` is the groups' g^k.
     ``heavy`` counts the vertices of degree at least the threshold; each
     fills its group to the threshold, so the group ends with it or with the
     next object of positive degree.
@@ -317,37 +302,59 @@ class LiftGrouping:
     clean one, mostly far sooner.
 
     The driver's routing is the paper's count: the lift runs only where it
-    ``prunes``, when ``light_combos``, the g^k of the light vertices' groups
-    alone (``light_groups`` of them), exceeds K."""
+    ``prunes``, when the g^k of the light vertices' groups alone
+    (``light_groups`` of them, grouped by the same rule) exceeds K."""
 
     threshold: int
-    groups: tuple[tuple[ObjectId, ...], ...]
+    groups: tuple[range, ...]
+    group_of: tuple[int, ...]
     heavy: int
-    combos: int
     light_groups: int
-    light_combos: int
     bound: int
+    k: int
+
+    @property
+    def combos(self) -> int:
+        return len(self.groups) ** self.k
 
     @property
     def prunes(self) -> bool:
-        return self.light_combos > self.bound
+        return self.light_groups ** self.k > self.bound
 
 
 def lift_grouping(structure: RelationalStructure, k: int) -> LiftGrouping:
     m, n = structure.m, structure.n
     threshold = math.ceil(m ** (1.0 / (k + 1))) if m else 0
-    light = [v for v in range(n) if structure.degree(v) < threshold]
-    groups = build_group_partition(structure, range(n), threshold)
-    light_groups = len(build_group_partition(structure, light, threshold))
+    groups: list[range] = []
+    group_of: list[int] = []
+    start = run = 0  # the open group's first object and its degree
+    heavy = light_groups = light_run = 0
+    light_open = False  # whether the light vertices' open group holds any
+    for v, d in enumerate(map(structure.degree, range(n))):
+        group_of.append(len(groups))
+        run += d
+        if run > threshold:
+            groups.append(range(start, v + 1))
+            start, run = v + 1, 0
+        if d >= threshold:
+            heavy += 1
+            continue
+        light_run += d
+        light_open = True
+        if light_run > threshold:
+            light_groups += 1
+            light_run, light_open = 0, False
+    if start < n:
+        groups.append(range(start, n))
     bound = math.comb(k, 2) * m * (n ** (k - 2) if k >= 2 else 0) + 1
     return LiftGrouping(
         threshold,
-        groups,
-        n - len(light),
-        len(groups) ** k,
-        light_groups,
-        light_groups ** k,
+        tuple(groups),
+        tuple(group_of),
+        heavy,
+        light_groups + light_open,
         bound,
+        k,
     )
 
 
@@ -380,13 +387,12 @@ def _dirty_pairs(
     structure: RelationalStructure,
     opt_vars: Sequence[str],
     atoms: Sequence[Atom],
-    groups: Groups,
+    group_of: Sequence[int],
 ) -> DirtyPairs:
     """The group pairs that a record of a side atom (binary over two
     distinct optimization variables) falls between, per pair of the atom's
-    slots; the groups partition the objects."""
+    slots; ``group_of`` maps each object to its group."""
     slot = {v: i for i, v in enumerate(opt_vars)}
-    group_of = {v: gi for gi, group in enumerate(groups) for v in group}
     out: dict[tuple[int, int], set[tuple[int, int]]] = {}
     for atom in atoms:
         args = atom.args
@@ -451,13 +457,14 @@ def solve_cross_free_lift(
     guard atoms, then the cross atoms of ``plan.main_core``: the tuples that
     carry the atom), grouped relaxed scoring, and an exact re-solve of a
     prefix of the ranked group combinations.  The groups
-    (``plan.grouping.groups``) are contiguous runs of the sorted objects
-    and cover all of them, heavy vertices included, so the combinations
-    partition the tuples.  The re-solve queries take the tuples on which
-    every side atom is false; there every hyperedge and cross atom is false,
-    so ``plan.formula`` is the cross-free core.  The re-solve makes one exact
-    query per slot prefix: the selected combinations that share their first
-    k-1 groups are solved together, over the union of their last groups.
+    (``plan.grouping.groups``, each a ``range``) are contiguous runs of the
+    sorted objects and cover all of them, heavy vertices included, so the
+    combinations partition the tuples.  The re-solve queries take the
+    tuples on which every side atom is false; there every hyperedge and
+    cross atom is false, so ``plan.formula`` is the cross-free core.  The
+    re-solve makes one exact query per slot prefix: the selected
+    combinations that share their first k-1 groups are solved together,
+    over the union of their last groups.
     One ``PreparedBaseline`` of ``plan.formula`` answers every query.
 
     ``prepare(plan.main_structure, core)`` is called once, when there is at
@@ -468,6 +475,8 @@ def solve_cross_free_lift(
     optimization variable) in ``itertools.product`` order, None where none
     exists.  Its values lie within ``ratio`` of the core's optimum over the
     combination: in [OPT/ratio, OPT] for max and [OPT, ratio·OPT] for min.
+    A ``ratio`` below 1, nan or inf raises ``ContractError``: the cut below
+    would drop combinations that can beat the bar.
 
     The rule.  A combination is *dirty* when a record of a side atom (a
     guard atom of the plan or a cross atom, each over two distinct
@@ -554,6 +563,7 @@ def solve_cross_free_lift(
     ratio.  ``base_cases`` and ``pair_deltas`` are the evaluator's work
     counts over all its queries, sides and re-solves (see ``baseline_opt``).
     """
+    check_ratio(ratio)
     structure, formula = plan.main_structure, plan.formula
     k = formula.k
 
@@ -587,7 +597,9 @@ def solve_cross_free_lift(
         scores = score(groups)
         if len(scores) != len(groups) ** k:
             raise ContractError("the scorer must score every group combination")
-        dirty = _dirty_pairs(structure, formula.opt_vars, plan.sides, groups)
+        dirty = _dirty_pairs(
+            structure, formula.opt_vars, plan.sides, grouping.group_of
+        )
         if top_k is None:
             # each marked group pair is dirty in g^(k-2) combinations
             marked = sum(map(len, dirty.values())) * len(groups) ** max(k - 2, 0)
@@ -625,9 +637,7 @@ def solve_cross_free_lift(
                 domains = {var: groups[ci] for var, ci in zip(formula.opt_vars, clean[1])}
                 candidates.append(("resolve", evaluator.opt(domains, full_guard)))
                 so_far = combine_results(kind, [res for _, res in candidates])
-                x1 = so_far.witness[0]
-                w_group = next(gi for gi, group in enumerate(groups) if x1 <= group[-1])
-                bar = (so_far.value, w_group)
+                bar = (so_far.value, grouping.group_of[so_far.witness[0]])
                 queue = before
             # the stream is in rank order, so past the first combination that
             # is not kept none is

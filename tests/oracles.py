@@ -149,6 +149,27 @@ def random_hybrid(
     return HybridInstance(k, kind or rng.choice(["max", "min"]), types, families)
 
 
+# --- the lift's grouping, object by object ----------------------------------
+
+def greedy_groups(structure: RelationalStructure, objects, threshold: int):
+    """Greedy partition of ``objects`` into contiguous runs of their sorted
+    order: a run closes once its total degree exceeds the threshold, so every
+    group but the last has degree above it.  The reference of the lift's
+    grouping rule."""
+    groups = []
+    cur: list[int] = []
+    cur_deg = 0
+    for v in sorted(objects):
+        cur.append(v)
+        cur_deg += structure.degree(v)
+        if cur_deg > threshold:
+            groups.append(tuple(cur))
+            cur, cur_deg = [], 0
+    if cur:
+        groups.append(tuple(cur))
+    return tuple(groups)
+
+
 # --- random instance generation for module tests ---------------------------
 
 def random_structure(

@@ -9,6 +9,7 @@ from relopt.errors import ContractError, ResourceLimitError
 from relopt.hybrid import HybridInstance
 from relopt.ip import (
     IPInstance,
+    IpSolver,
     approx_wrapper,
     brute_force_kmaxip,
     brute_force_kminip,
@@ -232,6 +233,27 @@ def test_make_ip_solver_rejects_bad_ratios(spec):
 def test_approx_wrapper_rejects_bad_ratios(c):
     with pytest.raises(ContractError, match="approximation ratio"):
         approx_wrapper(exact_solver("max"), c)
+
+
+@pytest.mark.parametrize("c", [0.5, math.nan, math.inf])
+def test_ip_solver_rejects_bad_ratios(c):
+    # a solver declared better than exact would let the lift cut
+    # combinations that can beat its bar
+    exact = exact_solver("max")
+    with pytest.raises(ContractError, match="approximation ratio"):
+        IpSolver("max", c, exact.solve, exact.query)
+    with pytest.raises(ContractError, match="approximation ratio"):
+        IpSolver("min", c, exact_solver("min").solve)
+
+
+@pytest.mark.parametrize("c", [1, 1.0, 2])
+def test_ip_solver_and_approx_wrapper_accept_ratios(c):
+    inst = IPInstance(2, ((vec("111"),), (vec("110"),)), 3)
+    exact = exact_solver("max")
+    assert IpSolver("max", c, exact.solve).solve(inst) == 2
+    wrapped = approx_wrapper(exact, c)
+    assert wrapped.ratio == c
+    assert 2 / c <= wrapped.solve(inst) <= 2
 
 
 def test_dump_parse_roundtrip_with_empty_last_family():

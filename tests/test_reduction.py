@@ -1,6 +1,9 @@
+import hashlib
+import json
 import math
 import random
 from itertools import product
+from pathlib import Path
 from typing import NamedTuple
 from unittest import mock
 
@@ -29,12 +32,11 @@ from relopt.formula import (
     parse_formula,
 )
 from relopt.hybrid import val
-from relopt.ip import IpSolver, approx_wrapper, exact_solver
+from relopt.ip import IpSolver, approx_wrapper, exact_solver, make_ip_solver
 from relopt.reduction import (
     HybridScorer,
     _combo_of,
     _ranked,
-    build_group_partition,
     combine_results,
     lift_grouping,
     normalize_formula,
@@ -50,11 +52,13 @@ from relopt.structure import Relation, RelationalStructure, build_structure, loa
 
 from oracles import (
     bench_instances,
+    greedy_groups,
     guarded_opt,
     nested_loop_opt,
     random_body_text,
     random_instance,
 )
+from test_baseline import GOLDEN_SETS
 
 
 def conforming_instance(rng, k=2, n_objects=7, unary=2, kind=None):
@@ -378,6 +382,7 @@ def test_plan_soundness_random():
 # --- group partition -------------------------------------------------------------
 
 def test_group_partition_bounds():
+    # the reference rule, on the light vertices as the routing groups them
     rng = random.Random(54)
     for _ in range(30):
         from oracles import random_structure
@@ -385,7 +390,7 @@ def test_group_partition_bounds():
         s = random_structure(rng, rng.randint(2, 12), binary=2, unary=1)
         threshold = rng.randint(1, 6)
         light = [v for v in range(s.n) if s.degree(v) < threshold]
-        groups = build_group_partition(s, light, threshold)
+        groups = greedy_groups(s, light, threshold)
         seen = [v for g in groups for v in g]
         assert sorted(seen) == sorted(light)
         for g in groups:
@@ -827,17 +832,42 @@ def test_lift_with_cross_matches_baseline():
         assert got == baseline_opt(structure, formula), f"trial {trial} {formula}"
 
 
-def test_lift_heavy_vertex_optimum():
-    # pin the optimum on the highest-degree vertex: its group must hold it
+def _hub_structure():
+    # a hub of degree 8, and two objects of degree 1
     recs = {("h", str(i)) for i in range(8)}
     recs |= {("u", "1"), ("v", "2")}
-    s = load_structure(
+    return load_structure(
         "rel E 2\n" + "\n".join(f"E {a} {b}" for a, b in sorted(recs)) + "\n"
     )
+
+
+def test_lift_heavy_vertex_optimum():
+    # pin the optimum on the highest-degree vertex: its group must hold it
+    s = _hub_structure()
     f = parse_formula("max x1,x2 . count y . E(x1,y)")
     got = solve_cross_free_lift(remove_hyperedges(s, f), _baseline_inner)
     want = baseline_opt(s, f)
     assert got == want and want.value == 8
+
+
+HUB_MIN = "min x1,x2 . count y . E(x1,y) & !E(x2,y)"
+
+
+@pytest.mark.parametrize("ratio", [0.5, math.nan, math.inf])
+def test_lift_rejects_bad_ratios(ratio):
+    # the cut trusts the ratio: an exact scorer declared at 0.5 lets it drop
+    # combinations that beat the bar
+    plan = remove_hyperedges(_hub_structure(), parse_formula(HUB_MIN))
+    with pytest.raises(ContractError, match="approximation ratio"):
+        solve_cross_free_lift(plan, _baseline_inner, ratio=ratio)
+
+
+@pytest.mark.parametrize("ratio", [1, 1.0, 2])
+def test_lift_accepts_ratios(ratio):
+    # exact scores lie within every ratio of at least 1
+    s, f = _hub_structure(), parse_formula(HUB_MIN)
+    got = solve_cross_free_lift(remove_hyperedges(s, f), _baseline_inner, ratio=ratio)
+    assert got == baseline_opt(s, f)
 
 
 def test_lift_k_override_plumbs_through():
@@ -1873,32 +1903,43 @@ def test_lift_groups_heavy_vertices_and_keeps_the_optimum(instance, c):
 
 
 @given(st.data())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_lift_partition_is_contiguous_runs_of_all_objects(data):
-    # every object is in exactly one group, the groups are runs of the
-    # sorted objects, and every group but the last has degree above the
-    # threshold; the light vertices' partition the routing counts likewise
+    # lift_grouping against the greedy reference, field by field, on sparse
+    # records with hubs, or with none at all (m=0: threshold 0, so every
+    # object is heavy); the reference puts every object in exactly one
+    # group, the groups are runs of the sorted objects, and every group but
+    # the last has degree above the threshold
     rng = data.draw(st.randoms(use_true_random=False))
     n = data.draw(st.integers(0, 36))
     rels = _sparse_records(rng, n)
     for hub in rng.sample(range(n), data.draw(st.integers(0, min(n, 4)))):
         rels["E0"].update((hub, y) for y in rng.sample(range(n), rng.randint(1, n)))
+    if data.draw(st.integers(0, 9)) == 0:
+        rels = {pred: set() for pred in rels}
     structure = build_structure([f"o{v}" for v in range(n)], rels, SPARSE_ARITY)
-    k = data.draw(st.integers(2, 3))
-    grouping = lift_grouping(structure, k)
-    groups, threshold = grouping.groups, grouping.threshold
+    k = data.draw(st.integers(1, 3))
+    m = structure.m
+    threshold = math.ceil(m ** (1 / (k + 1))) if m else 0
+    groups = greedy_groups(structure, range(n), threshold)
     assert [v for group in groups for v in group] == list(range(n))
-    assert all(groups)
     for group in groups[:-1]:
         assert sum(structure.degree(v) for v in group) > threshold
     heavy = [v for v in range(n) if structure.degree(v) >= threshold]
+    light = greedy_groups(structure, set(range(n)) - set(heavy), threshold)
+    bound = math.comb(k, 2) * m * n ** max(k - 2, 0) + 1
+
+    grouping = lift_grouping(structure, k)
+    assert grouping.threshold == threshold
+    assert tuple(map(tuple, grouping.groups)) == groups
+    assert all(type(group) is range for group in grouping.groups)
+    assert grouping.group_of == tuple(gi for gi, group in enumerate(groups) for _ in group)
     assert grouping.heavy == len(heavy)
-    assert grouping.combos == len(groups) ** k
-    light = build_group_partition(
-        structure, [v for v in range(n) if v not in heavy], threshold
-    )
     assert grouping.light_groups == len(light)
-    assert grouping.prunes == (len(light) ** k > grouping.bound)
+    assert grouping.bound == bound
+    assert grouping.combos == len(groups) ** k
+    assert grouping.prunes == (len(light) ** k > bound)
+    event(f"n>0: {n > 0}, m>0: {m > 0}, heavy: {bool(heavy)}")
 
 
 def test_reduce_and_solve_exact_small():
@@ -2167,3 +2208,42 @@ def test_false_positive_bound():
                 mismatches += 1
         assert mismatches <= _math.comb(k, 2) * m * n ** (k - 2), f"trial {trial}"
     assert checked >= 5
+
+
+# --- the pipeline's recorded answers -------------------------------------------
+
+# the baseline oracle's golden sets, and lift-sparse-approx, whose solver is
+# approx:2; recorded from an earlier version of relopt.reduction
+PIPELINE_SETS = GOLDEN_SETS + (("lift-sparse-approx", (0, 1, 2)),)
+PIPELINE_GOLDEN = Path(__file__).resolve().parent / "data" / "pipeline_golden.json"
+
+
+def pipeline_golden_text() -> str:
+    """JSON text of ``reduce_and_solve``'s answer per instance of
+    PIPELINE_SETS under its workload's IP solver: one line per set, keyed
+    ``workload/seed``, holding the digest of its texts and per instance
+    [path, source, value, witness labels, the first 16 hex digits of the
+    sha256 of the trace's ``render()``]."""
+    instances = bench_instances()
+    lines = []
+    for workload, seeds in PIPELINE_SETS:
+        ip = instances.WORKLOADS[workload].ip
+        for seed in seeds:
+            texts = instances.instance_texts(workload, seed)
+            answers = []
+            for structure_text, formula_text in texts:
+                structure = load_structure(structure_text)
+                formula = parse_formula(formula_text)
+                solver = make_ip_solver(formula.kind, ip)
+                value, trace = reduce_and_solve(structure, formula, solver)
+                witness = trace.witness and [structure.labels[x] for x in trace.witness]
+                render = hashlib.sha256(trace.render().encode()).hexdigest()[:16]
+                answers.append([trace.path, trace.source, value, witness, render])
+            entry = {"digest": instances.texts_digest(texts), "answers": answers}
+            lines.append(f"{json.dumps(f'{workload}/{seed}')}: {json.dumps(entry)}")
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+def test_pipeline_reproduces_the_recorded_benchmark_answers():
+    # path, source, answer and trace of every solve stay those recorded
+    assert pipeline_golden_text() == PIPELINE_GOLDEN.read_text()
