@@ -23,6 +23,15 @@ graph reads only its own buckets; a nonzero colour without a bucket builds
 no graph, as its graph would count 0.  Each truth table is decomposed once
 per process, and a graph with an empty side skips the triangle pass: it has
 no triangle.
+
+A class triple whose (v, w) class pair has no coloured pair builds no graph.
+Without a yz edge psi_3, psi_13, psi_23 and psi_123 vanish, and what is left
+of a colour pattern (a0, a1, 0) factors: u's count is N_xy[a0](u) *
+N_xz[a1](u), summed over the patterns the body holds for.  N[a](u) is u's
+number of partners in the colour-a bucket; for a = 0 it is the size of the
+other class less u's degree in the union bucket.  A run builds each (class
+pair, colour) vector at most once, and a static bucket at its static class
+sizes keeps its vector across runs.
 """
 from __future__ import annotations
 
@@ -30,7 +39,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from operator import add
+from operator import add, mul
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
@@ -56,15 +65,19 @@ class TripartiteGraph:
     yz: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        for i, j in self.xy:
-            if not (0 <= i < self.nx and 0 <= j < self.ny):
-                raise ContractError("xy edge endpoint out of range")
-        for i, j in self.xz:
-            if not (0 <= i < self.nx and 0 <= j < self.nz):
-                raise ContractError("xz edge endpoint out of range")
-        for i, j in self.yz:
-            if not (0 <= i < self.ny and 0 <= j < self.nz):
-                raise ContractError("yz edge endpoint out of range")
+        for name, edges, na, nb in (
+            ("xy", self.xy, self.nx, self.ny),
+            ("xz", self.xz, self.nx, self.nz),
+            ("yz", self.yz, self.ny, self.nz),
+        ):
+            for e in edges:
+                try:
+                    i, j = e
+                    ok = isinstance(i, int) and isinstance(j, int) and 0 <= i < na and 0 <= j < nb
+                except (TypeError, ValueError):  # not a pair
+                    ok = False
+                if not ok:
+                    raise ContractError(f"{name} edge {e!r} is not a pair of endpoints in range")
 
 
 @dataclass(frozen=True)
@@ -92,6 +105,8 @@ def and_basis_coefficients(table: TruthTable) -> BasisDecomposition:
     mapping, so the shared decomposition cannot be changed by a caller."""
     if len(table) != 8:
         raise ContractError("truth table must have 8 entries")
+    if any(bit not in (0, 1) for bit in table):
+        raise ContractError("truth table entries must be 0 or 1")
     return _decompose(sum(1 << idx for idx, bit in enumerate(table) if bit))
 
 
@@ -301,6 +316,48 @@ class _PairSide:
         for (a, b), bits in self.color.items():
             self.partners_a.setdefault(a, []).append((b, bits))
             self.partners_b.setdefault(b, []).append((a, bits))
+        # partner counts of the static buckets at the static class sizes
+        self.static_counts: dict[tuple[int, int, int], list[int]] = {}
+
+    def partner_counts(
+        self,
+        buckets: Buckets,
+        ca: _Classes,
+        cb: _Classes,
+        pair: tuple[int, int],
+        bits: int,
+        memo: dict,
+    ) -> list[int]:
+        """Per member of a's class ``pair[0]`` in a run, by index: its number
+        of partners of colour ``bits`` in b's class ``pair[1]``; for colour 0,
+        the members of that class it has no pair with.
+
+        ``memo`` keeps the run's counts.  A class pair whose buckets and
+        class sizes are the static ones keeps its counts across runs."""
+        key = pair + (bits,)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        per_bits = buckets.get(pair)
+        na, nb = len(ca.members[pair[0]]), len(cb.members[pair[1]])
+        static = (
+            per_bits is self.buckets.get(pair)
+            and na == len(self.ca.members.get(pair[0], ()))
+            and nb == len(self.cb.members.get(pair[1], ()))
+        )
+        got = self.static_counts.get(key) if static else None
+        if got is None:
+            deg = [0] * na
+            try:
+                for i, _ in (per_bits or _NO_BUCKETS)[bits]:
+                    deg[i] += 1
+            except IndexError:
+                raise ContractError("pair endpoint out of its class") from None
+            got = [nb - d for d in deg] if bits == 0 else deg
+            if static:
+                self.static_counts[key] = got
+        memo[key] = got
+        return got
 
     def run_buckets(
         self,
@@ -392,6 +449,12 @@ class _Residual3:
     one.  A colour combination with a nonzero colour that no pair of its
     class pair has builds no graph, and a graph with an empty side costs no
     triangle pass.
+
+    A class triple whose (v, w) class pair has no coloured pair has no yz
+    edge, so psi_3, psi_13, psi_23 and psi_123 vanish: it builds no graph,
+    and each colour pattern (a0, a1, 0) the body holds for adds the product
+    of u's partner counts in colour a0 over v and a1 over w
+    (``_PairSide.partner_counts``).
     """
 
     def __init__(self, structure: RelationalStructure, formula: OptFormula):
@@ -428,6 +491,7 @@ class _Residual3:
         self.touched = 0
         self.graphs = 0
         self.empty_side = 0
+        self.products = 0
         self.tables: set[int] = set()
 
     def _triples(self, projections: Projections, asn) -> set[tuple]:
@@ -464,6 +528,9 @@ class _Residual3:
         )
 
         truth = body.truth
+        side_uv, side_uw, _ = self.pair_sides.values()
+        memo_uv: dict = {}
+        memo_uw: dict = {}
         psi0 = dict.fromkeys(self.domains[u], 0)
         for delta, us in cls_u.members.items():
             counts = [0] * len(us)
@@ -471,10 +538,25 @@ class _Residual3:
                 xy = uv_edges.get((delta, beta), _NO_BUCKETS)
                 for gamma, ws in cls_w.members.items():
                     xz = uw_edges.get((delta, gamma), _NO_BUCKETS)
-                    yz = vw_edges.get((beta, gamma), _NO_BUCKETS)
+                    yz = vw_edges.get((beta, gamma))
                     # only the colours of some pair of these classes: a
                     # nonzero colour without one asks for an edge on an
                     # empty side, and its graph counts 0
+                    if yz is None:
+                        # no yz edge: a term is the product of u's partner
+                        # counts in its xy and its xz colour
+                        for a0, a1 in product(xy, xz):
+                            if not truth((fixed_bits, delta, beta, gamma, a0, a1, 0)):
+                                continue
+                            self.products += 1
+                            n0 = side_uv.partner_counts(
+                                uv_edges, cls_u, cls_v, (delta, beta), a0, memo_uv
+                            )
+                            n1 = side_uw.partner_counts(
+                                uw_edges, cls_u, cls_w, (delta, gamma), a1, memo_uw
+                            )
+                            counts = list(map(add, counts, map(mul, n0, n1)))
+                        continue
                     for (a0, e0), (a1, e1), (a2, e2) in product(
                         xy.items(), xz.items(), yz.items()
                     ):
@@ -517,7 +599,9 @@ def multi_counting_opt(
     the residual's counts: ``runs`` (one per brute-forced assignment),
     ``reused`` (the runs the memo answered), ``graphs`` (``triangle_counts``
     calls), ``empty_side`` (graphs with an empty side, whose triangle pass
-    is skipped), ``tables`` (distinct truth tables), ``static_atoms`` and
+    is skipped), ``products`` (the (class triple, colour) terms of class
+    triples with no (v, w) pair, counted as products of partner counts with
+    no graph), ``tables`` (distinct truth tables of the graphs), ``static_atoms`` and
     ``dynamic_atoms`` (the residual's unary and pair atoms without and with
     a brute-forced variable) and ``touched`` (per run the memo did not
     answer, the objects that leave a static class of some residual
@@ -538,6 +622,7 @@ def multi_counting_opt(
             reused=walk.reused,
             graphs=residual.graphs,
             empty_side=residual.empty_side,
+            products=residual.products,
             tables=len(residual.tables),
             static_atoms=residual.static_atoms,
             dynamic_atoms=residual.dynamic_atoms,

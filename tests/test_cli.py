@@ -151,7 +151,7 @@ def test_solve_trace_prints_the_multicount_stage(tmp_path, capsys):
     stage = next(l for l in out.splitlines() if l.startswith("stage multicount"))
     stats = dict(kv.split("=") for kv in stage.split()[2:])
     assert set(stats) == {
-        "runs", "reused", "graphs", "empty_side", "tables",
+        "runs", "reused", "graphs", "empty_side", "products", "tables",
         "static_atoms", "dynamic_atoms", "touched",
     }
     assert int(stats["runs"]) == 1  # k + ell = 3: nothing is brute-forced

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import relopt.fastcount as fastcount
 from relopt.baseline import baseline_opt, naive_values, opt_of_table
-from relopt.errors import UnsupportedShapeError
+from relopt.errors import ContractError, UnsupportedShapeError
 from relopt.fastcount import (
     TripartiteGraph,
     and_basis_coefficients,
@@ -75,6 +75,25 @@ def test_basis_decomposition_is_read_only():
     assert triangle_counts(g, table) == before == triangle_counts_naive(
         g.nx, g.ny, g.nz, g.xy, g.xz, g.yz, table
     )
+
+
+@pytest.mark.parametrize(
+    "xy", [{(0,)}, {(0, 0, 0)}, {0}, {("a", 0)}, {(0.5, 0)}, {(0, 1)}, {(-1, 0)}]
+)
+def test_tripartite_graph_rejects_an_edge_that_is_no_pair_in_range(xy):
+    with pytest.raises(ContractError):
+        TripartiteGraph(1, 1, 1, frozenset(xy), frozenset(), frozenset())
+
+
+@pytest.mark.parametrize("entry", [2, -1, 0.5])
+def test_triangle_counts_rejects_a_table_entry_other_than_0_or_1(entry):
+    g = TripartiteGraph(1, 1, 1, frozenset({(0, 0)}), frozenset(), frozenset())
+    table = [0] * 8
+    table[idx(1, 0, 0)] = entry
+    with pytest.raises(ContractError):
+        triangle_counts(g, table)
+    with pytest.raises(ContractError):
+        and_basis_coefficients(table)
 
 
 def random_graph(rng, max_part=8):
@@ -254,10 +273,13 @@ def multicount_instances(draw):
     """A structure and a formula with k in {1, 2, 3} optimization and ell in
     {2, 3} counting variables, or ell=4 for k <= 2 at n <= 3, over the
     residual variables (u, v, w), the last three; the variables before them
-    are brute-forced (assigned), y1 among them where ell=4.  The body
-    always has an atom over (v, w), the last two counting variables, so yz
-    sides are non-empty; mostly atoms over (u, v) and (u, w); often a ternary
-    atom over (u, v, w); and random atoms, some with repeated variables.
+    are brute-forced (assigned), y1 among them where ell=4.  Three bodies in
+    four have an atom over (v, w), the last two counting variables, so yz
+    sides are non-empty; the others have no atom over v and w without u, so
+    no residual graph has a yz edge and every class triple is counted as
+    products of partner counts.  Mostly atoms over (u, v) and (u, w); often
+    a ternary atom over (u, v, w); and random atoms, some with repeated
+    variables.
     With an assigned variable, the body is one of: static (no atom mentions
     an assigned variable, so every run touches nothing); fixed (one atom
     over assigned variables only, so untouched runs differ in its bit); or
@@ -292,7 +314,12 @@ def multicount_instances(draw):
     assigned, residual = variables[:-3], variables[-3:]
     u, v, w = residual
     binary = st.sampled_from(["E0", "E1"])
-    leaves = [atom(draw(binary), draw(st.permutations([v, w])))]
+    with_vw = draw(st.integers(0, 3)) > 0
+
+    def allowed(args):
+        return with_vw or set(args) & {u, v, w} != {v, w}
+
+    leaves = [atom(draw(binary), draw(st.permutations([v, w])))] if with_vw else []
     for pair in ([u, v], [u, w]):
         if draw(st.integers(0, 3)):
             leaves.append(atom(draw(binary), draw(st.permutations(pair))))
@@ -308,12 +335,18 @@ def multicount_instances(draw):
         for r in draw(st.sets(st.sampled_from(residual), min_size=not pair_atom)):
             leaves.append(atom(draw(binary), draw(st.permutations([draw(x), r]))))
         if pair_atom:
-            pair = draw(st.lists(st.sampled_from(residual), min_size=2, max_size=2, unique=True))
+            pair = draw(
+                st.lists(st.sampled_from(residual), min_size=2, max_size=2, unique=True)
+                .filter(allowed)
+            )
             leaves.append(atom("R0", draw(st.permutations([draw(x), *pair]))))
     pool = variables if mode == "dynamic" else residual
     for _ in range(draw(st.integers(1, 4))):
         pred = draw(st.sampled_from(sorted(arity)))
-        args = [draw(st.sampled_from(pool)) for _ in range(arity[pred])]
+        args = draw(
+            st.lists(st.sampled_from(pool), min_size=arity[pred], max_size=arity[pred])
+            .filter(allowed)
+        )
         leaves.append(atom(pred, args))
     leaves = draw(st.permutations(leaves))
     body = leaves[0]
@@ -353,6 +386,7 @@ def test_multicount_trace_counts_every_triangle_counts_call(monkeypatch):
 
     monkeypatch.setattr(fastcount, "triangle_counts", counted)
     rng = random.Random(5)
+    products = 0
     for _ in range(10):
         structure, formula = random_instance(rng, k=2, ell=2, n_objects=6)
         before = calls
@@ -365,7 +399,10 @@ def test_multicount_trace_counts_every_triangle_counts_call(monkeypatch):
         assert (stats["tables"] > 0) == (stats["graphs"] > 0)
         assert 0 <= stats["touched"] <= stats["runs"] * structure.n
         assert value == baseline_opt(structure, formula).value
-    assert calls > 0
+        products += stats["products"]
+    # random bodies have no atom over (y1, y2): every residual class triple
+    # is counted as products of partner counts
+    assert products > 0
 
     # no atom mentions x1: every run reads the same, and the walk's memo
     # answers all runs after the first, but each still counts as a run
@@ -380,3 +417,18 @@ def test_multicount_trace_counts_every_triangle_counts_call(monkeypatch):
     assert (stats["static_atoms"], stats["dynamic_atoms"]) == (3, 0)
     assert stats["graphs"] == calls - before > 0
     assert value == baseline_opt(structure, formula).value
+
+    # no atom over (y1, y2): no class triple has a yz edge, so no graph is
+    # built and the residual is counted as products only
+    structure, _ = random_instance(rng, k=2, ell=2, n_objects=6)
+    formula = parse_formula(
+        "min x1,x2 . count y1,y2 . E0(x2,y1) & P0(y2) | !E0(y2,x2) | E1(x1,y1)"
+    )
+    before = calls
+    value, trace = reduce_and_solve(structure, formula, exact_solver("min"))
+    stats = dict(trace.stages)["multicount"]
+    assert stats["graphs"] == calls - before == 0
+    assert stats["empty_side"] == stats["tables"] == 0
+    assert stats["products"] > 0
+    assert value == baseline_opt(structure, formula).value
+
