@@ -80,7 +80,15 @@ from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ContractError, UnsupportedShapeError
-from .formula import Atom, Expr, OptFormula, atoms_of, check_schema, eval_expr_table
+from .formula import (
+    Atom,
+    Expr,
+    OptFormula,
+    atoms_of,
+    check_atom,
+    check_schema,
+    eval_expr_table,
+)
 from .structure import ObjectId, RelationalStructure
 
 Domains = Mapping[str, Sequence[ObjectId]]
@@ -456,7 +464,8 @@ class PreparedBaseline:
         """Optimum and lexicographically least witness over the optimization
         tuples satisfying every guard literal; None if no tuple does.
 
-        The guard literals must mention optimization variables only.  This is
+        The guard literals must mention optimization variables only, each
+        with its relation's arity (else ``SchemaError``).  This is
         the domain-restricted semantics the decomposition steps need: for
         minimization a conjunction inside the body would masquerade excluded
         tuples as value 0, so exclusion must happen at the tuple level.  The
@@ -505,7 +514,8 @@ class PreparedBaseline:
     def _guard(self, guard: tuple[tuple[Atom, bool], ...]) -> _Guard:
         """Per depth, the projected literals that narrow its variable's loop,
         positive ones first: a positive literal's at every depth it
-        mentions, a negative one's at its last."""
+        mentions, a negative one's at its last.  A literal over an unknown
+        relation, or one of another arity, raises ``SchemaError``."""
         if guard in self._guards:
             return self._guards[guard]
         order = self.order
@@ -515,6 +525,7 @@ class PreparedBaseline:
                 raise ContractError(
                     f"guard atom {atom} needs one or more optimization variables only"
                 )
+            check_atom(atom, self.structure)
             depths = sorted({order.index(v) for v in atom.args})
             for d in depths if want else depths[-1:]:
                 p = self.body.project(atom, order[:d], (order[d],))

@@ -106,6 +106,27 @@ def map_atoms(expr: Expr, fn) -> Expr:
     return expr
 
 
+def fold(expr: Expr) -> Expr:
+    """The expression with its constants pushed through ``Not``, ``And``
+    and ``Or``: ``TRUE``, ``FALSE``, or an expression with no ``Const`` that
+    holds under exactly the same atom values."""
+    if isinstance(expr, Not):
+        arg = fold(expr.arg)
+        if isinstance(arg, Const):
+            return FALSE if arg.value else TRUE
+        return Not(arg)
+    if isinstance(expr, (And, Or)):
+        decides = isinstance(expr, Or)  # the operand value that decides the node
+        left = fold(expr.left)
+        if isinstance(left, Const):
+            return left if left.value == decides else fold(expr.right)
+        right = fold(expr.right)
+        if isinstance(right, Const):
+            return right if right.value == decides else left
+        return type(expr)(left, right)
+    return expr
+
+
 @dataclass(frozen=True)
 class OptFormula:
     """A parsed ``opt`` formula: kind, optimization and counting variables,
@@ -301,14 +322,20 @@ def check_schema(formula: OptFormula, structure: RelationalStructure) -> None:
     """Raise ``SchemaError`` unless every predicate used in the body exists
     in the structure with the arity its atoms use."""
     for atom in atoms_of(formula.body):
-        if atom.pred not in structure.relations:
-            raise SchemaError(f"predicate {atom.pred!r} missing from structure")
-        arity = structure.relations[atom.pred].arity
-        if arity != len(atom.args):
-            raise SchemaError(
-                f"atom {atom.pred} used with {len(atom.args)} arguments, "
-                f"relation has arity {arity}"
-            )
+        check_atom(atom, structure)
+
+
+def check_atom(atom: Atom, structure: RelationalStructure) -> None:
+    """Raise ``SchemaError`` unless the atom's predicate exists in the
+    structure with the arity the atom uses."""
+    if atom.pred not in structure.relations:
+        raise SchemaError(f"predicate {atom.pred!r} missing from structure")
+    arity = structure.relations[atom.pred].arity
+    if arity != len(atom.args):
+        raise SchemaError(
+            f"atom {atom.pred} used with {len(atom.args)} arguments, "
+            f"relation has arity {arity}"
+        )
 
 
 def eval_expr(

@@ -33,7 +33,9 @@ the atom narrows the evaluator's loop of each variable it mentions to the
 values that extend the assignment to one of the atom's records.  So the
 query enumerates the tuples along the atom's records, about m of them, and
 runs one base case per x1 with a record, as the split's light-light query
-did.
+did.  Where the body is false whenever the atom is true (a body that ends
+in ``& !E(x1,x2)``), every such tuple counts 0 and the side needs no query
+at all: its answer is read off the atom's records.
 """
 from __future__ import annotations
 
@@ -64,10 +66,12 @@ from .formula import (
     Not,
     OptFormula,
     atoms_of,
+    check_atom,
     check_schema,
     conjoin,
     disjoin,
     eval_expr_table,
+    fold,
     map_atoms,
 )
 from .hybrid import HybridInstance, solve_hybrid_with_info
@@ -180,21 +184,51 @@ def solve_positive_cross_edge(
     """The optimum and least witness of the evaluator's formula over the
     tuples that carry the forced edge E(x_i, x_j); None if no tuple does.
 
-    This is one guarded query, ``evaluator.opt(None, ((forced, True),))``.
-    It replaces the paper's degree split (heavy endpoints brute-forced,
-    light-light tuples enumerated along their edges) at no extra cost: the
-    positive literal narrows the evaluator's loop of each variable it
-    mentions to the values that extend the assignment to one of the edge's
-    records.  So the query runs base cases only for the prefixes that
-    extend to an edge (for E(x1,x2) at k=2, one per object of E's first
-    column) and enumerates the tuples along the edge's records, as the
-    split's light-light query did.
+    Where the body folds to false with the forced atom true (``fold``, as
+    ``split_cross_atoms`` sets each cross atom false for the core), say
+    ``... & !E(x_i, x_j)``, every such tuple counts 0.  Then the side is
+    answered from E's records alone, with no base case: the value is 0 and
+    the witness the least tuple that carries a record, the least record in
+    slot order (a reversed atom E(x2, x1) reads each record flipped) with
+    every other slot at object 0.  That is the guarded query's answer: its
+    tuples are exactly these, all of value 0, and it keeps the least.
+    None where E has no record.
+
+    Otherwise this is one guarded query,
+    ``evaluator.opt(None, ((forced, True),))``.  It replaces the paper's
+    degree split (heavy endpoints brute-forced, light-light tuples
+    enumerated along their edges) at no extra cost: the positive literal
+    narrows the evaluator's loop of each variable it mentions to the values
+    that extend the assignment to one of the edge's records.  So the query
+    runs base cases only for the prefixes that extend to an edge (for
+    E(x1,x2) at k=2, one per object of E's first column) and enumerates the
+    tuples along the edge's records, as the split's light-light query did.
+
+    A forced atom over an unknown relation, or one whose arity is not 2,
+    raises ``SchemaError``.
     """
+    opt_vars = evaluator.formula.opt_vars
     if len(forced.args) != 2 or forced.args[0] == forced.args[1]:
         raise ContractError("forced atom must be binary over two distinct variables")
-    if not set(forced.args) <= set(evaluator.formula.opt_vars):
+    if not set(forced.args) <= set(opt_vars):
         raise ContractError("forced atom must relate two optimization variables")
-    return evaluator.opt(None, ((forced, True),))
+    if not _falsifies(evaluator.formula.body, forced):
+        return evaluator.opt(None, ((forced, True),))
+    check_atom(forced, evaluator.structure)  # the query checks its own guard
+    records = evaluator.structure.relation(forced.pred).records
+    if not records:
+        return None
+    i, j = map(opt_vars.index, forced.args)
+    pair = min(records) if i < j else min((b, a) for a, b in records)
+    witness = [0] * len(opt_vars)
+    witness[min(i, j)], witness[max(i, j)] = pair
+    return OptResult(0, tuple(witness))
+
+
+def _falsifies(body: Expr, forced: Atom) -> bool:
+    """Whether the body folds to false with the forced atom true: then no
+    tuple that carries the atom counts anything."""
+    return fold(map_atoms(body, lambda a: TRUE if a == forced else a)) == FALSE
 
 
 # --- step 1: hyperedge removal ----------------------------------------------
@@ -551,9 +585,12 @@ def solve_cross_free_lift(
     ``stats_out`` receives the stage's counts and ``source``, the step whose
     candidate is the answer: ``side`` or ``resolve``.  ``heavy`` counts the
     vertices at or above the threshold, ``sides`` the cross-atom side
-    queries (the hyperedge-removal stage counts the plan's guard atoms),
-    ``dirty`` the dirty combinations ranked before c* (all those ranked,
-    where none is clean), ``clean_rank`` is c*'s rank from 1 (None where
+    problems (the hyperedge-removal stage counts the plan's guard atoms),
+    ``zero_sides`` the side problems of either kind that
+    ``solve_positive_cross_edge`` answers from their atom's records, with no
+    query, as the body folds to false with the atom true, ``dirty`` the
+    dirty combinations ranked before c* (all those ranked, where none is
+    clean), ``clean_rank`` is c*'s rank from 1 (None where
     none is clean within the cap), ``bar`` is B (None where c* is not
     reached), ``resolves`` the re-solved combinations and
     ``resolve_queries`` their exact queries, c*'s own included.  ``exact``
@@ -590,6 +627,7 @@ def solve_cross_free_lift(
         ("side", solve_positive_cross_edge(evaluator, atom)) for atom in plan.sides
     ]
     stats["sides"] = len(plan.cross)
+    stats["zero_sides"] = sum(_falsifies(formula.body, atom) for atom in plan.sides)
     full_guard: Guard = tuple((atom, False) for atom in plan.sides)
 
     if score is not None:

@@ -132,7 +132,7 @@ def test_solve_trace_prints_the_winning_source_of_the_lift(tmp_path, capsys):
     assert (
         "stage cross-free-lift bar=1 base_cases=2 clean_rank=1 combos=81 dirty=0 exact=1 "
         "groups=9 heavy=6 m=24 n=18 pair_deltas=2 resolve_queries=1 resolves=9 sides=0 "
-        "threshold=3 top_k=25\n"
+        "threshold=3 top_k=25 zero_sides=0\n"
     ) in out
     assert "witness o2 o0\n" in out and out.endswith("source resolve\n")
 

@@ -12,7 +12,10 @@ from relopt.formula import (
     Const,
     Not,
     Or,
+    atoms_of,
+    eval_expr_table,
     evaluate_body,
+    fold,
     parse_formula,
     print_expr,
 )
@@ -90,6 +93,29 @@ def test_print_parse_fixpoint(expr):
     for _ in range(8):
         vals = {a: bool(rng.getrandbits(1)) for a in atoms}
         assert eval_expr_table(expr, vals) == eval_expr_table(reparsed, vals)
+
+
+def _consts(expr):
+    if isinstance(expr, Const):
+        return 1
+    if isinstance(expr, Not):
+        return _consts(expr.arg)
+    if isinstance(expr, (And, Or)):
+        return _consts(expr.left) + _consts(expr.right)
+    return 0
+
+
+@given(_expr_strategy())
+@settings(max_examples=300, deadline=None)
+def test_fold_keeps_the_truth_table_and_leaves_no_constant_inside(expr):
+    # the folded expression is a lone constant or holds none, and agrees
+    # with the original under every assignment of its (at most 3) atoms
+    folded = fold(expr)
+    assert isinstance(folded, Const) or _consts(folded) == 0, print_expr(folded)
+    atoms = list(dict.fromkeys(atoms_of(expr)))
+    for bits in range(1 << len(atoms)):
+        vals = {a: bool(bits >> i & 1) for i, a in enumerate(atoms)}
+        assert eval_expr_table(folded, vals) == eval_expr_table(expr, vals)
 
 
 # library entry points that read a body's atoms against the structure, with

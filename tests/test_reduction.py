@@ -20,10 +20,11 @@ from relopt.baseline import (
     naive_values,
     opt_of_table,
 )
-from relopt.errors import ContractError, ResourceLimitError
+from relopt.errors import ContractError, ResourceLimitError, SchemaError
 from relopt.formula import (
     And,
     Atom,
+    Const,
     Not,
     Or,
     atoms_of,
@@ -36,6 +37,7 @@ from relopt.ip import IpSolver, approx_wrapper, exact_solver, make_ip_solver
 from relopt.reduction import (
     HybridScorer,
     _combo_of,
+    _falsifies,
     _ranked,
     combine_results,
     lift_grouping,
@@ -202,11 +204,123 @@ def test_cross_edge_is_the_guarded_optimum_of_the_forced_tuples(data):
     )
 
 
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_cross_edge_side_is_the_guarded_optimum_whether_or_not_it_folds(data):
+    # k in {2, 3}, both kinds and both orientations of the forced atom, under
+    # bodies that fold to false with it true (answered from its records) and
+    # bodies that do not (answered by the guarded query); an empty relation
+    # has no tuple that carries the atom
+    k = data.draw(st.sampled_from([2, 3]))
+    rng = data.draw(st.randoms(use_true_random=False))
+    structure, formula = random_instance(
+        rng,
+        k=k,
+        n_objects=data.draw(st.integers(2, 6)),
+        kind=data.draw(st.sampled_from(["max", "min"])),
+    )
+    forced = Atom("E0", tuple(data.draw(st.permutations(formula.opt_vars))[:2]))
+    body = formula.body
+    shapes = {
+        "and-not": And(body, Not(forced)),
+        "not-or": Not(Or(forced, body)),
+        "or-false": And(Or(Not(forced), Const(False)), body),
+        "plain": body,
+        "or": Or(forced, body),
+        "and": And(body, forced),
+    }
+    shape = data.draw(st.sampled_from(sorted(shapes)))
+    formula = formula.with_body(shapes[shape])
+    if data.draw(st.booleans()):
+        relations = dict(structure.relations, E0=Relation("E0", 2, frozenset()))
+        structure = RelationalStructure(structure.labels, relations)
+    evaluator = PreparedBaseline(structure, formula)
+    got = solve_positive_cross_edge(evaluator, forced)
+    folds = _falsifies(formula.body, forced)
+    event(f"folds={folds} shape={shape}")
+    # a random body may fold to false on its own, or with the forced atom
+    # true where it holds the atom's negation
+    if shape in ("and-not", "not-or", "or-false"):
+        assert folds
+    elif shape == "or":
+        assert not folds
+    if folds:
+        assert evaluator.base_cases == 0
+    assert got == guarded_opt(structure, formula, None, [(forced, True)]), (
+        f"{formula} forced {forced}"
+    )
+    if not structure.relation("E0").records:
+        assert got is None
+
+
+@pytest.mark.parametrize("arity", [1, 3])
+@pytest.mark.parametrize("body", ["E(x1,y) & false", "E(x1,y)"], ids=["folds", "query"])
+def test_cross_edge_rejects_a_forced_relation_of_another_arity(arity, body):
+    # a unary T leaked IndexError; a ternary T was read from its first two
+    # columns, and T(x1,x2) answered (0, (0, 1))
+    args = " ".join("abc"[:arity])
+    s = load_structure(f"rel E 2\nE a b\nrel T {arity}\nT {args}\n")
+    f = parse_formula(f"max x1,x2 . count y . {body}")
+    forced = Atom("T", ("x1", "x2"))
+    with pytest.raises(SchemaError):
+        _cross_edge(s, f, forced)
+    for want in (True, False):
+        with pytest.raises(SchemaError):
+            PreparedBaseline(s, f).opt(None, ((forced, want),))
+    with pytest.raises(SchemaError):
+        _cross_edge(s, f, Atom("Q", ("x1", "x2")))  # no such relation
+
+
+def test_lift_sparse_sides_are_answered_from_their_records(monkeypatch):
+    # both lift-sparse templates end in & !E1(x1,x2), so each instance's one
+    # side folds to false with E1 true: it runs no base case, and the stage
+    # reports it as a zero side.  On seed 1 the queries ran 399 base cases
+    from relopt import reduction
+
+    ran = []
+
+    def counting(evaluator, forced):
+        before = evaluator.base_cases
+        res = solve_positive_cross_edge(evaluator, forced)
+        ran.append(evaluator.base_cases - before)
+        return res
+
+    monkeypatch.setattr(reduction, "solve_positive_cross_edge", counting)
+    zero_sides = []
+    for structure, formula in _lift_sparse(1):
+        _, trace = reduce_and_solve(structure, formula, exact_solver(formula.kind))
+        zero_sides.append(dict(trace.stages)["cross-free-lift"]["zero_sides"])
+    assert ran == [0] * 8 and zero_sides == [1] * 8
+
+
+# unlike the lift-sparse templates' body, this one holds E1(x1,x2) under a
+# disjunction, so its side does not fold and runs its guarded query
+SIDE_QUERY_BODY = "E0(x1,y1) & (E0(x2,y1) | P0(y1) | E1(x1,x2))"
+
+
+def _lift_sparse(seed, body=None):
+    """lift-sparse's instances at the seed, each under the body if one is
+    given, with its own kind."""
+    for structure_text, formula_text in bench_instances().instance_texts("lift-sparse", seed):
+        formula = parse_formula(formula_text)
+        if body is not None:
+            formula = formula.with_body(parse_expr(body))
+        yield load_structure(structure_text), formula
+
+
+def _solve_with_side_query_body():
+    # lift-sparse seed 1's structures under SIDE_QUERY_BODY
+    for structure, formula in _lift_sparse(1, SIDE_QUERY_BODY):
+        _, trace = reduce_and_solve(structure, formula, exact_solver(formula.kind))
+        assert dict(trace.stages)["cross-free-lift"]["zero_sides"] == 0
+
+
 def test_side_query_runs_a_base_case_per_object_of_its_atom(monkeypatch):
     # the forced atom's positive literal narrows the loop of x1 too, so a
     # side query of the lift runs one base case per x1 that has a record of
-    # the atom, not one per object: 399 base cases on lift-sparse seed 1,
-    # whose 8 instances have 1,127 objects
+    # the atom, not one per object: 399 base cases on lift-sparse seed 1's
+    # structures, whose 8 instances have 1,127 objects, under a body whose
+    # side runs its query
     from relopt import reduction
 
     calls = []
@@ -220,10 +334,7 @@ def test_side_query_runs_a_base_case_per_object_of_its_atom(monkeypatch):
         return res
 
     monkeypatch.setattr(reduction, "solve_positive_cross_edge", counting)
-    instances = bench_instances()
-    for structure_text, formula_text in instances.instance_texts("lift-sparse", 1):
-        formula = parse_formula(formula_text)
-        reduce_and_solve(load_structure(structure_text), formula, exact_solver(formula.kind))
+    _solve_with_side_query_body()
     assert calls, "no side query ran"
     for ran, objects in calls:
         assert ran <= objects, calls
@@ -255,8 +366,9 @@ def test_side_query_applies_only_its_seeded_u_objects_pair_deltas(monkeypatch):
     # a side query's positive literal seeds each base case's u objects, and
     # each is recounted from its own mixed pairs: no other u is corrected, so
     # the query applies at most the deltas of those pairs.  On lift-sparse
-    # seed 1 that is 185 deltas over the 8 side queries, where a walk over
-    # every u that a moved w reaches through its static partners applies 428
+    # seed 1's structures, under a body whose side runs its query, that is
+    # 185 deltas over the 8 side queries, where a walk over every u that a
+    # moved w reaches through its static partners applies 428
     from relopt import reduction
 
     calls = []
@@ -268,13 +380,11 @@ def test_side_query_applies_only_its_seeded_u_objects_pair_deltas(monkeypatch):
         return res
 
     monkeypatch.setattr(reduction, "solve_positive_cross_edge", counting)
-    instances = bench_instances()
-    for structure_text, formula_text in instances.instance_texts("lift-sparse", 1):
-        formula = parse_formula(formula_text)
-        reduce_and_solve(load_structure(structure_text), formula, exact_solver(formula.kind))
+    _solve_with_side_query_body()
     assert len(calls) == 8 and sum(bound for _, bound in calls) > 0, calls
     for applied, bound in calls:
         assert applied <= bound, calls
+    assert sum(applied for applied, _ in calls) == 185
 
 
 def test_side_queries_never_reach_the_walks_memo(monkeypatch):
@@ -298,10 +408,7 @@ def test_side_queries_never_reach_the_walks_memo(monkeypatch):
 
     monkeypatch.setattr(baseline, "LeadingWalk", Recording)
     monkeypatch.setattr(reduction, "solve_positive_cross_edge", side)
-    instances = bench_instances()
-    for structure_text, formula_text in instances.instance_texts("lift-sparse", 1):
-        formula = parse_formula(formula_text)
-        reduce_and_solve(load_structure(structure_text), formula, exact_solver(formula.kind))
+    _solve_with_side_query_body()
     assert side_walks, "no side query ran"
     for walk in side_walks:
         assert walk.key is None and walk.memo == {} and walk.reused == 0
