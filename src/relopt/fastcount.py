@@ -12,36 +12,42 @@ shares (``relopt.baseline.LeadingWalk``), which matches the m^(k+l-3/2)
 shape.
 
 The residual's atoms are classified and projected by the baseline's
-``BodyAtoms``.  Its static part is built once per solve: the colours, classes
-and pair buckets (by the unary classes of both endpoints and the colour
-bits) of the atoms that mention no brute-forced variable.  A run adds only
+``BodyAtoms``.  Its static part is built once per solve: the colours and
+classes of the atoms that mention no brute-forced variable, and per pair of
+residual variables the partner counts of its static pairs.  A run adds only
 what its assignment's atoms select: those objects leave their static class,
-those pairs leave their static bucket, and every other class and bucket is
-reused as it is.  The walk answers a run from an earlier one that read the
-same (``relopt.baseline.BodyAtoms.signature``).  Every per-(class, colour)
-graph reads only its own buckets; a nonzero colour without a bucket builds
-no graph, as its graph would count 0.  Each truth table is decomposed once
-per process, and a graph with an empty side skips the triangle pass: it has
-no triangle.
+and those pairs and the pairs of the objects that changed class move the
+counts by delta; every other class and count is reused as it is.  The walk
+answers a run from an earlier one that read the same
+(``relopt.baseline.BodyAtoms.signature``).
 
 A class triple whose (v, w) class pair has no coloured pair builds no graph.
 Without a yz edge psi_3, psi_13, psi_23 and psi_123 vanish, and what is left
 of a colour pattern (a0, a1, 0) factors: u's count is N_xy[a0](u) *
 N_xz[a1](u), summed over the patterns the body holds for.  N[a](u) is u's
-number of partners in the colour-a bucket; for a = 0 it is the size of the
-other class less u's degree in the union bucket.  A run builds each (class
-pair, colour) vector at most once, and a static bucket at its static class
-sizes keeps its vector across runs.
+number of partners of colour a in the other class; for a = 0 it is the size
+of that class less u's partners of any colour in it.  A run builds each
+(class pair, colour) vector at most once, from the static one, and where
+neither class moved it reuses the static one.
+
+Only a run with a coloured (v, w) pair builds graphs.  It builds its pair
+buckets (by the unary classes of both endpoints and the colour bits), moving
+the touched pairs and the changed objects' pairs out of the static buckets.
+Every per-(class, colour) graph reads only its own buckets; a nonzero colour
+without a bucket builds no graph, as its graph would count 0.  Each truth
+table is decomposed once per process, and a graph with an empty side skips
+the triangle pass: it has no triangle.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from collections import Counter
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from operator import add, mul
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import Collection, Mapping, NamedTuple, Sequence
 
 from .baseline import (
     BodyAtoms, LeadingWalk, OptResult, Projections, opt_of_walk, resolve_domains, unary_colors,
@@ -292,10 +298,52 @@ def _pair_colors(
     return out
 
 
+class _SideCounts:
+    """A pair side's static partner counts: per object of a its partners by
+    (static class of b, colour), and under colour 0 its partners of any
+    colour in that class; from them, per (class of a, class of b, colour)
+    the count vector over the members of a's class, for colour 0 the members
+    of b's class it has no pair with; and per class pair its colour totals
+    and its colour set, 0 and the colours of its pairs."""
+
+    def __init__(
+        self, color: Mapping[tuple[ObjectId, ObjectId], int], ca: _Classes, cb: _Classes
+    ):
+        self.counts: dict[ObjectId, dict[tuple[int, int], int]] = {}
+        for (a, b), bits in color.items():
+            c_b = cb.color[b]
+            cnt = self.counts.setdefault(a, {})
+            cnt[c_b, bits] = cnt.get((c_b, bits), 0) + 1
+            cnt[c_b, 0] = cnt.get((c_b, 0), 0) + 1
+        self.vectors: dict[tuple[int, int, int], list[int]] = {
+            (c_a, c_b, 0): [len(mem_b)] * len(mem_a)
+            for c_a, mem_a in ca.members.items()
+            for c_b, mem_b in cb.members.items()
+        }
+        self.totals: dict[tuple[int, int], dict[int, int]] = {}
+        for a, cnt in self.counts.items():
+            c_a, i = ca.color[a], ca.pos[a]
+            for (c_b, bits), n in cnt.items():
+                if bits:
+                    vec = self.vectors.get((c_a, c_b, bits))
+                    if vec is None:
+                        vec = self.vectors[c_a, c_b, bits] = [0] * len(ca.members[c_a])
+                    vec[i] = n
+                    tot = self.totals.setdefault((c_a, c_b), {})
+                    tot[bits] = tot.get(bits, 0) + n
+                else:
+                    self.vectors[c_a, c_b, 0][i] -= n
+        self.colours = {pair: (0, *tot) for pair, tot in self.totals.items()}
+
+
 class _PairSide:
     """The atoms over one pair (a, b) of residual variables, as their static
-    and dynamic projections, with the static pair colours and buckets; and
-    per object of a (of b) its static partners with their colours."""
+    and dynamic projections, with the static pair colours; and, each built
+    on first use, per object of a (of b) its static partners with their
+    colours, the static partner counts (``counts``), which a run moves by
+    its delta (``_RunCounts``), and the static buckets, each class pair's
+    coloured pairs as in-class index pairs by colour, which only a run that
+    builds a graph moves (``run_buckets``)."""
 
     def __init__(
         self,
@@ -310,54 +358,28 @@ class _PairSide:
         self.dom_a, self.dom_b = dom_a, dom_b
         self.ca, self.cb = ca, cb
         self.color = _pair_colors(static, {}, dom_a, dom_b)
-        self.buckets = _buckets(self.color, ca, cb)
-        self.partners_a: dict[ObjectId, list[tuple[ObjectId, int]]] = {}
-        self.partners_b: dict[ObjectId, list[tuple[ObjectId, int]]] = {}
+
+    @cached_property
+    def counts(self) -> _SideCounts:
+        return _SideCounts(self.color, self.ca, self.cb)
+
+    @cached_property
+    def buckets(self) -> Buckets:
+        return _buckets(self.color, self.ca, self.cb)
+
+    @cached_property
+    def partners_a(self) -> dict[ObjectId, list[tuple[ObjectId, int]]]:
+        out: dict[ObjectId, list[tuple[ObjectId, int]]] = {}
         for (a, b), bits in self.color.items():
-            self.partners_a.setdefault(a, []).append((b, bits))
-            self.partners_b.setdefault(b, []).append((a, bits))
-        # partner counts of the static buckets at the static class sizes
-        self.static_counts: dict[tuple[int, int, int], list[int]] = {}
+            out.setdefault(a, []).append((b, bits))
+        return out
 
-    def partner_counts(
-        self,
-        buckets: Buckets,
-        ca: _Classes,
-        cb: _Classes,
-        pair: tuple[int, int],
-        bits: int,
-        memo: dict,
-    ) -> list[int]:
-        """Per member of a's class ``pair[0]`` in a run, by index: its number
-        of partners of colour ``bits`` in b's class ``pair[1]``; for colour 0,
-        the members of that class it has no pair with.
-
-        ``memo`` keeps the run's counts.  A class pair whose buckets and
-        class sizes are the static ones keeps its counts across runs."""
-        key = pair + (bits,)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        per_bits = buckets.get(pair)
-        na, nb = len(ca.members[pair[0]]), len(cb.members[pair[1]])
-        static = (
-            per_bits is self.buckets.get(pair)
-            and na == len(self.ca.members.get(pair[0], ()))
-            and nb == len(self.cb.members.get(pair[1], ()))
-        )
-        got = self.static_counts.get(key) if static else None
-        if got is None:
-            deg = [0] * na
-            try:
-                for i, _ in (per_bits or _NO_BUCKETS)[bits]:
-                    deg[i] += 1
-            except IndexError:
-                raise ContractError("pair endpoint out of its class") from None
-            got = [nb - d for d in deg] if bits == 0 else deg
-            if static:
-                self.static_counts[key] = got
-        memo[key] = got
-        return got
+    @cached_property
+    def partners_b(self) -> dict[ObjectId, list[tuple[ObjectId, int]]]:
+        out: dict[ObjectId, list[tuple[ObjectId, int]]] = {}
+        for (a, b), bits in self.color.items():
+            out.setdefault(b, []).append((a, bits))
+        return out
 
     def run_buckets(
         self,
@@ -429,6 +451,191 @@ class _PairSide:
         return out
 
 
+_NO_COUNTS: Mapping[tuple[int, int], int] = MappingProxyType({})
+_NO_MOVES: Mapping[ObjectId, int] = MappingProxyType({})
+
+
+def _move(
+    delta: dict[tuple[int, int, int], dict[ObjectId, int]],
+    c_a: int,
+    a: ObjectId,
+    n: int,
+    old: tuple[int, int],
+    new: tuple[int, int],
+) -> None:
+    """Move n pairs of a, of class c_a, from (class of b, colour) ``old`` to
+    ``new`` in ``delta``; colour 0 is no pair, and a key of colour 0 counts
+    the pairs of any colour."""
+    for (c_b, bits), dn in ((old, -n), (new, n)):
+        if bits:
+            for key in ((c_a, c_b, bits), (c_a, c_b, 0)):
+                d = delta.get(key)
+                if d is None:
+                    d = delta[key] = {}
+                d[a] = d.get(a, 0) + dn
+
+
+class _RunCounts:
+    """One run's partner counts on a pair side: the static ones moved by
+    the run's delta.
+
+    A b that changes class moves each of its static pairs, -1 at its old
+    (class of b, colour) and +1 at its new one; a touched pair then moves
+    from its colour to that colour with its dynamic bits ORed in.  Each move
+    changes the count of the pair's a, kept per (class of a, class of b,
+    colour) as in its vector, colour 0 holding the change of the partners
+    of any colour.  An a that changes class keeps its counts and moves only
+    its pairs' colours in the class pairs' totals; a class pair's colour
+    set is recomputed only where its totals moved.  A vector is the static
+    one cut to the run's class size, with the positions of the objects that
+    changed index or count rewritten; where nothing moved, the static list
+    itself.  So a run costs the changed objects' pairs, not the sizes of
+    their class pairs.  A run that built its buckets reads its colour sets
+    there, and works out its moves only for its first vector."""
+
+    def __init__(
+        self,
+        side: _PairSide,
+        ca: _Classes,
+        changed_a: set,
+        cb: _Classes,
+        changed_b: set,
+        extra: Mapping[tuple[ObjectId, ObjectId], int],
+        buckets: Buckets | None,
+    ):
+        self.side = side
+        self.ca, self.changed_a = ca, changed_a
+        self.cb, self.changed_b = cb, changed_b
+        self.extra = extra
+        self.buckets = buckets
+        self.memo: dict[tuple[int, int, int], list[int]] = {}
+        # the moves: worked out here, where colours reads them, or where the
+        # buckets give the colours, for the first vector
+        self.ready = False
+        if buckets is None:
+            self._prepare()
+
+    def _prepare(self) -> None:
+        """Work out the run's moves, and its colour sets unless its buckets
+        give them."""
+        self.static = self.side.counts
+        self.delta = self._delta()
+        self.swapped = self._swapped()
+        if self.buckets is None:
+            self.moved_colours = self._moved_colours()
+        self.ready = True
+
+    def _delta(self) -> dict[tuple[int, int, int], dict[ObjectId, int]]:
+        """Per (class of a, class of b, colour), each moved a's change."""
+        side, ca, cb = self.side, self.ca, self.cb
+        sb = side.cb
+        out: dict[tuple[int, int, int], dict[ObjectId, int]] = {}
+        # the static pairs of the objects of b that changed class, by (old
+        # class, new class), each (a, colour) once with its number
+        leaving: dict[tuple[int, int], list[tuple[ObjectId, int]]] = {}
+        for b in self.changed_b:
+            s_b, c_b = sb.color[b], cb.color[b]
+            if s_b != c_b:
+                leaving.setdefault((s_b, c_b), []).extend(side.partners_b.get(b, ()))
+        for (s_b, c_b), pairs in leaving.items():
+            for (a, bits), n in Counter(pairs).items():
+                _move(out, ca.color[a], a, n, (s_b, bits), (c_b, bits))
+        for (a, b), bits in self.extra.items():
+            c_b = cb.color[b]
+            old = side.color.get((a, b), 0)
+            _move(out, ca.color[a], a, 1, (c_b, old), (c_b, old | bits))
+        return out
+
+    def _swapped(self) -> dict[int, list[ObjectId]]:
+        """Per class of a, its objects that kept their class but not their
+        index."""
+        sa, ca = self.side.ca, self.ca
+        out: dict[int, list[ObjectId]] = {}
+        for a in self.changed_a:
+            if sa.color[a] == ca.color[a]:
+                out.setdefault(ca.color[a], []).append(a)
+        return out
+
+    def _moved_colours(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """The colour sets of the class pairs whose colour totals moved."""
+        side, ca = self.side, self.ca
+        sa = side.ca
+        # per class pair the change of its colour totals: the moves, and
+        # the pairs of the objects of a that changed class
+        totals: dict[tuple[int, int], dict[int, int]] = {}
+        for (c_a, c_b, bits), d in self.delta.items():
+            if bits:
+                tot = totals.setdefault((c_a, c_b), {})
+                tot[bits] = tot.get(bits, 0) + sum(d.values())
+        for a in self.changed_a:
+            s_a, c_a = sa.color[a], ca.color[a]
+            if s_a == c_a:
+                continue
+            for (x, bits), n in self.static.counts.get(a, _NO_COUNTS).items():
+                if bits:
+                    tot = totals.setdefault((s_a, x), {})
+                    tot[bits] = tot.get(bits, 0) - n
+                    tot = totals.setdefault((c_a, x), {})
+                    tot[bits] = tot.get(bits, 0) + n
+        out = {}
+        for pair, tot in totals.items():
+            for bits, n in self.static.totals.get(pair, _NO_COUNTS).items():
+                tot[bits] = tot.get(bits, 0) + n
+            out[pair] = (0, *(bits for bits, n in tot.items() if n))
+        return out
+
+    def colours(self, pair: tuple[int, int]) -> Collection[int]:
+        """0 and the colours of the run's pairs of the class pair."""
+        if self.buckets is not None:
+            return self.buckets.get(pair, _NO_BUCKETS).keys()
+        got = self.moved_colours.get(pair)
+        if got is None:
+            got = self.static.colours.get(pair, (0,))
+        return got
+
+    def vector(self, pair: tuple[int, int], bits: int) -> list[int]:
+        """Per member of a's class ``pair[0]``, by index: its number of
+        partners of colour ``bits`` in b's class ``pair[1]``; for colour 0,
+        the members of that class it has no pair with.  The caller must not
+        change it."""
+        key = pair + (bits,)
+        got = self.memo.get(key)
+        if got is not None:
+            return got
+        if not self.ready:
+            self._prepare()
+        side = self.side
+        c_a, c_b = pair
+        members = self.ca.members[c_a]
+        nb = len(self.cb.members[c_b])
+        pos = self.ca.pos
+        moves = self.delta.get(key, _NO_MOVES)
+        static_members = side.ca.members.get(c_a)
+        if static_members is None:  # a class of touched objects only
+            counts = self.static.counts
+            got = [counts.get(a, _NO_COUNTS).get((c_b, bits), 0) for a in members]
+            if not bits:
+                got = [nb - n for n in got]
+        else:
+            base = self.static.vectors.get(key) or [0] * len(static_members)
+            # colour 0 counts b's class less the partners in it
+            shift = 0 if bits else nb - len(side.cb.members.get(c_b, ()))
+            swapped = self.swapped.get(c_a, ())
+            if shift:
+                got = [n + shift for n in base[: len(members)]]
+            elif moves or swapped or len(members) < len(static_members):
+                got = base[: len(members)]
+            else:
+                got = base
+            static_pos = side.ca.pos
+            for a in swapped:
+                got[pos[a]] = base[static_pos[a]] + shift
+        for a, n in moves.items():
+            got[pos[a]] += n if bits else -n
+        self.memo[key] = got
+        return got
+
+
 class _Residual3:
     """Counts psi(u) = #{(v, w) : body} for all u, given a partial assignment
     of every other variable.
@@ -440,21 +647,25 @@ class _Residual3:
     ``relopt.baseline.BodyAtoms`` classifies and projects the atoms and
     holds the body's truth per class bits.  A static atom mentions no
     brute-forced variable, so it colours the same objects and pairs in every
-    run; a dynamic one mentions one.  The static colours,
-    classes and buckets (each pair's coloured pairs by the classes of both
-    endpoints and by colour, as in-class index pairs) are built once.  A run
-    colours only its dynamic atoms.  The objects and pairs they select are
-    touched and leave their static class or bucket (``_moved``,
-    ``_PairSide.run_buckets``); every other class and bucket is the static
-    one.  A colour combination with a nonzero colour that no pair of its
-    class pair has builds no graph, and a graph with an empty side costs no
-    triangle pass.
+    run; a dynamic one mentions one.  The static colours and classes, and
+    per pair side the static partner counts (``_SideCounts``), are built
+    once.  A run colours only its dynamic atoms.  The objects they select
+    are touched and leave their static class (``_moved``), and each pair
+    side's counts are its static ones moved by the run's delta: the pairs
+    of the objects that changed class and the touched pairs
+    (``_RunCounts``).
 
     A class triple whose (v, w) class pair has no coloured pair has no yz
     edge, so psi_3, psi_13, psi_23 and psi_123 vanish: it builds no graph,
     and each colour pattern (a0, a1, 0) the body holds for adds the product
     of u's partner counts in colour a0 over v and a1 over w
-    (``_PairSide.partner_counts``).
+    (``_RunCounts.vector``), over the colours of the class pairs' pairs
+    (``_RunCounts.colours``).  Only a run with a coloured (v, w) pair builds
+    graphs, so only it builds buckets (``_PairSide.run_buckets``: the
+    touched pairs and the pairs of the changed objects leave their static
+    bucket, and every other bucket is the static one).  A colour
+    combination with a nonzero colour that no pair of its class pair has
+    builds no graph, and a graph with an empty side costs no triangle pass.
     """
 
     def __init__(self, structure: RelationalStructure, formula: OptFormula):
@@ -504,59 +715,68 @@ class _Residual3:
             if t[0] in du and t[1] in dv and t[2] in dw
         }
 
+    def moves(self, asn: dict[str, ObjectId]) -> tuple[dict, dict, dict]:
+        """A run's dynamic colour bits of its touched objects, per variable;
+        its classes with the objects whose class or index changed, per
+        variable (``_moved``); and the dynamic colour bits of its touched
+        pairs, per pair side."""
+        extra = {
+            var: unary_colors(self.single_dynamic[var], asn, self.dom_sets[var])
+            for var in self.free
+        }
+        moved = {var: _moved(self.classes[var], extra[var]) for var in self.free}
+        extra_pairs = {
+            pr: _pair_colors(side.dynamic, asn, side.dom_a, side.dom_b)
+            for pr, side in self.pair_sides.items()
+        }
+        return extra, moved, extra_pairs
+
     def run(self, asn: dict[str, ObjectId]) -> dict[ObjectId, int]:
         """psi(u) for every u of its domain; the caller must not change it."""
         u, v, w = self.free
         body = self.body
         fixed_bits = body.bits(asn)
-        extra = {
-            var: unary_colors(self.single_dynamic[var], asn, self.dom_sets[var])
-            for var in self.free
-        }
-        extra_pairs = {
-            pr: _pair_colors(side.dynamic, asn, side.dom_a, side.dom_b)
-            for pr, side in self.pair_sides.items()
-        }
+        extra, moved, extra_pairs = self.moves(asn)
         extra_triples = self._triples(self.triple_dynamic, asn)
         self.touched += len(set().union(*extra.values()))
 
-        moved = {var: _moved(self.classes[var], extra[var]) for var in self.free}
         cls_u, cls_v, cls_w = (moved[var][0] for var in self.free)
-        uv_edges, uw_edges, vw_edges = (
-            side.run_buckets(*moved[a], *moved[b], extra_pairs[(a, b)])
-            for (a, b), side in self.pair_sides.items()
-        )
+        side_uv, side_uw, side_vw = self.pair_sides.values()
+        # only a coloured (v, w) pair makes a class triple build graphs
+        vw_edges: Buckets = {}
+        uv_edges = uw_edges = None
+        if side_vw.color or extra_pairs[v, w]:
+            uv_edges, uw_edges, vw_edges = (
+                side.run_buckets(*moved[a], *moved[b], extra_pairs[a, b])
+                for (a, b), side in self.pair_sides.items()
+            )
+        count_uv = _RunCounts(side_uv, *moved[u], *moved[v], extra_pairs[u, v], uv_edges)
+        count_uw = _RunCounts(side_uw, *moved[u], *moved[w], extra_pairs[u, w], uw_edges)
 
         truth = body.truth
-        side_uv, side_uw, _ = self.pair_sides.values()
-        memo_uv: dict = {}
-        memo_uw: dict = {}
         psi0 = dict.fromkeys(self.domains[u], 0)
         for delta, us in cls_u.members.items():
             counts = [0] * len(us)
             for beta, vs in cls_v.members.items():
-                xy = uv_edges.get((delta, beta), _NO_BUCKETS)
+                colours_xy = count_uv.colours((delta, beta))
                 for gamma, ws in cls_w.members.items():
-                    xz = uw_edges.get((delta, gamma), _NO_BUCKETS)
                     yz = vw_edges.get((beta, gamma))
-                    # only the colours of some pair of these classes: a
-                    # nonzero colour without one asks for an edge on an
-                    # empty side, and its graph counts 0
                     if yz is None:
                         # no yz edge: a term is the product of u's partner
                         # counts in its xy and its xz colour
-                        for a0, a1 in product(xy, xz):
+                        for a0, a1 in product(colours_xy, count_uw.colours((delta, gamma))):
                             if not truth((fixed_bits, delta, beta, gamma, a0, a1, 0)):
                                 continue
                             self.products += 1
-                            n0 = side_uv.partner_counts(
-                                uv_edges, cls_u, cls_v, (delta, beta), a0, memo_uv
-                            )
-                            n1 = side_uw.partner_counts(
-                                uw_edges, cls_u, cls_w, (delta, gamma), a1, memo_uw
-                            )
+                            n0 = count_uv.vector((delta, beta), a0)
+                            n1 = count_uw.vector((delta, gamma), a1)
                             counts = list(map(add, counts, map(mul, n0, n1)))
                         continue
+                    # only the colours of some pair of these classes: a
+                    # nonzero colour without one asks for an edge on an
+                    # empty side, and its graph counts 0
+                    xy = uv_edges.get((delta, beta), _NO_BUCKETS)
+                    xz = uw_edges.get((delta, gamma), _NO_BUCKETS)
                     for (a0, e0), (a1, e1), (a2, e2) in product(
                         xy.items(), xz.items(), yz.items()
                     ):

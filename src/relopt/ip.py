@@ -49,6 +49,19 @@ class IPInstance:
                 if vec and not (vec[0] >= 0 and vec[-1] < self.d):
                     raise ContractError("coordinate out of range")
 
+    def _keep(self, combo: Sequence[Sequence[int]]) -> IPInstance:
+        """The instance of the vectors at the indices ``combo[i]`` of each
+        family i, built with no re-check: each is a vector of this instance,
+        checked when it was built."""
+        families = tuple(
+            tuple(fam[j] for j in block) for fam, block in zip(self.families, combo)
+        )
+        sub = object.__new__(IPInstance)
+        object.__setattr__(sub, "k", self.k)
+        object.__setattr__(sub, "families", families)
+        object.__setattr__(sub, "d", self.d)
+        return sub
+
     @property
     def m_ip(self) -> int:
         return sum(len(v) for fam in self.families for v in fam)
@@ -244,10 +257,7 @@ def vector_query(
     calls = 0
     for combo in product(*blocks):
         if all(combo):
-            families = tuple(
-                tuple(fam[j] for j in block) for fam, block in zip(ip.families, combo)
-            )
-            out.append(solve(IPInstance(ip.k, families, ip.d)))
+            out.append(solve(ip._keep(combo)))
             calls += 1
         else:
             out.append(None)

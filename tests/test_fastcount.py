@@ -2,7 +2,7 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import relopt.fastcount as fastcount
 from relopt.baseline import baseline_opt, naive_values, opt_of_table
@@ -432,3 +432,98 @@ def test_multicount_trace_counts_every_triangle_counts_call(monkeypatch):
     assert stats["products"] > 0
     assert value == baseline_opt(structure, formula).value
 
+
+
+def _recount(buckets, ca, cb, pair, bits):
+    """Per member of a's class pair[0]: its partners of colour bits in b's
+    class pair[1], counted off the buckets; for colour 0 its non-partners."""
+    deg = [0] * len(ca.members[pair[0]])
+    for i, _ in buckets.get(pair, fastcount._NO_BUCKETS).get(bits, ()):
+        deg[i] += 1
+    nb = len(cb.members[pair[1]])
+    return deg if bits else [nb - d for d in deg]
+
+
+def _check_delta_counts(residual, asn):
+    """On every pair side of the run at ``asn``: the buckets equal those
+    built anew off the run's pair colours, and each class pair's
+    colour set and count vectors, moved by delta, equal those recounted off
+    the buckets, whether the run's colours come from the delta or from the
+    buckets.  Returns what the run did to the static classes."""
+    _, moved, extra_pairs = residual.moves(asn)
+    seen = set()
+    for var, (cls, _) in moved.items():
+        static = residual.classes[var].members
+        if static.keys() - cls.members.keys():
+            seen.add("emptied a class")
+        if cls.members.keys() - static.keys():
+            seen.add("created a class")
+    if any(extra_pairs.values()):
+        seen.add("touched pairs")
+    for (a, b), side in residual.pair_sides.items():
+        (ca, changed_a), (cb, changed_b) = moved[a], moved[b]
+        extra = extra_pairs[a, b]
+        colour = dict(side.color)
+        for pair, bits in extra.items():
+            colour[pair] = colour.get(pair, 0) | bits
+        buckets = side.run_buckets(ca, changed_a, cb, changed_b, extra)
+        assert buckets == fastcount._buckets(colour, ca, cb)
+        for given_buckets in (None, buckets):
+            counts = fastcount._RunCounts(side, ca, changed_a, cb, changed_b, extra, given_buckets)
+            for pair in product(ca.members, cb.members):
+                colours = set(buckets.get(pair, fastcount._NO_BUCKETS))
+                assert set(counts.colours(pair)) == colours, (a, b, pair)
+                for bits in sorted(colours):
+                    want = _recount(buckets, ca, cb, pair, bits)
+                    assert counts.vector(pair, bits) == want, (a, b, pair, bits)
+    return seen
+
+
+def _check_every_run(structure, formula):
+    """``_check_delta_counts`` on every assignment of the brute-forced
+    variables; the static vectors must come out unchanged.  Returns what
+    the runs did to the static classes."""
+    residual = fastcount._Residual3(structure, formula)
+    static = {
+        pr: {key: list(vec) for key, vec in side.counts.vectors.items()}
+        for pr, side in residual.pair_sides.items()
+    }
+    assigned = [x for x in formula.opt_vars + formula.count_vars if x not in residual.free]
+    seen = set()
+    for objects in product(*(residual.domains[x] for x in assigned)):
+        seen |= _check_delta_counts(residual, dict(zip(assigned, objects)))
+    for pr, side in residual.pair_sides.items():
+        assert side.counts.vectors == static[pr]
+    return seen
+
+
+@given(multicount_instances())
+@settings(max_examples=150, deadline=None)
+def test_delta_counts_equal_the_counts_of_the_run_buckets(instance):
+    structure, formula = instance
+    for what in sorted(_check_every_run(structure, formula)):
+        event(f"a run {what}")
+
+
+def test_delta_counts_hold_where_a_run_empties_and_creates_classes():
+    # P0 splits y1's static classes; E0(x1,y1) moves y1's objects out of
+    # them per value of x1, emptying {o0, o3}'s class at x1 = o2 and creating
+    # classes of touched objects, as E1(x1,y3) does for y3's one class;
+    # R0(x1,y2,y3) touches (y2, y3) pairs, and the hub o0 carries most
+    # pairs of E1
+    records = {
+        "E0": {(1, 0), (2, 0), (2, 3), (3, 1), (0, 2)},
+        "E1": {(0, o) for o in range(5)} | {(o, 0) for o in range(5)} | {(2, 3)},
+        "P0": {(0,), (3,)},
+        "R0": {(1, 2, 3), (1, 0, 4), (2, 1, 1), (3, 3, 0)},
+    }
+    arity = {"E0": 2, "E1": 2, "P0": 1, "R0": 3}
+    structure = build_structure([f"o{i}" for i in range(5)], records, arity)
+    for kind in ("max", "min"):
+        formula = parse_formula(
+            f"{kind} x1 . count y1,y2,y3 . (P0(y1) | E0(x1,y1)) & "
+            "(E1(y1,y2) | R0(x1,y2,y3)) & (E0(y1,y3) | !E1(y3,y1) | P0(y2) | E1(x1,y3))"
+        )
+        assert _check_every_run(structure, formula) == {
+            "emptied a class", "created a class", "touched pairs"
+        }

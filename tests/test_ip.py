@@ -303,6 +303,32 @@ def test_min_block_value_needs_every_pair_to_overlap():
         assert vector_query(exact.solve, inst, blocks, {}) == want
 
 
+@given(st.integers(1, 3), st.integers(1, 6), st.data())
+@settings(max_examples=50, deadline=None)
+def test_a_kept_sub_instance_equals_the_checked_one(k, d, data):
+    # vector_query's per-combination instances are built with no re-check;
+    # each must equal the instance the public constructor checks
+    vector = st.sets(st.integers(0, d - 1)).map(lambda s: tuple(sorted(s)))
+    fams = tuple(tuple(data.draw(st.lists(vector, min_size=1, max_size=4))) for _ in range(k))
+    inst = IPInstance(k, fams, d)
+    combo = [data.draw(st.lists(st.sampled_from(range(len(f))), max_size=4)) for f in fams]
+    checks = 0
+    original = IPInstance.__post_init__
+
+    def counted(self):
+        nonlocal checks
+        checks += 1
+        original(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(IPInstance, "__post_init__", counted)
+        kept = inst._keep(combo)
+        assert checks == 0
+        want = IPInstance(k, tuple(tuple(f[j] for j in b) for f, b in zip(fams, combo)), d)
+    assert kept == want and hash(kept) == hash(want)
+    assert (kept.k, kept.families, kept.d) == (want.k, want.families, want.d)
+
+
 def test_block_query_rejects_overlapping_or_missing_blocks():
     inst = HybridInstance(2, "max", [3], [[{0}], [{0}, {0}]])
     exact = exact_solver("max")
